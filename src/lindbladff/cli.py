@@ -3,9 +3,8 @@ line-delimited records, and the benchmark suites.
 
 Records are one JSON object per line with sorted keys and compact separators,
 so identical invocations (same argv and seed) are byte-identical apart from
-the ``wall_time_s`` field.  Bench cells derive their seeds from the master
-seed through ``numpy.random.SeedSequence([master, cell_index])`` and are
-emitted in cell order regardless of execution order.
+the ``wall_time_s`` field.  The runs of ``ae-demo`` derive their seeds from
+``--seed`` through ``numpy.random.SeedSequence([seed, run_index])``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .config import TOL
 from .errors import ValidationError
 from . import numkernel as nk
 from . import model
@@ -39,7 +37,6 @@ from .qpe import (amplitude_decision_demo, counting_estimator, fast_qpe,
 from .stateprep import (GaussianParams, binomial_amplitudes,
                         binomial_gaussian_distance,
                         discrete_gaussian_amplitudes, kw_angle_schedule)
-from . import kernels
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +182,8 @@ def _cmd_evolve(args, argv, emit: _Emitter):
             "choi_commuting": passes,
             "max_commutator": worst,
         }
-        emit.record(ExperimentRecord(argv, _jsonable(outputs), digest, args.seed,
-                                     cost.as_dict(), time.perf_counter() - t0))
+        emit.record(ExperimentRecord(argv, _jsonable(outputs), digest,
+                                     cost=cost.as_dict(), wall_time_s=time.perf_counter() - t0))
         return
 
     mat = _load_ham(args.ham, args.format)
@@ -204,11 +201,6 @@ def _cmd_evolve(args, argv, emit: _Emitter):
         }
     elif args.method == "dilated":
         steps = args.steps if args.steps else default_steps(args.t, args.eps)
-        if steps > TOL.cli_step_override and not args.force:
-            raise ValidationError(
-                f"default step count {steps} exceeds {TOL.cli_step_override}; "
-                f"pass --force to run anyway or --steps to reduce"
-            )
         rho, cost = dilated_evolve(ham.matrix, np.outer(psi, psi.conj()), args.t, steps)
     elif args.method == "exact":
         rho = lindblad_exact_hermitian(ham, np.outer(psi, psi.conj()), args.t)
@@ -217,8 +209,8 @@ def _cmd_evolve(args, argv, emit: _Emitter):
         raise ValidationError(f"unknown method {args.method!r}")
     outputs["rho_out"] = model.format_dense_matrix(rho)
     outputs["spectrum_map"] = {"scale": ham.spectrum_map.scale, "shift": ham.spectrum_map.shift}
-    emit.record(ExperimentRecord(argv, _jsonable(outputs), digest, args.seed,
-                                 cost.as_dict(), time.perf_counter() - t0))
+    emit.record(ExperimentRecord(argv, _jsonable(outputs), digest,
+                                 cost=cost.as_dict(), wall_time_s=time.perf_counter() - t0))
 
 
 def _load_jump_list(path: str) -> tuple[list[np.ndarray], str]:
@@ -254,16 +246,13 @@ def _cmd_qpe(args, argv, emit: _Emitter):
     state = model.decompose_state(psi, ham)
 
     if args.mode == "estimate":
-        target = (args.eps_target, args.delta) if args.eps_target else None
         if args.route == "standard":
-            res = standard_qpe(ham, state, args.d, args.dist_mode, args.seed, target,
-                               args.repeats)
+            res = standard_qpe(ham, state, args.d, args.dist_mode, args.seed, args.repeats)
         elif args.route == "slow":
-            res = slow_qpe(ham, state, args.t, args.N, args.dist_mode, args.seed, target,
-                           args.repeats)
+            res = slow_qpe(ham, state, args.t, args.N, args.dist_mode, args.seed, args.repeats)
         else:
             p = make_plan(args.t, args.eps, args.N)
-            res = fast_qpe(ham, state, p, args.dist_mode, args.seed, target, args.repeats)
+            res = fast_qpe(ham, state, p, args.dist_mode, args.seed, args.repeats)
         outputs = {
             "route": args.route,
             "estimate": res.estimate,
@@ -317,8 +306,8 @@ def _cmd_gibbs(args, argv, emit: _Emitter):
             "ideal_amplification_queries": res.ideal_amplification_queries,
             "reduced_state": model.format_dense_matrix(res.reduced_state),
         }
-        emit.record(ExperimentRecord(argv, _jsonable(outputs), digest, args.seed,
-                                     res.cost.as_dict(), time.perf_counter() - t0))
+        emit.record(ExperimentRecord(argv, _jsonable(outputs), digest,
+                                     cost=res.cost.as_dict(), wall_time_s=time.perf_counter() - t0))
         csv_rows.append(f"{beta},{res.cost.hamiltonian_time},{res.fidelity},"
                         f"{res.partition_estimate},{z_exact}")
     if args.csv:
@@ -489,24 +478,6 @@ def _bench_gibbs_beta(args, argv, emit: _Emitter):
         "pass": bool(abs(slope - 0.5) <= 0.1 + 1e-9)}))
 
 
-def _bench_kernels(args, argv, emit: _Emitter):
-    paths = kernels.both_paths()
-    sizes = _parse_ints(args.N_grid)
-    emit.text("kernel,N,path,seconds")
-    for n in sizes:
-        period = 1 << max(4, int(math.log2(max(math.sqrt(n), 2))))
-        for name, fns in paths.items():
-            fns["residue_weights"](n, period, -(n // 2 - period // 2))  # warm up / jit
-            t0 = time.perf_counter()
-            w = fns["residue_weights"](n, period, -(n // 2 - period // 2))
-            emit.text(f"residue_weights,{n},{name},{time.perf_counter() - t0!r}")
-            assert abs(float(np.sum(w)) - 1.0) < 1e-9
-            fns["pmf_window"](n, 0.3)
-            t0 = time.perf_counter()
-            fns["pmf_window"](n, 0.3)
-            emit.text(f"pmf_window,{n},{name},{time.perf_counter() - t0!r}")
-
-
 # ---------------------------------------------------------------------------
 # Parser and entry point
 # ---------------------------------------------------------------------------
@@ -528,10 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--eps", type=float, default=0.1)
     ev.add_argument("--N", type=int, default=None, help="register-count override (ff)")
     ev.add_argument("--steps", type=int, default=None, help="step override (dilated)")
-    ev.add_argument("--force", action="store_true",
-                    help="allow dilated step counts above the safety cap")
     ev.add_argument("--state", default="plus")
-    ev.add_argument("--seed", type=int, default=None)
 
     qp = sub.add_parser("qpe", help="phase estimation / eigenstate preparation")
     qp.add_argument("mode", nargs="?", choices=["estimate", "prepare"], default="estimate")
@@ -546,8 +514,6 @@ def _build_parser() -> argparse.ArgumentParser:
     qp.add_argument("--eigen", type=int, default=0, help="target eigenspace (prepare)")
     qp.add_argument("--zeta", type=float, default=None,
                     help="preparation inaccuracy target; sets eps=(c_beta*zeta)^2")
-    qp.add_argument("--eps-target", dest="eps_target", type=float, default=None)
-    qp.add_argument("--delta", type=float, default=None)
     qp.add_argument("--mode", dest="dist_mode", choices=["exact", "sample"], default="exact")
     qp.add_argument("--repeats", type=int, default=1,
                     help="sample-mode repetitions, median outcome (default single-shot)")
@@ -559,7 +525,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gb.add_argument("--beta", default="1,2,4")
     gb.add_argument("--eps", type=float, default=0.05)
     gb.add_argument("--csv", help="write the beta-vs-cost CSV here")
-    gb.add_argument("--seed", type=int, default=None)
 
     ae = sub.add_parser("ae-demo", help="amplitude-estimation decision demo")
     ae.add_argument("--n", type=int, default=4, help="oracle address bits")
@@ -585,15 +550,13 @@ def _build_parser() -> argparse.ArgumentParser:
     bd.add_argument("--c-grid", dest="c_grid", default="0.05,0.15,0.25,0.35,0.45")
 
     bn = sub.add_parser("bench", help="scaling benchmark suites")
-    bn.add_argument("suite", choices=["ff-vs-dilated", "qpe-error", "gibbs-beta", "kernels"])
+    bn.add_argument("suite", choices=["ff-vs-dilated", "qpe-error", "gibbs-beta"])
     bn.add_argument("--t", default=None,
                     help="time grid (default 1..64 for ff-vs-dilated, 16..128 for qpe-error)")
     bn.add_argument("--eps", type=float, default=0.1)
     bn.add_argument("--beta", default="1,2,4,8")
     bn.add_argument("--N-slow", dest="N_slow", type=int, default=1_000_000)
     bn.add_argument("--N-fast", dest="N_fast", type=int, default=4096)
-    bn.add_argument("--N-grid", dest="N_grid", default="100000,1000000,10000000")
-    bn.add_argument("--master-seed", dest="master_seed", type=int, default=0)
     return ap
 
 
@@ -610,7 +573,6 @@ _BENCH = {
     "ff-vs-dilated": _bench_ff_vs_dilated,
     "qpe-error": _bench_qpe_error,
     "gibbs-beta": _bench_gibbs_beta,
-    "kernels": _bench_kernels,
 }
 
 

@@ -33,7 +33,6 @@ class Tolerances:
     kravchuk_cap: int = 4096        # largest register count for the dense transform
     vectorized_cap: int = 4096      # dim^2 cap for the vectorized propagator
     dense_reference_cap: int = 2 ** 14   # register_dim * system_dim for the circuit oracle
-    cli_step_override: int = 10 ** 7     # dilated step counts above this need --force
 
 
 TOL = Tolerances()

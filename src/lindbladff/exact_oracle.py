@@ -3,8 +3,8 @@
 Two exact routes plus one brute-force route:
 
 * :func:`lindblad_exact_hermitian` - closed-form dephasing solution for a
-  single Hermitian jump, built from the eigenspace decomposition.  Each
-  cross-eigenspace block decays at rate -(h_a - h_b)^2 / 2.
+  single Hermitian jump: in the jump's eigenbasis each coherence between
+  levels a and b is multiplied by exp(-t (h_a - h_b)^2 / 2).
 * :func:`lindblad_exact_general` - vectorized propagator for any Hermitian
   jump list, exp(L t) on the row-major vectorization rho_ij -> |i>|j>.
 * :func:`lindblad_rk4` - an independent adaptive Runge-Kutta integrator of
@@ -29,23 +29,13 @@ def lindblad_exact_hermitian(ham: Hamiltonian, rho0: np.ndarray, t: float) -> np
     rho0 = nk.require_square(rho0)
     if rho0.shape[0] != ham.dim:
         raise ValidationError(f"dimension mismatch: rho {rho0.shape[0]} vs Hamiltonian {ham.dim}")
-    h = ham.eigenvalues
-    decay = np.exp(-0.5 * t * (h[:, None] - h[None, :]) ** 2)
-    left = [p @ rho0 for p in ham.projectors]
-    out = np.zeros_like(rho0)
-    for a in range(ham.n_levels):
-        for b in range(ham.n_levels):
-            out += decay[a, b] * (left[a] @ ham.projectors[b])
-    return out
+    gaps = ham.eigenvalues[:, None] - ham.eigenvalues[None, :]
+    return ham.dephase(np.exp(-0.5 * t * gaps ** 2), rho0)
 
 
 def steady_state(ham: Hamiltonian, rho0: np.ndarray) -> np.ndarray:
     """Infinite-time limit: coherence survives only inside each eigenspace."""
-    rho0 = nk.require_square(rho0)
-    out = np.zeros_like(rho0)
-    for p in ham.projectors:
-        out += p @ rho0 @ p
-    return out
+    return ham.dephase(np.eye(ham.n_levels), nk.require_square(rho0))
 
 
 def generator_matrix(spec: LindbladSpec) -> np.ndarray:

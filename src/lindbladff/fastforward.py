@@ -177,27 +177,34 @@ def _check_norm(ham: Hamiltonian):
         raise ValidationError("jump norm exceeds 1; normalize the spectrum and rescale time")
 
 
+def _residue_table(ham: Hamiltonian, p: FFPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Residue-class weights and the (period, n_levels) phase table."""
+    _check_norm(ham)
+    return binom_residue_weights(p.n, p.period, -p.shift), _residue_phases(p, ham.eigenvalues)
+
+
 def goal_ledger(ham: Hamiltonian, psi: np.ndarray, p: FFPlan) -> GoalLedger:
     """Build the residue ledger for a pure input state."""
-    _check_norm(ham)
     psi = nk.require_state(psi)
     if psi.shape[0] != ham.dim:
         raise ValidationError(f"dimension mismatch: state {psi.shape[0]} vs Hamiltonian {ham.dim}")
-    weights = binom_residue_weights(p.n, p.period, -p.shift)
-    phases = _residue_phases(p, ham.eigenvalues)
+    weights, phases = _residue_table(ham, p)
     comps = ham.components(psi)          # (n_levels, dim)
     states = phases @ comps              # (period, dim)
     return GoalLedger(p, weights, states)
 
 
 def ff_evolve(ham: Hamiltonian, state0: np.ndarray, p: FFPlan
-              ) -> tuple[np.ndarray, GoalLedger, CostReport]:
+              ) -> tuple[np.ndarray, GoalLedger | None, CostReport]:
     """Fast-forwarded simulation of the dephasing Lindbladian.
 
-    Accepts a state vector or a density matrix (handled by eigen-mixture
-    linearity; the ledger returned is the one of the dominant eigenvector).
-    The reported Hamiltonian time 2^d' sqrt(tau) is exactly the evolution
-    time the d' controlled factors and one uncontrolled factor spend.
+    Accepts a state vector or a density matrix.  A state vector goes through
+    its residue ledger, which is returned.  A density matrix is multiplied in
+    the eigenbasis by the level-pair kernel sum_r w_r e^{-i (h_a - h_b)
+    theta_r} that the ledger realizes for every pure component, and no
+    ledger is returned (``None``).  The reported Hamiltonian time 2^d'
+    sqrt(tau) is exactly the evolution time the d' controlled factors and one
+    uncontrolled factor spend.
     """
     state0 = np.asarray(state0, dtype=complex)
     cost = CostReport(
@@ -212,17 +219,8 @@ def ff_evolve(ham: Hamiltonian, state0: np.ndarray, p: FFPlan
     rho0 = nk.require_density(state0)
     if rho0.shape[0] != ham.dim:
         raise ValidationError(f"dimension mismatch: rho {rho0.shape[0]} vs Hamiltonian {ham.dim}")
-    w, v = np.linalg.eigh(rho0)
-    rho = np.zeros_like(rho0)
-    ledger = None
-    for k in np.argsort(w)[::-1]:
-        if w[k] <= 1e-14:
-            continue
-        led = goal_ledger(ham, v[:, k], p)
-        if ledger is None:
-            ledger = led
-        rho += w[k] * _ledger_density(led)
-    return rho, ledger, cost
+    weights, phases = _residue_table(ham, p)
+    return ham.dephase((phases.T * weights) @ phases.conj(), rho0), None, cost
 
 
 def _ledger_density(ledger: GoalLedger) -> np.ndarray:

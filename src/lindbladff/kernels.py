@@ -1,14 +1,9 @@
-"""Hot binomial kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot binomial kernels of the fast-forwarded simulator, in numpy.
 
 The two kernels below dominate the runtime of large fast-forwarding plans
-(register counts up to ~10^7), so they get a compiled path.  Selection:
-
-* default: numba ``@njit`` (compiled lazily, cached on disk),
-* ``LINDBLADFF_NO_NUMBA=1`` in the environment, or numba not importable:
-  pure-numpy path.
-
-Both paths follow one summation order, and that order is the contract that
-keeps records byte-stable whichever path runs:
+(register counts up to ~10^7; about 2 ms per call at N = 10^7).  They follow
+one summation order, and that order is the contract that keeps records
+byte-stable on any numpy/BLAS build:
 
 * the unnormalized pmf is 1 at the centre (``round(N p)`` for the pmf window,
   ``N // 2`` for the residue weights) and is extended outward by a running
@@ -18,12 +13,10 @@ keeps records byte-stable whichever path runs:
   in the order centre, upward terms, downward terms; the pmf window's total
   in window order (low to high).
 
-The numpy path spells the running products as ``np.cumprod``, the bin sums as
-``np.bincount`` and the totals as ``np.cumsum(...)[-1]``, all of which
-accumulate in input order, so it gives the same bits as the loop kernels
-(``_*_loop``), which numba compiles and which otherwise serve as the
-interpreted reference for the numpy path.
-``lindbladff bench kernels`` times the two paths against each other.
+The running products are spelled ``np.cumprod``, the bin sums ``np.bincount``
+and the totals ``np.cumsum(...)[-1]``, all of which accumulate in input
+order; the tests check both kernels bit for bit against a plain-Python loop
+transcription of this order.
 
 The pmf slices are normalized by their own sum.  The truncated tail mass is
 below 1e-300 (the recursion is cut where terms underflow), so this recovers
@@ -34,16 +27,8 @@ large-argument log-gamma differences would introduce.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-USE_NUMBA = os.environ.get("LINDBLADFF_NO_NUMBA", "0").lower() not in ("1", "true", "yes")
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - environment without numba
-        USE_NUMBA = False
 
 # Support halfwidth in units of sigma: exp(-36^2/2) ~ 1e-282 keeps every
 # representable pmf value inside the window.
@@ -58,10 +43,6 @@ def _support(n: int, p: float) -> tuple[int, int]:
     return max(center - half, 0), min(center + half, n)
 
 
-# ---------------------------------------------------------------------------
-# numpy path
-# ---------------------------------------------------------------------------
-
 def _centre_out(n: int, center: int, lo: int, hi: int, odds: float):
     """Running products from the centre: up to ``hi`` and down to ``lo``."""
     m = np.arange(center, hi)
@@ -70,84 +51,6 @@ def _centre_out(n: int, center: int, lo: int, hi: int, odds: float):
     down = np.cumprod(m / (n - m + 1.0) / odds)
     return up, down
 
-
-def _pmf_window_np(n: int, p: float) -> tuple[int, np.ndarray]:
-    lo, hi = _support(n, p)
-    center = min(max(int(round(n * p)), lo), hi)
-    up, down = _centre_out(n, center, lo, hi, p / (1.0 - p))
-    w = np.concatenate((down[::-1], [1.0], up))
-    w /= np.cumsum(w)[-1]
-    return lo, w
-
-
-def _residue_weights_np(n: int, period: int, offset: int) -> np.ndarray:
-    sigma = math.sqrt(n * 0.25)
-    half = int(math.ceil(_SIGMA_HALFWIDTH * sigma)) + _EDGE_PAD
-    center = n // 2
-    lo = max(center - half, 0)
-    hi = min(center + half, n)
-    up, down = _centre_out(n, center, lo, hi, 1.0)
-    values = np.concatenate(([1.0], up, down))
-    m = np.concatenate(([center], np.arange(center + 1, hi + 1),
-                        np.arange(center - 1, lo - 1, -1)))
-    out = np.bincount((m + offset) % period, weights=values, minlength=period)
-    out /= np.cumsum(values)[-1]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# loop path: compiled by numba when available, otherwise the reference that
-# the numpy path is checked against
-# ---------------------------------------------------------------------------
-
-def _pmf_window_loop(n, p, lo, hi):
-    w = np.zeros(hi - lo + 1)
-    center = min(max(int(round(n * p)), lo), hi)
-    w[center - lo] = 1.0
-    odds = p / (1.0 - p)
-    u = 1.0
-    for m in range(center, hi):
-        u *= (n - m) / (m + 1.0) * odds
-        w[m + 1 - lo] = u
-    u = 1.0
-    for m in range(center, lo, -1):
-        u *= m / (n - m + 1.0) / odds
-        w[m - 1 - lo] = u
-    w /= np.cumsum(w)[-1]
-    return w
-
-
-def _residue_weights_loop(n, period, offset):
-    sigma = math.sqrt(n * 0.25)
-    half = int(math.ceil(36.0 * sigma)) + 8
-    center = n // 2
-    lo = max(center - half, 0)
-    hi = min(center + half, n)
-    out = np.zeros(period)
-    out[(center + offset) % period] = 1.0
-    total = 1.0
-    v = 1.0
-    for m in range(center, hi):
-        v *= (n - m) / (m + 1.0)
-        out[(m + 1 + offset) % period] += v
-        total += v
-    v = 1.0
-    for m in range(center, lo, -1):
-        v *= m / (n - m + 1.0)
-        out[(m - 1 + offset) % period] += v
-        total += v
-    out /= total
-    return out
-
-
-if USE_NUMBA:
-    _pmf_window_nb = njit(cache=True)(_pmf_window_loop)
-    _residue_weights_nb = njit(cache=True)(_residue_weights_loop)
-
-
-# ---------------------------------------------------------------------------
-# public dispatch
-# ---------------------------------------------------------------------------
 
 def binom_pmf_window(n: int, p: float) -> tuple[int, np.ndarray]:
     """Binomial(n, p) pmf on its numerically relevant support.
@@ -161,31 +64,25 @@ def binom_pmf_window(n: int, p: float) -> tuple[int, np.ndarray]:
         return 0, np.array([1.0])
     if p == 1.0:
         return n, np.array([1.0])
-    if USE_NUMBA:
-        lo, hi = _support(n, p)
-        return lo, _pmf_window_nb(n, p, lo, hi)
-    return _pmf_window_np(n, p)
+    lo, hi = _support(n, p)
+    center = min(max(int(round(n * p)), lo), hi)
+    up, down = _centre_out(n, center, lo, hi, p / (1.0 - p))
+    w = np.concatenate((down[::-1], [1.0], up))
+    w /= np.cumsum(w)[-1]
+    return lo, w
 
 
 def binom_residue_weights(n: int, period: int, offset: int) -> np.ndarray:
     """Binomial(n, 1/2) mass aggregated by the residue class (m + offset) mod period."""
-    if USE_NUMBA:
-        return _residue_weights_nb(n, period, offset)
-    return _residue_weights_np(n, period, offset)
-
-
-def both_paths() -> dict:
-    """The numpy and (when available) numba implementations, for benchmarking."""
-    paths = {
-        "numpy": {
-            "pmf_window": _pmf_window_np,
-            "residue_weights": _residue_weights_np,
-        }
-    }
-    if USE_NUMBA:
-        paths["numba"] = {
-            "pmf_window": lambda n, p: (_support(n, p)[0],
-                                        _pmf_window_nb(n, p, *_support(n, p))),
-            "residue_weights": _residue_weights_nb,
-        }
-    return paths
+    sigma = math.sqrt(n * 0.25)
+    half = int(math.ceil(_SIGMA_HALFWIDTH * sigma)) + _EDGE_PAD
+    center = n // 2
+    lo = max(center - half, 0)
+    hi = min(center + half, n)
+    up, down = _centre_out(n, center, lo, hi, 1.0)
+    values = np.concatenate(([1.0], up, down))
+    m = np.concatenate(([center], np.arange(center + 1, hi + 1),
+                        np.arange(center - 1, lo - 1, -1)))
+    out = np.bincount((m + offset) % period, weights=values, minlength=period)
+    out /= np.cumsum(values)[-1]
+    return out

@@ -3,8 +3,9 @@ dilations, and eigenspace bookkeeping.
 
 A :class:`Hamiltonian` always carries a normalized spectrum together with the
 affine map back to the caller's original energy units.  Degenerate eigenvalues
-(gap below ``cluster_rtol * ||H||``) are merged into shared eigenspace
-projectors; the ``clustered`` flag records when that tolerance was exercised.
+(gap below ``cluster_rtol * ||H||``) are merged into one level whose
+eigenvectors span the shared eigenspace; the ``clustered`` flag records when
+that tolerance was exercised.
 """
 
 from __future__ import annotations
@@ -45,14 +46,17 @@ class SpectrumMap:
 class Hamiltonian:
     """Hermitian operator with cached spectral decomposition.
 
-    ``eigenvalues`` are distinct and ascending; ``projectors[k]`` projects on
-    the eigenspace of ``eigenvalues[k]``.  ``matrix`` is rebuilt from the
-    clustered decomposition, so ``sum_k h_k P_k`` reproduces it exactly.
+    ``eigenvalues`` are distinct and ascending.  ``vectors`` holds orthonormal
+    eigenvectors as columns and ``levels[j]`` the index of the eigenvalue that
+    column j belongs to; clustered columns are contiguous, so eigenspace k is
+    spanned by ``vectors[:, levels == k]``.  ``matrix`` is rebuilt from the
+    clustered decomposition, ``V diag(eigenvalues[levels]) V^dag``.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
-    projectors: tuple[np.ndarray, ...]
+    vectors: np.ndarray
+    levels: np.ndarray
     spectrum_map: SpectrumMap
     clustered: bool = False
     zero_width: bool = False
@@ -67,33 +71,42 @@ class Hamiltonian:
 
     def components(self, v: np.ndarray) -> np.ndarray:
         """Stack of eigenspace components P_k v, shape (n_levels, dim)."""
-        return np.stack([p @ v for p in self.projectors])
+        # P_k v sums the columns of V diag(V^dag v) that belong to level k,
+        # and each level's columns are contiguous
+        starts = np.flatnonzero(np.diff(self.levels, prepend=-1))
+        return np.add.reduceat(self.vectors * (self.vectors.conj().T @ v), starts, axis=1).T
 
     def apply_phases(self, phases: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Apply sum_k phases[k] P_k to a vector."""
-        return np.tensordot(phases, self.components(v), axes=(0, 0))
+        return self.vectors @ (phases[self.levels] * (self.vectors.conj().T @ v))
 
     def evolve(self, s: float, v: np.ndarray) -> np.ndarray:
         """exp(-i H s) v using the cached decomposition."""
         return self.apply_phases(np.exp(-1j * self.eigenvalues * s), v)
 
+    def dephase(self, kernel: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """sum_ab kernel[a, b] P_a rho P_b for an (n_levels, n_levels) kernel."""
+        cols = kernel[np.ix_(self.levels, self.levels)]
+        return nk.schur_multiply(self.vectors, cols, rho)
 
-def _cluster(eigs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], bool]:
-    """Group ascending eigenvalues whose gaps sit below the cluster tolerance."""
+
+def _assemble(eigs, vectors, levels, smap, clustered, zero_width) -> Hamiltonian:
+    matrix = (vectors * eigs[levels]) @ vectors.conj().T
+    matrix = 0.5 * (matrix + matrix.conj().T)
+    return Hamiltonian(matrix, eigs, vectors, levels, smap, clustered, zero_width)
+
+
+def _cluster(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Group ascending eigenvalues whose gaps sit below the cluster tolerance.
+
+    Returns the mean of each group, the group index of every eigenvalue and
+    whether any group holds more than one eigenvalue.
+    """
     norm = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     tol = TOL.cluster_rtol * (norm if norm > 0.0 else 1.0)
-    reps, groups = [], []
-    start = 0
-    clustered = False
-    for i in range(1, len(eigs) + 1):
-        if i == len(eigs) or eigs[i] - eigs[i - 1] > tol:
-            idx = np.arange(start, i)
-            if len(idx) > 1:
-                clustered = True
-            reps.append(float(np.mean(eigs[idx])))
-            groups.append(idx)
-            start = i
-    return np.array(reps), groups, clustered
+    levels = np.concatenate(([0], np.cumsum(np.diff(eigs) > tol)))
+    counts = np.bincount(levels)
+    return np.bincount(levels, weights=eigs) / counts, levels, bool(np.any(counts > 1))
 
 
 def normalize_spectrum(h: np.ndarray) -> Hamiltonian:
@@ -105,8 +118,7 @@ def normalize_spectrum(h: np.ndarray) -> Hamiltonian:
     spectral width) normalizes to the all-zero spectrum with a flag.
     """
     w, v = nk.herm_eig(h)
-    reps, groups, clustered = _cluster(w)
-    projectors = tuple(v[:, idx] @ v[:, idx].conj().T for idx in groups)
+    reps, levels, clustered = _cluster(w)
 
     lo, hi = float(reps[0]), float(reps[-1])
     width = hi - lo
@@ -123,10 +135,7 @@ def normalize_spectrum(h: np.ndarray) -> Hamiltonian:
     else:
         eigs_n = (reps - lo) / width
         smap = SpectrumMap(width, lo)
-
-    matrix = sum(e * p for e, p in zip(eigs_n, projectors))
-    matrix = 0.5 * (matrix + matrix.conj().T)
-    return Hamiltonian(matrix, eigs_n, projectors, smap, clustered, zero_width)
+    return _assemble(eigs_n, v, levels, smap, clustered, zero_width)
 
 
 def spectral_gap(ham: Hamiltonian, beta: int) -> float:
@@ -156,9 +165,7 @@ def shift_to_zero(ham: Hamiltonian, beta: int) -> Hamiltonian:
     eigs_n = shifted / scale
     eigs_n[beta] = 0.0
     smap = ham.spectrum_map.compose(scale, float(h_beta))
-    matrix = sum(e * p for e, p in zip(eigs_n, ham.projectors))
-    matrix = 0.5 * (matrix + matrix.conj().T)
-    return Hamiltonian(matrix, eigs_n, ham.projectors, smap, ham.clustered, ham.zero_width)
+    return _assemble(eigs_n, ham.vectors, ham.levels, smap, ham.clustered, ham.zero_width)
 
 
 def dilate(f: np.ndarray) -> np.ndarray:
@@ -198,7 +205,7 @@ def decompose_state(v: np.ndarray, ham: Hamiltonian) -> SpectralState:
     normalized = comps / safe[:, None]
     normalized[coeffs == 0] = 0.0
     if abs(float(np.sum(coeffs ** 2)) - 1.0) > TOL.unit_norm_atol:
-        raise ValidationError("eigenspace weights do not sum to 1; projectors incomplete?")
+        raise ValidationError("eigenspace weights do not sum to 1; eigenbasis incomplete?")
     return SpectralState(coeffs, normalized, ham)
 
 

@@ -57,6 +57,17 @@ def herm_eig(a: np.ndarray, atol: float | None = None) -> tuple[np.ndarray, np.n
     return w, v
 
 
+def schur_multiply(v: np.ndarray, kernel: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """V (K o V^dag rho V) V^dag: multiply rho entrywise by ``kernel`` in the
+    orthonormal basis given by the columns of ``v``.
+
+    Every single-Hermitian-jump channel is this map in the jump's eigenbasis,
+    with ``kernel[a, b]`` a function of the eigenvalue gap h_a - h_b.
+    """
+    vh = v.conj().T
+    return v @ (kernel * (vh @ rho @ v)) @ vh
+
+
 def evolve(h: np.ndarray, s: float, v: np.ndarray) -> np.ndarray:
     """Apply exp(-i H s) to a state vector via spectral decomposition."""
     h = require_hermitian(h)

@@ -47,7 +47,6 @@ class EstimationResult:
     distribution: np.ndarray | None
     cost: CostReport
     saturated: bool = False
-    success_target: tuple | None = None
 
 
 @dataclass
@@ -87,7 +86,6 @@ def _circular_distance(theta: np.ndarray) -> np.ndarray:
 
 def standard_qpe(ham: Hamiltonian, state: SpectralState, d: int,
                  mode: str = "exact", seed=None,
-                 success_target: tuple | None = None,
                  repeats: int = 1) -> EstimationResult:
     """Fourier phase estimation with d register bits, exact distribution."""
     if d < 1:
@@ -104,7 +102,6 @@ def standard_qpe(ham: Hamiltonian, state: SpectralState, d: int,
         raw_outcome=int(y),
         distribution=dist,
         cost=cost,
-        success_target=success_target,
     )
 
 
@@ -202,7 +199,6 @@ def counting_estimator(t: float, n: int, m) -> tuple[np.ndarray, np.ndarray]:
 
 def slow_qpe(ham: Hamiltonian, state: SpectralState, t: float, n: int,
              mode: str = "exact", seed=None,
-             success_target: tuple | None = None,
              repeats: int = 1) -> EstimationResult:
     """Counting statistics of N short dephasing steps (exact distribution)."""
     if t <= 0 or n < 1:
@@ -219,7 +215,6 @@ def slow_qpe(ham: Hamiltonian, state: SpectralState, t: float, n: int,
         distribution=dist,
         cost=cost,
         saturated=bool(sat),
-        success_target=success_target,
     )
 
 
@@ -312,7 +307,6 @@ def _transformed_rows(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.n
 
 def fast_qpe(ham: Hamiltonian, state: SpectralState, p: FFPlan,
              mode: str = "exact", seed=None,
-             success_target: tuple | None = None,
              repeats: int = 1) -> EstimationResult:
     """Counting statistics read out of the fast-forwarded ledger."""
     if p.n > TOL.kravchuk_cap:
@@ -333,7 +327,6 @@ def fast_qpe(ham: Hamiltonian, state: SpectralState, p: FFPlan,
         distribution=dist,
         cost=cost,
         saturated=bool(sat),
-        success_target=success_target,
     )
 
 

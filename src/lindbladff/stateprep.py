@@ -3,7 +3,7 @@
 The binomial register state carries amplitude sqrt(C(N, m)) / 2^(N/2) at m;
 coefficients are evaluated in the log domain so the construction survives far
 past the overflow point of C(N, m).  The lattice Gaussian is the periodized
-Gaussian on Z_N, normalized by the theta-function sum f(mu, sigma), and comes
+Gaussian on Z_N, normalized by the lattice sum f(mu, sigma), and comes
 with a recursive rotation-angle schedule that synthesizes it one address bit
 at a time (low bit first).
 """
@@ -50,13 +50,21 @@ def binomial_amplitudes(n: int) -> np.ndarray:
 
 
 def f_mu_sigma(mu: float, sigma: float) -> float:
-    """Gaussian lattice normalizer sqrt(2 pi sigma^2) (1 + 2 sum_l cos(2 pi l mu) q^(l^2)).
+    """Gaussian lattice normalizer f(mu, sigma) = sum_m exp(-(m - mu)^2 / (2 sigma^2)).
 
-    The theta series is truncated once the next term drops below the series
-    cutoff; for sigma >~ 1 a single term already suffices.
+    For sigma >= 1 it is evaluated through the dual theta series
+    sqrt(2 pi sigma^2) (1 + 2 sum_l cos(2 pi l mu) q^(l^2)), truncated once
+    the next term drops below the series cutoff (a single term already
+    suffices for sigma >~ 1).  Below sigma = 1 that series cancels
+    catastrophically when mu sits far from the lattice, so the lattice sum
+    is taken directly; its positive terms fall off within a few sites.
     """
     if sigma <= 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
+    if sigma < 1.0:
+        reach = sigma * math.sqrt(-2.0 * math.log(TOL.series_cutoff)) + 1.0
+        m = np.arange(math.floor(mu - reach), math.ceil(mu + reach) + 1)
+        return float(np.sum(np.exp(-((m - mu) ** 2) / (2.0 * sigma ** 2))))
     base = math.sqrt(2.0 * math.pi * sigma ** 2)
     total = 1.0
     l = 1

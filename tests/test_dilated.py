@@ -98,27 +98,30 @@ def test_default_steps_rule():
     assert default_steps(0.5, 0.5) == 1
 
 
-def test_superoperator_power_path_matches_direct():
-    # same composition through both code paths
-    rho = random_density(np.random.default_rng(4), 2)
-    direct, _ = dilated_evolve(F, rho, 0.7, 500)     # loop path
-    power, _ = dilated_evolve(F, rho, 0.7, 1000)     # power path
-    half, _ = dilated_evolve(F, rho, 0.7 / 2, 500)
-    # sanity: both paths land near the same exact solution
-    ham = normalize_spectrum(F)
-    exact = lindblad_exact_hermitian(ham, rho, 0.7)
-    assert nk.trace_distance(direct, exact) <= 5e-3
-    assert nk.trace_distance(power, exact) <= 5e-3
-    # bit-level path equivalence at equal step count
-    from lindbladff import dilated as dmod
-    old = dmod._DIRECT_STEP_LIMIT
-    try:
-        dmod._DIRECT_STEP_LIMIT = 0  # force the power path
-        power_100, _ = dilated_evolve(F, rho, 0.7, 100)
-    finally:
-        dmod._DIRECT_STEP_LIMIT = old
-    direct_100, _ = dilated_evolve(F, rho, 0.7, 100)
-    assert np.max(np.abs(power_100 - direct_100)) <= 1e-12
+def test_closed_form_matches_literal_composition():
+    # gaps up to 6 with sqrt(tau) = 1/3 put sqrt(tau)|gap| = 2 > pi/2, where
+    # cos(x) < 0 and odd step counts flip the sign
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    f = (q * np.array([-3.0, -1.0, 0.5, 3.0])) @ q.conj().T
+    rho = random_density(rng, 4)
+    tau = 1.0 / 9.0
+    literal, done = rho, 0
+    for steps in (1, 7, 100, 500):
+        while done < steps:
+            literal = dilated_step(f, literal, tau)
+            done += 1
+        closed, _ = dilated_evolve(f, rho, steps * tau, steps)
+        assert np.max(np.abs(closed - literal)) <= 1e-12
+
+
+def test_closed_form_accurate_at_huge_step_counts():
+    # ln cos(x)^N = -t/2 - t^2/(12 N) - O(t^3/N^2) at x = sqrt(t/N); plain
+    # cos(x)**N loses ~1e-7 here because cos(x) rounds next to 1
+    n, t = 2_621_440_000, 64.0
+    out, _ = dilated_evolve(F, PLUS_RHO, t, n)
+    log_k = np.log(2.0 * abs(out[0, 1]))
+    assert abs(log_k + t / 2 + t ** 2 / (12 * n)) <= 1e-12
 
 
 def test_validation():

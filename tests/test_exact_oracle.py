@@ -58,6 +58,25 @@ class TestHermitianSolution:
             assert np.allclose(np.diag(rates), 0.0)
 
 
+    @pytest.mark.parametrize("spectrum", [
+        [0.0, 0.0, 0.4, 0.4, 0.4, 1.0],          # degenerate
+        [0.0, 0.3, 0.3 + 1e-12, 0.7, 0.7, 1.0],  # clustered within cluster_rtol
+    ])
+    def test_random_cross_check_vs_oracles(self, spectrum):
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+            f = (q * np.array(spectrum)) @ q.conj().T
+            f = 0.5 * (f + f.conj().T)
+            ham = normalize_spectrum(f)
+            assert ham.n_levels < 6 and ham.clustered
+            rho = random_density(rng, 6)
+            t = float(rng.uniform(0.2, 3.0))
+            out = lindblad_exact_hermitian(ham, rho, t)
+            assert np.max(np.abs(out - lindblad_exact_general(lindblad_spec([f]), rho, t))) <= 1e-9
+            assert np.max(np.abs(out - lindblad_rk4([f], rho, t))) <= 1e-8
+
+
 class TestGeneralSolution:
     def test_matches_hermitian_route(self, rng):
         ham = normalize_spectrum(random_hermitian(rng, 3))

@@ -9,7 +9,7 @@ from lindbladff import numkernel as nk
 from lindbladff.fastforward import (apply_vh, full_mixture, residue_of,
                                     u_add_inverse, u_add_map)
 
-from conftest import random_hermitian, random_state
+from conftest import random_density, random_hermitian, random_state
 
 TWO_LEVEL = normalize_spectrum(np.diag([0.0, 1.0]))
 PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -147,6 +147,19 @@ class TestFastForwardEvolve:
         out_mixed, _, _ = ff_evolve(ham, rho0, p)
         out_sum = 0.6 * ff_evolve(ham, v1, p)[0] + 0.4 * ff_evolve(ham, v2, p)[0]
         assert np.max(np.abs(out_mixed - out_sum)) <= 1e-9
+
+    def test_density_input_matches_circuit_mixture(self, rng):
+        # degenerate spectrum, full-rank mixed input: the eigenbasis kernel
+        # against the literal circuit run on each eigenvector of rho
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        ham = normalize_spectrum((q * np.array([0.0, 0.6, 0.6, 1.0])) @ q.conj().T)
+        rho0 = random_density(rng, 4)
+        p = plan(1.5, 0.1)
+        out, ledger, _ = ff_evolve(ham, rho0, p)
+        assert ledger is None
+        w, v = np.linalg.eigh(rho0)
+        want = sum(w[k] * dense_circuit_reference(ham, v[:, k], p) for k in range(4))
+        assert np.max(np.abs(out - want)) <= 1e-12
 
     def test_norm_guard(self, rng):
         raw = normalize_spectrum(random_hermitian(rng, 2))

@@ -95,25 +95,3 @@ def test_kernels_bitwise_match_loop_transcription(n):
         assert lo == lo_ref
         assert np.array_equal(w, w_ref)
 
-
-def test_numba_and_numpy_paths_agree():
-    # The loop kernels are what numba compiles; without numba they run
-    # interpreted, so the numpy path is still checked against their source.
-    paths = kernels.both_paths()
-    if "numba" in paths:
-        residue = paths["numba"]["residue_weights"]
-        pmf = paths["numba"]["pmf_window"]
-    else:
-        residue = kernels._residue_weights_loop
-
-        def pmf(n, p):
-            lo, hi = kernels._support(n, p)
-            return lo, kernels._pmf_window_loop(n, p, lo, hi)
-    for n in (100, 4096, 100_000):
-        period, offset = 64, -(n // 2 - 32)
-        assert np.array_equal(paths["numpy"]["residue_weights"](n, period, offset),
-                              residue(n, period, offset))
-        lo_np, p_np = paths["numpy"]["pmf_window"](n, 0.37)
-        lo_loop, p_loop = pmf(n, 0.37)
-        assert lo_np == lo_loop
-        assert np.array_equal(p_np, p_loop)

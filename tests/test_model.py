@@ -67,8 +67,7 @@ class TestNormalizeSpectrum:
     def test_degenerate_eigenvalue_shares_projector(self):
         ham = model.normalize_spectrum(np.diag([0.0, 0.5, 0.5, 1.0]))
         assert ham.n_levels == 3
-        ranks = [np.trace(p).real for p in ham.projectors]
-        assert np.allclose(sorted(ranks), [1, 1, 2])
+        assert np.array_equal(np.bincount(ham.levels), [1, 2, 1])
         assert ham.clustered
 
     def test_zero_width_flagged(self):
@@ -79,17 +78,18 @@ class TestNormalizeSpectrum:
 
     def test_reconstruction(self, rng):
         ham = model.normalize_spectrum(random_hermitian(rng, 6))
-        rebuilt = sum(h * p for h, p in zip(ham.eigenvalues, ham.projectors))
+        v = ham.vectors
+        rebuilt = (v * ham.eigenvalues[ham.levels]) @ v.conj().T
         assert np.max(np.abs(rebuilt - ham.matrix)) <= 1e-8
 
     def test_projector_completeness_orthogonality(self, rng):
+        # eigenspace projectors V_k V_k^dag resolve the identity and are
+        # mutually orthogonal exactly when V is unitary
         ham = model.normalize_spectrum(random_hermitian(rng, 5))
-        total = sum(ham.projectors)
-        assert np.max(np.abs(total - np.eye(5))) <= 1e-9
-        for i, p in enumerate(ham.projectors):
-            for j, q in enumerate(ham.projectors):
-                want = p if i == j else 0.0
-                assert np.max(np.abs(p @ q - want)) <= 1e-9
+        v = ham.vectors
+        assert np.max(np.abs(v.conj().T @ v - np.eye(5))) <= 1e-9
+        assert np.max(np.abs(v @ v.conj().T - np.eye(5))) <= 1e-9
+        assert np.array_equal(ham.levels, np.arange(5))
 
     def test_spectrum_map_round_trip(self, rng):
         raw = random_hermitian(rng, 5)

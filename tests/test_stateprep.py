@@ -97,6 +97,17 @@ class TestAngleSchedule:
         direct = discrete_gaussian_amplitudes(GaussianParams(5.0, 1.5, 16))
         assert np.linalg.norm(synth - direct) <= 1e-8
 
+    def test_random_params_replay_without_refusal(self):
+        # the recursion halves sigma below 1, where the dual theta series
+        # cancels; these draws used to raise "branch ratio escapes [0, 1]"
+        rng = np.random.default_rng(0)
+        draws = [(17.31115276595823, 2.0661105421141164)]
+        draws += [(float(rng.uniform(16, 48)), float(rng.uniform(2, 6))) for _ in range(100)]
+        for mu, sigma in draws:
+            params = GaussianParams(mu, sigma, 64)
+            synth = kw_synthesize(kw_angle_schedule(params, 6))
+            assert np.linalg.norm(synth - discrete_gaussian_amplitudes(params)) <= 1e-8
+
     def test_requires_power_of_two(self):
         with pytest.raises(ValidationError):
             kw_angle_schedule(GaussianParams(3.0, 1.0, 12), 4)
