@@ -5,7 +5,7 @@ preparation, and commuting-generator noise channels."""
 __version__ = "0.1.0"
 
 from .config import TOL
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, InvariantError, ValidationError
 from .dilated import CostReport, dilated_evolve, dilated_step, default_steps
 from .exact_oracle import (lindblad_exact_general, lindblad_exact_hermitian,
                            lindblad_rk4, steady_state)
@@ -17,8 +17,8 @@ from .model import (Hamiltonian, LindbladSpec, SpectralState, SpectrumMap,
                     parse_pauli_sum, shift_to_zero, spectral_gap)
 from .qpe import (AmplitudeDecision, EstimationResult, PreparationResult,
                   amplitude_decision_demo, fast_qpe, fast_qpe_eigenstate,
-                  kravchuk_unitary, slow_qpe, slow_qpe_eigenstate,
-                  standard_qpe, standard_qpe_eigenstate)
+                  slow_qpe, slow_qpe_eigenstate, standard_qpe,
+                  standard_qpe_eigenstate)
 from .choi import choi_ff_evolve, choi_generator_term, is_choi_commuting, pauli_noise_spec
 from .concentration import bernstein_bound, binomial_tail, dml_gap, hoeffding_bound
 from .stateprep import (GaussianParams, binomial_amplitudes,

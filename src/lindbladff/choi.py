@@ -63,16 +63,18 @@ def choi_ff_evolve(spec: LindbladSpec, state0: np.ndarray, t: float,
     Each factor gets eps_total / K; for a commuting spec the factor order is
     immaterial up to that budget, and we keep the input order.  Jumps whose
     spectrum leaves [0, 1] are normalized with the matching quadratic time
-    rescale (identity shifts leave the dissipator invariant).
+    rescale (identity shifts leave the dissipator invariant).  ``override``
+    skips the commutation check: it forces the factorized channel.
     """
     if t <= 0:
         raise ValidationError(f"evolution time must be positive, got {t}")
-    passes, worst = is_choi_commuting(spec)
-    if not passes and not override:
-        raise ValidationError(
-            f"generators do not commute (max commutator entry {worst:.3e}); "
-            f"pass override=True to force the factorized channel anyway"
-        )
+    if not override:
+        passes, worst = is_choi_commuting(spec)
+        if not passes:
+            raise ValidationError(
+                f"generators do not commute (max commutator entry {worst:.3e}); "
+                f"pass override=True to force the factorized channel anyway"
+            )
     state0 = np.asarray(state0, dtype=complex)
     rho = np.outer(state0, state0.conj()) if state0.ndim == 1 else nk.require_density(state0)
     k = len(spec.jumps)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import ValidationError
+from .errors import InvariantError, ValidationError
 from . import numkernel as nk
 from . import model
 from .model import lindblad_spec
@@ -174,8 +174,10 @@ def _cmd_evolve(args, argv, emit: _Emitter):
         jumps, digest = _load_jump_list(args.jumps)
         spec = lindblad_spec(jumps)
         rho0_vec = _initial_state(args.state, spec.dim)
-        rho, cost = choi_ff_evolve(spec, rho0_vec, args.t, args.eps)
         passes, worst = is_choi_commuting(spec)
+        if not passes:
+            raise ValidationError(f"generators do not commute (max commutator entry {worst:.3e})")
+        rho, cost = choi_ff_evolve(spec, rho0_vec, args.t, args.eps, override=True)
         outputs = {
             "method": args.method,
             "rho_out": model.format_dense_matrix(rho),
@@ -422,8 +424,6 @@ def _bench_ff_vs_dilated(args, argv, emit: _Emitter):
 
 
 def _bench_qpe_error(args, argv, emit: _Emitter):
-    from .errors import CapacityError
-
     ham = model.normalize_spectrum(np.diag([0.0, 0.5, 1.0]).astype(complex))
     eigvec = np.array([0.0, 0.0, 1.0], dtype=complex)
     state = model.decompose_state(eigvec, ham)
@@ -440,7 +440,7 @@ def _bench_qpe_error(args, argv, emit: _Emitter):
         try:
             p = make_plan(t, args.eps, args.N_fast)
             resf = fast_qpe(ham, state, p)
-        except (CapacityError, ValidationError) as exc:
+        except ValidationError as exc:
             emit.text(f"{t},fast,skipped,{exc}")
             continue
         rmsf = _dist_rms(resf.distribution, t, p.n, h_true)
@@ -591,9 +591,9 @@ def run(argv: list[str]) -> int:
             if args.cmd == "evolve" and args.method != "choi-ff" and not args.ham:
                 raise ValidationError("--ham FILE is required")
             _DISPATCH[args.cmd](args, argv, emit)
-    except ValidationError as exc:
+    except (ValidationError, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, ValidationError) else 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         import traceback
 

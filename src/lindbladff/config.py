@@ -30,7 +30,6 @@ class Tolerances:
     choi_commute_tol: float = 1e-9
 
     # Size caps
-    kravchuk_cap: int = 4096        # largest register count for the dense transform
     vectorized_cap: int = 4096      # dim^2 cap for the vectorized propagator
     dense_reference_cap: int = 2 ** 14   # register_dim * system_dim for the circuit oracle
 

@@ -8,3 +8,8 @@ class ValidationError(ValueError):
 
 class CapacityError(ValidationError):
     """A request exceeds a configured size cap."""
+
+
+class InvariantError(RuntimeError):
+    """A result breaks a bound that holds for every valid input: a fault of
+    the program or its numerics, not of the input.  CLI exit code 2."""

@@ -97,14 +97,22 @@ def _assemble(eigs, vectors, levels, smap, clustered, zero_width) -> Hamiltonian
 
 
 def _cluster(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Group ascending eigenvalues whose gaps sit below the cluster tolerance.
+    """Group ascending eigenvalues that lie within the cluster tolerance.
 
-    Returns the mean of each group, the group index of every eigenvalue and
-    whether any group holds more than one eigenvalue.
+    Each group opens at its lowest eigenvalue and takes every later one
+    within the tolerance of it, so no group spans more than the tolerance
+    (a run of small gaps does not chain into one wide group).  Returns the
+    mean of each group, the group index of every eigenvalue and whether any
+    group holds more than one eigenvalue.
     """
     norm = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     tol = TOL.cluster_rtol * (norm if norm > 0.0 else 1.0)
-    levels = np.concatenate(([0], np.cumsum(np.diff(eigs) > tol)))
+    levels = np.empty(eigs.size, dtype=np.int64)
+    level, start = -1, -math.inf
+    for i, e in enumerate(eigs.tolist()):
+        if e - start > tol:
+            level, start = level + 1, e
+        levels[i] = level
     counts = np.bincount(levels)
     return np.bincount(levels, weights=eigs) / counts, levels, bool(np.any(counts > 1))
 

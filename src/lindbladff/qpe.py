@@ -8,16 +8,22 @@ Three routes are implemented against one result contract:
   joint register-system state is never materialized; outcome distributions
   are per-eigencomponent binomials, evaluated on their numerically relevant
   support, so the ancilla count N can reach 10^6 and beyond.
-* ``fast``: the fast-forwarded ledger pushed through the symmetric-sector
-  Hadamard (Kravchuk) transform.
+* ``fast``: the fast-forwarded ledger read out through the symmetric-sector
+  N-fold Hadamard (the Kravchuk transform).
 
-The Kravchuk transform is built from the collective-spin representation: the
-N-fold Hadamard restricted to the symmetric sector is a global phase times
-the exponential of the tridiagonal operator (Jx + Jz), whose eigenvalues sit
-exactly on the lattice sqrt(2) * {-N/2..N/2}.  Snapping the computed
-eigenvalues to that lattice turns the exponential into an exact signed sum
-over orthonormal eigenvectors, which is numerically stable where the
-combinatorial polynomial sum suffers catastrophic cancellation.
+The fast readout never builds the (N+1)^2 transform.  Address m carries the
+binomial amplitude a_m = sqrt(C(N, m) / 2^N) and the system vector s_r of its
+residue r = (m - shift) mod P.  The residue mask is a DFT over the period,
+1[r(m) = r] = (1/P) sum_k w^(k (m - shift - r)) with w = e^(2 pi i/P), and
+sum_m a_m w^(k m) |m> is the product state ((|0> + w^k |1>) / sqrt 2)^N, which
+the Hadamard maps to (alpha_k |0> + beta_k |1>)^N with
+alpha_k = e^(i pi k/P) cos(pi k/P) and beta_k = -i e^(i pi k/P) sin(pi k/P).
+Its Dicke amplitudes c_k[x] = sqrt(C(N, x)) alpha_k^(N-x) beta_k^x are the
+square roots of the Binomial(N, sin^2(pi k/P)) pmf times a closed-form phase,
+so the transformed rows are X[x] = sum_k c_k[x] s_hat_k with
+s_hat_k = (1/P) w^(-k shift) sum_r w^(-k r) s_r: one FFT over the residues
+and P binomial columns, each touched only on its window.  That is
+O(P sqrt(N) dim) time and O(N dim) memory.
 """
 
 from __future__ import annotations
@@ -27,14 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL
-from .errors import CapacityError, ValidationError
+from .errors import InvariantError, ValidationError
 from .dilated import CostReport
-from .fastforward import FFPlan, goal_ledger, residue_of
+from .fastforward import FFPlan, goal_ledger
 from .kernels import binom_pmf_window
 from .model import (Hamiltonian, SpectralState, decompose_state,
                     normalize_spectrum, spectral_gap)
-from .stateprep import binomial_amplitudes
 
 
 @dataclass
@@ -144,7 +148,7 @@ def standard_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
     else:
         bound = 0.0
     if overlap < bound - 1e-10:
-        raise AssertionError(f"overlap {overlap} violates its lower bound {bound}")
+        raise InvariantError(f"overlap {overlap} violates its lower bound {bound}")
     return PreparationResult(
         postselect_probability=p0,
         overlap=overlap,
@@ -239,7 +243,7 @@ def slow_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
     gap = spectral_gap(ham, beta)
     bound = w[beta] / (w[beta] + (1.0 - w[beta]) * math.exp(-t * gap ** 2))
     if overlap < bound - 1.0 / n - 1e-10:
-        raise AssertionError(f"overlap {overlap} violates its bound {bound} beyond 1/N slack")
+        raise InvariantError(f"overlap {overlap} violates its bound {bound} beyond 1/N slack")
 
     vec = np.tensordot(state.coeffs * surv, state.components, axes=(0, 0))
     vec = vec / np.linalg.norm(vec)
@@ -255,68 +259,44 @@ def slow_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
 
 
 # ---------------------------------------------------------------------------
-# Kravchuk transform and the fast route
+# Fast route: Kravchuk readout through the product-state identity
 # ---------------------------------------------------------------------------
 
-_kravchuk_cache: dict[int, np.ndarray] = {}
-
-
-def kravchuk_unitary(n: int, cap: int | None = None) -> np.ndarray:
-    """Symmetric-sector N-fold Hadamard in the excitation-count basis.
-
-    Real, symmetric and orthogonal; entries match the Dicke-basis overlaps
-    of the dense N-qubit Hadamard transform.
-    """
-    cap = TOL.kravchuk_cap if cap is None else cap
-    if n > cap:
-        raise CapacityError(f"Kravchuk transform capped at N = {cap}, got {n}")
-    if n < 1:
-        raise ValidationError(f"need N >= 1, got {n}")
-    if n in _kravchuk_cache:
-        return _kravchuk_cache[n]
-    from scipy.linalg import eigh_tridiagonal
-
-    m = np.arange(n + 1)
-    diag = (n - 2 * m) / 2.0
-    off = 0.5 * np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
-    w, v = eigh_tridiagonal(diag, off)
-    two_m = np.rint(2.0 * w / math.sqrt(2.0)).astype(np.int64)
-    if np.max(np.abs(w - two_m * math.sqrt(2.0) / 2.0)) > 1e-6:
-        raise AssertionError("collective-spin eigenvalues drifted off the exact lattice")
-    signs = np.where(((n - two_m) // 2) % 2 == 0, 1.0, -1.0)
-    u = (v * signs) @ v.T
-    _kravchuk_cache.clear()  # hold at most one transform (134 MB at the cap)
-    _kravchuk_cache[n] = u
-    return u
+# (-i)^x for x mod 4
+_MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
 def _transformed_rows(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.ndarray:
-    """Rows X[m] of the Kravchuk-transformed ledger state, shape (N+1, dim)."""
+    """Rows X[x] of the Kravchuk-transformed ledger state, shape (N+1, dim).
+
+    Evaluated through the product-state identity in the module docstring.
+    """
     psi = np.tensordot(state.coeffs, state.components, axes=(0, 0))
     ledger = goal_ledger(ham, psi, p)
-    u = kravchuk_unitary(p.n)
-    a = binomial_amplitudes(p.n)
-    res = residue_of(p, np.arange(p.n + 1))
-    b = np.zeros((p.n + 1, p.period))
-    for r in range(p.period):
-        idx = np.nonzero(res == r)[0]
-        if idx.size:
-            b[:, r] = u[:, idx] @ a[idx]
-    return b @ ledger.states
+    n, period = p.n, p.period
+    shift_phase = np.exp(-2j * math.pi * ((np.arange(period) * p.shift) % period) / period)
+    s_hat = np.fft.fft(ledger.states, axis=0) * (shift_phase / period)[:, None]
+    rows = np.zeros((n + 1, ledger.states.shape[1]), dtype=complex)
+    for k in range(period):
+        # sin^2 is symmetric about P/2; folding keeps the argument accurate near P
+        lo, pmf = binom_pmf_window(n, math.sin(math.pi * min(k, period - k) / period) ** 2)
+        x = np.arange(lo, lo + pmf.size)
+        # with theta = pi k / P and sigma = sign(cos theta):
+        # alpha^(N-x) beta^x = sigma^N e^(i N theta) |cos|^(N-x) sin^x (-i)^(sigma x)
+        sigma = -1 if 2 * k > period else 1
+        col = np.sqrt(pmf) * _MINUS_I_POWERS[(sigma * x) % 4]
+        col *= sigma ** n * np.exp(1j * math.pi * ((n * k) % (2 * period)) / period)
+        rows[lo: lo + pmf.size] += np.outer(col, s_hat[k])
+    return rows
 
 
 def fast_qpe(ham: Hamiltonian, state: SpectralState, p: FFPlan,
              mode: str = "exact", seed=None,
              repeats: int = 1) -> EstimationResult:
     """Counting statistics read out of the fast-forwarded ledger."""
-    if p.n > TOL.kravchuk_cap:
-        raise CapacityError(
-            f"plan N = {p.n} exceeds the Kravchuk cap {TOL.kravchuk_cap}; "
-            f"use the slow route's exact distribution instead"
-        )
     _counting_params(ham, p.t, p.n)  # range guard
     rows = _transformed_rows(ham, state, p)
-    dist = np.einsum("ms,ms->m", rows, rows.conj()).real
+    dist = np.einsum("ms,ms->m", rows.real, rows.real) + np.einsum("ms,ms->m", rows.imag, rows.imag)
     m = _pick_outcome(dist, mode, seed, repeats)
     est, sat = counting_estimator(p.t, p.n, m)
     cost = CostReport(float(p.period) * math.sqrt(p.tau), p.dprime + 1, p.d)
@@ -334,8 +314,6 @@ def fast_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
                         p: FFPlan) -> PreparationResult:
     """Post-select count 0 on the transformed ledger."""
     _require_target_at_zero(ham, beta)
-    if p.n > TOL.kravchuk_cap:
-        raise CapacityError(f"plan N = {p.n} exceeds the Kravchuk cap {TOL.kravchuk_cap}")
     rows = _transformed_rows(ham, state, p)
     x0 = rows[0]
     p0 = float(np.vdot(x0, x0).real)
@@ -345,7 +323,7 @@ def fast_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
     c_beta = float(state.coeffs[beta])
     root_eps = math.sqrt(p.eps)
     if math.sqrt(p0) < c_beta - root_eps - 1e-9:
-        raise AssertionError(
+        raise InvariantError(
             f"postselect amplitude {math.sqrt(p0)} fell below c_beta - sqrt(eps)"
         )
     # inaccuracy chain: with sqrt(eps) = c_beta * zeta and the unwindowed
@@ -359,7 +337,7 @@ def fast_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
         if state.weights[beta] / p0_plain >= 1.0 - zeta:
             bound = 1.0 - 6.0 * zeta
             if overlap < bound - 1e-9:
-                raise AssertionError(
+                raise InvariantError(
                     f"windowed overlap {overlap} violates the 1 - 6 zeta chain ({bound})"
                 )
     return PreparationResult(

@@ -7,6 +7,7 @@ import contextlib
 import numpy as np
 import pytest
 
+from lindbladff import choi, cli, qpe
 from lindbladff.cli import parse_record, run
 from lindbladff.model import parse_dense_matrix
 from lindbladff.numkernel import trace_distance
@@ -88,6 +89,16 @@ class TestExitCodes:
         rc, _ = invoke(["evolve", "--method", "ff", "--t", "1"])
         assert rc == 1
 
+    def test_invariant_error_is_one_line_exit_2(self, monkeypatch, capsys):
+        # a reported gap far above the true one makes the overlap bound unreachable
+        monkeypatch.setattr(qpe, "spectral_gap", lambda ham, beta: 10.0)
+        rc, out = invoke(["qpe", "prepare", "--route", "slow", "--ham", HAM, "--state", "plus",
+                          "--eigen", "0", "--t", "1", "--N", "100"])
+        err = capsys.readouterr().err
+        assert rc == 2 and out == ""
+        assert err.startswith("error: overlap") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_large_default_step_count_runs(self):
         # default steps 64^3 / 0.1^2 = 2.6e7; the closed-form composition
         # costs the same at any step count
@@ -168,6 +179,29 @@ class TestSubcommands:
         assert rc == 0
         rec = parse_record(out.splitlines()[0])
         assert rec["outputs"]["choi_commuting"] is True
+
+    @pytest.mark.parametrize("second, code", [("1.0 X", 0), ("0.6 X\n0.8 Z", 1)])
+    def test_choi_ff_checks_commutation_once(self, tmp_path, monkeypatch, second, code):
+        (tmp_path / "z.pauli").write_text("1.0 Z\n")
+        (tmp_path / "b.pauli").write_text(second + "\n")
+        jumps = tmp_path / "jumps.txt"
+        jumps.write_text("z.pauli 0.5\nb.pauli 0.25\n")
+        calls = []
+        original = choi.is_choi_commuting
+
+        def counted(spec, tol=None):
+            calls.append(spec)
+            return original(spec, tol)
+
+        monkeypatch.setattr(choi, "is_choi_commuting", counted)
+        monkeypatch.setattr(cli, "is_choi_commuting", counted)
+        rc, out = invoke(["evolve", "--method", "choi-ff", "--jumps", str(jumps),
+                          "--t", "1", "--eps", "0.01"])
+        assert rc == code and len(calls) == 1
+        if code == 0:
+            outputs = parse_record(out.splitlines()[0])["outputs"]
+            assert outputs["choi_commuting"] is True
+            assert outputs["max_commutator"] == original(calls[0])[1]
 
 
 class TestBench:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lindbladff import ValidationError, model
+from lindbladff import TOL, ValidationError, model
 
 from conftest import PAULI_X, PAULI_Z, random_hermitian, random_state
 
@@ -69,6 +69,16 @@ class TestNormalizeSpectrum:
         assert ham.n_levels == 3
         assert np.array_equal(np.bincount(ham.levels), [1, 2, 1])
         assert ham.clustered
+
+    def test_clusters_span_at_most_the_tolerance(self):
+        # ten eigenvalues 0.6 tol apart: each gap is below tol, the run spans 5.4 tol
+        tol = TOL.cluster_rtol * 1.0
+        eigs = 1.0 - 0.6 * tol * np.arange(10)[::-1]
+        ham = model.normalize_spectrum(np.diag(eigs))
+        assert ham.clustered and ham.n_levels > 1
+        for level in range(ham.n_levels):
+            members = eigs[ham.levels == level]
+            assert members.max() - members.min() <= tol
 
     def test_zero_width_flagged(self):
         ham = model.normalize_spectrum(2.5 * np.eye(3))

@@ -4,17 +4,19 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from scipy.linalg import expm, hadamard
+from scipy.linalg import eigh_tridiagonal, expm, hadamard
 
-from lindbladff import (CapacityError, ValidationError, amplitude_decision_demo,
-                        decompose_state, fast_qpe, fast_qpe_eigenstate,
-                        kravchuk_unitary, normalize_spectrum, plan, slow_qpe,
+from lindbladff import (FFPlan, InvariantError, ValidationError,
+                        amplitude_decision_demo, decompose_state, fast_qpe,
+                        fast_qpe_eigenstate, normalize_spectrum, plan, slow_qpe,
                         slow_qpe_eigenstate, standard_qpe,
                         standard_qpe_eigenstate)
-from lindbladff.qpe import _grover_iterate, _orthogonal_log
-from lindbladff.stateprep import log_binom
+from lindbladff import qpe
+from lindbladff.fastforward import goal_ledger, residue_of
+from lindbladff.qpe import _grover_iterate, _orthogonal_log, _transformed_rows
+from lindbladff.stateprep import binomial_amplitudes, log_binom
 
-from conftest import random_state
+from conftest import random_hermitian, random_state
 
 
 def eigenstate_input(h, other=None):
@@ -192,6 +194,14 @@ class TestSlowEigenstate:
         assert np.isclose(prep.postselect_probability, 1.0, atol=1e-12)
         assert np.isclose(prep.overlap, 1.0, atol=1e-12)
 
+    def test_violated_bound_raises_invariant_error(self, monkeypatch):
+        # a reported gap far above the true one pushes the bound above the overlap
+        ham = normalize_spectrum(np.diag([0.0, 0.5]))
+        st = decompose_state(PLUS, ham)
+        monkeypatch.setattr(qpe, "spectral_gap", lambda ham, beta: 10.0)
+        with pytest.raises(InvariantError, match="violates its bound"):
+            slow_qpe_eigenstate(ham, st, 0, 16.0, 10 ** 4)
+
     def test_short_time_no_filtering(self):
         ham = normalize_spectrum(np.diag([0.0, 0.5]))
         st = decompose_state(PLUS, ham)
@@ -199,9 +209,54 @@ class TestSlowEigenstate:
         assert np.isclose(prep.overlap, 0.5, atol=1e-5)
 
 
+def kravchuk_oracle(n):
+    """Dense symmetric-sector N-fold Hadamard in the excitation-count basis.
+
+    Built from the collective-spin representation: the symmetric-sector
+    Hadamard is a global phase times the exponential of the tridiagonal
+    (Jx + Jz), whose eigenvalues sit exactly on sqrt(2) * {-N/2..N/2}.
+    Snapping the computed eigenvalues to that lattice turns the exponential
+    into a signed sum over orthonormal eigenvectors.  O(N^2) memory and
+    O(N^3) time: an oracle for register counts of a few hundred.
+    """
+    m = np.arange(n + 1)
+    diag = (n - 2 * m) / 2.0
+    off = 0.5 * np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
+    w, v = eigh_tridiagonal(diag, off)
+    two_m = np.rint(2.0 * w / math.sqrt(2.0)).astype(np.int64)
+    assert np.max(np.abs(w - two_m * math.sqrt(2.0) / 2.0)) <= 1e-6
+    signs = np.where(((n - two_m) // 2) % 2 == 0, 1.0, -1.0)
+    return (v * signs) @ v.T
+
+
+def oracle_rows(ham, state, p):
+    """Transformed ledger rows through the dense transform, one residue class at a time."""
+    psi = np.tensordot(state.coeffs, state.components, axes=(0, 0))
+    ledger = goal_ledger(ham, psi, p)
+    u = kravchuk_oracle(p.n)
+    a = binomial_amplitudes(p.n)
+    res = residue_of(p, np.arange(p.n + 1))
+    b = np.zeros((p.n + 1, p.period))
+    for r in range(p.period):
+        idx = res == r
+        b[:, r] = u[:, idx] @ a[idx]
+    return b @ ledger.states
+
+
+def plan_at(n, full, t=4.0):
+    """Plan at any register count (``plan`` rounds odd counts up), with a
+    window that covers every address or one a few bits narrower."""
+    d = max(1, math.ceil(math.log2(n + 1)))
+    dprime = d + n % 2 if full else max(1, d - 3)
+    half = 1 << (dprime - 1)
+    window = (n // 2 - half, n // 2 + half - 1)
+    return FFPlan(t, 0.1, n, t / n, half / n, d, dprime, window,
+                  window[0] <= 0 and window[1] >= n)
+
+
 class TestKravchukUnitary:
     def test_single_register_is_hadamard(self):
-        assert np.allclose(kravchuk_unitary(1), hadamard(2) / math.sqrt(2))
+        assert np.allclose(kravchuk_oracle(1), hadamard(2) / math.sqrt(2))
 
     def test_three_level_matrix(self):
         want = np.array([
@@ -209,28 +264,29 @@ class TestKravchukUnitary:
             [1 / math.sqrt(2), 0.0, -1 / math.sqrt(2)],
             [0.5, -1 / math.sqrt(2), 0.5],
         ])
-        assert np.max(np.abs(kravchuk_unitary(2) - want)) <= 1e-12
+        assert np.max(np.abs(kravchuk_oracle(2) - want)) <= 1e-12
 
     def test_matches_dense_contraction(self):
         for n in (3, 6, 10):
-            u = kravchuk_unitary(n)
+            u = kravchuk_oracle(n)
             dense = _dicke_contraction(n)
             assert np.max(np.abs(u - dense)) <= 1e-9
 
     def test_symmetry_and_unitarity(self):
         for n in (5, 64, 513):
-            u = kravchuk_unitary(n)
+            u = kravchuk_oracle(n)
             assert np.max(np.abs(u - u.T)) <= 1e-12
             assert np.max(np.abs(u @ u.T - np.eye(n + 1))) <= 1e-8
 
-    def test_cap_size_unitarity(self):
-        u = kravchuk_unitary(4096)
-        assert np.max(np.abs(u @ u.T - np.eye(4097))) <= 1e-8
-        assert np.max(np.abs(u - u.T)) <= 1e-12
-
-    def test_cap(self):
-        with pytest.raises(CapacityError):
-            kravchuk_unitary(5000)
+    @pytest.mark.parametrize("full", (True, False))
+    @pytest.mark.parametrize("n", (1, 2, 3, 7, 64, 512))
+    def test_transformed_rows_match_oracle(self, rng, n, full):
+        p = plan_at(n, full)
+        assert p.full_window == full
+        ham = normalize_spectrum(random_hermitian(rng, 4))
+        st = decompose_state(random_state(rng, 4), ham)
+        rows = _transformed_rows(ham, st, p)
+        assert np.max(np.abs(rows - oracle_rows(ham, st, p))) <= 1e-12
 
 
 def _dicke_contraction(n):
@@ -279,10 +335,14 @@ class TestFastQpe:
         res = fast_qpe(ham, st, p)
         assert res.cost.hamiltonian_time == p.period * math.sqrt(p.tau)
 
-    def test_cap_advises_slow_route(self):
-        ham, st, _ = eigenstate_input(0.5)
-        with pytest.raises(CapacityError, match="slow route"):
-            fast_qpe(ham, st, plan(1.0, 0.3, n_override=8192))
+    def test_large_register_matches_slow(self):
+        ham = normalize_spectrum(np.diag([0.0, 0.4, 1.0]))
+        st = decompose_state(np.ones(3, dtype=complex) / math.sqrt(3.0), ham)
+        n, eps = 10 ** 5, 1e-4
+        fast = fast_qpe(ham, st, plan(64.0, eps, n_override=n))
+        slow = slow_qpe(ham, st, 64.0, n)
+        assert abs(fast.distribution.sum() - 1.0) <= 1e-9
+        assert np.sum(np.abs(fast.distribution - slow.distribution)) <= 2.0 * math.sqrt(eps)
 
 
 class TestFastEigenstate:
