@@ -15,10 +15,10 @@ from .model import (Hamiltonian, LindbladSpec, SpectralState, SpectrumMap,
                     decompose_state, dilate, from_pauli_sum, lindblad_spec,
                     normalize_spectrum, normalized_jump, parse_dense_matrix,
                     parse_pauli_sum, shift_to_zero, spectral_gap)
-from .qpe import (AmplitudeDecision, EstimationResult, PreparationResult,
-                  amplitude_decision_demo, fast_qpe, fast_qpe_eigenstate,
-                  slow_qpe, slow_qpe_eigenstate, standard_qpe,
-                  standard_qpe_eigenstate)
+from .qpe import (AmplitudeDecision, AmplitudeProblem, EstimationResult,
+                  PreparationResult, amplitude_decision_demo, amplitude_problem,
+                  decide_amplitude, fast_qpe, fast_qpe_eigenstate, slow_qpe,
+                  slow_qpe_eigenstate, standard_qpe, standard_qpe_eigenstate)
 from .choi import choi_ff_evolve, choi_generator_term, is_choi_commuting, pauli_noise_spec
 from .concentration import bernstein_bound, binomial_tail, dml_gap, hoeffding_bound
 from .stateprep import (GaussianParams, binomial_amplitudes,

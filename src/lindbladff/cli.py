@@ -31,8 +31,8 @@ from .dilated import CostReport, default_steps, dilated_evolve
 from .exact_oracle import lindblad_exact_hermitian
 from .fastforward import ff_evolve, plan as make_plan
 from .gibbs import exact_gibbs, gibbs_prepare
-from .qpe import (amplitude_decision_demo, counting_estimator, fast_qpe,
-                  fast_qpe_eigenstate, slow_qpe, slow_qpe_eigenstate,
+from .qpe import (amplitude_problem, counting_estimator, decide_amplitude,
+                  fast_qpe, fast_qpe_eigenstate, slow_qpe, slow_qpe_eigenstate,
                   standard_qpe, standard_qpe_eigenstate)
 from .stateprep import (GaussianParams, binomial_amplitudes,
                         binomial_gaussian_distance,
@@ -328,12 +328,11 @@ def _cmd_ae_demo(args, argv, emit: _Emitter):
     else:
         bits = np.zeros(1 << args.n, dtype=int)
         bits[: args.witnesses] = 1
+    problem = amplitude_problem(bits, t=args.t, register_n=args.N, eps=args.eps)
     runs = []
     correct = 0
     for k in range(args.runs):
-        seed = _cell_seed(args.seed or 0, k)
-        dec = amplitude_decision_demo(bits, t=args.t, register_n=args.N,
-                                      eps=args.eps, mode="sample", seed=seed)
+        dec = decide_amplitude(problem, mode="sample", seed=_cell_seed(args.seed or 0, k))
         runs.append({"decided_zero": dec.decided_zero, "correct": dec.correct,
                      "estimate_phase": dec.estimate_phase})
         correct += int(dec.correct)
@@ -395,6 +394,7 @@ def _cmd_bounds(args, argv, emit: _Emitter):
 # ---------------------------------------------------------------------------
 
 def _bench_ff_vs_dilated(args, argv, emit: _Emitter):
+    t0 = time.perf_counter()
     mat = np.diag([0.0, 1.0]).astype(complex)
     ham = model.normalize_spectrum(mat)
     psi = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -420,10 +420,12 @@ def _bench_ff_vs_dilated(args, argv, emit: _Emitter):
         verdict = abs(slope - target) <= tol + 1e-9
         emit.record(ExperimentRecord(
             argv, {"suite": "ff-vs-dilated", "series": name, "slope": slope,
-                   "target": target, "tolerance": tol, "pass": bool(verdict)}))
+                   "target": target, "tolerance": tol, "pass": bool(verdict)},
+            wall_time_s=time.perf_counter() - t0))
 
 
 def _bench_qpe_error(args, argv, emit: _Emitter):
+    t0 = time.perf_counter()
     ham = model.normalize_spectrum(np.diag([0.0, 0.5, 1.0]).astype(complex))
     eigvec = np.array([0.0, 0.0, 1.0], dtype=complex)
     state = model.decompose_state(eigvec, ham)
@@ -451,11 +453,13 @@ def _bench_qpe_error(args, argv, emit: _Emitter):
     emit.record(ExperimentRecord(argv, {
         "suite": "qpe-error", "series": "slow", "slope": slope_slow,
         "target": -0.5, "tolerance": 0.1,
-        "pass": bool(abs(slope_slow + 0.5) <= 0.1 + 1e-9)}))
+        "pass": bool(abs(slope_slow + 0.5) <= 0.1 + 1e-9)},
+        wall_time_s=time.perf_counter() - t0))
     emit.record(ExperimentRecord(argv, {
         "suite": "qpe-error", "series": "fast", "slope": slope_fast,
         "target": -1.0, "tolerance": 0.15,
-        "pass": bool(abs(slope_fast + 1.0) <= 0.15 + 1e-9)}))
+        "pass": bool(abs(slope_fast + 1.0) <= 0.15 + 1e-9)},
+        wall_time_s=time.perf_counter() - t0))
 
 
 def _dist_rms(dist: np.ndarray, t: float, n: int, h_true: float) -> float:
@@ -464,6 +468,7 @@ def _dist_rms(dist: np.ndarray, t: float, n: int, h_true: float) -> float:
 
 
 def _bench_gibbs_beta(args, argv, emit: _Emitter):
+    t0 = time.perf_counter()
     mat = np.diag([0.0, 1.0]).astype(complex)
     betas = _parse_floats(args.beta)
     emit.text("beta,hamiltonian_time,fidelity")
@@ -475,7 +480,8 @@ def _bench_gibbs_beta(args, argv, emit: _Emitter):
     slope = _fit_slope(betas, costs)
     emit.record(ExperimentRecord(argv, {
         "suite": "gibbs-beta", "slope": slope, "target": 0.5, "tolerance": 0.1,
-        "pass": bool(abs(slope - 0.5) <= 0.1 + 1e-9)}))
+        "pass": bool(abs(slope - 0.5) <= 0.1 + 1e-9)},
+        wall_time_s=time.perf_counter() - t0))
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ class GoalLedger:
     def amplitude(self, m) -> np.ndarray:
         m = np.asarray(m, dtype=float)
         n = self.plan.n
-        out = np.exp(0.5 * log_binom(n, m) - 0.5 * n * math.log(2.0))
+        out = np.exp(0.5 * log_binom(n, np.clip(m, 0, n)) - 0.5 * n * math.log(2.0))
         return np.where((m >= 0) & (m <= n), out, 0.0)
 
     def residue(self, m) -> np.ndarray:

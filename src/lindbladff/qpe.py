@@ -23,7 +23,8 @@ square roots of the Binomial(N, sin^2(pi k/P)) pmf times a closed-form phase,
 so the transformed rows are X[x] = sum_k c_k[x] s_hat_k with
 s_hat_k = (1/P) w^(-k shift) sum_r w^(-k r) s_r: one FFT over the residues
 and P binomial columns, each touched only on its window.  That is
-O(P sqrt(N) dim) time and O(N dim) memory.
+O(P sqrt(N) dim) time and O(N dim) memory.  Post-selecting count 0 needs only
+X[0] = sum_k alpha_k^N s_hat_k, which is O(P dim) after the FFT.
 """
 
 from __future__ import annotations
@@ -207,19 +208,9 @@ def slow_qpe(ham: Hamiltonian, state: SpectralState, t: float, n: int,
     """Counting statistics of N short dephasing steps (exact distribution)."""
     if t <= 0 or n < 1:
         raise ValidationError(f"need t > 0 and N >= 1, got t={t}, N={n}")
-    qs = _counting_params(ham, t, n)
-    dist = _counting_distribution(state.weights, qs, n)
-    m = _pick_outcome(dist, mode, seed, repeats)
-    est, sat = counting_estimator(t, n, m)
-    cost = CostReport(math.sqrt(n * t), n, n)
-    return EstimationResult(
-        estimate=float(ham.spectrum_map.to_original(est)),
-        estimate_normalized=float(est),
-        raw_outcome=int(m),
-        distribution=dist,
-        cost=cost,
-        saturated=bool(sat),
-    )
+    dist = _counting_distribution(state.weights, _counting_params(ham, t, n), n)
+    return _counting_result(ham, t, n, dist, CostReport(math.sqrt(n * t), n, n),
+                            mode, seed, repeats)
 
 
 def slow_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
@@ -266,40 +257,72 @@ def slow_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
 _MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
+def _residue_spectrum(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.ndarray:
+    """s_hat_k = (1/P) w^(-k shift) sum_r w^(-k r) s_r over the goal ledger, shape (P, dim)."""
+    psi = np.tensordot(state.coeffs, state.components, axes=(0, 0))
+    ledger = goal_ledger(ham, psi, p)
+    period = p.period
+    shift_phase = np.exp(-2j * math.pi * ((np.arange(period) * p.shift) % period) / period)
+    return np.fft.fft(ledger.states, axis=0) * (shift_phase / period)[:, None]
+
+
+def _alpha_phases(n: int, period: int) -> np.ndarray:
+    """sigma^N e^(i N theta) for theta = pi k / P, k = 0..P-1, sigma = sign(cos theta)."""
+    k = np.arange(period)
+    return np.where(2 * k > period, -1, 1) ** n * np.exp(1j * np.pi * ((n * k) % (2 * period)) / period)
+
+
 def _transformed_rows(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.ndarray:
     """Rows X[x] of the Kravchuk-transformed ledger state, shape (N+1, dim).
 
     Evaluated through the product-state identity in the module docstring.
     """
-    psi = np.tensordot(state.coeffs, state.components, axes=(0, 0))
-    ledger = goal_ledger(ham, psi, p)
+    s_hat = _residue_spectrum(ham, state, p)
     n, period = p.n, p.period
-    shift_phase = np.exp(-2j * math.pi * ((np.arange(period) * p.shift) % period) / period)
-    s_hat = np.fft.fft(ledger.states, axis=0) * (shift_phase / period)[:, None]
-    rows = np.zeros((n + 1, ledger.states.shape[1]), dtype=complex)
+    phases = _alpha_phases(n, period)
+    rows = np.zeros((n + 1, s_hat.shape[1]), dtype=complex)
     for k in range(period):
         # sin^2 is symmetric about P/2; folding keeps the argument accurate near P
         lo, pmf = binom_pmf_window(n, math.sin(math.pi * min(k, period - k) / period) ** 2)
         x = np.arange(lo, lo + pmf.size)
-        # with theta = pi k / P and sigma = sign(cos theta):
         # alpha^(N-x) beta^x = sigma^N e^(i N theta) |cos|^(N-x) sin^x (-i)^(sigma x)
         sigma = -1 if 2 * k > period else 1
         col = np.sqrt(pmf) * _MINUS_I_POWERS[(sigma * x) % 4]
-        col *= sigma ** n * np.exp(1j * math.pi * ((n * k) % (2 * period)) / period)
+        col *= phases[k]
         rows[lo: lo + pmf.size] += np.outer(col, s_hat[k])
     return rows
 
 
-def fast_qpe(ham: Hamiltonian, state: SpectralState, p: FFPlan,
-             mode: str = "exact", seed=None,
-             repeats: int = 1) -> EstimationResult:
-    """Counting statistics read out of the fast-forwarded ledger."""
+def _transformed_row_zero(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.ndarray:
+    """Row X[0] alone: sum_k alpha_k^N s_hat_k, O(P dim) after the FFT.
+
+    |alpha_k|^N = |cos theta|^N is taken in the log domain, (N/2) log1p(-sin^2),
+    on the folded argument as in ``_transformed_rows``.
+    """
+    s_hat = _residue_spectrum(ham, state, p)
+    n, period = p.n, p.period
+    k = np.arange(period)
+    with np.errstate(divide="ignore"):
+        modulus = np.exp(0.5 * n * np.log1p(-np.sin(np.pi * np.minimum(k, period - k) / period) ** 2))
+    return (_alpha_phases(n, period) * modulus) @ s_hat
+
+
+def _fast_distribution(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.ndarray:
+    """Count distribution |X[x]|^2 of the transformed ledger."""
     _counting_params(ham, p.t, p.n)  # range guard
     rows = _transformed_rows(ham, state, p)
-    dist = np.einsum("ms,ms->m", rows.real, rows.real) + np.einsum("ms,ms->m", rows.imag, rows.imag)
+    return np.einsum("ms,ms->m", rows.real, rows.real) + np.einsum("ms,ms->m", rows.imag, rows.imag)
+
+
+def _fast_cost(p: FFPlan) -> CostReport:
+    return CostReport(float(p.period) * math.sqrt(p.tau), p.dprime + 1, p.d)
+
+
+def _counting_result(ham: Hamiltonian, t: float, n: int, dist: np.ndarray,
+                     cost: CostReport, mode: str, seed, repeats: int) -> EstimationResult:
+    """Pick a count from ``dist`` and report its counting estimate."""
     m = _pick_outcome(dist, mode, seed, repeats)
-    est, sat = counting_estimator(p.t, p.n, m)
-    cost = CostReport(float(p.period) * math.sqrt(p.tau), p.dprime + 1, p.d)
+    est, sat = counting_estimator(t, n, m)
     return EstimationResult(
         estimate=float(ham.spectrum_map.to_original(est)),
         estimate_normalized=float(est),
@@ -310,12 +333,19 @@ def fast_qpe(ham: Hamiltonian, state: SpectralState, p: FFPlan,
     )
 
 
+def fast_qpe(ham: Hamiltonian, state: SpectralState, p: FFPlan,
+             mode: str = "exact", seed=None,
+             repeats: int = 1) -> EstimationResult:
+    """Counting statistics read out of the fast-forwarded ledger."""
+    return _counting_result(ham, p.t, p.n, _fast_distribution(ham, state, p),
+                            _fast_cost(p), mode, seed, repeats)
+
+
 def fast_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
                         p: FFPlan) -> PreparationResult:
     """Post-select count 0 on the transformed ledger."""
     _require_target_at_zero(ham, beta)
-    rows = _transformed_rows(ham, state, p)
-    x0 = rows[0]
+    x0 = _transformed_row_zero(ham, state, p)
     p0 = float(np.vdot(x0, x0).real)
     vec = x0 / math.sqrt(p0)
     overlap = float(np.abs(np.vdot(state.components[beta], vec)) ** 2)
@@ -347,7 +377,7 @@ def fast_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
         expected_repeats=1.0 / p0,
         ideal_amplification_queries=1.0 / c_beta if c_beta > 0 else math.inf,
         overlap_bound=float(bound),
-        cost=CostReport(float(p.period) * math.sqrt(p.tau), p.dprime + 1, p.d),
+        cost=_fast_cost(p),
     )
 
 
@@ -409,14 +439,27 @@ def _orthogonal_log(u: np.ndarray) -> np.ndarray:
     return q @ h @ q.conj().T
 
 
-def amplitude_decision_demo(bits, t: float = 250.0, register_n: int = 2048,
-                            eps: float = 1e-5, mode: str = "sample",
-                            seed=None) -> AmplitudeDecision:
-    """Decide witness count W = 0 vs W >= 1 by phase-estimating the iterate.
+@dataclass(frozen=True)
+class AmplitudeProblem:
+    """Seed-independent part of the decision demo for one oracle.
 
-    The estimated eigenphase is compared against half the minimal
-    nonzero-witness rotation 2 arcsin(2^(-n/2)).
+    ``distribution`` is the fast readout's count distribution and
+    ``mass_zero`` its mass on the counts whose phase estimate falls within
+    ``threshold``; each run only samples a count from the distribution.
     """
+
+    ham: Hamiltonian
+    plan: FFPlan
+    distribution: np.ndarray
+    mass_zero: float
+    threshold: float
+    amplitude: float
+    witness_count: int
+
+
+def amplitude_problem(bits, t: float = 250.0, register_n: int = 2048,
+                      eps: float = 1e-5) -> AmplitudeProblem:
+    """Phase-estimation problem of the search iterate, built once per oracle."""
     from .fastforward import plan as make_plan
 
     bits = np.asarray(bits).astype(int)
@@ -425,31 +468,48 @@ def amplitude_decision_demo(bits, t: float = 250.0, register_n: int = 2048,
         raise ValidationError(f"oracle length {bits.size} is not a power of two")
     if n > 6:
         raise ValidationError(f"demo capped at n = 6 address bits, got {n}")
-    witness = int(bits.sum())
 
     u, eta = _grover_iterate(bits)
-    h_ae = _orthogonal_log(u)
-    ham = normalize_spectrum(h_ae)
+    ham = normalize_spectrum(_orthogonal_log(u))
     state = decompose_state(eta, ham)
     p = make_plan(t, eps, n_override=register_n)
-    result = fast_qpe(ham, state, p, mode=mode, seed=seed)
-
     threshold = math.asin(2.0 ** (-n / 2.0))
-    decided_zero = abs(result.estimate) <= threshold
-
     est_all, _ = counting_estimator(p.t, p.n, np.arange(p.n + 1))
-    phases = ham.spectrum_map.to_original(est_all)
-    side = np.abs(phases) <= threshold
-    mass_zero = float(np.sum(result.distribution[side]))
-    confidence = mass_zero if decided_zero else 1.0 - mass_zero
+    side = np.abs(ham.spectrum_map.to_original(est_all)) <= threshold
+    dist = _fast_distribution(ham, state, p)
+    witness = int(bits.sum())
+    return AmplitudeProblem(ham, p, dist, float(np.sum(dist[side])), threshold,
+                            2.0 ** (-n / 2.0) * math.sqrt(witness), witness)
 
+
+def decide_amplitude(problem: AmplitudeProblem, mode: str = "sample",
+                     seed=None) -> AmplitudeDecision:
+    """One decision run: sample a count and compare its phase to the threshold."""
+    p = problem.plan
+    result = _counting_result(problem.ham, p.t, p.n, problem.distribution,
+                              _fast_cost(p), mode, seed, 1)
+    decided_zero = abs(result.estimate) <= problem.threshold
+    confidence = problem.mass_zero if decided_zero else 1.0 - problem.mass_zero
+    witness = problem.witness_count
     return AmplitudeDecision(
         decided_zero=decided_zero,
         correct=(decided_zero == (witness == 0)),
         confidence=confidence,
-        amplitude=2.0 ** (-n / 2.0) * math.sqrt(witness),
+        amplitude=problem.amplitude,
         witness_count=witness,
-        threshold=threshold,
+        threshold=problem.threshold,
         estimate_phase=float(result.estimate),
         estimation=result,
     )
+
+
+def amplitude_decision_demo(bits, t: float = 250.0, register_n: int = 2048,
+                            eps: float = 1e-5, mode: str = "sample",
+                            seed=None) -> AmplitudeDecision:
+    """Decide witness count W = 0 vs W >= 1 by phase-estimating the iterate.
+
+    The estimated eigenphase is compared against half the minimal
+    nonzero-witness rotation 2 arcsin(2^(-n/2)).  Repeated runs on one oracle
+    should build ``amplitude_problem`` once and call ``decide_amplitude``.
+    """
+    return decide_amplitude(amplitude_problem(bits, t, register_n, eps), mode, seed)

@@ -361,9 +361,10 @@ def test_criterion_12_amplitude_decision_accuracy():
     for w, runs in ((0, 34), (1, 33), (4, 33)):
         bits = np.zeros(16, dtype=int)
         bits[:w] = 1
+        problem = lff.amplitude_problem(bits)
         for k in range(runs):
             seed = int(np.random.SeedSequence([SEED + 12, w, k]).generate_state(1)[0])
-            dec = lff.amplitude_decision_demo(bits, mode="sample", seed=seed)
+            dec = lff.decide_amplitude(problem, mode="sample", seed=seed)
             correct += int(dec.correct)
             total += 1
     elapsed = time.perf_counter() - t0

@@ -2,11 +2,15 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 import contextlib
 
 import numpy as np
 import pytest
 
+import lindbladff
 from lindbladff import choi, cli, qpe
 from lindbladff.cli import parse_record, run
 from lindbladff.model import parse_dense_matrix
@@ -146,6 +150,33 @@ class TestSubcommands:
         assert np.isclose(rec["outputs"]["amplitude"], 0.5)
         assert rec["outputs"]["accuracy"] >= 2 / 3
 
+    def test_ae_demo_builds_problem_once(self, monkeypatch):
+        # reference record written by the per-run implementation the problem
+        # cache replaced; the runs must sample exactly the same counts
+        want = (
+            '{"artifact_version":"0.1.0","command":["ae-demo","--n","4","--witnesses","1",'
+            '"--runs","12","--N","2048","--seed","7"],"cost":null,"ham_digest":null,'
+            '"outputs":{"accuracy":1.0,"amplitude":0.25,"runs":['
+            + ",".join('{"correct":true,"decided_zero":false,"estimate_phase":%s}' % v for v in (
+                "0.3271551075578264", "0.4184593349567728", "0.501596186714956",
+                "0.35865242810772824", "-0.5053605102841571", "-0.5053605102841571",
+                "-0.5053605102841571", "0.6268252863111016", "-0.5053605102841571",
+                "-0.5053605102841571", "0.5534416965239132", "0.5534416965239132"))
+            + '],"threshold":0.25268025514207865,"witness_count":1},"seed":7}\n'
+        )
+        calls = []
+        original = qpe._orthogonal_log
+
+        def counted(u):
+            calls.append(u)
+            return original(u)
+
+        monkeypatch.setattr(qpe, "_orthogonal_log", counted)
+        rc, out = invoke(["ae-demo", "--n", "4", "--witnesses", "1", "--runs", "12",
+                          "--N", "2048", "--seed", "7"])
+        assert rc == 0 and len(calls) == 1
+        assert strip_wall_time(out) == want
+
     def test_stateprep_tables(self):
         rc, out = invoke(["stateprep", "--what", "binomial", "--N", "2"])
         assert rc == 0
@@ -204,7 +235,47 @@ class TestSubcommands:
             assert outputs["max_commutator"] == original(calls[0])[1]
 
 
+class TestColdStart:
+    def test_cli_paths_import_no_scipy(self):
+        # a fresh interpreter, so modules imported by other tests do not count
+        code = textwrap.dedent(f"""
+            import contextlib, io, sys
+            import lindbladff.cli as cli
+            ham = {HAM!r}
+            for argv in (
+                ["evolve", "--method", "ff", "--ham", ham, "--t", "1", "--N", "16"],
+                ["evolve", "--method", "exact", "--ham", ham, "--t", "1"],
+                ["qpe", "--route", "fast", "--ham", ham, "--t", "4", "--N", "64", "--eps", "1e-3"],
+                ["qpe", "prepare", "--route", "fast", "--ham", ham, "--t", "4", "--N", "64"],
+                ["stateprep", "--what", "binomial", "--N", "16"],
+                ["bounds"],
+            ):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.run(argv) == 0, argv
+            print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lindbladff.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == ""
+
+
 class TestBench:
+    def test_ff_vs_dilated_records_are_timed(self):
+        rc, out = invoke(["bench", "ff-vs-dilated"])
+        assert rc == 0
+        records = [parse_record(l) for l in out.splitlines() if l.startswith("{")]
+        assert len(records) == 2
+        assert all(r["wall_time_s"] > 0 for r in records)
+        assert [line for line in strip_wall_time(out).splitlines() if line.startswith("{")] == [
+            '{"artifact_version":"0.1.0","command":["bench","ff-vs-dilated"],"cost":null,'
+            '"ham_digest":null,"outputs":{"pass":true,"series":"%s","slope":%s,'
+            '"suite":"ff-vs-dilated","target":%s,"tolerance":0.1},"seed":null}' % v
+            for v in (("ff", "0.5", "0.5"), ("dilated", "2.0", "2.0"))
+        ]
+
     def test_ff_vs_dilated_slopes(self):
         rc, out = invoke(["bench", "ff-vs-dilated", "--t", "1,2,4,8", "--eps", "0.1"])
         assert rc == 0

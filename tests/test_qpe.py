@@ -13,7 +13,8 @@ from lindbladff import (FFPlan, InvariantError, ValidationError,
                         standard_qpe_eigenstate)
 from lindbladff import qpe
 from lindbladff.fastforward import goal_ledger, residue_of
-from lindbladff.qpe import _grover_iterate, _orthogonal_log, _transformed_rows
+from lindbladff.qpe import (_grover_iterate, _orthogonal_log, _transformed_row_zero,
+                           _transformed_rows)
 from lindbladff.stateprep import binomial_amplitudes, log_binom
 
 from conftest import random_hermitian, random_state
@@ -287,6 +288,15 @@ class TestKravchukUnitary:
         st = decompose_state(random_state(rng, 4), ham)
         rows = _transformed_rows(ham, st, p)
         assert np.max(np.abs(rows - oracle_rows(ham, st, p))) <= 1e-12
+
+    @pytest.mark.parametrize("full", (True, False))
+    @pytest.mark.parametrize("n", (1, 2, 3, 7, 64, 512, 4096))
+    def test_row_zero_closed_form_matches_rows(self, rng, n, full):
+        p = plan_at(n, full)
+        ham = normalize_spectrum(random_hermitian(rng, 4))
+        st = decompose_state(random_state(rng, 4), ham)
+        row0 = _transformed_row_zero(ham, st, p)
+        assert np.max(np.abs(row0 - _transformed_rows(ham, st, p)[0])) <= 1e-12
 
 
 def _dicke_contraction(n):
