@@ -96,8 +96,3 @@ def dilated_evolve(f: np.ndarray, rho0: np.ndarray, t: float, steps: int) -> tup
         ancilla_count=steps,
     )
     return rho, cost
-
-
-def dilated_cost(t: float, steps: int) -> CostReport:
-    """Cost ledger of a dilated run without executing it (same closed form)."""
-    return CostReport(steps * math.sqrt(t / steps), steps, steps)

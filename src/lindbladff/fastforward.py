@@ -143,7 +143,7 @@ def apply_vh(p: FFPlan, ham: Hamiltonian, m: int, psi: np.ndarray) -> np.ndarray
     """System action of the shift-conjugated controlled evolution at address m."""
     if not 0 <= m < (1 << p.d):
         raise ValidationError(f"address {m} outside [0, 2^{p.d})")
-    _check_norm(ham)
+    _check_norm(ham.eigenvalues)
     r = int(residue_of(p, m))
     angle = math.sqrt(p.tau) * (2 * r - p.period)
     return ham.evolve(angle, np.asarray(psi, dtype=complex))
@@ -172,15 +172,28 @@ class GoalLedger:
         return residue_of(self.plan, m)
 
 
-def _check_norm(ham: Hamiltonian):
-    if float(np.max(np.abs(ham.eigenvalues))) > 1.0 + TOL.jump_norm_atol:
+def _check_norm(eigs: np.ndarray):
+    if float(np.max(np.abs(eigs))) > 1.0 + TOL.jump_norm_atol:
         raise ValidationError("jump norm exceeds 1; normalize the spectrum and rescale time")
 
 
-def _residue_table(ham: Hamiltonian, p: FFPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Residue-class weights and the (period, n_levels) phase table."""
-    _check_norm(ham)
-    return binom_residue_weights(p.n, p.period, -p.shift), _residue_phases(p, ham.eigenvalues)
+def gap_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
+    """Fast-forward gap kernel sum_r w_r e^{-i (a - b) theta_r}, shape (len a, len b).
+
+    Entry [i, j] multiplies the coherence between jump eigenvalues a_i and
+    b_j; ``ff_evolve`` applies it to a density matrix in the eigenbasis and
+    ``gibbs_prepare`` reads one column of it against eigenvalue 0.
+    """
+    _check_norm(eigs_a)
+    _check_norm(eigs_b)
+    weights = binom_residue_weights(p.n, p.period, -p.shift)
+    return (_residue_phases(p, eigs_a).T * weights) @ _residue_phases(p, eigs_b).conj()
+
+
+def ff_cost(p: FFPlan) -> CostReport:
+    """Cost of the fast-forwarded circuit: Hamiltonian time 2^d' sqrt(tau),
+    d' controlled factors plus one uncontrolled one, d address ancillas."""
+    return CostReport(float(p.period) * math.sqrt(p.tau), p.dprime + 1, p.d)
 
 
 def goal_ledger(ham: Hamiltonian, psi: np.ndarray, p: FFPlan) -> GoalLedger:
@@ -188,10 +201,10 @@ def goal_ledger(ham: Hamiltonian, psi: np.ndarray, p: FFPlan) -> GoalLedger:
     psi = nk.require_state(psi)
     if psi.shape[0] != ham.dim:
         raise ValidationError(f"dimension mismatch: state {psi.shape[0]} vs Hamiltonian {ham.dim}")
-    weights, phases = _residue_table(ham, p)
+    _check_norm(ham.eigenvalues)
     comps = ham.components(psi)          # (n_levels, dim)
-    states = phases @ comps              # (period, dim)
-    return GoalLedger(p, weights, states)
+    states = _residue_phases(p, ham.eigenvalues) @ comps  # (period, dim)
+    return GoalLedger(p, binom_residue_weights(p.n, p.period, -p.shift), states)
 
 
 def ff_evolve(ham: Hamiltonian, state0: np.ndarray, p: FFPlan
@@ -200,18 +213,13 @@ def ff_evolve(ham: Hamiltonian, state0: np.ndarray, p: FFPlan
 
     Accepts a state vector or a density matrix.  A state vector goes through
     its residue ledger, which is returned.  A density matrix is multiplied in
-    the eigenbasis by the level-pair kernel sum_r w_r e^{-i (h_a - h_b)
-    theta_r} that the ledger realizes for every pure component, and no
-    ledger is returned (``None``).  The reported Hamiltonian time 2^d'
-    sqrt(tau) is exactly the evolution time the d' controlled factors and one
-    uncontrolled factor spend.
+    the eigenbasis by the level-pair ``gap_kernel`` that the ledger realizes
+    for every pure component, and no ledger is returned (``None``).  The
+    reported Hamiltonian time 2^d' sqrt(tau) is exactly the evolution time
+    the d' controlled factors and one uncontrolled factor spend.
     """
     state0 = np.asarray(state0, dtype=complex)
-    cost = CostReport(
-        hamiltonian_time=float(p.period) * math.sqrt(p.tau),
-        step_count=p.dprime + 1,
-        ancilla_count=p.d,
-    )
+    cost = ff_cost(p)
     if state0.ndim == 1:
         ledger = goal_ledger(ham, state0, p)
         rho = _ledger_density(ledger)
@@ -219,8 +227,7 @@ def ff_evolve(ham: Hamiltonian, state0: np.ndarray, p: FFPlan
     rho0 = nk.require_density(state0)
     if rho0.shape[0] != ham.dim:
         raise ValidationError(f"dimension mismatch: rho {rho0.shape[0]} vs Hamiltonian {ham.dim}")
-    weights, phases = _residue_table(ham, p)
-    return ham.dephase((phases.T * weights) @ phases.conj(), rho0), None, cost
+    return ham.dephase(gap_kernel(p, ham.eigenvalues, ham.eigenvalues), rho0), None, cost
 
 
 def _ledger_density(ledger: GoalLedger) -> np.ndarray:

@@ -1,13 +1,27 @@
 """Gibbs-state preparation through the fast-forwarded dissipative channel.
 
-A positive semidefinite problem Hamiltonian H_P (norm at most 1, used in its
-own units so beta keeps physical meaning) defines the single jump
-|0><0|_anc (x) sqrt(H_P) (x) I on an ancilla + system + copy register.  The
-ancilla coherence block then decays as exp(-t H_P / 2), so evolving
-|+> (x) |Omega> for time beta deposits exactly the half-temperature factor
-exp(-(beta/2) H_P) |Omega> of the Gibbs purification in that block, from
-which the state and the partition function are read off; the
-amplitude-amplification queries a quantum implementation would spend are
+A positive semidefinite problem Hamiltonian H_P = V diag(w) V^dag (norm at
+most 1, used in its own units so beta keeps physical meaning) defines the
+single jump |0><0|_anc (x) sqrt(H_P) (x) I on an ancilla + system + copy
+register, run for time beta on |+> (x) |Omega>, Omega = sum_j |j>|j> / sqrt(d).
+The ancilla coherence block then holds the half-temperature factor
+exp(-(beta/2) H_P) |Omega> of the Gibbs purification, from which the state and
+the partition function are read off.
+
+The jump is never built.  It has eigenvalue sqrt(w_i) on |0>|v_i> (x) anything
+and eigenvalue 0 on the whole ancilla-|1> sector, where it acts as zero.  The
+fast-forwarded channel multiplies each coherence by the gap kernel
+sum_r w_r e^{-i (h_a - h_b) theta_r}; the |1> side of the block always sits at
+eigenvalue 0, so it contributes the phase 1 and the block's |0>|v_i> rows are
+multiplied by K_i = sum_r w_r e^{-i sqrt(w_i) theta_r}, one column of
+``fastforward.gap_kernel`` against eigenvalue 0.  (A zero eigenvalue of H_P
+shares that level, and gets K_i = sum_r w_r = 1, exactly as it should.)  With
+(M (x) I)|Omega> = vec(M) / sqrt(d), the block vector is
+
+    v = vec(V diag(K) V^dag) / (2 sqrt(d)),
+
+one eigendecomposition of the 2^n matrix H_P and no matrix larger than it.
+The amplitude-amplification queries a quantum implementation would spend are
 reported, never simulated.
 """
 
@@ -21,8 +35,7 @@ import numpy as np
 from .errors import ValidationError
 from . import numkernel as nk
 from .dilated import CostReport
-from .fastforward import FFPlan, ff_evolve, plan as make_plan
-from .model import Hamiltonian, normalize_spectrum
+from .fastforward import FFPlan, ff_cost, gap_kernel, plan as make_plan
 
 
 @dataclass
@@ -37,26 +50,14 @@ class GibbsResult:
     eps: float
 
 
-def _sqrt_psd(h_p: np.ndarray) -> np.ndarray:
+def _sqrt_psd(h_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of sqrt(H_P) and the eigenvectors, for a PSD H_P of norm <= 1."""
     w, v = nk.herm_eig(h_p)
     if w[0] < -1e-9:
         raise ValidationError(f"problem Hamiltonian has eigenvalue {w[0]:.3e} < 0")
     if w[-1] > 1.0 + 1e-9:
         raise ValidationError(f"problem Hamiltonian norm {w[-1]:.6f} exceeds 1")
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-
-def gibbs_jump(h_p: np.ndarray, n: int) -> np.ndarray:
-    """Jump operator |0><0|_anc (x) sqrt(H_P) (x) I_copy on 2n+1 qubits."""
-    h_p = nk.require_square(h_p)
-    if h_p.shape[0] != 1 << n:
-        raise ValidationError(f"expected a {1 << n}-dim Hamiltonian for n = {n}")
-    root = _sqrt_psd(h_p)
-    block = np.kron(root, np.eye(1 << n))
-    dim = 1 << (2 * n + 1)
-    out = np.zeros((dim, dim), dtype=complex)
-    out[: dim // 2, : dim // 2] = block
-    return out
+    return np.sqrt(np.clip(w, 0.0, None)), v
 
 
 def exact_gibbs(h_p: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
@@ -76,13 +77,6 @@ def _uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.sum(np.sqrt(w)) ** 2)
 
 
-def _maximally_entangled(n: int) -> np.ndarray:
-    d = 1 << n
-    omega = np.zeros(d * d, dtype=complex)
-    omega[np.arange(d) * d + np.arange(d)] = 1.0 / math.sqrt(d)
-    return omega
-
-
 def gibbs_prepare(h_p: np.ndarray, beta: float, eps: float,
                   ff_plan: FFPlan | None = None) -> GibbsResult:
     """Prepare the Gibbs purification at inverse temperature beta.
@@ -94,43 +88,32 @@ def gibbs_prepare(h_p: np.ndarray, beta: float, eps: float,
     if beta < 0:
         raise ValidationError(f"inverse temperature must be nonnegative, got {beta}")
     h_p = nk.require_square(h_p)
-    n = int(round(math.log2(h_p.shape[0])))
-    if h_p.shape[0] != 1 << n:
-        raise ValidationError(f"dimension {h_p.shape[0]} is not a power of two")
+    d = h_p.shape[0]
+    if d != 1 << int(round(math.log2(d))):
+        raise ValidationError(f"dimension {d} is not a power of two")
 
-    f = gibbs_jump(h_p, n)
-    ham = normalize_spectrum(f)
-    scale = float(ham.spectrum_map.scale)  # 1 unless the spectrum left [0, 1]
-
-    omega = _maximally_entangled(n)
-    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    psi0 = np.kron(plus, omega)
-
-    p = ff_plan if ff_plan is not None else make_plan(max(beta, 1e-6) * scale ** 2, eps)
-    rho_out, _, cost = ff_evolve(ham, psi0, p)
-
-    half = 1 << (2 * n)
-    block = rho_out[:half, half:]
-    v = block @ omega
-    norm = float(np.linalg.norm(v))
+    roots, v = _sqrt_psd(h_p)
+    p = ff_plan if ff_plan is not None else make_plan(max(beta, 1e-6), eps)
+    kernel = gap_kernel(p, roots, np.zeros(1))[:, 0]
+    block = (v * kernel) @ v.conj().T / (2.0 * math.sqrt(d))  # system rows, copy columns
+    norm = float(np.linalg.norm(block))
     if norm < 1e-12:
         raise ValidationError(
             f"ancilla block norm {norm:.2e} degenerate; beta too large for this precision"
         )
-    purification = v / norm
-    z_est = (1 << n) * (2.0 * norm) ** 2
+    mat = block / norm
+    z_est = d * (2.0 * norm) ** 2
 
-    mat = purification.reshape(1 << n, 1 << n)   # system high-order, copy low
     reduced = mat @ mat.conj().T
     exact_rho, _ = exact_gibbs(h_p, beta)
     fid = _uhlmann_fidelity(reduced, exact_rho)
     return GibbsResult(
-        purification=purification,
+        purification=mat.reshape(-1),
         reduced_state=reduced,
         partition_estimate=z_est,
         fidelity=fid,
-        cost=cost,
-        ideal_amplification_queries=math.sqrt((1 << n) / z_est),
+        cost=ff_cost(p),
+        ideal_amplification_queries=math.sqrt(d / z_est),
         beta=beta,
         eps=eps,
     )

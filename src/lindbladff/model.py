@@ -336,10 +336,6 @@ def format_dense_matrix(a: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_dense_matrix(text: str) -> Hamiltonian:
-    return normalize_spectrum(parse_dense_matrix(text))
-
-
 def load_hamiltonian_text(text: str, fmt: str = "auto") -> np.ndarray:
     """Parse either supported Hamiltonian format, sniffing when fmt='auto'."""
     if fmt == "pauli":

@@ -86,32 +86,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
-    """Trace out every tensor factor not listed in ``keep``.
-
-    ``dims`` lists the subsystem dimensions from the high-order factor down
-    (matching :func:`kron`), and ``keep`` gives the indices of the factors to
-    retain, in their original order.
-    """
-    rho = require_square(rho)
-    dims = tuple(int(d) for d in dims)
-    total = int(np.prod(dims))
-    if rho.shape[0] != total:
-        raise ValidationError(
-            f"layout {dims} does not factor dimension {rho.shape[0]}"
-        )
-    keep = tuple(sorted(keep))
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise ValidationError(f"keep indices {keep} out of range for {len(dims)} factors")
-    n = len(dims)
-    t = rho.reshape(dims + dims)
-    # trace paired axes for every discarded factor, highest axis first
-    for ax in reversed([i for i in range(n) if i not in keep]):
-        t = np.trace(t, axis1=ax, axis2=ax + (t.ndim // 2))
-    kept = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return t.reshape(kept, kept)
-
-
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Half the trace norm of rho - sigma."""
     rho = require_square(rho)
@@ -120,18 +94,6 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
         raise ValidationError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     diff = require_hermitian(rho - sigma, atol=2 * TOL.hermitian_atol)
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
-
-
-def fidelity_pure(v: np.ndarray, rho: np.ndarray) -> float:
-    """Overlap <v|rho|v> of a pure state with a density matrix."""
-    v = np.asarray(v, dtype=complex)
-    rho = require_square(rho)
-    if v.shape != (rho.shape[0],):
-        raise ValidationError(
-            f"dimension mismatch: vector {v.shape} vs matrix dim {rho.shape[0]}"
-        )
-    val = v.conj() @ rho @ v
-    return float(val.real)
 
 
 def require_state(v: np.ndarray, atol: float | None = None) -> np.ndarray:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import InvariantError, ValidationError
 from .dilated import CostReport
-from .fastforward import FFPlan, goal_ledger
+from .fastforward import FFPlan, ff_cost, goal_ledger
 from .kernels import binom_pmf_window
 from .model import (Hamiltonian, SpectralState, decompose_state,
                     normalize_spectrum, spectral_gap)
@@ -165,13 +165,25 @@ def standard_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
 # Slow (Lindbladian counting) route
 # ---------------------------------------------------------------------------
 
-def _counting_params(ham: Hamiltonian, t: float, n: int) -> np.ndarray:
+def _step_root(ham: Hamiltonian, t: float, n: int) -> float:
+    """sqrt(t/N), checked to keep sqrt(t/N) |h| inside the monotone range pi/2."""
     root = math.sqrt(t / n)
     if root * float(np.max(np.abs(ham.eigenvalues))) > 0.5 * math.pi:
         raise ValidationError(
             f"sqrt(t/N) |h| = {root:.3f}|h| leaves the monotone estimator range; increase N"
         )
-    return np.sin(root * ham.eigenvalues) ** 2
+    return root
+
+
+def _counting_params(ham: Hamiltonian, t: float, n: int) -> np.ndarray:
+    return np.sin(_step_root(ham, t, n) * ham.eigenvalues) ** 2
+
+
+def _survival(ham: Hamiltonian, t: float, n: int) -> np.ndarray:
+    """Survival amplitude |cos(sqrt(t/N) h)|^N per component, in the log domain."""
+    root = math.sqrt(t / n)
+    with np.errstate(divide="ignore"):
+        return np.exp(n * np.log(np.abs(np.cos(root * ham.eigenvalues))))
 
 
 def _counting_distribution(weights: np.ndarray, qs: np.ndarray, n: int) -> np.ndarray:
@@ -219,15 +231,9 @@ def slow_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
     _require_target_at_zero(ham, beta)
     if t <= 0 or n < 1:
         raise ValidationError(f"need t > 0 and N >= 1, got t={t}, N={n}")
-    root = math.sqrt(t / n)
-    if root * float(np.max(np.abs(ham.eigenvalues))) > 0.5 * math.pi:
-        raise ValidationError("sqrt(t/N) |h| exceeds pi/2; increase N")
+    _step_root(ham, t, n)  # range guard
     w = state.weights
-    cosines = np.cos(root * ham.eigenvalues)
-    # survival amplitude per component: cos^N, evaluated in the log domain
-    with np.errstate(divide="ignore"):
-        log_surv = n * np.log(np.abs(cosines))
-    surv = np.exp(log_surv)
+    surv = _survival(ham, t, n)
     p0 = float(np.sum(w * surv ** 2))
     overlap = float(w[beta] / p0)
 
@@ -314,10 +320,6 @@ def _fast_distribution(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.
     return np.einsum("ms,ms->m", rows.real, rows.real) + np.einsum("ms,ms->m", rows.imag, rows.imag)
 
 
-def _fast_cost(p: FFPlan) -> CostReport:
-    return CostReport(float(p.period) * math.sqrt(p.tau), p.dprime + 1, p.d)
-
-
 def _counting_result(ham: Hamiltonian, t: float, n: int, dist: np.ndarray,
                      cost: CostReport, mode: str, seed, repeats: int) -> EstimationResult:
     """Pick a count from ``dist`` and report its counting estimate."""
@@ -338,7 +340,7 @@ def fast_qpe(ham: Hamiltonian, state: SpectralState, p: FFPlan,
              repeats: int = 1) -> EstimationResult:
     """Counting statistics read out of the fast-forwarded ledger."""
     return _counting_result(ham, p.t, p.n, _fast_distribution(ham, state, p),
-                            _fast_cost(p), mode, seed, repeats)
+                            ff_cost(p), mode, seed, repeats)
 
 
 def fast_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
@@ -361,9 +363,7 @@ def fast_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
     zeta = root_eps / c_beta if c_beta > 0 else math.inf
     bound = -math.inf
     if zeta < 1.0 / 6.0:
-        root = math.sqrt(p.t / p.n)
-        surv = np.exp(p.n * np.log(np.abs(np.cos(root * ham.eigenvalues))))
-        p0_plain = float(np.sum(state.weights * surv ** 2))
+        p0_plain = float(np.sum(state.weights * _survival(ham, p.t, p.n) ** 2))
         if state.weights[beta] / p0_plain >= 1.0 - zeta:
             bound = 1.0 - 6.0 * zeta
             if overlap < bound - 1e-9:
@@ -377,7 +377,7 @@ def fast_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
         expected_repeats=1.0 / p0,
         ideal_amplification_queries=1.0 / c_beta if c_beta > 0 else math.inf,
         overlap_bound=float(bound),
-        cost=_fast_cost(p),
+        cost=ff_cost(p),
     )
 
 
@@ -487,7 +487,7 @@ def decide_amplitude(problem: AmplitudeProblem, mode: str = "sample",
     """One decision run: sample a count and compare its phase to the threshold."""
     p = problem.plan
     result = _counting_result(problem.ham, p.t, p.n, problem.distribution,
-                              _fast_cost(p), mode, seed, 1)
+                              ff_cost(p), mode, seed, 1)
     decided_zero = abs(result.estimate) <= problem.threshold
     confidence = problem.mass_zero if decided_zero else 1.0 - problem.mass_zero
     witness = problem.witness_count

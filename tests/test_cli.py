@@ -248,6 +248,7 @@ class TestColdStart:
                 ["qpe", "--route", "fast", "--ham", ham, "--t", "4", "--N", "64", "--eps", "1e-3"],
                 ["qpe", "prepare", "--route", "fast", "--ham", ham, "--t", "4", "--N", "64"],
                 ["stateprep", "--what", "binomial", "--N", "16"],
+                ["gibbs", "--ham", ham, "--beta", "1", "--eps", "0.05"],
                 ["bounds"],
             ):
                 with contextlib.redirect_stdout(io.StringIO()):

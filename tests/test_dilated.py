@@ -5,7 +5,6 @@ from scipy.linalg import expm
 from lindbladff import (ValidationError, default_steps, dilated_evolve,
                         dilated_step, lindblad_exact_hermitian,
                         normalize_spectrum)
-from lindbladff.dilated import dilated_cost
 from lindbladff import numkernel as nk
 from lindbladff.model import dilate
 
@@ -90,7 +89,6 @@ def test_cost_law_exact():
     _, cost = dilated_evolve(F, PLUS_RHO, 2.0, 8)
     assert cost.hamiltonian_time == 8 * np.sqrt(2.0 / 8)
     assert np.isclose(cost.hamiltonian_time, np.sqrt(8 * 2.0))
-    assert dilated_cost(2.0, 8).hamiltonian_time == cost.hamiltonian_time
 
 
 def test_default_steps_rule():

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lindbladff import (ValidationError, exact_gibbs, gibbs_jump, gibbs_prepare,
-                        lindblad_spec)
+from lindbladff import (TOL, ValidationError, exact_gibbs, ff_evolve, gibbs_prepare,
+                        lindblad_spec, normalize_spectrum, plan)
+from lindbladff import fastforward, gibbs, model
 from lindbladff import numkernel as nk
 
 H_P2 = np.diag([0.0, 1.0]).astype(complex)
@@ -14,6 +15,41 @@ def random_psd_unit_norm(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = a @ a.conj().T
     return h / (np.linalg.eigvalsh(h)[-1] * (1 + 1e-12))
+
+
+def random_unitary(rng, dim):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
+
+
+# ---------------------------------------------------------------------------
+# Dense oracle: the literal 2^(2n+1) jump run through the ff simulator
+# ---------------------------------------------------------------------------
+
+def gibbs_jump(h_p, n):
+    """Jump operator |0><0|_anc (x) sqrt(H_P) (x) I_copy on 2n+1 qubits."""
+    h_p = nk.require_square(h_p)
+    if h_p.shape[0] != 1 << n:
+        raise ValidationError(f"expected a {1 << n}-dim Hamiltonian for n = {n}")
+    roots, v = gibbs._sqrt_psd(h_p)
+    dim = 1 << (2 * n + 1)
+    out = np.zeros((dim, dim), dtype=complex)
+    out[: dim // 2, : dim // 2] = np.kron((v * roots) @ v.conj().T, np.eye(1 << n))
+    return out
+
+
+def dense_gibbs(h_p, p):
+    """Evolve |+> (x) |Omega> under the dense jump and read the ancilla block
+    times Omega: returns the normalized purification and the partition estimate."""
+    d = h_p.shape[0]
+    n = d.bit_length() - 1
+    omega = np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
+    psi0 = np.kron(np.array([1.0, 1.0]) / math.sqrt(2.0), omega)
+    rho, _, _ = ff_evolve(normalize_spectrum(gibbs_jump(h_p, n)), psi0, p)
+    half = d * d
+    v = rho[:half, half:] @ omega
+    norm = float(np.linalg.norm(v))
+    return v / norm, d * (2.0 * norm) ** 2
 
 
 class TestGibbsJump:
@@ -112,3 +148,64 @@ class TestGibbsPrepare:
         with pytest.raises(ValidationError, match="degenerate"):
             gibbs_prepare(np.diag([1.0, 1.0]), beta=200.0, eps=2e-4,
                           ff_plan=plan(200.0, 2e-4, n_override=4096))
+
+    def test_structured_route_builds_no_dilated_jump(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense dilated route reached")
+
+        for module, name in ((model, "normalize_spectrum"), (fastforward, "ff_evolve"),
+                             (fastforward, "goal_ledger"), (np, "kron")):
+            monkeypatch.setattr(module, name, refuse)
+        for name in ("normalize_spectrum", "ff_evolve", "goal_ledger", "gibbs_jump"):
+            assert not hasattr(gibbs, name), name
+        res = gibbs_prepare(H_P2, beta=2.0, eps=0.05)
+        assert res.fidelity >= 1 - 2 * 0.05
+
+    def test_ten_qubits(self, rng):
+        hp = random_psd_unit_norm(rng, 1 << 10)
+        res = gibbs_prepare(hp, beta=1.5, eps=0.05)
+        _, z = exact_gibbs(hp, 1.5)
+        assert res.purification.shape == (1 << 20,)
+        assert res.fidelity >= 1 - 2 * 0.05
+        assert abs(res.partition_estimate - z) / z <= 0.05
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(7)
+    cases = [(f"random-n{n}", random_psd_unit_norm(rng, 1 << n)) for n in (1, 2, 3, 4)]
+    cases += [(f"identity-n{n}", np.eye(1 << n, dtype=complex)) for n in (1, 3)]
+    for n in (2, 3):
+        # two zero eigenvalues share level 0 with the ancilla-|1> sector
+        w = np.concatenate([np.zeros(2), rng.uniform(0.1, 1.0, (1 << n) - 3), [1.0]])
+        q = random_unitary(rng, 1 << n)
+        cases.append((f"singular-n{n}", (q * w) @ q.conj().T))
+    return dict(cases)
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+@pytest.mark.parametrize("beta", [0.5, 1.5])
+def test_matches_dense_oracle(name, beta, monkeypatch):
+    # The rotated zero eigenvalues come back from eigh as +-1e-17, whose roots
+    # (~1e-9) sit at the default 1e-9 clustering tolerance.  The dense route
+    # would average them into level 0 with the ancilla-|1> sector and move
+    # every K_i by ~1e-10 (see the next test); the structured route keeps
+    # each root, so the oracle clusters only rounding-level splits here.
+    monkeypatch.setattr(TOL, "cluster_rtol", 1e-12)
+    h_p = ORACLE_CASES[name]
+    p = plan(beta, 0.05)
+    res = gibbs_prepare(h_p, beta, 0.05, ff_plan=p)
+    want, z = dense_gibbs(h_p, p)
+    assert abs(np.vdot(want, res.purification)) ** 2 >= 1 - 1e-12
+    assert abs(res.partition_estimate - z) <= 1e-12 * z
+
+
+def test_singular_at_default_clustering():
+    h_p = ORACLE_CASES["singular-n3"]
+    p = plan(1.5, 0.05)
+    res = gibbs_prepare(h_p, 1.5, 0.05, ff_plan=p)
+    want, z = dense_gibbs(h_p, p)
+    assert abs(np.vdot(want, res.purification)) ** 2 >= 1 - 1e-12
+    assert abs(res.partition_estimate - z) <= 1e-9 * z

@@ -82,44 +82,6 @@ class TestKron:
         assert out.shape == (8, 8)
 
 
-class TestPartialTrace:
-    def test_pure_product_basis(self):
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = 1.0
-        out = nk.partial_trace(rho, (2, 2), keep=(1,))
-        assert np.allclose(out, [[1, 0], [0, 0]])
-
-    def test_maximally_entangled_marginals(self):
-        bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
-        rho = np.outer(bell, bell)
-        for keep in ((0,), (1,)):
-            assert np.allclose(nk.partial_trace(rho, (2, 2), keep), np.eye(2) / 2)
-
-    def test_product_state(self, rng):
-        ra, rb = random_density(rng, 2), random_density(rng, 3)
-        out = nk.partial_trace(nk.kron(ra, rb), (2, 3), keep=(1,))
-        assert np.allclose(out, rb, atol=1e-12)
-
-    def test_trace_and_hermiticity_preserved(self, rng):
-        rho = random_density(rng, 8)
-        out = nk.partial_trace(rho, (2, 2, 2), keep=(0, 2))
-        assert abs(np.trace(out) - 1.0) <= 1e-12
-        assert np.max(np.abs(out - out.conj().T)) <= 1e-12
-
-    def test_bad_layout(self, rng):
-        with pytest.raises(ValidationError):
-            nk.partial_trace(random_density(rng, 6), (4, 2), keep=(0,))
-
-    def test_commutes_with_mixing(self, rng):
-        # linearity: ptrace of a mixture equals the mixture of ptraces
-        r1, r2 = random_density(rng, 4), random_density(rng, 4)
-        mix = 0.3 * r1 + 0.7 * r2
-        lhs = nk.partial_trace(mix, (2, 2), keep=(0,))
-        rhs = 0.3 * nk.partial_trace(r1, (2, 2), keep=(0,)) \
-            + 0.7 * nk.partial_trace(r2, (2, 2), keep=(0,))
-        assert np.allclose(lhs, rhs, atol=1e-12)
-
-
 class TestTraceDistance:
     def test_equal_states(self, rng):
         rho = random_density(rng, 4)
@@ -142,20 +104,3 @@ class TestTraceDistance:
     def test_dim_mismatch(self):
         with pytest.raises(ValidationError):
             nk.trace_distance(np.eye(2) / 2, np.eye(3) / 3)
-
-
-class TestFidelityPure:
-    def test_matching_pure_state(self):
-        v = np.array([1.0, 0.0])
-        assert np.isclose(nk.fidelity_pure(v, np.diag([1.0, 0.0])), 1.0)
-
-    def test_diagonal_readoff(self):
-        assert np.isclose(nk.fidelity_pure(np.array([1.0, 0]), np.diag([0.88, 0.12])), 0.88)
-
-    def test_plus_vs_mixed(self):
-        plus = np.array([1.0, 1.0]) / np.sqrt(2)
-        assert np.isclose(nk.fidelity_pure(plus, np.eye(2) / 2), 0.5)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValidationError):
-            nk.fidelity_pure(np.zeros(3), np.eye(2))
