@@ -87,7 +87,7 @@ def choi_ff_evolve(spec: LindbladSpec, state0: np.ndarray, t: float,
         if ham.zero_width:
             continue  # identity-proportional jump generates no dissipation
         p = make_plan(time_scale * t, eps_each)
-        rho, _, cost = ff_evolve(ham, rho, p)
+        rho, cost = ff_evolve(ham, rho, p)
         total_time += cost.hamiltonian_time
         steps += cost.step_count
         ancillas += cost.ancilla_count

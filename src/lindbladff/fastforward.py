@@ -10,6 +10,14 @@ represented exactly by 2^d' system vectors plus one weight per residue class.
 That ledger is an exact description of the circuit (not an approximation) and
 is what keeps register counts of 10^5..10^7 runnable at desk scale.
 
+A pure input never holds the whole ledger: ``ff_evolve`` streams it in blocks
+of B residue classes (B a power of two, one block of B x dim complex numbers
+within 4 MiB), adding each block's share of the density matrix as it goes, in
+O(B dim + dim^2) memory whatever the register count.  A mixed input is
+multiplied by the ``gap_kernel`` in the jump's eigenbasis instead.  The whole
+ledger is built only where its states are read, by the fast phase-estimation
+readout (``goal_ledger``).
+
 Address arithmetic is modulo 2^d (the d-bit register) rather than modulo N;
 the shift maps the window bijectively either way and the out-of-window
 components are realized as the periodic evolutions the circuit itself
@@ -30,6 +38,9 @@ from .dilated import CostReport
 from .kernels import binom_residue_weights
 from .model import Hamiltonian
 from .stateprep import binomial_amplitudes, log_binom
+
+# Bytes of one streamed block of the pure-state ledger (see ``ff_evolve``).
+_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -103,50 +114,45 @@ def plan(t: float, eps: float, n_override: int | None = None) -> FFPlan:
     return FFPlan(float(t), float(eps), n, t / n, c, d, dprime, window, full_window, note)
 
 
-def u_add_map(p: FFPlan, m: int) -> int:
-    """In-place modular addition on the d-bit address register."""
-    if not 0 <= m < (1 << p.d):
-        raise ValidationError(f"address {m} outside [0, 2^{p.d})")
-    return (m + p.shift) % (1 << p.d)
-
-
-def u_add_inverse(p: FFPlan, m: int) -> int:
-    if not 0 <= m < (1 << p.d):
-        raise ValidationError(f"address {m} outside [0, 2^{p.d})")
-    return (m - p.shift) % (1 << p.d)
-
-
 def residue_of(p: FFPlan, m) -> np.ndarray:
     """Residue class driving the system action for address m."""
     return np.mod(np.asarray(m) - p.shift, p.period)
 
 
-def _residue_phases(p: FFPlan, eigs: np.ndarray) -> np.ndarray:
-    """Phase table exp(-i h sqrt(tau) (2r - 2^d')) of shape (2^d', n_levels).
+def _residue_phases(p: FFPlan, eigs: np.ndarray, lo: int = 0,
+                    rows: int | None = None) -> np.ndarray:
+    """Rows [lo, lo + rows) of the phase table exp(-i h sqrt(tau) (2r - 2^d')),
+    shape (rows, n_levels); the whole table (2^d' rows) by default.
 
-    Built by binary decomposition of the register value from the d' cached
-    bit evolutions plus the single uncontrolled backward factor, mirroring
-    how the circuit spends its evolution time.
+    Row r is the product of the single uncontrolled backward factor and the
+    d' cached bit evolutions selected by the bits of r, taken from the lowest
+    bit up, mirroring how the circuit spends its evolution time.  ``rows`` is
+    a power of two and ``lo`` a multiple of it: the low bits enumerate the
+    block by doubling the table (rows with the bit clear, then rows with it
+    set), and the high bits are those of ``lo``, common to the whole block.
+    Every row is the same left-to-right product either way, so a block equals
+    its slice of the whole table bit for bit.
     """
+    rows = p.period if rows is None else rows
+    low_bits = rows.bit_length() - 1
     root = math.sqrt(p.tau)
-    r = np.arange(p.period)
-    phases = np.tile(np.exp(+1j * eigs * root), (p.period, 1))  # uncontrolled factor
+    phases = np.exp(+1j * eigs * root)[None, :]  # uncontrolled factor
     for j in range(p.dprime):
-        bit = (r >> j) & 1
         fwd = np.exp(-1j * eigs * root * (1 << j))   # bit 1
         bwd = np.exp(+1j * eigs * root * (1 << j))   # bit 0
-        phases *= np.where(bit[:, None] == 1, fwd[None, :], bwd[None, :])
+        if j < low_bits:
+            phases = np.concatenate((phases * bwd, phases * fwd))
+        else:
+            phases *= fwd if (lo >> j) & 1 else bwd
     return phases
 
 
-def apply_vh(p: FFPlan, ham: Hamiltonian, m: int, psi: np.ndarray) -> np.ndarray:
-    """System action of the shift-conjugated controlled evolution at address m."""
-    if not 0 <= m < (1 << p.d):
-        raise ValidationError(f"address {m} outside [0, 2^{p.d})")
-    _check_norm(ham.eigenvalues)
-    r = int(residue_of(p, m))
-    angle = math.sqrt(p.tau) * (2 * r - p.period)
-    return ham.evolve(angle, np.asarray(psi, dtype=complex))
+def _block_rows(p: FFPlan, dim: int) -> int:
+    """Residue classes per block of the streamed pure-state density: the
+    largest power of two whose (rows, dim) complex block fits _BLOCK_BYTES,
+    at most the period (a level count never exceeds dim)."""
+    fit = max(1, _BLOCK_BYTES // (16 * dim))
+    return min(p.period, 1 << (fit.bit_length() - 1))
 
 
 @dataclass(frozen=True)
@@ -196,62 +202,55 @@ def ff_cost(p: FFPlan) -> CostReport:
     return CostReport(float(p.period) * math.sqrt(p.tau), p.dprime + 1, p.d)
 
 
-def goal_ledger(ham: Hamiltonian, psi: np.ndarray, p: FFPlan) -> GoalLedger:
-    """Build the residue ledger for a pure input state."""
+def _pure_components(ham: Hamiltonian, psi: np.ndarray) -> np.ndarray:
+    """Eigenspace components (n_levels, dim) of a checked pure input state."""
     psi = nk.require_state(psi)
     if psi.shape[0] != ham.dim:
         raise ValidationError(f"dimension mismatch: state {psi.shape[0]} vs Hamiltonian {ham.dim}")
     _check_norm(ham.eigenvalues)
-    comps = ham.components(psi)          # (n_levels, dim)
-    states = _residue_phases(p, ham.eigenvalues) @ comps  # (period, dim)
+    return ham.components(psi)
+
+
+def goal_ledger(ham: Hamiltonian, psi: np.ndarray, p: FFPlan) -> GoalLedger:
+    """Build the residue ledger for a pure input state."""
+    states = _residue_phases(p, ham.eigenvalues) @ _pure_components(ham, psi)  # (period, dim)
     return GoalLedger(p, binom_residue_weights(p.n, p.period, -p.shift), states)
 
 
 def ff_evolve(ham: Hamiltonian, state0: np.ndarray, p: FFPlan
-              ) -> tuple[np.ndarray, GoalLedger | None, CostReport]:
+              ) -> tuple[np.ndarray, CostReport]:
     """Fast-forwarded simulation of the dephasing Lindbladian.
 
-    Accepts a state vector or a density matrix.  A state vector goes through
-    its residue ledger, which is returned.  A density matrix is multiplied in
-    the eigenbasis by the level-pair ``gap_kernel`` that the ledger realizes
-    for every pure component, and no ledger is returned (``None``).  The
-    reported Hamiltonian time 2^d' sqrt(tau) is exactly the evolution time
-    the d' controlled factors and one uncontrolled factor spend.
+    Accepts a state vector or a density matrix.  A state vector streams its
+    residue ledger in blocks of residue classes: each block's system vectors
+    S_b are built from their rows of the phase table and add
+    (S_b^T w_b) @ conj(S_b) to rho, so no more than one block of the ledger
+    is ever held, O(rows * dim + dim^2) memory for any register count.  When
+    one block covers the period this is the whole-ledger product.  A density
+    matrix is multiplied in the eigenbasis by the level-pair ``gap_kernel``
+    that the ledger realizes for every pure component.  The reported
+    Hamiltonian time 2^d' sqrt(tau) is exactly the evolution time the d'
+    controlled factors and one uncontrolled factor spend.
     """
     state0 = np.asarray(state0, dtype=complex)
     cost = ff_cost(p)
     if state0.ndim == 1:
-        ledger = goal_ledger(ham, state0, p)
-        rho = _ledger_density(ledger)
-        return rho, ledger, cost
+        comps = _pure_components(ham, state0)
+        weights = binom_residue_weights(p.n, p.period, -p.shift)
+        rows = _block_rows(p, ham.dim)
+        rho = None
+        for lo in range(0, p.period, rows):
+            s = _residue_phases(p, ham.eigenvalues, lo, rows) @ comps  # (rows, dim)
+            part = (s.T * weights[lo:lo + rows]) @ s.conj()
+            if rho is None:
+                rho = part
+            else:
+                rho += part
+        return rho, cost
     rho0 = nk.require_density(state0)
     if rho0.shape[0] != ham.dim:
         raise ValidationError(f"dimension mismatch: rho {rho0.shape[0]} vs Hamiltonian {ham.dim}")
-    return ham.dephase(gap_kernel(p, ham.eigenvalues, ham.eigenvalues), rho0), None, cost
-
-
-def _ledger_density(ledger: GoalLedger) -> np.ndarray:
-    s = ledger.states
-    return (s.T * ledger.weights) @ s.conj()
-
-
-def full_mixture(ham: Hamiltonian, psi: np.ndarray, p: FFPlan) -> np.ndarray:
-    """Unwindowed reference: the full binomial mixture of evolved projections,
-    accumulated per eigencomponent by explicit summation over all addresses."""
-    psi = nk.require_state(psi)
-    comps = ham.components(psi)
-    m = np.arange(p.n + 1)
-    pmf = np.exp(log_binom(p.n, m) - p.n * math.log(2.0))
-    root = math.sqrt(p.tau)
-    out = np.zeros((ham.dim, ham.dim), dtype=complex)
-    # element (a, b) weight: sum_m pmf(m) exp(-i (h_a - h_b) sqrt(tau) (2m - n))
-    angles = root * (2 * m - p.n)
-    for a in range(ham.n_levels):
-        for b in range(ham.n_levels):
-            gap = ham.eigenvalues[a] - ham.eigenvalues[b]
-            w = np.sum(pmf * np.exp(-1j * gap * angles))
-            out += w * np.outer(comps[a], comps[b].conj())
-    return out
+    return ham.dephase(gap_kernel(p, ham.eigenvalues, ham.eigenvalues), rho0), cost
 
 
 def dense_circuit_reference(ham: Hamiltonian, psi: np.ndarray, p: FFPlan) -> np.ndarray:

@@ -43,6 +43,7 @@ class GibbsResult:
     purification: np.ndarray       # 2n-qubit state vector
     reduced_state: np.ndarray      # n-qubit density matrix
     partition_estimate: float
+    partition_exact: float         # Z of the reference Gibbs state
     fidelity: float
     cost: CostReport
     ideal_amplification_queries: float
@@ -50,23 +51,26 @@ class GibbsResult:
     eps: float
 
 
-def _sqrt_psd(h_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of sqrt(H_P) and the eigenvectors, for a PSD H_P of norm <= 1."""
+def _psd_eig(h_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a PSD H_P of norm <= 1."""
     w, v = nk.herm_eig(h_p)
     if w[0] < -1e-9:
         raise ValidationError(f"problem Hamiltonian has eigenvalue {w[0]:.3e} < 0")
     if w[-1] > 1.0 + 1e-9:
         raise ValidationError(f"problem Hamiltonian norm {w[-1]:.6f} exceeds 1")
-    return np.sqrt(np.clip(w, 0.0, None)), v
+    return w, v
 
 
-def exact_gibbs(h_p: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
-    """Reference e^{-beta H_P} / Z via the spectral decomposition."""
-    w, v = nk.herm_eig(h_p)
+def _gibbs_from_eig(w: np.ndarray, v: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
     boltz = np.exp(-beta * w)
     z = float(np.sum(boltz))
     rho = (v * (boltz / z)) @ v.conj().T
     return rho, z
+
+
+def exact_gibbs(h_p: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
+    """Reference e^{-beta H_P} / Z via the spectral decomposition."""
+    return _gibbs_from_eig(*nk.herm_eig(h_p), beta)
 
 
 def _uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -83,7 +87,9 @@ def gibbs_prepare(h_p: np.ndarray, beta: float, eps: float,
 
     The channel runs for time beta through the fast-forwarded simulator at
     target error eps; the partition estimate inverts the ancilla block norm
-    (ideal value sqrt(Z / 2^n) / 2).
+    (ideal value sqrt(Z / 2^n) / 2).  One eigendecomposition of H_P gives
+    the jump's roots and the reference Gibbs state, with its exact Z, that
+    the fidelity is taken against.
     """
     if beta < 0:
         raise ValidationError(f"inverse temperature must be nonnegative, got {beta}")
@@ -92,7 +98,8 @@ def gibbs_prepare(h_p: np.ndarray, beta: float, eps: float,
     if d != 1 << int(round(math.log2(d))):
         raise ValidationError(f"dimension {d} is not a power of two")
 
-    roots, v = _sqrt_psd(h_p)
+    w, v = _psd_eig(h_p)
+    roots = np.sqrt(np.clip(w, 0.0, None))
     p = ff_plan if ff_plan is not None else make_plan(max(beta, 1e-6), eps)
     kernel = gap_kernel(p, roots, np.zeros(1))[:, 0]
     block = (v * kernel) @ v.conj().T / (2.0 * math.sqrt(d))  # system rows, copy columns
@@ -105,12 +112,13 @@ def gibbs_prepare(h_p: np.ndarray, beta: float, eps: float,
     z_est = d * (2.0 * norm) ** 2
 
     reduced = mat @ mat.conj().T
-    exact_rho, _ = exact_gibbs(h_p, beta)
+    exact_rho, z_exact = _gibbs_from_eig(w, v, beta)
     fid = _uhlmann_fidelity(reduced, exact_rho)
     return GibbsResult(
         purification=mat.reshape(-1),
         reduced_state=reduced,
         partition_estimate=z_est,
+        partition_exact=z_exact,
         fidelity=fid,
         cost=ff_cost(p),
         ideal_amplification_queries=math.sqrt(d / z_est),

@@ -309,31 +309,49 @@ def from_pauli_sum(text: str) -> Hamiltonian:
     return normalize_spectrum(parse_pauli_sum(text))
 
 
+def _parse_dense_tokens(lineno: int, line: str) -> list[complex]:
+    """Entry-by-entry parse of one row, raising at the first malformed entry."""
+    entries = []
+    for tok in line.split():
+        try:
+            re_s, im_s = tok.split(",")
+            entries.append(complex(float(re_s), float(im_s)))
+        except ValueError:
+            raise ValidationError(f"line {lineno}: malformed entry {tok!r}, expected 're,im'") from None
+    return entries
+
+
 def parse_dense_matrix(text: str) -> np.ndarray:
-    """Parse the dense text format: one row per line, entries "re,im"."""
+    """Parse the dense text format: one row per line, entries "re,im".
+
+    Each row is converted in one call as its 2n real numbers, after checking
+    that every entry holds one comma between two numbers; a row that fails
+    is parsed again entry by entry, which names the first malformed entry.
+    """
     rows = []
     for lineno, line in _strip(text):
-        entries = []
-        for tok in line.split():
+        tokens = line.split()
+        row = None
+        if all(tok.count(",") == 1 for tok in tokens):
             try:
-                re_s, im_s = tok.split(",")
-                entries.append(complex(float(re_s), float(im_s)))
+                row = np.array(line.replace(",", " ").split(), dtype=float)
             except ValueError:
-                raise ValidationError(f"line {lineno}: malformed entry {tok!r}, expected 're,im'") from None
-        rows.append(entries)
+                pass
+        if row is None or row.size != 2 * len(tokens):  # an empty half ("1,") drops a number
+            row = np.array(_parse_dense_tokens(lineno, line), dtype=complex).view(float)
+        rows.append(row)
     if not rows:
         raise ValidationError("empty dense-matrix file")
-    if len({len(r) for r in rows}) != 1:
+    if len({r.size for r in rows}) != 1:
         raise ValidationError("rows have inconsistent lengths")
-    return np.array(rows, dtype=complex)
+    return np.stack(rows).view(complex)
 
 
 def format_dense_matrix(a: np.ndarray) -> str:
-    a = np.asarray(a, dtype=complex)
-    lines = []
-    for row in a:
-        lines.append(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row))
-    return "\n".join(lines) + "\n"
+    """One line per row, entries "re,im" in %.17g (round-trip exact)."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    template = " ".join(["%.17g,%.17g"] * a.shape[1])
+    return "\n".join([template % tuple(row) for row in a.view(float).tolist()]) + "\n"
 
 
 def load_hamiltonian_text(text: str, fmt: str = "auto") -> np.ndarray:

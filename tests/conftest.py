@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+
+from lindbladff import numkernel as nk
+from lindbladff.stateprep import log_binom
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -25,3 +30,23 @@ def random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def full_mixture(ham, psi, p):
+    """Unwindowed reference for the fast-forwarded channel: the full binomial
+    mixture of evolved projections, accumulated per eigencomponent by explicit
+    summation over all addresses."""
+    psi = nk.require_state(psi)
+    comps = ham.components(psi)
+    m = np.arange(p.n + 1)
+    pmf = np.exp(log_binom(p.n, m) - p.n * math.log(2.0))
+    root = math.sqrt(p.tau)
+    out = np.zeros((ham.dim, ham.dim), dtype=complex)
+    # element (a, b) weight: sum_m pmf(m) exp(-i (h_a - h_b) sqrt(tau) (2m - n))
+    angles = root * (2 * m - p.n)
+    for a in range(ham.n_levels):
+        for b in range(ham.n_levels):
+            gap = ham.eigenvalues[a] - ham.eigenvalues[b]
+            w = np.sum(pmf * np.exp(-1j * gap * angles))
+            out += w * np.outer(comps[a], comps[b].conj())
+    return out

@@ -29,8 +29,9 @@ import scipy.stats
 import lindbladff as lff
 from lindbladff import numkernel as nk
 from lindbladff.cli import run as cli_run
-from lindbladff.fastforward import full_mixture
 from lindbladff.qpe import counting_estimator
+
+from conftest import full_mixture
 
 SEED = 424242
 
@@ -59,7 +60,7 @@ def test_criterion_01_structured_vs_dense_oracle():
             ham = _random_ham(rng, dim)
             psi = _random_state(rng, dim)
             p = lff.plan(t, eps, n_override=16)
-            rho, _, _ = lff.ff_evolve(ham, psi, p)
+            rho, _ = lff.ff_evolve(ham, psi, p)
             ref = lff.dense_circuit_reference(ham, psi, p)
             worst = max(worst, nk.trace_distance(rho, ref))
     elapsed = time.perf_counter() - t0
@@ -77,7 +78,7 @@ def test_criterion_02_window_bound():
             ham = _random_ham(rng, 2)
             psi = _random_state(rng, 2)
             p = lff.plan(2.0, eps, n_override=n)
-            rho, _, _ = lff.ff_evolve(ham, psi, p)
+            rho, _ = lff.ff_evolve(ham, psi, p)
             mix = full_mixture(ham, psi, p)
             bound = 2.0 * math.exp(-2.0 * p.c ** 2 * p.n)
             dist = nk.trace_distance(rho, mix)
@@ -97,7 +98,7 @@ def test_criterion_03_end_to_end_accuracy():
             for eps in (0.1, 0.05):
                 ham = _random_ham(rng, dim)
                 psi = _random_state(rng, dim)
-                rho, _, _ = lff.ff_evolve(ham, psi, lff.plan(t, eps))
+                rho, _ = lff.ff_evolve(ham, psi, lff.plan(t, eps))
                 exact = lff.lindblad_exact_hermitian(ham, np.outer(psi, psi.conj()), t)
                 worst_ratio = max(worst_ratio, nk.trace_distance(rho, exact) / (2 * eps))
     elapsed = time.perf_counter() - t0
@@ -112,7 +113,7 @@ def test_criterion_04_quartic_cost_advantage():
     ts = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
     ff_costs, dil_costs = [], []
     for t in ts:
-        _, _, cost = lff.ff_evolve(ham, psi, lff.plan(t, 0.1))
+        _, cost = lff.ff_evolve(ham, psi, lff.plan(t, 0.1))
         ff_costs.append(cost.hamiltonian_time)
         steps = lff.default_steps(t, 0.1)
         _, dcost = lff.dilated_evolve(ham.matrix, rho0, t, steps)

@@ -91,7 +91,7 @@ class TestSequentialFastForward:
         psi = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
         rho_seq, cost_seq = choi_ff_evolve(spec, psi, 2.0, 0.05)
         ham = normalize_spectrum(np.diag([0.0, 1.0]))
-        rho_ff, _, cost_ff = ff_evolve(ham, psi, plan(2.0, 0.05))
+        rho_ff, cost_ff = ff_evolve(ham, psi, plan(2.0, 0.05))
         assert np.max(np.abs(rho_seq - rho_ff)) <= 1e-12
         assert cost_seq.hamiltonian_time == cost_ff.hamiltonian_time
 

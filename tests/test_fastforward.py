@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,13 +7,60 @@ import pytest
 from lindbladff import (ValidationError, dense_circuit_reference, ff_evolve,
                         lindblad_exact_hermitian, normalize_spectrum, plan)
 from lindbladff import numkernel as nk
-from lindbladff.fastforward import (apply_vh, full_mixture, residue_of,
-                                    u_add_inverse, u_add_map)
+from lindbladff.fastforward import (_block_rows, _residue_phases, goal_ledger,
+                                    residue_of)
 
-from conftest import random_density, random_hermitian, random_state
+from conftest import full_mixture, random_density, random_hermitian, random_state
 
 TWO_LEVEL = normalize_spectrum(np.diag([0.0, 1.0]))
 PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+
+
+# ---------------------------------------------------------------------------
+# Circuit-semantics oracles: the address arithmetic and the per-address
+# system action, one address at a time
+# ---------------------------------------------------------------------------
+
+def u_add_map(p, m):
+    """In-place modular addition on the d-bit address register."""
+    if not 0 <= m < (1 << p.d):
+        raise ValidationError(f"address {m} outside [0, 2^{p.d})")
+    return (m + p.shift) % (1 << p.d)
+
+
+def u_add_inverse(p, m):
+    if not 0 <= m < (1 << p.d):
+        raise ValidationError(f"address {m} outside [0, 2^{p.d})")
+    return (m - p.shift) % (1 << p.d)
+
+
+def apply_vh(p, ham, m, psi):
+    """System action of the shift-conjugated controlled evolution at address m."""
+    if not 0 <= m < (1 << p.d):
+        raise ValidationError(f"address {m} outside [0, 2^{p.d})")
+    r = int(residue_of(p, m))
+    angle = math.sqrt(p.tau) * (2 * r - p.period)
+    return ham.evolve(angle, np.asarray(psi, dtype=complex))
+
+
+def ledger_density(ledger):
+    """Density of the whole residue ledger, sum_r w_r s_r s_r^dag in one product."""
+    s = ledger.states
+    return (s.T * ledger.weights) @ s.conj()
+
+
+def selected_phases(p, eigs):
+    """Whole phase table, one bit at a time over every row: each row selects
+    the forward or backward factor of bit j with ``np.where``."""
+    root = math.sqrt(p.tau)
+    r = np.arange(p.period)
+    phases = np.tile(np.exp(+1j * eigs * root), (p.period, 1))
+    for j in range(p.dprime):
+        bit = (r >> j) & 1
+        fwd = np.exp(-1j * eigs * root * (1 << j))
+        bwd = np.exp(+1j * eigs * root * (1 << j))
+        phases *= np.where(bit[:, None] == 1, fwd[None, :], bwd[None, :])
+    return phases
 
 
 class TestPlan:
@@ -103,21 +151,22 @@ class TestFastForwardEvolve:
     def test_zero_hamiltonian(self, rng):
         ham = normalize_spectrum(np.zeros((2, 2)))
         psi = random_state(rng, 2)
-        rho, _, _ = ff_evolve(ham, psi, plan(3.0, 0.25))
+        rho, _ = ff_evolve(ham, psi, plan(3.0, 0.25))
         assert np.max(np.abs(rho - np.outer(psi, psi.conj()))) <= 1e-12
 
     def test_two_level_window_accuracy(self):
         p = plan(2.0, 0.05)
-        rho, ledger, cost = ff_evolve(TWO_LEVEL, PLUS, p)
+        rho, _ = ff_evolve(TWO_LEVEL, PLUS, p)
         exact = lindblad_exact_hermitian(TWO_LEVEL, np.outer(PLUS, PLUS.conj()), 2.0)
         assert abs(rho[0, 1] - 0.18393972058572117) <= 0.02
         assert nk.trace_distance(rho, exact) <= 2 * 0.05
+        ledger = goal_ledger(TWO_LEVEL, PLUS, p)
         assert abs(np.sum(ledger.weights) - 1.0) <= 1e-10
         assert np.allclose(np.linalg.norm(ledger.states, axis=1), 1.0, atol=1e-9)
 
     def test_cost_values_t8(self):
         p = plan(8.0, 0.1)
-        _, _, cost = ff_evolve(TWO_LEVEL, PLUS, p)
+        _, cost = ff_evolve(TWO_LEVEL, PLUS, p)
         assert cost.hamiltonian_time == 2 ** 10 * math.sqrt(8.0 / 51200)
         assert np.isclose(cost.hamiltonian_time, 12.8)
         assert np.isclose(math.sqrt(51200 * 8.0), 640.0)
@@ -127,13 +176,13 @@ class TestFastForwardEvolve:
         for t in (1.0, 2.0, 4.0, 8.0, 16.0):
             for eps in (0.1, 0.05, 0.01):
                 p = plan(t, eps)
-                _, _, cost = ff_evolve(TWO_LEVEL, PLUS, p)
+                _, cost = ff_evolve(TWO_LEVEL, PLUS, p)
                 assert cost.hamiltonian_time == p.period * math.sqrt(p.tau)
                 assert cost.hamiltonian_time <= 4.0 * math.sqrt(t * math.log(2.0 / eps))
 
     def test_output_is_density(self, rng):
         ham = normalize_spectrum(random_hermitian(rng, 4))
-        rho, _, _ = ff_evolve(ham, random_state(rng, 4), plan(1.5, 0.1))
+        rho, _ = ff_evolve(ham, random_state(rng, 4), plan(1.5, 0.1))
         assert abs(np.trace(rho).real - 1.0) <= 1e-10
         assert np.linalg.eigvalsh(rho)[0] >= -1e-9
 
@@ -144,7 +193,7 @@ class TestFastForwardEvolve:
         v2 = v2 - (v1.conj() @ v2) * v1
         v2 /= np.linalg.norm(v2)
         rho0 = 0.6 * np.outer(v1, v1.conj()) + 0.4 * np.outer(v2, v2.conj())
-        out_mixed, _, _ = ff_evolve(ham, rho0, p)
+        out_mixed, _ = ff_evolve(ham, rho0, p)
         out_sum = 0.6 * ff_evolve(ham, v1, p)[0] + 0.4 * ff_evolve(ham, v2, p)[0]
         assert np.max(np.abs(out_mixed - out_sum)) <= 1e-9
 
@@ -155,8 +204,7 @@ class TestFastForwardEvolve:
         ham = normalize_spectrum((q * np.array([0.0, 0.6, 0.6, 1.0])) @ q.conj().T)
         rho0 = random_density(rng, 4)
         p = plan(1.5, 0.1)
-        out, ledger, _ = ff_evolve(ham, rho0, p)
-        assert ledger is None
+        out, _ = ff_evolve(ham, rho0, p)
         w, v = np.linalg.eigh(rho0)
         want = sum(w[k] * dense_circuit_reference(ham, v[:, k], p) for k in range(4))
         assert np.max(np.abs(out - want)) <= 1e-12
@@ -168,12 +216,82 @@ class TestFastForwardEvolve:
             ff_evolve(raw, random_state(rng, 2), plan(1.0, 0.1))
 
 
+    def test_dimension_guard(self, rng):
+        ham = normalize_spectrum(random_hermitian(rng, 2))
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            ff_evolve(ham, random_state(rng, 3), plan(1.0, 0.1))
+
+    def test_state_norm_guard(self, rng):
+        ham = normalize_spectrum(random_hermitian(rng, 2))
+        with pytest.raises(ValidationError):
+            ff_evolve(ham, 2.0 * random_state(rng, 2), plan(1.0, 0.1))
+
+
+class TestStreamedDensity:
+    @pytest.mark.parametrize("t,eps,n", [(1.0, 0.5, 16), (2.0, 0.05, None), (3.0, 0.05, 10**6)])
+    def test_whole_table_matches_bit_selection(self, rng, t, eps, n):
+        p = plan(t, eps, n)
+        ham = normalize_spectrum(random_hermitian(rng, 6))
+        got = _residue_phases(p, ham.eigenvalues)
+        assert got.tobytes() == selected_phases(p, ham.eigenvalues).tobytes()
+
+    @pytest.mark.parametrize("t,eps,n", [(1.0, 0.5, 16), (2.0, 0.05, None), (3.0, 0.05, 10**6)])
+    def test_every_block_is_its_slice(self, rng, t, eps, n):
+        p = plan(t, eps, n)
+        eigs = normalize_spectrum(random_hermitian(rng, 5)).eigenvalues
+        whole = _residue_phases(p, eigs)
+        rows = 1
+        while rows <= p.period:
+            for lo in range(0, p.period, rows):
+                block = _residue_phases(p, eigs, lo, rows)
+                assert block.tobytes() == whole[lo:lo + rows].tobytes(), (rows, lo)
+            rows *= 4 if p.period > 4096 else 2  # every other size at large periods, for time
+
+    def test_block_rows_from_byte_budget(self):
+        p = plan(3.0, 0.05, 10**7)
+        assert p.period == 16384
+        assert _block_rows(p, 8) == p.period       # 32768 rows would fit
+        assert _block_rows(p, 64) == 4096
+        assert _block_rows(p, 256) == 1024
+        assert _block_rows(p, 300) == 512
+        assert _block_rows(p, 1 << 20) == 1
+
+    def test_one_block_is_the_ledger_product(self, rng):
+        p = plan(3.0, 0.05, 10**7)
+        ham = normalize_spectrum(random_hermitian(rng, 8))
+        psi = random_state(rng, 8)
+        assert _block_rows(p, ham.dim) == p.period
+        rho, _ = ff_evolve(ham, psi, p)
+        assert rho.tobytes() == ledger_density(goal_ledger(ham, psi, p)).tobytes()
+
+    def test_several_blocks_match_the_ledger_product(self, rng):
+        p = plan(3.0, 0.05, 10**7)
+        ham = normalize_spectrum(random_hermitian(rng, 64))
+        psi = random_state(rng, 64)
+        assert p.period // _block_rows(p, ham.dim) == 4
+        rho, _ = ff_evolve(ham, psi, p)
+        assert np.max(np.abs(rho - ledger_density(goal_ledger(ham, psi, p)))) <= 1e-15
+
+    def test_memory_does_not_grow_with_the_ledger(self, rng):
+        # the whole ledger at dim 256 and N = 10^7 is 16384 x 256 complex (64 MiB)
+        p = plan(3.0, 0.05, 10**7)
+        ham = normalize_spectrum(random_hermitian(rng, 256))
+        psi = random_state(rng, 256)
+        tracemalloc.start()
+        try:
+            ff_evolve(ham, psi, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20, peak / 2 ** 20
+
+
 class TestDenseReference:
     def test_two_level_n16(self, rng):
         ham = normalize_spectrum(random_hermitian(rng, 2))
         p = plan(1.0, 0.5, n_override=16)
         psi = random_state(rng, 2)
-        rho_ff, _, _ = ff_evolve(ham, psi, p)
+        rho_ff, _ = ff_evolve(ham, psi, p)
         rho_ref = dense_circuit_reference(ham, psi, p)
         assert nk.trace_distance(rho_ff, rho_ref) <= 1e-10
 
@@ -203,7 +321,7 @@ class TestWindowBound:
             psi = random_state(rng, 2)
             for eps in (0.1, 0.05):
                 p = plan(2.0, eps, n_override=n)
-                rho, _, _ = ff_evolve(ham, psi, p)
+                rho, _ = ff_evolve(ham, psi, p)
                 mix = full_mixture(ham, psi, p)
                 bound = 2.0 * math.exp(-2.0 * p.c ** 2 * p.n)
                 assert nk.trace_distance(rho, mix) <= bound, (n, eps)
@@ -213,7 +331,7 @@ class TestWindowBound:
         psi = random_state(rng, 2)
         p = plan(1.0, 2e-4, n_override=16)
         assert p.full_window
-        rho, _, _ = ff_evolve(ham, psi, p)
+        rho, _ = ff_evolve(ham, psi, p)
         assert nk.trace_distance(rho, full_mixture(ham, psi, p)) <= 1e-12
 
 
@@ -224,6 +342,6 @@ class TestEndToEnd:
                 ham = normalize_spectrum(random_hermitian(rng, 2))
                 psi = random_state(rng, 2)
                 p = plan(t, eps)
-                rho, _, _ = ff_evolve(ham, psi, p)
+                rho, _ = ff_evolve(ham, psi, p)
                 exact = lindblad_exact_hermitian(ham, np.outer(psi, psi.conj()), t)
                 assert nk.trace_distance(rho, exact) <= 2 * eps, (t, eps)

@@ -31,7 +31,8 @@ def gibbs_jump(h_p, n):
     h_p = nk.require_square(h_p)
     if h_p.shape[0] != 1 << n:
         raise ValidationError(f"expected a {1 << n}-dim Hamiltonian for n = {n}")
-    roots, v = gibbs._sqrt_psd(h_p)
+    w, v = gibbs._psd_eig(h_p)
+    roots = np.sqrt(np.clip(w, 0.0, None))
     dim = 1 << (2 * n + 1)
     out = np.zeros((dim, dim), dtype=complex)
     out[: dim // 2, : dim // 2] = np.kron((v * roots) @ v.conj().T, np.eye(1 << n))
@@ -45,7 +46,7 @@ def dense_gibbs(h_p, p):
     n = d.bit_length() - 1
     omega = np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
     psi0 = np.kron(np.array([1.0, 1.0]) / math.sqrt(2.0), omega)
-    rho, _, _ = ff_evolve(normalize_spectrum(gibbs_jump(h_p, n)), psi0, p)
+    rho, _ = ff_evolve(normalize_spectrum(gibbs_jump(h_p, n)), psi0, p)
     half = d * d
     v = rho[:half, half:] @ omega
     norm = float(np.linalg.norm(v))
@@ -160,6 +161,22 @@ class TestGibbsPrepare:
             assert not hasattr(gibbs, name), name
         res = gibbs_prepare(H_P2, beta=2.0, eps=0.05)
         assert res.fidelity >= 1 - 2 * 0.05
+
+    def test_one_eigendecomposition(self, rng, monkeypatch):
+        hp = random_psd_unit_norm(rng, 8)
+        calls = []
+        herm_eig = nk.herm_eig
+
+        def counted(a, *args):
+            calls.append(a.shape)
+            return herm_eig(a, *args)
+
+        monkeypatch.setattr(nk, "herm_eig", counted)
+        res = gibbs_prepare(hp, beta=1.5, eps=0.05)
+        assert calls == [(8, 8)]
+        rho, z = exact_gibbs(hp, 1.5)
+        assert res.partition_exact == z
+        assert res.fidelity == gibbs._uhlmann_fidelity(res.reduced_state, rho)
 
     def test_ten_qubits(self, rng):
         hp = random_psd_unit_norm(rng, 1 << 10)

@@ -1,5 +1,11 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lindbladff import TOL, ValidationError, model
 
@@ -50,6 +56,125 @@ class TestDenseFormat:
     def test_dense_comments(self):
         got = model.parse_dense_matrix("# header\n0,0 1,0  # row\n1,0 0,0\n")
         assert np.allclose(got, PAULI_X)
+
+
+# ---------------------------------------------------------------------------
+# Dense text oracles: one entry at a time, as the format is specified
+# ---------------------------------------------------------------------------
+
+def format_entrywise(a):
+    a = np.asarray(a, dtype=complex)
+    lines = []
+    for row in a:
+        lines.append(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row))
+    return "\n".join(lines) + "\n"
+
+
+def parse_entrywise(text):
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        entries = []
+        for tok in line.split():
+            try:
+                re_s, im_s = tok.split(",")
+                entries.append(complex(float(re_s), float(im_s)))
+            except ValueError:
+                raise ValidationError(f"line {lineno}: malformed entry {tok!r}, expected 're,im'") from None
+        rows.append(entries)
+    if not rows:
+        raise ValidationError("empty dense-matrix file")
+    if len({len(r) for r in rows}) != 1:
+        raise ValidationError("rows have inconsistent lengths")
+    return np.array(rows, dtype=complex)
+
+
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072009e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0]
+ENTRY = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+MATRICES = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda shape: hnp.arrays(float, (shape[0], 2 * shape[1]), elements=ENTRY)
+).map(lambda re_im: re_im.view(complex))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.view(float).tobytes() == b.view(float).tobytes()
+
+
+def outcome(parse, text):
+    """The parsed array, or the ValidationError message."""
+    try:
+        return parse(text)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@st.composite
+def decorated_text(draw):
+    """A formatted matrix with comments, blank lines and extra whitespace."""
+    a = draw(MATRICES)
+    space = st.sampled_from([" ", "  ", "\t", " \t "])
+    lines = []
+    for row in format_entrywise(a).splitlines():
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "   ", "# comment", "  #0,0 1,1"])))
+        tokens = row.split(" ")
+        line = draw(space).join(tokens) if len(tokens) > 1 else tokens[0]
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + line
+                     + draw(st.sampled_from(["", "  ", " # trailing", "#x,y"])))
+    return a, "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+class TestDenseTextCompatibility:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(MATRICES)
+    def test_format_bytes_match_entrywise(self, a):
+        assert model.format_dense_matrix(a) == format_entrywise(a)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(MATRICES)
+    def test_parse_round_trip_bits(self, a):
+        text = format_entrywise(a)
+        got = model.parse_dense_matrix(text)
+        assert same_bits(got, parse_entrywise(text))
+        # %.17g round-trips every double but nan, which loses its sign and payload
+        kept = ~np.isnan(a.view(float))
+        assert got.view(float)[kept].tobytes() == a.view(float)[kept].tobytes()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(decorated_text())
+    def test_parse_comments_blanks_and_spaces(self, case):
+        a, text = case
+        got = model.parse_dense_matrix(text)
+        assert same_bits(got, parse_entrywise(text))
+        assert got.shape == a.shape
+
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(st.text(alphabet="0123456789.,-+e nai#\t\n", max_size=40))
+    def test_any_text_parses_or_fails_as_entrywise(self, text):
+        got, want = outcome(model.parse_dense_matrix, text), outcome(parse_entrywise, text)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("text,message", [
+        ("1.0 2.0", "line 1: malformed entry '1.0', expected 're,im'"),
+        ("0,0 1,2,3\n", "line 1: malformed entry '1,2,3', expected 're,im'"),
+        ("1 2,3,4", "line 1: malformed entry '1', expected 're,im'"),  # four numbers, two entries
+        ("# header\n0,0\n1,x\n", "line 3: malformed entry '1,x', expected 're,im'"),
+        ("0,0 1, 2,0", "line 1: malformed entry '1,', expected 're,im'"),
+        ("0,0 ,1", "line 1: malformed entry ',1', expected 're,im'"),
+        ("", "empty dense-matrix file"),
+        ("# nothing\n\n   \n", "empty dense-matrix file"),
+        ("1,0 0,0\n0,0", "rows have inconsistent lengths"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            model.parse_dense_matrix(text)
+        assert outcome(parse_entrywise, text) == message
 
 
 class TestNormalizeSpectrum:
