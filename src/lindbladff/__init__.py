@@ -9,7 +9,7 @@ from .errors import CapacityError, InvariantError, ValidationError
 from .dilated import CostReport, dilated_evolve, dilated_step, default_steps
 from .exact_oracle import (lindblad_exact_general, lindblad_exact_hermitian,
                            lindblad_rk4, steady_state)
-from .fastforward import FFPlan, GoalLedger, dense_circuit_reference, ff_evolve, plan
+from .fastforward import FFPlan, dense_circuit_reference, ff_evolve, plan
 from .gibbs import GibbsResult, exact_gibbs, gibbs_prepare
 from .model import (Hamiltonian, LindbladSpec, SpectralState, SpectrumMap,
                     decompose_state, dilate, from_pauli_sum, lindblad_spec,

@@ -10,13 +10,13 @@ represented exactly by 2^d' system vectors plus one weight per residue class.
 That ledger is an exact description of the circuit (not an approximation) and
 is what keeps register counts of 10^5..10^7 runnable at desk scale.
 
-A pure input never holds the whole ledger: ``ff_evolve`` streams it in blocks
-of B residue classes (B a power of two, one block of B x dim complex numbers
-within 4 MiB), adding each block's share of the density matrix as it goes, in
-O(B dim + dim^2) memory whatever the register count.  A mixed input is
-multiplied by the ``gap_kernel`` in the jump's eigenbasis instead.  The whole
-ledger is built only where its states are read, by the fast phase-estimation
-readout (``goal_ledger``).
+Nothing holds the whole ledger: ``ff_evolve`` streams a pure input's ledger
+in blocks of B residue classes (B a power of two, one block of B x dim complex
+numbers within 4 MiB), adding each block's share of the density matrix as it
+goes, in O(B dim + dim^2) memory whatever the register count.  A mixed input
+is multiplied by the ``gap_kernel`` in the jump's eigenbasis instead, which
+streams its phase tables in the same blocks, and the fast phase-estimation
+readout works from one level's phase table at a time.
 
 Address arithmetic is modulo 2^d (the d-bit register) rather than modulo N;
 the shift maps the window bijectively either way and the out-of-window
@@ -37,9 +37,9 @@ from . import numkernel as nk
 from .dilated import CostReport
 from .kernels import binom_residue_weights
 from .model import Hamiltonian
-from .stateprep import binomial_amplitudes, log_binom
+from .stateprep import binomial_amplitudes
 
-# Bytes of one streamed block of the pure-state ledger (see ``ff_evolve``).
+# Bytes of one streamed block of residue rows (see ``_residue_sum``).
 _BLOCK_BYTES = 4 << 20
 
 
@@ -114,11 +114,6 @@ def plan(t: float, eps: float, n_override: int | None = None) -> FFPlan:
     return FFPlan(float(t), float(eps), n, t / n, c, d, dprime, window, full_window, note)
 
 
-def residue_of(p: FFPlan, m) -> np.ndarray:
-    """Residue class driving the system action for address m."""
-    return np.mod(np.asarray(m) - p.shift, p.period)
-
-
 def _residue_phases(p: FFPlan, eigs: np.ndarray, lo: int = 0,
                     rows: int | None = None) -> np.ndarray:
     """Rows [lo, lo + rows) of the phase table exp(-i h sqrt(tau) (2r - 2^d')),
@@ -148,34 +143,11 @@ def _residue_phases(p: FFPlan, eigs: np.ndarray, lo: int = 0,
 
 
 def _block_rows(p: FFPlan, dim: int) -> int:
-    """Residue classes per block of the streamed pure-state density: the
-    largest power of two whose (rows, dim) complex block fits _BLOCK_BYTES,
-    at most the period (a level count never exceeds dim)."""
+    """Residue classes per streamed block: the largest power of two whose
+    (rows, dim) complex block fits _BLOCK_BYTES, at most the period (a level
+    count never exceeds dim)."""
     fit = max(1, _BLOCK_BYTES // (16 * dim))
     return min(p.period, 1 << (fit.bit_length() - 1))
-
-
-@dataclass(frozen=True)
-class GoalLedger:
-    """Exact structured form of the joint register-system state.
-
-    ``weights[r]`` aggregates the binomial address mass of residue class r and
-    ``states[r]`` is the system vector every address in that class carries.
-    ``amplitude(m)`` exposes the underlying per-address amplitude.
-    """
-
-    plan: FFPlan
-    weights: np.ndarray
-    states: np.ndarray  # (period, dim)
-
-    def amplitude(self, m) -> np.ndarray:
-        m = np.asarray(m, dtype=float)
-        n = self.plan.n
-        out = np.exp(0.5 * log_binom(n, np.clip(m, 0, n)) - 0.5 * n * math.log(2.0))
-        return np.where((m >= 0) & (m <= n), out, 0.0)
-
-    def residue(self, m) -> np.ndarray:
-        return residue_of(self.plan, m)
 
 
 def _check_norm(eigs: np.ndarray):
@@ -188,12 +160,32 @@ def gap_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
 
     Entry [i, j] multiplies the coherence between jump eigenvalues a_i and
     b_j; ``ff_evolve`` applies it to a density matrix in the eigenbasis and
-    ``gibbs_prepare`` reads one column of it against eigenvalue 0.
+    ``gibbs_prepare`` reads one column of it against eigenvalue 0.  The phase
+    tables stream in blocks of residue classes as in ``ff_evolve``, adding
+    (A_b^T w_b) @ conj(B_b) per block; one block is the whole-table product.
     """
     _check_norm(eigs_a)
     _check_norm(eigs_b)
+    return _residue_sum(p, max(eigs_a.size, eigs_b.size),
+                        lambda lo, rows: (_residue_phases(p, eigs_a, lo, rows),
+                                          _residue_phases(p, eigs_b, lo, rows)))
+
+
+def _residue_sum(p: FFPlan, width: int, tables) -> np.ndarray:
+    """Sum over blocks of residue classes of (X_b^T w_b) @ conj(Y_b), where
+    ``tables(lo, rows)`` returns the block's (X_b, Y_b), at most ``width``
+    columns each, and w_b its binomial residue weights."""
     weights = binom_residue_weights(p.n, p.period, -p.shift)
-    return (_residue_phases(p, eigs_a).T * weights) @ _residue_phases(p, eigs_b).conj()
+    rows = _block_rows(p, width)
+    total = None
+    for lo in range(0, p.period, rows):
+        x, y = tables(lo, rows)
+        part = (x.T * weights[lo:lo + rows]) @ y.conj()
+        if total is None:
+            total = part
+        else:
+            total += part
+    return total
 
 
 def ff_cost(p: FFPlan) -> CostReport:
@@ -209,12 +201,6 @@ def _pure_components(ham: Hamiltonian, psi: np.ndarray) -> np.ndarray:
         raise ValidationError(f"dimension mismatch: state {psi.shape[0]} vs Hamiltonian {ham.dim}")
     _check_norm(ham.eigenvalues)
     return ham.components(psi)
-
-
-def goal_ledger(ham: Hamiltonian, psi: np.ndarray, p: FFPlan) -> GoalLedger:
-    """Build the residue ledger for a pure input state."""
-    states = _residue_phases(p, ham.eigenvalues) @ _pure_components(ham, psi)  # (period, dim)
-    return GoalLedger(p, binom_residue_weights(p.n, p.period, -p.shift), states)
 
 
 def ff_evolve(ham: Hamiltonian, state0: np.ndarray, p: FFPlan
@@ -236,17 +222,12 @@ def ff_evolve(ham: Hamiltonian, state0: np.ndarray, p: FFPlan
     cost = ff_cost(p)
     if state0.ndim == 1:
         comps = _pure_components(ham, state0)
-        weights = binom_residue_weights(p.n, p.period, -p.shift)
-        rows = _block_rows(p, ham.dim)
-        rho = None
-        for lo in range(0, p.period, rows):
+
+        def ledger_block(lo, rows):
             s = _residue_phases(p, ham.eigenvalues, lo, rows) @ comps  # (rows, dim)
-            part = (s.T * weights[lo:lo + rows]) @ s.conj()
-            if rho is None:
-                rho = part
-            else:
-                rho += part
-        return rho, cost
+            return s, s
+
+        return _residue_sum(p, ham.dim, ledger_block), cost
     rho0 = nk.require_density(state0)
     if rho0.shape[0] != ham.dim:
         raise ValidationError(f"dimension mismatch: rho {rho0.shape[0]} vs Hamiltonian {ham.dim}")

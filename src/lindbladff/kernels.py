@@ -52,11 +52,30 @@ def _centre_out(n: int, center: int, lo: int, hi: int, odds: float):
     return up, down
 
 
-def binom_pmf_window(n: int, p: float) -> tuple[int, np.ndarray]:
+def _tail_support(n: int, p: float, rel_floor: float) -> tuple[int, int]:
+    """An integer interval holding every m with pmf(m) >= rel_floor * max pmf.
+
+    Chernoff's bound pmf(m) <= exp(-n KL(m/n || p)) and Bernstein's lower
+    bound on that exponent, n KL >= t^2 / (2 (npq + t/3)) at t = |m - np|,
+    together with max pmf >= 1/(n+1), put pmf(m) / max pmf below rel_floor
+    once t exceeds the root of t^2 = 2c (npq + t/3), c = ln((n+1)/rel_floor).
+    Unlike a multiple of sigma, this also covers the Poisson-like tails of a
+    small np.
+    """
+    c = math.log((n + 1.0) / rel_floor)
+    t = c / 3.0 + math.sqrt(c * c / 9.0 + 2.0 * c * n * p * (1.0 - p))
+    return max(math.floor(n * p - t), 0), min(math.ceil(n * p + t), n)
+
+
+def binom_pmf_window(n: int, p: float, rel_floor: float | None = None
+                     ) -> tuple[int, np.ndarray]:
     """Binomial(n, p) pmf on its numerically relevant support.
 
     Returns ``(m_lo, w)`` where ``w[k]`` is the pmf at ``m_lo + k``; the slice
     is normalized to sum to one.  Degenerate ``p`` values give a point mass.
+    The support spans +-36 sigma by default; with ``rel_floor`` it is the tail
+    bound window of ``_tail_support``, which keeps every entry at least
+    ``rel_floor`` times the largest one (and some below it).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
@@ -64,7 +83,7 @@ def binom_pmf_window(n: int, p: float) -> tuple[int, np.ndarray]:
         return 0, np.array([1.0])
     if p == 1.0:
         return n, np.array([1.0])
-    lo, hi = _support(n, p)
+    lo, hi = _support(n, p) if rel_floor is None else _tail_support(n, p, rel_floor)
     center = min(max(int(round(n * p)), lo), hi)
     up, down = _centre_out(n, center, lo, hi, p / (1.0 - p))
     w = np.concatenate((down[::-1], [1.0], up))

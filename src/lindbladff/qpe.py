@@ -21,10 +21,23 @@ alpha_k = e^(i pi k/P) cos(pi k/P) and beta_k = -i e^(i pi k/P) sin(pi k/P).
 Its Dicke amplitudes c_k[x] = sqrt(C(N, x)) alpha_k^(N-x) beta_k^x are the
 square roots of the Binomial(N, sin^2(pi k/P)) pmf times a closed-form phase,
 so the transformed rows are X[x] = sum_k c_k[x] s_hat_k with
-s_hat_k = (1/P) w^(-k shift) sum_r w^(-k r) s_r: one FFT over the residues
-and P binomial columns, each touched only on its window.  That is
-O(P sqrt(N) dim) time and O(N dim) memory.  Post-selecting count 0 needs only
-X[0] = sum_k alpha_k^N s_hat_k, which is O(P dim) after the FFT.
+s_hat_k = (1/P) w^(-k shift) sum_r w^(-k r) s_r.
+
+The ledger is s_r = sum_l e^(-i h_l theta_r) comps_l over orthogonal
+eigencomponents of weight w_l, so X[x] = sum_l g_l[x] comps_l and the count
+distribution is sum_l w_l |g_l[x]|^2, with g_l read from the scalar FFT of
+level l's phase table.  Only the populated levels (w_l > 0) are read, and
+columns k and P - k share one pmf.  Each pmf is touched on its precision
+window, where sqrt(pmf) is at least 2^-53 of the column maximum, sized by a
+Chernoff tail bound: about 13 sigma wide for large N sin^2, never under the
+Poisson-like tails near k = 0.  That is O(P sqrt(N) L) time for L populated
+levels and O(N L) memory, holding at most 512 MiB of rows (or one level's).
+Post-selecting count 0 needs only X[0] = sum_k alpha_k^N s_hat_k, which is
+O(P L) after the FFT.
+
+Sampling a count draws on the distribution's support only (``_pick_outcome``)
+and the standard route adds its distribution up one level at a time, so no
+route holds more than a few arrays of its register size.
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ import numpy as np
 
 from .errors import InvariantError, ValidationError
 from .dilated import CostReport
-from .fastforward import FFPlan, ff_cost, goal_ledger
+from .fastforward import FFPlan, _check_norm, _residue_phases, ff_cost
 from .kernels import binom_pmf_window
 from .model import (Hamiltonian, SpectralState, decompose_state,
                     normalize_spectrum, spectral_gap)
@@ -78,10 +91,16 @@ def _dirichlet_ratio(theta: np.ndarray, d: int) -> np.ndarray:
     only an exactly integer theta needs the removable-singularity value.
     """
     tw = theta - np.round(theta)
-    s = np.sin(np.pi * tw)
-    big = np.sin(np.pi * tw * (1 << d))
-    safe = np.where(tw == 0.0, 1.0, s)
-    return np.where(tw == 0.0, float(4 ** d), (big / safe) ** 2)
+    at_zero = tw == 0.0
+    tw *= np.pi
+    s = np.sin(tw)
+    s[at_zero] = 1.0
+    tw *= 1 << d
+    ratio = np.sin(tw, out=tw)
+    ratio /= s
+    ratio *= ratio
+    ratio[at_zero] = float(4 ** d)
+    return ratio
 
 
 def _circular_distance(theta: np.ndarray) -> np.ndarray:
@@ -95,9 +114,13 @@ def standard_qpe(ham: Hamiltonian, state: SpectralState, d: int,
     """Fourier phase estimation with d register bits, exact distribution."""
     if d < 1:
         raise ValidationError(f"need at least one register bit, got {d}")
-    ys = np.arange(1 << d)
-    theta = ham.eigenvalues[:, None] - ys[None, :] / (1 << d)
-    dist = (state.weights[:, None] * _dirichlet_ratio(theta, d)).sum(axis=0) / 4 ** d
+    ys = np.arange(1 << d) / (1 << d)
+    dist = np.zeros(1 << d)
+    for h, w in zip(ham.eigenvalues, state.weights):
+        ratio = _dirichlet_ratio(h - ys, d)
+        ratio *= w
+        dist += ratio
+    dist /= 4 ** d
     y = _pick_outcome(dist, mode, seed, repeats)
     h_norm = y / (1 << d)
     cost = CostReport(float((1 << d) - 1), d, d)
@@ -196,14 +219,31 @@ def _counting_distribution(weights: np.ndarray, qs: np.ndarray, n: int) -> np.nd
     return dist
 
 
+def _sample_counts(dist: np.ndarray, seed, size: int) -> np.ndarray:
+    """``size`` outcomes drawn from ``dist`` by inverting its cumulative sum.
+
+    The inversion runs on the support alone.  It draws the same
+    ``rng.random`` numbers as ``Generator.choice(dist.size, p=dist /
+    dist.sum())`` and, since adding the zeros off the support is exact, picks
+    the same outcomes, without choice's two register-sized copies.
+    """
+    support = np.flatnonzero(dist)
+    mass = dist[support]
+    total = dist.sum()
+    if not (np.all(mass > 0) and np.isfinite(total) and total > 0):
+        raise InvariantError("outcome distribution is negative, not finite or all zero")
+    cdf = np.cumsum(mass / total)
+    cdf /= cdf[-1]
+    draws = np.random.default_rng(seed).random(size)
+    return support[cdf.searchsorted(draws, side="right")]
+
+
 def _pick_outcome(dist: np.ndarray, mode: str, seed, repeats: int = 1) -> int:
     """Single-shot outcome by default; repeats > 1 reports the sample median."""
     if mode == "exact":
         return int(np.argmax(dist))
     if mode == "sample":
-        rng = np.random.default_rng(seed)
-        draws = rng.choice(dist.size, p=dist / dist.sum(), size=max(1, repeats))
-        return int(np.median(draws))
+        return int(np.median(_sample_counts(dist, seed, max(1, repeats))))
     raise ValidationError(f"unknown mode {mode!r}")
 
 
@@ -259,17 +299,28 @@ def slow_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
 # Fast route: Kravchuk readout through the product-state identity
 # ---------------------------------------------------------------------------
 
-# (-i)^x for x mod 4
-_MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
+# sqrt(pmf) below 2^-53 of its column's largest entry cannot move a double
+# precision sum, so the readout windows keep pmf >= 2^-106 of the maximum.
+_AMPLITUDE_FLOOR = 2.0 ** -106
+# Bytes of per-level readout rows g_l held at once by ``_fast_distribution``.
+_READOUT_BYTES = 512 << 20
 
 
-def _residue_spectrum(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.ndarray:
-    """s_hat_k = (1/P) w^(-k shift) sum_r w^(-k r) s_r over the goal ledger, shape (P, dim)."""
-    psi = np.tensordot(state.coeffs, state.components, axes=(0, 0))
-    ledger = goal_ledger(ham, psi, p)
+def _level_spectrum(ham: Hamiltonian, state: SpectralState,
+                    p: FFPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Residue spectra of the populated levels and their components.
+
+    Column l holds sqrt(w_l) (1/P) w^(-k shift) sum_r w^(-k r) e^(-i h_l theta_r),
+    shape (P, L), for the levels with weight w_l > 0; the ledger's s_hat_k
+    is this times the normalized components, shape (L, dim).
+    """
+    _check_norm(ham.eigenvalues)
+    populated = np.flatnonzero(state.coeffs)
     period = p.period
     shift_phase = np.exp(-2j * math.pi * ((np.arange(period) * p.shift) % period) / period)
-    return np.fft.fft(ledger.states, axis=0) * (shift_phase / period)[:, None]
+    spectrum = np.fft.fft(_residue_phases(p, ham.eigenvalues[populated]), axis=0)
+    spectrum *= (shift_phase / period)[:, None] * state.coeffs[populated]
+    return spectrum, state.components[populated]
 
 
 def _alpha_phases(n: int, period: int) -> np.ndarray:
@@ -278,46 +329,69 @@ def _alpha_phases(n: int, period: int) -> np.ndarray:
     return np.where(2 * k > period, -1, 1) ** n * np.exp(1j * np.pi * ((n * k) % (2 * period)) / period)
 
 
-def _transformed_rows(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.ndarray:
-    """Rows X[x] of the Kravchuk-transformed ledger state, shape (N+1, dim).
+def _level_rows(spectrum: np.ndarray, n: int) -> np.ndarray:
+    """Transformed rows g_l[x] = sum_k c_k[x] spectrum[k, l], shape (L, N+1).
 
-    Evaluated through the product-state identity in the module docstring.
+    c_k[x] = sqrt(pmf_k(x)) (-i)^(sigma_k x) times the alpha phase, with
+    pmf_k = Binomial(N, sin^2(pi k/P)), so columns k and P - k share their pmf
+    and differ in the sign of the (-i)^x exponent: over a pair, even x gains
+    +-sqrt(pmf) (a + b) and odd x gains +-sqrt(pmf) (-i)(a - b), with a, b
+    the two phased spectrum rows and the sign + for x = 0, 1 mod 4.  Each pmf
+    is touched only on its precision window.
     """
-    s_hat = _residue_spectrum(ham, state, p)
-    n, period = p.n, p.period
-    phases = _alpha_phases(n, period)
-    rows = np.zeros((n + 1, s_hat.shape[1]), dtype=complex)
-    for k in range(period):
-        # sin^2 is symmetric about P/2; folding keeps the argument accurate near P
-        lo, pmf = binom_pmf_window(n, math.sin(math.pi * min(k, period - k) / period) ** 2)
-        x = np.arange(lo, lo + pmf.size)
-        # alpha^(N-x) beta^x = sigma^N e^(i N theta) |cos|^(N-x) sin^x (-i)^(sigma x)
-        sigma = -1 if 2 * k > period else 1
-        col = np.sqrt(pmf) * _MINUS_I_POWERS[(sigma * x) % 4]
-        col *= phases[k]
-        rows[lo: lo + pmf.size] += np.outer(col, s_hat[k])
+    period = spectrum.shape[0]
+    coef = spectrum * _alpha_phases(n, period)[:, None]
+    rows = np.zeros((coef.shape[1], n + 1), dtype=complex)
+    for k in range(period // 2 + 1):
+        lo, pmf = binom_pmf_window(n, math.sin(math.pi * k / period) ** 2, _AMPLITUDE_FLOOR)
+        amp = np.sqrt(pmf)
+        amp[(2 - lo) % 4::4] *= -1.0
+        amp[(3 - lo) % 4::4] *= -1.0
+        mirror = coef[period - k] if 0 < k < period - k else 0.0
+        even = lo % 2
+        hi = lo + amp.size
+        rows[:, lo + even: hi: 2] += np.multiply.outer(coef[k] + mirror, amp[even::2])
+        rows[:, lo + 1 - even: hi: 2] += np.multiply.outer(-1j * (coef[k] - mirror),
+                                                           amp[1 - even::2])
     return rows
 
 
 def _transformed_row_zero(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.ndarray:
-    """Row X[0] alone: sum_k alpha_k^N s_hat_k, O(P dim) after the FFT.
+    """Row X[0] alone: sum_k alpha_k^N s_hat_k, O(P L) after the FFT.
 
     |alpha_k|^N = |cos theta|^N is taken in the log domain, (N/2) log1p(-sin^2),
-    on the folded argument as in ``_transformed_rows``.
+    on the folded argument min(k, P - k).
     """
-    s_hat = _residue_spectrum(ham, state, p)
+    spectrum, components = _level_spectrum(ham, state, p)
     n, period = p.n, p.period
     k = np.arange(period)
     with np.errstate(divide="ignore"):
         modulus = np.exp(0.5 * n * np.log1p(-np.sin(np.pi * np.minimum(k, period - k) / period) ** 2))
-    return (_alpha_phases(n, period) * modulus) @ s_hat
+    return ((_alpha_phases(n, period) * modulus) @ spectrum) @ components
 
 
 def _fast_distribution(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.ndarray:
-    """Count distribution |X[x]|^2 of the transformed ledger."""
+    """Count distribution sum_l |g_l[x]|^2 of the transformed ledger.
+
+    The eigencomponents are orthogonal, so |X[x]|^2 splits over the levels;
+    the weights w_l ride in the spectrum.  Levels are read out in groups
+    whose rows fit _READOUT_BYTES, and each group's |g|^2 is summed through
+    a float view of its rows, with no (L, N+1) temporary.
+    """
     _counting_params(ham, p.t, p.n)  # range guard
-    rows = _transformed_rows(ham, state, p)
-    return np.einsum("ms,ms->m", rows.real, rows.real) + np.einsum("ms,ms->m", rows.imag, rows.imag)
+    spectrum, _ = _level_spectrum(ham, state, p)
+    group = max(1, _READOUT_BYTES // (16 * (p.n + 1)))
+    dist = None
+    for first in range(0, spectrum.shape[1], group):
+        rows = _level_rows(spectrum[:, first:first + group], p.n)
+        parts = rows.view(float).reshape(rows.shape[0], -1, 2)
+        part = np.einsum("lxc,lxc->x", parts, parts)
+        del rows, parts
+        if dist is None:
+            dist = part
+        else:
+            dist += part
+    return dist
 
 
 def _counting_result(ham: Hamiltonian, t: float, n: int, dist: np.ndarray,

@@ -1,9 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lindbladff import numkernel as nk
+from lindbladff.fastforward import _residue_phases
+from lindbladff.kernels import binom_residue_weights
 from lindbladff.stateprep import log_binom
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -50,3 +53,17 @@ def full_mixture(ham, psi, p):
             w = np.sum(pmf * np.exp(-1j * gap * angles))
             out += w * np.outer(comps[a], comps[b].conj())
     return out
+
+
+def goal_ledger(ham, psi, p):
+    """The whole residue ledger of a pure input, built at once: ``weights[r]``
+    is the binomial address mass of residue class r and ``states[r]`` the
+    system vector every address in that class carries, shape (period, dim)."""
+    states = _residue_phases(p, ham.eigenvalues) @ ham.components(nk.require_state(psi))
+    return SimpleNamespace(weights=binom_residue_weights(p.n, p.period, -p.shift),
+                           states=states)
+
+
+def residue_of(p, m):
+    """Residue class driving the system action for address m."""
+    return np.mod(np.asarray(m) - p.shift, p.period)

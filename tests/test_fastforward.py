@@ -7,10 +7,11 @@ import pytest
 from lindbladff import (ValidationError, dense_circuit_reference, ff_evolve,
                         lindblad_exact_hermitian, normalize_spectrum, plan)
 from lindbladff import numkernel as nk
-from lindbladff.fastforward import (_block_rows, _residue_phases, goal_ledger,
-                                    residue_of)
+from lindbladff.fastforward import _block_rows, _residue_phases, gap_kernel
+from lindbladff.kernels import binom_residue_weights
 
-from conftest import full_mixture, random_density, random_hermitian, random_state
+from conftest import (full_mixture, goal_ledger, random_density, random_hermitian,
+                      random_state, residue_of)
 
 TWO_LEVEL = normalize_spectrum(np.diag([0.0, 1.0]))
 PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -47,6 +48,12 @@ def ledger_density(ledger):
     """Density of the whole residue ledger, sum_r w_r s_r s_r^dag in one product."""
     s = ledger.states
     return (s.T * ledger.weights) @ s.conj()
+
+
+def whole_kernel(p, eigs_a, eigs_b):
+    """Gap kernel from the two whole phase tables in one weighted product."""
+    weights = binom_residue_weights(p.n, p.period, -p.shift)
+    return (_residue_phases(p, eigs_a).T * weights) @ _residue_phases(p, eigs_b).conj()
 
 
 def selected_phases(p, eigs):
@@ -280,6 +287,42 @@ class TestStreamedDensity:
         tracemalloc.start()
         try:
             ff_evolve(ham, psi, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20, peak / 2 ** 20
+
+    def test_one_block_is_the_whole_kernel(self, rng):
+        p = plan(3.0, 0.05, 10**7)
+        eigs = normalize_spectrum(random_hermitian(rng, 8)).eigenvalues
+        assert _block_rows(p, eigs.size) == p.period
+        assert gap_kernel(p, eigs, eigs).tobytes() == whole_kernel(p, eigs, eigs).tobytes()
+
+    def test_kernel_blocks_match_the_whole_kernel(self, rng):
+        p = plan(3.0, 0.05, 10**7)
+        eigs_a = normalize_spectrum(random_hermitian(rng, 64)).eigenvalues
+        eigs_b = np.concatenate((eigs_a[:3], [0.0]))
+        assert p.period // _block_rows(p, eigs_a.size) == 4
+        # |K| <= 1 and the blocks only reorder the sum over residues
+        for a, b in ((eigs_a, eigs_a), (eigs_a, eigs_b), (eigs_b, eigs_a)):
+            assert np.max(np.abs(gap_kernel(p, a, b) - whole_kernel(p, a, b))) <= 8 * np.finfo(float).eps
+
+    def test_density_blocks_match_the_whole_kernel(self, rng):
+        p = plan(3.0, 0.05, 10**7)
+        ham = normalize_spectrum(random_hermitian(rng, 64))
+        rho = random_density(rng, 64)
+        rho_ff, _ = ff_evolve(ham, rho, p)
+        want = ham.dephase(whole_kernel(p, ham.eigenvalues, ham.eigenvalues), rho)
+        assert np.max(np.abs(rho_ff - want)) <= 1e-15
+
+    def test_density_memory_does_not_grow_with_the_tables(self, rng):
+        # the two whole phase tables at dim 256 and N = 10^7 are 64 MiB each
+        p = plan(3.0, 0.05, 10**7)
+        ham = normalize_spectrum(random_hermitian(rng, 256))
+        rho = random_density(rng, 256)
+        tracemalloc.start()
+        try:
+            ff_evolve(ham, rho, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from lindbladff import kernels
 
@@ -95,3 +97,39 @@ def test_kernels_bitwise_match_loop_transcription(n):
         assert lo == lo_ref
         assert np.array_equal(w, w_ref)
 
+
+
+AMPLITUDE_FLOOR = 2.0 ** -106  # sqrt(pmf) >= 2^-53 of the column maximum
+
+
+def _assert_precision_window(n, p, m):
+    """The floored window holds every m whose pmf is at least the floor times
+    the largest, and its values are the default window's on the overlap."""
+    lo, w = kernels.binom_pmf_window(n, p, AMPLITUDE_FLOOR)
+    logpmf = scipy.stats.binom.logpmf(m, n, p)
+    kept = m[logpmf >= logpmf.max() + math.log(AMPLITUDE_FLOOR)]
+    assert lo <= kept.min() and kept.max() <= lo + w.size - 1, (lo, lo + w.size - 1, kept)
+    assert abs(w.sum() - 1.0) <= 1e-14
+    lo_wide, wide = kernels.binom_pmf_window(n, p)
+    a, b = max(lo, lo_wide), min(lo + w.size, lo_wide + wide.size)
+    assert np.allclose(w[a - lo:b - lo], wide[a - lo_wide:b - lo_wide], rtol=1e-14, atol=0.0)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(n=hst.integers(1, 10 ** 7), mean=hst.floats(1e-12, 1.0))
+def test_precision_window_small_mean(n, mean):
+    # N p <= 1: Poisson-like tails that a fixed multiple of sigma cuts short
+    _assert_precision_window(n, min(mean / n, 1.0), np.arange(min(n, 400) + 1))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(n=hst.integers(1, 20000), p=hst.floats(1e-9, 1.0 - 1e-9))
+def test_precision_window_any_mean(n, p):
+    _assert_precision_window(n, p, np.arange(n + 1))
+
+
+def test_precision_window_is_narrower_than_36_sigma():
+    n, p = 10 ** 7, 0.5
+    lo, w = kernels.binom_pmf_window(n, p, AMPLITUDE_FLOOR)
+    sigma = math.sqrt(n * p * (1 - p))
+    assert 12.1 * sigma <= w.size / 2 <= 14 * sigma

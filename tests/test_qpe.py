@@ -1,9 +1,15 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.linalg import eigh_tridiagonal, expm, hadamard
 
 from lindbladff import (FFPlan, InvariantError, ValidationError,
@@ -12,12 +18,13 @@ from lindbladff import (FFPlan, InvariantError, ValidationError,
                         slow_qpe_eigenstate, standard_qpe,
                         standard_qpe_eigenstate)
 from lindbladff import qpe
-from lindbladff.fastforward import goal_ledger, residue_of
-from lindbladff.qpe import (_grover_iterate, _orthogonal_log, _transformed_row_zero,
-                           _transformed_rows)
+from lindbladff.kernels import binom_pmf_window
+from lindbladff.qpe import (_alpha_phases, _counting_distribution,
+                           _fast_distribution, _grover_iterate, _level_rows, _level_spectrum,
+                           _orthogonal_log, _sample_counts, _transformed_row_zero)
 from lindbladff.stateprep import binomial_amplitudes, log_binom
 
-from conftest import random_hermitian, random_state
+from conftest import goal_ledger, random_hermitian, random_state, residue_of
 
 
 def eigenstate_input(h, other=None):
@@ -244,6 +251,41 @@ def oracle_rows(ham, state, p):
     return b @ ledger.states
 
 
+def transformed_rows(ham, state, p):
+    """Rows X[x] = sum_l g_l[x] c_l comps_l of the per-level readout, shape (N+1, dim)."""
+    spectrum, components = _level_spectrum(ham, state, p)
+    return _level_rows(spectrum, p.n).T @ components
+
+
+# (-i)^x for x mod 4
+_MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
+
+
+def column_rows(ham, state, p):
+    """Transformed rows X[x] from the whole ledger, one column per k on its
+    +-36 sigma pmf window, shape (N+1, dim): the dense-column readout."""
+    psi = np.tensordot(state.coeffs, state.components, axes=(0, 0))
+    ledger = goal_ledger(ham, psi, p)
+    n, period = p.n, p.period
+    shift_phase = np.exp(-2j * math.pi * ((np.arange(period) * p.shift) % period) / period)
+    s_hat = np.fft.fft(ledger.states, axis=0) * (shift_phase / period)[:, None]
+    phases = _alpha_phases(n, period)
+    rows = np.zeros((n + 1, s_hat.shape[1]), dtype=complex)
+    for k in range(period):
+        lo, pmf = binom_pmf_window(n, math.sin(math.pi * min(k, period - k) / period) ** 2)
+        x = np.arange(lo, lo + pmf.size)
+        sigma = -1 if 2 * k > period else 1
+        col = np.sqrt(pmf) * _MINUS_I_POWERS[(sigma * x) % 4]
+        col *= phases[k]
+        rows[lo: lo + pmf.size] += np.outer(col, s_hat[k])
+    return rows
+
+
+def column_distribution(ham, state, p):
+    rows = column_rows(ham, state, p)
+    return np.einsum("ms,ms->m", rows.real, rows.real) + np.einsum("ms,ms->m", rows.imag, rows.imag)
+
+
 def plan_at(n, full, t=4.0):
     """Plan at any register count (``plan`` rounds odd counts up), with a
     window that covers every address or one a few bits narrower."""
@@ -286,7 +328,7 @@ class TestKravchukUnitary:
         assert p.full_window == full
         ham = normalize_spectrum(random_hermitian(rng, 4))
         st = decompose_state(random_state(rng, 4), ham)
-        rows = _transformed_rows(ham, st, p)
+        rows = transformed_rows(ham, st, p)
         assert np.max(np.abs(rows - oracle_rows(ham, st, p))) <= 1e-12
 
     @pytest.mark.parametrize("full", (True, False))
@@ -296,7 +338,7 @@ class TestKravchukUnitary:
         ham = normalize_spectrum(random_hermitian(rng, 4))
         st = decompose_state(random_state(rng, 4), ham)
         row0 = _transformed_row_zero(ham, st, p)
-        assert np.max(np.abs(row0 - _transformed_rows(ham, st, p)[0])) <= 1e-12
+        assert np.max(np.abs(row0 - transformed_rows(ham, st, p)[0])) <= 1e-12
 
 
 def _dicke_contraction(n):
@@ -449,3 +491,165 @@ class TestAmplitudeDemo:
                 correct += int(dec.correct)
                 runs += 1
         assert correct / runs >= 0.95
+
+
+# ---------------------------------------------------------------------------
+# Support-sized readouts: per-level fast rows, support sampling, level-at-a-
+# time standard distribution
+# ---------------------------------------------------------------------------
+
+def level_subset_state(ham, rng, populated):
+    """Random pure state on the eigenspaces whose indices are in ``populated``;
+    for a diagonal Hamiltonian the other weights are exactly zero."""
+    v = np.zeros(ham.dim, dtype=complex)
+    for lvl in populated:
+        cols = ham.vectors[:, ham.levels == lvl]
+        v += cols @ (rng.normal(size=cols.shape[1]) + 1j * rng.normal(size=cols.shape[1]))
+    return decompose_state(v / np.linalg.norm(v), ham)
+
+
+class TestFastReadout:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=hst.integers(1, 3000), full=hst.booleans(), dim=hst.integers(1, 5),
+           seed=hst.integers(0, 2 ** 32 - 1), data=hst.data())
+    def test_distribution_matches_column_oracle(self, n, full, dim, seed, data):
+        rng = np.random.default_rng(seed)
+        p = plan_at(n, full, t=min(4.0, float(n)))
+        ham = normalize_spectrum(np.diag(rng.random(dim)))
+        populated = data.draw(hst.sets(hst.integers(0, ham.n_levels - 1), min_size=1))
+        st = level_subset_state(ham, rng, populated)
+        dist = _fast_distribution(ham, st, p)
+        assert _level_spectrum(ham, st, p)[0].shape[1] == len(populated)
+        assert np.sum(np.abs(dist - column_distribution(ham, st, p))) <= 1e-14
+        assert abs(dist.sum() - 1.0) <= 1e-14
+
+    def test_large_register_matches_column_oracle(self, rng):
+        ham = normalize_spectrum(np.diag([0.0, 0.4, 1.0]))
+        st = decompose_state(random_state(rng, 3), ham)
+        p = plan(64.0, 1e-4, n_override=10 ** 5)
+        dist = _fast_distribution(ham, st, p)
+        assert np.sum(np.abs(dist - column_distribution(ham, st, p))) <= 1e-14
+        assert abs(dist.sum() - 1.0) <= 1e-14
+
+    def test_one_level_per_group(self, rng, monkeypatch):
+        ham = normalize_spectrum(np.diag([0.0, 0.25, 0.4, 1.0]))
+        st = decompose_state(random_state(rng, 4), ham)
+        p = plan(64.0, 1e-4, n_override=4096)
+        whole = _fast_distribution(ham, st, p)
+        monkeypatch.setattr(qpe, "_READOUT_BYTES", 16 * (p.n + 1))
+        assert np.max(np.abs(_fast_distribution(ham, st, p) - whole)) <= 1e-16
+
+    @pytest.mark.parametrize("levels", (1, 3))
+    def test_memory_is_per_level_rows(self, rng, levels):
+        # L complex rows and one float distribution, 24 MiB for one level at N = 10^6
+        n = 10 ** 6
+        ham = normalize_spectrum(np.diag([0.0, 0.4, 1.0]))
+        st = level_subset_state(ham, rng, range(levels))
+        p = plan(64.0, 1e-4, n_override=n)
+        tracemalloc.start()
+        try:
+            _fast_distribution(ham, st, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (16 * levels + 8) * (n + 1) + 4 * 2 ** 20, peak / 2 ** 20
+
+
+def windowed_mixture(n, weights, qs):
+    """Slow-route count distribution: weighted binomial windows on [0, N]."""
+    return _counting_distribution(np.asarray(weights, dtype=float), np.asarray(qs), n)
+
+
+class TestSupportSampler:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(n=hst.integers(1, 20001),
+           weights=hst.lists(hst.sampled_from([0.0, 1e-3, 0.2, 0.5, 1.0]), min_size=1, max_size=4),
+           qs=hst.lists(hst.floats(0.0, 1.0), min_size=4, max_size=4),
+           k=hst.integers(1, 40), seed=hst.integers(0, 2 ** 63))
+    def test_draws_equal_generator_choice(self, n, weights, qs, k, seed):
+        weights[0] = weights[0] or 1.0
+        dist = windowed_mixture(n, weights, qs[:len(weights)])
+        want = np.random.default_rng(seed).choice(dist.size, p=dist / dist.sum(), size=k)
+        got = _sample_counts(dist, seed, k)
+        assert np.array_equal(got, want)
+        assert qpe._pick_outcome(dist, "sample", seed, k) == int(np.median(want))
+
+    @pytest.mark.parametrize("bad", (np.nan, -1e-3, np.inf))
+    def test_rejects_invalid_entry(self, bad):
+        dist = windowed_mixture(64, [1.0], [0.3])
+        dist[3] = bad
+        with pytest.raises(InvariantError):
+            qpe._pick_outcome(dist, "sample", 1)
+
+    def test_rejects_all_zero(self):
+        with pytest.raises(InvariantError):
+            qpe._pick_outcome(np.zeros(17), "sample", 1)
+
+    def test_exact_mode_is_argmax(self):
+        dist = windowed_mixture(101, [0.3, 0.7], [0.2, 0.6])
+        assert qpe._pick_outcome(dist, "exact", None) == int(np.argmax(dist))
+
+
+def dense_standard_distribution(ham, state, d):
+    """Standard-route distribution from the whole (levels x 2^d) phase grid."""
+    ys = np.arange(1 << d)
+    theta = ham.eigenvalues[:, None] - ys[None, :] / (1 << d)
+    tw = theta - np.round(theta)
+    big = np.sin(np.pi * tw * (1 << d))
+    safe = np.where(tw == 0.0, 1.0, np.sin(np.pi * tw))
+    ratio = np.where(tw == 0.0, float(4 ** d), (big / safe) ** 2)
+    return (state.weights[:, None] * ratio).sum(axis=0) / 4 ** d
+
+
+class TestStandardLevels:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(d=hst.integers(1, 12), seed=hst.integers(0, 2 ** 32 - 1),
+           phases=hst.lists(hst.one_of(hst.floats(0.0, 1.0), hst.integers(0, 4096)),
+                            min_size=1, max_size=6),
+           zero=hst.lists(hst.booleans(), min_size=6, max_size=6))
+    def test_bit_identical_to_dense_grid(self, d, seed, phases, zero):
+        rng = np.random.default_rng(seed)
+        eigs = [h / 4096.0 if isinstance(h, int) else h for h in phases]
+        ham = normalize_spectrum(np.diag(eigs))
+        amps = rng.normal(size=len(eigs)) + 1j * rng.normal(size=len(eigs))
+        amps[np.array(zero[:len(eigs)])] = 0.0
+        if not np.any(amps):
+            amps[0] = 1.0
+        st = decompose_state(amps / np.linalg.norm(amps), ham)
+        got = standard_qpe(ham, st, d).distribution
+        assert got.tobytes() == dense_standard_distribution(ham, st, d).tobytes()
+
+
+# Max RSS of one route call in a fresh process, against a bare import.
+_RSS_PROBE = """
+import resource, sys
+import numpy as np
+import lindbladff
+if sys.argv[1] != "import":
+    from lindbladff import decompose_state, normalize_spectrum, slow_qpe, standard_qpe
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    ham = normalize_spectrum(a + a.conj().T)
+    v = rng.normal(size=8) + 1j * rng.normal(size=8)
+    state = decompose_state(v / np.linalg.norm(v), ham)
+    if sys.argv[1] == "slow":
+        slow_qpe(ham, state, 1024.0, 10 ** 7, mode="sample", seed=5, repeats=15)
+    else:
+        standard_qpe(ham, state, 18)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def _max_rss_kib(what):
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _RSS_PROBE, what], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    return int(out.stdout.split()[-1])
+
+
+class TestRouteMemory:
+    @pytest.mark.parametrize("route", ("slow", "standard"))
+    def test_route_stays_near_import_baseline(self, route):
+        # a register-sized float array is 76 MiB for the slow route at N = 10^7
+        extra = _max_rss_kib(route) - _max_rss_kib("import")
+        assert extra <= 32 * 1024, extra / 1024
