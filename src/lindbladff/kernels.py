@@ -18,10 +18,14 @@ and the totals ``np.cumsum(...)[-1]``, all of which accumulate in input
 order; the tests check both kernels bit for bit against a plain-Python loop
 transcription of this order.
 
-The pmf slices are normalized by their own sum.  The truncated tail mass is
-below 1e-300 (the recursion is cut where terms underflow), so this recovers
-the exact distribution while sidestepping the loss of significance that
-large-argument log-gamma differences would introduce.
+The pmf slices are normalized by their own sum.  The default window spans
++-36 sigma plus 8 counts; the mass it leaves out is about 1e-282 in the
+Gaussian regime and under 1e-34 in the Poisson-like tails of a small N p,
+so this recovers the exact distribution while sidestepping the loss of
+significance that large-argument log-gamma differences would introduce.  The
+amplitude window, for readouts that multiply sqrt(pmf), keeps only the
+entries with sqrt(pmf) at least 2^-53 of the largest; what it leaves out
+cannot move a double-precision sum of amplitudes.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ import numpy as np
 # representable pmf value inside the window.
 _SIGMA_HALFWIDTH = 36.0
 _EDGE_PAD = 8
+# The amplitude window keeps pmf >= AMPLITUDE_FLOOR times the largest entry,
+# i.e. sqrt(pmf) >= 2^-53 of the largest amplitude.
+AMPLITUDE_FLOOR = 2.0 ** -106
 
 
 def _support(n: int, p: float) -> tuple[int, int]:
@@ -52,30 +59,30 @@ def _centre_out(n: int, center: int, lo: int, hi: int, odds: float):
     return up, down
 
 
-def _tail_support(n: int, p: float, rel_floor: float) -> tuple[int, int]:
-    """An integer interval holding every m with pmf(m) >= rel_floor * max pmf.
+def _amplitude_support(n: int, p: float) -> tuple[int, int]:
+    """An integer interval holding every m with pmf(m) >= AMPLITUDE_FLOOR * max pmf.
 
     Chernoff's bound pmf(m) <= exp(-n KL(m/n || p)) and Bernstein's lower
     bound on that exponent, n KL >= t^2 / (2 (npq + t/3)) at t = |m - np|,
-    together with max pmf >= 1/(n+1), put pmf(m) / max pmf below rel_floor
-    once t exceeds the root of t^2 = 2c (npq + t/3), c = ln((n+1)/rel_floor).
+    together with max pmf >= 1/(n+1), put pmf(m) / max pmf below the floor
+    once t exceeds the root of t^2 = 2c (npq + t/3), c = ln((n+1)/floor).
     Unlike a multiple of sigma, this also covers the Poisson-like tails of a
     small np.
     """
-    c = math.log((n + 1.0) / rel_floor)
+    c = math.log((n + 1.0) / AMPLITUDE_FLOOR)
     t = c / 3.0 + math.sqrt(c * c / 9.0 + 2.0 * c * n * p * (1.0 - p))
     return max(math.floor(n * p - t), 0), min(math.ceil(n * p + t), n)
 
 
-def binom_pmf_window(n: int, p: float, rel_floor: float | None = None
+def binom_pmf_window(n: int, p: float, amplitude: bool = False
                      ) -> tuple[int, np.ndarray]:
     """Binomial(n, p) pmf on its numerically relevant support.
 
     Returns ``(m_lo, w)`` where ``w[k]`` is the pmf at ``m_lo + k``; the slice
     is normalized to sum to one.  Degenerate ``p`` values give a point mass.
-    The support spans +-36 sigma by default; with ``rel_floor`` it is the tail
-    bound window of ``_tail_support``, which keeps every entry at least
-    ``rel_floor`` times the largest one (and some below it).
+    The support spans +-36 sigma by default; with ``amplitude`` it is the
+    tail-bound window of ``_amplitude_support``, which keeps every entry at
+    least ``AMPLITUDE_FLOOR`` times the largest one (and some below it).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
@@ -83,7 +90,7 @@ def binom_pmf_window(n: int, p: float, rel_floor: float | None = None
         return 0, np.array([1.0])
     if p == 1.0:
         return n, np.array([1.0])
-    lo, hi = _support(n, p) if rel_floor is None else _tail_support(n, p, rel_floor)
+    lo, hi = _amplitude_support(n, p) if amplitude else _support(n, p)
     center = min(max(int(round(n * p)), lo), hi)
     up, down = _centre_out(n, center, lo, hi, p / (1.0 - p))
     w = np.concatenate((down[::-1], [1.0], up))

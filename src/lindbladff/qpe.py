@@ -31,7 +31,7 @@ columns k and P - k share one pmf.  Each pmf is touched on its precision
 window, where sqrt(pmf) is at least 2^-53 of the column maximum, sized by a
 Chernoff tail bound: about 13 sigma wide for large N sin^2, never under the
 Poisson-like tails near k = 0.  That is O(P sqrt(N) L) time for L populated
-levels and O(N L) memory, holding at most 512 MiB of rows (or one level's).
+levels and O(N L) memory, one complex row of N + 1 counts per level.
 Post-selecting count 0 needs only X[0] = sum_k alpha_k^N s_hat_k, which is
 O(P L) after the FFT.
 
@@ -91,16 +91,10 @@ def _dirichlet_ratio(theta: np.ndarray, d: int) -> np.ndarray:
     only an exactly integer theta needs the removable-singularity value.
     """
     tw = theta - np.round(theta)
-    at_zero = tw == 0.0
-    tw *= np.pi
-    s = np.sin(tw)
-    s[at_zero] = 1.0
-    tw *= 1 << d
-    ratio = np.sin(tw, out=tw)
-    ratio /= s
-    ratio *= ratio
-    ratio[at_zero] = float(4 ** d)
-    return ratio
+    s = np.sin(np.pi * tw)
+    big = np.sin(np.pi * tw * (1 << d))
+    safe = np.where(tw == 0.0, 1.0, s)
+    return np.where(tw == 0.0, float(4 ** d), (big / safe) ** 2)
 
 
 def _circular_distance(theta: np.ndarray) -> np.ndarray:
@@ -117,9 +111,7 @@ def standard_qpe(ham: Hamiltonian, state: SpectralState, d: int,
     ys = np.arange(1 << d) / (1 << d)
     dist = np.zeros(1 << d)
     for h, w in zip(ham.eigenvalues, state.weights):
-        ratio = _dirichlet_ratio(h - ys, d)
-        ratio *= w
-        dist += ratio
+        dist += w * _dirichlet_ratio(h - ys, d)
     dist /= 4 ** d
     y = _pick_outcome(dist, mode, seed, repeats)
     h_norm = y / (1 << d)
@@ -220,22 +212,18 @@ def _counting_distribution(weights: np.ndarray, qs: np.ndarray, n: int) -> np.nd
 
 
 def _sample_counts(dist: np.ndarray, seed, size: int) -> np.ndarray:
-    """``size`` outcomes drawn from ``dist`` by inverting its cumulative sum.
+    """``size`` outcomes drawn from ``dist``, choosing among its support only.
 
-    The inversion runs on the support alone.  It draws the same
-    ``rng.random`` numbers as ``Generator.choice(dist.size, p=dist /
-    dist.sum())`` and, since adding the zeros off the support is exact, picks
-    the same outcomes, without choice's two register-sized copies.
+    Adding the zeros off the support to the cumulative sum is exact, so this
+    picks the same outcomes as ``Generator.choice(dist.size, p=dist /
+    dist.sum())`` without choice's two register-sized copies.
     """
     support = np.flatnonzero(dist)
     mass = dist[support]
     total = dist.sum()
     if not (np.all(mass > 0) and np.isfinite(total) and total > 0):
         raise InvariantError("outcome distribution is negative, not finite or all zero")
-    cdf = np.cumsum(mass / total)
-    cdf /= cdf[-1]
-    draws = np.random.default_rng(seed).random(size)
-    return support[cdf.searchsorted(draws, side="right")]
+    return np.random.default_rng(seed).choice(support, p=mass / total, size=size)
 
 
 def _pick_outcome(dist: np.ndarray, mode: str, seed, repeats: int = 1) -> int:
@@ -299,13 +287,6 @@ def slow_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
 # Fast route: Kravchuk readout through the product-state identity
 # ---------------------------------------------------------------------------
 
-# sqrt(pmf) below 2^-53 of its column's largest entry cannot move a double
-# precision sum, so the readout windows keep pmf >= 2^-106 of the maximum.
-_AMPLITUDE_FLOOR = 2.0 ** -106
-# Bytes of per-level readout rows g_l held at once by ``_fast_distribution``.
-_READOUT_BYTES = 512 << 20
-
-
 def _level_spectrum(ham: Hamiltonian, state: SpectralState,
                     p: FFPlan) -> tuple[np.ndarray, np.ndarray]:
     """Residue spectra of the populated levels and their components.
@@ -343,7 +324,7 @@ def _level_rows(spectrum: np.ndarray, n: int) -> np.ndarray:
     coef = spectrum * _alpha_phases(n, period)[:, None]
     rows = np.zeros((coef.shape[1], n + 1), dtype=complex)
     for k in range(period // 2 + 1):
-        lo, pmf = binom_pmf_window(n, math.sin(math.pi * k / period) ** 2, _AMPLITUDE_FLOOR)
+        lo, pmf = binom_pmf_window(n, math.sin(math.pi * k / period) ** 2, amplitude=True)
         amp = np.sqrt(pmf)
         amp[(2 - lo) % 4::4] *= -1.0
         amp[(3 - lo) % 4::4] *= -1.0
@@ -374,24 +355,13 @@ def _fast_distribution(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.
     """Count distribution sum_l |g_l[x]|^2 of the transformed ledger.
 
     The eigencomponents are orthogonal, so |X[x]|^2 splits over the levels;
-    the weights w_l ride in the spectrum.  Levels are read out in groups
-    whose rows fit _READOUT_BYTES, and each group's |g|^2 is summed through
-    a float view of its rows, with no (L, N+1) temporary.
+    the weights w_l ride in the spectrum.  |g|^2 is summed through a float
+    view of the rows, with no (L, N+1) temporary.
     """
     _counting_params(ham, p.t, p.n)  # range guard
-    spectrum, _ = _level_spectrum(ham, state, p)
-    group = max(1, _READOUT_BYTES // (16 * (p.n + 1)))
-    dist = None
-    for first in range(0, spectrum.shape[1], group):
-        rows = _level_rows(spectrum[:, first:first + group], p.n)
-        parts = rows.view(float).reshape(rows.shape[0], -1, 2)
-        part = np.einsum("lxc,lxc->x", parts, parts)
-        del rows, parts
-        if dist is None:
-            dist = part
-        else:
-            dist += part
-    return dist
+    rows = _level_rows(_level_spectrum(ham, state, p)[0], p.n)
+    parts = rows.view(float).reshape(rows.shape[0], -1, 2)
+    return np.einsum("lxc,lxc->x", parts, parts)
 
 
 def _counting_result(ham: Hamiltonian, t: float, n: int, dist: np.ndarray,

@@ -98,16 +98,12 @@ def test_kernels_bitwise_match_loop_transcription(n):
         assert np.array_equal(w, w_ref)
 
 
-
-AMPLITUDE_FLOOR = 2.0 ** -106  # sqrt(pmf) >= 2^-53 of the column maximum
-
-
 def _assert_precision_window(n, p, m):
     """The floored window holds every m whose pmf is at least the floor times
     the largest, and its values are the default window's on the overlap."""
-    lo, w = kernels.binom_pmf_window(n, p, AMPLITUDE_FLOOR)
+    lo, w = kernels.binom_pmf_window(n, p, amplitude=True)
     logpmf = scipy.stats.binom.logpmf(m, n, p)
-    kept = m[logpmf >= logpmf.max() + math.log(AMPLITUDE_FLOOR)]
+    kept = m[logpmf >= logpmf.max() + math.log(kernels.AMPLITUDE_FLOOR)]
     assert lo <= kept.min() and kept.max() <= lo + w.size - 1, (lo, lo + w.size - 1, kept)
     assert abs(w.sum() - 1.0) <= 1e-14
     lo_wide, wide = kernels.binom_pmf_window(n, p)
@@ -130,6 +126,6 @@ def test_precision_window_any_mean(n, p):
 
 def test_precision_window_is_narrower_than_36_sigma():
     n, p = 10 ** 7, 0.5
-    lo, w = kernels.binom_pmf_window(n, p, AMPLITUDE_FLOOR)
+    lo, w = kernels.binom_pmf_window(n, p, amplitude=True)
     sigma = math.sqrt(n * p * (1 - p))
     assert 12.1 * sigma <= w.size / 2 <= 14 * sigma
