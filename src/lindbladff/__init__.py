@@ -12,7 +12,7 @@ from .exact_oracle import (lindblad_exact_general, lindblad_exact_hermitian,
 from .fastforward import FFPlan, dense_circuit_reference, ff_evolve, plan
 from .gibbs import GibbsResult, exact_gibbs, gibbs_prepare
 from .model import (Hamiltonian, LindbladSpec, SpectralState, SpectrumMap,
-                    decompose_state, dilate, from_pauli_sum, lindblad_spec,
+                    decompose_state, dilate, lindblad_spec,
                     normalize_spectrum, normalized_jump, parse_dense_matrix,
                     parse_pauli_sum, shift_to_zero, spectral_gap)
 from .qpe import (AmplitudeDecision, AmplitudeProblem, EstimationResult,

@@ -287,9 +287,8 @@ def _cmd_qpe(args, argv, emit: _Emitter):
         "ideal_amplification_queries": prep.ideal_amplification_queries,
         "state": model.format_dense_matrix(prep.state.reshape(1, -1)),
     }
-    cost = prep.cost.as_dict() if prep.cost else None
     emit.record(ExperimentRecord(argv, _jsonable(outputs), digest, args.seed,
-                                 cost, time.perf_counter() - t0))
+                                 prep.cost.as_dict(), time.perf_counter() - t0))
 
 
 def _cmd_gibbs(args, argv, emit: _Emitter):

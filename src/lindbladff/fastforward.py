@@ -37,7 +37,6 @@ from . import numkernel as nk
 from .dilated import CostReport
 from .kernels import binom_residue_weights
 from .model import Hamiltonian
-from .stateprep import binomial_amplitudes
 
 # Bytes of one streamed block of residue rows (see ``_residue_sum``).
 _BLOCK_BYTES = 4 << 20
@@ -240,9 +239,11 @@ def dense_circuit_reference(ham: Hamiltonian, psi: np.ndarray, p: FFPlan) -> np.
     Builds the full 2^d x dim joint state, applies the inverse shift, the d'
     bit-controlled evolutions, the uncontrolled backward factor and the
     forward shift, then traces out the register.  Evolutions use scipy's
-    expm so the path stays independent of the spectral machinery.
+    expm and the binomial amplitudes its log-gamma, so the path stays
+    independent of the spectral machinery and of the binomial kernels.
     """
     from scipy.linalg import expm
+    from scipy.special import gammaln
 
     psi = nk.require_state(psi)
     reg = 1 << p.d
@@ -251,8 +252,10 @@ def dense_circuit_reference(ham: Hamiltonian, psi: np.ndarray, p: FFPlan) -> np.
             f"dense reference needs register*system = {reg * ham.dim} "
             f"> cap {TOL.dense_reference_cap}"
         )
+    log_fact = gammaln(np.arange(p.n + 1) + 1.0)  # log m!; reversed, log (n - m)!
     amps = np.zeros(reg)
-    amps[: p.n + 1] = binomial_amplitudes(p.n)
+    amps[: p.n + 1] = np.exp(0.5 * (log_fact[-1] - log_fact - log_fact[::-1]
+                                    - p.n * math.log(2.0)))
     joint = amps[:, None] * psi[None, :]
 
     fwd = np.array([(m + p.shift) % reg for m in range(reg)])

@@ -6,7 +6,8 @@ one summation order, and that order is the contract that keeps records
 byte-stable on any numpy/BLAS build:
 
 * the unnormalized pmf is 1 at the centre (``round(N p)`` for the pmf window,
-  ``N // 2`` for the residue weights) and is extended outward by a running
+  ``N // 2`` for the residue weights, whose window is the pmf window's at
+  p = 1/2) and is extended outward by a running
   product of the ratios ``(N-m)/(m+1) * odds`` upward and
   ``m/(N-m+1) / odds`` downward, with ``odds = p/(1-p)``;
 * values are accumulated sequentially: residue bins and the normalizing total
@@ -98,13 +99,18 @@ def binom_pmf_window(n: int, p: float, amplitude: bool = False
     return lo, w
 
 
+def binom_pmf(n: int, p: float) -> np.ndarray:
+    """Binomial(n, p) pmf over m = 0..n: the default window, zero outside it."""
+    lo, w = binom_pmf_window(n, p)
+    out = np.zeros(n + 1)
+    out[lo: lo + w.size] = w
+    return out
+
+
 def binom_residue_weights(n: int, period: int, offset: int) -> np.ndarray:
     """Binomial(n, 1/2) mass aggregated by the residue class (m + offset) mod period."""
-    sigma = math.sqrt(n * 0.25)
-    half = int(math.ceil(_SIGMA_HALFWIDTH * sigma)) + _EDGE_PAD
+    lo, hi = _support(n, 0.5)
     center = n // 2
-    lo = max(center - half, 0)
-    hi = min(center + half, n)
     up, down = _centre_out(n, center, lo, hi, 1.0)
     values = np.concatenate(([1.0], up, down))
     m = np.concatenate(([center], np.arange(center + 1, hi + 1),

@@ -76,13 +76,10 @@ class Hamiltonian:
         starts = np.flatnonzero(np.diff(self.levels, prepend=-1))
         return np.add.reduceat(self.vectors * (self.vectors.conj().T @ v), starts, axis=1).T
 
-    def apply_phases(self, phases: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Apply sum_k phases[k] P_k to a vector."""
-        return self.vectors @ (phases[self.levels] * (self.vectors.conj().T @ v))
-
     def evolve(self, s: float, v: np.ndarray) -> np.ndarray:
         """exp(-i H s) v using the cached decomposition."""
-        return self.apply_phases(np.exp(-1j * self.eigenvalues * s), v)
+        phases = np.exp(-1j * self.eigenvalues * s)
+        return self.vectors @ (phases[self.levels] * (self.vectors.conj().T @ v))
 
     def dephase(self, kernel: np.ndarray, rho: np.ndarray) -> np.ndarray:
         """sum_ab kernel[a, b] P_a rho P_b for an (n_levels, n_levels) kernel."""
@@ -303,10 +300,6 @@ def parse_pauli_sum(text: str) -> np.ndarray:
             op = np.kron(op, _PAULI[ch])
         h += coeff * op
     return h
-
-
-def from_pauli_sum(text: str) -> Hamiltonian:
-    return normalize_spectrum(parse_pauli_sum(text))
 
 
 def _parse_dense_tokens(lineno: int, line: str) -> list[complex]:

@@ -68,24 +68,6 @@ def schur_multiply(v: np.ndarray, kernel: np.ndarray, rho: np.ndarray) -> np.nda
     return v @ (kernel * (vh @ rho @ v)) @ vh
 
 
-def evolve(h: np.ndarray, s: float, v: np.ndarray) -> np.ndarray:
-    """Apply exp(-i H s) to a state vector via spectral decomposition."""
-    h = require_hermitian(h)
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (h.shape[0],):
-        raise ValidationError(
-            f"dimension mismatch: matrix dim {h.shape[0]} vs vector shape {v.shape}"
-        )
-    w, vecs = np.linalg.eigh(h)
-    phases = np.exp(-1j * w * s)
-    return vecs @ (phases * (vecs.conj().T @ v))
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with ``a`` as the high-order factor."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Half the trace norm of rho - sigma."""
     rho = require_square(rho)

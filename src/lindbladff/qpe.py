@@ -77,7 +77,7 @@ class PreparationResult:
     expected_repeats: float
     ideal_amplification_queries: float
     overlap_bound: float
-    cost: CostReport | None = None
+    cost: CostReport
 
 
 # ---------------------------------------------------------------------------

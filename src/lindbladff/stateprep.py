@@ -1,13 +1,15 @@
 """Binomial-amplitude and discrete-Gaussian state synthesis.
 
-The binomial register state carries amplitude sqrt(C(N, m)) / 2^(N/2) at m;
-coefficients are evaluated in the log domain so the construction survives far
-past the overflow point of C(N, m).  log k! is read from a table of exact
-``math.lgamma`` values below k = 16 and taken from Stirling's series above,
-in numpy alone, so importing the package loads no scipy module.  The lattice
-Gaussian is the periodized Gaussian on Z_N, normalized by the lattice sum
-f(mu, sigma), and comes with a recursive rotation-angle schedule that
-synthesizes it one address bit at a time (low bit first).
+The binomial register state carries amplitude sqrt(C(N, m)) / 2^(N/2) at m,
+the square root of the Binomial(N, 1/2) pmf that ``kernels.binom_pmf``
+builds by its centre-out ratio recursion.  No C(N, m) or log-factorial is
+formed, so the construction survives far past the overflow point of C(N, m)
+without the cancellation of a log-factorial difference; outside the pmf
+window (+-36 sigma plus 8 counts, amplitudes below ~1e-141) the amplitudes
+read exactly 0.  The lattice Gaussian is the periodized Gaussian on Z_N,
+normalized by the lattice sum f(mu, sigma), and comes with a recursive
+rotation-angle schedule that synthesizes it one address bit at a time (low
+bit first).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import ValidationError
+from .kernels import binom_pmf
 
 
 @dataclass(frozen=True)
@@ -36,48 +39,14 @@ class GaussianParams:
             raise ValidationError(f"period must be >= 2, got {self.n}")
 
 
-_LOG_FACTORIAL_TABLE = np.array([math.lgamma(k + 1.0) for k in range(16)])
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _log_factorial(k) -> np.ndarray:
-    """log k! for integer-valued k >= 0, elementwise.
-
-    k < 16 comes from the table; above it Stirling's series in x = k + 1 >= 17,
-    (x - 1/2) ln x - x + ln(2 pi)/2 + 1/(12x) - 1/(360x^3) + 1/(1260x^5)
-    - 1/(1680x^7) + 1/(1188x^9), whose truncation error is below 1e-16.
-    """
-    k = np.asarray(k)
-    x = k + 1.0
-    r = 1.0 / (x * x)
-    series = ((((r / 1188.0 - 1.0 / 1680.0) * r + 1.0 / 1260.0) * r - 1.0 / 360.0) * r
-              + 1.0 / 12.0) / x
-    out = np.asarray((x - 0.5) * np.log(x) - x + _HALF_LOG_2PI + series)
-    small = k < 16
-    out[small] = _LOG_FACTORIAL_TABLE[k[small].astype(np.intp)]
-    return out
-
-
-def log_binom(n: int, m) -> np.ndarray:
-    """log C(n, m) for integer-valued 0 <= m <= n; vectorized over m.
-
-    Evaluated as log n! - log m! - log (n - m)! with the table-plus-Stirling
-    log-factorial above; its absolute error is the cancellation in that
-    difference, a few ulp of log n!.
-    """
-    m = np.asarray(m)
-    return _log_factorial(n) - _log_factorial(m) - _log_factorial(n - m)
-
-
 def binomial_amplitudes(n: int) -> np.ndarray:
     """Amplitudes sqrt(C(n, m)) / 2^(n/2) for m = 0..n (unit norm).
 
-    log k! is evaluated once over 0..n; reversed, it gives log (n - m)!.
+    The square root of the Binomial(n, 1/2) pmf, zero outside its window.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    lf = _log_factorial(np.arange(n + 1))
-    return np.exp(0.5 * (lf[n] - lf - lf[::-1]) - 0.5 * n * math.log(2.0))
+    return np.sqrt(binom_pmf(n, 0.5))
 
 
 def f_mu_sigma(mu: float, sigma: float) -> float:

@@ -7,7 +7,6 @@ import pytest
 from lindbladff import numkernel as nk
 from lindbladff.fastforward import _residue_phases
 from lindbladff.kernels import binom_residue_weights
-from lindbladff.stateprep import log_binom
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -33,6 +32,16 @@ def random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def log_binom(n, m):
+    """log C(n, m) through scipy's log-gamma, independent of the package's
+    binomial kernels; its absolute error is the cancellation in
+    log n! - log m! - log (n - m)!, a few ulp of log n!."""
+    from scipy.special import gammaln
+
+    m = np.asarray(m)
+    return gammaln(n + 1.0) - gammaln(m + 1.0) - gammaln(n - m + 1.0)
 
 
 def full_mixture(ham, psi, p):

@@ -4,6 +4,8 @@ import pytest
 from lindbladff import (ValidationError, bernstein_bound, binomial_tail,
                         dml_gap, hoeffding_bound)
 
+from conftest import log_binom
+
 
 def test_worked_tail_exact():
     # m in {0,1,2,8,9,10}: (1+10+45)*2 = 112 states of 1024
@@ -72,8 +74,6 @@ def test_tail_monotone_in_c():
 def test_dml_gap_attained_near_mode():
     n, p = 40, 0.5
     m = np.arange(n + 1)
-    from lindbladff.stateprep import log_binom
-
     pmf = np.exp(log_binom(n, m) - n * np.log(2))
     pdf = np.exp(-((m - 20) ** 2) / (2 * 10)) / np.sqrt(2 * np.pi * 10)
     argmax = int(np.argmax(np.abs(pmf - pdf)))

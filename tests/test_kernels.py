@@ -45,10 +45,13 @@ def test_residue_weights_sum_and_values():
 
 def _loop_residue_weights(n, period, offset):
     """Plain-Python transcription of the centre-out recursion and its
-    summation order (centre, upward terms, downward terms)."""
+    summation order (centre, upward terms, downward terms).  The window is
+    the pmf window's at p = 1/2, centred on round(n / 2); the recursion
+    starts at n // 2, one count below it for half of the odd n."""
     half = int(math.ceil(36.0 * math.sqrt(n * 0.25))) + 8
+    mid = round(n * 0.5)
+    lo, hi = max(mid - half, 0), min(mid + half, n)
     center = n // 2
-    lo, hi = max(center - half, 0), min(center + half, n)
     out = [0.0] * period
     out[(center + offset) % period] = 1.0
     total = v = 1.0
@@ -86,7 +89,7 @@ def _loop_pmf_window(n, p):
     return lo, np.array([x / total for x in w])
 
 
-@pytest.mark.parametrize("n", [0, 1, 7, 16, 63, 100, 1001])
+@pytest.mark.parametrize("n", [0, 1, 7, 16, 63, 100, 1001, 1333, 1335])
 def test_kernels_bitwise_match_loop_transcription(n):
     for period, offset in ((8, -(n // 2 - 4)), (5, 3)):
         assert np.array_equal(kernels.binom_residue_weights(n, period, offset),

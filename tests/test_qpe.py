@@ -22,9 +22,8 @@ from lindbladff.kernels import binom_pmf_window
 from lindbladff.qpe import (_alpha_phases, _counting_distribution,
                            _fast_distribution, _grover_iterate, _level_rows, _level_spectrum,
                            _orthogonal_log, _sample_counts, _transformed_row_zero)
-from lindbladff.stateprep import binomial_amplitudes, log_binom
 
-from conftest import goal_ledger, random_hermitian, random_state, residue_of
+from conftest import goal_ledger, log_binom, random_hermitian, random_state, residue_of
 
 
 def eigenstate_input(h, other=None):
@@ -242,7 +241,7 @@ def oracle_rows(ham, state, p):
     psi = np.tensordot(state.coeffs, state.components, axes=(0, 0))
     ledger = goal_ledger(ham, psi, p)
     u = kravchuk_oracle(p.n)
-    a = binomial_amplitudes(p.n)
+    a = np.exp(0.5 * (log_binom(p.n, np.arange(p.n + 1)) - p.n * math.log(2.0)))
     res = residue_of(p, np.arange(p.n + 1))
     b = np.zeros((p.n + 1, p.period))
     for r in range(p.period):
@@ -425,6 +424,18 @@ class TestFastEigenstate:
         slow = slow_qpe_eigenstate(ham, st, 0, 1.0, 16)
         assert abs(fast.postselect_probability - slow.postselect_probability) <= 1e-12
         assert abs(fast.overlap - slow.overlap) <= 1e-12
+
+    def test_light_target_is_amplified(self):
+        # a target weight far below 2^-52 of the other level's still carries
+        # the post-selected state: dropping light levels from row zero would
+        # leave only the far level and an overlap near 0
+        ham = normalize_spectrum(np.diag([0.0, 1.0]))
+        c = math.sqrt(1e-17)
+        st = decompose_state(np.array([c, math.sqrt(1.0 - c * c)], dtype=complex), ham)
+        fast = fast_qpe_eigenstate(ham, st, 0, plan(64.0, 1e-8, n_override=1000))
+        slow = slow_qpe_eigenstate(ham, st, 0, 64.0, 1000)
+        assert slow.overlap >= 1.0 - 1e-10
+        assert abs(fast.overlap - slow.overlap) <= 1e-10
 
 
 class TestScalingLaws:

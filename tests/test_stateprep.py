@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,13 +8,6 @@ from lindbladff import (GaussianParams, ValidationError, binomial_amplitudes,
                         binomial_gaussian_distance, discrete_gaussian_amplitudes,
                         f_mu_sigma, kw_angle_schedule, kw_synthesize)
 from lindbladff.concentration import dml_gap
-from lindbladff.kernels import binom_pmf_window
-from lindbladff.stateprep import log_binom
-
-
-def log_binom_tolerance(n):
-    """Cancellation scale of log n! - log m! - log (n-m)!: 1e-14 of log C(n, n/2)."""
-    return 1e-14 * max(1.0, float(log_binom(n, n // 2)))
 
 
 class TestBinomialAmplitudes:
@@ -31,25 +25,17 @@ class TestBinomialAmplitudes:
         for n in (4, 17, 64, 513, 4096):
             assert abs(np.linalg.norm(binomial_amplitudes(n)) - 1.0) <= 1e-10
 
-    @pytest.mark.parametrize("n", (1, 2, 36, 1001, 10 ** 5, 10 ** 6))
+    @pytest.mark.parametrize("n", (1, 2, 36, 1001, 10 ** 5, 10 ** 6, 10 ** 7))
     def test_matches_pmf_window_route(self, n):
-        # two independent routes: log-factorial differences vs the pmf recursion;
-        # below n ~ 100 the tolerance is 1e-12, above it the log-domain cancellation
-        tol = max(1e-12, log_binom_tolerance(n))
+        # the pmf-window amplitudes against 40-digit sqrt(C(n, m) / 2^n) from
+        # mpmath, at m = n/2 + k sigma out to ten standard deviations
         a = binomial_amplitudes(n)
-        assert abs(np.linalg.norm(a) - 1.0) <= tol
-        lo, pmf = binom_pmf_window(n, 0.5)
-        assert np.max(np.abs(a[lo: lo + pmf.size] - np.sqrt(pmf))) <= tol
-
-
-class TestLogBinom:
-    @pytest.mark.parametrize("n", (0, 1, 15, 16, 17, 36, 1001, 10 ** 5, 10 ** 7))
-    def test_matches_gammaln(self, n):
-        from scipy.special import gammaln
-
-        m = np.array(sorted({v for v in (0, 1, n // 2, n - 1, n) if 0 <= v <= n}))
-        want = gammaln(n + 1.0) - gammaln(m + 1.0) - gammaln(n - m + 1.0)
-        assert np.max(np.abs(log_binom(n, m) - want)) <= log_binom_tolerance(n)
+        assert abs(np.linalg.norm(a) - 1.0) <= 1e-14
+        with mpmath.workdps(40):
+            for k in (0, 1, 3, 6, 10):
+                m = min(n, n // 2 + round(k * math.sqrt(n) / 2.0))
+                want = mpmath.sqrt(mpmath.binomial(n, m) / mpmath.mpf(2) ** n)
+                assert float(abs(a[m] - want) / want) <= 1e-13
 
 
 class TestThetaNormalizer:
