@@ -30,7 +30,7 @@ def choi_generator_term(h: np.ndarray) -> np.ndarray:
     return np.kron(h, h.conj()) - 0.5 * np.kron(h2, eye) - 0.5 * np.kron(eye, h2.conj())
 
 
-def is_choi_commuting(spec: LindbladSpec, tol: float | None = None) -> tuple[bool, float]:
+def is_choi_commuting(spec: LindbladSpec) -> tuple[bool, float]:
     """Pairwise-commutator check of the vectorized generators.
 
     Returns (passes, max commutator max-entry norm).  The tolerance scales
@@ -38,7 +38,6 @@ def is_choi_commuting(spec: LindbladSpec, tol: float | None = None) -> tuple[boo
     theory, so a materially nonzero commutator means the spec is outside the
     factorizable class.
     """
-    tol = TOL.choi_commute_tol if tol is None else tol
     terms = [choi_generator_term(h) for h in spec.jumps]
     if len(terms) < 2:
         return True, 0.0
@@ -50,7 +49,7 @@ def is_choi_commuting(spec: LindbladSpec, tol: float | None = None) -> tuple[boo
             norm = float(np.max(np.abs(comm)))
             worst = max(worst, norm)
             scale = max(1.0, float(np.max(np.abs(terms[i]))) * float(np.max(np.abs(terms[j]))))
-            if norm > tol * scale:
+            if norm > TOL.choi_commute_tol * scale:
                 passes = False
     return passes, worst
 

@@ -155,9 +155,15 @@ def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
-def _fit_slope(xs, ys) -> float:
-    return float(np.polyfit(np.log(np.asarray(xs, dtype=float)),
-                            np.log(np.asarray(ys, dtype=float)), 1)[0])
+def _slope_record(argv, t0: float, outputs: dict, xs, ys, target: float,
+                  tol: float) -> ExperimentRecord:
+    """Bench verdict record: the log-log slope of ys against xs and whether
+    it lies within ``tol`` of ``target``, added to ``outputs``."""
+    slope = float(np.polyfit(np.log(np.asarray(xs, dtype=float)),
+                             np.log(np.asarray(ys, dtype=float)), 1)[0])
+    outputs = {**outputs, "slope": slope, "target": target, "tolerance": tol,
+               "pass": bool(abs(slope - target) <= tol + 1e-9)}
+    return ExperimentRecord(argv, outputs, wall_time_s=time.perf_counter() - t0)
 
 
 def _cell_seed(master: int, index: int) -> int:
@@ -203,7 +209,7 @@ def _cmd_evolve(args, argv, emit: _Emitter):
         }
     elif args.method == "dilated":
         steps = args.steps if args.steps else default_steps(args.t, args.eps)
-        rho, cost = dilated_evolve(ham.matrix, np.outer(psi, psi.conj()), args.t, steps)
+        rho, cost = dilated_evolve(ham, np.outer(psi, psi.conj()), args.t, steps)
     elif args.method == "exact":
         rho = lindblad_exact_hermitian(ham, np.outer(psi, psi.conj()), args.t)
         cost = CostReport(0.0, 0, 0)
@@ -408,18 +414,13 @@ def _bench_ff_vs_dilated(args, argv, emit: _Emitter):
         emit.text(f"{t},ff,{cost_ff.hamiltonian_time!r},{cost_ff.step_count},"
                   f"{cost_ff.ancilla_count},{nk.trace_distance(rho_ff, exact)!r}")
         steps = default_steps(t, args.eps)
-        rho_d, cost_d = dilated_evolve(ham.matrix, rho0, t, steps)
+        rho_d, cost_d = dilated_evolve(ham, rho0, t, steps)
         dil_costs.append(cost_d.hamiltonian_time)
         emit.text(f"{t},dilated,{cost_d.hamiltonian_time!r},{cost_d.step_count},"
                   f"{cost_d.ancilla_count},{nk.trace_distance(rho_d, exact)!r}")
-    for name, costs, target, tol in (("ff", ff_costs, 0.5, 0.1),
-                                     ("dilated", dil_costs, 2.0, 0.1)):
-        slope = _fit_slope(ts, costs)
-        verdict = abs(slope - target) <= tol + 1e-9
-        emit.record(ExperimentRecord(
-            argv, {"suite": "ff-vs-dilated", "series": name, "slope": slope,
-                   "target": target, "tolerance": tol, "pass": bool(verdict)},
-            wall_time_s=time.perf_counter() - t0))
+    for name, costs, target in (("ff", ff_costs, 0.5), ("dilated", dil_costs, 2.0)):
+        emit.record(_slope_record(argv, t0, {"suite": "ff-vs-dilated", "series": name},
+                                  ts, costs, target, 0.1))
 
 
 def _bench_qpe_error(args, argv, emit: _Emitter):
@@ -446,18 +447,12 @@ def _bench_qpe_error(args, argv, emit: _Emitter):
         rmsf = _dist_rms(resf.distribution, t, p.n, h_true)
         fast_pts.append((resf.cost.hamiltonian_time, rmsf))
         emit.text(f"{t},fast,{resf.cost.hamiltonian_time!r},{rmsf!r}")
-    slope_slow = _fit_slope([x for x, _ in slow_pts], [y for _, y in slow_pts])
-    slope_fast = _fit_slope([x for x, _ in fast_pts], [y for _, y in fast_pts])
-    emit.record(ExperimentRecord(argv, {
-        "suite": "qpe-error", "series": "slow", "slope": slope_slow,
-        "target": -0.5, "tolerance": 0.1,
-        "pass": bool(abs(slope_slow + 0.5) <= 0.1 + 1e-9)},
-        wall_time_s=time.perf_counter() - t0))
-    emit.record(ExperimentRecord(argv, {
-        "suite": "qpe-error", "series": "fast", "slope": slope_fast,
-        "target": -1.0, "tolerance": 0.15,
-        "pass": bool(abs(slope_fast + 1.0) <= 0.15 + 1e-9)},
-        wall_time_s=time.perf_counter() - t0))
+    records = [_slope_record(argv, t0, {"suite": "qpe-error", "series": name},
+                             [x for x, _ in pts], [y for _, y in pts], target, tol)
+               for name, pts, target, tol in (("slow", slow_pts, -0.5, 0.1),
+                                              ("fast", fast_pts, -1.0, 0.15))]
+    for rec in records:
+        emit.record(rec)
 
 
 def _dist_rms(dist: np.ndarray, t: float, n: int, h_true: float) -> float:
@@ -475,11 +470,7 @@ def _bench_gibbs_beta(args, argv, emit: _Emitter):
         res = gibbs_prepare(mat, beta, args.eps)
         costs.append(res.cost.hamiltonian_time)
         emit.text(f"{beta},{res.cost.hamiltonian_time!r},{res.fidelity!r}")
-    slope = _fit_slope(betas, costs)
-    emit.record(ExperimentRecord(argv, {
-        "suite": "gibbs-beta", "slope": slope, "target": 0.5, "tolerance": 0.1,
-        "pass": bool(abs(slope - 0.5) <= 0.1 + 1e-9)},
-        wall_time_s=time.perf_counter() - t0))
+    emit.record(_slope_record(argv, t0, {"suite": "gibbs-beta"}, betas, costs, 0.5, 0.1))
 
 
 # ---------------------------------------------------------------------------

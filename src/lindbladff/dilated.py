@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from . import numkernel as nk
-from .model import dilate
+from .model import Hamiltonian, dilate
 
 
 @dataclass(frozen=True)
@@ -66,33 +66,30 @@ def dilated_step(f: np.ndarray, rho: np.ndarray, tau: float) -> np.ndarray:
     return _apply_step(_step_unitary(f, tau), rho)
 
 
-def dilated_evolve(f: np.ndarray, rho0: np.ndarray, t: float, steps: int) -> tuple[np.ndarray, CostReport]:
-    """Compose ``steps`` dilated steps with tau = t / steps.
+def dilated_evolve(ham: Hamiltonian, rho0: np.ndarray, t: float, steps: int
+                   ) -> tuple[np.ndarray, CostReport]:
+    """Compose ``steps`` dilated steps of the jump ``ham`` with tau = t / steps.
 
-    One step multiplies the coherence between eigenvalues a and b of ``f`` by
-    cos(sqrt(tau) (f_a - f_b)), so the composition is the closed-form
-    multiplier cos(x)^steps, evaluated as sign(cos x)^steps *
-    exp((steps / 2) log1p(-sin^2 x)): the cost does not depend on ``steps``,
-    and the log1p form keeps full relative accuracy where cos(x) rounds
-    close to 1.  Total evolution time is steps * sqrt(tau) = sqrt(steps * t);
-    every step consumes one logical ancilla.
+    One step multiplies the coherence between eigenvalues a and b of the jump
+    by cos(sqrt(tau) (h_a - h_b)), so the composition is the closed-form
+    multiplier cos(x)^steps, applied by ``ham.dephase`` and evaluated as
+    sign(cos x)^steps * exp((steps / 2) log1p(-sin^2 x)): the cost does not
+    depend on ``steps``, and the log1p form keeps full relative accuracy
+    where cos(x) rounds close to 1.  Total evolution time is steps *
+    sqrt(tau) = sqrt(steps * t); every step consumes one logical ancilla.
     """
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     if t <= 0:
         raise ValidationError(f"evolution time must be positive, got {t}")
-    w, v = nk.herm_eig(f)
-    rho = nk.require_square(rho0)
-    if rho.shape[0] != w.size:
-        raise ValidationError(f"dimension mismatch: rho {rho.shape[0]} vs jump {w.size}")
     tau = t / steps
-    x = math.sqrt(tau) * (w[:, None] - w[None, :])
+    h = ham.eigenvalues
+    x = math.sqrt(tau) * (h[:, None] - h[None, :])
     with np.errstate(divide="ignore"):
         kernel = np.sign(np.cos(x)) ** steps * np.exp(0.5 * steps * np.log1p(-np.sin(x) ** 2))
-    rho = nk.schur_multiply(v, kernel, rho)
     cost = CostReport(
         hamiltonian_time=steps * math.sqrt(tau),
         step_count=steps,
         ancilla_count=steps,
     )
-    return rho, cost
+    return ham.dephase(kernel, rho0), cost

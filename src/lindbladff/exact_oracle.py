@@ -26,16 +26,13 @@ def lindblad_exact_hermitian(ham: Hamiltonian, rho0: np.ndarray, t: float) -> np
     """Dephasing-channel solution for the single Hermitian jump ``ham``."""
     if t < 0:
         raise ValidationError(f"negative evolution time {t}")
-    rho0 = nk.require_square(rho0)
-    if rho0.shape[0] != ham.dim:
-        raise ValidationError(f"dimension mismatch: rho {rho0.shape[0]} vs Hamiltonian {ham.dim}")
     gaps = ham.eigenvalues[:, None] - ham.eigenvalues[None, :]
     return ham.dephase(np.exp(-0.5 * t * gaps ** 2), rho0)
 
 
 def steady_state(ham: Hamiltonian, rho0: np.ndarray) -> np.ndarray:
     """Infinite-time limit: coherence survives only inside each eigenspace."""
-    return ham.dephase(np.eye(ham.n_levels), nk.require_square(rho0))
+    return ham.dephase(np.eye(ham.n_levels), rho0)
 
 
 def generator_matrix(spec: LindbladSpec) -> np.ndarray:

@@ -193,15 +193,6 @@ def ff_cost(p: FFPlan) -> CostReport:
     return CostReport(float(p.period) * math.sqrt(p.tau), p.dprime + 1, p.d)
 
 
-def _pure_components(ham: Hamiltonian, psi: np.ndarray) -> np.ndarray:
-    """Eigenspace components (n_levels, dim) of a checked pure input state."""
-    psi = nk.require_state(psi)
-    if psi.shape[0] != ham.dim:
-        raise ValidationError(f"dimension mismatch: state {psi.shape[0]} vs Hamiltonian {ham.dim}")
-    _check_norm(ham.eigenvalues)
-    return ham.components(psi)
-
-
 def ff_evolve(ham: Hamiltonian, state0: np.ndarray, p: FFPlan
               ) -> tuple[np.ndarray, CostReport]:
     """Fast-forwarded simulation of the dephasing Lindbladian.
@@ -220,7 +211,8 @@ def ff_evolve(ham: Hamiltonian, state0: np.ndarray, p: FFPlan
     state0 = np.asarray(state0, dtype=complex)
     cost = ff_cost(p)
     if state0.ndim == 1:
-        comps = _pure_components(ham, state0)
+        comps = ham.components(state0)
+        _check_norm(ham.eigenvalues)
 
         def ledger_block(lo, rows):
             s = _residue_phases(p, ham.eigenvalues, lo, rows) @ comps  # (rows, dim)
@@ -228,8 +220,6 @@ def ff_evolve(ham: Hamiltonian, state0: np.ndarray, p: FFPlan
 
         return _residue_sum(p, ham.dim, ledger_block), cost
     rho0 = nk.require_density(state0)
-    if rho0.shape[0] != ham.dim:
-        raise ValidationError(f"dimension mismatch: rho {rho0.shape[0]} vs Hamiltonian {ham.dim}")
     return ham.dephase(gap_kernel(p, ham.eigenvalues, ham.eigenvalues), rho0), cost
 
 

@@ -49,11 +49,10 @@ class Hamiltonian:
     ``eigenvalues`` are distinct and ascending.  ``vectors`` holds orthonormal
     eigenvectors as columns and ``levels[j]`` the index of the eigenvalue that
     column j belongs to; clustered columns are contiguous, so eigenspace k is
-    spanned by ``vectors[:, levels == k]``.  ``matrix`` is rebuilt from the
-    clustered decomposition, ``V diag(eigenvalues[levels]) V^dag``.
+    spanned by ``vectors[:, levels == k]``.  The methods that apply the
+    decomposition to a state check that state's shape and dimension.
     """
 
-    matrix: np.ndarray
     eigenvalues: np.ndarray
     vectors: np.ndarray
     levels: np.ndarray
@@ -63,34 +62,43 @@ class Hamiltonian:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.vectors.shape[0]
 
     @property
     def n_levels(self) -> int:
         return len(self.eigenvalues)
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """V diag(eigenvalues[levels]) V^dag, rebuilt from the clustered
+        decomposition on every access."""
+        m = (self.vectors * self.eigenvalues[self.levels]) @ self.vectors.conj().T
+        return 0.5 * (m + m.conj().T)
+
     def components(self, v: np.ndarray) -> np.ndarray:
-        """Stack of eigenspace components P_k v, shape (n_levels, dim)."""
+        """Stack of eigenspace components P_k v, shape (n_levels, dim), of a
+        normalized state ``v`` of dimension ``dim``."""
+        v = nk.require_state(v)
+        if v.shape != (self.dim,):
+            raise ValidationError(f"dimension mismatch: state {v.shape} vs Hamiltonian {self.dim}")
         # P_k v sums the columns of V diag(V^dag v) that belong to level k,
         # and each level's columns are contiguous
         starts = np.flatnonzero(np.diff(self.levels, prepend=-1))
         return np.add.reduceat(self.vectors * (self.vectors.conj().T @ v), starts, axis=1).T
 
-    def evolve(self, s: float, v: np.ndarray) -> np.ndarray:
-        """exp(-i H s) v using the cached decomposition."""
-        phases = np.exp(-1j * self.eigenvalues * s)
-        return self.vectors @ (phases[self.levels] * (self.vectors.conj().T @ v))
-
     def dephase(self, kernel: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        """sum_ab kernel[a, b] P_a rho P_b for an (n_levels, n_levels) kernel."""
-        cols = kernel[np.ix_(self.levels, self.levels)]
-        return nk.schur_multiply(self.vectors, cols, rho)
+        """sum_ab kernel[a, b] P_a rho P_b for an (n_levels, n_levels) kernel.
 
-
-def _assemble(eigs, vectors, levels, smap, clustered, zero_width) -> Hamiltonian:
-    matrix = (vectors * eigs[levels]) @ vectors.conj().T
-    matrix = 0.5 * (matrix + matrix.conj().T)
-    return Hamiltonian(matrix, eigs, vectors, levels, smap, clustered, zero_width)
+        This is V (K o V^dag rho V) V^dag, rho multiplied entrywise in the
+        eigenbasis by K[levels[i], levels[j]].  Every single-Hermitian-jump
+        channel is this map, with ``kernel[a, b]`` a function of the
+        eigenvalue gap h_a - h_b.
+        """
+        rho = nk.require_square(rho)
+        if rho.shape[0] != self.dim:
+            raise ValidationError(f"dimension mismatch: rho {rho.shape[0]} vs Hamiltonian {self.dim}")
+        v, vh = self.vectors, self.vectors.conj().T
+        return v @ (kernel[np.ix_(self.levels, self.levels)] * (vh @ rho @ v)) @ vh
 
 
 def _cluster(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -140,7 +148,7 @@ def normalize_spectrum(h: np.ndarray) -> Hamiltonian:
     else:
         eigs_n = (reps - lo) / width
         smap = SpectrumMap(width, lo)
-    return _assemble(eigs_n, v, levels, smap, clustered, zero_width)
+    return Hamiltonian(eigs_n, v, levels, smap, clustered, zero_width)
 
 
 def spectral_gap(ham: Hamiltonian, beta: int) -> float:
@@ -170,7 +178,7 @@ def shift_to_zero(ham: Hamiltonian, beta: int) -> Hamiltonian:
     eigs_n = shifted / scale
     eigs_n[beta] = 0.0
     smap = ham.spectrum_map.compose(scale, float(h_beta))
-    return _assemble(eigs_n, ham.vectors, ham.levels, smap, ham.clustered, ham.zero_width)
+    return Hamiltonian(eigs_n, ham.vectors, ham.levels, smap, ham.clustered, ham.zero_width)
 
 
 def dilate(f: np.ndarray) -> np.ndarray:
@@ -201,9 +209,6 @@ class SpectralState:
 
 
 def decompose_state(v: np.ndarray, ham: Hamiltonian) -> SpectralState:
-    v = nk.require_state(v)
-    if v.shape[0] != ham.dim:
-        raise ValidationError(f"dimension mismatch: state {v.shape[0]} vs Hamiltonian {ham.dim}")
     comps = ham.components(v)
     coeffs = np.linalg.norm(comps, axis=1)
     safe = np.where(coeffs > 0, coeffs, 1.0)

@@ -46,26 +46,13 @@ def require_hermitian(a: np.ndarray, atol: float | None = None) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def herm_eig(a: np.ndarray, atol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, V)`` with eigenvalues ascending and unitary ``V`` such that
     ``A = V diag(w) V^dag``.
     """
-    a = require_hermitian(a, atol)
-    w, v = np.linalg.eigh(a)
-    return w, v
-
-
-def schur_multiply(v: np.ndarray, kernel: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """V (K o V^dag rho V) V^dag: multiply rho entrywise by ``kernel`` in the
-    orthonormal basis given by the columns of ``v``.
-
-    Every single-Hermitian-jump channel is this map in the jump's eigenbasis,
-    with ``kernel[a, b]`` a function of the eigenvalue gap h_a - h_b.
-    """
-    vh = v.conj().T
-    return v @ (kernel * (vh @ rho @ v)) @ vh
+    return np.linalg.eigh(require_hermitian(a))
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -78,13 +65,13 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
-def require_state(v: np.ndarray, atol: float | None = None) -> np.ndarray:
+def require_state(v: np.ndarray) -> np.ndarray:
     """Validate that ``v`` is a normalized state vector."""
     v = np.asarray(v, dtype=complex)
-    atol = TOL.unit_norm_atol if atol is None else atol
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > atol:
-        raise ValidationError(f"state vector norm {nrm!r} deviates from 1 beyond {atol:.1e}")
+    if abs(nrm - 1.0) > TOL.unit_norm_atol:
+        raise ValidationError(
+            f"state vector norm {nrm!r} deviates from 1 beyond {TOL.unit_norm_atol:.1e}")
     return v
 
 

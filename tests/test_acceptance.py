@@ -116,7 +116,7 @@ def test_criterion_04_quartic_cost_advantage():
         _, cost = lff.ff_evolve(ham, psi, lff.plan(t, 0.1))
         ff_costs.append(cost.hamiltonian_time)
         steps = lff.default_steps(t, 0.1)
-        _, dcost = lff.dilated_evolve(ham.matrix, rho0, t, steps)
+        _, dcost = lff.dilated_evolve(ham, rho0, t, steps)
         dil_costs.append(dcost.hamiltonian_time)
     s_ff = float(np.polyfit(np.log(ts), np.log(ff_costs), 1)[0])
     s_dil = float(np.polyfit(np.log(ts), np.log(dil_costs), 1)[0])

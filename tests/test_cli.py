@@ -220,9 +220,9 @@ class TestSubcommands:
         calls = []
         original = choi.is_choi_commuting
 
-        def counted(spec, tol=None):
+        def counted(spec):
             calls.append(spec)
-            return original(spec, tol)
+            return original(spec)
 
         monkeypatch.setattr(choi, "is_choi_commuting", counted)
         monkeypatch.setattr(cli, "is_choi_commuting", counted)

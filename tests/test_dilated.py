@@ -12,6 +12,7 @@ from conftest import random_density
 
 PLUS_RHO = np.full((2, 2), 0.5, dtype=complex)
 F = np.diag([0.0, 1.0]).astype(complex)
+F_HAM = normalize_spectrum(F)  # F already has its spectrum in [0, 1]
 
 
 def test_zero_jump_is_identity():
@@ -59,34 +60,31 @@ def test_step_output_is_density():
 
 
 def test_evolution_approaches_exact():
-    ham = normalize_spectrum(F)
-    exact = lindblad_exact_hermitian(ham, PLUS_RHO, 1.0)
-    out, cost = dilated_evolve(F, PLUS_RHO, 1.0, 100)
+    exact = lindblad_exact_hermitian(F_HAM, PLUS_RHO, 1.0)
+    out, cost = dilated_evolve(F_HAM, PLUS_RHO, 1.0, 100)
     assert abs(out[0, 1].real - 0.5 * np.exp(-0.5)) <= 0.01
     assert np.isclose(out[0, 1].real, exact[0, 1].real, atol=0.01)
     assert cost.step_count == 100 and cost.ancilla_count == 100
 
 
 def test_first_order_convergence_slope():
-    ham = normalize_spectrum(F)
-    exact = lindblad_exact_hermitian(ham, PLUS_RHO, 1.0)
+    exact = lindblad_exact_hermitian(F_HAM, PLUS_RHO, 1.0)
     steps = np.array([50, 100, 200, 400])
-    errs = [nk.trace_distance(dilated_evolve(F, PLUS_RHO, 1.0, int(s))[0], exact)
+    errs = [nk.trace_distance(dilated_evolve(F_HAM, PLUS_RHO, 1.0, int(s))[0], exact)
             for s in steps]
     slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
     assert abs(slope + 1.0) <= 0.15
 
 
 def test_doubling_steps_halves_error():
-    ham = normalize_spectrum(F)
-    exact = lindblad_exact_hermitian(ham, PLUS_RHO, 1.0)
-    e1 = nk.trace_distance(dilated_evolve(F, PLUS_RHO, 1.0, 100)[0], exact)
-    e2 = nk.trace_distance(dilated_evolve(F, PLUS_RHO, 1.0, 200)[0], exact)
+    exact = lindblad_exact_hermitian(F_HAM, PLUS_RHO, 1.0)
+    e1 = nk.trace_distance(dilated_evolve(F_HAM, PLUS_RHO, 1.0, 100)[0], exact)
+    e2 = nk.trace_distance(dilated_evolve(F_HAM, PLUS_RHO, 1.0, 200)[0], exact)
     assert 0.35 <= e2 / e1 <= 0.65
 
 
 def test_cost_law_exact():
-    _, cost = dilated_evolve(F, PLUS_RHO, 2.0, 8)
+    _, cost = dilated_evolve(F_HAM, PLUS_RHO, 2.0, 8)
     assert cost.hamiltonian_time == 8 * np.sqrt(2.0 / 8)
     assert np.isclose(cost.hamiltonian_time, np.sqrt(8 * 2.0))
 
@@ -97,19 +95,19 @@ def test_default_steps_rule():
 
 
 def test_closed_form_matches_literal_composition():
-    # gaps up to 6 with sqrt(tau) = 1/3 put sqrt(tau)|gap| = 2 > pi/2, where
-    # cos(x) < 0 and odd step counts flip the sign
+    # normalized gaps up to 1 with sqrt(tau) = 2 put sqrt(tau)|gap| = 2 > pi/2,
+    # where cos(x) < 0 and odd step counts flip the sign
     rng = np.random.default_rng(4)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    f = (q * np.array([-3.0, -1.0, 0.5, 3.0])) @ q.conj().T
+    ham = normalize_spectrum((q * np.array([-3.0, -1.0, 0.5, 3.0])) @ q.conj().T)
     rho = random_density(rng, 4)
-    tau = 1.0 / 9.0
+    tau = 4.0
     literal, done = rho, 0
     for steps in (1, 7, 100, 500):
         while done < steps:
-            literal = dilated_step(f, literal, tau)
+            literal = dilated_step(ham.matrix, literal, tau)
             done += 1
-        closed, _ = dilated_evolve(f, rho, steps * tau, steps)
+        closed, _ = dilated_evolve(ham, rho, steps * tau, steps)
         assert np.max(np.abs(closed - literal)) <= 1e-12
 
 
@@ -117,15 +115,35 @@ def test_closed_form_accurate_at_huge_step_counts():
     # ln cos(x)^N = -t/2 - t^2/(12 N) - O(t^3/N^2) at x = sqrt(t/N); plain
     # cos(x)**N loses ~1e-7 here because cos(x) rounds next to 1
     n, t = 2_621_440_000, 64.0
-    out, _ = dilated_evolve(F, PLUS_RHO, t, n)
+    out, _ = dilated_evolve(F_HAM, PLUS_RHO, t, n)
     log_k = np.log(2.0 * abs(out[0, 1]))
     assert abs(log_k + t / 2 + t ** 2 / (12 * n)) <= 1e-12
 
 
 def test_validation():
     with pytest.raises(ValidationError):
-        dilated_evolve(F, PLUS_RHO, 1.0, 0)
+        dilated_evolve(F_HAM, PLUS_RHO, 1.0, 0)
     with pytest.raises(ValidationError):
         dilated_step(F, PLUS_RHO, 0.0)
     with pytest.raises(ValidationError):
         dilated_step(F, np.eye(3) / 3, 0.1)
+
+
+def test_one_eigendecomposition(monkeypatch):
+    # normalize_spectrum decomposes the jump once; dilated_evolve reuses it
+    calls = []
+    herm_eig = nk.herm_eig
+
+    def counted(a, *args):
+        calls.append(a.shape)
+        return herm_eig(a, *args)
+
+    monkeypatch.setattr(nk, "herm_eig", counted)
+    rng = np.random.default_rng(5)
+    ham = normalize_spectrum(random_density(rng, 6))
+    assert calls == [(6, 6)]
+    rho = random_density(rng, 6)
+    out, _ = dilated_evolve(ham, rho, 2.0, 9)
+    assert calls == [(6, 6)]
+    # cos(x)^N against exp(-N x^2 / 2) differs by at most t tau / 12 < 0.04 in the log
+    assert np.max(np.abs(out - lindblad_exact_hermitian(ham, rho, 2.0))) <= 0.05

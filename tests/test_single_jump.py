@@ -1,0 +1,127 @@
+"""The single-Hermitian-jump channels share one decomposition and one
+multiplier, ``Hamiltonian.dephase``, and ``Hamiltonian`` checks what it is
+applied to: the checks raise typed errors for every route, and the routes
+agree with their literal counterparts on generated jumps."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+from lindbladff import (TOL, ValidationError, decompose_state, dilated_evolve,
+                        dilated_step, ff_evolve, lindblad_exact_hermitian,
+                        normalize_spectrum, plan)
+from lindbladff.exact_oracle import steady_state
+
+from conftest import random_density, random_state
+
+HAM3 = normalize_spectrum(np.diag([0.0, 0.5, 1.0]).astype(complex))
+PLAN = plan(1.0, 0.1, n_override=16)
+
+MIXED_ROUTES = {
+    "exact": lambda rho: lindblad_exact_hermitian(HAM3, rho, 1.0),
+    "steady_state": lambda rho: steady_state(HAM3, rho),
+    "dilated": lambda rho: dilated_evolve(HAM3, rho, 1.0, 4),
+    "ff_density": lambda rho: ff_evolve(HAM3, rho, PLAN),
+}
+PURE_ROUTES = {
+    "decompose_state": lambda psi: decompose_state(psi, HAM3),
+    "ff_pure": lambda psi: ff_evolve(HAM3, psi, PLAN),
+}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("route", sorted(MIXED_ROUTES))
+    @pytest.mark.parametrize("rho", [np.eye(2) / 2, np.eye(4) / 4], ids=["dim2", "dim4"])
+    def test_mismatched_density_is_typed(self, route, rho):
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            MIXED_ROUTES[route](rho.astype(complex))
+
+    @pytest.mark.parametrize("route", sorted(MIXED_ROUTES))
+    def test_non_square_density_is_typed(self, route):
+        with pytest.raises(ValidationError):
+            MIXED_ROUTES[route](np.full((3, 2), 1 / math.sqrt(6.0), dtype=complex))
+
+    @pytest.mark.parametrize("route", sorted(PURE_ROUTES))
+    @pytest.mark.parametrize("psi", [np.array([1.0, 0.0]), np.ones(4) / 2],
+                             ids=["dim2", "dim4"])
+    def test_mismatched_state_is_typed(self, route, psi):
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            PURE_ROUTES[route](psi.astype(complex))
+
+    def test_column_state_is_typed(self):
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            HAM3.components(np.ones((3, 1), dtype=complex) / math.sqrt(3.0))
+
+
+# ---------------------------------------------------------------------------
+# Generated jumps: exact degeneracies and gaps just under and just over the
+# cluster tolerance cluster_rtol * ||H||
+# ---------------------------------------------------------------------------
+
+# Step from one eigenvalue to the next, in cluster tolerances: an exact
+# repeat, just under one tolerance, just over it, or a fresh value
+_STEPS = {"repeat": 0.0, "under": 0.9, "over": 1.1, "fresh": None}
+
+
+@hst.composite
+def jumps(draw):
+    """A Hermitian jump of dim 2-6 with structured spectrum, and a generator
+    seeded for its eigenbasis and the states it is applied to."""
+    dim = draw(hst.integers(2, 6))
+    fresh = draw(hst.lists(hst.floats(-3.0, 3.0), min_size=dim, max_size=dim))
+    steps = draw(hst.lists(hst.sampled_from(sorted(_STEPS)), min_size=dim - 1,
+                           max_size=dim - 1))
+    # anchors: the eigenvalues without the sub-tolerance offsets, which fix
+    # ||H|| to far better than the 10% margin around the tolerance
+    anchors, offsets = [fresh[0]], [0.0]
+    for step, value in zip(steps, fresh[1:]):
+        if _STEPS[step] is None:
+            anchors.append(value)
+            offsets.append(0.0)
+        else:
+            anchors.append(anchors[-1])
+            offsets.append(offsets[-1] + _STEPS[step])
+    tol = TOL.cluster_rtol * max(abs(x) for x in anchors)
+    eigs = np.array(anchors) + tol * np.array(offsets)
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return (q * eigs) @ q.conj().T, rng
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=jumps(), steps=hst.integers(1, 7), mixed=hst.booleans())
+@pytest.mark.parametrize("root_tau", [0.3, 2.0])
+def test_dilated_evolve_matches_literal_steps(root_tau, case, steps, mixed):
+    # root_tau = 2 puts sqrt(tau) * gap = 2 > pi/2 at the largest normalized
+    # gap, where cos < 0 and odd step counts flip the sign
+    f, rng = case
+    ham = normalize_spectrum(f)
+    if mixed:
+        rho0 = random_density(rng, ham.dim)
+    else:
+        psi = random_state(rng, ham.dim)
+        rho0 = np.outer(psi, psi.conj())
+    tau = root_tau ** 2
+    literal = rho0
+    for _ in range(steps):
+        literal = dilated_step(ham.matrix, literal, tau)
+    closed, cost = dilated_evolve(ham, rho0, steps * tau, steps)
+    assert np.max(np.abs(closed - literal)) <= 1e-12
+    assert cost.step_count == steps
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=jumps(), t=hst.floats(0.25, 4.0), eps=hst.floats(0.01, 0.5),
+       n=hst.integers(2, 200))
+def test_ff_pure_equals_ff_density(case, t, eps, n):
+    f, rng = case
+    ham = normalize_spectrum(f)
+    psi = random_state(rng, ham.dim)
+    p = plan(t, eps, n_override=n)
+    pure, cost_pure = ff_evolve(ham, psi, p)
+    dens, cost_dens = ff_evolve(ham, np.outer(psi, psi.conj()), p)
+    assert np.max(np.abs(pure - dens)) <= 1e-12
+    assert cost_pure == cost_dens
