@@ -6,13 +6,13 @@ __version__ = "0.1.0"
 
 from .config import TOL
 from .errors import CapacityError, InvariantError, ValidationError
-from .dilated import CostReport, dilated_evolve, dilated_step, default_steps
+from .dilated import CostReport, dilated_evolve, default_steps
 from .exact_oracle import (lindblad_exact_general, lindblad_exact_hermitian,
                            lindblad_rk4, steady_state)
 from .fastforward import FFPlan, dense_circuit_reference, ff_evolve, plan
 from .gibbs import GibbsResult, exact_gibbs, gibbs_prepare
 from .model import (Hamiltonian, LindbladSpec, SpectralState, SpectrumMap,
-                    decompose_state, dilate, lindblad_spec,
+                    decompose_state, lindblad_spec,
                     normalize_spectrum, normalized_jump, parse_dense_matrix,
                     parse_pauli_sum, shift_to_zero, spectral_gap)
 from .qpe import (AmplitudeDecision, AmplitudeProblem, EstimationResult,

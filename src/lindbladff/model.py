@@ -1,5 +1,5 @@
-"""Hamiltonian and jump-operator models: parsing, spectral normalization,
-dilations, and eigenspace bookkeeping.
+"""Hamiltonian and jump-operator models: parsing, spectral normalization
+and eigenspace bookkeeping.
 
 A :class:`Hamiltonian` always carries a normalized spectrum together with the
 affine map back to the caller's original energy units.  Degenerate eigenvalues
@@ -179,16 +179,6 @@ def shift_to_zero(ham: Hamiltonian, beta: int) -> Hamiltonian:
     eigs_n[beta] = 0.0
     smap = ham.spectrum_map.compose(scale, float(h_beta))
     return Hamiltonian(eigs_n, ham.vectors, ham.levels, smap, ham.clustered, ham.zero_width)
-
-
-def dilate(f: np.ndarray) -> np.ndarray:
-    """Block anti-diagonal dilation [[0, F^dag], [F, 0]] (ancilla high-order)."""
-    f = nk.require_square(f)
-    d = f.shape[0]
-    out = np.zeros((2 * d, 2 * d), dtype=complex)
-    out[:d, d:] = f.conj().T
-    out[d:, :d] = f
-    return out
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,11 @@ levels and O(N L) memory, one complex row of N + 1 counts per level.
 Post-selecting count 0 needs only X[0] = sum_k alpha_k^N s_hat_k, which is
 O(P L) after the FFT.
 
-Sampling a count draws on the distribution's support only (``_pick_outcome``)
-and the standard route adds its distribution up one level at a time, so no
-route holds more than a few arrays of its register size.
+Sampling a count draws on the distribution's support only (``_pick_outcome``),
+so no route holds more than a few arrays of its register size.  The standard
+route sums its distribution in fixed blocks of 2^14 outcomes, all levels into
+one block before the next: an exact-mode call holds the 2^d distribution
+(32 MiB at d = 22) and O(block) scratch, whatever the level count.
 """
 
 from __future__ import annotations
@@ -102,20 +104,34 @@ def _circular_distance(theta: np.ndarray) -> np.ndarray:
     return np.minimum(tw, 1.0 - tw)
 
 
+# Outcomes per block of the standard route's distribution: its scratch arrays
+# hold this many entries, whatever the register size.
+_STANDARD_BLOCK = 1 << 14
+
+
 def standard_qpe(ham: Hamiltonian, state: SpectralState, d: int,
                  mode: str = "exact", seed=None,
                  repeats: int = 1) -> EstimationResult:
-    """Fourier phase estimation with d register bits, exact distribution."""
+    """Fourier phase estimation with d register bits, exact distribution.
+
+    The 2^d outcomes are summed in blocks of ``_STANDARD_BLOCK``, every level
+    added into one block before the next, so the call holds the distribution
+    and O(block) scratch.  Each entry is the same sum in the same order as
+    over the whole grid at once.
+    """
     if d < 1:
         raise ValidationError(f"need at least one register bit, got {d}")
-    ys = np.arange(1 << d) / (1 << d)
-    dist = np.zeros(1 << d)
-    for h, w in zip(ham.eigenvalues, state.weights):
-        dist += w * _dirichlet_ratio(h - ys, d)
+    size = 1 << d
+    dist = np.zeros(size)
+    for lo in range(0, size, _STANDARD_BLOCK):
+        block = dist[lo: lo + _STANDARD_BLOCK]
+        ys = np.arange(lo, lo + block.size) / size
+        for h, w in zip(ham.eigenvalues, state.weights):
+            block += w * _dirichlet_ratio(h - ys, d)
     dist /= 4 ** d
     y = _pick_outcome(dist, mode, seed, repeats)
-    h_norm = y / (1 << d)
-    cost = CostReport(float((1 << d) - 1), d, d)
+    h_norm = y / size
+    cost = CostReport(float(size - 1), d, d)
     return EstimationResult(
         estimate=float(ham.spectrum_map.to_original(h_norm)),
         estimate_normalized=float(h_norm),
@@ -462,25 +478,32 @@ def _grover_iterate(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _orthogonal_log(u: np.ndarray) -> np.ndarray:
     """Hermitian H with exp(-i H) = U for real orthogonal U, principal branch.
 
-    Real Schur form of a normal matrix is block diagonal: 1x1 blocks +-1 and
-    2x2 rotation blocks.  Eigenphase pi is assigned to +pi.
-    """
-    from scipy.linalg import schur
+    U is normal, so its symmetric part C = (U + U^T)/2 commutes with its
+    antisymmetric part S = (U - U^T)/2, and C^2 - S^2 = U^T U = 1.  On the
+    eigenspace of C with eigenvalue cos phi, phi in [0, pi], S^2 = -sin^2 phi,
+    so U = cos phi + S = exp(phi S / sin phi) there: H = i f(C) S with
+    f(cos phi) = phi / sin phi.  f is smooth up to cos phi = 1, where f = 1
+    and S vanishes, so H = 0 there; on cos phi = -1 H = pi, so eigenphase pi
+    maps to +pi.  In the eigenbasis of C, f(C) S is formed as
+    (f_i + f_j)/2 S_ij.  That equals f(C) S because S commutes with C; it is
+    antisymmetric, so H is Hermitian; and it is continuous in the cosines, so
+    near-equal eigenvalues of C need no grouping.
 
-    t, q = schur(u, output="real")
-    dim = u.shape[0]
-    h = np.zeros((dim, dim), dtype=complex)
-    i = 0
-    while i < dim:
-        if i + 1 < dim and abs(t[i + 1, i]) > 1e-10:
-            phi = math.atan2(t[i + 1, i], t[i, i])
-            h[i, i + 1] = -1j * phi
-            h[i + 1, i] = 1j * phi
-            i += 2
-        else:
-            h[i, i] = math.pi if t[i, i] < 0 else 0.0
-            i += 1
-    return q @ h @ q.conj().T
+    Eigenvalues of C within 2 dim eps of -1 are eigenphase pi: forming C
+    rounds it by at most dim eps in norm and eigh is backward stable, about
+    dim eps ||C|| with ||C|| <= 1, so by Weyl a -1 of the exact C is computed
+    within 2 dim eps of -1.  A rotation within about sqrt(4 dim eps) of
+    eigenphase pi is therefore not told apart from it.
+    """
+    cos, v = np.linalg.eigh(0.5 * (u + u.T))
+    flip = cos <= -1.0 + 2 * u.shape[0] * np.finfo(float).eps
+    c = np.clip(cos, -1.0, 1.0)
+    sin = np.sqrt((1.0 - c) * (1.0 + c))
+    ratio = np.divide(np.arccos(c), sin, out=np.ones_like(c), where=sin > 0)
+    ratio[flip] = 0.0
+    s = v.T @ (0.5 * (u - u.T)) @ v
+    h = 1j * (v @ (0.5 * (ratio[:, None] + ratio[None, :]) * s) @ v.T)
+    return h + math.pi * (v[:, flip] @ v[:, flip].T)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from lindbladff import ValidationError
 from lindbladff import numkernel as nk
 from lindbladff.fastforward import _residue_phases
 from lindbladff.kernels import binom_residue_weights
@@ -76,3 +77,66 @@ def goal_ledger(ham, psi, p):
 def residue_of(p, m):
     """Residue class driving the system action for address m."""
     return np.mod(np.asarray(m) - p.shift, p.period)
+
+
+# ---------------------------------------------------------------------------
+# Literal-circuit oracle for the dilated channel: one ancilla-assisted step,
+# built and applied on the joint register-system space
+# ---------------------------------------------------------------------------
+
+def dilate(f):
+    """Block anti-diagonal dilation [[0, F^dag], [F, 0]] (ancilla high-order)."""
+    f = nk.require_square(f)
+    d = f.shape[0]
+    out = np.zeros((2 * d, 2 * d), dtype=complex)
+    out[:d, d:] = f.conj().T
+    out[d:, :d] = f
+    return out
+
+
+def _step_unitary(f, tau):
+    ft = dilate(f)
+    w, v = np.linalg.eigh(ft)
+    return (v * np.exp(-1j * w * math.sqrt(tau))) @ v.conj().T
+
+
+def _apply_step(u, rho):
+    d = rho.shape[0]
+    joint = np.zeros((2 * d, 2 * d), dtype=complex)
+    joint[:d, :d] = rho
+    joint = u @ joint @ u.conj().T
+    return joint[:d, :d] + joint[d:, d:]
+
+
+def dilated_step(f, rho, tau):
+    """One exact ancilla-assisted step of duration tau (evolution sqrt(tau))."""
+    if tau <= 0:
+        raise ValidationError(f"step duration must be positive, got {tau}")
+    f = nk.require_hermitian(f)
+    rho = nk.require_square(rho)
+    if rho.shape[0] != f.shape[0]:
+        raise ValidationError(f"dimension mismatch: rho {rho.shape[0]} vs jump {f.shape[0]}")
+    return _apply_step(_step_unitary(f, tau), rho)
+
+
+def schur_orthogonal_log(u):
+    """Principal Hermitian logarithm of a real orthogonal U through scipy's
+    real Schur form, independent of ``qpe._orthogonal_log``: the form of a
+    normal matrix is block diagonal, 1x1 blocks +-1 and 2x2 rotation blocks,
+    and eigenphase pi is assigned to +pi."""
+    from scipy.linalg import schur
+
+    t, q = schur(u, output="real")
+    dim = u.shape[0]
+    h = np.zeros((dim, dim), dtype=complex)
+    i = 0
+    while i < dim:
+        if i + 1 < dim and abs(t[i + 1, i]) > 1e-10:
+            phi = math.atan2(t[i + 1, i], t[i, i])
+            h[i, i + 1] = -1j * phi
+            h[i + 1, i] = 1j * phi
+            i += 2
+        else:
+            h[i, i] = math.pi if t[i, i] < 0 else 0.0
+            i += 1
+    return q @ h @ q.conj().T

@@ -151,17 +151,20 @@ class TestSubcommands:
         assert rec["outputs"]["accuracy"] >= 2 / 3
 
     def test_ae_demo_builds_problem_once(self, monkeypatch):
-        # reference record written by the per-run implementation the problem
-        # cache replaced; the runs must sample exactly the same counts
+        # the runs sample the counts (and decisions) of the per-run
+        # implementation the problem cache replaced; the phases are those of
+        # the numpy-only iterate logarithm, within 1e-15 of the Schur form's
+        runs = (
+            (13, "0.3271551075578256"), (16, "0.418459334956772"), (19, "0.5015961867149552"),
+            (14, "0.35865242810772746"), (0, "-0.5053605102841578"), (0, "-0.5053605102841578"),
+            (0, "-0.5053605102841578"), (24, "0.6268252863111008"), (0, "-0.5053605102841578"),
+            (0, "-0.5053605102841578"), (21, "0.5534416965239124"), (21, "0.5534416965239124"))
         want = (
             '{"artifact_version":"0.1.0","command":["ae-demo","--n","4","--witnesses","1",'
             '"--runs","12","--N","2048","--seed","7"],"cost":null,"ham_digest":null,'
             '"outputs":{"accuracy":1.0,"amplitude":0.25,"runs":['
-            + ",".join('{"correct":true,"decided_zero":false,"estimate_phase":%s}' % v for v in (
-                "0.3271551075578264", "0.4184593349567728", "0.501596186714956",
-                "0.35865242810772824", "-0.5053605102841571", "-0.5053605102841571",
-                "-0.5053605102841571", "0.6268252863111016", "-0.5053605102841571",
-                "-0.5053605102841571", "0.5534416965239132", "0.5534416965239132"))
+            + ",".join('{"correct":true,"decided_zero":false,"estimate_phase":%s}' % v
+                       for _, v in runs)
             + '],"threshold":0.25268025514207865,"witness_count":1},"seed":7}\n'
         )
         calls = []
@@ -171,10 +174,20 @@ class TestSubcommands:
             calls.append(u)
             return original(u)
 
+        decisions = []
+        decide = cli.decide_amplitude
+
+        def recorded(*args, **kwargs):
+            decisions.append(decide(*args, **kwargs))
+            return decisions[-1]
+
         monkeypatch.setattr(qpe, "_orthogonal_log", counted)
+        monkeypatch.setattr(cli, "decide_amplitude", recorded)
         rc, out = invoke(["ae-demo", "--n", "4", "--witnesses", "1", "--runs", "12",
                           "--N", "2048", "--seed", "7"])
         assert rc == 0 and len(calls) == 1
+        assert [(d.estimation.raw_outcome, d.decided_zero, d.correct) for d in decisions] == [
+            (raw, False, True) for raw, _ in runs]
         assert strip_wall_time(out) == want
 
     def test_stateprep_tables(self):
@@ -250,6 +263,9 @@ class TestColdStart:
                 ["stateprep", "--what", "binomial", "--N", "16"],
                 ["gibbs", "--ham", ham, "--beta", "1", "--eps", "0.05"],
                 ["bounds"],
+                ["ae-demo", "--n", "2", "--witnesses", "1", "--runs", "2", "--N", "256",
+                 "--seed", "1"],
+                ["qpe", "--route", "standard", "--ham", ham, "--d", "6"],
             ):
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert cli.run(argv) == 0, argv

@@ -3,12 +3,10 @@ import pytest
 from scipy.linalg import expm
 
 from lindbladff import (ValidationError, default_steps, dilated_evolve,
-                        dilated_step, lindblad_exact_hermitian,
-                        normalize_spectrum)
+                        lindblad_exact_hermitian, normalize_spectrum)
 from lindbladff import numkernel as nk
-from lindbladff.model import dilate
 
-from conftest import random_density
+from conftest import dilate, dilated_step, random_density
 
 PLUS_RHO = np.full((2, 2), 0.5, dtype=complex)
 F = np.diag([0.0, 1.0]).astype(complex)

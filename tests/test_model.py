@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from lindbladff import TOL, ValidationError, model
 
-from conftest import PAULI_X, PAULI_Z, random_hermitian, random_state
+from conftest import PAULI_X, PAULI_Z, dilate, random_hermitian, random_state
 
 
 class TestPauliSum:
@@ -279,15 +279,15 @@ class TestShiftToZero:
 
 class TestDilate:
     def test_scalar(self):
-        assert np.allclose(model.dilate(np.array([[2.0]])), [[0, 2], [2, 0]])
+        assert np.allclose(dilate(np.array([[2.0]])), [[0, 2], [2, 0]])
 
     def test_identity_becomes_x_tensor(self):
         want = np.kron(PAULI_X, np.eye(2))
-        assert np.allclose(model.dilate(np.eye(2)), want)
+        assert np.allclose(dilate(np.eye(2)), want)
 
     def test_norm_preserved(self, rng):
         f = random_hermitian(rng, 3)
-        tilde = model.dilate(f)
+        tilde = dilate(f)
         assert np.isclose(
             np.max(np.abs(np.linalg.eigvalsh(tilde))),
             np.max(np.abs(np.linalg.eigvalsh(f))),
@@ -295,7 +295,7 @@ class TestDilate:
 
     def test_square_is_block_diagonal(self, rng):
         f = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        tilde = model.dilate(f)
+        tilde = dilate(f)
         sq = tilde @ tilde
         want = np.zeros_like(sq)
         want[:3, :3] = f.conj().T @ f

@@ -23,7 +23,8 @@ from lindbladff.qpe import (_alpha_phases, _counting_distribution,
                            _fast_distribution, _grover_iterate, _level_rows, _level_spectrum,
                            _orthogonal_log, _sample_counts, _transformed_row_zero)
 
-from conftest import goal_ledger, log_binom, random_hermitian, random_state, residue_of
+from conftest import (goal_ledger, log_binom, random_hermitian, random_state, residue_of,
+                      schur_orthogonal_log)
 
 
 def eigenstate_input(h, other=None):
@@ -504,9 +505,63 @@ class TestAmplitudeDemo:
         assert correct / runs >= 0.95
 
 
+def grover_iterates():
+    """Every search iterate with n <= 6 address bits and W = 0..2^n witnesses."""
+    for n in range(1, 7):
+        for w in range(2 ** n + 1):
+            bits = np.zeros(2 ** n, dtype=int)
+            bits[:w] = 1
+            yield pytest.param(_grover_iterate(bits)[0], id=f"grover-n{n}-w{w}")
+
+
+def rotation_matrix(rng, plus, minus, angles):
+    """Random real orthogonal matrix with ``plus`` eigenvalues +1, ``minus``
+    eigenvalues -1 and one rotation pair e^(+-i a) per entry of ``angles``."""
+    dim = plus + minus + 2 * len(angles)
+    block = np.zeros((dim, dim))
+    block[np.arange(plus), np.arange(plus)] = 1.0
+    block[np.arange(plus, plus + minus), np.arange(plus, plus + minus)] = -1.0
+    for j, a in enumerate(angles):
+        i = plus + minus + 2 * j
+        block[i:i + 2, i:i + 2] = [[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]
+    q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    return q @ block @ q.T
+
+
+def generated_rotations():
+    """Repeated +-1 eigenvalues and repeated rotation pairs, angles at least
+    0.05 from 0 and pi."""
+    rng = np.random.default_rng(20261018)
+    for case in range(60):
+        plus, minus = (int(k) for k in rng.integers(0, 6, size=2))
+        angles = [a for a in rng.uniform(0.05, math.pi - 0.05, size=int(rng.integers(0, 4)))
+                  for _ in range(int(rng.integers(1, 4)))]
+        if plus + minus + len(angles) == 0:
+            plus = 1
+        yield pytest.param(rotation_matrix(rng, plus, minus, angles), id=f"generated-{case}")
+    yield pytest.param(-np.eye(4), id="minus-only")
+    yield pytest.param(np.eye(3), id="plus-only")
+    yield pytest.param(rotation_matrix(rng, 2, 3, [0.5 * math.pi] * 3), id="quarter-turns")
+    yield pytest.param(rotation_matrix(rng, 1, 3, [math.pi - 0.05] * 2), id="near-pi")
+    # distinct rotations whose cosines differ by about 1e-9
+    yield pytest.param(rotation_matrix(rng, 2, 2, [1.3, 1.3 + 1e-9, 1.3 + 2e-9, 0.1, 0.1 + 1e-9]),
+                       id="close-pairs")
+
+
+class TestOrthogonalLog:
+    @pytest.mark.parametrize("u", [*grover_iterates(), *generated_rotations()])
+    def test_principal_log_matches_schur_oracle(self, u):
+        h = _orthogonal_log(u)
+        assert np.max(np.abs(expm(-1j * h) - u)) <= 1e-12
+        assert np.max(np.abs(h - h.conj().T)) <= 1e-12
+        phases = np.linalg.eigvalsh(h)
+        assert phases.min() > -math.pi + 1e-6 and phases.max() <= math.pi + 1e-12
+        assert np.max(np.abs(h - schur_orthogonal_log(u))) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
-# Support-sized readouts: per-level fast rows, support sampling, level-at-a-
-# time standard distribution
+# Support-sized readouts: per-level fast rows, support sampling, the standard
+# distribution in blocks of outcomes
 # ---------------------------------------------------------------------------
 
 def level_subset_state(ham, rng, populated):
@@ -622,6 +677,15 @@ class TestStandardLevels:
         got = standard_qpe(ham, st, d).distribution
         assert got.tobytes() == dense_standard_distribution(ham, st, d).tobytes()
 
+    @pytest.mark.parametrize("d", (15, 16, 18))
+    def test_blocks_bit_identical_to_dense_grid(self, rng, d):
+        # 2, 4 and 16 blocks of outcomes; one phase sits exactly on the grid
+        ham = normalize_spectrum(np.diag([0.0, 3.0 / 8.0, 0.3, 0.71, 1.0]))
+        st = decompose_state(random_state(rng, 5), ham)
+        got = standard_qpe(ham, st, d).distribution
+        assert got.size == 1 << d > qpe._STANDARD_BLOCK
+        assert got.tobytes() == dense_standard_distribution(ham, st, d).tobytes()
+
 
 # Peak RSS of one route call in a fresh process, against a bare import.  The
 # peak is the new image's VmHWM: ru_maxrss survives exec and would report the
@@ -639,6 +703,8 @@ if sys.argv[1] != "import":
     state = decompose_state(v / np.linalg.norm(v), ham)
     if sys.argv[1] == "slow":
         slow_qpe(ham, state, 1024.0, 10 ** 7, mode="sample", seed=5, repeats=15)
+    elif sys.argv[1] == "standard22":
+        standard_qpe(ham, state, 22)
     else:
         standard_qpe(ham, state, 18)
 with open("/proc/self/status") as status:
@@ -654,8 +720,10 @@ def _max_rss_kib(what):
 
 
 class TestRouteMemory:
-    @pytest.mark.parametrize("route", ("slow", "standard"))
+    @pytest.mark.parametrize("route", ("slow", "standard", "standard22"))
     def test_route_stays_near_import_baseline(self, route):
-        # a register-sized float array is 76 MiB for the slow route at N = 10^7
+        # a register-sized float array is 76 MiB for the slow route at N = 10^7;
+        # at d = 22 the standard route's distribution alone is 32 MiB
+        bound_mib = 48 if route == "standard22" else 32
         extra = _max_rss_kib(route) - _max_rss_kib("import")
-        assert extra <= 32 * 1024, extra / 1024
+        assert extra <= bound_mib * 1024, extra / 1024

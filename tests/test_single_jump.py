@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from lindbladff import (TOL, ValidationError, decompose_state, dilated_evolve,
-                        dilated_step, ff_evolve, lindblad_exact_hermitian,
-                        normalize_spectrum, plan)
+                        ff_evolve, lindblad_exact_hermitian, normalize_spectrum,
+                        plan)
 from lindbladff.exact_oracle import steady_state
 
-from conftest import random_density, random_state
+from conftest import dilated_step, random_density, random_state
 
 HAM3 = normalize_spectrum(np.diag([0.0, 0.5, 1.0]).astype(complex))
 PLAN = plan(1.0, 0.1, n_override=16)
