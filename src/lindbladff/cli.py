@@ -209,9 +209,9 @@ def _cmd_evolve(args, argv, emit: _Emitter):
         }
     elif args.method == "dilated":
         steps = args.steps if args.steps else default_steps(args.t, args.eps)
-        rho, cost = dilated_evolve(ham, np.outer(psi, psi.conj()), args.t, steps)
+        rho, cost = dilated_evolve(ham, psi, args.t, steps)
     elif args.method == "exact":
-        rho = lindblad_exact_hermitian(ham, np.outer(psi, psi.conj()), args.t)
+        rho = lindblad_exact_hermitian(ham, psi, args.t)
         cost = CostReport(0.0, 0, 0)
     else:
         raise ValidationError(f"unknown method {args.method!r}")
@@ -402,19 +402,18 @@ def _bench_ff_vs_dilated(args, argv, emit: _Emitter):
     mat = np.diag([0.0, 1.0]).astype(complex)
     ham = model.normalize_spectrum(mat)
     psi = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    rho0 = np.outer(psi, psi.conj())
     ts = _parse_floats(args.t or "1,2,4,8,16,32,64")
     emit.text("t,method,hamiltonian_time,steps,ancillas,trace_distance_to_exact")
     ff_costs, dil_costs = [], []
     for t in ts:
-        exact = lindblad_exact_hermitian(ham, rho0, t)
+        exact = lindblad_exact_hermitian(ham, psi, t)
         p = make_plan(t, args.eps)
         rho_ff, cost_ff = ff_evolve(ham, psi, p)
         ff_costs.append(cost_ff.hamiltonian_time)
         emit.text(f"{t},ff,{cost_ff.hamiltonian_time!r},{cost_ff.step_count},"
                   f"{cost_ff.ancilla_count},{nk.trace_distance(rho_ff, exact)!r}")
         steps = default_steps(t, args.eps)
-        rho_d, cost_d = dilated_evolve(ham, rho0, t, steps)
+        rho_d, cost_d = dilated_evolve(ham, psi, t, steps)
         dil_costs.append(cost_d.hamiltonian_time)
         emit.text(f"{t},dilated,{cost_d.hamiltonian_time!r},{cost_d.step_count},"
                   f"{cost_d.ancilla_count},{nk.trace_distance(rho_d, exact)!r}")

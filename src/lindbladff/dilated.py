@@ -42,7 +42,8 @@ def default_steps(t: float, eps: float) -> int:
 
 def dilated_evolve(ham: Hamiltonian, rho0: np.ndarray, t: float, steps: int
                    ) -> tuple[np.ndarray, CostReport]:
-    """Compose ``steps`` dilated steps of the jump ``ham`` with tau = t / steps.
+    """Compose ``steps`` dilated steps of the jump ``ham`` with tau = t / steps,
+    from a density matrix or a state vector (see ``Hamiltonian.dephase``).
 
     One step multiplies the coherence between eigenvalues a and b of the jump
     by cos(sqrt(tau) (h_a - h_b)), so the composition is the closed-form

@@ -23,7 +23,8 @@ from .model import Hamiltonian, LindbladSpec
 
 
 def lindblad_exact_hermitian(ham: Hamiltonian, rho0: np.ndarray, t: float) -> np.ndarray:
-    """Dephasing-channel solution for the single Hermitian jump ``ham``."""
+    """Dephasing-channel solution for the single Hermitian jump ``ham``,
+    from a density matrix or a state vector (see ``Hamiltonian.dephase``)."""
     if t < 0:
         raise ValidationError(f"negative evolution time {t}")
     gaps = ham.eigenvalues[:, None] - ham.eigenvalues[None, :]

@@ -10,12 +10,14 @@ represented exactly by 2^d' system vectors plus one weight per residue class.
 That ledger is an exact description of the circuit (not an approximation) and
 is what keeps register counts of 10^5..10^7 runnable at desk scale.
 
-Nothing holds the whole ledger: ``ff_evolve`` streams a pure input's ledger
-in blocks of B residue classes (B a power of two, one block of B x dim complex
-numbers within 4 MiB), adding each block's share of the density matrix as it
-goes, in O(B dim + dim^2) memory whatever the register count.  A mixed input
-is multiplied by the ``gap_kernel`` in the jump's eigenbasis instead, which
-streams its phase tables in the same blocks, and the fast phase-estimation
+Nothing holds the whole ledger.  For every pure component it realizes the
+level-pair ``gap_kernel`` sum_r w_r e^{-i (h_a - h_b) theta_r}, and
+``ff_evolve`` applies that kernel through ``Hamiltonian.dephase``: a state
+vector on its eigenspace components, a density matrix in the eigenbasis.
+Residue classes r and P - r carry opposite phases and mirror weights, so the
+kernel is a cosine series over half the classes, summed in real arithmetic
+from blocks of the phase table (one block within 4 MiB), in O(block +
+levels^2) memory whatever the register count.  The fast phase-estimation
 readout works from one level's phase table at a time.
 
 Address arithmetic is modulo 2^d (the d-bit register) rather than modulo N;
@@ -38,8 +40,12 @@ from .dilated import CostReport
 from .kernels import binom_residue_weights
 from .model import Hamiltonian
 
-# Bytes of one streamed block of residue rows (see ``_residue_sum``).
+# Bytes of one streamed block of residue rows (see ``_block_rows``).
 _BLOCK_BYTES = 4 << 20
+# Residue rows per partial sum of ``gap_kernel``: each product sums at most
+# this many rows before it is added to the total, so no long sequential
+# accumulation loses digits against a partial sum near 1.
+_SUM_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -154,37 +160,47 @@ def _check_norm(eigs: np.ndarray):
         raise ValidationError("jump norm exceeds 1; normalize the spectrum and rescale time")
 
 
+def _real_imag_phases(p: FFPlan, eigs: np.ndarray, lo: int, rows: int) -> np.ndarray:
+    """Rows [lo, lo + rows) of the phase table as their real and imaginary
+    parts, shape (2, rows, n_levels)."""
+    x = _residue_phases(p, eigs, lo, rows)
+    return np.stack((x.real, x.imag))
+
+
 def gap_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
     """Fast-forward gap kernel sum_r w_r e^{-i (a - b) theta_r}, shape (len a, len b).
 
     Entry [i, j] multiplies the coherence between jump eigenvalues a_i and
-    b_j; ``ff_evolve`` applies it to a density matrix in the eigenbasis and
-    ``gibbs_prepare`` reads one column of it against eigenvalue 0.  The phase
-    tables stream in blocks of residue classes as in ``ff_evolve``, adding
-    (A_b^T w_b) @ conj(B_b) per block; one block is the whole-table product.
+    b_j; ``ff_evolve`` applies it through ``Hamiltonian.dephase`` and
+    ``gibbs_prepare`` reads one column of it against eigenvalue 0.  The
+    phases theta_r = sqrt(tau) (2r - P) of residue classes r and P - r are
+    opposite and their binomial weights mirror each other (equal up to
+    rounding), so each such pair adds (w_r + w_{P-r}) cos((a - b) theta_r).
+    The sum therefore runs over r in (0, P/2) only, as Re(x_r[a] conj(y_r[b]))
+    of the phase table rows: real products of their real parts and of their
+    imaginary parts, over blocks of rows sized by ``_block_rows`` and partial
+    sums of ``_SUM_ROWS`` rows.  Class P/2 (theta = 0) adds its weight and
+    the unpaired class 0 adds w_0 e^{i (a - b) sqrt(tau) P}.  Equal spectra
+    (the same array) build one table.
     """
     _check_norm(eigs_a)
     _check_norm(eigs_b)
-    return _residue_sum(p, max(eigs_a.size, eigs_b.size),
-                        lambda lo, rows: (_residue_phases(p, eigs_a, lo, rows),
-                                          _residue_phases(p, eigs_b, lo, rows)))
-
-
-def _residue_sum(p: FFPlan, width: int, tables) -> np.ndarray:
-    """Sum over blocks of residue classes of (X_b^T w_b) @ conj(Y_b), where
-    ``tables(lo, rows)`` returns the block's (X_b, Y_b), at most ``width``
-    columns each, and w_b its binomial residue weights."""
     weights = binom_residue_weights(p.n, p.period, -p.shift)
-    rows = _block_rows(p, width)
-    total = None
-    for lo in range(0, p.period, rows):
-        x, y = tables(lo, rows)
-        part = (x.T * weights[lo:lo + rows]) @ y.conj()
-        if total is None:
-            total = part
-        else:
-            total += part
-    return total
+    half = p.period // 2
+    fold = np.empty(half)
+    fold[0] = 0.0  # class 0 has no partner; it is added below
+    fold[1:] = weights[1:half] + weights[:half:-1]
+    rows = min(half, _block_rows(p, max(eigs_a.size, eigs_b.size)))
+    total = np.full((eigs_a.size, eigs_b.size), weights[half])
+    for lo in range(0, half, rows):
+        x = _real_imag_phases(p, eigs_a, lo, rows)
+        y = x if eigs_b is eigs_a else _real_imag_phases(p, eigs_b, lo, rows)
+        for k in range(2):  # real parts, then imaginary parts
+            for c in range(0, rows, _SUM_ROWS):
+                f = fold[lo + c:lo + c + _SUM_ROWS]
+                total += (x[k, c:c + _SUM_ROWS].T * f) @ y[k, c:c + _SUM_ROWS]
+    edge = math.sqrt(p.tau) * p.period  # -theta_0
+    return total + weights[0] * np.outer(np.exp(1j * edge * eigs_a), np.exp(-1j * edge * eigs_b))
 
 
 def ff_cost(p: FFPlan) -> CostReport:
@@ -197,30 +213,20 @@ def ff_evolve(ham: Hamiltonian, state0: np.ndarray, p: FFPlan
               ) -> tuple[np.ndarray, CostReport]:
     """Fast-forwarded simulation of the dephasing Lindbladian.
 
-    Accepts a state vector or a density matrix.  A state vector streams its
-    residue ledger in blocks of residue classes: each block's system vectors
-    S_b are built from their rows of the phase table and add
-    (S_b^T w_b) @ conj(S_b) to rho, so no more than one block of the ledger
-    is ever held, O(rows * dim + dim^2) memory for any register count.  When
-    one block covers the period this is the whole-ledger product.  A density
-    matrix is multiplied in the eigenbasis by the level-pair ``gap_kernel``
-    that the ledger realizes for every pure component.  The reported
-    Hamiltonian time 2^d' sqrt(tau) is exactly the evolution time the d'
-    controlled factors and one uncontrolled factor spend.
+    Accepts a state vector or a density matrix.  The circuit's residue
+    ledger realizes, for every pure component, the level-pair ``gap_kernel``
+    in the jump's eigenbasis, so either input is multiplied by that kernel
+    through ``ham.dephase``: a state vector on its eigenspace components, a
+    density matrix in the eigenbasis.  Memory is O(block + dim^2) for any
+    register count.  The reported Hamiltonian time 2^d' sqrt(tau) is exactly
+    the evolution time the d' controlled factors and one uncontrolled factor
+    spend.
     """
     state0 = np.asarray(state0, dtype=complex)
-    cost = ff_cost(p)
-    if state0.ndim == 1:
-        comps = ham.components(state0)
-        _check_norm(ham.eigenvalues)
-
-        def ledger_block(lo, rows):
-            s = _residue_phases(p, ham.eigenvalues, lo, rows) @ comps  # (rows, dim)
-            return s, s
-
-        return _residue_sum(p, ham.dim, ledger_block), cost
-    rho0 = nk.require_density(state0)
-    return ham.dephase(gap_kernel(p, ham.eigenvalues, ham.eigenvalues), rho0), cost
+    if state0.ndim != 1:
+        state0 = nk.require_density(state0)
+    kernel = gap_kernel(p, ham.eigenvalues, ham.eigenvalues)
+    return ham.dephase(kernel, state0), ff_cost(p)
 
 
 def dense_circuit_reference(ham: Hamiltonian, psi: np.ndarray, p: FFPlan) -> np.ndarray:

@@ -86,15 +86,21 @@ class Hamiltonian:
         starts = np.flatnonzero(np.diff(self.levels, prepend=-1))
         return np.add.reduceat(self.vectors * (self.vectors.conj().T @ v), starts, axis=1).T
 
-    def dephase(self, kernel: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    def dephase(self, kernel: np.ndarray, state: np.ndarray) -> np.ndarray:
         """sum_ab kernel[a, b] P_a rho P_b for an (n_levels, n_levels) kernel.
 
-        This is V (K o V^dag rho V) V^dag, rho multiplied entrywise in the
-        eigenbasis by K[levels[i], levels[j]].  Every single-Hermitian-jump
-        channel is this map, with ``kernel[a, b]`` a function of the
-        eigenvalue gap h_a - h_b.
+        Every single-Hermitian-jump channel is this map, with ``kernel[a, b]``
+        a function of the eigenvalue gap h_a - h_b.  A density matrix rho is
+        multiplied entrywise in the eigenbasis, V (K o V^dag rho V) V^dag
+        with K taken at [levels[i], levels[j]].  A state vector x stands for
+        rho = x x^dag and stays a vector until here: with C =
+        ``components(x)``, shape (n_levels, dim), the sum is C^T K conj(C),
+        O(n_levels dim^2) instead of four dim^3 products.
         """
-        rho = nk.require_square(rho)
+        if np.ndim(state) == 1:
+            comps = self.components(state)
+            return comps.T @ kernel @ comps.conj()
+        rho = nk.require_square(state)
         if rho.shape[0] != self.dim:
             raise ValidationError(f"dimension mismatch: rho {rho.shape[0]} vs Hamiltonian {self.dim}")
         v, vh = self.vectors, self.vectors.conj().T
@@ -343,15 +349,20 @@ def format_dense_matrix(a: np.ndarray) -> str:
 
 
 def load_hamiltonian_text(text: str, fmt: str = "auto") -> np.ndarray:
-    """Parse either supported Hamiltonian format, sniffing when fmt='auto'."""
+    """Parse either supported Hamiltonian format; fmt='auto' sniffs it from
+    the first line with content, so only the chosen parser reads the rest."""
     if fmt == "pauli":
         return parse_pauli_sum(text)
     if fmt == "dense":
         return parse_dense_matrix(text)
-    stripped = _strip(text)
-    if not stripped:
-        raise ValidationError("empty Hamiltonian file")
-    first = stripped[0][1]
-    if "," in first.split()[0]:
-        return parse_dense_matrix(text)
-    return parse_pauli_sum(text)
+    start = 0
+    while start < len(text):  # the first line with content decides
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        line = text[start:end].split("#", 1)[0].strip()
+        if line:
+            if "," in line.split()[0]:
+                return parse_dense_matrix(text)
+            return parse_pauli_sum(text)
+        start = end + 1
+    raise ValidationError("empty Hamiltonian file")

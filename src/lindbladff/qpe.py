@@ -227,19 +227,53 @@ def _counting_distribution(weights: np.ndarray, qs: np.ndarray, n: int) -> np.nd
     return dist
 
 
-def _sample_counts(dist: np.ndarray, seed, size: int) -> np.ndarray:
-    """``size`` outcomes drawn from ``dist``, choosing among its support only.
+# Outcomes per block of the sampler's cumulative sum.
+_SAMPLE_BLOCK = 1 << 16
 
-    Adding the zeros off the support to the cumulative sum is exact, so this
-    picks the same outcomes as ``Generator.choice(dist.size, p=dist /
-    dist.sum())`` without choice's two register-sized copies.
+
+def _sample_counts(dist: np.ndarray, seed, size: int) -> np.ndarray:
+    """``size`` outcomes drawn from ``dist`` by inverse CDF, in O(block) scratch.
+
+    ``Generator.choice(dist.size, p=dist / dist.sum())`` takes the sequential
+    cumulative sum of p, divides it by its last value and searches it (side
+    "right") for ``Generator.random(size)``.  Here that cumulative sum is
+    carried through blocks of ``_SAMPLE_BLOCK`` outcomes, twice: one pass
+    finds its last value, the next normalizes each block and resolves the
+    draws that fall in it.  All-zero blocks are skipped, so a distribution
+    on narrow windows costs little more than its support.  Every value is
+    the one the whole cumulative sum holds, so the outcomes are choice's,
+    without its register-sized copies.
     """
-    support = np.flatnonzero(dist)
-    mass = dist[support]
     total = dist.sum()
-    if not (np.all(mass > 0) and np.isfinite(total) and total > 0):
-        raise InvariantError("outcome distribution is negative, not finite or all zero")
-    return np.random.default_rng(seed).choice(support, p=mass / total, size=size)
+    if not (np.isfinite(total) and total > 0):
+        raise InvariantError("outcome distribution is not finite or all zero")
+
+    def blocks():
+        carry = 0.0
+        for lo in range(0, dist.size, _SAMPLE_BLOCK):
+            block = dist[lo: lo + _SAMPLE_BLOCK]
+            if not block.any():
+                continue  # adds nothing to the cumulative sum and holds no draw
+            if block.min() < 0:
+                raise InvariantError("outcome distribution has a negative entry")
+            cdf = block / total
+            cdf[0] += carry
+            np.cumsum(cdf, out=cdf)
+            carry = cdf[-1]
+            yield lo, cdf
+
+    for _, cdf in blocks():
+        pass
+    last = cdf[-1]
+    draws = np.random.default_rng(seed).random(size)
+    picks = np.empty(size, dtype=np.int64)
+    start = 0.0  # normalized cumulative sum before the block
+    for lo, cdf in blocks():
+        cdf /= last
+        inside = (draws >= start) & (draws < cdf[-1])
+        picks[inside] = lo + np.searchsorted(cdf, draws[inside], side="right")
+        start = cdf[-1]
+    return picks
 
 
 def _pick_outcome(dist: np.ndarray, mode: str, seed, repeats: int = 1) -> int:

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from lindbladff import (ValidationError, choi_ff_evolve, choi_generator_term,
+from lindbladff import (CapacityError, ValidationError, choi_ff_evolve, choi_generator_term,
                         ff_evolve, is_choi_commuting, lindblad_exact_general,
                         lindblad_rk4, lindblad_spec, normalize_spectrum,
                         pauli_noise_spec, plan)
+from lindbladff import choi
 from lindbladff import numkernel as nk
 from lindbladff.model import parse_pauli_sum
 
@@ -60,6 +61,43 @@ class TestCommutationCheck:
             spec = pauli_noise_spec([(s, float(rng.uniform(0.1, 1.0))) for s in chosen])
             ok, worst = is_choi_commuting(spec)
             assert ok and worst <= 1e-12, chosen
+
+    @pytest.mark.parametrize("qubits", [2, 3, 4, 5, 6])
+    def test_pauli_sets_pass_on_the_probe(self, rng, qubits, monkeypatch):
+        # every pair commutes or anticommutes, so no d^2 x d^2 generator is built
+        def no_generators(h):
+            raise AssertionError("superoperator fallback reached")
+
+        monkeypatch.setattr(choi, "choi_generator_term", no_generators)
+        for _ in range(3):
+            strings = ["".join(rng.choice(list("IXYZ"), size=qubits)) for _ in range(6)]
+            spec = pauli_noise_spec([(s, float(rng.uniform(0.1, 1.0))) for s in strings])
+            first = is_choi_commuting(spec)
+            assert first[0] and first[1] <= 1e-12, strings
+            assert is_choi_commuting(spec) == first
+
+    def test_tilted_pair_fails_through_the_fallback(self, monkeypatch):
+        tilted = (PAULI_X + PAULI_Z) / math.sqrt(2.0)
+        spec = lindblad_spec([PAULI_X, tilted])
+        built = []
+        original = choi.choi_generator_term
+
+        def counted(h):
+            built.append(h)
+            return original(h)
+
+        monkeypatch.setattr(choi, "choi_generator_term", counted)
+        first = is_choi_commuting(spec)
+        assert not first[0] and len(built) == 2
+        assert is_choi_commuting(spec) == first
+
+    def test_fallback_over_the_byte_budget_is_typed(self, monkeypatch):
+        tilted = (PAULI_X + PAULI_Z) / math.sqrt(2.0)
+        monkeypatch.setattr(choi, "_SUPEROP_BYTES", 5 * 16 * 2 ** 4 - 1)
+        with pytest.raises(CapacityError):
+            is_choi_commuting(lindblad_spec([PAULI_X, tilted]))
+        # pairs the probe settles never reach the budget
+        assert is_choi_commuting(lindblad_spec([PAULI_X, PAULI_Z]))[0]
 
     def test_commutator_expansion_matches_direct(self, rng):
         # expansion into jump-level commutators agrees with the direct bracket

@@ -249,15 +249,32 @@ class TestSubcommands:
 
 
 class TestColdStart:
-    def test_cli_paths_import_no_scipy(self):
-        # a fresh interpreter, so modules imported by other tests do not count
+    def test_cli_paths_import_no_scipy(self, tmp_path):
+        # a fresh interpreter, so modules imported by other tests do not count;
+        # the evolve calls run first and must not import numpy.random either
+        (tmp_path / "z.pauli").write_text("1.0 ZI\n")
+        (tmp_path / "x.pauli").write_text("1.0 XX\n")
+        jumps = tmp_path / "jumps.txt"
+        jumps.write_text("z.pauli 0.5\nx.pauli 0.25\n")
         code = textwrap.dedent(f"""
             import contextlib, io, sys
             import lindbladff.cli as cli
             ham = {HAM!r}
+
+            def run(argv):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.run(argv) == 0, argv
+
             for argv in (
                 ["evolve", "--method", "ff", "--ham", ham, "--t", "1", "--N", "16"],
                 ["evolve", "--method", "exact", "--ham", ham, "--t", "1"],
+                ["evolve", "--method", "dilated", "--ham", ham, "--t", "1", "--steps", "8"],
+                ["evolve", "--method", "choi-ff", "--jumps", {str(jumps)!r}, "--t", "1",
+                 "--eps", "0.05"],
+            ):
+                run(argv)
+            print("numpy.random" in sys.modules)
+            for argv in (
                 ["qpe", "--route", "fast", "--ham", ham, "--t", "4", "--N", "64", "--eps", "1e-3"],
                 ["qpe", "prepare", "--route", "fast", "--ham", ham, "--t", "4", "--N", "64"],
                 ["stateprep", "--what", "binomial", "--N", "16"],
@@ -267,8 +284,7 @@ class TestColdStart:
                  "--seed", "1"],
                 ["qpe", "--route", "standard", "--ham", ham, "--d", "6"],
             ):
-                with contextlib.redirect_stdout(io.StringIO()):
-                    assert cli.run(argv) == 0, argv
+                run(argv)
             print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
         """)
         src = os.path.dirname(os.path.dirname(os.path.abspath(lindbladff.__file__)))
@@ -276,7 +292,7 @@ class TestColdStart:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == ""
+        assert done.stdout.split("\n")[:2] == ["False", ""]
 
 
 class TestBench:

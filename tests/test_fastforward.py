@@ -1,14 +1,17 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from lindbladff import (ValidationError, dense_circuit_reference, ff_evolve,
                         lindblad_exact_hermitian, normalize_spectrum, plan)
 from lindbladff import numkernel as nk
 from lindbladff.fastforward import _block_rows, _residue_phases, gap_kernel
-from lindbladff.kernels import binom_residue_weights
+from lindbladff.kernels import _support, binom_residue_weights
 
 from conftest import (full_mixture, goal_ledger, random_density, random_hermitian,
                       random_state, residue_of)
@@ -275,7 +278,8 @@ class TestStreamedDensity:
         psi = random_state(rng, 8)
         assert _block_rows(p, ham.dim) == p.period
         rho, _ = ff_evolve(ham, psi, p)
-        assert rho.tobytes() == ledger_density(goal_ledger(ham, psi, p)).tobytes()
+        want = ledger_density(goal_ledger(ham, psi, p))
+        assert np.max(np.abs(rho - want)) <= 8 * np.finfo(float).eps
 
     def test_several_blocks_match_the_ledger_product(self, rng):
         p = plan(3.0, 0.05, 10**7)
@@ -302,7 +306,8 @@ class TestStreamedDensity:
         p = plan(3.0, 0.05, 10**7)
         eigs = normalize_spectrum(random_hermitian(rng, 8)).eigenvalues
         assert _block_rows(p, eigs.size) == p.period
-        assert gap_kernel(p, eigs, eigs).tobytes() == whole_kernel(p, eigs, eigs).tobytes()
+        got = gap_kernel(p, eigs, eigs)
+        assert np.max(np.abs(got - whole_kernel(p, eigs, eigs))) <= 8 * np.finfo(float).eps
 
     def test_kernel_blocks_match_the_whole_kernel(self, rng):
         p = plan(3.0, 0.05, 10**7)
@@ -333,6 +338,61 @@ class TestStreamedDensity:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20, peak / 2 ** 20
+
+
+def high_precision_kernel(p, eigs_a, eigs_b, digits=40):
+    """sum_r w_r e^{-i (a - b) theta_r}, theta_r = sqrt(tau) (2r - P), over
+    every residue class at ``digits`` significant digits, from the double
+    weights and tau."""
+    weights = binom_residue_weights(p.n, p.period, -p.shift)
+    with mpmath.workdps(digits):
+        root = mpmath.sqrt(mpmath.mpf(p.tau))
+        terms = [(mpmath.mpf(w), root * (2 * r - p.period))
+                 for r, w in enumerate(weights.tolist()) if w]
+        out = np.empty((eigs_a.size, eigs_b.size), dtype=complex)
+        for i, a in enumerate(eigs_a.tolist()):
+            for j, b in enumerate(eigs_b.tolist()):
+                gap = mpmath.mpf(a) - mpmath.mpf(b)
+                out[i, j] = complex(mpmath.fsum(w * mpmath.expj(-gap * th) for w, th in terms))
+    return out
+
+
+class TestFoldedKernel:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(t=hst.floats(0.25, 8.0), eps=hst.floats(0.01, 0.5),
+           n=hst.one_of(hst.integers(2, 5000), hst.integers(5000, 10**7)))
+    def test_residue_weights_are_mirror_symmetric(self, t, eps, n):
+        # w_r = w_{P-r} in exact arithmetic; each bin sums the same terms in
+        # another order, so they agree to (terms per bin) eps.  They are not
+        # equal bit for bit (N = 22, P = 8 below), which is why the fold adds
+        # w_r + w_{P-r} instead of doubling one of them.
+        try:
+            p = plan(t, eps, n)
+        except ValidationError:
+            return
+        w = binom_residue_weights(p.n, p.period, -p.shift)
+        half = p.period // 2
+        lo, hi = _support(p.n, 0.5)
+        per_bin = -(-(hi - lo + 1) // p.period)
+        gap = np.abs(w[1:half] - w[:half:-1])
+        assert np.all(gap <= per_bin * np.finfo(float).eps * w[1:half])
+
+    def test_weights_differ_in_the_last_bit(self):
+        p = plan(1.0, 0.5, 22)
+        w = binom_residue_weights(p.n, p.period, -p.shift)
+        assert p.period == 8 and not np.array_equal(w[1:4], w[:4:-1])
+
+    @pytest.mark.parametrize("t,eps,n,period", [(1.0, 0.5, 16, 8), (1.0, 0.5, 22, 8),
+                                                (3.0, 0.05, 4000, 256),
+                                                (3.0, 0.05, 10**5, 1024)])
+    def test_matches_high_precision_sum(self, rng, t, eps, n, period):
+        p = plan(t, eps, n)
+        assert p.period == period
+        eigs = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 4)), [1.0]))
+        zero = np.zeros(1)
+        for a, b in ((eigs, eigs), (eigs, zero)):
+            got = gap_kernel(p, a, b)
+            assert np.max(np.abs(got - high_precision_kernel(p, a, b))) <= 8 * np.finfo(float).eps
 
 
 class TestDenseReference:

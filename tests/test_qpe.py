@@ -632,6 +632,28 @@ class TestSupportSampler:
         assert np.array_equal(got, want)
         assert qpe._pick_outcome(dist, "sample", seed, k) == int(np.median(want))
 
+    def test_blocks_draw_what_one_block_draws(self, monkeypatch):
+        # the carried cumulative sum across 7-outcome blocks, zeros included
+        dist = windowed_mixture(300, [1.0, 0.2], [0.3, 0.8])
+        dist[100:200] = 0.0
+        whole = [_sample_counts(dist, seed, 25) for seed in range(20)]
+        monkeypatch.setattr(qpe, "_SAMPLE_BLOCK", 7)
+        for seed in range(20):
+            assert np.array_equal(_sample_counts(dist, seed, 25), whole[seed])
+
+    @pytest.mark.parametrize("d", (12, 18))
+    def test_standard_picks_equal_support_choice(self, d):
+        # the earlier sampler: Generator.choice over the support only
+        ham = normalize_spectrum(np.diag([0.0, 0.3, 0.71, 1.0]))
+        st = decompose_state(np.array([0.6, 0.5, 0.5, math.sqrt(0.14)]), ham)
+        dist = standard_qpe(ham, st, d).distribution
+        assert dist.size > qpe._SAMPLE_BLOCK or d == 12
+        support = np.flatnonzero(dist)
+        p = dist[support] / dist.sum()
+        for seed in range(20):
+            want = np.random.default_rng(seed).choice(support, p=p, size=15)
+            assert np.array_equal(_sample_counts(dist, seed, 15), want), seed
+
     @pytest.mark.parametrize("bad", (np.nan, -1e-3, np.inf))
     def test_rejects_invalid_entry(self, bad):
         dist = windowed_mixture(64, [1.0], [0.3])
@@ -705,6 +727,8 @@ if sys.argv[1] != "import":
         slow_qpe(ham, state, 1024.0, 10 ** 7, mode="sample", seed=5, repeats=15)
     elif sys.argv[1] == "standard22":
         standard_qpe(ham, state, 22)
+    elif sys.argv[1] == "standard22-sample":
+        standard_qpe(ham, state, 22, mode="sample", seed=5, repeats=15)
     else:
         standard_qpe(ham, state, 18)
 with open("/proc/self/status") as status:
@@ -720,10 +744,11 @@ def _max_rss_kib(what):
 
 
 class TestRouteMemory:
-    @pytest.mark.parametrize("route", ("slow", "standard", "standard22"))
+    @pytest.mark.parametrize("route", ("slow", "standard", "standard22", "standard22-sample"))
     def test_route_stays_near_import_baseline(self, route):
         # a register-sized float array is 76 MiB for the slow route at N = 10^7;
-        # at d = 22 the standard route's distribution alone is 32 MiB
-        bound_mib = 48 if route == "standard22" else 32
+        # at d = 22 the standard route's distribution alone is 32 MiB, and
+        # sampling from it adds only block-sized scratch
+        bound_mib = 48 if route.startswith("standard22") else 32
         extra = _max_rss_kib(route) - _max_rss_kib("import")
         assert extra <= bound_mib * 1024, extra / 1024

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from lindbladff import (TOL, ValidationError, decompose_state, dilated_evolve,
@@ -125,3 +125,33 @@ def test_ff_pure_equals_ff_density(case, t, eps, n):
     dens, cost_dens = ff_evolve(ham, np.outer(psi, psi.conj()), p)
     assert np.max(np.abs(pure - dens)) <= 1e-12
     assert cost_pure == cost_dens
+
+
+# A rounding-level eigenvalue next to an exact 0: the two share one cluster,
+# whose mean moves the level off 0 (model._cluster)
+ZERO_CLUSTER = (np.diag([0.0, 9e-10, 0.5, 1.0]).astype(complex), np.random.default_rng(11))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=jumps(), t=hst.floats(0.25, 4.0), steps=hst.integers(1, 200))
+@example(case=ZERO_CLUSTER, t=1.0, steps=7)
+@pytest.mark.parametrize("route", ["exact", "dilated", "ff"])
+def test_pure_equals_density(route, case, t, steps):
+    # a state vector goes through Hamiltonian.dephase on its eigenspace
+    # components, its projector through the eigenbasis product
+    f, rng = case
+    ham = normalize_spectrum(f)
+    psi = random_state(rng, ham.dim)
+    apply = {
+        "exact": lambda s: lindblad_exact_hermitian(ham, s, t),
+        "dilated": lambda s: dilated_evolve(ham, s, t, steps)[0],
+        "ff": lambda s: ff_evolve(ham, s, plan(t, 0.1, n_override=2 * steps))[0],
+    }[route]
+    pure = apply(psi)
+    dens = apply(np.outer(psi, psi.conj()))
+    assert np.max(np.abs(pure - dens)) <= 1e-12
+
+
+def test_zero_cluster_moves_the_level():
+    ham = normalize_spectrum(ZERO_CLUSTER[0])
+    assert ham.clustered and ham.n_levels == 3 and ham.eigenvalues[0] == 4.5e-10
