@@ -20,7 +20,7 @@ from .config import TOL
 from .errors import CapacityError, ValidationError
 from . import numkernel as nk
 from .dilated import CostReport
-from .fastforward import ff_evolve, plan as make_plan
+from .fastforward import ff_cost, gap_kernel, plan as make_plan
 from .model import LindbladSpec, lindblad_spec, normalized_jump, parse_pauli_sum
 
 
@@ -114,7 +114,8 @@ def choi_ff_evolve(spec: LindbladSpec, state0: np.ndarray, t: float,
                 f"pass override=True to force the factorized channel anyway"
             )
     state0 = np.asarray(state0, dtype=complex)
-    rho = np.outer(state0, state0.conj()) if state0.ndim == 1 else nk.require_density(state0)
+    # each factor maps density matrices to density matrices: validate once
+    rho = nk.require_density(np.outer(state0, state0.conj()) if state0.ndim == 1 else state0)
     k = len(spec.jumps)
     eps_each = eps_total / k
     total_time = 0.0
@@ -125,7 +126,8 @@ def choi_ff_evolve(spec: LindbladSpec, state0: np.ndarray, t: float,
         if ham.zero_width:
             continue  # identity-proportional jump generates no dissipation
         p = make_plan(time_scale * t, eps_each)
-        rho, cost = ff_evolve(ham, rho, p)
+        rho = ham.dephase(gap_kernel(p, ham.eigenvalues, ham.eigenvalues), rho)
+        cost = ff_cost(p)
         total_time += cost.hamiltonian_time
         steps += cost.step_count
         ancillas += cost.ancilla_count

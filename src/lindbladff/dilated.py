@@ -40,6 +40,20 @@ def default_steps(t: float, eps: float) -> int:
     return max(1, math.ceil(t ** 3 / eps ** 2))
 
 
+def dilated_kernel(t: float, steps: int, eigs_a: np.ndarray, eigs_b: np.ndarray
+                   ) -> np.ndarray:
+    """Dilated gap kernel cos(sqrt(t / steps) (a - b))^steps, shape (len a, len b).
+
+    Evaluated as sign(cos x)^steps * exp((steps / 2) log1p(-sin^2 x)): the
+    cost does not depend on ``steps``, and the log1p form keeps full relative
+    accuracy where cos(x) rounds close to 1.  ``dilated_evolve`` applies it
+    and the slow phase-estimation route reads its column against eigenvalue 0.
+    """
+    x = math.sqrt(t / steps) * (eigs_a[:, None] - eigs_b[None, :])
+    with np.errstate(divide="ignore"):
+        return np.sign(np.cos(x)) ** steps * np.exp(0.5 * steps * np.log1p(-np.sin(x) ** 2))
+
+
 def dilated_evolve(ham: Hamiltonian, rho0: np.ndarray, t: float, steps: int
                    ) -> tuple[np.ndarray, CostReport]:
     """Compose ``steps`` dilated steps of the jump ``ham`` with tau = t / steps,
@@ -47,24 +61,18 @@ def dilated_evolve(ham: Hamiltonian, rho0: np.ndarray, t: float, steps: int
 
     One step multiplies the coherence between eigenvalues a and b of the jump
     by cos(sqrt(tau) (h_a - h_b)), so the composition is the closed-form
-    multiplier cos(x)^steps, applied by ``ham.dephase`` and evaluated as
-    sign(cos x)^steps * exp((steps / 2) log1p(-sin^2 x)): the cost does not
-    depend on ``steps``, and the log1p form keeps full relative accuracy
-    where cos(x) rounds close to 1.  Total evolution time is steps *
-    sqrt(tau) = sqrt(steps * t); every step consumes one logical ancilla.
+    multiplier ``dilated_kernel``, applied by ``ham.dephase``.  Total
+    evolution time is steps * sqrt(tau) = sqrt(steps * t); every step
+    consumes one logical ancilla.
     """
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     if t <= 0:
         raise ValidationError(f"evolution time must be positive, got {t}")
-    tau = t / steps
     h = ham.eigenvalues
-    x = math.sqrt(tau) * (h[:, None] - h[None, :])
-    with np.errstate(divide="ignore"):
-        kernel = np.sign(np.cos(x)) ** steps * np.exp(0.5 * steps * np.log1p(-np.sin(x) ** 2))
     cost = CostReport(
-        hamiltonian_time=steps * math.sqrt(tau),
+        hamiltonian_time=steps * math.sqrt(t / steps),
         step_count=steps,
         ancilla_count=steps,
     )
-    return ham.dephase(kernel, rho0), cost
+    return ham.dephase(dilated_kernel(t, steps, h, h), rho0), cost

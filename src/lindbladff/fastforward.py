@@ -60,7 +60,7 @@ class FFPlan:
 
     t: float
     eps: float
-    n: int                      # register count (even)
+    n: int                      # register count (even; ``gap_kernel`` enforces it)
     tau: float                  # t / n
     c: float                    # window half-width fraction
     d: int                      # address bits
@@ -181,8 +181,11 @@ def gap_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
     imaginary parts, over blocks of rows sized by ``_block_rows`` and partial
     sums of ``_SUM_ROWS`` rows.  Class P/2 (theta = 0) adds its weight and
     the unpaired class 0 adds w_0 e^{i (a - b) sqrt(tau) P}.  Equal spectra
-    (the same array) build one table.
+    (the same array) build one table.  The weights mirror only for an even
+    register count, which ``plan`` always chooses; an odd one is rejected.
     """
+    if p.n % 2:
+        raise ValidationError(f"gap kernel needs an even register count, got {p.n}")
     _check_norm(eigs_a)
     _check_norm(eigs_b)
     weights = binom_residue_weights(p.n, p.period, -p.shift)

@@ -32,8 +32,14 @@ window, where sqrt(pmf) is at least 2^-53 of the column maximum, sized by a
 Chernoff tail bound: about 13 sigma wide for large N sin^2, never under the
 Poisson-like tails near k = 0.  That is O(P sqrt(N) L) time for L populated
 levels and O(N L) memory, one complex row of N + 1 counts per level.
-Post-selecting count 0 needs only X[0] = sum_k alpha_k^N s_hat_k, which is
-O(P L) after the FFT.
+
+Post-selecting count 0 needs no transform: row 0 of the symmetric-sector
+Hadamard is the binomial amplitude vector, so X[0] = sum_r w_r s_r scales
+eigencomponent l by sum_r w_r e^(-i h_l theta_r), the ``gap_kernel`` column
+at the target eigenvalue 0.  Every route post-selects so (``_postselect``):
+its filter is its channel kernel's column at the target, the dilated
+kernel's on the slow route and the register's Dirichlet amplitude on the
+standard one.
 
 Sampling a count draws on the distribution's support only (``_pick_outcome``),
 so no route holds more than a few arrays of its register size.  The standard
@@ -50,8 +56,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError, ValidationError
-from .dilated import CostReport
-from .fastforward import FFPlan, _check_norm, _residue_phases, ff_cost
+from .dilated import CostReport, dilated_kernel
+from .fastforward import (FFPlan, _check_norm, _residue_phases, ff_cost, gap_kernel,
+                          plan as make_plan)
 from .kernels import binom_pmf_window
 from .model import (Hamiltonian, SpectralState, decompose_state,
                     normalize_spectrum, spectral_gap)
@@ -86,22 +93,18 @@ class PreparationResult:
 # Standard (Fourier) route
 # ---------------------------------------------------------------------------
 
-def _dirichlet_ratio(theta: np.ndarray, d: int) -> np.ndarray:
-    """sin^2(pi theta 2^d) / sin^2(pi theta), with value 4^d at integer theta.
+def _dirichlet(theta: np.ndarray, d: int) -> np.ndarray:
+    """sin(pi tw 2^d) / sin(pi tw) at theta wrapped to tw in [-1/2, 1/2],
+    with value 2^d at integer theta.
 
-    The ratio is 1-periodic, so the argument is wrapped to [-1/2, 1/2] first;
-    only an exactly integer theta needs the removable-singularity value.
+    Its square, the outcome ratio of the 2^d-outcome register, is 1-periodic
+    in theta; only an exactly integer theta needs the removable-singularity
+    value.
     """
     tw = theta - np.round(theta)
     s = np.sin(np.pi * tw)
     big = np.sin(np.pi * tw * (1 << d))
-    safe = np.where(tw == 0.0, 1.0, s)
-    return np.where(tw == 0.0, float(4 ** d), (big / safe) ** 2)
-
-
-def _circular_distance(theta: np.ndarray) -> np.ndarray:
-    tw = np.mod(theta, 1.0)
-    return np.minimum(tw, 1.0 - tw)
+    return np.where(tw == 0.0, float(1 << d), big / np.where(tw == 0.0, 1.0, s))
 
 
 # Outcomes per block of the standard route's distribution: its scratch arrays
@@ -127,7 +130,7 @@ def standard_qpe(ham: Hamiltonian, state: SpectralState, d: int,
         block = dist[lo: lo + _STANDARD_BLOCK]
         ys = np.arange(lo, lo + block.size) / size
         for h, w in zip(ham.eigenvalues, state.weights):
-            block += w * _dirichlet_ratio(h - ys, d)
+            block += w * _dirichlet(h - ys, d) ** 2
     dist /= 4 ** d
     y = _pick_outcome(dist, mode, seed, repeats)
     h_norm = y / size
@@ -150,46 +153,53 @@ def _require_target_at_zero(ham: Hamiltonian, beta: int):
         )
 
 
+def _postselect(state: SpectralState, beta: int, amp: np.ndarray, bound: float,
+                slack: float, cost: CostReport) -> PreparationResult:
+    """Post-selection that scales eigencomponent l by the filter ``amp[l]``.
+
+    The outcome has probability p0 = sum_l w_l |amp_l|^2 and leaves the
+    normalized state sum_l c_l amp_l comps_l / sqrt(p0), whose overlap with
+    eigenspace beta is w_beta |amp_beta|^2 / p0; an overlap below
+    ``bound - slack`` raises ``InvariantError``.
+    """
+    c_beta = float(state.coeffs[beta])
+    if c_beta == 0.0:
+        raise ValidationError(f"state has no weight on eigenspace {beta}")
+    kept = state.weights * np.abs(amp) ** 2
+    p0 = float(np.sum(kept))
+    overlap = float(kept[beta] / p0)
+    if overlap < bound - slack:
+        raise InvariantError(f"overlap {overlap} violates its bound {bound}")
+    return PreparationResult(
+        postselect_probability=p0,
+        overlap=overlap,
+        state=(state.coeffs * amp) @ state.components / math.sqrt(p0),
+        expected_repeats=1.0 / p0,
+        ideal_amplification_queries=1.0 / c_beta,
+        overlap_bound=float(bound),
+        cost=cost,
+    )
+
+
 def standard_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
                             d: int) -> PreparationResult:
     """Post-select outcome 0 to filter the zero-eigenvalue component.
 
-    Phases enter mod 1 on this route, so a component at circular distance 0
-    from the target (e.g. an eigenvalue at exactly 1 after a shift-rescale)
+    Outcome 0 scales component l by 2^-d sum_j e^(-2 pi i h_l j), which is
+    1-periodic in h_l and taken at the wrapped argument tw_l.  Phases enter
+    mod 1 on this route, so a component at circular distance |tw| = 0 from
+    the target (e.g. an eigenvalue at exactly 1 after a shift-rescale)
     aliases with it and cannot be filtered; the overlap bound uses the
     circular gap and becomes vacuous (0) in that case.
     """
     _require_target_at_zero(ham, beta)
-    w = state.weights
-    ratios = _dirichlet_ratio(ham.eigenvalues, d)
-    p0 = float(np.sum(w * ratios) / 4 ** d)
-    overlap = float(w[beta] / p0)
-
-    # post-measurement state at outcome 0
     h = ham.eigenvalues
-    denom = 1.0 - np.exp(-2j * np.pi * h)
-    numer = 1.0 - np.exp(-2j * np.pi * h * (1 << d))
-    singular = np.abs(denom) < 1e-14
-    amp = np.where(singular, float(1 << d), numer / np.where(singular, 1.0, denom))
-    vec = np.tensordot(state.coeffs * amp, state.components, axes=(0, 0))
-    vec = vec / np.linalg.norm(vec)
-
-    gap = float(np.min(_circular_distance(np.delete(h, beta)))) if ham.n_levels > 1 else 0.5
-    if gap > 0:
-        bound = w[beta] / (w[beta] + (1.0 - w[beta]) / (4.0 * ((1 << d) * gap) ** 2))
-    else:
-        bound = 0.0
-    if overlap < bound - 1e-10:
-        raise InvariantError(f"overlap {overlap} violates its lower bound {bound}")
-    return PreparationResult(
-        postselect_probability=p0,
-        overlap=overlap,
-        state=vec,
-        expected_repeats=1.0 / p0,
-        ideal_amplification_queries=1.0 / math.sqrt(w[beta]),
-        overlap_bound=float(bound),
-        cost=CostReport(float((1 << d) - 1), d, d),
-    )
+    tw = h - np.round(h)
+    amp = np.exp(-1j * np.pi * tw * ((1 << d) - 1)) * _dirichlet(h, d) / (1 << d)
+    w = state.weights[beta]
+    gap = float(np.min(np.abs(np.delete(tw, beta)))) if ham.n_levels > 1 else 0.5
+    bound = w / (w + (1.0 - w) / (4.0 * ((1 << d) * gap) ** 2)) if gap > 0 else 0.0
+    return _postselect(state, beta, amp, bound, 1e-10, CostReport(float((1 << d) - 1), d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +218,6 @@ def _step_root(ham: Hamiltonian, t: float, n: int) -> float:
 
 def _counting_params(ham: Hamiltonian, t: float, n: int) -> np.ndarray:
     return np.sin(_step_root(ham, t, n) * ham.eigenvalues) ** 2
-
-
-def _survival(ham: Hamiltonian, t: float, n: int) -> np.ndarray:
-    """Survival amplitude |cos(sqrt(t/N) h)|^N per component, in the log domain."""
-    root = math.sqrt(t / n)
-    with np.errstate(divide="ignore"):
-        return np.exp(n * np.log(np.abs(np.cos(root * ham.eigenvalues))))
 
 
 def _counting_distribution(weights: np.ndarray, qs: np.ndarray, n: int) -> np.ndarray:
@@ -310,27 +313,12 @@ def slow_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
     if t <= 0 or n < 1:
         raise ValidationError(f"need t > 0 and N >= 1, got t={t}, N={n}")
     _step_root(ham, t, n)  # range guard
-    w = state.weights
-    surv = _survival(ham, t, n)
-    p0 = float(np.sum(w * surv ** 2))
-    overlap = float(w[beta] / p0)
-
+    w = state.weights[beta]
     gap = spectral_gap(ham, beta)
-    bound = w[beta] / (w[beta] + (1.0 - w[beta]) * math.exp(-t * gap ** 2))
-    if overlap < bound - 1.0 / n - 1e-10:
-        raise InvariantError(f"overlap {overlap} violates its bound {bound} beyond 1/N slack")
-
-    vec = np.tensordot(state.coeffs * surv, state.components, axes=(0, 0))
-    vec = vec / np.linalg.norm(vec)
-    return PreparationResult(
-        postselect_probability=p0,
-        overlap=overlap,
-        state=vec,
-        expected_repeats=1.0 / p0,
-        ideal_amplification_queries=1.0 / math.sqrt(w[beta]),
-        overlap_bound=float(bound),
-        cost=CostReport(math.sqrt(n * t), n, n),
-    )
+    bound = w / (w + (1.0 - w) * math.exp(-t * gap ** 2))
+    amp = dilated_kernel(t, n, ham.eigenvalues, np.zeros(1))[:, 0]
+    return _postselect(state, beta, amp, bound, 1.0 / n + 1e-10,
+                       CostReport(math.sqrt(n * t), n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -387,20 +375,6 @@ def _level_rows(spectrum: np.ndarray, n: int) -> np.ndarray:
     return rows
 
 
-def _transformed_row_zero(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.ndarray:
-    """Row X[0] alone: sum_k alpha_k^N s_hat_k, O(P L) after the FFT.
-
-    |alpha_k|^N = |cos theta|^N is taken in the log domain, (N/2) log1p(-sin^2),
-    on the folded argument min(k, P - k).
-    """
-    spectrum, components = _level_spectrum(ham, state, p)
-    n, period = p.n, p.period
-    k = np.arange(period)
-    with np.errstate(divide="ignore"):
-        modulus = np.exp(0.5 * n * np.log1p(-np.sin(np.pi * np.minimum(k, period - k) / period) ** 2))
-    return ((_alpha_phases(n, period) * modulus) @ spectrum) @ components
-
-
 def _fast_distribution(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.ndarray:
     """Count distribution sum_l |g_l[x]|^2 of the transformed ledger.
 
@@ -441,38 +415,22 @@ def fast_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
                         p: FFPlan) -> PreparationResult:
     """Post-select count 0 on the transformed ledger."""
     _require_target_at_zero(ham, beta)
-    x0 = _transformed_row_zero(ham, state, p)
-    p0 = float(np.vdot(x0, x0).real)
-    vec = x0 / math.sqrt(p0)
-    overlap = float(np.abs(np.vdot(state.components[beta], vec)) ** 2)
-
     c_beta = float(state.coeffs[beta])
     root_eps = math.sqrt(p.eps)
-    if math.sqrt(p0) < c_beta - root_eps - 1e-9:
-        raise InvariantError(
-            f"postselect amplitude {math.sqrt(p0)} fell below c_beta - sqrt(eps)"
-        )
     # inaccuracy chain: with sqrt(eps) = c_beta * zeta and the unwindowed
     # overlap already at 1 - zeta, the windowed overlap stays above 1 - 6 zeta
     zeta = root_eps / c_beta if c_beta > 0 else math.inf
-    bound = -math.inf
+    bound = 0.0
     if zeta < 1.0 / 6.0:
-        p0_plain = float(np.sum(state.weights * _survival(ham, p.t, p.n) ** 2))
-        if state.weights[beta] / p0_plain >= 1.0 - zeta:
+        plain = dilated_kernel(p.t, p.n, ham.eigenvalues, np.zeros(1))[:, 0]
+        if state.weights[beta] / np.sum(state.weights * plain ** 2) >= 1.0 - zeta:
             bound = 1.0 - 6.0 * zeta
-            if overlap < bound - 1e-9:
-                raise InvariantError(
-                    f"windowed overlap {overlap} violates the 1 - 6 zeta chain ({bound})"
-                )
-    return PreparationResult(
-        postselect_probability=p0,
-        overlap=overlap,
-        state=vec,
-        expected_repeats=1.0 / p0,
-        ideal_amplification_queries=1.0 / c_beta if c_beta > 0 else math.inf,
-        overlap_bound=float(bound),
-        cost=ff_cost(p),
-    )
+    prep = _postselect(state, beta, gap_kernel(p, ham.eigenvalues, np.zeros(1))[:, 0],
+                       bound, 1e-9, ff_cost(p))
+    root_p0 = math.sqrt(prep.postselect_probability)
+    if root_p0 < c_beta - root_eps - 1e-9:
+        raise InvariantError(f"postselect amplitude {root_p0} fell below c_beta - sqrt(eps)")
+    return prep
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +519,6 @@ class AmplitudeProblem:
 def amplitude_problem(bits, t: float = 250.0, register_n: int = 2048,
                       eps: float = 1e-5) -> AmplitudeProblem:
     """Phase-estimation problem of the search iterate, built once per oracle."""
-    from .fastforward import plan as make_plan
-
     bits = np.asarray(bits).astype(int)
     n = int(round(math.log2(bits.size)))
     if bits.size != 1 << n:

@@ -158,6 +158,19 @@ class TestSequentialFastForward:
                                 override=True)
         assert abs(np.trace(rho).real - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("density", (False, True))
+    def test_input_is_validated_once(self, monkeypatch, rng, density):
+        # every factor maps density matrices to density matrices, so only the
+        # input pays for the eigvalsh of ``require_density``
+        calls = []
+        check = nk.require_density
+        monkeypatch.setattr(nk, "require_density", lambda rho: calls.append(1) or check(rho))
+        spec = pauli_noise_spec([("XI", 0.7), ("ZI", 0.4), ("ZZ", 0.9), ("IY", 0.5)])
+        psi = np.exp(2j * np.pi * rng.random(4)) / 2.0
+        rho, _ = choi_ff_evolve(spec, np.outer(psi, psi.conj()) if density else psi, 1.0, 0.05)
+        assert len(calls) == 1
+        assert abs(np.trace(rho).real - 1.0) <= 1e-12
+
     def test_factorization_identity(self, rng):
         # commuting generators: exp of the sum equals the product of exps
         from scipy.linalg import expm

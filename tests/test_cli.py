@@ -103,6 +103,16 @@ class TestExitCodes:
         assert err.startswith("error: overlap") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("route", ("standard", "slow", "fast"))
+    def test_zero_target_weight_is_exit_1(self, tmp_path, capsys, route):
+        # basis:0 is |00>, the top eigenvector; eigenspace 0 is |11>
+        ham = tmp_path / "h.pauli"
+        ham.write_text("0.0 II\n1.0 ZI\n0.5 IZ\n")
+        rc, out = invoke(["qpe", "prepare", "--route", route, "--ham", str(ham),
+                          "--state", "basis:0", "--eigen", "0", "--t", "4", "--N", "64"])
+        assert rc == 1 and out == ""
+        assert capsys.readouterr().err == "error: state has no weight on eigenspace 0\n"
+
     def test_large_default_step_count_runs(self):
         # default steps 64^3 / 0.1^2 = 2.6e7; the closed-form composition
         # costs the same at any step count
@@ -132,6 +142,21 @@ class TestSubcommands:
         assert rc == 0
         rec = parse_record(out.splitlines()[0])
         assert rec["outputs"]["overlap"] >= rec["outputs"]["overlap_bound"] - 1e-4
+
+    @pytest.mark.parametrize("route", ("standard", "slow", "fast"))
+    def test_qpe_prepare_vacuous_bound_is_json(self, route):
+        # zeta = 1/4 >= 1/6 leaves the fast route's 1 - 6 zeta chain vacuous;
+        # the shift-rescaled level at 1 aliases with the target on the standard one
+        rc, out = invoke(["qpe", "prepare", "--route", route, "--ham", HAM, "--state", "plus",
+                          "--eigen", "0", "--t", "4", "--N", "64", "--zeta", "0.25"])
+        assert rc == 0
+
+        def finite_only(name):
+            raise ValueError(f"non-finite constant {name}")
+
+        rec = json.loads(out.splitlines()[0], parse_constant=finite_only)
+        if route != "slow":
+            assert rec["outputs"]["overlap_bound"] == 0.0
 
     def test_gibbs_csv(self, tmp_path):
         csv_path = tmp_path / "sweep.csv"

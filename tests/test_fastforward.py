@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from lindbladff import (ValidationError, dense_circuit_reference, ff_evolve,
+from lindbladff import (FFPlan, ValidationError, dense_circuit_reference, ff_evolve,
                         lindblad_exact_hermitian, normalize_spectrum, plan)
 from lindbladff import numkernel as nk
 from lindbladff.fastforward import _block_rows, _residue_phases, gap_kernel
@@ -109,6 +109,16 @@ class TestPlan:
             plan(-1.0, 0.1)
         with pytest.raises(ValidationError):
             plan(1.0, 1.5)
+
+    def test_odd_register_count_is_rejected(self, rng):
+        # the gap kernel folds mirror residue classes, which pair up only for
+        # an even N; ``plan`` rounds odd counts up, a hand-built plan must not
+        # slip an odd one past it
+        p = plan(1.0, 0.1, n_override=8)
+        odd = FFPlan(p.t, p.eps, 7, p.t / 7, p.c, p.d, p.dprime, p.window, p.full_window)
+        ham = normalize_spectrum(random_hermitian(rng, 3))
+        with pytest.raises(ValidationError, match="even register count"):
+            ff_evolve(ham, random_state(rng, 3), odd)
 
     def test_full_window_coincidence(self):
         p = plan(1.0, 2e-4, n_override=16)  # error target so small c >= 1/2

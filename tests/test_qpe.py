@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -17,11 +18,13 @@ from lindbladff import (FFPlan, InvariantError, ValidationError,
                         fast_qpe_eigenstate, normalize_spectrum, plan, slow_qpe,
                         slow_qpe_eigenstate, standard_qpe,
                         standard_qpe_eigenstate)
-from lindbladff import qpe
+from lindbladff import qpe, shift_to_zero
+from lindbladff.dilated import dilated_kernel
+from lindbladff.fastforward import gap_kernel
 from lindbladff.kernels import binom_pmf_window
 from lindbladff.qpe import (_alpha_phases, _counting_distribution,
                            _fast_distribution, _grover_iterate, _level_rows, _level_spectrum,
-                           _orthogonal_log, _sample_counts, _transformed_row_zero)
+                           _orthogonal_log, _sample_counts)
 
 from conftest import (goal_ledger, log_binom, random_hermitian, random_state, residue_of,
                       schur_orthogonal_log)
@@ -334,10 +337,16 @@ class TestKravchukUnitary:
     @pytest.mark.parametrize("full", (True, False))
     @pytest.mark.parametrize("n", (1, 2, 3, 7, 64, 512, 4096))
     def test_row_zero_closed_form_matches_rows(self, rng, n, full):
+        # row 0 of the readout scales each component by the fast filter, the
+        # gap kernel's column at eigenvalue 0; its mirror fold needs an even N
         p = plan_at(n, full)
         ham = normalize_spectrum(random_hermitian(rng, 4))
         st = decompose_state(random_state(rng, 4), ham)
-        row0 = _transformed_row_zero(ham, st, p)
+        if n % 2:
+            with pytest.raises(ValidationError, match="even register count"):
+                gap_kernel(p, ham.eigenvalues, np.zeros(1))
+            return
+        row0 = (st.coeffs * gap_kernel(p, ham.eigenvalues, np.zeros(1))[:, 0]) @ st.components
         assert np.max(np.abs(row0 - transformed_rows(ham, st, p)[0])) <= 1e-12
 
 
@@ -611,6 +620,82 @@ class TestFastReadout:
         finally:
             tracemalloc.stop()
         assert peak <= (16 * levels + 8) * (n + 1) + 4 * 2 ** 20, peak / 2 ** 20
+
+
+def generated_preparation(seed, dim):
+    """A Hamiltonian shifted to a populated target, and a random state.
+
+    The spectra cycle through distinct random eigenvalues, exact repeats
+    (eigenvalues 2k and 2k + 1 equal, the last one single) and a pair 100
+    cluster tolerances apart."""
+    rng = np.random.default_rng(seed)
+    eigs = rng.random(dim)
+    if seed % 3 == 1:
+        eigs[1:dim - 1:2] = eigs[0:dim - 2:2]
+    elif seed % 3 == 2:
+        eigs[1] = eigs[0] + 1e-7
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    ham0 = normalize_spectrum((q * eigs) @ q.conj().T)
+    beta = int(rng.integers(ham0.n_levels))
+    ham = shift_to_zero(ham0, beta)
+    return ham, decompose_state(random_state(rng, dim), ham), beta
+
+
+def normalized_filter(state, f):
+    """sum_l c_l f_l comps_l over its norm, and that norm squared."""
+    vec = (state.coeffs * f) @ state.components
+    p0 = float(np.vdot(vec, vec).real)
+    return vec / math.sqrt(p0), p0
+
+
+class TestPreparationRelations:
+    """Each route scales eigencomponent l by one filter number f_l: the
+    post-selection probability is sum_l w_l |f_l|^2, the state is the
+    normalized filtered components, and the overlap clears the route's bound."""
+
+    CASES = [(seed, dim) for dim in range(2, 7) for seed in range(3 * dim, 3 * dim + 3)]
+
+    @staticmethod
+    def check(prep, state, beta, f, slack):
+        assert prep.overlap >= prep.overlap_bound - slack
+        assert math.isfinite(prep.overlap_bound) and prep.overlap_bound >= 0.0
+        vec, p0 = normalized_filter(state, f)
+        assert abs(prep.postselect_probability - p0) <= 1e-12 * p0
+        assert abs(prep.postselect_probability - np.sum(state.weights * np.abs(f) ** 2)) <= 1e-12 * p0
+        assert np.max(np.abs(prep.state - vec)) <= 1e-12
+        assert abs(prep.overlap - state.weights[beta] * abs(f[beta]) ** 2 / p0) <= 1e-12
+
+    @pytest.mark.parametrize("scale", (1.0, 0.5))
+    @pytest.mark.parametrize("seed,dim", CASES)
+    def test_standard(self, seed, dim, scale):
+        # at scale 1 the eigenvalue at +-1 aliases with the target (bound 0);
+        # at scale 1/2 the circular gap is the plain one
+        ham, st, beta = generated_preparation(seed, dim)
+        ham = dataclasses.replace(ham, eigenvalues=scale * ham.eigenvalues)
+        d = 5
+        j = np.arange(1 << d)
+        f = np.exp(-2j * np.pi * np.outer(ham.eigenvalues, j)).sum(axis=1) / (1 << d)
+        self.check(standard_qpe_eigenstate(ham, st, beta, d), st, beta, f, 1e-10)
+
+    @pytest.mark.parametrize("seed,dim", CASES)
+    def test_slow(self, seed, dim):
+        ham, st, beta = generated_preparation(seed, dim)
+        t, n = 16.0, 1000
+        f = np.cos(math.sqrt(t / n) * ham.eigenvalues) ** n
+        kernel = dilated_kernel(t, n, ham.eigenvalues, np.zeros(1))[:, 0]
+        assert np.max(np.abs(kernel - f)) <= 1e-12
+        self.check(slow_qpe_eigenstate(ham, st, beta, t, n), st, beta, kernel, 1.0 / n + 1e-10)
+
+    @pytest.mark.parametrize("n", (2, 64, 512, 4096))
+    @pytest.mark.parametrize("seed,dim", CASES)
+    def test_fast_is_readout_row_zero(self, seed, dim, n):
+        ham, st, beta = generated_preparation(seed, dim)
+        p = plan(min(4.0, float(n)), 1e-3, n_override=n)
+        prep = fast_qpe_eigenstate(ham, st, beta, p)
+        row0 = transformed_rows(ham, st, p)[0]
+        p0 = float(np.vdot(row0, row0).real)
+        assert np.max(np.abs(prep.state - row0 / math.sqrt(p0))) <= 1e-12
+        self.check(prep, st, beta, gap_kernel(p, ham.eigenvalues, np.zeros(1))[:, 0], 1e-9)
 
 
 def windowed_mixture(n, weights, qs):
