@@ -3,8 +3,10 @@ line-delimited records, and the benchmark suites.
 
 Records are one JSON object per line with sorted keys and compact separators,
 so identical invocations (same argv and seed) are byte-identical apart from
-the ``wall_time_s`` field.  The runs of ``ae-demo`` derive their seeds from
-``--seed`` through ``numpy.random.SeedSequence([seed, run_index])``.
+the ``wall_time_s`` field.  Every record is built by ``_record``, and every
+Hamiltonian file is read, parsed and hashed by ``_load_ham``.  The runs of
+``ae-demo`` derive their seeds from ``--seed`` through
+``numpy.random.SeedSequence([seed, run_index])``.
 """
 
 from __future__ import annotations
@@ -56,24 +58,7 @@ class ExperimentRecord:
     artifact_version: str = __version__
 
     def to_json(self) -> str:
-        payload = {
-            "artifact_version": self.artifact_version,
-            "command": self.command,
-            "cost": self.cost,
-            "ham_digest": self.ham_digest,
-            "outputs": self.outputs,
-            "seed": self.seed,
-            "wall_time_s": self.wall_time_s,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def parse_record(line: str) -> dict:
-    return json.loads(line)
-
-
-def _digest(mat: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(mat).tobytes()).hexdigest()
+        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
 
 
 def _jsonable(x):
@@ -88,6 +73,14 @@ def _jsonable(x):
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     return x
+
+
+def _record(argv, t0: float, outputs: dict, digest: str | None = None,
+            seed: int | None = None, cost: CostReport | None = None) -> ExperimentRecord:
+    """The one record constructor: JSON-ready outputs, cost dict, wall time since t0."""
+    return ExperimentRecord(argv, _jsonable(outputs), digest, seed,
+                            cost.as_dict() if cost is not None else None,
+                            time.perf_counter() - t0)
 
 
 class _Emitter:
@@ -118,9 +111,13 @@ class _Emitter:
 # Shared input handling
 # ---------------------------------------------------------------------------
 
-def _load_ham(path: str, fmt: str) -> np.ndarray:
+def _load_ham(path: str | None) -> tuple[np.ndarray, str]:
+    """Read, parse and hash one Hamiltonian file: the matrix and its digest."""
+    if not path:
+        raise ValidationError("--ham FILE is required")
     with open(path) as fh:
-        return model.load_hamiltonian_text(fh.read(), fmt)
+        mat = model.load_hamiltonian_text(fh.read())
+    return mat, hashlib.sha256(np.ascontiguousarray(mat).tobytes()).hexdigest()
 
 
 def _initial_state(spec: str, dim: int) -> np.ndarray:
@@ -163,7 +160,7 @@ def _slope_record(argv, t0: float, outputs: dict, xs, ys, target: float,
                              np.log(np.asarray(ys, dtype=float)), 1)[0])
     outputs = {**outputs, "slope": slope, "target": target, "tolerance": tol,
                "pass": bool(abs(slope - target) <= tol + 1e-9)}
-    return ExperimentRecord(argv, outputs, wall_time_s=time.perf_counter() - t0)
+    return _record(argv, t0, outputs)
 
 
 def _cell_seed(master: int, index: int) -> int:
@@ -190,12 +187,10 @@ def _cmd_evolve(args, argv, emit: _Emitter):
             "choi_commuting": passes,
             "max_commutator": worst,
         }
-        emit.record(ExperimentRecord(argv, _jsonable(outputs), digest,
-                                     cost=cost.as_dict(), wall_time_s=time.perf_counter() - t0))
+        emit.record(_record(argv, t0, outputs, digest, cost=cost))
         return
 
-    mat = _load_ham(args.ham, args.format)
-    digest = _digest(mat)
+    mat, digest = _load_ham(args.ham)
     ham = model.normalize_spectrum(mat)
     psi = _initial_state(args.state, ham.dim)
     outputs = {"method": args.method}
@@ -210,15 +205,12 @@ def _cmd_evolve(args, argv, emit: _Emitter):
     elif args.method == "dilated":
         steps = args.steps if args.steps else default_steps(args.t, args.eps)
         rho, cost = dilated_evolve(ham, psi, args.t, steps)
-    elif args.method == "exact":
+    else:  # exact
         rho = lindblad_exact_hermitian(ham, psi, args.t)
         cost = CostReport(0.0, 0, 0)
-    else:
-        raise ValidationError(f"unknown method {args.method!r}")
     outputs["rho_out"] = model.format_dense_matrix(rho)
     outputs["spectrum_map"] = {"scale": ham.spectrum_map.scale, "shift": ham.spectrum_map.shift}
-    emit.record(ExperimentRecord(argv, _jsonable(outputs), digest,
-                                 cost=cost.as_dict(), wall_time_s=time.perf_counter() - t0))
+    emit.record(_record(argv, t0, outputs, digest, cost=cost))
 
 
 def _load_jump_list(path: str) -> tuple[list[np.ndarray], str]:
@@ -236,7 +228,7 @@ def _load_jump_list(path: str) -> tuple[list[np.ndarray], str]:
             ref = parts[0]
             rate = float(parts[1]) if len(parts) > 1 else 1.0
             with open(os.path.join(base, ref)) as jf:
-                mat = model.load_hamiltonian_text(jf.read(), "auto")
+                mat = model.load_hamiltonian_text(jf.read())
             jump = math.sqrt(rate) * mat
             hasher.update(np.ascontiguousarray(jump).tobytes())
             jumps.append(jump)
@@ -245,8 +237,7 @@ def _load_jump_list(path: str) -> tuple[list[np.ndarray], str]:
 
 def _cmd_qpe(args, argv, emit: _Emitter):
     t0 = time.perf_counter()
-    mat = _load_ham(args.ham, args.format)
-    digest = _digest(mat)
+    mat, digest = _load_ham(args.ham)
     ham = model.normalize_spectrum(mat)
     if args.mode == "prepare":
         ham = model.shift_to_zero(ham, args.eigen)
@@ -268,10 +259,9 @@ def _cmd_qpe(args, argv, emit: _Emitter):
             "raw_outcome": res.raw_outcome,
             "saturated": res.saturated,
         }
-        if res.distribution is not None and res.distribution.size <= 4097:
+        if res.distribution.size <= 4097:
             outputs["distribution"] = res.distribution
-        emit.record(ExperimentRecord(argv, _jsonable(outputs), digest, args.seed,
-                                     res.cost.as_dict(), time.perf_counter() - t0))
+        emit.record(_record(argv, t0, outputs, digest, args.seed, res.cost))
         return
 
     if args.route == "standard":
@@ -293,13 +283,11 @@ def _cmd_qpe(args, argv, emit: _Emitter):
         "ideal_amplification_queries": prep.ideal_amplification_queries,
         "state": model.format_dense_matrix(prep.state.reshape(1, -1)),
     }
-    emit.record(ExperimentRecord(argv, _jsonable(outputs), digest, args.seed,
-                                 prep.cost.as_dict(), time.perf_counter() - t0))
+    emit.record(_record(argv, t0, outputs, digest, args.seed, prep.cost))
 
 
 def _cmd_gibbs(args, argv, emit: _Emitter):
-    mat = _load_ham(args.ham, args.format)
-    digest = _digest(mat)
+    mat, digest = _load_ham(args.ham)
     csv_rows = ["beta,hamiltonian_time,fidelity,partition_estimate,partition_exact"]
     for beta in _parse_floats(args.beta):
         t0 = time.perf_counter()
@@ -312,8 +300,7 @@ def _cmd_gibbs(args, argv, emit: _Emitter):
             "ideal_amplification_queries": res.ideal_amplification_queries,
             "reduced_state": model.format_dense_matrix(res.reduced_state),
         }
-        emit.record(ExperimentRecord(argv, _jsonable(outputs), digest,
-                                     cost=res.cost.as_dict(), wall_time_s=time.perf_counter() - t0))
+        emit.record(_record(argv, t0, outputs, digest, cost=res.cost))
         csv_rows.append(f"{beta},{res.cost.hamiltonian_time},{res.fidelity},"
                         f"{res.partition_estimate},{res.partition_exact}")
     if args.csv:
@@ -341,14 +328,13 @@ def _cmd_ae_demo(args, argv, emit: _Emitter):
                      "estimate_phase": dec.estimate_phase})
         correct += int(dec.correct)
     outputs = {
-        "witness_count": int(bits.sum()),
-        "amplitude": 2.0 ** (-math.log2(bits.size) / 2.0) * math.sqrt(bits.sum()),
-        "threshold": math.asin(math.sqrt(1.0 / bits.size)),
+        "witness_count": problem.witness_count,
+        "amplitude": problem.amplitude,
+        "threshold": problem.threshold,
         "runs": runs,
         "accuracy": correct / max(args.runs, 1),
     }
-    emit.record(ExperimentRecord(argv, _jsonable(outputs), None, args.seed,
-                                 None, time.perf_counter() - t0))
+    emit.record(_record(argv, t0, outputs, seed=args.seed))
 
 
 def _cmd_stateprep(args, argv, emit: _Emitter):
@@ -370,11 +356,9 @@ def _cmd_stateprep(args, argv, emit: _Emitter):
         for level, angles in enumerate(sched):
             for path, angle in enumerate(angles):
                 emit.text(f"{level},{path},{float(angle)!r}")
-    elif args.what == "distance":
+    else:  # distance
         emit.text("N,l2_distance")
         emit.text(f"{args.N},{binomial_gaussian_distance(args.N)!r}")
-    else:
-        raise ValidationError(f"unknown table {args.what!r}")
 
 
 def _cmd_bounds(args, argv, emit: _Emitter):
@@ -488,7 +472,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--method", choices=["ff", "dilated", "exact", "choi-ff"], default="ff")
     ev.add_argument("--ham", help="Hamiltonian / jump file")
     ev.add_argument("--jumps", help="jump-list file (choi-ff)")
-    ev.add_argument("--format", choices=["auto", "pauli", "dense"], default="auto")
     ev.add_argument("--t", type=float, required=True)
     ev.add_argument("--eps", type=float, default=0.1)
     ev.add_argument("--N", type=int, default=None, help="register-count override (ff)")
@@ -499,7 +482,6 @@ def _build_parser() -> argparse.ArgumentParser:
     qp.add_argument("mode", nargs="?", choices=["estimate", "prepare"], default="estimate")
     qp.add_argument("--route", choices=["standard", "slow", "fast"], required=True)
     qp.add_argument("--ham", required=True)
-    qp.add_argument("--format", choices=["auto", "pauli", "dense"], default="auto")
     qp.add_argument("--state", default="plus")
     qp.add_argument("--d", type=int, default=8, help="register bits (standard route)")
     qp.add_argument("--t", type=float, default=16.0)
@@ -515,7 +497,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gb = sub.add_parser("gibbs", help="Gibbs-state preparation sweep")
     gb.add_argument("--ham", required=True, help="problem Hamiltonian (PSD, norm <= 1)")
-    gb.add_argument("--format", choices=["auto", "pauli", "dense"], default="auto")
     gb.add_argument("--beta", default="1,2,4")
     gb.add_argument("--eps", type=float, default=0.05)
     gb.add_argument("--csv", help="write the beta-vs-cost CSV here")
@@ -582,8 +563,6 @@ def run(argv: list[str]) -> int:
         if args.cmd == "bench":
             _BENCH[args.suite](args, argv, emit)
         else:
-            if args.cmd == "evolve" and args.method != "choi-ff" and not args.ham:
-                raise ValidationError("--ham FILE is required")
             _DISPATCH[args.cmd](args, argv, emit)
     except (ValidationError, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -72,6 +72,9 @@ def lindblad_exact_general(spec: LindbladSpec, rho0: np.ndarray, t: float) -> np
     return nk.unvec(prop @ nk.vec(rho0))
 
 
+_RK4_LOCAL_TOL = 1e-10  # see lindblad_rk4
+
+
 def _deriv(rho: np.ndarray, jumps, jsq) -> np.ndarray:
     out = np.zeros_like(rho)
     for f, f2 in zip(jumps, jsq):
@@ -87,11 +90,11 @@ def _rk4_step(rho, h, jumps, jsq):
     return rho + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def lindblad_rk4(jumps, rho0: np.ndarray, t: float, local_tol: float = 1e-10) -> np.ndarray:
+def lindblad_rk4(jumps, rho0: np.ndarray, t: float) -> np.ndarray:
     """Brute-force master-equation integration (adaptive step doubling).
 
-    Local error per step is controlled below ``local_tol`` by comparing one
-    full step against two half steps.  Intentionally independent of the
+    Local error per step is controlled below ``_RK4_LOCAL_TOL`` by comparing
+    one full step against two half steps.  Intentionally independent of the
     spectral solutions: it only ever evaluates the Lindblad right-hand side.
     """
     if t < 0:
@@ -109,13 +112,13 @@ def lindblad_rk4(jumps, rho0: np.ndarray, t: float, local_tol: float = 1e-10) ->
         full = _rk4_step(rho, h, jumps, jsq)
         half = _rk4_step(_rk4_step(rho, 0.5 * h, jumps, jsq), 0.5 * h, jumps, jsq)
         err = float(np.max(np.abs(full - half))) / 15.0
-        if err <= local_tol or h <= 1e-12 * t:
+        if err <= _RK4_LOCAL_TOL or h <= 1e-12 * t:
             rho = half + (half - full) / 15.0  # local extrapolation
             done += h
             if err > 0:
-                h *= min(2.0, max(0.5, 0.9 * (local_tol / err) ** 0.2))
+                h *= min(2.0, max(0.5, 0.9 * (_RK4_LOCAL_TOL / err) ** 0.2))
             else:
                 h *= 2.0
         else:
-            h *= max(0.1, 0.9 * (local_tol / err) ** 0.2)
+            h *= max(0.1, 0.9 * (_RK4_LOCAL_TOL / err) ** 0.2)
     return rho

@@ -348,13 +348,10 @@ def format_dense_matrix(a: np.ndarray) -> str:
     return "\n".join([template % tuple(row) for row in a.view(float).tolist()]) + "\n"
 
 
-def load_hamiltonian_text(text: str, fmt: str = "auto") -> np.ndarray:
-    """Parse either supported Hamiltonian format; fmt='auto' sniffs it from
-    the first line with content, so only the chosen parser reads the rest."""
-    if fmt == "pauli":
-        return parse_pauli_sum(text)
-    if fmt == "dense":
-        return parse_dense_matrix(text)
+def load_hamiltonian_text(text: str) -> np.ndarray:
+    """Parse either supported Hamiltonian format, read from the first line
+    with content: a dense entry holds a comma, a Pauli line's first token
+    never does.  Only the chosen parser reads the rest."""
     start = 0
     while start < len(text):  # the first line with content decides
         end = text.find("\n", start)

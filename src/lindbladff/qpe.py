@@ -71,7 +71,7 @@ class EstimationResult:
     estimate: float
     estimate_normalized: float
     raw_outcome: int
-    distribution: np.ndarray | None
+    distribution: np.ndarray
     cost: CostReport
     saturated: bool = False
 

@@ -12,7 +12,7 @@ import pytest
 
 import lindbladff
 from lindbladff import choi, cli, qpe
-from lindbladff.cli import parse_record, run
+from lindbladff.cli import run
 from lindbladff.model import parse_dense_matrix
 from lindbladff.numkernel import trace_distance
 
@@ -39,16 +39,48 @@ def strip_wall_time(text):
     return "\n".join(out) + "\n"
 
 
+# Every record-emitting subcommand on tiny inputs (dim <= 4, so BLAS threading
+# cannot reorder a sum), run from the repo root: the command is in the record.
+# tests/data/golden_<case>.jsonl holds all that each call writes but wall_time_s.
+H1 = "tests/data/h_two_level.pauli"
+H2 = "tests/data/h_two_qubit.pauli"
+GOLDEN = {
+    "evolve": ["evolve", "--method", "ff", "--ham", H1, "--t", "1",
+               "--eps", "0.5", "--N", "16", "--state", "plus"],
+    "evolve_dilated": ["evolve", "--method", "dilated", "--ham", H2,
+                       "--t", "1", "--eps", "0.2"],
+    "evolve_exact": ["evolve", "--method", "exact", "--ham", H2, "--t", "2",
+                     "--state", "basis:1"],
+    "evolve_choi_ff": ["evolve", "--method", "choi-ff", "--jumps",
+                       "tests/data/jumps.txt", "--t", "1", "--eps", "0.05"],
+    "qpe_standard": ["qpe", "--route", "standard", "--ham", H2, "--d", "4"],
+    "qpe_slow": ["qpe", "--route", "slow", "--ham", H2, "--t", "4", "--N", "64"],
+    "qpe_fast_sample": ["qpe", "--route", "fast", "--ham", H2, "--t", "4",
+                        "--N", "64", "--eps", "1e-3", "--mode", "sample",
+                        "--repeats", "5", "--seed", "3"],
+    "prepare_standard": ["qpe", "prepare", "--route", "standard", "--ham", H2,
+                         "--eigen", "1", "--d", "4"],
+    "prepare_slow": ["qpe", "prepare", "--route", "slow", "--ham", H2,
+                     "--eigen", "1", "--t", "16", "--N", "256"],
+    "prepare_fast": ["qpe", "prepare", "--route", "fast", "--ham", H2,
+                     "--eigen", "1", "--t", "4", "--N", "64"],
+    "gibbs": ["gibbs", "--ham", H2, "--beta", "1,2", "--eps", "0.05"],
+    "ae_demo": ["ae-demo", "--n", "3", "--witnesses", "1", "--runs", "3",
+                "--N", "256", "--seed", "5"],
+    "bench_gibbs_beta": ["bench", "gibbs-beta", "--beta", "1,2,4",
+                         "--eps", "0.05"],
+}
+
+
 class TestRecords:
-    def test_golden_evolve_record(self, monkeypatch):
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_golden_record(self, monkeypatch, case):
         monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-        rc, out = invoke(["evolve", "--method", "ff", "--ham",
-                          "tests/data/h_two_level.pauli", "--t", "1",
-                          "--eps", "0.5", "--N", "16", "--state", "plus"])
+        rc, out = invoke(GOLDEN[case])
         assert rc == 0
-        with open(os.path.join(DATA, "golden_evolve.jsonl")) as fh:
-            golden = fh.read()
-        assert strip_wall_time(out) == golden
+        with open(os.path.join(DATA, f"golden_{case}.jsonl")) as fh:
+            want = fh.read()
+        assert strip_wall_time(out) == want
 
     def test_determinism_byte_identical(self):
         argv = ["qpe", "--route", "slow", "--ham", HAM, "--t", "4", "--N", "100",
@@ -60,7 +92,7 @@ class TestRecords:
     def test_record_round_trips(self):
         rc, out = invoke(["evolve", "--method", "exact", "--ham", HAM, "--t", "2"])
         assert rc == 0
-        rec = parse_record(out.splitlines()[0])
+        rec = json.loads(out.splitlines()[0])
         assert rec["outputs"]["method"] == "exact"
         assert "rho_out" in rec["outputs"]
         assert rec["command"][0] == "evolve"
@@ -89,9 +121,10 @@ class TestExitCodes:
         rc, _ = invoke(["evolve", "--method", "ff", "--ham", HAM, "--t", "-1"])
         assert rc == 1
 
-    def test_missing_ham(self):
+    def test_missing_ham(self, capsys):
         rc, _ = invoke(["evolve", "--method", "ff", "--t", "1"])
         assert rc == 1
+        assert capsys.readouterr().err == "error: --ham FILE is required\n"
 
     def test_invariant_error_is_one_line_exit_2(self, monkeypatch, capsys):
         # a reported gap far above the true one makes the overlap bound unreachable
@@ -119,11 +152,11 @@ class TestExitCodes:
         argv = ["evolve", "--method", "dilated", "--ham", HAM, "--t", "64", "--eps", "0.1"]
         rc, out = invoke(argv)
         assert rc == 0
-        rec = parse_record(out.splitlines()[0])
+        rec = json.loads(out.splitlines()[0])
         assert rec["cost"]["step_count"] == 26_214_400
         rho = parse_dense_matrix(rec["outputs"]["rho_out"])
         rc, out = invoke(["evolve", "--method", "exact", "--ham", HAM, "--t", "64"])
-        exact = parse_dense_matrix(parse_record(out.splitlines()[0])["outputs"]["rho_out"])
+        exact = parse_dense_matrix(json.loads(out.splitlines()[0])["outputs"]["rho_out"])
         assert trace_distance(rho, exact) <= 0.1
 
 
@@ -132,7 +165,7 @@ class TestSubcommands:
         rc, out = invoke(["qpe", "--route", "standard", "--ham", HAM,
                           "--state", "basis:1", "--d", "3"])
         assert rc == 0
-        rec = parse_record(out.splitlines()[0])
+        rec = json.loads(out.splitlines()[0])
         assert rec["outputs"]["route"] == "standard"
         assert np.isclose(sum(rec["outputs"]["distribution"]), 1.0, atol=1e-9)
 
@@ -140,7 +173,7 @@ class TestSubcommands:
         rc, out = invoke(["qpe", "prepare", "--route", "slow", "--ham", HAM,
                           "--eigen", "0", "--t", "16", "--N", "10000"])
         assert rc == 0
-        rec = parse_record(out.splitlines()[0])
+        rec = json.loads(out.splitlines()[0])
         assert rec["outputs"]["overlap"] >= rec["outputs"]["overlap_bound"] - 1e-4
 
     @pytest.mark.parametrize("route", ("standard", "slow", "fast"))
@@ -171,7 +204,7 @@ class TestSubcommands:
         rc, out = invoke(["ae-demo", "--n", "3", "--witnesses", "2", "--runs", "3",
                           "--t", "100", "--N", "512", "--seed", "1"])
         assert rc == 0
-        rec = parse_record(out.splitlines()[0])
+        rec = json.loads(out.splitlines()[0])
         assert np.isclose(rec["outputs"]["amplitude"], 0.5)
         assert rec["outputs"]["accuracy"] >= 2 / 3
 
@@ -246,7 +279,7 @@ class TestSubcommands:
         rc, out = invoke(["evolve", "--method", "choi-ff", "--jumps", str(jumps),
                           "--t", "1", "--eps", "0.01"])
         assert rc == 0
-        rec = parse_record(out.splitlines()[0])
+        rec = json.loads(out.splitlines()[0])
         assert rec["outputs"]["choi_commuting"] is True
 
     @pytest.mark.parametrize("second, code", [("1.0 X", 0), ("0.6 X\n0.8 Z", 1)])
@@ -268,7 +301,7 @@ class TestSubcommands:
                           "--t", "1", "--eps", "0.01"])
         assert rc == code and len(calls) == 1
         if code == 0:
-            outputs = parse_record(out.splitlines()[0])["outputs"]
+            outputs = json.loads(out.splitlines()[0])["outputs"]
             assert outputs["choi_commuting"] is True
             assert outputs["max_commutator"] == original(calls[0])[1]
 
@@ -324,7 +357,7 @@ class TestBench:
     def test_ff_vs_dilated_records_are_timed(self):
         rc, out = invoke(["bench", "ff-vs-dilated"])
         assert rc == 0
-        records = [parse_record(l) for l in out.splitlines() if l.startswith("{")]
+        records = [json.loads(l) for l in out.splitlines() if l.startswith("{")]
         assert len(records) == 2
         assert all(r["wall_time_s"] > 0 for r in records)
         assert [line for line in strip_wall_time(out).splitlines() if line.startswith("{")] == [
@@ -337,7 +370,7 @@ class TestBench:
     def test_ff_vs_dilated_slopes(self):
         rc, out = invoke(["bench", "ff-vs-dilated", "--t", "1,2,4,8", "--eps", "0.1"])
         assert rc == 0
-        slopes = [parse_record(l) for l in out.splitlines() if l.startswith("{")]
+        slopes = [json.loads(l) for l in out.splitlines() if l.startswith("{")]
         by_series = {r["outputs"]["series"]: r["outputs"] for r in slopes}
         assert by_series["ff"]["pass"] and by_series["dilated"]["pass"]
         assert abs(by_series["dilated"]["slope"] - 2.0) <= 0.1
@@ -345,5 +378,5 @@ class TestBench:
     def test_gibbs_beta_suite(self):
         rc, out = invoke(["bench", "gibbs-beta", "--beta", "1,2,4", "--eps", "0.05"])
         assert rc == 0
-        rec = [parse_record(l) for l in out.splitlines() if l.startswith("{")][0]
+        rec = [json.loads(l) for l in out.splitlines() if l.startswith("{")][0]
         assert rec["outputs"]["pass"]

@@ -622,8 +622,12 @@ class TestFastReadout:
         assert peak <= (16 * levels + 8) * (n + 1) + 4 * 2 ** 20, peak / 2 ** 20
 
 
-def generated_preparation(seed, dim):
-    """A Hamiltonian shifted to a populated target, and a random state.
+# (seed, dim) of the generated spectra: three seeds for each dim 2-6
+GENERATED = [(seed, dim) for dim in range(2, 7) for seed in range(3 * dim, 3 * dim + 3)]
+
+
+def generated_spectrum(seed, dim):
+    """A normalized Hamiltonian and the generator that drew it.
 
     The spectra cycle through distinct random eigenvalues, exact repeats
     (eigenvalues 2k and 2k + 1 equal, the last one single) and a pair 100
@@ -635,7 +639,12 @@ def generated_preparation(seed, dim):
     elif seed % 3 == 2:
         eigs[1] = eigs[0] + 1e-7
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    ham0 = normalize_spectrum((q * eigs) @ q.conj().T)
+    return normalize_spectrum((q * eigs) @ q.conj().T), rng
+
+
+def generated_preparation(seed, dim):
+    """A generated Hamiltonian shifted to a populated target, and a random state."""
+    ham0, rng = generated_spectrum(seed, dim)
     beta = int(rng.integers(ham0.n_levels))
     ham = shift_to_zero(ham0, beta)
     return ham, decompose_state(random_state(rng, dim), ham), beta
@@ -653,7 +662,7 @@ class TestPreparationRelations:
     post-selection probability is sum_l w_l |f_l|^2, the state is the
     normalized filtered components, and the overlap clears the route's bound."""
 
-    CASES = [(seed, dim) for dim in range(2, 7) for seed in range(3 * dim, 3 * dim + 3)]
+    CASES = GENERATED
 
     @staticmethod
     def check(prep, state, beta, f, slack):
@@ -696,6 +705,23 @@ class TestPreparationRelations:
         p0 = float(np.vdot(row0, row0).real)
         assert np.max(np.abs(prep.state - row0 / math.sqrt(p0))) <= 1e-12
         self.check(prep, st, beta, gap_kernel(p, ham.eigenvalues, np.zeros(1))[:, 0], 1e-9)
+
+
+ESTIMATORS = {
+    "standard": lambda ham, st: standard_qpe(ham, st, 6),
+    "slow": lambda ham, st: slow_qpe(ham, st, 16.0, 1000),
+    "fast64": lambda ham, st: fast_qpe(ham, st, plan(4.0, 1e-3, n_override=64)),
+    "fast4096": lambda ham, st: fast_qpe(ham, st, plan(4.0, 1e-3, n_override=4096)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ESTIMATORS))
+@pytest.mark.parametrize("seed,dim", GENERATED)
+def test_generated_distribution_sums_to_one(seed, dim, route):
+    # the unshifted spectra: repeats, a near-cluster pair, random states
+    ham, rng = generated_spectrum(seed, dim)
+    res = ESTIMATORS[route](ham, decompose_state(random_state(rng, dim), ham))
+    assert abs(res.distribution.sum() - 1.0) <= 1e-12
 
 
 def windowed_mixture(n, weights, qs):

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from lindbladff import (TOL, ValidationError, decompose_state, dilated_evolve,
-                        ff_evolve, lindblad_exact_hermitian, normalize_spectrum,
-                        plan)
+from lindbladff import (TOL, ValidationError, decompose_state, default_steps,
+                        dilated_evolve, ff_evolve, lindblad_exact_hermitian,
+                        normalize_spectrum, plan)
 from lindbladff.exact_oracle import steady_state
+from lindbladff.numkernel import trace_distance
 
 from conftest import dilated_step, random_density, random_state
 
@@ -125,6 +126,22 @@ def test_ff_pure_equals_ff_density(case, t, eps, n):
     dens, cost_dens = ff_evolve(ham, np.outer(psi, psi.conj()), p)
     assert np.max(np.abs(pure - dens)) <= 1e-12
     assert cost_pure == cost_dens
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=jumps(), mixed=hst.booleans())
+@pytest.mark.parametrize("eps", [0.05, 0.2])
+@pytest.mark.parametrize("t", [0.5, 2.0])
+def test_ff_and_dilated_within_eps_of_exact(t, eps, case, mixed):
+    # each planned simulator meets its target eps against the exact channel
+    f, rng = case
+    ham = normalize_spectrum(f)
+    x = random_density(rng, ham.dim) if mixed else random_state(rng, ham.dim)
+    exact = lindblad_exact_hermitian(ham, x, t)
+    ff, _ = ff_evolve(ham, x, plan(t, eps))
+    dilated, _ = dilated_evolve(ham, x, t, default_steps(t, eps))
+    assert trace_distance(ff, exact) <= eps
+    assert trace_distance(dilated, exact) <= eps
 
 
 # A rounding-level eigenvalue next to an exact 0: the two share one cluster,
