@@ -12,13 +12,14 @@ Hamiltonian file is read, parsed and hashed by ``_load_ham``.  The runs of
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,7 +66,9 @@ def _jsonable(x):
     if isinstance(x, (np.floating, np.integer)):
         return x.item()
     if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x]
+        if np.iscomplexobj(x):
+            x = np.stack((x.real, x.imag), -1)
+        return x.tolist()
     if isinstance(x, complex):
         return [x.real, x.imag]
     if isinstance(x, dict):
@@ -241,6 +244,10 @@ def _cmd_qpe(args, argv, emit: _Emitter):
     ham = model.normalize_spectrum(mat)
     if args.mode == "prepare":
         ham = model.shift_to_zero(ham, args.eigen)
+        if args.route == "standard":
+            # phases enter mod 1 here: halving keeps the level at +-1 off the target's phase 0
+            ham = replace(ham, eigenvalues=0.5 * ham.eigenvalues,
+                          spectrum_map=ham.spectrum_map.compose(2.0, 0.0))
     psi = _initial_state(args.state, ham.dim)
     state = model.decompose_state(psi, ham)
 
@@ -577,7 +584,9 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    gc.freeze()  # frozen objects escape the exit-time collections: no teardown walk of the heap
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -188,9 +188,10 @@ def standard_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
     Outcome 0 scales component l by 2^-d sum_j e^(-2 pi i h_l j), which is
     1-periodic in h_l and taken at the wrapped argument tw_l.  Phases enter
     mod 1 on this route, so a component at circular distance |tw| = 0 from
-    the target (e.g. an eigenvalue at exactly 1 after a shift-rescale)
-    aliases with it and cannot be filtered; the overlap bound uses the
-    circular gap and becomes vacuous (0) in that case.
+    the target (e.g. an eigenvalue at exactly 1 after ``shift_to_zero``, which
+    the CLI avoids by halving that spectrum into [-1/2, 1/2]) aliases with it
+    and cannot be filtered; the overlap bound uses the circular gap and
+    becomes vacuous (0) in that case.
     """
     _require_target_at_zero(ham, beta)
     h = ham.eigenvalues

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -16,6 +17,8 @@ from lindbladff.cli import run
 from lindbladff.model import parse_dense_matrix
 from lindbladff.numkernel import trace_distance
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(lindbladff.__file__)))
 DATA = os.path.join(os.path.dirname(__file__), "data")
 HAM = os.path.join(DATA, "h_two_level.pauli")
 
@@ -75,7 +78,7 @@ GOLDEN = {
 class TestRecords:
     @pytest.mark.parametrize("case", sorted(GOLDEN))
     def test_golden_record(self, monkeypatch, case):
-        monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        monkeypatch.chdir(ROOT)
         rc, out = invoke(GOLDEN[case])
         assert rc == 0
         with open(os.path.join(DATA, f"golden_{case}.jsonl")) as fh:
@@ -104,12 +107,81 @@ class TestRecords:
         assert rc == 0 and out == ""
         assert path.read_text().startswith("{")
 
+    def test_jsonable_matches_elementwise_conversion(self):
+        def elementwise(x):
+            if isinstance(x, (np.floating, np.integer)):
+                return x.item()
+            if isinstance(x, np.ndarray):
+                return [elementwise(v) for v in x]
+            if isinstance(x, complex):
+                return [x.real, x.imag]
+            if isinstance(x, dict):
+                return {k: elementwise(v) for k, v in x.items()}
+            if isinstance(x, (list, tuple)):
+                return [elementwise(v) for v in x]
+            return x
+
+        rng = np.random.default_rng(11)
+        real = rng.standard_normal(4097)
+        cplx = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        outputs = {
+            "distribution": real,
+            "grid": real[:12].reshape(3, 4),
+            "counts": rng.integers(-9, 10**12, 7),
+            "table": rng.integers(0, 5, (2, 3)).astype(np.int32),
+            "amplitudes": cplx[0],
+            "block": cplx,
+            "nested": [{"tiny": np.array([5e-324, -0.0, 1e308]), "z": np.complex128(1 - 2j)},
+                       (np.float64(0.1), np.int64(3), cplx[1:, :2])],
+            "empty": np.zeros((0, 2), dtype=complex),
+        }
+        dumps = lambda o: json.dumps(o, sort_keys=True, separators=(",", ":"))  # noqa: E731
+        assert dumps(cli._jsonable(outputs)) == dumps(elementwise(outputs))
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LINDBLADFF_OUT_DIR", str(tmp_path))
         rc, out = invoke(["--out", "rel.jsonl", "evolve", "--method", "exact",
                           "--ham", HAM, "--t", "1"])
         assert rc == 0 and out == ""
         assert (tmp_path / "rel.jsonl").read_text().startswith("{")
+
+
+def main_process(argv):
+    """``python -m lindbladff.cli argv`` in a fresh interpreter, from the repo root."""
+    return subprocess.run([sys.executable, "-m", "lindbladff.cli", *argv], cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                          text=True, timeout=120)
+
+
+def cut_fields(text, command=False):
+    """The text with each record's wall_time_s (its last key) cut out, and its
+    command too if asked; every other byte is kept."""
+    text = re.sub(r',"wall_time_s":[-+.0-9e]+}$', "}", text, flags=re.M)
+    return re.sub(r'"command":\[[^\]]*\],', "", text) if command else text
+
+
+class TestMainProcess:
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_golden_record(self, case):
+        done = main_process(GOLDEN[case])
+        assert done.returncode == 0, done.stderr
+        with open(os.path.join(DATA, f"golden_{case}.jsonl")) as fh:
+            assert cut_fields(done.stdout) == fh.read()
+
+    @pytest.mark.parametrize("case", ["evolve_choi_ff", "qpe_fast_sample"])
+    def test_out_file(self, tmp_path, case):
+        path = tmp_path / "records.jsonl"
+        done = main_process(["--out", str(path), *GOLDEN[case]])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == ""
+        with open(os.path.join(DATA, f"golden_{case}.jsonl")) as fh:
+            want = fh.read()
+        assert cut_fields(path.read_text(), command=True) == cut_fields(want, command=True)
+
+    def test_missing_ham(self):
+        done = main_process(["evolve", "--method", "ff", "--t", "1"])
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "error: --ham FILE is required\n"
 
 
 class TestExitCodes:
@@ -178,8 +250,7 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("route", ("standard", "slow", "fast"))
     def test_qpe_prepare_vacuous_bound_is_json(self, route):
-        # zeta = 1/4 >= 1/6 leaves the fast route's 1 - 6 zeta chain vacuous;
-        # the shift-rescaled level at 1 aliases with the target on the standard one
+        # zeta = 1/4 >= 1/6 leaves the fast route's 1 - 6 zeta chain vacuous
         rc, out = invoke(["qpe", "prepare", "--route", route, "--ham", HAM, "--state", "plus",
                           "--eigen", "0", "--t", "4", "--N", "64", "--zeta", "0.25"])
         assert rc == 0
@@ -188,8 +259,23 @@ class TestSubcommands:
             raise ValueError(f"non-finite constant {name}")
 
         rec = json.loads(out.splitlines()[0], parse_constant=finite_only)
-        if route != "slow":
+        if route == "fast":
             assert rec["outputs"]["overlap_bound"] == 0.0
+
+    @pytest.mark.parametrize("ham, eigen, overlap, bound", [
+        (HAM, "0", 1.0, 0.9997559189650964),
+        (os.path.join(DATA, "h_two_qubit.pauli"), "1", 0.9968351152614887, 0.9872529413969969),
+    ])
+    def test_standard_prepare_filters_the_farthest_level(self, ham, eigen, overlap, bound):
+        # the shifted spectrum is halved into [-1/2, 1/2], so the level the
+        # shift put at +-1 no longer aliases with the target at phase 0 mod 1
+        rc, out = invoke(["qpe", "prepare", "--route", "standard", "--ham", ham,
+                          "--state", "plus", "--eigen", eigen, "--d", "6"])
+        assert rc == 0
+        outputs = json.loads(out.splitlines()[0])["outputs"]
+        assert outputs["overlap"] == pytest.approx(overlap, abs=1e-12)
+        assert outputs["overlap_bound"] == pytest.approx(bound, abs=1e-12)
+        assert outputs["overlap"] >= outputs["overlap_bound"]
 
     def test_gibbs_csv(self, tmp_path):
         csv_path = tmp_path / "sweep.csv"
@@ -345,8 +431,7 @@ class TestColdStart:
                 run(argv)
             print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
         """)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(lindbladff.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONPATH=SRC)
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
