@@ -4,23 +4,21 @@ preparation, and commuting-generator noise channels."""
 
 __version__ = "0.1.0"
 
-from .config import TOL
 from .errors import CapacityError, InvariantError, ValidationError
 from .dilated import CostReport, dilated_evolve, default_steps
-from .exact_oracle import (lindblad_exact_general, lindblad_exact_hermitian,
-                           lindblad_rk4, steady_state)
-from .fastforward import FFPlan, dense_circuit_reference, ff_evolve, plan
-from .gibbs import GibbsResult, exact_gibbs, gibbs_prepare
+from .exact_oracle import lindblad_exact_hermitian
+from .fastforward import FFPlan, ff_evolve, plan
+from .gibbs import GibbsResult, gibbs_prepare
 from .model import (Hamiltonian, LindbladSpec, SpectralState, SpectrumMap,
                     decompose_state, lindblad_spec,
                     normalize_spectrum, normalized_jump, parse_dense_matrix,
                     parse_pauli_sum, shift_to_zero, spectral_gap)
 from .qpe import (AmplitudeDecision, AmplitudeProblem, EstimationResult,
-                  PreparationResult, amplitude_decision_demo, amplitude_problem,
+                  PreparationResult, amplitude_problem,
                   decide_amplitude, fast_qpe, fast_qpe_eigenstate, slow_qpe,
                   slow_qpe_eigenstate, standard_qpe, standard_qpe_eigenstate)
-from .choi import choi_ff_evolve, choi_generator_term, is_choi_commuting, pauli_noise_spec
-from .concentration import bernstein_bound, binomial_tail, dml_gap, hoeffding_bound
+from .choi import choi_ff_evolve, choi_generator_term, is_choi_commuting
+from .concentration import bernstein_bound, binomial_tail, hoeffding_bound
 from .stateprep import (GaussianParams, binomial_amplitudes,
                         binomial_gaussian_distance, discrete_gaussian_amplitudes,
-                        f_mu_sigma, kw_angle_schedule, kw_synthesize)
+                        f_mu_sigma, kw_angle_schedule)

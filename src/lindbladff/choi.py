@@ -1,5 +1,4 @@
-"""Commuting-generator Lindbladians: criterion, factorized fast-forwarding,
-and the Pauli-noise constructor.
+"""Commuting-generator Lindbladians: criterion and factorized fast-forwarding.
 
 A multi-jump dissipator factorizes into a sequence of single-jump channels
 exactly when the vectorized per-jump generators pairwise commute.  Jumps that
@@ -12,16 +11,18 @@ generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL
 from .errors import CapacityError, ValidationError
 from . import numkernel as nk
 from .dilated import CostReport
 from .fastforward import ff_cost, gap_kernel, plan as make_plan
-from .model import LindbladSpec, lindblad_spec, normalized_jump, parse_pauli_sum
+from .model import LindbladSpec, normalized_jump
+
+# Commutation tolerance of ``is_choi_commuting``, relative to the
+# generator-term scale
+COMMUTE_TOL = 1e-9
 
 
 def choi_generator_term(h: np.ndarray) -> np.ndarray:
@@ -54,7 +55,7 @@ def _superop_commutator(a: np.ndarray, b: np.ndarray) -> tuple[bool, float]:
     ta, tb = choi_generator_term(a), choi_generator_term(b)
     norm = float(np.max(np.abs(ta @ tb - tb @ ta)))
     scale = max(1.0, float(np.max(np.abs(ta))) * float(np.max(np.abs(tb))))
-    return norm <= TOL.choi_commute_tol * scale, norm
+    return norm <= COMMUTE_TOL * scale, norm
 
 
 def is_choi_commuting(spec: LindbladSpec) -> tuple[bool, float]:
@@ -84,7 +85,7 @@ def is_choi_commuting(spec: LindbladSpec) -> tuple[bool, float]:
         for j in range(i + 1, len(jumps)):
             ab, ba = jumps[i] @ ax[j], jumps[j] @ ax[i]
             residual = float(min(np.linalg.norm(ab - ba), np.linalg.norm(ab + ba)))
-            if residual <= TOL.choi_commute_tol * scales[i] * scales[j] * x_norm:
+            if residual <= COMMUTE_TOL * scales[i] * scales[j] * x_norm:
                 worst = max(worst, residual)
                 continue
             ok, norm = _superop_commutator(jumps[i], jumps[j])
@@ -94,25 +95,22 @@ def is_choi_commuting(spec: LindbladSpec) -> tuple[bool, float]:
 
 
 def choi_ff_evolve(spec: LindbladSpec, state0: np.ndarray, t: float,
-                   eps_total: float, override: bool = False
-                   ) -> tuple[np.ndarray, CostReport]:
+                   eps_total: float) -> tuple[np.ndarray, CostReport, float]:
     """Sequential per-jump fast-forwarding with a uniform error split.
 
-    Each factor gets eps_total / K; for a commuting spec the factor order is
-    immaterial up to that budget, and we keep the input order.  Jumps whose
-    spectrum leaves [0, 1] are normalized with the matching quadratic time
-    rescale (identity shifts leave the dissipator invariant).  ``override``
-    skips the commutation check: it forces the factorized channel.
+    The channel factorizes only when the generators commute, so the spec
+    must pass ``is_choi_commuting``; the largest commutator it found is
+    returned after the state and the cost.  Each factor gets eps_total / K;
+    for a commuting spec the factor order is immaterial up to that budget,
+    and we keep the input order.  Jumps whose spectrum leaves [0, 1] are
+    normalized with the matching quadratic time rescale (identity shifts
+    leave the dissipator invariant).
     """
     if t <= 0:
         raise ValidationError(f"evolution time must be positive, got {t}")
-    if not override:
-        passes, worst = is_choi_commuting(spec)
-        if not passes:
-            raise ValidationError(
-                f"generators do not commute (max commutator entry {worst:.3e}); "
-                f"pass override=True to force the factorized channel anyway"
-            )
+    passes, worst = is_choi_commuting(spec)
+    if not passes:
+        raise ValidationError(f"generators do not commute (max commutator entry {worst:.3e})")
     state0 = np.asarray(state0, dtype=complex)
     # each factor maps density matrices to density matrices: validate once
     rho = nk.require_density(np.outer(state0, state0.conj()) if state0.ndim == 1 else state0)
@@ -131,21 +129,5 @@ def choi_ff_evolve(spec: LindbladSpec, state0: np.ndarray, t: float,
         total_time += cost.hamiltonian_time
         steps += cost.step_count
         ancillas += cost.ancilla_count
-    return rho, CostReport(total_time, steps, ancillas)
+    return rho, CostReport(total_time, steps, ancillas), worst
 
-
-def pauli_noise_spec(terms) -> LindbladSpec:
-    """Jumps sqrt(rate) * PauliString; always passes the commutation check.
-
-    ``terms`` is an iterable of (pauli_string, rate) with rates in (0, 1].
-    """
-    jumps = []
-    for string, rate in terms:
-        if not 0.0 < rate <= 1.0:
-            raise ValidationError(
-                f"rate {rate} outside (0, 1]; rescale the evolution time instead "
-                f"(a c-scaled jump squares the rates)"
-            )
-        p = parse_pauli_sum(f"1.0 {string}")
-        jumps.append(math.sqrt(rate) * p)
-    return lindblad_spec(jumps)

@@ -47,14 +47,3 @@ def hoeffding_bound(n: int, c: float) -> float:
     """2 exp(-2 c^2 N)."""
     return 2.0 * math.exp(-2.0 * c ** 2 * n)
 
-
-def dml_gap(n: int, p: float) -> float:
-    """Largest pointwise gap between the Binomial(N, p) pmf and the Gaussian
-    density with matched mean and variance."""
-    if not 0.0 < p < 1.0:
-        raise ValidationError(f"p must be in (0, 1), got {p}")
-    m = np.arange(n + 1)
-    mu = n * p
-    var = n * p * (1.0 - p)
-    pdf = np.exp(-((m - mu) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
-    return float(np.max(np.abs(binom_pmf(n, p) - pdf)))

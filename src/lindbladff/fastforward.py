@@ -33,12 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError
 from . import numkernel as nk
 from .dilated import CostReport
 from .kernels import binom_residue_weights
-from .model import Hamiltonian
+from .model import JUMP_NORM_ATOL, Hamiltonian
 
 # Bytes of one streamed block of residue rows (see ``_block_rows``).
 _BLOCK_BYTES = 4 << 20
@@ -156,7 +155,7 @@ def _block_rows(p: FFPlan, dim: int) -> int:
 
 
 def _check_norm(eigs: np.ndarray):
-    if float(np.max(np.abs(eigs))) > 1.0 + TOL.jump_norm_atol:
+    if float(np.max(np.abs(eigs))) > 1.0 + JUMP_NORM_ATOL:
         raise ValidationError("jump norm exceeds 1; normalize the spectrum and rescale time")
 
 
@@ -231,43 +230,3 @@ def ff_evolve(ham: Hamiltonian, state0: np.ndarray, p: FFPlan
     kernel = gap_kernel(p, ham.eigenvalues, ham.eigenvalues)
     return ham.dephase(kernel, state0), ff_cost(p)
 
-
-def dense_circuit_reference(ham: Hamiltonian, psi: np.ndarray, p: FFPlan) -> np.ndarray:
-    """Literal dense simulation of the circuit, as an oracle for the ledger.
-
-    Builds the full 2^d x dim joint state, applies the inverse shift, the d'
-    bit-controlled evolutions, the uncontrolled backward factor and the
-    forward shift, then traces out the register.  Evolutions use scipy's
-    expm and the binomial amplitudes its log-gamma, so the path stays
-    independent of the spectral machinery and of the binomial kernels.
-    """
-    from scipy.linalg import expm
-    from scipy.special import gammaln
-
-    psi = nk.require_state(psi)
-    reg = 1 << p.d
-    if reg * ham.dim > TOL.dense_reference_cap:
-        raise CapacityError(
-            f"dense reference needs register*system = {reg * ham.dim} "
-            f"> cap {TOL.dense_reference_cap}"
-        )
-    log_fact = gammaln(np.arange(p.n + 1) + 1.0)  # log m!; reversed, log (n - m)!
-    amps = np.zeros(reg)
-    amps[: p.n + 1] = np.exp(0.5 * (log_fact[-1] - log_fact - log_fact[::-1]
-                                    - p.n * math.log(2.0)))
-    joint = amps[:, None] * psi[None, :]
-
-    fwd = np.array([(m + p.shift) % reg for m in range(reg)])
-    joint = joint[fwd]                       # inverse shift: row m <- row (m + shift)
-    root = math.sqrt(p.tau)
-    mat = ham.matrix
-    for j in range(p.dprime):
-        u0 = expm(+1j * mat * root * (1 << j))
-        u1 = expm(-1j * mat * root * (1 << j))
-        bits = (np.arange(reg) >> j) & 1
-        joint[bits == 0] = joint[bits == 0] @ u0.T
-        joint[bits == 1] = joint[bits == 1] @ u1.T
-    joint = joint @ expm(+1j * mat * root).T
-    back = np.array([(m - p.shift) % reg for m in range(reg)])
-    joint = joint[back]                      # forward shift
-    return joint.T @ joint.conj()

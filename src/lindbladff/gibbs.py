@@ -68,11 +68,6 @@ def _gibbs_from_eig(w: np.ndarray, v: np.ndarray, beta: float) -> tuple[np.ndarr
     return rho, z
 
 
-def exact_gibbs(h_p: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
-    """Reference e^{-beta H_P} / Z via the spectral decomposition."""
-    return _gibbs_from_eig(*nk.herm_eig(h_p), beta)
-
-
 def _uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     wr, vr = np.linalg.eigh(rho)
     root = (vr * np.sqrt(np.clip(wr, 0.0, None))) @ vr.conj().T

@@ -3,7 +3,7 @@ and eigenspace bookkeeping.
 
 A :class:`Hamiltonian` always carries a normalized spectrum together with the
 affine map back to the caller's original energy units.  Degenerate eigenvalues
-(gap below ``cluster_rtol * ||H||``) are merged into one level whose
+(gap below ``CLUSTER_RTOL * ||H||``) are merged into one level whose
 eigenvectors span the shared eigenspace; the ``clustered`` flag records when
 that tolerance was exercised.
 """
@@ -15,9 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL
 from .errors import ValidationError
 from . import numkernel as nk
+
+CLUSTER_RTOL = 1e-9      # eigenvalue clustering, relative to ||H||; read at call time
+JUMP_NORM_ATOL = 1e-9    # jump operator norm <= 1 + this
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -117,7 +119,7 @@ def _cluster(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     group holds more than one eigenvalue.
     """
     norm = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    tol = TOL.cluster_rtol * (norm if norm > 0.0 else 1.0)
+    tol = CLUSTER_RTOL * (norm if norm > 0.0 else 1.0)
     levels = np.empty(eigs.size, dtype=np.int64)
     level, start = -1, -math.inf
     for i, e in enumerate(eigs.tolist()):
@@ -197,7 +199,6 @@ class SpectralState:
 
     coeffs: np.ndarray
     components: np.ndarray
-    hamiltonian: Hamiltonian
 
     @property
     def weights(self) -> np.ndarray:
@@ -210,9 +211,9 @@ def decompose_state(v: np.ndarray, ham: Hamiltonian) -> SpectralState:
     safe = np.where(coeffs > 0, coeffs, 1.0)
     normalized = comps / safe[:, None]
     normalized[coeffs == 0] = 0.0
-    if abs(float(np.sum(coeffs ** 2)) - 1.0) > TOL.unit_norm_atol:
+    if abs(float(np.sum(coeffs ** 2)) - 1.0) > nk.UNIT_NORM_ATOL:
         raise ValidationError("eigenspace weights do not sum to 1; eigenbasis incomplete?")
-    return SpectralState(coeffs, normalized, ham)
+    return SpectralState(coeffs, normalized)
 
 
 @dataclass(frozen=True)
@@ -233,7 +234,7 @@ def lindblad_spec(jumps) -> LindbladSpec:
         elif m.shape[0] != dim:
             raise ValidationError(f"jump {k} has dim {m.shape[0]}, expected {dim}")
         nrm = float(np.max(np.abs(np.linalg.eigvalsh(m))))
-        if nrm > 1.0 + TOL.jump_norm_atol:
+        if nrm > 1.0 + JUMP_NORM_ATOL:
             raise ValidationError(
                 f"jump {k} has operator norm {nrm:.6f} > 1; rescale the jump by 1/{nrm:.4f} "
                 f"and the evolution time by {nrm**2:.4f} (a c-scaled jump squares the rates)"

@@ -2,17 +2,21 @@
 
 All operations are pure functions on numpy arrays; matrices are dense complex
 double precision throughout.  Hermitian inputs are symmetrized as
-(A + A^dag)/2 once their asymmetry is verified to sit below tolerance; larger
-asymmetry raises, since silently proceeding would mask model-construction
-bugs upstream.
+(A + A^dag)/2 once their asymmetry is verified to sit below
+``HERMITIAN_ATOL``; larger asymmetry raises, since silently proceeding would
+mask model-construction bugs upstream.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import TOL
 from .errors import ValidationError
+
+HERMITIAN_ATOL = 1e-10   # max |A - A^dag| accepted (then symmetrized)
+UNIT_NORM_ATOL = 1e-9    # state-vector normalization
+TRACE_ATOL = 1e-9        # density-matrix trace
+PSD_ATOL = 1e-8          # density eigenvalues >= -PSD_ATOL
 
 
 def as_matrix(a) -> np.ndarray:
@@ -34,10 +38,9 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
-def require_hermitian(a: np.ndarray, atol: float | None = None) -> np.ndarray:
+def require_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     """Validate Hermiticity and return the symmetrized matrix (A + A^dag)/2."""
     a = require_square(a)
-    atol = TOL.hermitian_atol if atol is None else atol
     defect = hermiticity_defect(a)
     if defect > atol:
         raise ValidationError(
@@ -61,7 +64,7 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     sigma = require_square(sigma)
     if rho.shape != sigma.shape:
         raise ValidationError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    diff = require_hermitian(rho - sigma, atol=2 * TOL.hermitian_atol)
+    diff = require_hermitian(rho - sigma, atol=2 * HERMITIAN_ATOL)
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
@@ -69,9 +72,9 @@ def require_state(v: np.ndarray) -> np.ndarray:
     """Validate that ``v`` is a normalized state vector."""
     v = np.asarray(v, dtype=complex)
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > TOL.unit_norm_atol:
+    if abs(nrm - 1.0) > UNIT_NORM_ATOL:
         raise ValidationError(
-            f"state vector norm {nrm!r} deviates from 1 beyond {TOL.unit_norm_atol:.1e}")
+            f"state vector norm {nrm!r} deviates from 1 beyond {UNIT_NORM_ATOL:.1e}")
     return v
 
 
@@ -79,21 +82,10 @@ def require_density(rho: np.ndarray) -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity of a density matrix."""
     rho = require_hermitian(rho)
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > TOL.trace_atol:
+    if abs(tr - 1.0) > TRACE_ATOL:
         raise ValidationError(f"density matrix trace {tr!r} deviates from 1")
     wmin = float(np.linalg.eigvalsh(rho)[0])
-    if wmin < -TOL.psd_atol:
-        raise ValidationError(f"density matrix has eigenvalue {wmin:.3e} below -{TOL.psd_atol:.1e}")
+    if wmin < -PSD_ATOL:
+        raise ValidationError(f"density matrix has eigenvalue {wmin:.3e} below -{PSD_ATOL:.1e}")
     return rho
 
-
-def vec(rho: np.ndarray) -> np.ndarray:
-    """Flatten a matrix to its row-major vectorization rho_ij -> |i>|j>."""
-    return np.asarray(rho, dtype=complex).reshape(-1)
-
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec` for square matrices."""
-    v = np.asarray(v, dtype=complex)
-    d = int(round(np.sqrt(v.size)))
-    return v.reshape(d, d)

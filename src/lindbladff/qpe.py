@@ -560,14 +560,3 @@ def decide_amplitude(problem: AmplitudeProblem, mode: str = "sample",
         estimation=result,
     )
 
-
-def amplitude_decision_demo(bits, t: float = 250.0, register_n: int = 2048,
-                            eps: float = 1e-5, mode: str = "sample",
-                            seed=None) -> AmplitudeDecision:
-    """Decide witness count W = 0 vs W >= 1 by phase-estimating the iterate.
-
-    The estimated eigenphase is compared against half the minimal
-    nonzero-witness rotation 2 arcsin(2^(-n/2)).  Repeated runs on one oracle
-    should build ``amplitude_problem`` once and call ``decide_amplitude``.
-    """
-    return decide_amplitude(amplitude_problem(bits, t, register_n, eps), mode, seed)

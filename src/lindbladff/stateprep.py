@@ -19,9 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL
 from .errors import ValidationError
 from .kernels import binom_pmf
+
+# Truncation of the lattice-Gaussian and theta series, below the double-
+# precision resolution of the dominant term
+SERIES_CUTOFF = 1e-16
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ def f_mu_sigma(mu: float, sigma: float) -> float:
     if sigma <= 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
     if sigma < 1.0:
-        reach = sigma * math.sqrt(-2.0 * math.log(TOL.series_cutoff)) + 1.0
+        reach = sigma * math.sqrt(-2.0 * math.log(SERIES_CUTOFF)) + 1.0
         m = np.arange(math.floor(mu - reach), math.ceil(mu + reach) + 1)
         return float(np.sum(np.exp(-((m - mu) ** 2) / (2.0 * sigma ** 2))))
     base = math.sqrt(2.0 * math.pi * sigma ** 2)
@@ -70,7 +73,7 @@ def f_mu_sigma(mu: float, sigma: float) -> float:
     l = 1
     while True:
         mag = 2.0 * math.exp(-2.0 * math.pi ** 2 * l ** 2 * sigma ** 2)
-        if mag < TOL.series_cutoff:
+        if mag < SERIES_CUTOFF:
             break
         total += mag * math.cos(2.0 * math.pi * l * mu)
         l += 1
@@ -86,7 +89,7 @@ def discrete_gaussian_amplitudes(params: GaussianParams) -> np.ndarray:
     mu, sigma, n = params.mu, params.sigma, params.n
     m = np.arange(n, dtype=float)
     # images with |m + l n - mu| > reach contribute below the cutoff
-    reach = sigma * math.sqrt(-2.0 * math.log(TOL.series_cutoff)) + 1.0
+    reach = sigma * math.sqrt(-2.0 * math.log(SERIES_CUTOFF)) + 1.0
     l_lo = int(math.floor((mu - reach) / n)) - 1
     l_hi = int(math.ceil((mu + reach + n) / n)) + 1
     total = np.zeros(n)
@@ -126,19 +129,6 @@ def kw_angle_schedule(params: GaussianParams, depth: int) -> list[np.ndarray]:
         mus = children
         sigma /= 2.0
     return schedule
-
-
-def kw_synthesize(schedule: list[np.ndarray]) -> np.ndarray:
-    """Replay an angle schedule into the 2^depth amplitude vector."""
-    depth = len(schedule)
-    n = 2 ** depth
-    amps = np.ones(n)
-    for level, angles in enumerate(schedule):
-        path = np.arange(n) & ((1 << level) - 1)
-        bit = (np.arange(n) >> level) & 1
-        a = angles[path]
-        amps *= np.where(bit == 0, np.cos(a), np.sin(a))
-    return amps
 
 
 def binomial_gaussian_distance(n: int) -> float:

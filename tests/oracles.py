@@ -1,0 +1,228 @@
+"""Independent oracles that only the tests call: the vectorized propagator,
+adaptive RK4 on the master equation, the literal fast-forwarding circuit,
+and references for the Gibbs, state-synthesis, concentration,
+commuting-generator and amplitude-decision tests.  Each reaches its answer
+by a route the CLI does not take, and may use scipy, which the package never does.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from lindbladff import numkernel as nk
+from lindbladff.errors import CapacityError, ValidationError
+from lindbladff.fastforward import FFPlan
+from lindbladff.gibbs import _gibbs_from_eig
+from lindbladff.kernels import binom_pmf
+from lindbladff.model import Hamiltonian, LindbladSpec, lindblad_spec, parse_pauli_sum
+from lindbladff.qpe import AmplitudeDecision, amplitude_problem, decide_amplitude
+
+VECTORIZED_CAP = 4096           # dim^2 cap for the vectorized propagator
+DENSE_REFERENCE_CAP = 2 ** 14   # register_dim * system_dim for the circuit oracle
+
+
+def vec(rho: np.ndarray) -> np.ndarray:
+    """Flatten a matrix to its row-major vectorization rho_ij -> |i>|j>."""
+    return np.asarray(rho, dtype=complex).reshape(-1)
+
+
+def unvec(v: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`vec` for square matrices."""
+    v = np.asarray(v, dtype=complex)
+    d = int(round(np.sqrt(v.size)))
+    return v.reshape(d, d)
+
+
+def steady_state(ham: Hamiltonian, rho0: np.ndarray) -> np.ndarray:
+    """Infinite-time limit: coherence survives only inside each eigenspace."""
+    return ham.dephase(np.eye(ham.n_levels), rho0)
+
+
+def generator_matrix(spec: LindbladSpec) -> np.ndarray:
+    """Vectorized generator sum_i (H_i (x) H_i* - H_i^2 (x) I / 2 - I (x) H_i*^2 / 2)."""
+    d = spec.dim
+    eye = np.eye(d)
+    gen = np.zeros((d * d, d * d), dtype=complex)
+    for h in spec.jumps:
+        h2 = h @ h
+        gen += np.kron(h, h.conj()) - 0.5 * np.kron(h2, eye) - 0.5 * np.kron(eye, h2.conj())
+    return gen
+
+
+def lindblad_exact_general(spec: LindbladSpec, rho0: np.ndarray, t: float) -> np.ndarray:
+    """exp(L t) applied through the vectorized propagator.
+
+    The vectorization is row-major (rho_ij -> |i>|j>), which is the ordering
+    the generator expression above assumes; the conjugated factor acts on the
+    column index.
+    """
+    if t < 0:
+        raise ValidationError(f"negative evolution time {t}")
+    rho0 = nk.require_square(rho0)
+    d = rho0.shape[0]
+    if d != spec.dim:
+        raise ValidationError(f"dimension mismatch: rho {d} vs spec {spec.dim}")
+    if d * d > VECTORIZED_CAP:
+        raise CapacityError(
+            f"vectorized propagator needs dim^2 = {d * d} > cap {VECTORIZED_CAP}"
+        )
+    if not spec.jumps:
+        return rho0.copy()
+    from scipy.linalg import expm
+
+    prop = expm(generator_matrix(spec) * t)
+    return unvec(prop @ vec(rho0))
+
+
+_RK4_LOCAL_TOL = 1e-10  # see lindblad_rk4
+
+
+def _deriv(rho: np.ndarray, jumps, jsq) -> np.ndarray:
+    out = np.zeros_like(rho)
+    for f, f2 in zip(jumps, jsq):
+        out += f @ rho @ f.conj().T - 0.5 * (f2 @ rho + rho @ f2)
+    return out
+
+
+def _rk4_step(rho, h, jumps, jsq):
+    k1 = _deriv(rho, jumps, jsq)
+    k2 = _deriv(rho + 0.5 * h * k1, jumps, jsq)
+    k3 = _deriv(rho + 0.5 * h * k2, jumps, jsq)
+    k4 = _deriv(rho + h * k3, jumps, jsq)
+    return rho + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def lindblad_rk4(jumps, rho0: np.ndarray, t: float) -> np.ndarray:
+    """Brute-force master-equation integration (adaptive step doubling).
+
+    Local error per step is controlled below ``_RK4_LOCAL_TOL`` by comparing
+    one full step against two half steps.  Intentionally independent of the
+    spectral solutions: it only ever evaluates the Lindblad right-hand side.
+    """
+    if t < 0:
+        raise ValidationError(f"negative evolution time {t}")
+    jumps = [np.asarray(j, dtype=complex) for j in jumps]
+    jsq = [j.conj().T @ j for j in jumps]
+    rho = np.asarray(rho0, dtype=complex).copy()
+    if t == 0 or not jumps:
+        return rho
+    rate = max(float(np.max(np.abs(j))) for j in jumps) ** 2
+    h = min(t, 0.05 / max(rate, 1e-12))
+    done = 0.0
+    while done < t:
+        h = min(h, t - done)
+        full = _rk4_step(rho, h, jumps, jsq)
+        half = _rk4_step(_rk4_step(rho, 0.5 * h, jumps, jsq), 0.5 * h, jumps, jsq)
+        err = float(np.max(np.abs(full - half))) / 15.0
+        if err <= _RK4_LOCAL_TOL or h <= 1e-12 * t:
+            rho = half + (half - full) / 15.0  # local extrapolation
+            done += h
+            if err > 0:
+                h *= min(2.0, max(0.5, 0.9 * (_RK4_LOCAL_TOL / err) ** 0.2))
+            else:
+                h *= 2.0
+        else:
+            h *= max(0.1, 0.9 * (_RK4_LOCAL_TOL / err) ** 0.2)
+    return rho
+
+
+def dense_circuit_reference(ham: Hamiltonian, psi: np.ndarray, p: FFPlan) -> np.ndarray:
+    """Literal dense simulation of the circuit, as an oracle for the ledger.
+
+    Builds the full 2^d x dim joint state, applies the inverse shift, the d'
+    bit-controlled evolutions, the uncontrolled backward factor and the
+    forward shift, then traces out the register.  Evolutions use scipy's
+    expm and the binomial amplitudes its log-gamma, so the path stays
+    independent of the spectral machinery and of the binomial kernels.
+    """
+    from scipy.linalg import expm
+    from scipy.special import gammaln
+
+    psi = nk.require_state(psi)
+    reg = 1 << p.d
+    if reg * ham.dim > DENSE_REFERENCE_CAP:
+        raise CapacityError(
+            f"dense reference needs register*system = {reg * ham.dim} "
+            f"> cap {DENSE_REFERENCE_CAP}"
+        )
+    log_fact = gammaln(np.arange(p.n + 1) + 1.0)  # log m!; reversed, log (n - m)!
+    amps = np.zeros(reg)
+    amps[: p.n + 1] = np.exp(0.5 * (log_fact[-1] - log_fact - log_fact[::-1]
+                                    - p.n * math.log(2.0)))
+    joint = amps[:, None] * psi[None, :]
+
+    fwd = np.array([(m + p.shift) % reg for m in range(reg)])
+    joint = joint[fwd]                       # inverse shift: row m <- row (m + shift)
+    root = math.sqrt(p.tau)
+    mat = ham.matrix
+    for j in range(p.dprime):
+        u0 = expm(+1j * mat * root * (1 << j))
+        u1 = expm(-1j * mat * root * (1 << j))
+        bits = (np.arange(reg) >> j) & 1
+        joint[bits == 0] = joint[bits == 0] @ u0.T
+        joint[bits == 1] = joint[bits == 1] @ u1.T
+    joint = joint @ expm(+1j * mat * root).T
+    back = np.array([(m - p.shift) % reg for m in range(reg)])
+    joint = joint[back]                      # forward shift
+    return joint.T @ joint.conj()
+
+
+def exact_gibbs(h_p: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
+    """Reference e^{-beta H_P} / Z via the spectral decomposition."""
+    return _gibbs_from_eig(*nk.herm_eig(h_p), beta)
+
+
+def kw_synthesize(schedule: list[np.ndarray]) -> np.ndarray:
+    """Replay an angle schedule into the 2^depth amplitude vector."""
+    depth = len(schedule)
+    n = 2 ** depth
+    amps = np.ones(n)
+    for level, angles in enumerate(schedule):
+        path = np.arange(n) & ((1 << level) - 1)
+        bit = (np.arange(n) >> level) & 1
+        a = angles[path]
+        amps *= np.where(bit == 0, np.cos(a), np.sin(a))
+    return amps
+
+
+def dml_gap(n: int, p: float) -> float:
+    """Largest pointwise gap between the Binomial(N, p) pmf and the Gaussian
+    density with matched mean and variance."""
+    if not 0.0 < p < 1.0:
+        raise ValidationError(f"p must be in (0, 1), got {p}")
+    m = np.arange(n + 1)
+    mu = n * p
+    var = n * p * (1.0 - p)
+    pdf = np.exp(-((m - mu) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+    return float(np.max(np.abs(binom_pmf(n, p) - pdf)))
+
+
+def pauli_noise_spec(terms) -> LindbladSpec:
+    """Jumps sqrt(rate) * PauliString; always passes the commutation check.
+
+    ``terms`` is an iterable of (pauli_string, rate) with rates in (0, 1].
+    """
+    jumps = []
+    for string, rate in terms:
+        if not 0.0 < rate <= 1.0:
+            raise ValidationError(
+                f"rate {rate} outside (0, 1]; rescale the evolution time instead "
+                f"(a c-scaled jump squares the rates)"
+            )
+        p = parse_pauli_sum(f"1.0 {string}")
+        jumps.append(math.sqrt(rate) * p)
+    return lindblad_spec(jumps)
+
+
+def amplitude_decision_demo(bits, t: float = 250.0, register_n: int = 2048,
+                            eps: float = 1e-5, mode: str = "sample",
+                            seed=None) -> AmplitudeDecision:
+    """Decide witness count W = 0 vs W >= 1 by phase-estimating the iterate.
+
+    The estimated eigenphase is compared against half the minimal
+    nonzero-witness rotation 2 arcsin(2^(-n/2)).  Repeated runs on one oracle
+    should build ``amplitude_problem`` once and call ``decide_amplitude``.
+    """
+    return decide_amplitude(amplitude_problem(bits, t, register_n, eps), mode, seed)

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from lindbladff import (CapacityError, ValidationError, choi_ff_evolve, choi_generator_term,
-                        ff_evolve, is_choi_commuting, lindblad_exact_general,
-                        lindblad_rk4, lindblad_spec, normalize_spectrum,
-                        pauli_noise_spec, plan)
+                        ff_evolve, is_choi_commuting, lindblad_spec, normalize_spectrum,
+                        plan)
 from lindbladff import choi
 from lindbladff import numkernel as nk
-from lindbladff.model import parse_pauli_sum
 
-from conftest import PAULI_X, PAULI_Y, PAULI_Z, random_hermitian
+from conftest import PAULI_X, PAULI_Z, random_hermitian
+from oracles import lindblad_exact_general, lindblad_rk4, pauli_noise_spec
 
 ZERO_KET = np.zeros((2, 2), dtype=complex)
 ZERO_KET[0, 0] = 1.0
@@ -127,7 +126,7 @@ class TestSequentialFastForward:
     def test_single_jump_matches_ff(self):
         spec = lindblad_spec([np.diag([0.0, 1.0])])
         psi = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-        rho_seq, cost_seq = choi_ff_evolve(spec, psi, 2.0, 0.05)
+        rho_seq, cost_seq, _ = choi_ff_evolve(spec, psi, 2.0, 0.05)
         ham = normalize_spectrum(np.diag([0.0, 1.0]))
         rho_ff, cost_ff = ff_evolve(ham, psi, plan(2.0, 0.05))
         assert np.max(np.abs(rho_seq - rho_ff)) <= 1e-12
@@ -135,7 +134,7 @@ class TestSequentialFastForward:
 
     def test_xz_dephasing_to_maximally_mixed(self):
         spec = lindblad_spec([PAULI_X, PAULI_Z])
-        rho, _ = choi_ff_evolve(spec, np.array([1.0, 0.0], dtype=complex), 8.0, 1e-2)
+        rho, _, _ = choi_ff_evolve(spec, np.array([1.0, 0.0], dtype=complex), 8.0, 1e-2)
         exact = lindblad_exact_general(spec, ZERO_KET, 8.0)
         assert nk.trace_distance(rho, exact) <= 1e-2
         assert np.max(np.abs(exact - np.eye(2) / 2)) <= 1e-6  # e^{-2t} relaxation
@@ -145,18 +144,15 @@ class TestSequentialFastForward:
         fwd = lindblad_spec([PAULI_X, PAULI_Z])
         rev = lindblad_spec([PAULI_Z, PAULI_X])
         psi = np.array([1.0, 0.0], dtype=complex)
-        a, _ = choi_ff_evolve(fwd, psi, 1.0, eps)
-        b, _ = choi_ff_evolve(rev, psi, 1.0, eps)
+        a, _, _ = choi_ff_evolve(fwd, psi, 1.0, eps)
+        b, _, _ = choi_ff_evolve(rev, psi, 1.0, eps)
         assert nk.trace_distance(a, b) <= 2 * eps
 
-    def test_noncommuting_requires_override(self):
+    def test_noncommuting_raises(self):
         tilted = (PAULI_X + PAULI_Z) / math.sqrt(2.0)
         spec = lindblad_spec([PAULI_X, tilted])
-        with pytest.raises(ValidationError, match="override"):
+        with pytest.raises(ValidationError, match="do not commute"):
             choi_ff_evolve(spec, np.array([1.0, 0.0], dtype=complex), 1.0, 0.1)
-        rho, _ = choi_ff_evolve(spec, np.array([1.0, 0.0], dtype=complex), 1.0, 0.1,
-                                override=True)
-        assert abs(np.trace(rho).real - 1.0) <= 1e-9
 
     @pytest.mark.parametrize("density", (False, True))
     def test_input_is_validated_once(self, monkeypatch, rng, density):
@@ -167,7 +163,7 @@ class TestSequentialFastForward:
         monkeypatch.setattr(nk, "require_density", lambda rho: calls.append(1) or check(rho))
         spec = pauli_noise_spec([("XI", 0.7), ("ZI", 0.4), ("ZZ", 0.9), ("IY", 0.5)])
         psi = np.exp(2j * np.pi * rng.random(4)) / 2.0
-        rho, _ = choi_ff_evolve(spec, np.outer(psi, psi.conj()) if density else psi, 1.0, 0.05)
+        rho, _, _ = choi_ff_evolve(spec, np.outer(psi, psi.conj()) if density else psi, 1.0, 0.05)
         assert len(calls) == 1
         assert abs(np.trace(rho).real - 1.0) <= 1e-12
 
@@ -209,6 +205,6 @@ class TestPauliNoise:
         spec = pauli_noise_spec([("XY", 0.8), ("ZI", 0.5), ("XY", 0.3)])
         psi = np.zeros(4, dtype=complex)
         psi[0] = psi[3] = 1 / math.sqrt(2)
-        rho, _ = choi_ff_evolve(spec, psi, 1.0, 1e-2)
+        rho, _, _ = choi_ff_evolve(spec, psi, 1.0, 1e-2)
         exact = lindblad_exact_general(spec, np.outer(psi, psi.conj()), 1.0)
         assert nk.trace_distance(rho, exact) <= 1e-2

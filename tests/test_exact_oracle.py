@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from lindbladff import (ValidationError, lindblad_exact_general,
-                        lindblad_exact_hermitian, lindblad_rk4, lindblad_spec,
-                        normalize_spectrum, steady_state)
+from lindbladff import (ValidationError, lindblad_exact_hermitian, lindblad_spec,
+                        normalize_spectrum)
 from lindbladff.errors import CapacityError
-from lindbladff import numkernel as nk
 
 from conftest import PAULI_Y, PAULI_Z, random_density, random_hermitian
+from oracles import lindblad_exact_general, lindblad_rk4, steady_state
 
 PLUS_RHO = np.full((2, 2), 0.5, dtype=complex)
 TWO_LEVEL = normalize_spectrum(np.diag([0.0, 1.0]))
@@ -60,7 +59,7 @@ class TestHermitianSolution:
 
     @pytest.mark.parametrize("spectrum", [
         [0.0, 0.0, 0.4, 0.4, 0.4, 1.0],          # degenerate
-        [0.0, 0.3, 0.3 + 1e-12, 0.7, 0.7, 1.0],  # clustered within cluster_rtol
+        [0.0, 0.3, 0.3 + 1e-12, 0.7, 0.7, 1.0],  # clustered within CLUSTER_RTOL
     ])
     def test_random_cross_check_vs_oracles(self, spectrum):
         rng = np.random.default_rng(31)

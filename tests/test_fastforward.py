@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from lindbladff import (FFPlan, ValidationError, dense_circuit_reference, ff_evolve,
+from lindbladff import (FFPlan, ValidationError, ff_evolve,
                         lindblad_exact_hermitian, normalize_spectrum, plan)
 from lindbladff import numkernel as nk
 from lindbladff.fastforward import _block_rows, _residue_phases, gap_kernel
@@ -15,6 +15,7 @@ from lindbladff.kernels import _support, binom_residue_weights
 
 from conftest import (full_mixture, goal_ledger, random_density, random_hermitian,
                       random_state, residue_of)
+from oracles import dense_circuit_reference
 
 TWO_LEVEL = normalize_spectrum(np.diag([0.0, 1.0]))
 PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)

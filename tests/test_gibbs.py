@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from lindbladff import (TOL, ValidationError, exact_gibbs, ff_evolve, gibbs_prepare,
+from lindbladff import (ValidationError, ff_evolve, gibbs_prepare,
                         lindblad_spec, normalize_spectrum, plan)
 from lindbladff import fastforward, gibbs, model
 from lindbladff import numkernel as nk
+
+from oracles import exact_gibbs
 
 H_P2 = np.diag([0.0, 1.0]).astype(complex)
 
@@ -210,7 +212,7 @@ def test_matches_dense_oracle(name, beta, monkeypatch):
     # would average them into level 0 with the ancilla-|1> sector and move
     # every K_i by ~1e-10 (see the next test); the structured route keeps
     # each root, so the oracle clusters only rounding-level splits here.
-    monkeypatch.setattr(TOL, "cluster_rtol", 1e-12)
+    monkeypatch.setattr(model, "CLUSTER_RTOL", 1e-12)
     h_p = ORACLE_CASES[name]
     p = plan(beta, 0.05)
     res = gibbs_prepare(h_p, beta, 0.05, ff_plan=p)

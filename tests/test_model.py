@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lindbladff import TOL, ValidationError, model
+from lindbladff import ValidationError, model
 
 from conftest import PAULI_X, PAULI_Z, dilate, random_hermitian, random_state
 
@@ -197,7 +197,7 @@ class TestNormalizeSpectrum:
 
     def test_clusters_span_at_most_the_tolerance(self):
         # ten eigenvalues 0.6 tol apart: each gap is below tol, the run spans 5.4 tol
-        tol = TOL.cluster_rtol * 1.0
+        tol = model.CLUSTER_RTOL * 1.0
         eigs = 1.0 - 0.6 * tol * np.arange(10)[::-1]
         ham = model.normalize_spectrum(np.diag(eigs))
         assert ham.clustered and ham.n_levels > 1

@@ -14,7 +14,7 @@ from hypothesis import strategies as hst
 from scipy.linalg import eigh_tridiagonal, expm, hadamard
 
 from lindbladff import (FFPlan, InvariantError, ValidationError,
-                        amplitude_decision_demo, decompose_state, fast_qpe,
+                        decompose_state, fast_qpe,
                         fast_qpe_eigenstate, normalize_spectrum, plan, slow_qpe,
                         slow_qpe_eigenstate, standard_qpe,
                         standard_qpe_eigenstate)
@@ -28,6 +28,7 @@ from lindbladff.qpe import (_alpha_phases, _counting_distribution,
 
 from conftest import (goal_ledger, log_binom, random_hermitian, random_state, residue_of,
                       schur_orthogonal_log)
+from oracles import amplitude_decision_demo
 
 
 def eigenstate_input(h, other=None):

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from lindbladff import (TOL, ValidationError, decompose_state, default_steps,
+from lindbladff import (ValidationError, decompose_state, default_steps,
                         dilated_evolve, ff_evolve, lindblad_exact_hermitian,
                         normalize_spectrum, plan)
-from lindbladff.exact_oracle import steady_state
+from lindbladff.model import CLUSTER_RTOL
 from lindbladff.numkernel import trace_distance
 
 from conftest import dilated_step, random_density, random_state
+from oracles import steady_state
 
 HAM3 = normalize_spectrum(np.diag([0.0, 0.5, 1.0]).astype(complex))
 PLAN = plan(1.0, 0.1, n_override=16)
@@ -59,7 +60,7 @@ class TestInputChecks:
 
 # ---------------------------------------------------------------------------
 # Generated jumps: exact degeneracies and gaps just under and just over the
-# cluster tolerance cluster_rtol * ||H||
+# cluster tolerance CLUSTER_RTOL * ||H||
 # ---------------------------------------------------------------------------
 
 # Step from one eigenvalue to the next, in cluster tolerances: an exact
@@ -85,7 +86,7 @@ def jumps(draw):
         else:
             anchors.append(anchors[-1])
             offsets.append(offsets[-1] + _STEPS[step])
-    tol = TOL.cluster_rtol * max(abs(x) for x in anchors)
+    tol = CLUSTER_RTOL * max(abs(x) for x in anchors)
     eigs = np.array(anchors) + tol * np.array(offsets)
     rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))

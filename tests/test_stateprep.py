@@ -6,8 +6,9 @@ import pytest
 
 from lindbladff import (GaussianParams, ValidationError, binomial_amplitudes,
                         binomial_gaussian_distance, discrete_gaussian_amplitudes,
-                        f_mu_sigma, kw_angle_schedule, kw_synthesize)
-from lindbladff.concentration import dml_gap
+                        f_mu_sigma, kw_angle_schedule)
+
+from oracles import dml_gap, kw_synthesize
 
 
 class TestBinomialAmplitudes:
