@@ -112,8 +112,13 @@ def choi_ff_evolve(spec: LindbladSpec, state0: np.ndarray, t: float,
     if not passes:
         raise ValidationError(f"generators do not commute (max commutator entry {worst:.3e})")
     state0 = np.asarray(state0, dtype=complex)
-    # each factor maps density matrices to density matrices: validate once
-    rho = nk.require_density(np.outer(state0, state0.conj()) if state0.ndim == 1 else state0)
+    # each factor maps density matrices to density matrices: validate once; a
+    # normalized vector's projector needs no eigenvalue check
+    if state0.ndim == 1:
+        psi = nk.require_state(state0)
+        rho = nk.require_hermitian(np.outer(psi, psi.conj()))
+    else:
+        rho = nk.require_density(state0)
     k = len(spec.jumps)
     eps_each = eps_total / k
     total_time = 0.0

@@ -237,6 +237,8 @@ def _load_jump_list(path: str) -> tuple[list[np.ndarray], str]:
 
 def _cmd_qpe(args, argv, emit: _Emitter):
     t0 = time.perf_counter()
+    if args.route == "slow" and args.N is None:
+        raise ValidationError("--N is required for the slow route")
     mat, digest = _load_ham(args.ham)
     ham = model.normalize_spectrum(mat)
     if args.mode == "prepare":

@@ -35,6 +35,8 @@ import math
 
 import numpy as np
 
+from .errors import ValidationError
+
 # Support halfwidth in units of sigma: exp(-36^2/2) ~ 1e-282 keeps every
 # representable pmf value inside the window.
 _SIGMA_HALFWIDTH = 36.0
@@ -86,7 +88,7 @@ def binom_pmf_window(n: int, p: float, amplitude: bool = False
     least ``AMPLITUDE_FLOOR`` times the largest one (and some below it).
     """
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+        raise ValidationError(f"p must be in [0, 1], got {p}")
     if p == 0.0:
         return 0, np.array([1.0])
     if p == 1.0:

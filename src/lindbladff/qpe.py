@@ -51,11 +51,12 @@ one block before the next: an exact-mode call holds the 2^d distribution
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantError, ValidationError
+from .errors import CapacityError, InvariantError, ValidationError
 from .dilated import CostReport, dilated_kernel
 from .fastforward import (FFPlan, _check_norm, _residue_phases, ff_cost, gap_kernel,
                           plan as make_plan)
@@ -381,9 +382,17 @@ def _fast_distribution(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.
 
     The eigencomponents are orthogonal, so |X[x]|^2 splits over the levels;
     the weights w_l ride in the spectrum.  |g|^2 is summed through a float
-    view of the rows, with no (L, N+1) temporary.
+    view of the rows, with no (L, N+1) temporary.  Rows that would not fit
+    in the machine's physical memory raise ``CapacityError`` before any
+    table is built.
     """
     _counting_params(ham, p.t, p.n)  # range guard
+    row_bytes = 16 * np.count_nonzero(state.coeffs) * (p.n + 1)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if row_bytes > memory:
+        raise CapacityError(
+            f"fast route needs {row_bytes / 2**30:.1f} GiB of ledger rows at N = {p.n}, "
+            f"more than the {memory / 2**30:.1f} GiB of physical memory; lower N or raise eps")
     rows = _level_rows(_level_spectrum(ham, state, p)[0], p.n)
     parts = rows.view(float).reshape(rows.shape[0], -1, 2)
     return np.einsum("lxc,lxc->x", parts, parts)

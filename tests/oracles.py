@@ -14,7 +14,6 @@ import numpy as np
 from lindbladff import numkernel as nk
 from lindbladff.errors import CapacityError, ValidationError
 from lindbladff.fastforward import FFPlan
-from lindbladff.gibbs import _gibbs_from_eig
 from lindbladff.kernels import binom_pmf
 from lindbladff.model import Hamiltonian, LindbladSpec, lindblad_spec, parse_pauli_sum
 from lindbladff.qpe import AmplitudeDecision, amplitude_problem, decide_amplitude
@@ -171,7 +170,19 @@ def dense_circuit_reference(ham: Hamiltonian, psi: np.ndarray, p: FFPlan) -> np.
 
 def exact_gibbs(h_p: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
     """Reference e^{-beta H_P} / Z via the spectral decomposition."""
-    return _gibbs_from_eig(*nk.herm_eig(h_p), beta)
+    w, v = nk.herm_eig(h_p)
+    boltz = np.exp(-beta * w)
+    z = float(np.sum(boltz))
+    rho = (v * (boltz / z)) @ v.conj().T
+    return rho, z
+
+
+def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """(tr |sqrt(rho) sqrt(sigma)|)^2: the squared nuclear norm of the product
+    of scipy's matrix square roots, with no assumption that the states commute."""
+    from scipy.linalg import sqrtm
+
+    return float(np.sum(np.linalg.svd(sqrtm(rho) @ sqrtm(sigma), compute_uv=False)) ** 2)
 
 
 def kw_synthesize(schedule: list[np.ndarray]) -> np.ndarray:

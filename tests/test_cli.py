@@ -72,6 +72,7 @@ GOLDEN = {
                 "--N", "256", "--seed", "5"],
     "bench_gibbs_beta": ["bench", "gibbs-beta", "--beta", "1,2,4",
                          "--eps", "0.05"],
+    "bench_qpe_error": ["bench", "qpe-error"],
 }
 
 
@@ -217,6 +218,22 @@ class TestExitCodes:
                           "--state", "basis:0", "--eigen", "0", "--t", "4", "--N", "64"])
         assert rc == 1 and out == ""
         assert capsys.readouterr().err == "error: state has no weight on eigenspace 0\n"
+
+    @pytest.mark.parametrize("mode", ["estimate", "prepare"])
+    def test_slow_route_without_n_is_exit_1(self, capsys, mode):
+        rc, out = invoke(["qpe", mode, "--route", "slow", "--ham", HAM])
+        err = capsys.readouterr().err
+        assert rc == 1 and out == ""
+        assert err == "error: --N is required for the slow route\n"
+
+    def test_fast_route_beyond_physical_memory_is_exit_1(self, capsys):
+        # the defaults t 16, eps 1e-4 plan N = 4.1e11: 16 bytes per count and level
+        ham = os.path.join(DATA, "h_two_qubit.pauli")
+        rc, out = invoke(["qpe", "--route", "fast", "--ham", ham])
+        err = capsys.readouterr().err
+        assert rc == 1 and out == ""
+        assert err.startswith("error: fast route needs") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_large_default_step_count_runs(self):
         # default steps 64^3 / 0.1^2 = 2.6e7; the closed-form composition

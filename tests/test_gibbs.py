@@ -8,7 +8,7 @@ from lindbladff import (ValidationError, ff_evolve, gibbs_prepare,
 from lindbladff import fastforward, gibbs, model
 from lindbladff import numkernel as nk
 
-from oracles import exact_gibbs
+from oracles import exact_gibbs, uhlmann_fidelity
 
 H_P2 = np.diag([0.0, 1.0]).astype(complex)
 
@@ -143,14 +143,13 @@ class TestGibbsPrepare:
         assert np.isclose(res.ideal_amplification_queries,
                           math.sqrt(2.0 / res.partition_estimate))
 
-    def test_degenerate_block_error(self):
+    def test_degenerate_block_error(self, monkeypatch):
         # beta far beyond double precision for this jump; the tight-window
         # plan keeps address leakage from masking the underflow
-        from lindbladff import plan
-
+        monkeypatch.setattr(gibbs, "make_plan",
+                            lambda t, eps: plan(t, eps, n_override=4096))
         with pytest.raises(ValidationError, match="degenerate"):
-            gibbs_prepare(np.diag([1.0, 1.0]), beta=200.0, eps=2e-4,
-                          ff_plan=plan(200.0, 2e-4, n_override=4096))
+            gibbs_prepare(np.diag([1.0, 1.0]), beta=200.0, eps=2e-4)
 
     def test_structured_route_builds_no_dilated_jump(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -165,20 +164,24 @@ class TestGibbsPrepare:
         assert res.fidelity >= 1 - 2 * 0.05
 
     def test_one_eigendecomposition(self, rng, monkeypatch):
+        # herm_eig runs its one eigh through the patched np.linalg.eigh, so a
+        # single eigendecomposition logs exactly these two entries
         hp = random_psd_unit_norm(rng, 8)
         calls = []
-        herm_eig = nk.herm_eig
 
-        def counted(a, *args):
-            calls.append(a.shape)
-            return herm_eig(a, *args)
+        def counted(name, fn):
+            def wrapper(a, *args, **kwargs):
+                calls.append((name, a.shape))
+                return fn(a, *args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(nk, "herm_eig", counted)
+        for module, name in ((nk, "herm_eig"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         res = gibbs_prepare(hp, beta=1.5, eps=0.05)
-        assert calls == [(8, 8)]
+        assert calls == [("herm_eig", (8, 8)), ("eigh", (8, 8))]
         rho, z = exact_gibbs(hp, 1.5)
         assert res.partition_exact == z
-        assert res.fidelity == gibbs._uhlmann_fidelity(res.reduced_state, rho)
+        assert abs(res.fidelity - uhlmann_fidelity(res.reduced_state, rho)) <= 1e-12
 
     def test_ten_qubits(self, rng):
         hp = random_psd_unit_norm(rng, 1 << 10)
@@ -214,8 +217,8 @@ def test_matches_dense_oracle(name, beta, monkeypatch):
     # each root, so the oracle clusters only rounding-level splits here.
     monkeypatch.setattr(model, "CLUSTER_RTOL", 1e-12)
     h_p = ORACLE_CASES[name]
-    p = plan(beta, 0.05)
-    res = gibbs_prepare(h_p, beta, 0.05, ff_plan=p)
+    p = plan(beta, 0.05)  # the plan gibbs_prepare makes
+    res = gibbs_prepare(h_p, beta, 0.05)
     want, z = dense_gibbs(h_p, p)
     assert abs(np.vdot(want, res.purification)) ** 2 >= 1 - 1e-12
     assert abs(res.partition_estimate - z) <= 1e-12 * z
@@ -223,8 +226,8 @@ def test_matches_dense_oracle(name, beta, monkeypatch):
 
 def test_singular_at_default_clustering():
     h_p = ORACLE_CASES["singular-n3"]
-    p = plan(1.5, 0.05)
-    res = gibbs_prepare(h_p, 1.5, 0.05, ff_plan=p)
+    p = plan(1.5, 0.05)  # the plan gibbs_prepare makes
+    res = gibbs_prepare(h_p, 1.5, 0.05)
     want, z = dense_gibbs(h_p, p)
     assert abs(np.vdot(want, res.purification)) ** 2 >= 1 - 1e-12
     assert abs(res.partition_estimate - z) <= 1e-9 * z

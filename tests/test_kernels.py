@@ -6,7 +6,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from lindbladff import kernels
+from lindbladff import ValidationError, kernels
 
 
 def test_pmf_window_matches_scipy():
@@ -22,6 +22,12 @@ def test_pmf_window_degenerate():
     assert lo == 0 and np.allclose(w, [1.0])
     lo, w = kernels.binom_pmf_window(7, 1.0)
     assert lo == 7 and np.allclose(w, [1.0])
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+def test_pmf_window_rejects_p_outside_unit_interval(p):
+    with pytest.raises(ValidationError, match="must be in"):
+        kernels.binom_pmf_window(7, p)
 
 
 def test_pmf_window_large_n():
