@@ -126,7 +126,7 @@ def choi_ff_evolve(spec: LindbladSpec, state0: np.ndarray, t: float,
     ancillas = 0
     for jump in spec.jumps:
         ham, time_scale = normalized_jump(jump)
-        if ham.zero_width:
+        if ham.n_levels == 1:
             continue  # identity-proportional jump generates no dissipation
         p = make_plan(time_scale * t, eps_each)
         rho = ham.dephase(gap_kernel(p, ham.eigenvalues, ham.eigenvalues), rho)

@@ -1,9 +1,13 @@
 """Command-line front end: experiment orchestration, deterministic seeding,
 line-delimited records, and the benchmark suites.
 
-Records are one JSON object per line with sorted keys and compact separators,
-so identical invocations (same argv and seed) are byte-identical apart from
-the ``wall_time_s`` field.  Every record is built by ``_record``, and every
+Each subcommand is a generator of its output lines, JSON records and CSV
+rows alike; ``run`` collects them and writes them once the call succeeds, to
+stdout or to ``--out FILE`` (a relative path resolves against
+``LINDBLADFF_OUT_DIR`` when set), so a failing call writes nothing.  Records
+are one JSON object per line with sorted keys and compact separators, so
+identical invocations (same argv and seed) are byte-identical apart from the
+``wall_time_s`` field.  Every record is built by ``_record``, and every
 Hamiltonian file is read, parsed and hashed by ``_load_ham``.  The runs of
 ``ae-demo`` derive their seeds from ``--seed`` through
 ``numpy.random.SeedSequence([seed, run_index])``.
@@ -19,7 +23,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -46,22 +50,6 @@ from .stateprep import (GaussianParams, binomial_amplitudes,
 # Records
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExperimentRecord:
-    """Self-contained run record: the command plus everything it produced."""
-
-    command: list
-    outputs: dict
-    ham_digest: str | None = None
-    seed: int | None = None
-    cost: dict | None = None
-    wall_time_s: float = 0.0
-    artifact_version: str = __version__
-
-    def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
-
-
 def _jsonable(x):
     if isinstance(x, (np.floating, np.integer)):
         return x.item()
@@ -79,35 +67,18 @@ def _jsonable(x):
 
 
 def _record(argv, t0: float, outputs: dict, digest: str | None = None,
-            seed: int | None = None, cost: CostReport | None = None) -> ExperimentRecord:
-    """The one record constructor: JSON-ready outputs, cost dict, wall time since t0."""
-    return ExperimentRecord(argv, _jsonable(outputs), digest, seed,
-                            cost.as_dict() if cost is not None else None,
-                            time.perf_counter() - t0)
-
-
-class _Emitter:
-    def __init__(self, out_path: str | None):
-        self._lines: list[str] = []
-        if out_path:
-            base = os.environ.get("LINDBLADFF_OUT_DIR", "")
-            if base and not os.path.isabs(out_path):
-                out_path = os.path.join(base, out_path)
-        self._path = out_path
-
-    def record(self, rec: ExperimentRecord):
-        self._lines.append(rec.to_json())
-
-    def text(self, text: str):
-        self._lines.append(text.rstrip("\n"))
-
-    def flush(self):
-        body = "\n".join(self._lines) + ("\n" if self._lines else "")
-        if self._path:
-            with open(self._path, "w") as fh:
-                fh.write(body)
-        else:
-            sys.stdout.write(body)
+            seed: int | None = None, cost: CostReport | None = None) -> str:
+    """The one record constructor: a JSON line of the command, its JSON-ready
+    outputs, the cost dict and the wall time since t0."""
+    return json.dumps({
+        "artifact_version": __version__,
+        "command": argv,
+        "cost": cost.as_dict() if cost is not None else None,
+        "ham_digest": digest,
+        "outputs": _jsonable(outputs),
+        "seed": seed,
+        "wall_time_s": time.perf_counter() - t0,
+    }, sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +127,7 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _slope_record(argv, t0: float, outputs: dict, xs, ys, target: float,
-                  tol: float) -> ExperimentRecord:
+                  tol: float) -> str:
     """Bench verdict record: the log-log slope of ys against xs and whether
     it lies within ``tol`` of ``target``, added to ``outputs``."""
     slope = float(np.polyfit(np.log(np.asarray(xs, dtype=float)),
@@ -174,7 +145,7 @@ def _cell_seed(master: int, index: int) -> int:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_evolve(args, argv, emit: _Emitter):
+def _cmd_evolve(args, argv):
     t0 = time.perf_counter()
     if args.method == "choi-ff":
         jumps, digest = _load_jump_list(args.jumps)
@@ -187,7 +158,7 @@ def _cmd_evolve(args, argv, emit: _Emitter):
             "choi_commuting": True,
             "max_commutator": worst,
         }
-        emit.record(_record(argv, t0, outputs, digest, cost=cost))
+        yield _record(argv, t0, outputs, digest, cost=cost)
         return
 
     mat, digest = _load_ham(args.ham)
@@ -210,7 +181,7 @@ def _cmd_evolve(args, argv, emit: _Emitter):
         cost = CostReport(0.0, 0, 0)
     outputs["rho_out"] = model.format_dense_matrix(rho)
     outputs["spectrum_map"] = {"scale": ham.spectrum_map.scale, "shift": ham.spectrum_map.shift}
-    emit.record(_record(argv, t0, outputs, digest, cost=cost))
+    yield _record(argv, t0, outputs, digest, cost=cost)
 
 
 def _load_jump_list(path: str) -> tuple[list[np.ndarray], str]:
@@ -235,7 +206,7 @@ def _load_jump_list(path: str) -> tuple[list[np.ndarray], str]:
     return jumps, hasher.hexdigest()
 
 
-def _cmd_qpe(args, argv, emit: _Emitter):
+def _cmd_qpe(args, argv):
     t0 = time.perf_counter()
     if args.route == "slow" and args.N is None:
         raise ValidationError("--N is required for the slow route")
@@ -267,7 +238,7 @@ def _cmd_qpe(args, argv, emit: _Emitter):
         }
         if res.distribution.size <= 4097:
             outputs["distribution"] = res.distribution
-        emit.record(_record(argv, t0, outputs, digest, args.seed, res.cost))
+        yield _record(argv, t0, outputs, digest, args.seed, res.cost)
         return
 
     if args.route == "standard":
@@ -289,10 +260,10 @@ def _cmd_qpe(args, argv, emit: _Emitter):
         "ideal_amplification_queries": prep.ideal_amplification_queries,
         "state": model.format_dense_matrix(prep.state.reshape(1, -1)),
     }
-    emit.record(_record(argv, t0, outputs, digest, args.seed, prep.cost))
+    yield _record(argv, t0, outputs, digest, args.seed, prep.cost)
 
 
-def _cmd_gibbs(args, argv, emit: _Emitter):
+def _cmd_gibbs(args, argv):
     mat, digest = _load_ham(args.ham)
     csv_rows = ["beta,hamiltonian_time,fidelity,partition_estimate,partition_exact"]
     for beta in _parse_floats(args.beta):
@@ -306,18 +277,17 @@ def _cmd_gibbs(args, argv, emit: _Emitter):
             "ideal_amplification_queries": res.ideal_amplification_queries,
             "reduced_state": model.format_dense_matrix(res.reduced_state),
         }
-        emit.record(_record(argv, t0, outputs, digest, cost=res.cost))
+        yield _record(argv, t0, outputs, digest, cost=res.cost)
         csv_rows.append(f"{beta},{res.cost.hamiltonian_time},{res.fidelity},"
                         f"{res.partition_estimate},{res.partition_exact}")
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("\n".join(csv_rows) + "\n")
     else:
-        for row in csv_rows:
-            emit.text(row)
+        yield from csv_rows
 
 
-def _cmd_ae_demo(args, argv, emit: _Emitter):
+def _cmd_ae_demo(args, argv):
     t0 = time.perf_counter()
     if args.oracle:
         with open(args.oracle) as fh:
@@ -340,35 +310,30 @@ def _cmd_ae_demo(args, argv, emit: _Emitter):
         "runs": runs,
         "accuracy": correct / max(args.runs, 1),
     }
-    emit.record(_record(argv, t0, outputs, seed=args.seed))
+    yield _record(argv, t0, outputs, seed=args.seed)
 
 
-def _cmd_stateprep(args, argv, emit: _Emitter):
-    if args.what == "binomial":
-        amps = binomial_amplitudes(args.N)
-        emit.text("m,amplitude")
+def _cmd_stateprep(args, argv):
+    if args.what in ("binomial", "gaussian"):
+        amps = (binomial_amplitudes(args.N) if args.what == "binomial" else
+                discrete_gaussian_amplitudes(GaussianParams(args.mu, args.sigma, args.N)))
+        yield "m,amplitude"
         for m, a in enumerate(amps):
-            emit.text(f"{m},{float(a)!r}")
-    elif args.what == "gaussian":
-        params = GaussianParams(args.mu, args.sigma, args.N)
-        amps = discrete_gaussian_amplitudes(params)
-        emit.text("m,amplitude")
-        for m, a in enumerate(amps):
-            emit.text(f"{m},{float(a)!r}")
+            yield f"{m},{float(a)!r}"
     elif args.what == "angles":
         depth = args.depth or int(round(math.log2(args.N)))
         sched = kw_angle_schedule(GaussianParams(args.mu, args.sigma, 2 ** depth), depth)
-        emit.text("level,path,angle")
+        yield "level,path,angle"
         for level, angles in enumerate(sched):
             for path, angle in enumerate(angles):
-                emit.text(f"{level},{path},{float(angle)!r}")
+                yield f"{level},{path},{float(angle)!r}"
     else:  # distance
-        emit.text("N,l2_distance")
-        emit.text(f"{args.N},{binomial_gaussian_distance(args.N)!r}")
+        yield "N,l2_distance"
+        yield f"{args.N},{binomial_gaussian_distance(args.N)!r}"
 
 
-def _cmd_bounds(args, argv, emit: _Emitter):
-    emit.text("N,p,c,exact_tail,bernstein,hoeffding,tail_le_bernstein,tail_le_hoeffding")
+def _cmd_bounds(args, argv):
+    yield "N,p,c,exact_tail,bernstein,hoeffding,tail_le_bernstein,tail_le_hoeffding"
     violations = 0
     for n in _parse_ints(args.N_grid):
         for p in _parse_floats(args.p_grid):
@@ -379,40 +344,40 @@ def _cmd_bounds(args, argv, emit: _Emitter):
                 ok_b = tail <= bern + 1e-15
                 ok_h = tail <= hoef + 1e-15
                 violations += (not ok_b) + (not ok_h and p == 0.5)
-                emit.text(f"{n},{p},{c},{tail!r},{bern!r},{hoef!r},{ok_b},{ok_h}")
-    emit.text(f"# violations={violations}")
+                yield f"{n},{p},{c},{tail!r},{bern!r},{hoef!r},{ok_b},{ok_h}"
+    yield f"# violations={violations}"
 
 
 # ---------------------------------------------------------------------------
 # Bench suites
 # ---------------------------------------------------------------------------
 
-def _bench_ff_vs_dilated(args, argv, emit: _Emitter):
+def _bench_ff_vs_dilated(args, argv):
     t0 = time.perf_counter()
     mat = np.diag([0.0, 1.0]).astype(complex)
     ham = model.normalize_spectrum(mat)
     psi = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     ts = _parse_floats(args.t or "1,2,4,8,16,32,64")
-    emit.text("t,method,hamiltonian_time,steps,ancillas,trace_distance_to_exact")
+    yield "t,method,hamiltonian_time,steps,ancillas,trace_distance_to_exact"
     ff_costs, dil_costs = [], []
     for t in ts:
         exact = lindblad_exact_hermitian(ham, psi, t)
         p = make_plan(t, args.eps)
         rho_ff, cost_ff = ff_evolve(ham, psi, p)
         ff_costs.append(cost_ff.hamiltonian_time)
-        emit.text(f"{t},ff,{cost_ff.hamiltonian_time!r},{cost_ff.step_count},"
-                  f"{cost_ff.ancilla_count},{nk.trace_distance(rho_ff, exact)!r}")
+        yield (f"{t},ff,{cost_ff.hamiltonian_time!r},{cost_ff.step_count},"
+               f"{cost_ff.ancilla_count},{nk.trace_distance(rho_ff, exact)!r}")
         steps = default_steps(t, args.eps)
         rho_d, cost_d = dilated_evolve(ham, psi, t, steps)
         dil_costs.append(cost_d.hamiltonian_time)
-        emit.text(f"{t},dilated,{cost_d.hamiltonian_time!r},{cost_d.step_count},"
-                  f"{cost_d.ancilla_count},{nk.trace_distance(rho_d, exact)!r}")
+        yield (f"{t},dilated,{cost_d.hamiltonian_time!r},{cost_d.step_count},"
+               f"{cost_d.ancilla_count},{nk.trace_distance(rho_d, exact)!r}")
     for name, costs, target in (("ff", ff_costs, 0.5), ("dilated", dil_costs, 2.0)):
-        emit.record(_slope_record(argv, t0, {"suite": "ff-vs-dilated", "series": name},
-                                  ts, costs, target, 0.1))
+        yield _slope_record(argv, t0, {"suite": "ff-vs-dilated", "series": name},
+                            ts, costs, target, 0.1)
 
 
-def _bench_qpe_error(args, argv, emit: _Emitter):
+def _bench_qpe_error(args, argv):
     t0 = time.perf_counter()
     ham = model.normalize_spectrum(np.diag([0.0, 0.5, 1.0]).astype(complex))
     eigvec = np.array([0.0, 0.0, 1.0], dtype=complex)
@@ -420,28 +385,25 @@ def _bench_qpe_error(args, argv, emit: _Emitter):
     h_true = 1.0
     # default grid starts at t h^2 = 16, past the small-count Poisson regime
     ts = _parse_floats(args.t or "16,32,64,128")
-    emit.text("t,route,cost,rms_error")
+    yield "t,route,cost,rms_error"
     slow_pts, fast_pts = [], []
     for t in ts:
         res = slow_qpe(ham, state, t, args.N_slow)
         rms = _dist_rms(res.distribution, t, args.N_slow, h_true)
         slow_pts.append((t, rms))
-        emit.text(f"{t},slow,{t!r},{rms!r}")
+        yield f"{t},slow,{t!r},{rms!r}"
         try:
             p = make_plan(t, args.eps, args.N_fast)
             resf = fast_qpe(ham, state, p)
         except ValidationError as exc:
-            emit.text(f"{t},fast,skipped,{exc}")
+            yield f"{t},fast,skipped,{exc}"
             continue
         rmsf = _dist_rms(resf.distribution, t, p.n, h_true)
         fast_pts.append((resf.cost.hamiltonian_time, rmsf))
-        emit.text(f"{t},fast,{resf.cost.hamiltonian_time!r},{rmsf!r}")
-    records = [_slope_record(argv, t0, {"suite": "qpe-error", "series": name},
-                             [x for x, _ in pts], [y for _, y in pts], target, tol)
-               for name, pts, target, tol in (("slow", slow_pts, -0.5, 0.1),
-                                              ("fast", fast_pts, -1.0, 0.15))]
-    for rec in records:
-        emit.record(rec)
+        yield f"{t},fast,{resf.cost.hamiltonian_time!r},{rmsf!r}"
+    for name, pts, target, tol in (("slow", slow_pts, -0.5, 0.1), ("fast", fast_pts, -1.0, 0.15)):
+        yield _slope_record(argv, t0, {"suite": "qpe-error", "series": name},
+                            [x for x, _ in pts], [y for _, y in pts], target, tol)
 
 
 def _dist_rms(dist: np.ndarray, t: float, n: int, h_true: float) -> float:
@@ -449,17 +411,17 @@ def _dist_rms(dist: np.ndarray, t: float, n: int, h_true: float) -> float:
     return float(math.sqrt(np.sum(dist * (est - h_true) ** 2)))
 
 
-def _bench_gibbs_beta(args, argv, emit: _Emitter):
+def _bench_gibbs_beta(args, argv):
     t0 = time.perf_counter()
     mat = np.diag([0.0, 1.0]).astype(complex)
     betas = _parse_floats(args.beta)
-    emit.text("beta,hamiltonian_time,fidelity")
+    yield "beta,hamiltonian_time,fidelity"
     costs = []
     for beta in betas:
         res = gibbs_prepare(mat, beta, args.eps)
         costs.append(res.cost.hamiltonian_time)
-        emit.text(f"{beta},{res.cost.hamiltonian_time!r},{res.fidelity!r}")
-    emit.record(_slope_record(argv, t0, {"suite": "gibbs-beta"}, betas, costs, 0.5, 0.1))
+        yield f"{beta},{res.cost.hamiltonian_time!r},{res.fidelity!r}"
+    yield _slope_record(argv, t0, {"suite": "gibbs-beta"}, betas, costs, 0.5, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +526,9 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    emit = _Emitter(args.out)
+    handler = _BENCH[args.suite] if args.cmd == "bench" else _DISPATCH[args.cmd]
     try:
-        if args.cmd == "bench":
-            _BENCH[args.suite](args, argv, emit)
-        else:
-            _DISPATCH[args.cmd](args, argv, emit)
+        lines = list(handler(args, argv))
     except (ValidationError, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ValidationError) else 2
@@ -578,7 +537,12 @@ def run(argv: list[str]) -> int:
 
         traceback.print_exc()
         return 2
-    emit.flush()
+    body = "".join(line + "\n" for line in lines)
+    if args.out:
+        with open(os.path.join(os.environ.get("LINDBLADFF_OUT_DIR", ""), args.out), "w") as fh:
+            fh.write(body)
+    else:
+        sys.stdout.write(body)
     return 0
 
 

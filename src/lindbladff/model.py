@@ -4,8 +4,8 @@ and eigenspace bookkeeping.
 A :class:`Hamiltonian` always carries a normalized spectrum together with the
 affine map back to the caller's original energy units.  Degenerate eigenvalues
 (gap below ``CLUSTER_RTOL * ||H||``) are merged into one level whose
-eigenvectors span the shared eigenspace; the ``clustered`` flag records when
-that tolerance was exercised.
+eigenvectors span the shared eigenspace, so the tolerance was exercised when
+``dim > n_levels``.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ class Hamiltonian:
     vectors: np.ndarray
     levels: np.ndarray
     spectrum_map: SpectrumMap
-    clustered: bool = False
-    zero_width: bool = False
 
     @property
     def dim(self) -> int:
@@ -109,14 +107,13 @@ class Hamiltonian:
         return v @ (kernel[np.ix_(self.levels, self.levels)] * (vh @ rho @ v)) @ vh
 
 
-def _cluster(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+def _cluster(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group ascending eigenvalues that lie within the cluster tolerance.
 
     Each group opens at its lowest eigenvalue and takes every later one
     within the tolerance of it, so no group spans more than the tolerance
     (a run of small gaps does not chain into one wide group).  Returns the
-    mean of each group, the group index of every eigenvalue and whether any
-    group holds more than one eigenvalue.
+    mean of each group and the group index of every eigenvalue.
     """
     norm = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     tol = CLUSTER_RTOL * (norm if norm > 0.0 else 1.0)
@@ -126,8 +123,7 @@ def _cluster(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
         if e - start > tol:
             level, start = level + 1, e
         levels[i] = level
-    counts = np.bincount(levels)
-    return np.bincount(levels, weights=eigs) / counts, levels, bool(np.any(counts > 1))
+    return np.bincount(levels, weights=eigs) / np.bincount(levels), levels
 
 
 def normalize_spectrum(h: np.ndarray) -> Hamiltonian:
@@ -136,27 +132,25 @@ def normalize_spectrum(h: np.ndarray) -> Hamiltonian:
     When the input spectrum already sits inside [0, 1] it is kept as is with
     an identity map; otherwise the affine map h -> (h - h_min) / (h_max -
     h_min) is applied and its inverse recorded.  A constant operator (zero
-    spectral width) normalizes to the all-zero spectrum with a flag.
+    spectral width) normalizes to the single level 0 (``n_levels == 1``).
     """
     w, v = nk.herm_eig(h)
-    reps, levels, clustered = _cluster(w)
+    reps, levels = _cluster(w)
 
     lo, hi = float(reps[0]), float(reps[-1])
     width = hi - lo
-    zero_width = False
     if len(reps) == 1 or width == 0.0:
         if len(reps) > 1:
             raise ValidationError("distinct eigenvalues with zero spectral width")
         eigs_n = np.zeros(1)
         smap = SpectrumMap(1.0, lo)
-        zero_width = True
     elif lo >= 0.0 and hi <= 1.0:
         eigs_n = reps
         smap = SpectrumMap(1.0, 0.0)
     else:
         eigs_n = (reps - lo) / width
         smap = SpectrumMap(width, lo)
-    return Hamiltonian(eigs_n, v, levels, smap, clustered, zero_width)
+    return Hamiltonian(eigs_n, v, levels, smap)
 
 
 def spectral_gap(ham: Hamiltonian, beta: int) -> float:
@@ -186,7 +180,7 @@ def shift_to_zero(ham: Hamiltonian, beta: int) -> Hamiltonian:
     eigs_n = shifted / scale
     eigs_n[beta] = 0.0
     smap = ham.spectrum_map.compose(scale, float(h_beta))
-    return Hamiltonian(eigs_n, ham.vectors, ham.levels, smap, ham.clustered, ham.zero_width)
+    return Hamiltonian(eigs_n, ham.vectors, ham.levels, smap)
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,10 @@ Sampling a count draws on the distribution's support only (``_pick_outcome``),
 so no route holds more than a few arrays of its register size.  The standard
 route sums its distribution in fixed blocks of 2^14 outcomes, all levels into
 one block before the next: an exact-mode call holds the 2^d distribution
-(32 MiB at d = 22) and O(block) scratch, whatever the level count.
+(32 MiB at d = 22) and O(block) scratch, whatever the level count.  Every
+route checks its register-sized arrays against the physical memory before
+it builds them (``_require_memory``), and every estimate is read out of its
+distribution by ``_readout``.
 """
 
 from __future__ import annotations
@@ -126,6 +129,7 @@ def standard_qpe(ham: Hamiltonian, state: SpectralState, d: int,
     if d < 1:
         raise ValidationError(f"need at least one register bit, got {d}")
     size = 1 << d
+    _require_memory(8 * size, "standard route", f"distribution at d = {d}", "lower d")
     dist = np.zeros(size)
     for lo in range(0, size, _STANDARD_BLOCK):
         block = dist[lo: lo + _STANDARD_BLOCK]
@@ -133,16 +137,8 @@ def standard_qpe(ham: Hamiltonian, state: SpectralState, d: int,
         for h, w in zip(ham.eigenvalues, state.weights):
             block += w * _dirichlet(h - ys, d) ** 2
     dist /= 4 ** d
-    y = _pick_outcome(dist, mode, seed, repeats)
-    h_norm = y / size
-    cost = CostReport(float(size - 1), d, d)
-    return EstimationResult(
-        estimate=float(ham.spectrum_map.to_original(h_norm)),
-        estimate_normalized=float(h_norm),
-        raw_outcome=int(y),
-        distribution=dist,
-        cost=cost,
-    )
+    return _readout(ham, dist, lambda y: (y / size, False), CostReport(float(size - 1), d, d),
+                    mode, seed, repeats)
 
 
 def _require_target_at_zero(ham: Hamiltonian, beta: int):
@@ -290,6 +286,31 @@ def _pick_outcome(dist: np.ndarray, mode: str, seed, repeats: int = 1) -> int:
     raise ValidationError(f"unknown mode {mode!r}")
 
 
+def _require_memory(nbytes: int, route: str, what: str, remedy: str):
+    """Raise ``CapacityError`` when ``nbytes`` exceed the physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise CapacityError(
+            f"{route} needs {nbytes / 2**30:.1f} GiB of {what}, "
+            f"more than the {memory / 2**30:.1f} GiB of physical memory; {remedy}")
+
+
+def _readout(ham: Hamiltonian, dist: np.ndarray, phase, cost: CostReport,
+             mode: str, seed, repeats: int) -> EstimationResult:
+    """Pick an outcome from ``dist`` and report its estimate, where
+    ``phase(outcome)`` returns the normalized estimate and the saturated flag."""
+    y = _pick_outcome(dist, mode, seed, repeats)
+    est, sat = phase(y)
+    return EstimationResult(
+        estimate=float(ham.spectrum_map.to_original(est)),
+        estimate_normalized=float(est),
+        raw_outcome=int(y),
+        distribution=dist,
+        cost=cost,
+        saturated=bool(sat),
+    )
+
+
 def counting_estimator(t: float, n: int, m) -> tuple[np.ndarray, np.ndarray]:
     """Normalized-eigenvalue estimate sqrt(N/t) arcsin(sqrt(m/N)) with clamp."""
     frac = np.clip(np.asarray(m, dtype=float) / n, 0.0, 1.0)
@@ -303,9 +324,10 @@ def slow_qpe(ham: Hamiltonian, state: SpectralState, t: float, n: int,
     """Counting statistics of N short dephasing steps (exact distribution)."""
     if t <= 0 or n < 1:
         raise ValidationError(f"need t > 0 and N >= 1, got t={t}, N={n}")
+    _require_memory(8 * (n + 1), "slow route", f"distribution at N = {n}", "lower N")
     dist = _counting_distribution(state.weights, _counting_params(ham, t, n), n)
-    return _counting_result(ham, t, n, dist, CostReport(math.sqrt(n * t), n, n),
-                            mode, seed, repeats)
+    return _readout(ham, dist, lambda m: counting_estimator(t, n, m),
+                    CostReport(math.sqrt(n * t), n, n), mode, seed, repeats)
 
 
 def slow_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
@@ -387,38 +409,19 @@ def _fast_distribution(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.
     table is built.
     """
     _counting_params(ham, p.t, p.n)  # range guard
-    row_bytes = 16 * np.count_nonzero(state.coeffs) * (p.n + 1)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if row_bytes > memory:
-        raise CapacityError(
-            f"fast route needs {row_bytes / 2**30:.1f} GiB of ledger rows at N = {p.n}, "
-            f"more than the {memory / 2**30:.1f} GiB of physical memory; lower N or raise eps")
+    _require_memory(16 * np.count_nonzero(state.coeffs) * (p.n + 1), "fast route",
+                    f"ledger rows at N = {p.n}", "lower N or raise eps")
     rows = _level_rows(_level_spectrum(ham, state, p)[0], p.n)
     parts = rows.view(float).reshape(rows.shape[0], -1, 2)
     return np.einsum("lxc,lxc->x", parts, parts)
-
-
-def _counting_result(ham: Hamiltonian, t: float, n: int, dist: np.ndarray,
-                     cost: CostReport, mode: str, seed, repeats: int) -> EstimationResult:
-    """Pick a count from ``dist`` and report its counting estimate."""
-    m = _pick_outcome(dist, mode, seed, repeats)
-    est, sat = counting_estimator(t, n, m)
-    return EstimationResult(
-        estimate=float(ham.spectrum_map.to_original(est)),
-        estimate_normalized=float(est),
-        raw_outcome=int(m),
-        distribution=dist,
-        cost=cost,
-        saturated=bool(sat),
-    )
 
 
 def fast_qpe(ham: Hamiltonian, state: SpectralState, p: FFPlan,
              mode: str = "exact", seed=None,
              repeats: int = 1) -> EstimationResult:
     """Counting statistics read out of the fast-forwarded ledger."""
-    return _counting_result(ham, p.t, p.n, _fast_distribution(ham, state, p),
-                            ff_cost(p), mode, seed, repeats)
+    return _readout(ham, _fast_distribution(ham, state, p),
+                    lambda m: counting_estimator(p.t, p.n, m), ff_cost(p), mode, seed, repeats)
 
 
 def fast_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
@@ -553,8 +556,8 @@ def decide_amplitude(problem: AmplitudeProblem, mode: str = "sample",
                      seed=None) -> AmplitudeDecision:
     """One decision run: sample a count and compare its phase to the threshold."""
     p = problem.plan
-    result = _counting_result(problem.ham, p.t, p.n, problem.distribution,
-                              ff_cost(p), mode, seed, 1)
+    result = _readout(problem.ham, problem.distribution,
+                      lambda m: counting_estimator(p.t, p.n, m), ff_cost(p), mode, seed, 1)
     decided_zero = abs(result.estimate) <= problem.threshold
     confidence = problem.mass_zero if decided_zero else 1.0 - problem.mass_zero
     witness = problem.witness_count

@@ -140,11 +140,28 @@ class TestRecords:
         assert dumps(cli._jsonable(outputs)) == dumps(elementwise(outputs))
 
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LINDBLADFF_OUT_DIR", str(tmp_path))
-        rc, out = invoke(["--out", "rel.jsonl", "evolve", "--method", "exact",
-                          "--ham", HAM, "--t", "1"])
-        assert rc == 0 and out == ""
-        assert (tmp_path / "rel.jsonl").read_text().startswith("{")
+        # a relative --out lands in LINDBLADFF_OUT_DIR; an absolute one wins over it
+        base = tmp_path / "base"
+        base.mkdir()
+        monkeypatch.setenv("LINDBLADFF_OUT_DIR", str(base))
+        for out_arg, path in (("rel.jsonl", base / "rel.jsonl"),
+                              (str(tmp_path / "abs.jsonl"), tmp_path / "abs.jsonl")):
+            rc, out = invoke(["--out", out_arg, "evolve", "--method", "exact",
+                              "--ham", HAM, "--t", "1"])
+            assert rc == 0 and out == ""
+            assert path.read_text().startswith("{")
+        assert os.listdir(base) == ["rel.jsonl"]
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_failing_call_writes_nothing(self, tmp_path, capsys, to_file):
+        # beta = 1 yields its record before beta = -1 raises: no line may escape
+        path = tmp_path / "records.jsonl"
+        out_args = ["--out", str(path)] if to_file else []
+        rc, out = invoke([*out_args, "gibbs", "--ham", os.path.join(DATA, "h_two_qubit.pauli"),
+                          "--beta", "1,-1"])
+        assert rc == 1 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not path.exists()
 
 
 def main_process(argv):
@@ -226,13 +243,17 @@ class TestExitCodes:
         assert rc == 1 and out == ""
         assert err == "error: --N is required for the slow route\n"
 
-    def test_fast_route_beyond_physical_memory_is_exit_1(self, capsys):
-        # the defaults t 16, eps 1e-4 plan N = 4.1e11: 16 bytes per count and level
+    @pytest.mark.parametrize("route, size", [("standard", ["--d", "40"]),
+                                             ("slow", ["--N", str(10**12)]),
+                                             ("fast", [])], ids=["standard", "slow", "fast"])
+    def test_route_beyond_physical_memory_is_exit_1(self, capsys, route, size):
+        # 8 bytes per outcome: 8 TiB at d = 40 and 7.3 TiB at N = 1e12; the fast
+        # defaults t 16, eps 1e-4 plan N = 4.1e11: 16 bytes per count and level
         ham = os.path.join(DATA, "h_two_qubit.pauli")
-        rc, out = invoke(["qpe", "--route", "fast", "--ham", ham])
+        rc, out = invoke(["qpe", "--route", route, "--ham", ham, *size])
         err = capsys.readouterr().err
         assert rc == 1 and out == ""
-        assert err.startswith("error: fast route needs") and err.count("\n") == 1
+        assert err.startswith(f"error: {route} route needs") and err.count("\n") == 1
         assert "Traceback" not in err
 
     def test_large_default_step_count_runs(self):

@@ -68,7 +68,7 @@ class TestHermitianSolution:
             f = (q * np.array(spectrum)) @ q.conj().T
             f = 0.5 * (f + f.conj().T)
             ham = normalize_spectrum(f)
-            assert ham.n_levels < 6 and ham.clustered
+            assert ham.n_levels < 6 and ham.dim > ham.n_levels
             rho = random_density(rng, 6)
             t = float(rng.uniform(0.2, 3.0))
             out = lindblad_exact_hermitian(ham, rho, t)
