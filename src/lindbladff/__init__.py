@@ -11,7 +11,7 @@ from .fastforward import FFPlan, ff_evolve, plan
 from .gibbs import GibbsResult, gibbs_prepare
 from .model import (Hamiltonian, LindbladSpec, SpectralState, SpectrumMap,
                     decompose_state, lindblad_spec,
-                    normalize_spectrum, normalized_jump, parse_dense_matrix,
+                    normalize_spectrum, parse_dense_matrix,
                     parse_pauli_sum, shift_to_zero, spectral_gap)
 from .qpe import (AmplitudeDecision, AmplitudeProblem, EstimationResult,
                   PreparationResult, amplitude_problem,

@@ -18,7 +18,7 @@ from .errors import CapacityError, ValidationError
 from . import numkernel as nk
 from .dilated import CostReport
 from .fastforward import ff_cost, gap_kernel, plan as make_plan
-from .model import LindbladSpec, normalized_jump
+from .model import JUMP_NORM_ATOL, LindbladSpec, normalize_spectrum
 
 # Commutation tolerance of ``is_choi_commuting``, relative to the
 # generator-term scale
@@ -98,41 +98,47 @@ def choi_ff_evolve(spec: LindbladSpec, state0: np.ndarray, t: float,
                    eps_total: float) -> tuple[np.ndarray, CostReport, float]:
     """Sequential per-jump fast-forwarding with a uniform error split.
 
-    The channel factorizes only when the generators commute, so the spec
-    must pass ``is_choi_commuting``; the largest commutator it found is
-    returned after the state and the cost.  Each factor gets eps_total / K;
-    for a commuting spec the factor order is immaterial up to that budget,
-    and we keep the input order.  Jumps whose spectrum leaves [0, 1] are
-    normalized with the matching quadratic time rescale (identity shifts
-    leave the dissipator invariant).
+    Each jump is eigendecomposed once, by ``normalize_spectrum``; a jump
+    whose norm, read off that spectrum, exceeds 1 raises.  The channel
+    factorizes only when the generators commute, so the spec must then pass
+    ``is_choi_commuting``; the largest commutator it found is returned after
+    the state and the cost.  Each factor gets eps_total / K and the input
+    order (immaterial up to that budget for a commuting spec).  A jump
+    normalized with map scale s runs for s^2 t: identity shifts leave the
+    dissipator invariant and a c-scaled jump squares the rates.
     """
     if t <= 0:
         raise ValidationError(f"evolution time must be positive, got {t}")
+    hams = [normalize_spectrum(j) for j in spec.jumps]
+    for k, ham in enumerate(hams):
+        nrm = float(np.max(np.abs(ham.spectrum_map.to_original(ham.eigenvalues[[0, -1]]))))
+        if nrm > 1.0 + JUMP_NORM_ATOL:
+            raise ValidationError(
+                f"jump {k} has operator norm {nrm:.6f} > 1; rescale the jump by 1/{nrm:.4f} "
+                f"and the evolution time by {nrm**2:.4f} (a c-scaled jump squares the rates)"
+            )
     passes, worst = is_choi_commuting(spec)
     if not passes:
         raise ValidationError(f"generators do not commute (max commutator entry {worst:.3e})")
     state0 = np.asarray(state0, dtype=complex)
     # each factor maps density matrices to density matrices: validate once; a
-    # normalized vector's projector needs no eigenvalue check
+    # vector's projector needs no eigenvalue check, only symmetrizing (numpy
+    # can round psi_i psi_j* and psi_j psi_i* apart in the last bit)
     if state0.ndim == 1:
         psi = nk.require_state(state0)
         rho = nk.require_hermitian(np.outer(psi, psi.conj()))
     else:
         rho = nk.require_density(state0)
-    k = len(spec.jumps)
-    eps_each = eps_total / k
-    total_time = 0.0
-    steps = 0
-    ancillas = 0
-    for jump in spec.jumps:
-        ham, time_scale = normalized_jump(jump)
-        if ham.n_levels == 1:
-            continue  # identity-proportional jump generates no dissipation
-        p = make_plan(time_scale * t, eps_each)
+    eps_each = eps_total / len(hams)
+    costs = []
+    for ham in hams:
+        time = ham.spectrum_map.scale ** 2 * t
+        if ham.n_levels == 1 or time == 0.0:
+            continue  # no dissipation: an identity-proportional jump, or an underflowed rate
+        p = make_plan(time, eps_each)
         rho = ham.dephase(gap_kernel(p, ham.eigenvalues, ham.eigenvalues), rho)
-        cost = ff_cost(p)
-        total_time += cost.hamiltonian_time
-        steps += cost.step_count
-        ancillas += cost.ancilla_count
-    return rho, CostReport(total_time, steps, ancillas), worst
-
+        costs.append(ff_cost(p))
+    # the counts sum from int 0, so the record keeps integer counts
+    cost = CostReport(sum((c.hamiltonian_time for c in costs), 0.0),
+                      sum(c.step_count for c in costs), sum(c.ancilla_count for c in costs))
+    return rho, cost, worst

@@ -4,7 +4,9 @@ line-delimited records, and the benchmark suites.
 Each subcommand is a generator of its output lines, JSON records and CSV
 rows alike; ``run`` collects them and writes them once the call succeeds, to
 stdout or to ``--out FILE`` (a relative path resolves against
-``LINDBLADFF_OUT_DIR`` when set), so a failing call writes nothing.  Records
+``LINDBLADFF_OUT_DIR`` when set), so a failing call writes nothing.  A
+``ValidationError`` or an ``OSError`` (a missing or unwritable file) exits 1
+with one ``error:`` line, an ``InvariantError`` exits 2.  Records
 are one JSON object per line with sorted keys and compact separators, so
 identical invocations (same argv and seed) are byte-identical apart from the
 ``wall_time_s`` field.  Every record is built by ``_record``, and every
@@ -102,11 +104,11 @@ def _initial_state(spec: str, dim: int) -> np.ndarray:
         v[0] = 1.0
         return v
     if spec.startswith("basis:"):
-        k = int(spec.split(":", 1)[1])
-        if not 0 <= k < dim:
-            raise ValidationError(f"basis index {k} outside [0, {dim})")
+        k = spec.split(":", 1)[1]
+        if not (k.isdecimal() and int(k) < dim):
+            raise ValidationError(f"basis index {k!r} is not an integer in [0, {dim})")
         v = np.zeros(dim, dtype=complex)
-        v[k] = 1.0
+        v[int(k)] = 1.0
         return v
     if spec.startswith("file:"):
         with open(spec.split(":", 1)[1]) as fh:
@@ -196,11 +198,12 @@ def _load_jump_list(path: str) -> tuple[list[np.ndarray], str]:
             if not line:
                 continue
             parts = line.split()
-            ref = parts[0]
-            rate = float(parts[1]) if len(parts) > 1 else 1.0
-            with open(os.path.join(base, ref)) as jf:
+            with open(os.path.join(base, parts[0])) as jf:
                 mat = model.load_hamiltonian_text(jf.read())
-            jump = math.sqrt(rate) * mat
+            try:
+                jump = math.sqrt(float(parts[1]) if len(parts) > 1 else 1.0) * mat
+            except ValueError:
+                raise ValidationError(f"{path}: rate {parts[1]!r} is not a number >= 0") from None
             hasher.update(np.ascontiguousarray(jump).tobytes())
             jumps.append(jump)
     return jumps, hasher.hexdigest()
@@ -291,7 +294,10 @@ def _cmd_ae_demo(args, argv):
     t0 = time.perf_counter()
     if args.oracle:
         with open(args.oracle) as fh:
-            bits = np.array([int(ch) for ch in fh.read().split()], dtype=int)
+            tokens = fh.read().split()
+        if not all(tok.isdecimal() for tok in tokens):
+            raise ValidationError(f"{args.oracle}: an oracle value is not a 0/1 digit")
+        bits = np.array([int(tok) for tok in tokens], dtype=int)
     else:
         bits = np.zeros(1 << args.n, dtype=int)
         bits[: args.witnesses] = 1
@@ -528,21 +534,21 @@ def run(argv: list[str]) -> int:
         return 1 if exc.code not in (0, None) else 0
     handler = _BENCH[args.suite] if args.cmd == "bench" else _DISPATCH[args.cmd]
     try:
-        lines = list(handler(args, argv))
-    except (ValidationError, InvariantError) as exc:
+        body = "".join(line + "\n" for line in handler(args, argv))
+        if args.out:
+            with open(os.path.join(os.environ.get("LINDBLADFF_OUT_DIR", ""), args.out), "w") as fh:
+                fh.write(body)
+        else:
+            sys.stdout.write(body)
+    except (ValidationError, InvariantError, OSError) as exc:
+        # an unreadable or unwritable file is a malformed input, as is bad text
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, ValidationError) else 2
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
+        return 2 if isinstance(exc, InvariantError) else 1
+    except Exception:  # noqa: BLE001 - CLI boundary
         import traceback
 
         traceback.print_exc()
         return 2
-    body = "".join(line + "\n" for line in lines)
-    if args.out:
-        with open(os.path.join(os.environ.get("LINDBLADFF_OUT_DIR", ""), args.out), "w") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
     return 0
 
 

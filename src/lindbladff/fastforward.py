@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ValidationError
 from . import numkernel as nk
-from .dilated import CostReport
+from .dilated import CostReport, default_steps
 from .kernels import binom_residue_weights
 from .model import JUMP_NORM_ATOL, Hamiltonian
 
@@ -81,9 +81,9 @@ class FFPlan:
 def plan(t: float, eps: float, n_override: int | None = None) -> FFPlan:
     """Choose N, the window fraction c, and the register split (d, d').
 
-    Defaults follow the first-order budget N = ceil(t^3 / eps^2) (rounded up
-    to even) and the window size that pins the discarded binomial mass at
-    eps: c = sqrt(ln(2/eps) / 2) / sqrt(N).
+    Defaults follow the first-order budget N = ``default_steps(t, eps)``,
+    ceil(t^3 / eps^2) rounded up to even, and the window size that pins the
+    discarded binomial mass at eps: c = sqrt(ln(2/eps) / 2) / sqrt(N).
     """
     if t <= 0:
         raise ValidationError(f"evolution time must be positive, got {t}")
@@ -98,7 +98,7 @@ def plan(t: float, eps: float, n_override: int | None = None) -> FFPlan:
             n += 1
             note = f"odd register override rounded up to {n}"
     else:
-        n = math.ceil(t ** 3 / eps ** 2)
+        n = default_steps(t, eps)
         n += n % 2
     c = math.sqrt(math.log(2.0 / eps) / 2.0) / math.sqrt(n)
     if c * n < 1.0:

@@ -219,6 +219,8 @@ class LindbladSpec:
 
 
 def lindblad_spec(jumps) -> LindbladSpec:
+    """Check a jump list's structure: a non-empty list of Hermitian matrices
+    of one dimension.  ``choi_ff_evolve`` checks each jump's norm."""
     mats = []
     dim = None
     for k, j in enumerate(jumps):
@@ -227,27 +229,10 @@ def lindblad_spec(jumps) -> LindbladSpec:
             dim = m.shape[0]
         elif m.shape[0] != dim:
             raise ValidationError(f"jump {k} has dim {m.shape[0]}, expected {dim}")
-        nrm = float(np.max(np.abs(np.linalg.eigvalsh(m))))
-        if nrm > 1.0 + JUMP_NORM_ATOL:
-            raise ValidationError(
-                f"jump {k} has operator norm {nrm:.6f} > 1; rescale the jump by 1/{nrm:.4f} "
-                f"and the evolution time by {nrm**2:.4f} (a c-scaled jump squares the rates)"
-            )
         mats.append(m)
     if dim is None:
         raise ValidationError("empty jump list")
     return LindbladSpec(tuple(mats), dim)
-
-
-def normalized_jump(f: np.ndarray) -> tuple[Hamiltonian, float]:
-    """Normalize a Hermitian jump operator and return the time rescale.
-
-    Evolving under the raw jump for time t equals evolving under the returned
-    normalized Hamiltonian for ``time_scale * t``: additive identity shifts
-    leave the dissipator invariant and a c-scaled jump squares the rates.
-    """
-    ham = normalize_spectrum(f)
-    return ham, float(ham.spectrum_map.scale) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def require_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray
     """Validate Hermiticity and return the symmetrized matrix (A + A^dag)/2."""
     a = require_square(a)
     defect = hermiticity_defect(a)
-    if defect > atol:
+    if not defect <= atol:  # a NaN or infinite entry makes the defect NaN
         raise ValidationError(
             f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {atol:.1e}"
         )

@@ -3,14 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from lindbladff import (CapacityError, ValidationError, choi_ff_evolve, choi_generator_term,
                         ff_evolve, is_choi_commuting, lindblad_spec, normalize_spectrum,
-                        plan)
-from lindbladff import choi
+                        parse_pauli_sum, plan)
+from lindbladff import choi, cli
 from lindbladff import numkernel as nk
 
-from conftest import PAULI_X, PAULI_Z, random_hermitian
+from conftest import PAULI_X, PAULI_Z, random_density, random_hermitian, random_state
 from oracles import lindblad_exact_general, lindblad_rk4, pauli_noise_spec
 
 ZERO_KET = np.zeros((2, 2), dtype=complex)
@@ -132,6 +134,46 @@ class TestSequentialFastForward:
         assert np.max(np.abs(rho_seq - rho_ff)) <= 1e-12
         assert cost_seq.hamiltonian_time == cost_ff.hamiltonian_time
 
+    @pytest.mark.parametrize("jump, time_scale, levels", [
+        (0.5 * PAULI_Z, 1.0, [0.0, 1.0]),         # width 1: shifted only
+        (np.diag([0.0, 0.7]), 1.0, [0.0, 0.7]),  # inside [0, 1]: kept as is
+        (0.3 * PAULI_Z, 0.36, [0.0, 1.0]),       # width 0.6: runs for 0.36 t
+    ], ids=["half_z", "inside_unit", "scaled_z"])
+    def test_single_jump_runs_at_rescaled_time(self, jump, time_scale, levels):
+        psi = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
+        rho, cost, _ = choi_ff_evolve(lindblad_spec([jump]), psi, 2.0, 0.05)
+        ham = normalize_spectrum(jump)
+        assert np.allclose(ham.eigenvalues, levels)
+        assert np.isclose(ham.spectrum_map.scale ** 2, time_scale)
+        want, want_cost = ff_evolve(ham, psi, plan(time_scale * 2.0, 0.05))
+        assert np.max(np.abs(rho - want)) <= 1e-12
+        assert np.isclose(cost.hamiltonian_time, want_cost.hamiltonian_time)
+
+    def test_underflowed_rate_is_the_identity(self):
+        # scale^2 t = (2e-200)^2 rounds to 0: the factor is the identity, not an error
+        psi = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
+        rho, cost, _ = choi_ff_evolve(lindblad_spec([1e-200 * PAULI_X]), psi, 1.0, 0.1)
+        assert np.array_equal(rho, np.outer(psi, psi.conj()))
+        assert cost.as_dict() == {"hamiltonian_time": 0.0, "step_count": 0, "ancilla_count": 0}
+
+    def test_norm_bound_enforced(self, tmp_path, capsys):
+        # the norm is read off the spectrum the channel evolves with, through
+        # an affine map (2 Z, diag(-1.2, 0.3)) or a zero-width one (1.5 I)
+        psi = np.array([1.0, 0.0], dtype=complex)
+        for jump, nrm in ((2.0 * PAULI_Z, 2.0), (np.diag([-1.2, 0.3]), 1.2),
+                          (1.5 * np.eye(2), 1.5)):
+            with pytest.raises(ValidationError) as info:
+                choi_ff_evolve(lindblad_spec([PAULI_X, jump]), psi, 1.0, 0.1)
+            assert str(info.value) == (
+                f"jump 1 has operator norm {nrm:.6f} > 1; rescale the jump by 1/{nrm:.4f} "
+                f"and the evolution time by {nrm**2:.4f} (a c-scaled jump squares the rates)")
+        (tmp_path / "z.pauli").write_text("2.0 Z\n")
+        (tmp_path / "jumps.txt").write_text("z.pauli\n")
+        rc = cli.run(["evolve", "--method", "choi-ff", "--jumps", str(tmp_path / "jumps.txt"),
+                      "--t", "1"])
+        assert rc == 1
+        assert "rescale the jump by 1/2.0000" in capsys.readouterr().err
+
     def test_xz_dephasing_to_maximally_mixed(self):
         spec = lindblad_spec([PAULI_X, PAULI_Z])
         rho, _, _ = choi_ff_evolve(spec, np.array([1.0, 0.0], dtype=complex), 8.0, 1e-2)
@@ -156,17 +198,49 @@ class TestSequentialFastForward:
 
     @pytest.mark.parametrize("density", (False, True))
     def test_input_is_validated_once(self, monkeypatch, rng, density):
-        # every factor maps density matrices to density matrices, so only a
-        # density input pays for the eigvalsh of ``require_density``; a
-        # vector's projector is positive by construction and pays nothing
-        spec = pauli_noise_spec([("XI", 0.7), ("ZI", 0.4), ("ZZ", 0.9), ("IY", 0.5)])
+        # building the spec checks structure only; the channel eigendecomposes
+        # each jump once, and only a density input pays for the eigvalsh of
+        # ``require_density``: a vector's projector is positive by construction
         calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, lambda a, name=name, f=getattr(np.linalg, name):
+                                calls.append(name) or f(a))
+        terms = [("XI", 0.7), ("ZI", 0.4), ("ZZ", 0.9), ("IY", 0.5)]
+        spec = pauli_noise_spec(terms)
+        assert calls == []
         psi = np.exp(2j * np.pi * rng.random(4)) / 2.0
         rho, _, _ = choi_ff_evolve(spec, np.outer(psi, psi.conj()) if density else psi, 1.0, 0.05)
-        assert len(calls) == (1 if density else 0)
+        assert (calls.count("eigh"), calls.count("eigvalsh")) == (len(terms), int(density))
         assert abs(np.trace(rho).real - 1.0) <= 1e-12
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(data=hst.data(), n=hst.integers(1, 3), mixed=hst.booleans(),
+           seed=hst.integers(0, 2 ** 32 - 1), t=hst.floats(0.25, 2.0),
+           eps=hst.floats(0.01, 0.2))
+    def test_shifted_strings_within_eps_of_exact(self, data, n, mixed, seed, t, eps):
+        # jumps a I + b P with |a| + |b| <= 1: two shifted anticommuting strings
+        # pass neither probe relation, so the superoperator fallback decides,
+        # and a jump of width 2|b| != 1 runs at a rescaled time
+        jumps = []
+        for _ in range(data.draw(hst.integers(1, 4))):
+            string = data.draw(hst.text("IXYZ", min_size=n, max_size=n))
+            a = data.draw(hst.floats(-1.0, 1.0))
+            b = data.draw(hst.floats(-1.0, 1.0)) * (1.0 - abs(a))
+            jumps.append(a * np.eye(2 ** n) + b * parse_pauli_sum(f"1.0 {string}"))
+        spec = lindblad_spec(jumps)
+        rng = np.random.default_rng(seed)
+        rho0 = random_density(rng, 2 ** n) if mixed else random_state(rng, 2 ** n)
+        rho, _, _ = choi_ff_evolve(spec, rho0, t, eps)
+        exact = lindblad_exact_general(spec, rho0 if mixed else np.outer(rho0, rho0.conj()), t)
+        assert nk.trace_distance(rho, exact) <= eps
+
+    def test_vector_and_its_projector_agree_bitwise(self, rng):
+        # a vector input gives the bytes its density input gives
+        spec = pauli_noise_spec([("XY", 0.8), ("ZI", 0.5), ("ZZ", 0.3)])
+        psi = random_state(rng, 4)
+        rho_vec, _, _ = choi_ff_evolve(spec, psi, 1.0, 0.05)
+        rho_den, _, _ = choi_ff_evolve(spec, np.outer(psi, psi.conj()), 1.0, 0.05)
+        assert rho_vec.tobytes() == rho_den.tobytes()
 
     def test_factorization_identity(self, rng):
         # commuting generators: exp of the sum equals the product of exps

@@ -256,6 +256,42 @@ class TestExitCodes:
         assert err.startswith(f"error: {route} route needs") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    # Each case names a missing file, a file in a missing directory or a
+    # malformed value; {tmp} is the test's own directory.
+    EVOLVE = ["evolve", "--t", "1", "--method"]
+    MALFORMED = {
+        "missing_ham": [*EVOLVE, "exact", "--ham", "{tmp}/missing.pauli"],
+        "missing_jumps": [*EVOLVE, "choi-ff", "--jumps", "{tmp}/missing.txt"],
+        "missing_listed_jump": [*EVOLVE, "choi-ff", "--jumps", "{tmp}/absent.txt"],
+        "missing_state_file": [*EVOLVE, "exact", "--ham", HAM, "--state", "file:{tmp}/missing"],
+        "missing_oracle": ["ae-demo", "--oracle", "{tmp}/missing.txt"],
+        "csv_in_missing_dir": ["gibbs", "--ham", os.path.join(DATA, "h_two_qubit.pauli"),
+                               "--beta", "1", "--csv", "{tmp}/no/such.csv"],
+        "out_in_missing_dir": [*EVOLVE, "exact", "--ham", HAM],
+        "basis_not_an_integer": [*EVOLVE, "exact", "--ham", HAM, "--state", "basis:x"],
+        "rate_not_a_number": [*EVOLVE, "choi-ff", "--jumps", "{tmp}/bad_rate.txt"],
+        "rate_negative": [*EVOLVE, "choi-ff", "--jumps", "{tmp}/negative_rate.txt"],
+        "rate_not_finite": [*EVOLVE, "choi-ff", "--jumps", "{tmp}/nan_rate.txt"],
+        "oracle_not_digits": ["ae-demo", "--oracle", "{tmp}/bad_oracle.txt"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input_is_exit_1(self, tmp_path, capsys, case):
+        (tmp_path / "z.pauli").write_text("1.0 Z\n")
+        (tmp_path / "absent.txt").write_text("absent.pauli 0.5\n")
+        (tmp_path / "bad_rate.txt").write_text("z.pauli abc\n")
+        (tmp_path / "negative_rate.txt").write_text("z.pauli -0.5\n")
+        (tmp_path / "nan_rate.txt").write_text("z.pauli nan\n")
+        (tmp_path / "bad_oracle.txt").write_text("0 1 x 1\n")
+        inputs = sorted(os.listdir(tmp_path))
+        out = "{tmp}/no/out.jsonl" if case == "out_in_missing_dir" else "{tmp}/out.jsonl"
+        argv = ["--out", out, *self.MALFORMED[case]]
+        rc, stdout = invoke([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+        err = capsys.readouterr().err
+        assert rc == 1 and stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert sorted(os.listdir(tmp_path)) == inputs
+
     def test_large_default_step_count_runs(self):
         # default steps 64^3 / 0.1^2 = 2.6e7; the closed-form composition
         # costs the same at any step count

@@ -324,18 +324,3 @@ class TestDecomposeState:
         with pytest.raises(ValidationError):
             model.decompose_state(random_state(rng, 3), ham)
 
-
-class TestLindbladSpec:
-    def test_norm_bound_enforced(self):
-        with pytest.raises(ValidationError, match="rescale"):
-            model.lindblad_spec([2.0 * PAULI_Z])
-
-    def test_normalized_jump_time_rescale(self):
-        ham, scale = model.normalized_jump(0.5 * PAULI_Z)  # spectrum {-0.5, 0.5}
-        assert np.allclose(ham.eigenvalues, [0.0, 1.0])
-        assert np.isclose(scale, 1.0)  # width 1.0, squared
-
-    def test_normalized_jump_identity_inside_unit(self):
-        ham, scale = model.normalized_jump(np.diag([0.0, 0.7]))
-        assert np.isclose(scale, 1.0)
-        assert np.allclose(ham.eigenvalues, [0.0, 0.7])
