@@ -107,8 +107,8 @@ def choi_ff_evolve(spec: LindbladSpec, state0: np.ndarray, t: float,
     normalized with map scale s runs for s^2 t: identity shifts leave the
     dissipator invariant and a c-scaled jump squares the rates.
     """
-    if t <= 0:
-        raise ValidationError(f"evolution time must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValidationError(f"evolution time must be positive and finite, got {t}")
     hams = [normalize_spectrum(j) for j in spec.jumps]
     for k, ham in enumerate(hams):
         nrm = float(np.max(np.abs(ham.spectrum_map.to_original(ham.eigenvalues[[0, -1]]))))

@@ -18,14 +18,12 @@ Hamiltonian file is read, parsed and hashed by ``_load_ham``.  The runs of
 from __future__ import annotations
 
 import argparse
-import gc
 import hashlib
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -75,7 +73,7 @@ def _record(argv, t0: float, outputs: dict, digest: str | None = None,
     return json.dumps({
         "artifact_version": __version__,
         "command": argv,
-        "cost": cost.as_dict() if cost is not None else None,
+        "cost": cost._asdict() if cost is not None else None,
         "ham_digest": digest,
         "outputs": _jsonable(outputs),
         "seed": seed,
@@ -219,8 +217,8 @@ def _cmd_qpe(args, argv):
         ham = model.shift_to_zero(ham, args.eigen)
         if args.route == "standard":
             # phases enter mod 1 here: halving keeps the level at +-1 off the target's phase 0
-            ham = replace(ham, eigenvalues=0.5 * ham.eigenvalues,
-                          spectrum_map=ham.spectrum_map.compose(2.0, 0.0))
+            ham = ham._replace(eigenvalues=0.5 * ham.eigenvalues,
+                               spectrum_map=ham.spectrum_map.compose(2.0, 0.0))
     psi = _initial_state(args.state, ham.dim)
     state = model.decompose_state(psi, ham)
 
@@ -554,8 +552,14 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     code = run(sys.argv[1:])
-    gc.freeze()  # frozen objects escape the exit-time collections: no teardown walk of the heap
-    sys.exit(code)
+    # os._exit skips interpreter finalization (atexit, module teardown, the
+    # exit-time collections), so the buffered streams are flushed here
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:  # a reader that closed the pipe early
+        code = code or 1
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ checks it against the literal one-step circuit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,24 +19,18 @@ from .errors import ValidationError
 from .model import Hamiltonian
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
     """Resource ledger: total Hamiltonian evolution time, steps, ancillas."""
 
     hamiltonian_time: float
     step_count: int
     ancilla_count: int
 
-    def as_dict(self) -> dict:
-        return {
-            "hamiltonian_time": self.hamiltonian_time,
-            "step_count": self.step_count,
-            "ancilla_count": self.ancilla_count,
-        }
-
 
 def default_steps(t: float, eps: float) -> int:
     """First-order step count t^3 / eps^2 (rounded up)."""
+    if not 0 < t < math.inf:
+        raise ValidationError(f"evolution time must be positive and finite, got {t}")
     return max(1, math.ceil(t ** 3 / eps ** 2))
 
 
@@ -67,8 +61,8 @@ def dilated_evolve(ham: Hamiltonian, rho0: np.ndarray, t: float, steps: int
     """
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
-    if t <= 0:
-        raise ValidationError(f"evolution time must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValidationError(f"evolution time must be positive and finite, got {t}")
     h = ham.eigenvalues
     cost = CostReport(
         hamiltonian_time=steps * math.sqrt(t / steps),

@@ -18,7 +18,7 @@ from .model import Hamiltonian
 def lindblad_exact_hermitian(ham: Hamiltonian, rho0: np.ndarray, t: float) -> np.ndarray:
     """Dephasing-channel solution for the single Hermitian jump ``ham``,
     from a density matrix or a state vector (see ``Hamiltonian.dephase``)."""
-    if t < 0:
-        raise ValidationError(f"negative evolution time {t}")
+    if not 0 <= t < np.inf:
+        raise ValidationError(f"evolution time must be >= 0 and finite, got {t}")
     gaps = ham.eigenvalues[:, None] - ham.eigenvalues[None, :]
     return ham.dephase(np.exp(-0.5 * t * gaps ** 2), rho0)

@@ -29,7 +29,7 @@ produces, so they stay physical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ _BLOCK_BYTES = 4 << 20
 _SUM_ROWS = 256
 
 
-@dataclass(frozen=True)
-class FFPlan:
+class FFPlan(NamedTuple):
     """Parameter bundle of one fast-forwarding run.
 
     ``window`` is the address interval driven exactly; everything outside it
@@ -85,8 +84,8 @@ def plan(t: float, eps: float, n_override: int | None = None) -> FFPlan:
     ceil(t^3 / eps^2) rounded up to even, and the window size that pins the
     discarded binomial mass at eps: c = sqrt(ln(2/eps) / 2) / sqrt(N).
     """
-    if t <= 0:
-        raise ValidationError(f"evolution time must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValidationError(f"evolution time must be positive and finite, got {t}")
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"target error must be in (0, 1), got {eps}")
     note = ""

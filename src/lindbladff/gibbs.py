@@ -32,7 +32,7 @@ would spend are reported, never simulated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ from .dilated import CostReport
 from .fastforward import ff_cost, gap_kernel, plan as make_plan
 
 
-@dataclass
-class GibbsResult:
+class GibbsResult(NamedTuple):
     purification: np.ndarray       # 2n-qubit state vector
     reduced_state: np.ndarray      # n-qubit density matrix
     partition_estimate: float

@@ -11,7 +11,7 @@ eigenvectors span the shared eigenspace, so the tolerance was exercised when
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ _PAULI = {
 }
 
 
-@dataclass(frozen=True)
-class SpectrumMap:
+class SpectrumMap(NamedTuple):
     """Affine map from normalized eigenvalues back to the original spectrum."""
 
     scale: float
@@ -44,8 +43,7 @@ class SpectrumMap:
         return SpectrumMap(self.scale * inner_scale, self.scale * inner_shift + self.shift)
 
 
-@dataclass(frozen=True)
-class Hamiltonian:
+class Hamiltonian(NamedTuple):
     """Hermitian operator with cached spectral decomposition.
 
     ``eigenvalues`` are distinct and ascending.  ``vectors`` holds orthonormal
@@ -183,8 +181,7 @@ def shift_to_zero(ham: Hamiltonian, beta: int) -> Hamiltonian:
     return Hamiltonian(eigs_n, ham.vectors, ham.levels, smap)
 
 
-@dataclass(frozen=True)
-class SpectralState:
+class SpectralState(NamedTuple):
     """Eigenspace decomposition of a pure state against a Hamiltonian.
 
     ``coeffs[k]`` is the (nonnegative) weight ||P_k v||, and ``components[k]``
@@ -210,8 +207,7 @@ def decompose_state(v: np.ndarray, ham: Hamiltonian) -> SpectralState:
     return SpectralState(coeffs, normalized)
 
 
-@dataclass(frozen=True)
-class LindbladSpec:
+class LindbladSpec(NamedTuple):
     """Ordered jump operators of a purely dissipative Lindbladian."""
 
     jumps: tuple[np.ndarray, ...]

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ from .model import (Hamiltonian, SpectralState, decompose_state,
                     normalize_spectrum, spectral_gap)
 
 
-@dataclass
-class EstimationResult:
+class EstimationResult(NamedTuple):
     """One eigenvalue-estimation outcome (estimate in original spectrum units)."""
 
     estimate: float
@@ -80,8 +79,7 @@ class EstimationResult:
     saturated: bool = False
 
 
-@dataclass
-class PreparationResult:
+class PreparationResult(NamedTuple):
     """Post-selected eigenstate preparation summary."""
 
     postselect_probability: float
@@ -322,8 +320,8 @@ def slow_qpe(ham: Hamiltonian, state: SpectralState, t: float, n: int,
              mode: str = "exact", seed=None,
              repeats: int = 1) -> EstimationResult:
     """Counting statistics of N short dephasing steps (exact distribution)."""
-    if t <= 0 or n < 1:
-        raise ValidationError(f"need t > 0 and N >= 1, got t={t}, N={n}")
+    if not 0 < t < math.inf or n < 1:
+        raise ValidationError(f"need finite t > 0 and N >= 1, got t={t}, N={n}")
     _require_memory(8 * (n + 1), "slow route", f"distribution at N = {n}", "lower N")
     dist = _counting_distribution(state.weights, _counting_params(ham, t, n), n)
     return _readout(ham, dist, lambda m: counting_estimator(t, n, m),
@@ -334,8 +332,8 @@ def slow_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
                         t: float, n: int) -> PreparationResult:
     """Post-select the all-zeros count to filter the zero-eigenvalue component."""
     _require_target_at_zero(ham, beta)
-    if t <= 0 or n < 1:
-        raise ValidationError(f"need t > 0 and N >= 1, got t={t}, N={n}")
+    if not 0 < t < math.inf or n < 1:
+        raise ValidationError(f"need finite t > 0 and N >= 1, got t={t}, N={n}")
     _step_root(ham, t, n)  # range guard
     w = state.weights[beta]
     gap = spectral_gap(ham, beta)
@@ -450,8 +448,7 @@ def fast_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
 # Amplitude-estimation decision demo
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AmplitudeDecision:
+class AmplitudeDecision(NamedTuple):
     decided_zero: bool
     correct: bool
     confidence: float
@@ -511,8 +508,7 @@ def _orthogonal_log(u: np.ndarray) -> np.ndarray:
     return h + math.pi * (v[:, flip] @ v[:, flip].T)
 
 
-@dataclass(frozen=True)
-class AmplitudeProblem:
+class AmplitudeProblem(NamedTuple):
     """Seed-independent part of the decision demo for one oracle.
 
     ``distribution`` is the fast readout's count distribution and

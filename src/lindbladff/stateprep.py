@@ -15,7 +15,6 @@ bit first).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,19 +26,19 @@ from .kernels import binom_pmf
 SERIES_CUTOFF = 1e-16
 
 
-@dataclass(frozen=True)
 class GaussianParams:
     """Periodized-Gaussian parameters: center mu, width sigma, period N."""
 
-    mu: float
-    sigma: float
-    n: int
+    __slots__ = ("mu", "sigma", "n")
 
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValidationError(f"sigma must be positive, got {self.sigma}")
-        if self.n < 2:
-            raise ValidationError(f"period must be >= 2, got {self.n}")
+    def __init__(self, mu: float, sigma: float, n: int):
+        if sigma <= 0:
+            raise ValidationError(f"sigma must be positive, got {sigma}")
+        if n < 2:
+            raise ValidationError(f"period must be >= 2, got {n}")
+        self.mu = mu
+        self.sigma = sigma
+        self.n = n
 
 
 def binomial_amplitudes(n: int) -> np.ndarray:

@@ -154,7 +154,7 @@ class TestSequentialFastForward:
         psi = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
         rho, cost, _ = choi_ff_evolve(lindblad_spec([1e-200 * PAULI_X]), psi, 1.0, 0.1)
         assert np.array_equal(rho, np.outer(psi, psi.conj()))
-        assert cost.as_dict() == {"hamiltonian_time": 0.0, "step_count": 0, "ancilla_count": 0}
+        assert cost._asdict() == {"hamiltonian_time": 0.0, "step_count": 0, "ancilla_count": 0}
 
     def test_norm_bound_enforced(self, tmp_path, capsys):
         # the norm is read off the spectrum the channel evolves with, through

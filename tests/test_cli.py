@@ -165,9 +165,11 @@ class TestRecords:
 
 
 def main_process(argv):
-    """``python -m lindbladff.cli argv`` in a fresh interpreter, from the repo root."""
+    """``python -m lindbladff.cli argv`` in a fresh interpreter, from the repo root,
+    with stdout block-buffered into its pipe as in a plain shell."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     return subprocess.run([sys.executable, "-m", "lindbladff.cli", *argv], cwd=ROOT,
-                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                          env=dict(env, PYTHONPATH=SRC), capture_output=True,
                           text=True, timeout=120)
 
 
@@ -200,6 +202,18 @@ class TestMainProcess:
         done = main_process(["evolve", "--method", "ff", "--t", "1"])
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == "error: --ham FILE is required\n"
+
+    @pytest.mark.parametrize("n", ["16", "20000"])
+    def test_table_reaches_the_pipe_whole(self, n):
+        # main() ends in os._exit, so it flushes stdout itself: the 342-byte
+        # table waits in the buffer, the 282 KB one (past a pipe buffer) is
+        # written through it
+        argv = ["stateprep", "--what", "binomial", "--N", n]
+        done = main_process(argv)
+        assert done.returncode == 0, done.stderr
+        rc, want = invoke(argv)
+        assert rc == 0 and want.count("\n") == int(n) + 2
+        assert done.stdout == want
 
 
 class TestExitCodes:
@@ -291,6 +305,16 @@ class TestExitCodes:
         assert rc == 1 and stdout == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert sorted(os.listdir(tmp_path)) == inputs
+
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    @pytest.mark.parametrize("method", ["exact", "dilated", "ff", "choi-ff"])
+    def test_non_finite_time_is_exit_1(self, capsys, method, t):
+        source = (["--jumps", os.path.join(DATA, "jumps.txt")] if method == "choi-ff"
+                  else ["--ham", HAM])
+        rc, out = invoke(["evolve", "--method", method, *source, "--t", t])
+        err = capsys.readouterr().err
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_large_default_step_count_runs(self):
         # default steps 64^3 / 0.1^2 = 2.6e7; the closed-form composition
@@ -466,6 +490,13 @@ class TestSubcommands:
 
 
 class TestColdStart:
+    def test_import_leaves_dataclasses_out(self):
+        # records are NamedTuples: building a dataclass costs a few hundred us a class
+        code = "import sys, lindbladff.cli; print('dataclasses' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
     def test_cli_paths_import_no_scipy(self, tmp_path):
         # a fresh interpreter with scipy blocked, so every path must run
         # without it; the evolve calls run first and must not import

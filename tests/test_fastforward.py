@@ -238,7 +238,7 @@ class TestFastForwardEvolve:
 
     def test_norm_guard(self, rng):
         raw = normalize_spectrum(random_hermitian(rng, 2))
-        object.__setattr__(raw, "eigenvalues", raw.eigenvalues * 1.5)
+        raw = raw._replace(eigenvalues=raw.eigenvalues * 1.5)
         with pytest.raises(ValidationError):
             ff_evolve(raw, random_state(rng, 2), plan(1.0, 0.1))
 

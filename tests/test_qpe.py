@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import os
@@ -681,7 +680,7 @@ class TestPreparationRelations:
         # at scale 1 the eigenvalue at +-1 aliases with the target (bound 0);
         # at scale 1/2 the circular gap is the plain one
         ham, st, beta = generated_preparation(seed, dim)
-        ham = dataclasses.replace(ham, eigenvalues=scale * ham.eigenvalues)
+        ham = ham._replace(eigenvalues=scale * ham.eigenvalues)
         d = 5
         j = np.arange(1 << d)
         f = np.exp(-2j * np.pi * np.outer(ham.eigenvalues, j)).sum(axis=1) / (1 << d)
