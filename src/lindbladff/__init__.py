@@ -17,7 +17,7 @@ from .qpe import (AmplitudeDecision, AmplitudeProblem, EstimationResult,
                   PreparationResult, amplitude_problem,
                   decide_amplitude, fast_qpe, fast_qpe_eigenstate, slow_qpe,
                   slow_qpe_eigenstate, standard_qpe, standard_qpe_eigenstate)
-from .choi import choi_ff_evolve, choi_generator_term, is_choi_commuting
+from .choi import choi_ff_evolve, is_choi_commuting
 from .concentration import bernstein_bound, binomial_tail, hoeffding_bound
 from .stateprep import (GaussianParams, binomial_amplitudes,
                         binomial_gaussian_distance, discrete_gaussian_amplitudes,

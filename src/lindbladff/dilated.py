@@ -31,7 +31,12 @@ def default_steps(t: float, eps: float) -> int:
     """First-order step count t^3 / eps^2 (rounded up)."""
     if not 0 < t < math.inf:
         raise ValidationError(f"evolution time must be positive and finite, got {t}")
-    return max(1, math.ceil(t ** 3 / eps ** 2))
+    if not 0 < eps < math.inf:
+        raise ValidationError(f"target error must be positive and finite, got {eps}")
+    try:  # t^3 or the quotient overflows, or eps^2 underflows to 0
+        return max(1, math.ceil(t ** 3 / eps ** 2))
+    except (OverflowError, ZeroDivisionError):
+        raise ValidationError(f"step count t^3 / eps^2 overflows at t = {t}, eps = {eps}") from None
 
 
 def dilated_kernel(t: float, steps: int, eigs_a: np.ndarray, eigs_b: np.ndarray

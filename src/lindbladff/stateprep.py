@@ -32,8 +32,10 @@ class GaussianParams:
     __slots__ = ("mu", "sigma", "n")
 
     def __init__(self, mu: float, sigma: float, n: int):
-        if sigma <= 0:
-            raise ValidationError(f"sigma must be positive, got {sigma}")
+        if not 0 < sigma < math.inf:
+            raise ValidationError(f"sigma must be positive and finite, got {sigma}")
+        if not math.isfinite(mu):
+            raise ValidationError(f"mu must be finite, got {mu}")
         if n < 2:
             raise ValidationError(f"period must be >= 2, got {n}")
         self.mu = mu

@@ -32,8 +32,8 @@ from lindbladff.cli import run as cli_run
 from lindbladff.qpe import counting_estimator
 
 from conftest import full_mixture
-from oracles import (dense_circuit_reference, dml_gap, exact_gibbs, kw_synthesize,
-                     lindblad_exact_general, pauli_noise_spec)
+from oracles import (dense_circuit_reference, dml_gap, exact_gibbs, generator_matrix,
+                     kw_synthesize, lindblad_exact_general, pauli_noise_spec)
 
 SEED = 424242
 
@@ -261,7 +261,7 @@ def test_criterion_09_choi_pauli():
     from scipy.linalg import expm
 
     spec = pauli_noise_spec([("XI", 0.7), ("ZI", 0.4), ("ZZ", 0.9)])
-    terms = [lff.choi_generator_term(j) for j in spec.jumps]
+    terms = [generator_matrix(lff.lindblad_spec([j])) for j in spec.jumps]
     joint = expm(sum(terms) * 0.8)
     product = np.eye(16, dtype=complex)
     for term in terms:

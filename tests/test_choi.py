@@ -6,31 +6,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from lindbladff import (CapacityError, ValidationError, choi_ff_evolve, choi_generator_term,
-                        ff_evolve, is_choi_commuting, lindblad_spec, normalize_spectrum,
-                        parse_pauli_sum, plan)
+from lindbladff import (ValidationError, choi_ff_evolve, ff_evolve, is_choi_commuting,
+                        lindblad_spec, normalize_spectrum, parse_pauli_sum, plan)
 from lindbladff import choi, cli
 from lindbladff import numkernel as nk
 
 from conftest import PAULI_X, PAULI_Z, random_density, random_hermitian, random_state
-from oracles import lindblad_exact_general, lindblad_rk4, pauli_noise_spec
+from oracles import generator_matrix, lindblad_exact_general, lindblad_rk4, pauli_noise_spec
 
 ZERO_KET = np.zeros((2, 2), dtype=complex)
 ZERO_KET[0, 0] = 1.0
 
 
+def generator_term(h: np.ndarray) -> np.ndarray:
+    """The dense d^2 x d^2 generator of the single jump ``h``."""
+    return generator_matrix(lindblad_spec([h]))
+
+
 class TestGeneratorTerm:
     def test_z_term_diagonal(self):
-        term = choi_generator_term(PAULI_Z)
+        term = generator_term(PAULI_Z)
         assert np.allclose(term, np.diag([0.0, -2.0, -2.0, 0.0]))
 
     def test_identity_jump_vanishes(self):
-        assert np.max(np.abs(choi_generator_term(np.eye(2)))) <= 1e-15
+        assert np.max(np.abs(generator_term(np.eye(2)))) <= 1e-15
 
     def test_trace_identity(self, rng):
         for _ in range(10):
             h = random_hermitian(rng, 3)
-            term = choi_generator_term(h)
+            term = generator_term(h)
             want = np.trace(h).real ** 2 - 3 * np.trace(h @ h).real
             assert np.isclose(np.trace(term).real, want, atol=1e-9)
 
@@ -65,11 +69,11 @@ class TestCommutationCheck:
 
     @pytest.mark.parametrize("qubits", [2, 3, 4, 5, 6])
     def test_pauli_sets_pass_on_the_probe(self, rng, qubits, monkeypatch):
-        # every pair commutes or anticommutes, so no d^2 x d^2 generator is built
-        def no_generators(h):
-            raise AssertionError("superoperator fallback reached")
+        # every pair commutes or anticommutes, so the vector probe settles it
+        def no_generator_probe(*args):
+            raise AssertionError("generator probe reached")
 
-        monkeypatch.setattr(choi, "choi_generator_term", no_generators)
+        monkeypatch.setattr(choi, "_generator_residual", no_generator_probe)
         for _ in range(3):
             strings = ["".join(rng.choice(list("IXYZ"), size=qubits)) for _ in range(6)]
             spec = pauli_noise_spec([(s, float(rng.uniform(0.1, 1.0))) for s in strings])
@@ -80,31 +84,61 @@ class TestCommutationCheck:
     def test_tilted_pair_fails_through_the_fallback(self, monkeypatch):
         tilted = (PAULI_X + PAULI_Z) / math.sqrt(2.0)
         spec = lindblad_spec([PAULI_X, tilted])
-        built = []
-        original = choi.choi_generator_term
+        probed = []
+        original = choi._generator_residual
 
-        def counted(h):
-            built.append(h)
-            return original(h)
+        def counted(*args):
+            probed.append(args)
+            return original(*args)
 
-        monkeypatch.setattr(choi, "choi_generator_term", counted)
+        monkeypatch.setattr(choi, "_generator_residual", counted)
         first = is_choi_commuting(spec)
-        assert not first[0] and len(built) == 2
+        assert not first[0] and len(probed) == 1
         assert is_choi_commuting(spec) == first
 
-    def test_fallback_over_the_byte_budget_is_typed(self, monkeypatch):
-        tilted = (PAULI_X + PAULI_Z) / math.sqrt(2.0)
-        monkeypatch.setattr(choi, "_SUPEROP_BYTES", 5 * 16 * 2 ** 4 - 1)
-        with pytest.raises(CapacityError):
-            is_choi_commuting(lindblad_spec([PAULI_X, tilted]))
-        # pairs the probe settles never reach the budget
-        assert is_choi_commuting(lindblad_spec([PAULI_X, PAULI_Z]))[0]
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(n=hst.integers(1, 4), seed=hst.integers(0, 2 ** 32 - 1), rotate=hst.booleans(),
+           kind=hst.sampled_from(["strings", "shifted", "polynomial", "random", "tilted"]))
+    def test_verdict_matches_dense_generators(self, n, seed, rotate, kind):
+        # the verdict is whether the dense generator terms commute, on pairs that
+        # commute (strings, a matrix and a polynomial in it), anticommute
+        # (strings), are identity-shifted strings, or commute in no sense
+        # (random Hermitian, a string against a tilt toward another string);
+        # a random unitary frame makes every pair dense
+        rng = np.random.default_rng(seed)
+        d = 2 ** n
+
+        def string():
+            return parse_pauli_sum("1.0 " + "".join(rng.choice(list("IXYZ"), size=n)))
+
+        if kind == "strings":
+            a, b = rng.uniform(0.1, 1.0) * string(), rng.uniform(0.1, 1.0) * string()
+        elif kind == "shifted":
+            a, b = (rng.uniform(-0.5, 0.5) * np.eye(d) + rng.uniform(0.1, 0.5) * string()
+                    for _ in range(2))
+        elif kind == "polynomial":
+            a = random_hermitian(rng, d)
+            b = a @ a - rng.uniform(-1.0, 1.0) * a
+        elif kind == "random":
+            a, b = random_hermitian(rng, d), random_hermitian(rng, d)
+        else:
+            theta = rng.uniform(0.2, math.pi / 2 - 0.2)
+            a = string()
+            b = math.cos(theta) * a + math.sin(theta) * string()
+        if rotate:
+            u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            a, b = u @ a @ u.conj().T, u @ b @ u.conj().T
+        spec = lindblad_spec([a, b])
+        ga, gb = (generator_term(m) for m in spec.jumps)
+        dense = np.max(np.abs(ga @ gb - gb @ ga)) <= 1e-9 * max(
+            1.0, np.max(np.abs(ga)) * np.max(np.abs(gb)))
+        assert is_choi_commuting(spec)[0] == dense
 
     def test_commutator_expansion_matches_direct(self, rng):
         # expansion into jump-level commutators agrees with the direct bracket
         for _ in range(5):
             hi, hj = random_hermitian(rng, 2), random_hermitian(rng, 2)
-            ti, tj = choi_generator_term(hi), choi_generator_term(hj)
+            ti, tj = generator_term(hi), generator_term(hj)
             direct = ti @ tj - tj @ ti
             eye = np.eye(2)
 
@@ -219,7 +253,7 @@ class TestSequentialFastForward:
            eps=hst.floats(0.01, 0.2))
     def test_shifted_strings_within_eps_of_exact(self, data, n, mixed, seed, t, eps):
         # jumps a I + b P with |a| + |b| <= 1: two shifted anticommuting strings
-        # pass neither probe relation, so the superoperator fallback decides,
+        # pass neither vector-probe relation, so the generator probe decides,
         # and a jump of width 2|b| != 1 runs at a rescaled time
         jumps = []
         for _ in range(data.draw(hst.integers(1, 4))):
@@ -234,6 +268,29 @@ class TestSequentialFastForward:
         exact = lindblad_exact_general(spec, rho0 if mixed else np.outer(rho0, rho0.conj()), t)
         assert nk.trace_distance(rho, exact) <= eps
 
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(data=hst.data(), seed=hst.integers(0, 2 ** 32 - 1), t=hst.floats(0.25, 2.0),
+           eps=hst.floats(0.01, 0.2))
+    def test_shifted_strings_at_six_qubits_match_the_pauli_channel(self, data, seed, t, eps):
+        # a I + b P dissipates as b^2 D[P], the Pauli channel
+        # rho -> (1 + e^{-2 b^2 t}) rho / 2 + (1 - e^{-2 b^2 t}) P rho P / 2;
+        # the first two strings anticommute, so the generator probe decides at dim 64
+        rest = data.draw(hst.text("IXYZ", min_size=5, max_size=5))
+        strings = ["X" + rest, "Z" + rest, data.draw(hst.text("IXYZ", min_size=6, max_size=6))]
+        jumps, channel = [], []
+        for string in strings:
+            a = data.draw(hst.floats(-1.0, 1.0))
+            b = data.draw(hst.floats(-1.0, 1.0)) * (1.0 - abs(a))
+            p = parse_pauli_sum(f"1.0 {string}")
+            jumps.append(a * np.eye(64) + b * p)
+            channel.append((math.exp(-2.0 * b * b * t), p))
+        rho0 = random_density(np.random.default_rng(seed), 64)
+        rho, _, _ = choi_ff_evolve(lindblad_spec(jumps), rho0, t, eps)
+        want = rho0
+        for decay, p in channel:
+            want = 0.5 * (1.0 + decay) * want + 0.5 * (1.0 - decay) * (p @ want @ p)
+        assert nk.trace_distance(rho, want) <= eps
+
     def test_vector_and_its_projector_agree_bitwise(self, rng):
         # a vector input gives the bytes its density input gives
         spec = pauli_noise_spec([("XY", 0.8), ("ZI", 0.5), ("ZZ", 0.3)])
@@ -247,7 +304,7 @@ class TestSequentialFastForward:
         from scipy.linalg import expm
 
         spec = pauli_noise_spec([("XI", 0.7), ("ZI", 0.4), ("ZZ", 0.9)])
-        terms = [choi_generator_term(j) for j in spec.jumps]
+        terms = [generator_term(j) for j in spec.jumps]
         t = 0.8
         joint = expm(sum(terms) * t)
         product = np.eye(16, dtype=complex)

@@ -287,6 +287,12 @@ class TestExitCodes:
         "rate_negative": [*EVOLVE, "choi-ff", "--jumps", "{tmp}/negative_rate.txt"],
         "rate_not_finite": [*EVOLVE, "choi-ff", "--jumps", "{tmp}/nan_rate.txt"],
         "oracle_not_digits": ["ae-demo", "--oracle", "{tmp}/bad_oracle.txt"],
+        "eps_zero": [*EVOLVE, "dilated", "--ham", HAM, "--eps", "0"],
+        "eps_nan": [*EVOLVE, "dilated", "--ham", HAM, "--eps", "nan"],
+        "eps_negative": [*EVOLVE, "dilated", "--ham", HAM, "--eps", "-0.1"],
+        "eps_squared_underflows": [*EVOLVE, "ff", "--ham", HAM, "--eps", "1e-200"],
+        "sigma_nan": ["stateprep", "--what", "gaussian", "--sigma", "nan"],
+        "mu_not_finite": ["stateprep", "--what", "gaussian", "--mu", "inf"],
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
