@@ -4,7 +4,8 @@ line-delimited records, and the benchmark suites.
 Each subcommand is a generator of its output lines, JSON records and CSV
 rows alike; ``run`` collects them and writes them once the call succeeds, to
 stdout or to ``--out FILE`` (a relative path resolves against
-``LINDBLADFF_OUT_DIR`` when set), so a failing call writes nothing.  A
+``LINDBLADFF_OUT_DIR`` when set), so a failing call writes nothing; ``run``
+is the only code that opens a file for writing.  A
 ``ValidationError`` or an ``OSError`` (a missing or unwritable file) exits 1
 with one ``error:`` line, an ``InvariantError`` exits 2.  Records
 are one JSON object per line with sorted keys and compact separators, so
@@ -50,32 +51,17 @@ from .stateprep import (GaussianParams, binomial_amplitudes,
 # Records
 # ---------------------------------------------------------------------------
 
-def _jsonable(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        if np.iscomplexobj(x):
-            x = np.stack((x.real, x.imag), -1)
-        return x.tolist()
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
-
 def _record(argv, t0: float, outputs: dict, digest: str | None = None,
             seed: int | None = None, cost: CostReport | None = None) -> str:
-    """The one record constructor: a JSON line of the command, its JSON-ready
-    outputs, the cost dict and the wall time since t0."""
+    """The one record constructor: a JSON line of the command, its outputs
+    (plain JSON values, built so by each subcommand), the cost dict and the
+    wall time since t0."""
     return json.dumps({
         "artifact_version": __version__,
         "command": argv,
         "cost": cost._asdict() if cost is not None else None,
         "ham_digest": digest,
-        "outputs": _jsonable(outputs),
+        "outputs": outputs,
         "seed": seed,
         "wall_time_s": time.perf_counter() - t0,
     }, sort_keys=True, separators=(",", ":"))
@@ -211,6 +197,8 @@ def _cmd_qpe(args, argv):
     t0 = time.perf_counter()
     if args.route == "slow" and args.N is None:
         raise ValidationError("--N is required for the slow route")
+    if args.zeta is not None and not args.zeta > 0:
+        raise ValidationError(f"--zeta must be positive, got {args.zeta}")
     mat, digest = _load_ham(args.ham)
     ham = model.normalize_spectrum(mat)
     if args.mode == "prepare":
@@ -238,7 +226,7 @@ def _cmd_qpe(args, argv):
             "saturated": res.saturated,
         }
         if res.distribution.size <= 4097:
-            outputs["distribution"] = res.distribution
+            outputs["distribution"] = res.distribution.tolist()
         yield _record(argv, t0, outputs, digest, args.seed, res.cost)
         return
 
@@ -281,11 +269,7 @@ def _cmd_gibbs(args, argv):
         yield _record(argv, t0, outputs, digest, cost=res.cost)
         csv_rows.append(f"{beta},{res.cost.hamiltonian_time},{res.fidelity},"
                         f"{res.partition_estimate},{res.partition_exact}")
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("\n".join(csv_rows) + "\n")
-    else:
-        yield from csv_rows
+    yield from csv_rows
 
 
 def _cmd_ae_demo(args, argv):
@@ -325,8 +309,9 @@ def _cmd_stateprep(args, argv):
         for m, a in enumerate(amps):
             yield f"{m},{float(a)!r}"
     elif args.what == "angles":
-        depth = args.depth or int(round(math.log2(args.N)))
-        sched = kw_angle_schedule(GaussianParams(args.mu, args.sigma, 2 ** depth), depth)
+        # one level per address bit: an N that is not a power of two is rejected
+        sched = kw_angle_schedule(GaussianParams(args.mu, args.sigma, args.N),
+                                  args.N.bit_length() - 1)
         yield "level,path,angle"
         for level, angles in enumerate(sched):
             for path, angle in enumerate(angles):
@@ -471,7 +456,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gb.add_argument("--ham", required=True, help="problem Hamiltonian (PSD, norm <= 1)")
     gb.add_argument("--beta", default="1,2,4")
     gb.add_argument("--eps", type=float, default=0.05)
-    gb.add_argument("--csv", help="write the beta-vs-cost CSV here")
 
     ae = sub.add_parser("ae-demo", help="amplitude-estimation decision demo")
     ae.add_argument("--n", type=int, default=4, help="oracle address bits")
@@ -489,7 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, default=16)
     sp.add_argument("--mu", type=float, default=8.0)
     sp.add_argument("--sigma", type=float, default=2.0)
-    sp.add_argument("--depth", type=int, default=None)
 
     bd = sub.add_parser("bounds", help="concentration-bound comparison grid")
     bd.add_argument("--N-grid", dest="N_grid", default="10,50,100,200")

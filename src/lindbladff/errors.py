@@ -7,7 +7,7 @@ class ValidationError(ValueError):
 
 
 class CapacityError(ValidationError):
-    """A request exceeds a configured size cap."""
+    """A request needs more memory than the machine physically has."""
 
 
 class InvariantError(RuntimeError):

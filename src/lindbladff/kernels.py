@@ -27,15 +27,21 @@ significance that large-argument log-gamma differences would introduce.  The
 amplitude window, for readouts that multiply sqrt(pmf), keeps only the
 entries with sqrt(pmf) at least 2^-53 of the largest; what it leaves out
 cannot move a double-precision sum of amplitudes.
+
+Every window is checked against the physical memory before its running
+products are built (``_require_memory``, which the phase-estimation routes
+share), so an eps small enough to ask for more counts than the machine holds
+exits 1 with one line instead of failing inside numpy.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 
 # Support halfwidth in units of sigma: exp(-36^2/2) ~ 1e-282 keeps every
 # representable pmf value inside the window.
@@ -53,8 +59,19 @@ def _support(n: int, p: float) -> tuple[int, int]:
     return max(center - half, 0), min(center + half, n)
 
 
+def _require_memory(nbytes: int, route: str, what: str, remedy: str):
+    """Raise ``CapacityError`` when ``nbytes`` exceed the physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise CapacityError(
+            f"{route} needs {nbytes / 2**30:.3g} GiB of {what}, "
+            f"more than the {memory / 2**30:.1f} GiB of physical memory; {remedy}")
+
+
 def _centre_out(n: int, center: int, lo: int, hi: int, odds: float):
     """Running products from the centre: up to ``hi`` and down to ``lo``."""
+    _require_memory(8 * (hi - lo + 1), "binomial window", "running products",
+                    "raise eps or lower N")
     m = np.arange(center, hi)
     up = np.cumprod((n - m) / (m + 1.0) * odds)
     m = np.arange(center, lo, -1)

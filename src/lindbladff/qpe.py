@@ -46,24 +46,23 @@ so no route holds more than a few arrays of its register size.  The standard
 route sums its distribution in fixed blocks of 2^14 outcomes, all levels into
 one block before the next: an exact-mode call holds the 2^d distribution
 (32 MiB at d = 22) and O(block) scratch, whatever the level count.  Every
-route checks its register-sized arrays against the physical memory before
-it builds them (``_require_memory``), and every estimate is read out of its
-distribution by ``_readout``.
+route checks its register-sized arrays, and sample mode its draws, against
+the physical memory before it builds them (``kernels._require_memory``), and
+every estimate is read out of its distribution by ``_readout``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, InvariantError, ValidationError
+from .errors import InvariantError, ValidationError
 from .dilated import CostReport, dilated_kernel
 from .fastforward import (FFPlan, _check_norm, _residue_phases, ff_cost, gap_kernel,
                           plan as make_plan)
-from .kernels import binom_pmf_window
+from .kernels import _require_memory, binom_pmf_window
 from .model import (Hamiltonian, SpectralState, decompose_state,
                     normalize_spectrum, spectral_gap)
 
@@ -188,6 +187,8 @@ def standard_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
     and cannot be filtered; the overlap bound uses the circular gap and
     becomes vacuous (0) in that case.
     """
+    if d < 1:
+        raise ValidationError(f"need at least one register bit, got {d}")
     _require_target_at_zero(ham, beta)
     h = ham.eigenvalues
     tw = h - np.round(h)
@@ -277,20 +278,16 @@ def _sample_counts(dist: np.ndarray, seed, size: int) -> np.ndarray:
 
 def _pick_outcome(dist: np.ndarray, mode: str, seed, repeats: int = 1) -> int:
     """Single-shot outcome by default; repeats > 1 reports the sample median."""
+    if repeats < 1:
+        raise ValidationError(f"need at least one repeat, got {repeats}")
     if mode == "exact":
         return int(np.argmax(dist))
     if mode == "sample":
-        return int(np.median(_sample_counts(dist, seed, max(1, repeats))))
+        # each draw holds a uniform variate and its picked outcome
+        _require_memory(16 * repeats, "sample mode", f"draws for {repeats} repeats",
+                        "lower repeats")
+        return int(np.median(_sample_counts(dist, seed, repeats)))
     raise ValidationError(f"unknown mode {mode!r}")
-
-
-def _require_memory(nbytes: int, route: str, what: str, remedy: str):
-    """Raise ``CapacityError`` when ``nbytes`` exceed the physical memory."""
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if nbytes > memory:
-        raise CapacityError(
-            f"{route} needs {nbytes / 2**30:.1f} GiB of {what}, "
-            f"more than the {memory / 2**30:.1f} GiB of physical memory; {remedy}")
 
 
 def _readout(ham: Hamiltonian, dist: np.ndarray, phase, cost: CostReport,

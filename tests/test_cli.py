@@ -108,37 +108,6 @@ class TestRecords:
         assert rc == 0 and out == ""
         assert path.read_text().startswith("{")
 
-    def test_jsonable_matches_elementwise_conversion(self):
-        def elementwise(x):
-            if isinstance(x, (np.floating, np.integer)):
-                return x.item()
-            if isinstance(x, np.ndarray):
-                return [elementwise(v) for v in x]
-            if isinstance(x, complex):
-                return [x.real, x.imag]
-            if isinstance(x, dict):
-                return {k: elementwise(v) for k, v in x.items()}
-            if isinstance(x, (list, tuple)):
-                return [elementwise(v) for v in x]
-            return x
-
-        rng = np.random.default_rng(11)
-        real = rng.standard_normal(4097)
-        cplx = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        outputs = {
-            "distribution": real,
-            "grid": real[:12].reshape(3, 4),
-            "counts": rng.integers(-9, 10**12, 7),
-            "table": rng.integers(0, 5, (2, 3)).astype(np.int32),
-            "amplitudes": cplx[0],
-            "block": cplx,
-            "nested": [{"tiny": np.array([5e-324, -0.0, 1e308]), "z": np.complex128(1 - 2j)},
-                       (np.float64(0.1), np.int64(3), cplx[1:, :2])],
-            "empty": np.zeros((0, 2), dtype=complex),
-        }
-        dumps = lambda o: json.dumps(o, sort_keys=True, separators=(",", ":"))  # noqa: E731
-        assert dumps(cli._jsonable(outputs)) == dumps(elementwise(outputs))
-
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         # a relative --out lands in LINDBLADFF_OUT_DIR; an absolute one wins over it
         base = tmp_path / "base"
@@ -273,14 +242,16 @@ class TestExitCodes:
     # Each case names a missing file, a file in a missing directory or a
     # malformed value; {tmp} is the test's own directory.
     EVOLVE = ["evolve", "--t", "1", "--method"]
+    H2Q = os.path.join(DATA, "h_two_qubit.pauli")
+    SAMPLE = ["qpe", "--route", "slow", "--ham", H2Q, "--N", "64", "--mode", "sample",
+              "--repeats"]
+    PREPARE = ["qpe", "prepare", "--route", "standard", "--ham", H2Q]
     MALFORMED = {
         "missing_ham": [*EVOLVE, "exact", "--ham", "{tmp}/missing.pauli"],
         "missing_jumps": [*EVOLVE, "choi-ff", "--jumps", "{tmp}/missing.txt"],
         "missing_listed_jump": [*EVOLVE, "choi-ff", "--jumps", "{tmp}/absent.txt"],
         "missing_state_file": [*EVOLVE, "exact", "--ham", HAM, "--state", "file:{tmp}/missing"],
         "missing_oracle": ["ae-demo", "--oracle", "{tmp}/missing.txt"],
-        "csv_in_missing_dir": ["gibbs", "--ham", os.path.join(DATA, "h_two_qubit.pauli"),
-                               "--beta", "1", "--csv", "{tmp}/no/such.csv"],
         "out_in_missing_dir": [*EVOLVE, "exact", "--ham", HAM],
         "basis_not_an_integer": [*EVOLVE, "exact", "--ham", HAM, "--state", "basis:x"],
         "rate_not_a_number": [*EVOLVE, "choi-ff", "--jumps", "{tmp}/bad_rate.txt"],
@@ -293,6 +264,17 @@ class TestExitCodes:
         "eps_squared_underflows": [*EVOLVE, "ff", "--ham", HAM, "--eps", "1e-200"],
         "sigma_nan": ["stateprep", "--what", "gaussian", "--sigma", "nan"],
         "mu_not_finite": ["stateprep", "--what", "gaussian", "--mu", "inf"],
+        "angles_n_not_a_power_of_two": ["stateprep", "--what", "angles", "--N", "48"],
+        # binomial windows past the physical memory: 268 GiB, ~1e143 GiB
+        # (a count no array can index) and 2.7e5 GiB of running products
+        "ff_window_beyond_memory": [*EVOLVE, "ff", "--ham", HAM, "--eps", "1e-9"],
+        "ff_window_past_any_array": [*EVOLVE, "ff", "--ham", HAM, "--eps", "1e-150"],
+        "gibbs_window_beyond_memory": ["gibbs", "--ham", H2Q, "--beta", "1", "--eps", "1e-12"],
+        "repeats_beyond_memory": [*SAMPLE, "100000000000"],
+        "repeats_zero": [*SAMPLE, "0"],
+        "prepare_d_negative": [*PREPARE, "--d", "-1"],
+        "prepare_d_zero": [*PREPARE, "--d", "0"],
+        "zeta_negative": [*PREPARE, "--zeta", "-1"],
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -381,14 +363,26 @@ class TestSubcommands:
         assert outputs["overlap_bound"] == pytest.approx(bound, abs=1e-12)
         assert outputs["overlap"] >= outputs["overlap_bound"]
 
-    def test_gibbs_csv(self, tmp_path):
-        csv_path = tmp_path / "sweep.csv"
-        rc, out = invoke(["gibbs", "--ham", HAM, "--beta", "1,2", "--eps", "0.05",
-                          "--csv", str(csv_path)])
-        assert rc == 0
-        lines = csv_path.read_text().splitlines()
-        assert lines[0].startswith("beta,hamiltonian_time,fidelity")
-        assert len(lines) == 3
+    def test_gibbs_out_file_holds_records_then_csv(self, tmp_path):
+        # the sweep's CSV rows follow its records into the one --out file,
+        # and a sweep that fails part way writes no file at all
+        path = tmp_path / "sweep.jsonl"
+        argv = ["gibbs", "--ham", HAM, "--eps", "0.05", "--beta"]
+        rc, out = invoke(["--out", str(path), *argv, "1,2"])
+        assert rc == 0 and out == ""
+        lines = path.read_text().splitlines()
+        assert len(lines) == 5
+        records = [json.loads(line)["outputs"] for line in lines[:2]]
+        assert lines[2] == "beta,hamiltonian_time,fidelity,partition_estimate,partition_exact"
+        for rec, row in zip(records, lines[3:]):
+            beta, _, fidelity, estimate, exact = row.split(",")
+            assert (float(beta), float(fidelity)) == (rec["beta"], rec["fidelity"])
+            assert (float(estimate), float(exact)) == (rec["partition_estimate"],
+                                                       rec["partition_exact"])
+        failed = tmp_path / "failed.jsonl"
+        rc, out = invoke(["--out", str(failed), *argv, "1,-1"])
+        assert rc == 1 and out == ""
+        assert not failed.exists()
 
     def test_ae_demo(self):
         rc, out = invoke(["ae-demo", "--n", "3", "--witnesses", "2", "--runs", "3",

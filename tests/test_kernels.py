@@ -6,7 +6,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from lindbladff import ValidationError, kernels
+from lindbladff import CapacityError, ValidationError, kernels
 
 
 def test_pmf_window_matches_scipy():
@@ -35,6 +35,16 @@ def test_pmf_window_large_n():
     assert abs(w.sum() - 1.0) <= 1e-10
     center = 5_000_000 - lo
     assert np.isclose(w[center], 1.0 / np.sqrt(np.pi * 5_000_000), rtol=1e-6)
+
+
+@pytest.mark.parametrize("n", [10 ** 18, 10 ** 300])
+def test_window_beyond_physical_memory_is_capacity_error(n):
+    # +-36 sigma at p = 1/2 spans 3.6e10 counts (268 GiB) at n = 1e18 and
+    # 3.6e151 counts at n = 1e300, more than any array can index
+    for window in (lambda: kernels.binom_pmf_window(n, 0.5),
+                   lambda: kernels.binom_residue_weights(n, 8, 0)):
+        with pytest.raises(CapacityError, match="^binomial window needs"):
+            window()
 
 
 def test_residue_weights_sum_and_values():

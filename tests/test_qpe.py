@@ -743,6 +743,11 @@ class TestSupportSampler:
         assert np.array_equal(got, want)
         assert qpe._pick_outcome(dist, "sample", seed, k) == int(np.median(want))
 
+    @pytest.mark.parametrize("mode", ("exact", "sample"))
+    def test_repeats_below_one_rejected(self, mode):
+        with pytest.raises(ValidationError, match="at least one repeat"):
+            qpe._pick_outcome(np.array([0.5, 0.5]), mode, 0, -2)
+
     def test_blocks_draw_what_one_block_draws(self, monkeypatch):
         # the carried cumulative sum across 7-outcome blocks, zeros included
         dist = windowed_mixture(300, [1.0, 0.2], [0.3, 0.8])
