@@ -39,7 +39,7 @@ from .dilated import CostReport, default_steps, dilated_evolve
 from .exact_oracle import lindblad_exact_hermitian
 from .fastforward import ff_evolve, plan as make_plan
 from .gibbs import gibbs_prepare
-from .qpe import (amplitude_problem, counting_estimator, decide_amplitude,
+from .qpe import (DEMO_MAX_BITS, amplitude_problem, counting_estimator, decide_amplitude,
                   fast_qpe, fast_qpe_eigenstate, slow_qpe, slow_qpe_eigenstate,
                   standard_qpe, standard_qpe_eigenstate)
 from .stateprep import (GaussianParams, binomial_amplitudes,
@@ -274,6 +274,8 @@ def _cmd_gibbs(args, argv):
 
 def _cmd_ae_demo(args, argv):
     t0 = time.perf_counter()
+    if args.runs < 1:
+        raise ValidationError(f"--runs must be at least 1, got {args.runs}")
     if args.oracle:
         with open(args.oracle) as fh:
             tokens = fh.read().split()
@@ -281,6 +283,11 @@ def _cmd_ae_demo(args, argv):
             raise ValidationError(f"{args.oracle}: an oracle value is not a 0/1 digit")
         bits = np.array([int(tok) for tok in tokens], dtype=int)
     else:
+        if not 0 <= args.n <= DEMO_MAX_BITS:
+            raise ValidationError(f"--n must lie in [0, {DEMO_MAX_BITS}], got {args.n}")
+        if not 0 <= args.witnesses <= 1 << args.n:
+            raise ValidationError(f"--witnesses must lie in [0, 2^n = {1 << args.n}], "
+                                  f"got {args.witnesses}")
         bits = np.zeros(1 << args.n, dtype=int)
         bits[: args.witnesses] = 1
     problem = amplitude_problem(bits, t=args.t, register_n=args.N, eps=args.eps)
@@ -296,7 +303,7 @@ def _cmd_ae_demo(args, argv):
         "amplitude": problem.amplitude,
         "threshold": problem.threshold,
         "runs": runs,
-        "accuracy": correct / max(args.runs, 1),
+        "accuracy": correct / args.runs,
     }
     yield _record(argv, t0, outputs, seed=args.seed)
 

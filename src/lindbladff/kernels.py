@@ -60,11 +60,15 @@ def _support(n: int, p: float) -> tuple[int, int]:
 
 
 def _require_memory(nbytes: int, route: str, what: str, remedy: str):
-    """Raise ``CapacityError`` when ``nbytes`` exceed the physical memory."""
+    """Raise ``CapacityError`` when ``nbytes`` exceed the physical memory.
+
+    The size is printed through ``Decimal``, which holds any integer a float
+    cannot (d = 2000 register bits ask for 2^2003 bytes)."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > memory:
+        from decimal import Decimal
         raise CapacityError(
-            f"{route} needs {nbytes / 2**30:.3g} GiB of {what}, "
+            f"{route} needs {Decimal(int(nbytes)) / 2**30:.3g} GiB of {what}, "
             f"more than the {memory / 2**30:.1f} GiB of physical memory; {remedy}")
 
 

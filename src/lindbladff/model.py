@@ -21,12 +21,7 @@ from . import numkernel as nk
 CLUSTER_RTOL = 1e-9      # eigenvalue clustering, relative to ||H||; read at call time
 JUMP_NORM_ATOL = 1e-9    # jump operator norm <= 1 + this
 
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_LETTERS = {"I": (0, (1, 1)), "X": (1, (1, 1)), "Y": (1, (1j, -1j)), "Z": (0, (1, -1))}
 
 
 class SpectrumMap(NamedTuple):
@@ -245,7 +240,11 @@ def _strip(text: str) -> list[tuple[int, str]]:
 
 
 def parse_pauli_sum(text: str) -> np.ndarray:
-    """Parse "coefficient PauliString" lines into a dense Hermitian matrix."""
+    """Parse "coefficient PauliString" lines into a dense Hermitian matrix.
+
+    A letter maps |b> to v[b] |b xor f> (``_LETTERS`` holds f, v), so a Pauli string is
+    the signed permutation P|j> = phase(j) |j xor flip>: one O(2^n) scatter per term.
+    """
     terms = []
     width = None
     for lineno, line in _strip(text):
@@ -269,13 +268,13 @@ def parse_pauli_sum(text: str) -> np.ndarray:
         terms.append((coeff, string))
     if not terms:
         raise ValidationError("empty Pauli-sum file")
-    dim = 2 ** width
-    h = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(2 ** width)
+    h = np.zeros((cols.size, cols.size), dtype=complex)
     for coeff, string in terms:
-        op = np.array([[1.0 + 0j]])
-        for ch in string:
-            op = np.kron(op, _PAULI[ch])
-        h += coeff * op
+        flip, phase = 0, np.ones(1, dtype=complex)
+        for f, v in map(_LETTERS.get, string):
+            flip, phase = 2 * flip + f, (phase[:, None] * v).ravel()
+        h[cols ^ flip, cols] += coeff * phase
     return h
 
 

@@ -74,7 +74,7 @@ def require_state(v: np.ndarray) -> np.ndarray:
     nrm = np.linalg.norm(v)
     if abs(nrm - 1.0) > UNIT_NORM_ATOL:
         raise ValidationError(
-            f"state vector norm {nrm!r} deviates from 1 beyond {UNIT_NORM_ATOL:.1e}")
+            f"state vector norm {float(nrm)!r} deviates from 1 beyond {UNIT_NORM_ATOL:.1e}")
     return v
 
 

@@ -175,6 +175,13 @@ def _postselect(state: SpectralState, beta: int, amp: np.ndarray, bound: float,
     )
 
 
+# The phases pi * tw * 2^d carry the rounding of pi * tw scaled by 2^d plus
+# their own half ulp, 2^(d - 53): at most 0.59 rad at d = 51 and 1.2 rad at
+# d = 52 (2000 random h against 60-digit arithmetic), so past d = 51 the
+# filter's phases are noise.
+_PREPARE_MAX_BITS = 51
+
+
 def standard_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
                             d: int) -> PreparationResult:
     """Post-select outcome 0 to filter the zero-eigenvalue component.
@@ -189,6 +196,10 @@ def standard_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
     """
     if d < 1:
         raise ValidationError(f"need at least one register bit, got {d}")
+    if d > _PREPARE_MAX_BITS:
+        raise ValidationError(
+            f"standard-route preparation takes at most {_PREPARE_MAX_BITS} register bits, "
+            f"got {d}: past that the phases' rounding, scaled by 2^d, reaches a radian")
     _require_target_at_zero(ham, beta)
     h = ham.eigenvalues
     tw = h - np.round(h)
@@ -522,15 +533,24 @@ class AmplitudeProblem(NamedTuple):
     witness_count: int
 
 
+# Address bits of the decision demo's oracle: its iterate is a dense 2^n x 2^n matrix
+DEMO_MAX_BITS = 6
+
+
 def amplitude_problem(bits, t: float = 250.0, register_n: int = 2048,
                       eps: float = 1e-5) -> AmplitudeProblem:
     """Phase-estimation problem of the search iterate, built once per oracle."""
-    bits = np.asarray(bits).astype(int)
+    bits = np.asarray(bits)
+    if bits.size == 0:
+        raise ValidationError("empty oracle")
+    if not np.isin(bits, (0, 1)).all():
+        raise ValidationError("an oracle value is neither 0 nor 1")
+    bits = bits.astype(int)
     n = int(round(math.log2(bits.size)))
     if bits.size != 1 << n:
         raise ValidationError(f"oracle length {bits.size} is not a power of two")
-    if n > 6:
-        raise ValidationError(f"demo capped at n = 6 address bits, got {n}")
+    if n > DEMO_MAX_BITS:
+        raise ValidationError(f"demo capped at n = {DEMO_MAX_BITS} address bits, got {n}")
 
     u, eta = _grover_iterate(bits)
     ham = normalize_spectrum(_orthogonal_log(u))

@@ -1,8 +1,9 @@
 """Independent oracles that only the tests call: the vectorized propagator,
 adaptive RK4 on the master equation, the literal fast-forwarding circuit,
-and references for the Gibbs, state-synthesis, concentration,
-commuting-generator and amplitude-decision tests.  Each reaches its answer
-by a route the CLI does not take, and may use scipy, which the package never does.
+the Kronecker-product Pauli sum, and references for the Gibbs,
+state-synthesis, concentration, commuting-generator and amplitude-decision
+tests.  Each reaches its answer by a route the CLI does not take, and may use
+scipy, which the package never does.
 """
 
 from __future__ import annotations
@@ -208,6 +209,27 @@ def dml_gap(n: int, p: float) -> float:
     var = n * p * (1.0 - p)
     pdf = np.exp(-((m - mu) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
     return float(np.max(np.abs(binom_pmf(n, p) - pdf)))
+
+
+_PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def kron_pauli_sum(terms) -> np.ndarray:
+    """Dense sum of coeff * PauliString over (coeff, string) pairs of one
+    width, each term built by one ``np.kron`` per qubit."""
+    dim = 2 ** len(terms[0][1])
+    h = np.zeros((dim, dim), dtype=complex)
+    for coeff, string in terms:
+        op = np.array([[1.0 + 0j]])
+        for ch in string:
+            op = np.kron(op, _PAULI[ch])
+        h += coeff * op
+    return h
 
 
 def pauli_noise_spec(terms) -> LindbladSpec:

@@ -258,6 +258,13 @@ class TestExitCodes:
         "rate_negative": [*EVOLVE, "choi-ff", "--jumps", "{tmp}/negative_rate.txt"],
         "rate_not_finite": [*EVOLVE, "choi-ff", "--jumps", "{tmp}/nan_rate.txt"],
         "oracle_not_digits": ["ae-demo", "--oracle", "{tmp}/bad_oracle.txt"],
+        "oracle_empty": ["ae-demo", "--oracle", "{tmp}/empty_oracle.txt"],
+        "oracle_value_not_0_or_1": ["ae-demo", "--oracle", "{tmp}/two_oracle.txt"],
+        "ae_n_beyond_cap": ["ae-demo", "--n", "40"],
+        "ae_n_negative": ["ae-demo", "--n", "-1"],
+        "witnesses_negative": ["ae-demo", "--n", "2", "--witnesses", "-1"],
+        "witnesses_beyond_oracle": ["ae-demo", "--n", "2", "--witnesses", "9"],
+        "runs_zero": ["ae-demo", "--runs", "0"],
         "eps_zero": [*EVOLVE, "dilated", "--ham", HAM, "--eps", "0"],
         "eps_nan": [*EVOLVE, "dilated", "--ham", HAM, "--eps", "nan"],
         "eps_negative": [*EVOLVE, "dilated", "--ham", HAM, "--eps", "-0.1"],
@@ -274,6 +281,10 @@ class TestExitCodes:
         "repeats_zero": [*SAMPLE, "0"],
         "prepare_d_negative": [*PREPARE, "--d", "-1"],
         "prepare_d_zero": [*PREPARE, "--d", "0"],
+        # 2^2003 bytes is past any float; past d = 51 the filter's phases are noise
+        "standard_d_past_any_float": ["qpe", "--route", "standard", "--ham", H2Q, "--d", "2000"],
+        "prepare_d_past_any_float": [*PREPARE, "--d", "2000"],
+        "prepare_d_past_phase_rounding": [*PREPARE, "--d", "52"],
         "zeta_negative": [*PREPARE, "--zeta", "-1"],
     }
 
@@ -285,6 +296,8 @@ class TestExitCodes:
         (tmp_path / "negative_rate.txt").write_text("z.pauli -0.5\n")
         (tmp_path / "nan_rate.txt").write_text("z.pauli nan\n")
         (tmp_path / "bad_oracle.txt").write_text("0 1 x 1\n")
+        (tmp_path / "empty_oracle.txt").write_text("")
+        (tmp_path / "two_oracle.txt").write_text("2 0 0 0\n")
         inputs = sorted(os.listdir(tmp_path))
         out = "{tmp}/no/out.jsonl" if case == "out_in_missing_dir" else "{tmp}/out.jsonl"
         argv = ["--out", out, *self.MALFORMED[case]]

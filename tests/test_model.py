@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import numpy as np
@@ -10,6 +11,24 @@ from hypothesis.extra import numpy as hnp
 from lindbladff import ValidationError, model
 
 from conftest import PAULI_X, PAULI_Z, dilate, random_hermitian, random_state
+from oracles import kron_pauli_sum
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@st.composite
+def pauli_sums(draw):
+    """1-8-qubit sums over every letter, coefficients of magnitude 1e-4 to 1e4,
+    with repeated terms and exactly cancelling pairs mixed in."""
+    width = draw(st.integers(1, 8))
+    strings = st.text(alphabet="IXYZ", min_size=width, max_size=width)
+    coeffs = st.builds(lambda sign, mag: sign * mag, st.sampled_from((-1.0, 1.0)),
+                       st.floats(1e-4, 1e4))
+    terms = draw(st.lists(st.tuples(coeffs, strings), min_size=1, max_size=8))
+    for coeff, string in draw(st.lists(st.sampled_from(terms), max_size=4)):
+        terms.insert(draw(st.integers(0, len(terms))), draw(st.sampled_from(
+            [(coeff, string), (-coeff, string)])))
+    return terms
 
 
 class TestPauliSum:
@@ -37,6 +56,20 @@ class TestPauliSum:
     def test_comments_and_blanks(self):
         got = model.parse_pauli_sum("# comment\n\n1.0 Z  # trailing\n")
         assert np.allclose(got, np.diag([1.0, -1.0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(terms=pauli_sums())
+    def test_scatter_matches_kron_bytes(self, terms):
+        text = "".join(f"{coeff!r} {string}\n" for coeff, string in terms)
+        assert model.parse_pauli_sum(text).tobytes() == kron_pauli_sum(terms).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(f for f in os.listdir(DATA) if f.endswith(".pauli")))
+    def test_data_files_match_kron_bytes(self, name):
+        with open(os.path.join(DATA, name)) as fh:
+            text = fh.read()
+        lines = [line.split("#")[0].split() for line in text.splitlines()]
+        terms = [(float(c), s) for c, s in filter(None, lines)]
+        assert model.parse_pauli_sum(text).tobytes() == kron_pauli_sum(terms).tobytes()
 
 
 class TestDenseFormat:

@@ -32,6 +32,12 @@ class TestHermEig:
             nk.herm_eig(bad)
 
 
+class TestRequireState:
+    def test_norm_is_printed_as_a_plain_float(self):
+        with pytest.raises(ValidationError, match=r"state vector norm 0\.5 deviates"):
+            nk.require_state(np.array([0.5, 0.0]))
+
+
 class TestTraceDistance:
     def test_equal_states(self, rng):
         rho = random_density(rng, 4)
