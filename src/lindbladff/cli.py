@@ -10,8 +10,9 @@ is the only code that opens a file for writing.  A
 with one ``error:`` line, an ``InvariantError`` exits 2.  Records
 are one JSON object per line with sorted keys and compact separators, so
 identical invocations (same argv and seed) are byte-identical apart from the
-``wall_time_s`` field.  Every record is built by ``_record``, and every
-Hamiltonian file is read, parsed and hashed by ``_load_ham``.  The runs of
+``wall_time_s`` field.  Every record is built by ``_record``, every
+Hamiltonian file is read, parsed and hashed by ``_load_ham``, and every
+input text format is parsed by ``model``.  The runs of
 ``ae-demo`` derive their seeds from ``--seed`` through
 ``numpy.random.SeedSequence([seed, run_index])``.
 """
@@ -83,12 +84,8 @@ def _load_ham(path: str | None) -> tuple[np.ndarray, str]:
 def _initial_state(spec: str, dim: int) -> np.ndarray:
     if spec == "plus":
         return np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-    if spec == "zero":
-        v = np.zeros(dim, dtype=complex)
-        v[0] = 1.0
-        return v
-    if spec.startswith("basis:"):
-        k = spec.split(":", 1)[1]
+    if spec == "zero" or spec.startswith("basis:"):
+        k = "0" if spec == "zero" else spec.split(":", 1)[1]
         if not (k.isdecimal() and int(k) < dim):
             raise ValidationError(f"basis index {k!r} is not an integer in [0, {dim})")
         v = np.zeros(dim, dtype=complex)
@@ -96,20 +93,15 @@ def _initial_state(spec: str, dim: int) -> np.ndarray:
         return v
     if spec.startswith("file:"):
         with open(spec.split(":", 1)[1]) as fh:
-            rows = model.parse_dense_matrix(fh.read())
-        v = rows.reshape(-1)
+            v = model.parse_state_vector(fh.read())
         if v.size != dim:
             raise ValidationError(f"state file has {v.size} amplitudes, expected {dim}")
-        return v / np.linalg.norm(v)
+        return v
     raise ValidationError(f"unknown state spec {spec!r}")
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+def _parse_list(text: str, kind=float) -> list:
+    return [kind(x) for x in text.split(",") if x.strip()]
 
 
 def _slope_record(argv, t0: float, outputs: dict, xs, ys, target: float,
@@ -171,25 +163,19 @@ def _cmd_evolve(args, argv):
 
 
 def _load_jump_list(path: str) -> tuple[list[np.ndarray], str]:
+    """The listed jump files, opened relative to the list, scaled by sqrt(rate)
+    and hashed in list order."""
     if not path:
         raise ValidationError("--jumps FILE is required for method choi-ff")
+    with open(path) as fh:
+        entries = model.parse_jump_list(fh.read())
     base = os.path.dirname(os.path.abspath(path))
     jumps = []
     hasher = hashlib.sha256()
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            with open(os.path.join(base, parts[0])) as jf:
-                mat = model.load_hamiltonian_text(jf.read())
-            try:
-                jump = math.sqrt(float(parts[1]) if len(parts) > 1 else 1.0) * mat
-            except ValueError:
-                raise ValidationError(f"{path}: rate {parts[1]!r} is not a number >= 0") from None
-            hasher.update(np.ascontiguousarray(jump).tobytes())
-            jumps.append(jump)
+    for name, rate in entries:
+        with open(os.path.join(base, name)) as jf:
+            jumps.append(math.sqrt(rate) * model.load_hamiltonian_text(jf.read()))
+        hasher.update(np.ascontiguousarray(jumps[-1]).tobytes())
     return jumps, hasher.hexdigest()
 
 
@@ -255,7 +241,7 @@ def _cmd_qpe(args, argv):
 def _cmd_gibbs(args, argv):
     mat, digest = _load_ham(args.ham)
     csv_rows = ["beta,hamiltonian_time,fidelity,partition_estimate,partition_exact"]
-    for beta in _parse_floats(args.beta):
+    for beta in _parse_list(args.beta):
         t0 = time.perf_counter()
         res = gibbs_prepare(mat, beta, args.eps)
         outputs = {
@@ -331,9 +317,9 @@ def _cmd_stateprep(args, argv):
 def _cmd_bounds(args, argv):
     yield "N,p,c,exact_tail,bernstein,hoeffding,tail_le_bernstein,tail_le_hoeffding"
     violations = 0
-    for n in _parse_ints(args.N_grid):
-        for p in _parse_floats(args.p_grid):
-            for c in _parse_floats(args.c_grid):
+    for n in _parse_list(args.N_grid, int):
+        for p in _parse_list(args.p_grid):
+            for c in _parse_list(args.c_grid):
                 tail = binomial_tail(n, p, c)
                 bern = bernstein_bound(n, p, c)
                 hoef = hoeffding_bound(n, c)
@@ -353,7 +339,7 @@ def _bench_ff_vs_dilated(args, argv):
     mat = np.diag([0.0, 1.0]).astype(complex)
     ham = model.normalize_spectrum(mat)
     psi = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    ts = _parse_floats(args.t or "1,2,4,8,16,32,64")
+    ts = _parse_list(args.t or "1,2,4,8,16,32,64")
     yield "t,method,hamiltonian_time,steps,ancillas,trace_distance_to_exact"
     ff_costs, dil_costs = [], []
     for t in ts:
@@ -380,7 +366,7 @@ def _bench_qpe_error(args, argv):
     state = model.decompose_state(eigvec, ham)
     h_true = 1.0
     # default grid starts at t h^2 = 16, past the small-count Poisson regime
-    ts = _parse_floats(args.t or "16,32,64,128")
+    ts = _parse_list(args.t or "16,32,64,128")
     yield "t,route,cost,rms_error"
     slow_pts, fast_pts = [], []
     for t in ts:
@@ -410,7 +396,7 @@ def _dist_rms(dist: np.ndarray, t: float, n: int, h_true: float) -> float:
 def _bench_gibbs_beta(args, argv):
     t0 = time.perf_counter()
     mat = np.diag([0.0, 1.0]).astype(complex)
-    betas = _parse_floats(args.beta)
+    betas = _parse_list(args.beta)
     yield "beta,hamiltonian_time,fidelity"
     costs = []
     for beta in betas:

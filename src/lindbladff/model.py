@@ -1,6 +1,9 @@
 """Hamiltonian and jump-operator models: parsing, spectral normalization
 and eigenspace bookkeeping.
 
+Every input text format (Pauli sums, dense matrices, jump lists, state
+files) is parsed here, from the lines that ``_strip`` alone reads.
+
 A :class:`Hamiltonian` always carries a normalized spectrum together with the
 affine map back to the caller's original energy units.  Degenerate eigenvalues
 (gap below ``CLUSTER_RTOL * ||H||``) are merged into one level whose
@@ -17,6 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from . import numkernel as nk
+from .kernels import _require_memory
 
 CLUSTER_RTOL = 1e-9      # eigenvalue clustering, relative to ||H||; read at call time
 JUMP_NORM_ATOL = 1e-9    # jump operator norm <= 1 + this
@@ -197,7 +201,7 @@ def decompose_state(v: np.ndarray, ham: Hamiltonian) -> SpectralState:
     safe = np.where(coeffs > 0, coeffs, 1.0)
     normalized = comps / safe[:, None]
     normalized[coeffs == 0] = 0.0
-    if abs(float(np.sum(coeffs ** 2)) - 1.0) > nk.UNIT_NORM_ATOL:
+    if not abs(float(np.sum(coeffs ** 2)) - 1.0) <= nk.UNIT_NORM_ATOL:
         raise ValidationError("eigenspace weights do not sum to 1; eigenbasis incomplete?")
     return SpectralState(coeffs, normalized)
 
@@ -212,18 +216,13 @@ class LindbladSpec(NamedTuple):
 def lindblad_spec(jumps) -> LindbladSpec:
     """Check a jump list's structure: a non-empty list of Hermitian matrices
     of one dimension.  ``choi_ff_evolve`` checks each jump's norm."""
-    mats = []
-    dim = None
-    for k, j in enumerate(jumps):
-        m = nk.require_hermitian(j)
-        if dim is None:
-            dim = m.shape[0]
-        elif m.shape[0] != dim:
-            raise ValidationError(f"jump {k} has dim {m.shape[0]}, expected {dim}")
-        mats.append(m)
-    if dim is None:
+    mats = tuple(map(nk.require_hermitian, jumps))
+    if not mats:
         raise ValidationError("empty jump list")
-    return LindbladSpec(tuple(mats), dim)
+    for k, m in enumerate(mats):
+        if m.shape != mats[0].shape:
+            raise ValidationError(f"jump {k} has dim {m.shape[0]}, expected {mats[0].shape[0]}")
+    return LindbladSpec(mats, mats[0].shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -231,30 +230,40 @@ def lindblad_spec(jumps) -> LindbladSpec:
 # ---------------------------------------------------------------------------
 
 def _strip(text: str) -> list[tuple[int, str]]:
-    lines = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((i, line))
-    return lines
+    """The one line reader of every input format: (line number, content)
+    pairs, where ``#`` starts a comment and lines left blank are dropped."""
+    lines = ((i, raw.split("#", 1)[0].strip()) for i, raw in enumerate(text.splitlines(), start=1))
+    return [(i, line) for i, line in lines if line]
+
+
+def _finite(lineno: int, token: str, what: str, nonnegative: bool = False) -> float:
+    """``float(token)`` if it is finite (and >= 0 when ``nonnegative``); ``float``
+    alone takes "nan" and "inf", which would only fail far downstream."""
+    try:
+        x = float(token)
+    except ValueError:
+        x = math.nan
+    if math.isfinite(x) and (x >= 0.0 or not nonnegative):
+        return x
+    rule = "a finite number >= 0" if nonnegative else "a finite real number"
+    raise ValidationError(f"line {lineno}: {what} {token!r} is not {rule}")
 
 
 def parse_pauli_sum(text: str) -> np.ndarray:
-    """Parse "coefficient PauliString" lines into a dense Hermitian matrix.
+    """Parse "coefficient PauliString" lines into a dense Hermitian matrix."""
+    return _pauli_sum(_strip(text))
 
-    A letter maps |b> to v[b] |b xor f> (``_LETTERS`` holds f, v), so a Pauli string is
-    the signed permutation P|j> = phase(j) |j xor flip>: one O(2^n) scatter per term.
-    """
+
+def _pauli_sum(lines: list[tuple[int, str]]) -> np.ndarray:
+    """A letter maps |b> to v[b] |b xor f> (``_LETTERS`` holds f, v), so a Pauli string is
+    the signed permutation P|j> = phase(j) |j xor flip>: one O(2^n) scatter per term."""
     terms = []
     width = None
-    for lineno, line in _strip(text):
+    for lineno, line in lines:
         parts = line.split()
         if len(parts) != 2:
             raise ValidationError(f"line {lineno}: expected 'coefficient PauliString', got {line!r}")
-        try:
-            coeff = float(parts[0])
-        except ValueError:
-            raise ValidationError(f"line {lineno}: non-real coefficient {parts[0]!r}") from None
+        coeff = _finite(lineno, parts[0], "coefficient")
         string = parts[1].upper()
         bad = set(string) - set("IXYZ")
         if bad:
@@ -268,6 +277,8 @@ def parse_pauli_sum(text: str) -> np.ndarray:
         terms.append((coeff, string))
     if not terms:
         raise ValidationError("empty Pauli-sum file")
+    _require_memory(16 * 4 ** width, "Pauli sum", f"dense matrix at {width} qubits",
+                    "use fewer qubits")
     cols = np.arange(2 ** width)
     h = np.zeros((cols.size, cols.size), dtype=complex)
     for coeff, string in terms:
@@ -291,14 +302,18 @@ def _parse_dense_tokens(lineno: int, line: str) -> list[complex]:
 
 
 def parse_dense_matrix(text: str) -> np.ndarray:
-    """Parse the dense text format: one row per line, entries "re,im".
+    """Parse the dense text format: one row per line, entries "re,im"."""
+    return _dense_matrix(_strip(text))
 
-    Each row is converted in one call as its 2n real numbers, after checking
+
+def _dense_matrix(lines: list[tuple[int, str]]) -> np.ndarray:
+    """Each row is converted in one call as its 2n real numbers, after checking
     that every entry holds one comma between two numbers; a row that fails
     is parsed again entry by entry, which names the first malformed entry.
-    """
+    Entries keep "nan" and "inf" bit for bit; the checks where the matrix is
+    used reject them."""
     rows = []
-    for lineno, line in _strip(text):
+    for lineno, line in lines:
         tokens = line.split()
         row = None
         if all(tok.count(",") == 1 for tok in tokens):
@@ -326,15 +341,31 @@ def format_dense_matrix(a: np.ndarray) -> str:
 def load_hamiltonian_text(text: str) -> np.ndarray:
     """Parse either supported Hamiltonian format, read from the first line
     with content: a dense entry holds a comma, a Pauli line's first token
-    never does.  Only the chosen parser reads the rest."""
-    start = 0
-    while start < len(text):  # the first line with content decides
-        end = text.find("\n", start)
-        end = len(text) if end < 0 else end
-        line = text[start:end].split("#", 1)[0].strip()
-        if line:
-            if "," in line.split()[0]:
-                return parse_dense_matrix(text)
-            return parse_pauli_sum(text)
-        start = end + 1
-    raise ValidationError("empty Hamiltonian file")
+    never does."""
+    lines = _strip(text)
+    if not lines:
+        raise ValidationError("empty Hamiltonian file")
+    return (_dense_matrix if "," in lines[0][1].split()[0] else _pauli_sum)(lines)
+
+
+def parse_jump_list(text: str) -> list[tuple[str, float]]:
+    """Parse a jump list, "path [rate]" per line, into (path, rate) pairs; the
+    rate defaults to 1 and must be a finite number >= 0."""
+    entries = []
+    for lineno, line in _strip(text):
+        path, *rate = line.split()
+        if len(rate) > 1:
+            raise ValidationError(f"line {lineno}: expected 'path [rate]', got {line!r}")
+        entries.append((path, _finite(lineno, rate[0], "rate", nonnegative=True) if rate else 1.0))
+    return entries
+
+
+def parse_state_vector(text: str) -> np.ndarray:
+    """A state file: one row or one column of "re,im" amplitudes, finite and
+    not all zero, returned as a unit vector."""
+    rows = parse_dense_matrix(text)
+    nrm = np.linalg.norm(rows)
+    if 1 not in rows.shape or not 0.0 < nrm < math.inf:
+        raise ValidationError("a state file holds one row or one column of finite amplitudes, "
+                              f"not all zero; got shape {rows.shape}, norm {float(nrm)!r}")
+    return rows.reshape(-1) / nrm

@@ -34,15 +34,19 @@ def require_square(a: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    """Max-entry distance between A and its conjugate transpose."""
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    """Max-entry distance between A and its conjugate transpose; an entry that
+    is not finite makes it NaN or inf, without numpy's inf - inf warning."""
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
 def require_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     """Validate Hermiticity and return the symmetrized matrix (A + A^dag)/2."""
     a = require_square(a)
     defect = hermiticity_defect(a)
-    if not defect <= atol:  # a NaN or infinite entry makes the defect NaN
+    if not defect <= atol:
+        if not np.isfinite(a).all():
+            raise ValidationError("matrix has a non-finite entry")
         raise ValidationError(
             f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {atol:.1e}"
         )
@@ -72,7 +76,7 @@ def require_state(v: np.ndarray) -> np.ndarray:
     """Validate that ``v`` is a normalized state vector."""
     v = np.asarray(v, dtype=complex)
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > UNIT_NORM_ATOL:
+    if not abs(nrm - 1.0) <= UNIT_NORM_ATOL:  # a NaN norm fails too
         raise ValidationError(
             f"state vector norm {float(nrm)!r} deviates from 1 beyond {UNIT_NORM_ATOL:.1e}")
     return v
@@ -82,7 +86,7 @@ def require_density(rho: np.ndarray) -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity of a density matrix."""
     rho = require_hermitian(rho)
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > TRACE_ATOL:
+    if not abs(tr - 1.0) <= TRACE_ATOL:
         raise ValidationError(f"density matrix trace {tr!r} deviates from 1")
     wmin = float(np.linalg.eigvalsh(rho)[0])
     if wmin < -PSD_ATOL:

@@ -1,14 +1,17 @@
 """Independent oracles that only the tests call: the vectorized propagator,
 adaptive RK4 on the master equation, the literal fast-forwarding circuit,
-the Kronecker-product Pauli sum, and references for the Gibbs,
-state-synthesis, concentration, commuting-generator and amplitude-decision
-tests.  Each reaches its answer by a route the CLI does not take, and may use
-scipy, which the package never does.
+the Kronecker-product Pauli sum, the line-by-line jump-list reader, and
+references for the Gibbs, state-synthesis, concentration,
+commuting-generator and amplitude-decision tests.  Each reaches its answer
+by a route the CLI does not take, and may use scipy, which the package
+never does.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
 
 import numpy as np
 
@@ -16,7 +19,8 @@ from lindbladff import numkernel as nk
 from lindbladff.errors import CapacityError, ValidationError
 from lindbladff.fastforward import FFPlan
 from lindbladff.kernels import binom_pmf
-from lindbladff.model import Hamiltonian, LindbladSpec, lindblad_spec, parse_pauli_sum
+from lindbladff.model import (Hamiltonian, LindbladSpec, lindblad_spec, load_hamiltonian_text,
+                              parse_pauli_sum)
 from lindbladff.qpe import AmplitudeDecision, amplitude_problem, decide_amplitude
 
 VECTORIZED_CAP = 4096           # dim^2 cap for the vectorized propagator
@@ -230,6 +234,26 @@ def kron_pauli_sum(terms) -> np.ndarray:
             op = np.kron(op, _PAULI[ch])
         h += coeff * op
     return h
+
+
+def line_by_line_jump_list(path: str) -> tuple[list, str]:
+    """The (path, rate) pairs of a valid jump list and the digest of its
+    scaled jumps, read one file line at a time by the jump-list reader the CLI
+    had before ``model.parse_jump_list``."""
+    base = os.path.dirname(os.path.abspath(path))
+    pairs = []
+    hasher = hashlib.sha256()
+    with open(path) as fh:
+        for raw in fh:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            pairs.append((parts[0], float(parts[1]) if len(parts) > 1 else 1.0))
+            with open(os.path.join(base, parts[0])) as jf:
+                mat = load_hamiltonian_text(jf.read())
+            hasher.update(np.ascontiguousarray(math.sqrt(pairs[-1][1]) * mat).tobytes())
+    return pairs, hasher.hexdigest()
 
 
 def pauli_noise_spec(terms) -> LindbladSpec:

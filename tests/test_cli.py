@@ -10,12 +10,16 @@ import contextlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import lindbladff
-from lindbladff import choi, cli, qpe
+from lindbladff import choi, cli, model, qpe
 from lindbladff.cli import run
 from lindbladff.model import parse_dense_matrix
 from lindbladff.numkernel import trace_distance
+
+from oracles import line_by_line_jump_list
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lindbladff.__file__)))
@@ -286,6 +290,16 @@ class TestExitCodes:
         "prepare_d_past_any_float": [*PREPARE, "--d", "2000"],
         "prepare_d_past_phase_rounding": [*PREPARE, "--d", "52"],
         "zeta_negative": [*PREPARE, "--zeta", "-1"],
+        # inputs rejected where they are read: a 2^40 x 2^40 matrix, non-finite
+        # numbers, a third jump-list column, and state files with no unit vector
+        "pauli_too_wide": [*EVOLVE, "exact", "--ham", "{tmp}/wide.pauli"],
+        "coefficient_nan": [*EVOLVE, "exact", "--ham", "{tmp}/nan.pauli"],
+        "coefficient_inf": [*EVOLVE, "exact", "--ham", "{tmp}/inf.pauli"],
+        "rate_inf": [*EVOLVE, "choi-ff", "--jumps", "{tmp}/inf_rate.txt"],
+        "jump_line_extra_column": [*EVOLVE, "choi-ff", "--jumps", "{tmp}/extra_column.txt"],
+        "state_all_zero": [*EVOLVE, "exact", "--ham", HAM, "--state", "file:{tmp}/zero.state"],
+        "state_nan": [*EVOLVE, "exact", "--ham", HAM, "--state", "file:{tmp}/nan.state"],
+        "state_not_a_vector": [*EVOLVE, "exact", "--ham", H2Q, "--state", "file:{tmp}/matrix.state"],
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -298,6 +312,14 @@ class TestExitCodes:
         (tmp_path / "bad_oracle.txt").write_text("0 1 x 1\n")
         (tmp_path / "empty_oracle.txt").write_text("")
         (tmp_path / "two_oracle.txt").write_text("2 0 0 0\n")
+        (tmp_path / "wide.pauli").write_text("1.0 " + "Z" * 40 + "\n")
+        (tmp_path / "nan.pauli").write_text("nan Z\n")
+        (tmp_path / "inf.pauli").write_text("inf XZ\n1 ZZ\n")
+        (tmp_path / "inf_rate.txt").write_text("z.pauli inf\n")
+        (tmp_path / "extra_column.txt").write_text("z.pauli 0.5 extra\n")
+        (tmp_path / "zero.state").write_text("0,0 0,0\n")
+        (tmp_path / "nan.state").write_text("nan,0 0,0\n")
+        (tmp_path / "matrix.state").write_text("1,0 0,0\n0,0 0,0\n")
         inputs = sorted(os.listdir(tmp_path))
         out = "{tmp}/no/out.jsonl" if case == "out_in_missing_dir" else "{tmp}/out.jsonl"
         argv = ["--out", out, *self.MALFORMED[case]]
@@ -329,6 +351,41 @@ class TestExitCodes:
         rc, out = invoke(["evolve", "--method", "exact", "--ham", HAM, "--t", "64"])
         exact = parse_dense_matrix(json.loads(out.splitlines()[0])["outputs"]["rho_out"])
         assert trace_distance(rho, exact) <= 0.1
+
+
+# Jump files whose scaled jumps commute and have norm <= 1 at every rate drawn
+JUMP_FILES = {"zi.pauli": "0.5 ZI\n", "iz.pauli": "1.0 IZ\n", "zz.pauli": "# shared\n-0.75 ZZ\n"}
+
+
+@st.composite
+def jump_lists(draw):
+    """Jump lists with comments, blank lines, tabs and default rates."""
+    space = st.sampled_from([" ", "\t", " \t ", "   "])
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "  ", "\t", "# comment", "\t# zi.pauli 0.5"])))
+        rate = draw(st.sampled_from(["", "0", "0.25", ".5", "1", "1.0", "1e-1", "5E-1", "0.999"]))
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + draw(st.sampled_from(sorted(JUMP_FILES)))
+                     + (draw(space) + rate if rate else "")
+                     + draw(st.sampled_from(["", " ", "\t", " # trailing", "#0.5"])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestJumpListFile:
+    @settings(max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=jump_lists())
+    def test_generated_list_keeps_pairs_and_digest(self, tmp_path, text):
+        for name, body in JUMP_FILES.items():
+            (tmp_path / name).write_text(body)
+        path = tmp_path / "jumps.txt"
+        path.write_text(text)
+        pairs, digest = line_by_line_jump_list(str(path))
+        assert model.parse_jump_list(text) == pairs
+        rc, out = invoke(["evolve", "--method", "choi-ff", "--jumps", str(path), "--t", "1",
+                          "--eps", "0.1"])
+        assert rc == 0 and json.loads(out)["ham_digest"] == digest
 
 
 class TestSubcommands:

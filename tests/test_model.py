@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -145,12 +145,18 @@ def outcome(parse, text):
 
 
 @st.composite
-def decorated_text(draw):
-    """A formatted matrix with comments, blank lines and extra whitespace."""
-    a = draw(MATRICES)
+def decorated_text(draw, pauli=False):
+    """A formatted matrix with comments, blank lines and extra whitespace; with
+    ``pauli``, as often a Pauli sum's lines and the matrix they stand for."""
+    if pauli and draw(st.booleans()):
+        terms = draw(pauli_sums())
+        a, body = kron_pauli_sum(terms), "".join(f"{c!r} {s}\n" for c, s in terms)
+    else:
+        a = draw(MATRICES)
+        body = format_entrywise(a)
     space = st.sampled_from([" ", "  ", "\t", " \t "])
     lines = []
-    for row in format_entrywise(a).splitlines():
+    for row in body.splitlines():
         if draw(st.booleans()):
             lines.append(draw(st.sampled_from(["", "   ", "# comment", "  #0,0 1,1"])))
         tokens = row.split(" ")
@@ -208,6 +214,76 @@ class TestDenseTextCompatibility:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             model.parse_dense_matrix(text)
         assert outcome(parse_entrywise, text) == message
+
+
+def picked_parser(text):
+    """The parser that the first line with content picks, found by its own scan."""
+    for raw in text.splitlines():
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            return model.parse_dense_matrix if "," in tokens[0] else model.parse_pauli_sum
+    return None
+
+
+class TestLoadHamiltonianText:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(decorated_text(pauli=True))
+    def test_decorated_files_load_as_their_parser(self, case):
+        a, text = case
+        got = model.load_hamiltonian_text(text)
+        assert same_bits(got, picked_parser(text)(text))
+        assert got.shape == a.shape
+
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(st.text(alphabet="0123456789.,-+e naifIXYZz#\t\n", max_size=40))
+    def test_any_text_loads_or_fails_as_its_parser(self, text):
+        assume(not re.search("[IXYZiz]{11}", text))  # a wide string would allocate 2^n x 2^n
+        got, parse = outcome(model.load_hamiltonian_text, text), picked_parser(text)
+        want = "empty Hamiltonian file" if parse is None else outcome(parse, text)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("text,message", [
+        ("nan Z", "line 1: coefficient 'nan' is not a finite real number"),
+        ("1 ZZ\n-inf XZ", "line 2: coefficient '-inf' is not a finite real number"),
+        ("1e400 Z", "line 1: coefficient '1e400' is not a finite real number"),
+        ("1j Z", "line 1: coefficient '1j' is not a finite real number"),
+        ("# only a comment\n", "empty Hamiltonian file"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            model.load_hamiltonian_text(text)
+
+
+class TestJumpList:
+    @pytest.mark.parametrize("text,message", [
+        ("z.pauli nan", "line 1: rate 'nan' is not a finite number >= 0"),
+        ("z.pauli 1\nz.pauli inf", "line 2: rate 'inf' is not a finite number >= 0"),
+        ("z.pauli -0.5", "line 1: rate '-0.5' is not a finite number >= 0"),
+        ("z.pauli abc", "line 1: rate 'abc' is not a finite number >= 0"),
+        ("z.pauli 0.5 extra", "line 1: expected 'path [rate]', got 'z.pauli 0.5 extra'"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            model.parse_jump_list(text)
+
+
+class TestStateVector:
+    @pytest.mark.parametrize("text", ["0.6,0 0,0.8\n", "0.6,0\n0,0.8\n"])
+    def test_row_or_column(self, text):
+        assert model.parse_state_vector(text).tobytes() == np.array([0.6, 0.8j]).tobytes()
+
+    @pytest.mark.parametrize("text,shape,norm", [
+        ("0,0 0,0", (1, 2), "0.0"),
+        ("nan,0 0,0", (1, 2), "nan"),
+        ("inf,0\n0,0", (2, 1), "inf"),
+        ("1,0 0,0\n0,0 0,0", (2, 2), "1.0"),
+    ])
+    def test_rejects_zero_non_finite_and_matrices(self, text, shape, norm):
+        with pytest.raises(ValidationError, match=re.escape(f"got shape {shape}, norm {norm}")):
+            model.parse_state_vector(text)
 
 
 class TestNormalizeSpectrum:

@@ -31,11 +31,21 @@ class TestHermEig:
         with pytest.raises(ValidationError, match="asymmetry"):
             nk.herm_eig(bad)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, entry):
+        with pytest.raises(ValidationError, match="^matrix has a non-finite entry$"):
+            nk.herm_eig(np.array([[entry, 0.0], [0.0, 1.0]]))
+
 
 class TestRequireState:
     def test_norm_is_printed_as_a_plain_float(self):
         with pytest.raises(ValidationError, match=r"state vector norm 0\.5 deviates"):
             nk.require_state(np.array([0.5, 0.0]))
+
+    @pytest.mark.parametrize("v", [[np.nan, 0.0], [np.nan, np.nan]])
+    def test_nan_vector_is_rejected(self, v):
+        with pytest.raises(ValidationError, match=r"state vector norm nan deviates"):
+            nk.require_state(np.array(v))
 
 
 class TestTraceDistance:
