@@ -5,14 +5,13 @@ Each subcommand is a generator of its output lines, JSON records and CSV
 rows alike; ``run`` collects them and writes them once the call succeeds, to
 stdout or to ``--out FILE`` (a relative path resolves against
 ``LINDBLADFF_OUT_DIR`` when set), so a failing call writes nothing; ``run``
-is the only code that opens a file for writing.  A
-``ValidationError`` or an ``OSError`` (a missing or unwritable file) exits 1
-with one ``error:`` line, an ``InvariantError`` exits 2.  Records
-are one JSON object per line with sorted keys and compact separators, so
-identical invocations (same argv and seed) are byte-identical apart from the
-``wall_time_s`` field.  Every record is built by ``_record``, every
-Hamiltonian file is read, parsed and hashed by ``_load_ham``, and every
-input text format is parsed by ``model``.  The runs of
+is the only code that opens a file for writing.  A ``ValidationError`` or an
+``OSError`` (a missing or unwritable file) exits 1 with one ``error:`` line,
+an ``InvariantError`` exits 2.  Records are one JSON object per line with
+sorted keys and compact separators, so identical invocations (same argv and
+seed) are byte-identical apart from the ``wall_time_s`` field.  Every record
+is built by ``_record``, and every input file is opened by ``_read`` and
+parsed by ``model``, so a parse error names its file.  The runs of
 ``ae-demo`` derive their seeds from ``--seed`` through
 ``numpy.random.SeedSequence([seed, run_index])``.
 """
@@ -72,12 +71,21 @@ def _record(argv, t0: float, outputs: dict, digest: str | None = None,
 # Shared input handling
 # ---------------------------------------------------------------------------
 
+def _read(path: str, parse):
+    """``parse`` applied to one input file's text; its ``ValidationError``
+    is raised again with the file's path in front."""
+    with open(path) as fh:
+        try:
+            return parse(fh.read())
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+
+
 def _load_ham(path: str | None) -> tuple[np.ndarray, str]:
     """Read, parse and hash one Hamiltonian file: the matrix and its digest."""
     if not path:
         raise ValidationError("--ham FILE is required")
-    with open(path) as fh:
-        mat = model.load_hamiltonian_text(fh.read())
+    mat = _read(path, model.load_hamiltonian_text)
     return mat, hashlib.sha256(np.ascontiguousarray(mat).tobytes()).hexdigest()
 
 
@@ -92,8 +100,7 @@ def _initial_state(spec: str, dim: int) -> np.ndarray:
         v[int(k)] = 1.0
         return v
     if spec.startswith("file:"):
-        with open(spec.split(":", 1)[1]) as fh:
-            v = model.parse_state_vector(fh.read())
+        v = _read(spec.split(":", 1)[1], model.parse_state_vector)
         if v.size != dim:
             raise ValidationError(f"state file has {v.size} amplitudes, expected {dim}")
         return v
@@ -167,14 +174,12 @@ def _load_jump_list(path: str) -> tuple[list[np.ndarray], str]:
     and hashed in list order."""
     if not path:
         raise ValidationError("--jumps FILE is required for method choi-ff")
-    with open(path) as fh:
-        entries = model.parse_jump_list(fh.read())
     base = os.path.dirname(os.path.abspath(path))
     jumps = []
     hasher = hashlib.sha256()
-    for name, rate in entries:
-        with open(os.path.join(base, name)) as jf:
-            jumps.append(math.sqrt(rate) * model.load_hamiltonian_text(jf.read()))
+    for name, rate in _read(path, model.parse_jump_list):
+        jump = _read(os.path.join(base, name), model.load_hamiltonian_text)
+        jumps.append(math.sqrt(rate) * jump)
         hasher.update(np.ascontiguousarray(jumps[-1]).tobytes())
     return jumps, hasher.hexdigest()
 
@@ -263,11 +268,7 @@ def _cmd_ae_demo(args, argv):
     if args.runs < 1:
         raise ValidationError(f"--runs must be at least 1, got {args.runs}")
     if args.oracle:
-        with open(args.oracle) as fh:
-            tokens = fh.read().split()
-        if not all(tok.isdecimal() for tok in tokens):
-            raise ValidationError(f"{args.oracle}: an oracle value is not a 0/1 digit")
-        bits = np.array([int(tok) for tok in tokens], dtype=int)
+        bits = _read(args.oracle, model.parse_oracle)
     else:
         if not 0 <= args.n <= DEMO_MAX_BITS:
             raise ValidationError(f"--n must lie in [0, {DEMO_MAX_BITS}], got {args.n}")
@@ -302,9 +303,7 @@ def _cmd_stateprep(args, argv):
         for m, a in enumerate(amps):
             yield f"{m},{float(a)!r}"
     elif args.what == "angles":
-        # one level per address bit: an N that is not a power of two is rejected
-        sched = kw_angle_schedule(GaussianParams(args.mu, args.sigma, args.N),
-                                  args.N.bit_length() - 1)
+        sched = kw_angle_schedule(GaussianParams(args.mu, args.sigma, args.N))
         yield "level,path,angle"
         for level, angles in enumerate(sched):
             for path, angle in enumerate(angles):

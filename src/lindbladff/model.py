@@ -2,7 +2,7 @@
 and eigenspace bookkeeping.
 
 Every input text format (Pauli sums, dense matrices, jump lists, state
-files) is parsed here, from the lines that ``_strip`` alone reads.
+files, oracles) is parsed here, from the lines that ``_strip`` alone reads.
 
 A :class:`Hamiltonian` always carries a normalized spectrum together with the
 affine map back to the caller's original energy units.  Degenerate eigenvalues
@@ -358,6 +358,17 @@ def parse_jump_list(text: str) -> list[tuple[str, float]]:
             raise ValidationError(f"line {lineno}: expected 'path [rate]', got {line!r}")
         entries.append((path, _finite(lineno, rate[0], "rate", nonnegative=True) if rate else 1.0))
     return entries
+
+
+def parse_oracle(text: str) -> np.ndarray:
+    """Parse an oracle file: whitespace-separated values, each 0 or 1."""
+    bits = []
+    for lineno, line in _strip(text):
+        for tok in line.split():
+            if tok not in ("0", "1"):
+                raise ValidationError(f"line {lineno}: oracle value {tok!r} is not 0 or 1")
+            bits.append(int(tok))
+    return np.array(bits, dtype=int)
 
 
 def parse_state_vector(text: str) -> np.ndarray:

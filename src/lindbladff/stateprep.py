@@ -100,8 +100,9 @@ def discrete_gaussian_amplitudes(params: GaussianParams) -> np.ndarray:
     return np.sqrt(xi_sq)
 
 
-def kw_angle_schedule(params: GaussianParams, depth: int) -> list[np.ndarray]:
-    """Rotation angles of the bit-recursive Gaussian synthesis.
+def kw_angle_schedule(params: GaussianParams) -> list[np.ndarray]:
+    """Rotation angles of the bit-recursive Gaussian synthesis, one level per
+    address bit of the period ``params.n``, which must be a power of two.
 
     Level k holds 2^k nodes indexed by the low k address bits already fixed;
     the node angle alpha = arccos(sqrt(f(mu/2, sigma/2) / f(mu, sigma)))
@@ -109,8 +110,9 @@ def kw_angle_schedule(params: GaussianParams, depth: int) -> list[np.ndarray]:
     where odd-branch recursion continues with (mu - 1) / 2.  Intermediate mu
     values are kept as exact reals (no rounding at odd mu).
     """
-    if params.n != 2 ** depth:
-        raise ValidationError(f"period {params.n} is not 2^depth for depth {depth}")
+    depth = params.n.bit_length() - 1
+    if params.n != 1 << depth:
+        raise ValidationError(f"period {params.n} is not a power of two")
     mus = np.array([params.mu], dtype=float)
     sigma = params.sigma
     schedule = []

@@ -346,14 +346,14 @@ def test_criterion_11b_schedule_replay():
     worst = 0.0
     for n in (8, 16, 32, 64):
         params = lff.GaussianParams(n / 2.0, math.sqrt(n) / 2.0, n)
-        sched = lff.kw_angle_schedule(params, int(math.log2(n)))
+        sched = lff.kw_angle_schedule(params)
         worst = max(worst, float(np.linalg.norm(
             kw_synthesize(sched) - lff.discrete_gaussian_amplitudes(params))))
     report("11b", worst <= 1e-8, f"angle-schedule replay l2 gap {worst:.2e} (<= 1e-8)")
 
 
 def test_criterion_11c_root_angle():
-    sched = lff.kw_angle_schedule(lff.GaussianParams(8.0, 2.0, 16), 4)
+    sched = lff.kw_angle_schedule(lff.GaussianParams(8.0, 2.0, 16))
     err = abs(float(sched[0][0]) - math.pi / 4)
     report("11c", err <= 1e-6, f"root angle off pi/4 by {err:.2e} (<= 1e-6)")
 

@@ -25,6 +25,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lindbladff.__file__)))
 DATA = os.path.join(os.path.dirname(__file__), "data")
 HAM = os.path.join(DATA, "h_two_level.pauli")
+SHIFTED6 = os.path.join(DATA, "jumps_shifted6.txt")
 
 
 def invoke(argv):
@@ -329,6 +330,30 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert sorted(os.listdir(tmp_path)) == inputs
 
+    # A malformed file for each reader, and the file its error must name.
+    NAMED = {
+        "ham": ([*EVOLVE, "exact", "--ham", "{tmp}/bad.pauli"], "bad.pauli"),
+        "jump_list": ([*EVOLVE, "choi-ff", "--jumps", "{tmp}/bad_rate.txt"], "bad_rate.txt"),
+        "listed_jump": ([*EVOLVE, "choi-ff", "--jumps", "{tmp}/jbad.txt"], "bad.pauli"),
+        "state": ([*EVOLVE, "exact", "--ham", HAM, "--state", "file:{tmp}/bad.state"],
+                  "bad.state"),
+        "oracle": (["ae-demo", "--oracle", "{tmp}/bad.oracle"], "bad.oracle"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NAMED))
+    def test_parse_error_names_its_file(self, tmp_path, capsys, case):
+        (tmp_path / "z.pauli").write_text("1.0 Z\n")
+        (tmp_path / "bad.pauli").write_text("# a letter that is no Pauli\n1.0 Q\n")
+        (tmp_path / "bad_rate.txt").write_text("z.pauli 0.5\nz.pauli abc\n")
+        (tmp_path / "jbad.txt").write_text("z.pauli 0.5\nbad.pauli 0.5\n")
+        (tmp_path / "bad.state").write_text("# amplitudes\n1,0 x\n")
+        (tmp_path / "bad.oracle").write_text("0 1\n1 x\n")
+        argv, name = self.NAMED[case]
+        rc, out = invoke([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+        err = capsys.readouterr().err
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: {tmp_path / name}: line 2: ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("t", ["nan", "inf"])
     @pytest.mark.parametrize("method", ["exact", "dilated", "ff", "choi-ff"])
     def test_non_finite_time_is_exit_1(self, capsys, method, t):
@@ -558,6 +583,25 @@ class TestSubcommands:
             assert outputs["choi_commuting"] is True
             assert outputs["max_commutator"] == original(calls[0])[1]
 
+    @pytest.mark.parametrize("state", ["plus", "zero"])
+    def test_shifted_six_qubit_list_is_the_pauli_channel(self, state):
+        # a I + b P dissipates as b^2 D[P], the Pauli channel rho -> ((1 + e^{-2 b^2 t}) rho
+        # + (1 - e^{-2 b^2 t}) P rho P) / 2, here b = 0.5 for X and b = 0.6 for Z on the
+        # first of six qubits; X and Z anticommute, so the generator probe decides the
+        # pair.  Only the Z channel moves |+...+>, only the X channel moves |0...0>.
+        rc, out = invoke(["evolve", "--method", "choi-ff", "--jumps", SHIFTED6, "--t", "1",
+                          "--eps", "0.05", "--state", state])
+        assert rc == 0
+        outputs = json.loads(out)["outputs"]
+        assert outputs["max_commutator"] > 0
+        psi = np.full(64, 0.125) if state == "plus" else np.eye(64)[0]
+        want = np.outer(psi, psi)
+        for b, string in ((0.5, "XIIIII"), (0.6, "ZIIIII")):
+            p = model.parse_pauli_sum(f"1.0 {string}")
+            decay = math.exp(-2.0 * b * b)
+            want = 0.5 * (1.0 + decay) * want + 0.5 * (1.0 - decay) * (p @ want @ p)
+        assert trace_distance(parse_dense_matrix(outputs["rho_out"]), want) <= 0.05
+
 
 class TestColdStart:
     def test_import_leaves_dataclasses_out(self):
@@ -568,16 +612,17 @@ class TestColdStart:
         assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
     def test_cli_paths_import_no_scipy(self, tmp_path):
-        # a fresh interpreter with scipy blocked, so every path must run
-        # without it; the evolve calls run first and must not import
-        # numpy.random either
+        # a fresh interpreter with the test extras (scipy, mpmath, hypothesis,
+        # pytest) blocked, so every path must run on numpy alone; the evolve
+        # calls run first and must not import numpy.random either
         (tmp_path / "z.pauli").write_text("1.0 ZI\n")
         (tmp_path / "x.pauli").write_text("1.0 XX\n")
         jumps = tmp_path / "jumps.txt"
         jumps.write_text("z.pauli 0.5\nx.pauli 0.25\n")
         code = textwrap.dedent(f"""
             import sys
-            sys.modules["scipy"] = None
+            for name in ("scipy", "mpmath", "hypothesis", "pytest"):
+                sys.modules[name] = None
             import contextlib, io
             import lindbladff.cli as cli
             ham = {HAM!r}
@@ -591,6 +636,8 @@ class TestColdStart:
                 ["evolve", "--method", "exact", "--ham", ham, "--t", "1"],
                 ["evolve", "--method", "dilated", "--ham", ham, "--t", "1", "--steps", "8"],
                 ["evolve", "--method", "choi-ff", "--jumps", {str(jumps)!r}, "--t", "1",
+                 "--eps", "0.05"],
+                ["evolve", "--method", "choi-ff", "--jumps", {SHIFTED6!r}, "--t", "1",
                  "--eps", "0.05"],
             ):
                 run(argv)
@@ -608,6 +655,7 @@ class TestColdStart:
                  "--seed", "1"],
                 ["qpe", "--route", "standard", "--ham", ham, "--d", "6"],
                 ["bench", "gibbs-beta", "--beta", "1,2", "--eps", "0.1"],
+                ["bench", "ff-vs-dilated"],
             ):
                 run(argv)
         """)

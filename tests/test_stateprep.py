@@ -88,25 +88,25 @@ class TestDiscreteGaussian:
 
 class TestAngleSchedule:
     def test_root_angle_quarter_pi(self):
-        sched = kw_angle_schedule(GaussianParams(8.0, 2.0, 16), 4)
+        sched = kw_angle_schedule(GaussianParams(8.0, 2.0, 16))
         assert abs(sched[0][0] - math.pi / 4) <= 1e-6
 
     def test_depth_one_two_point_case(self):
         params = GaussianParams(1.0, 0.7, 2)
-        sched = kw_angle_schedule(params, 1)
+        sched = kw_angle_schedule(params)
         assert len(sched) == 1 and sched[0].size == 1
         assert np.allclose(kw_synthesize(sched), discrete_gaussian_amplitudes(params), atol=1e-10)
 
     def test_replay_matches_direct(self):
         for n in (8, 16, 32, 64):
             params = GaussianParams(n / 2.0, math.sqrt(n) / 2.0, n)
-            sched = kw_angle_schedule(params, int(math.log2(n)))
+            sched = kw_angle_schedule(params)
             synth = kw_synthesize(sched)
             direct = discrete_gaussian_amplitudes(params)
             assert np.linalg.norm(synth - direct) <= 1e-8
 
     def test_replay_matches_direct_off_center(self):
-        sched = kw_angle_schedule(GaussianParams(5.0, 1.5, 16), 4)
+        sched = kw_angle_schedule(GaussianParams(5.0, 1.5, 16))
         synth = kw_synthesize(sched)
         direct = discrete_gaussian_amplitudes(GaussianParams(5.0, 1.5, 16))
         assert np.linalg.norm(synth - direct) <= 1e-8
@@ -119,12 +119,12 @@ class TestAngleSchedule:
         draws += [(float(rng.uniform(16, 48)), float(rng.uniform(2, 6))) for _ in range(100)]
         for mu, sigma in draws:
             params = GaussianParams(mu, sigma, 64)
-            synth = kw_synthesize(kw_angle_schedule(params, 6))
+            synth = kw_synthesize(kw_angle_schedule(params))
             assert np.linalg.norm(synth - discrete_gaussian_amplitudes(params)) <= 1e-8
 
     def test_requires_power_of_two(self):
         with pytest.raises(ValidationError):
-            kw_angle_schedule(GaussianParams(3.0, 1.0, 12), 4)
+            kw_angle_schedule(GaussianParams(3.0, 1.0, 12))
 
 
 class TestBinomialGaussianDistance:
