@@ -100,10 +100,12 @@ def _initial_state(spec: str, dim: int) -> np.ndarray:
         v[int(k)] = 1.0
         return v
     if spec.startswith("file:"):
-        v = _read(spec.split(":", 1)[1], model.parse_state_vector)
-        if v.size != dim:
-            raise ValidationError(f"state file has {v.size} amplitudes, expected {dim}")
-        return v
+        def parse(text):
+            v = model.parse_state_vector(text)
+            if v.size != dim:
+                raise ValidationError(f"state file has {v.size} amplitudes, expected {dim}")
+            return v
+        return _read(spec.split(":", 1)[1], parse)
     raise ValidationError(f"unknown state spec {spec!r}")
 
 

@@ -18,7 +18,7 @@ Residue classes r and P - r carry opposite phases and mirror weights, so the
 kernel is a cosine series over half the classes, summed in real arithmetic
 from blocks of the phase table (one block within 4 MiB), in O(block +
 levels^2) memory whatever the register count.  The fast phase-estimation
-readout transforms the whole (P, L) phase table of its L populated levels
+readout transforms the whole (P, L) phase table of the L levels it reads
 in one FFT (``qpe._level_spectrum``).
 
 Address arithmetic is modulo 2^d (the d-bit register) rather than modulo N;

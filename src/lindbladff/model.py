@@ -350,13 +350,16 @@ def load_hamiltonian_text(text: str) -> np.ndarray:
 
 def parse_jump_list(text: str) -> list[tuple[str, float]]:
     """Parse a jump list, "path [rate]" per line, into (path, rate) pairs; the
-    rate defaults to 1 and must be a finite number >= 0."""
+    rate defaults to 1 and must be a finite number >= 0, and a list with no
+    entry is rejected."""
     entries = []
     for lineno, line in _strip(text):
         path, *rate = line.split()
         if len(rate) > 1:
             raise ValidationError(f"line {lineno}: expected 'path [rate]', got {line!r}")
         entries.append((path, _finite(lineno, rate[0], "rate", nonnegative=True) if rate else 1.0))
+    if not entries:
+        raise ValidationError("empty jump list")
     return entries
 
 

@@ -26,12 +26,12 @@ s_hat_k = (1/P) w^(-k shift) sum_r w^(-k r) s_r.
 The ledger is s_r = sum_l e^(-i h_l theta_r) comps_l over orthogonal
 eigencomponents of weight w_l, so X[x] = sum_l g_l[x] comps_l and the count
 distribution is sum_l w_l |g_l[x]|^2, with g_l read from the scalar FFT of
-level l's phase table.  Only the populated levels (w_l > 0) are read, and
-columns k and P - k share one pmf.  Each pmf is touched on its precision
-window, where sqrt(pmf) is at least 2^-53 of the column maximum, sized by a
-Chernoff tail bound: about 13 sigma wide for large N sin^2, never under the
-Poisson-like tails near k = 0.  That is O(P sqrt(N) L) time for L populated
-levels and O(N L) memory, one complex row of N + 1 counts per level.
+level l's phase table.  Columns k and P - k share one pmf.  Each pmf is
+touched on its precision window, where sqrt(pmf) is at least 2^-53 of the
+column maximum, sized by a Chernoff tail bound: about 13 sigma wide for large
+N sin^2, never under the Poisson-like tails near k = 0.  That is
+O(P sqrt(N) L) time for L read levels and O(N L) memory, one complex row of
+N + 1 counts per level.
 
 Post-selecting count 0 needs no transform: row 0 of the symmetric-sector
 Hadamard is the binomial amplitude vector, so X[0] = sum_r w_r s_r scales
@@ -49,6 +49,11 @@ one block before the next: an exact-mode call holds the 2^d distribution
 route checks its register-sized arrays, and sample mode its draws, against
 the physical memory before it builds them (``kernels._require_memory``), and
 every estimate is read out of its distribution by ``_readout``.
+
+An estimate reads the levels of weight above (4 dim 2^-53)^2, the square of the
+rounding that ``decompose_state``'s amplitudes carry (``_read_levels``): lighter
+ones, like an exact eigenstate's other levels, are noise that would cost register
+rows.  Preparation reads every level, as post-selection amplifies a light target.
 """
 
 from __future__ import annotations
@@ -108,30 +113,31 @@ def _dirichlet(theta: np.ndarray, d: int) -> np.ndarray:
     return np.where(tw == 0.0, float(1 << d), big / np.where(tw == 0.0, 1.0, s))
 
 
-# Outcomes per block of the standard route's distribution: its scratch arrays
-# hold this many entries, whatever the register size.
+# Outcomes per block of the standard route's distribution.
 _STANDARD_BLOCK = 1 << 14
+
+
+def _read_levels(state: SpectralState) -> np.ndarray:
+    """The levels an estimate reads: weight above (4 dim 2^-53)^2, since each
+    amplitude ||P_l v|| is a dim-term sum carrying about dim 2^-53 of rounding."""
+    return np.flatnonzero(state.weights > (4 * state.components.shape[1] * 2.0 ** -53) ** 2)
 
 
 def standard_qpe(ham: Hamiltonian, state: SpectralState, d: int,
                  mode: str = "exact", seed=None,
                  repeats: int = 1) -> EstimationResult:
-    """Fourier phase estimation with d register bits, exact distribution.
-
-    The 2^d outcomes are summed in blocks of ``_STANDARD_BLOCK``, every level
-    added into one block before the next, so the call holds the distribution
-    and O(block) scratch.  Each entry is the same sum in the same order as
-    over the whole grid at once.
-    """
+    """Fourier phase estimation with d register bits, exact distribution summed
+    in blocks of ``_STANDARD_BLOCK`` outcomes, each entry as over the whole grid."""
     if d < 1:
         raise ValidationError(f"need at least one register bit, got {d}")
     size = 1 << d
     _require_memory(8 * size, "standard route", f"distribution at d = {d}", "lower d")
+    read = _read_levels(state)
     dist = np.zeros(size)
     for lo in range(0, size, _STANDARD_BLOCK):
         block = dist[lo: lo + _STANDARD_BLOCK]
         ys = np.arange(lo, lo + block.size) / size
-        for h, w in zip(ham.eigenvalues, state.weights):
+        for h, w in zip(ham.eigenvalues[read], state.weights[read]):
             block += w * _dirichlet(h - ys, d) ** 2
     dist /= 4 ** d
     return _readout(ham, dist, lambda y: (y / size, False), CostReport(float(size - 1), d, d),
@@ -215,7 +221,9 @@ def standard_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
 # ---------------------------------------------------------------------------
 
 def _step_root(ham: Hamiltonian, t: float, n: int) -> float:
-    """sqrt(t/N), checked to keep sqrt(t/N) |h| inside the monotone range pi/2."""
+    """sqrt(t/N) for finite t > 0 and N >= 1, where sqrt(t/N) |h| <= pi/2."""
+    if not 0 < t < math.inf or n < 1:
+        raise ValidationError(f"need finite t > 0 and N >= 1, got t={t}, N={n}")
     root = math.sqrt(t / n)
     if root * float(np.max(np.abs(ham.eigenvalues))) > 0.5 * math.pi:
         raise ValidationError(
@@ -224,15 +232,9 @@ def _step_root(ham: Hamiltonian, t: float, n: int) -> float:
     return root
 
 
-def _counting_params(ham: Hamiltonian, t: float, n: int) -> np.ndarray:
-    return np.sin(_step_root(ham, t, n) * ham.eigenvalues) ** 2
-
-
 def _counting_distribution(weights: np.ndarray, qs: np.ndarray, n: int) -> np.ndarray:
     dist = np.zeros(n + 1)
     for w, q in zip(weights, qs):
-        if w < 1e-300:
-            continue
         lo, pm = binom_pmf_window(n, float(q))
         dist[lo: lo + pm.size] += w * pm
     return dist
@@ -328,10 +330,11 @@ def slow_qpe(ham: Hamiltonian, state: SpectralState, t: float, n: int,
              mode: str = "exact", seed=None,
              repeats: int = 1) -> EstimationResult:
     """Counting statistics of N short dephasing steps (exact distribution)."""
-    if not 0 < t < math.inf or n < 1:
-        raise ValidationError(f"need finite t > 0 and N >= 1, got t={t}, N={n}")
+    root = _step_root(ham, t, n)
     _require_memory(8 * (n + 1), "slow route", f"distribution at N = {n}", "lower N")
-    dist = _counting_distribution(state.weights, _counting_params(ham, t, n), n)
+    read = _read_levels(state)
+    qs = np.sin(root * ham.eigenvalues[read]) ** 2
+    dist = _counting_distribution(state.weights[read], qs, n)
     return _readout(ham, dist, lambda m: counting_estimator(t, n, m),
                     CostReport(math.sqrt(n * t), n, n), mode, seed, repeats)
 
@@ -340,9 +343,7 @@ def slow_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
                         t: float, n: int) -> PreparationResult:
     """Post-select the all-zeros count to filter the zero-eigenvalue component."""
     _require_target_at_zero(ham, beta)
-    if not 0 < t < math.inf or n < 1:
-        raise ValidationError(f"need finite t > 0 and N >= 1, got t={t}, N={n}")
-    _step_root(ham, t, n)  # range guard
+    _step_root(ham, t, n)  # argument and range guard
     w = state.weights[beta]
     gap = spectral_gap(ham, beta)
     bound = w / (w + (1.0 - w) * math.exp(-t * gap ** 2))
@@ -357,19 +358,20 @@ def slow_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
 
 def _level_spectrum(ham: Hamiltonian, state: SpectralState,
                     p: FFPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Residue spectra of the populated levels and their components.
+    """Residue spectra of the read levels and their components.
 
     Column l holds sqrt(w_l) (1/P) w^(-k shift) sum_r w^(-k r) e^(-i h_l theta_r),
-    shape (P, L), for the levels with weight w_l > 0; the ledger's s_hat_k
-    is this times the normalized components, shape (L, dim).
+    shape (P, L), for the levels whose w_l clears the rounding floor
+    (4 dim 2^-53)^2 of ``_read_levels`` (preparation's count 0 reads every
+    level); the ledger's s_hat_k is this times the normalized components.
     """
     _check_norm(ham.eigenvalues)
-    populated = np.flatnonzero(state.coeffs)
+    read = _read_levels(state)
     period = p.period
     shift_phase = np.exp(-2j * math.pi * ((np.arange(period) * p.shift) % period) / period)
-    spectrum = np.fft.fft(_residue_phases(p, ham.eigenvalues[populated]), axis=0)
-    spectrum *= (shift_phase / period)[:, None] * state.coeffs[populated]
-    return spectrum, state.components[populated]
+    spectrum = np.fft.fft(_residue_phases(p, ham.eigenvalues[read]), axis=0)
+    spectrum *= (shift_phase / period)[:, None] * state.coeffs[read]
+    return spectrum, state.components[read]
 
 
 def _alpha_phases(n: int, period: int) -> np.ndarray:
@@ -410,12 +412,10 @@ def _fast_distribution(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.
 
     The eigencomponents are orthogonal, so |X[x]|^2 splits over the levels;
     the weights w_l ride in the spectrum.  |g|^2 is summed through a float
-    view of the rows, with no (L, N+1) temporary.  Rows that would not fit
-    in the machine's physical memory raise ``CapacityError`` before any
-    table is built.
+    view of the rows, with no (L, N+1) temporary.
     """
-    _counting_params(ham, p.t, p.n)  # range guard
-    _require_memory(16 * np.count_nonzero(state.coeffs) * (p.n + 1), "fast route",
+    _step_root(ham, p.t, p.n)  # range guard
+    _require_memory(16 * _read_levels(state).size * (p.n + 1), "fast route",
                     f"ledger rows at N = {p.n}", "lower N or raise eps")
     rows = _level_rows(_level_spectrum(ham, state, p)[0], p.n)
     parts = rows.view(float).reshape(rows.shape[0], -1, 2)

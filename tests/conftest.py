@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lindbladff import ValidationError
+from lindbladff import ValidationError, decompose_state, normalize_spectrum
 from lindbladff import numkernel as nk
 from lindbladff.fastforward import _residue_phases
 from lindbladff.kernels import binom_residue_weights
@@ -22,6 +22,14 @@ def rng():
 def random_hermitian(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (a + a.conj().T)
+
+
+def random_eigenstate(rng, dim):
+    """(ham, state, k): eigenvector k of a random non-diagonal Hermitian,
+    decomposed against it; the other levels' weights are rounding noise."""
+    ham = normalize_spectrum(random_hermitian(rng, dim))
+    k = int(rng.integers(dim))
+    return ham, decompose_state(ham.vectors[:, k], ham), int(ham.levels[k])
 
 
 def random_state(rng, dim):

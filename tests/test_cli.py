@@ -354,6 +354,23 @@ class TestExitCodes:
         assert rc == 1 and out == ""
         assert err.startswith(f"error: {tmp_path / name}: line 2: ") and err.count("\n") == 1, err
 
+    # A check made after a parse, and the file and message its error must name.
+    CHECKED = {
+        "state_size": ([*EVOLVE, "exact", "--ham", HAM, "--state", "file:{tmp}/three.state"],
+                       "three.state", "state file has 3 amplitudes, expected 2"),
+        "empty_jump_list": ([*EVOLVE, "choi-ff", "--jumps", "{tmp}/ej.txt"], "ej.txt",
+                            "empty jump list"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CHECKED))
+    def test_check_after_parse_names_its_file(self, tmp_path, capsys, case):
+        (tmp_path / "three.state").write_text("1,0 0,0 0,0\n")
+        (tmp_path / "ej.txt").write_text("# no jump listed\n")
+        argv, name, message = self.CHECKED[case]
+        rc, out = invoke([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+        assert rc == 1 and out == ""
+        assert capsys.readouterr().err == f"error: {tmp_path / name}: {message}\n"
+
     @pytest.mark.parametrize("t", ["nan", "inf"])
     @pytest.mark.parametrize("method", ["exact", "dilated", "ff", "choi-ff"])
     def test_non_finite_time_is_exit_1(self, capsys, method, t):

@@ -264,6 +264,7 @@ class TestJumpList:
         ("z.pauli -0.5", "line 1: rate '-0.5' is not a finite number >= 0"),
         ("z.pauli abc", "line 1: rate 'abc' is not a finite number >= 0"),
         ("z.pauli 0.5 extra", "line 1: expected 'path [rate]', got 'z.pauli 0.5 extra'"),
+        ("# only a comment\n\n", "empty jump list"),
     ])
     def test_error_messages(self, text, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):

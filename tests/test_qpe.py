@@ -25,8 +25,8 @@ from lindbladff.qpe import (_alpha_phases, _counting_distribution,
                            _fast_distribution, _grover_iterate, _level_rows, _level_spectrum,
                            _orthogonal_log, _sample_counts)
 
-from conftest import (goal_ledger, log_binom, random_hermitian, random_state, residue_of,
-                      schur_orthogonal_log)
+from conftest import (goal_ledger, log_binom, random_eigenstate, random_hermitian, random_state,
+                      residue_of, schur_orthogonal_log)
 from oracles import amplitude_decision_demo
 
 
@@ -620,6 +620,41 @@ class TestFastReadout:
         finally:
             tracemalloc.stop()
         assert peak <= (16 * levels + 8) * (n + 1) + 4 * 2 ** 20, peak / 2 ** 20
+
+
+class TestReadLevels:
+    """An estimate reads the levels of weight above (4 dim 2^-53)^2; an exact
+    eigenstate's other weights are rounding noise below it."""
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(dim=hst.integers(2, 64), seed=hst.integers(0, 2 ** 32 - 1), d=hst.integers(1, 8),
+           n=hst.integers(1, 4096), full=hst.booleans())
+    def test_eigenstate_reads_its_level_alone(self, dim, seed, d, n, full):
+        ham, st, k = random_eigenstate(np.random.default_rng(seed), dim)
+        floor = (4 * dim * 2.0 ** -53) ** 2
+        # the noise peaks at 0.31 of the floor in 3000 eigenstates at dims 2-8
+        assert np.max(np.delete(st.weights, k)) <= floor / 2 < floor < st.weights[k]
+        diag = normalize_spectrum(np.diag(ham.eigenvalues))
+        alone = level_subset_state(diag, np.random.default_rng(seed), [k])
+        t = min(4.0, float(n))
+        for route, args in ((standard_qpe, (d,)), (slow_qpe, (t, n)),
+                            (fast_qpe, (plan_at(n, full, t),))):
+            got = route(ham, st, *args).distribution
+            want = route(diag, alone, *args).distribution
+            assert np.sum(np.abs(got - want)) <= 1e-14, route.__name__
+
+    def test_eigenstate_memory_is_one_level_rows(self):
+        # one complex row of N + 1 counts and the distribution, not one row per level
+        n = 10 ** 5
+        ham, st, _ = random_eigenstate(np.random.default_rng(3), 8)
+        p = plan(64.0, 1e-4, n_override=n)
+        tracemalloc.start()
+        try:
+            _fast_distribution(ham, st, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * 16 + 8) * (n + 1), peak / 2 ** 20
 
 
 # (seed, dim) of the generated spectra: three seeds for each dim 2-6
