@@ -11,7 +11,8 @@ an ``InvariantError`` exits 2.  Records are one JSON object per line with
 sorted keys and compact separators, so identical invocations (same argv and
 seed) are byte-identical apart from the ``wall_time_s`` field.  Every record
 is built by ``_record``, and every input file is opened by ``_read`` and
-parsed by ``model``, so a parse error names its file.  The runs of
+parsed by ``model``, so a parse error names its file; ``model`` also reads
+the comma-list options, and its error names the option.  The runs of
 ``ae-demo`` derive their seeds from ``--seed`` through
 ``numpy.random.SeedSequence([seed, run_index])``.
 """
@@ -109,14 +110,15 @@ def _initial_state(spec: str, dim: int) -> np.ndarray:
     raise ValidationError(f"unknown state spec {spec!r}")
 
 
-def _parse_list(text: str, kind=float) -> list:
-    return [kind(x) for x in text.split(",") if x.strip()]
-
-
 def _slope_record(argv, t0: float, outputs: dict, xs, ys, target: float,
                   tol: float) -> str:
     """Bench verdict record: the log-log slope of ys against xs and whether
-    it lies within ``tol`` of ``target``, added to ``outputs``."""
+    it lies within ``tol`` of ``target``, added to ``outputs``; the fit needs
+    every x and y positive and finite, at two distinct x at least."""
+    if not (all(0 < v < math.inf for v in [*xs, *ys]) and len(set(xs)) > 1):
+        raise ValidationError(f"bench {' '.join(outputs.values())}: a slope needs two "
+                              f"distinct x, every x and y positive and finite; "
+                              f"got x = {xs}, y = {ys}")
     slope = float(np.polyfit(np.log(np.asarray(xs, dtype=float)),
                              np.log(np.asarray(ys, dtype=float)), 1)[0])
     outputs = {**outputs, "slope": slope, "target": target, "tolerance": tol,
@@ -161,7 +163,7 @@ def _cmd_evolve(args, argv):
             "mod_convention": "2^d", "note": p.note,
         }
     elif args.method == "dilated":
-        steps = args.steps if args.steps else default_steps(args.t, args.eps)
+        steps = default_steps(args.t, args.eps) if args.steps is None else args.steps
         rho, cost = dilated_evolve(ham, psi, args.t, steps)
     else:  # exact
         rho = lindblad_exact_hermitian(ham, psi, args.t)
@@ -192,6 +194,8 @@ def _cmd_qpe(args, argv):
         raise ValidationError("--N is required for the slow route")
     if args.zeta is not None and not args.zeta > 0:
         raise ValidationError(f"--zeta must be positive, got {args.zeta}")
+    if args.seed is not None and args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     mat, digest = _load_ham(args.ham)
     ham = model.normalize_spectrum(mat)
     if args.mode == "prepare":
@@ -248,7 +252,7 @@ def _cmd_qpe(args, argv):
 def _cmd_gibbs(args, argv):
     mat, digest = _load_ham(args.ham)
     csv_rows = ["beta,hamiltonian_time,fidelity,partition_estimate,partition_exact"]
-    for beta in _parse_list(args.beta):
+    for beta in model.parse_number_list("--beta", args.beta):
         t0 = time.perf_counter()
         res = gibbs_prepare(mat, beta, args.eps)
         outputs = {
@@ -269,6 +273,8 @@ def _cmd_ae_demo(args, argv):
     t0 = time.perf_counter()
     if args.runs < 1:
         raise ValidationError(f"--runs must be at least 1, got {args.runs}")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     if args.oracle:
         bits = _read(args.oracle, model.parse_oracle)
     else:
@@ -318,9 +324,12 @@ def _cmd_stateprep(args, argv):
 def _cmd_bounds(args, argv):
     yield "N,p,c,exact_tail,bernstein,hoeffding,tail_le_bernstein,tail_le_hoeffding"
     violations = 0
-    for n in _parse_list(args.N_grid, int):
-        for p in _parse_list(args.p_grid):
-            for c in _parse_list(args.c_grid):
+    ns = model.parse_number_list("--N-grid", args.N_grid, integer=True)
+    ps = model.parse_number_list("--p-grid", args.p_grid)
+    cs = model.parse_number_list("--c-grid", args.c_grid)
+    for n in ns:
+        for p in ps:
+            for c in cs:
                 tail = binomial_tail(n, p, c)
                 bern = bernstein_bound(n, p, c)
                 hoef = hoeffding_bound(n, c)
@@ -340,7 +349,7 @@ def _bench_ff_vs_dilated(args, argv):
     mat = np.diag([0.0, 1.0]).astype(complex)
     ham = model.normalize_spectrum(mat)
     psi = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    ts = _parse_list(args.t or "1,2,4,8,16,32,64")
+    ts = model.parse_number_list("--t", args.t or "1,2,4,8,16,32,64")
     yield "t,method,hamiltonian_time,steps,ancillas,trace_distance_to_exact"
     ff_costs, dil_costs = [], []
     for t in ts:
@@ -367,7 +376,7 @@ def _bench_qpe_error(args, argv):
     state = model.decompose_state(eigvec, ham)
     h_true = 1.0
     # default grid starts at t h^2 = 16, past the small-count Poisson regime
-    ts = _parse_list(args.t or "16,32,64,128")
+    ts = model.parse_number_list("--t", args.t or "16,32,64,128")
     yield "t,route,cost,rms_error"
     slow_pts, fast_pts = [], []
     for t in ts:
@@ -397,7 +406,7 @@ def _dist_rms(dist: np.ndarray, t: float, n: int, h_true: float) -> float:
 def _bench_gibbs_beta(args, argv):
     t0 = time.perf_counter()
     mat = np.diag([0.0, 1.0]).astype(complex)
-    betas = _parse_list(args.beta)
+    betas = model.parse_number_list("--beta", args.beta)
     yield "beta,hamiltonian_time,fidelity"
     costs = []
     for beta in betas:

@@ -18,15 +18,21 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import binom_pmf
+from .kernels import _require_memory, binom_pmf
 
 
 def binomial_tail(n: int, p: float, c: float) -> float:
     """Exact mass of |m - N p| >= c N under Binomial(N, p)."""
+    if n < 0:
+        raise ValidationError(f"N must be >= 0, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must be in [0, 1], got {p}")
+    if not math.isfinite(c):
+        raise ValidationError(f"c must be finite, got {c}")
     if c < 0:
         raise ValidationError(f"c must be nonnegative, got {c}")
+    # the counts m, their distances |m - N p| and the pmf: 24 bytes per count
+    _require_memory(24 * (n + 1), "binomial tail", f"tail arrays at N = {n}", "lower N")
     m = np.arange(n + 1)
     tail = np.abs(m - n * p) >= c * n
     return float(np.sum(binom_pmf(n, p)[tail]))

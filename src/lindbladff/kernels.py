@@ -124,6 +124,7 @@ def binom_pmf_window(n: int, p: float, amplitude: bool = False
 
 def binom_pmf(n: int, p: float) -> np.ndarray:
     """Binomial(n, p) pmf over m = 0..n: the default window, zero outside it."""
+    _require_memory(8 * (n + 1), "binomial pmf", f"pmf at N = {n}", "lower N")
     lo, w = binom_pmf_window(n, p)
     out = np.zeros(n + 1)
     out[lo: lo + w.size] = w

@@ -2,7 +2,8 @@
 and eigenspace bookkeeping.
 
 Every input text format (Pauli sums, dense matrices, jump lists, state
-files, oracles) is parsed here, from the lines that ``_strip`` alone reads.
+files, oracles) is parsed here, from the lines that ``_strip`` alone reads,
+and so are the comma lists of numbers that CLI options take.
 
 A :class:`Hamiltonian` always carries a normalized spectrum together with the
 affine map back to the caller's original energy units.  Degenerate eigenvalues
@@ -236,17 +237,29 @@ def _strip(text: str) -> list[tuple[int, str]]:
     return [(i, line) for i, line in lines if line]
 
 
-def _finite(lineno: int, token: str, what: str, nonnegative: bool = False) -> float:
+def _finite(where: str, token: str, what: str, nonnegative: bool = False,
+            integer: bool = False):
     """``float(token)`` if it is finite (and >= 0 when ``nonnegative``); ``float``
-    alone takes "nan" and "inf", which would only fail far downstream."""
+    alone takes "nan" and "inf", which would only fail far downstream.  With
+    ``integer`` the token must be an integer literal, returned as an ``int``.
+    The error starts with ``where``, the line or the option read."""
     try:
-        x = float(token)
+        x = int(token) if integer else float(token)
+        ok = integer or math.isfinite(x)
     except ValueError:
-        x = math.nan
-    if math.isfinite(x) and (x >= 0.0 or not nonnegative):
+        ok = False
+    if ok and (x >= 0 or not nonnegative):
         return x
-    rule = "a finite number >= 0" if nonnegative else "a finite real number"
-    raise ValidationError(f"line {lineno}: {what} {token!r} is not {rule}")
+    rule = ("an integer" if integer else "a finite number >= 0" if nonnegative
+            else "a finite real number")
+    raise ValidationError(f"{where}: {what} {token!r} is not {rule}")
+
+
+def parse_number_list(option: str, text: str, integer: bool = False) -> list:
+    """The numbers of a comma-list option (``--beta 1,2,4``), empty items skipped:
+    each a finite number, or an integer with ``integer``; an error names ``option``."""
+    return [_finite(option, tok, "value", integer=integer)
+            for tok in map(str.strip, text.split(",")) if tok]
 
 
 def parse_pauli_sum(text: str) -> np.ndarray:
@@ -263,7 +276,7 @@ def _pauli_sum(lines: list[tuple[int, str]]) -> np.ndarray:
         parts = line.split()
         if len(parts) != 2:
             raise ValidationError(f"line {lineno}: expected 'coefficient PauliString', got {line!r}")
-        coeff = _finite(lineno, parts[0], "coefficient")
+        coeff = _finite(f"line {lineno}", parts[0], "coefficient")
         string = parts[1].upper()
         bad = set(string) - set("IXYZ")
         if bad:
@@ -357,7 +370,8 @@ def parse_jump_list(text: str) -> list[tuple[str, float]]:
         path, *rate = line.split()
         if len(rate) > 1:
             raise ValidationError(f"line {lineno}: expected 'path [rate]', got {line!r}")
-        entries.append((path, _finite(lineno, rate[0], "rate", nonnegative=True) if rate else 1.0))
+        entries.append((path, _finite(f"line {lineno}", rate[0], "rate", nonnegative=True)
+                              if rate else 1.0))
     if not entries:
         raise ValidationError("empty jump list")
     return entries

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import binom_pmf
+from .kernels import _require_memory, binom_pmf
 
 # Truncation of the lattice-Gaussian and theta series, below the double-
 # precision resolution of the dominant term
@@ -88,6 +88,8 @@ def discrete_gaussian_amplitudes(params: GaussianParams) -> np.ndarray:
     image sum is truncated once its tail falls below the series cutoff.
     """
     mu, sigma, n = params.mu, params.sigma, params.n
+    # the counts m, one image term and the running total: 24 bytes per count
+    _require_memory(24 * n, "Gaussian amplitudes", f"arrays at N = {n}", "lower N")
     m = np.arange(n, dtype=float)
     # images with |m + l n - mu| > reach contribute below the cutoff
     reach = sigma * math.sqrt(-2.0 * math.log(SERIES_CUTOFF)) + 1.0
@@ -108,20 +110,25 @@ def kw_angle_schedule(params: GaussianParams) -> list[np.ndarray]:
     the node angle alpha = arccos(sqrt(f(mu/2, sigma/2) / f(mu, sigma)))
     splits the remaining mass between the even (cos) and odd (sin) sublattice,
     where odd-branch recursion continues with (mu - 1) / 2.  Intermediate mu
-    values are kept as exact reals (no rounding at odd mu).
+    values are kept as exact reals (no rounding at odd mu).  A node whose
+    lattice sum underflows to 0 carries no amplitude and takes angle 0.
     """
     depth = params.n.bit_length() - 1
     if params.n != 1 << depth:
         raise ValidationError(f"period {params.n} is not a power of two")
+    # the N - 1 angles kept, and the last level's nodes, sums and N children:
+    # 32 bytes per count
+    _require_memory(32 * params.n, "angle schedule",
+                    f"angles and node arrays at N = {params.n}", "lower N")
     mus = np.array([params.mu], dtype=float)
     sigma = params.sigma
     schedule = []
     for _ in range(depth):
         f_parent = np.array([f_mu_sigma(mu, sigma) for mu in mus])
         f_even = np.array([f_mu_sigma(mu / 2.0, sigma / 2.0) for mu in mus])
-        ratio = f_even / f_parent
+        ratio = np.divide(f_even, f_parent, out=np.ones_like(f_parent), where=f_parent > 0)
         bad = np.max(np.abs(np.clip(ratio, 0.0, 1.0) - ratio))
-        if bad > 1e-12:
+        if not bad <= 1e-12:
             raise ValidationError(f"branch ratio escapes [0, 1] by {bad:.3e}")
         schedule.append(np.arccos(np.sqrt(np.clip(ratio, 0.0, 1.0))))
         # path p picking bit b moves to p + b * 2^level, so the next level's

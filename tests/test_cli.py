@@ -3,10 +3,12 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import textwrap
 import contextlib
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +303,33 @@ class TestExitCodes:
         "state_all_zero": [*EVOLVE, "exact", "--ham", HAM, "--state", "file:{tmp}/zero.state"],
         "state_nan": [*EVOLVE, "exact", "--ham", HAM, "--state", "file:{tmp}/nan.state"],
         "state_not_a_vector": [*EVOLVE, "exact", "--ham", H2Q, "--state", "file:{tmp}/matrix.state"],
+        # comma lists, read by model.parse_number_list: finite numbers, integers for --N-grid
+        "beta_not_a_number": ["gibbs", "--ham", H2Q, "--beta", "1,abc"],
+        "n_grid_not_an_integer": ["bounds", "--N-grid", "1e3"],
+        "n_grid_nan": ["bounds", "--N-grid", "nan"],
+        "n_grid_inf": ["bounds", "--N-grid", "inf"],
+        "c_grid_nan": ["bounds", "--c-grid", "nan"],
+        "c_grid_inf": ["bounds", "--c-grid", "inf"],
+        "n_grid_negative": ["bounds", "--N-grid", "-3"],
+        # register-sized arrays past the physical memory (745 GiB and more)
+        "n_grid_beyond_memory": ["bounds", "--N-grid", "100000000000"],
+        "binomial_beyond_memory": ["stateprep", "--what", "binomial", "--N", "100000000000"],
+        "gaussian_beyond_memory": ["stateprep", "--what", "gaussian", "--N", "100000000000"],
+        "distance_beyond_memory": ["stateprep", "--what", "distance", "--N", "100000000000"],
+        "angles_beyond_memory": ["stateprep", "--what", "angles", "--N", str(2 ** 40)],
+        # bench slopes with fewer than two distinct positive points
+        "qpe_error_eps_zero": ["bench", "qpe-error", "--eps", "0"],
+        "qpe_error_eps_negative": ["bench", "qpe-error", "--eps", "-1"],
+        "qpe_error_eps_nan": ["bench", "qpe-error", "--eps", "nan"],
+        "qpe_error_eps_inf": ["bench", "qpe-error", "--eps", "inf"],
+        "qpe_error_n_fast_zero": ["bench", "qpe-error", "--N-fast", "0"],
+        "qpe_error_n_fast_negative": ["bench", "qpe-error", "--N-fast", "-1"],
+        "gibbs_beta_zero": ["bench", "gibbs-beta", "--beta", "0"],
+        "gibbs_beta_one_distinct": ["bench", "gibbs-beta", "--beta", "2,2"],
+        "ff_vs_dilated_one_time": ["bench", "ff-vs-dilated", "--t", "4"],
+        "steps_zero": [*EVOLVE, "dilated", "--ham", HAM, "--steps", "0"],
+        "qpe_seed_negative": [*SAMPLE, "3", "--seed", "-1"],
+        "ae_seed_negative": ["ae-demo", "--seed", "-1"],
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -393,6 +422,79 @@ class TestExitCodes:
         rc, out = invoke(["evolve", "--method", "exact", "--ham", HAM, "--t", "64"])
         exact = parse_dense_matrix(json.loads(out.splitlines()[0])["outputs"]["rho_out"])
         assert trace_distance(rho, exact) <= 0.1
+
+
+class _CallTooSlow(BaseException):
+    """Raised by the sweep's timer; a BaseException, so ``run`` lets it through."""
+
+
+def _too_slow(signum, frame):
+    raise _CallTooSlow
+
+
+class TestNumericOptionSweep:
+    """Every numeric option of one base call per call shape, set to 0, -1, nan
+    and inf: each call exits 0 or 1, prints no traceback or warning, and a
+    call that succeeds prints no nan."""
+
+    H2Q = os.path.join(DATA, "h_two_qubit.pauli")
+    EVOLVE = ["evolve", "--ham", HAM, "--t", "1", "--method"]
+    ESTIMATE = ["qpe", "--ham", H2Q, "--mode", "sample", "--seed", "1", "--route"]
+    PREPARE = ["qpe", "prepare", "--ham", H2Q, "--eigen", "1", "--route"]
+    SHAPES = {
+        "evolve_ff": ([*EVOLVE, "ff"], "--t --eps --N"),
+        "evolve_dilated": ([*EVOLVE, "dilated"], "--t --eps --steps"),
+        "evolve_exact": ([*EVOLVE, "exact"], "--t"),
+        "evolve_choi_ff": (["evolve", "--method", "choi-ff", "--jumps",
+                            os.path.join(DATA, "jumps.txt"), "--t", "1"], "--t --eps"),
+        "estimate_standard": ([*ESTIMATE, "standard", "--d", "4"], "--d --repeats --seed"),
+        "estimate_slow": ([*ESTIMATE, "slow", "--t", "4", "--N", "64"], "--t --N --repeats"),
+        "estimate_fast": ([*ESTIMATE, "fast", "--t", "4", "--N", "64"],
+                          "--t --N --eps --repeats"),
+        "prepare_standard": ([*PREPARE, "standard", "--d", "4"], "--d --eigen"),
+        "prepare_slow": ([*PREPARE, "slow", "--t", "16", "--N", "256"], "--t --N --eigen"),
+        "prepare_fast": ([*PREPARE, "fast", "--t", "4", "--N", "64"],
+                         "--t --N --eps --eigen --zeta"),
+        "gibbs": (["gibbs", "--ham", H2Q, "--beta", "1,2"], "--beta --eps"),
+        "ae_demo": (["ae-demo", "--n", "3", "--witnesses", "1", "--N", "256"],
+                    "--n --witnesses --runs --t --N --eps --seed"),
+        "stateprep_binomial": (["stateprep", "--what", "binomial"], "--N"),
+        "stateprep_gaussian": (["stateprep", "--what", "gaussian"], "--N --mu --sigma"),
+        "stateprep_angles": (["stateprep", "--what", "angles"], "--N --mu --sigma"),
+        "stateprep_distance": (["stateprep", "--what", "distance"], "--N"),
+        "bounds": (["bounds"], "--N-grid --p-grid --c-grid"),
+        "bench_ff_vs_dilated": (["bench", "ff-vs-dilated", "--t", "1,2,4"], "--t --eps"),
+        "bench_qpe_error": (["bench", "qpe-error", "--t", "16,32", "--N-slow", "10000"],
+                            "--t --eps --N-slow --N-fast"),
+        "bench_gibbs_beta": (["bench", "gibbs-beta", "--beta", "1,2"], "--beta --eps"),
+    }
+    SECONDS_PER_CALL = 10
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_edge_values_exit_cleanly(self, capfd, shape):
+        base, options = self.SHAPES[shape]
+        faults = []
+        previous = signal.signal(signal.SIGALRM, _too_slow)
+        try:
+            for option in options.split():
+                for value in ("0", "-1", "nan", "inf"):
+                    argv = [*base, option, value]  # the last occurrence wins
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        signal.alarm(self.SECONDS_PER_CALL)
+                        try:
+                            rc, out = invoke(argv)
+                        except _CallTooSlow:
+                            rc, out = "timeout", ""
+                        finally:
+                            signal.alarm(0)
+                    err = capfd.readouterr().err + "".join(map(str, caught))
+                    if (rc not in (0, 1) or "Traceback" in err or "Warning" in err or caught
+                            or rc == 0 and re.search(r"\bnan\b", out, re.IGNORECASE)):
+                        faults.append(f"{option} {value}: exit {rc}, {err.strip()[-300:]!r}")
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+        assert not faults, "\n".join(faults)
 
 
 # Jump files whose scaled jumps commute and have norm <= 1 at every rate drawn

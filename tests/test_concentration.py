@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from lindbladff import ValidationError, bernstein_bound, binomial_tail, hoeffding_bound
+from lindbladff.errors import CapacityError
 
 from conftest import log_binom
 from oracles import dml_gap
@@ -88,3 +91,20 @@ def test_validation():
         binomial_tail(10, 0.5, -0.1)
     with pytest.raises(ValidationError):
         dml_gap(10, 0.0)
+
+
+@pytest.mark.parametrize("n,p,c,message", [
+    (-3, 0.5, 0.1, "N must be >= 0, got -3"),
+    (10, float("nan"), 0.1, "p must be in [0, 1], got nan"),
+    (10, 0.5, -0.1, "c must be nonnegative, got -0.1"),
+    (10, 0.5, float("nan"), "c must be finite, got nan"),
+    (10, 0.5, float("inf"), "c must be finite, got inf"),
+])
+def test_tail_rejects_with_one_message(n, p, c, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        binomial_tail(n, p, c)
+
+
+def test_tail_beyond_memory_is_rejected_before_any_array():
+    with pytest.raises(CapacityError, match="^binomial tail needs .* at N = 100000000000,"):
+        binomial_tail(10 ** 11, 0.5, 0.1)

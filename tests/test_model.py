@@ -271,6 +271,34 @@ class TestJumpList:
             model.parse_jump_list(text)
 
 
+class TestNumberList:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                              st.integers(-10 ** 6, 10 ** 6).map(str), st.just(""),
+                              st.just(" 2 ")), max_size=6))
+    def test_valid_lists_read_as_float_and_int_did(self, items):
+        text = ",".join(items)
+        want = [float(x) for x in text.split(",") if x.strip()]
+        assert np.array(model.parse_number_list("--t", text)).tobytes() == \
+            np.array(want, dtype=float).tobytes()
+        if all(re.fullmatch(r" ?-?\d* ?", x) for x in items):
+            assert model.parse_number_list("--N-grid", text, integer=True) == [
+                int(x) for x in text.split(",") if x.strip()]
+
+    @pytest.mark.parametrize("option,text,integer,message", [
+        ("--beta", "1,abc", False, "--beta: value 'abc' is not a finite real number"),
+        ("--c-grid", "0.1, nan", False, "--c-grid: value 'nan' is not a finite real number"),
+        ("--t", "-inf", False, "--t: value '-inf' is not a finite real number"),
+        ("--t", "1e400", False, "--t: value '1e400' is not a finite real number"),
+        ("--N-grid", "10,1e3", True, "--N-grid: value '1e3' is not an integer"),
+        ("--N-grid", "10.0", True, "--N-grid: value '10.0' is not an integer"),
+        ("--N-grid", "inf", True, "--N-grid: value 'inf' is not an integer"),
+    ])
+    def test_error_names_the_option(self, option, text, integer, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            model.parse_number_list(option, text, integer)
+
+
 class TestStateVector:
     @pytest.mark.parametrize("text", ["0.6,0 0,0.8\n", "0.6,0\n0,0.8\n"])
     def test_row_or_column(self, text):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -121,6 +122,28 @@ class TestAngleSchedule:
             params = GaussianParams(mu, sigma, 64)
             synth = kw_synthesize(kw_angle_schedule(params))
             assert np.linalg.norm(synth - discrete_gaussian_amplitudes(params)) <= 1e-8
+
+    @pytest.mark.parametrize("n,mu,sigma", [(1024, 8.3, 2.0), (64, 20.3, 0.3)])
+    def test_zero_mass_nodes_take_angle_zero(self, n, mu, sigma):
+        # deep lattice sums underflow to 0 here; such a node carries no
+        # amplitude, and 0/0 used to print nan angles (460 of 1023 at N = 1024)
+        params = GaussianParams(mu, sigma, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sched = kw_angle_schedule(params)
+        angles = np.concatenate(sched)
+        assert angles.size == n - 1 and np.all(np.isfinite(angles))
+        assert np.linalg.norm(kw_synthesize(sched) - discrete_gaussian_amplitudes(params)) <= 1e-8
+
+    def test_replay_bound_over_a_grid_with_zero_mass_nodes(self):
+        gaps = []
+        for n in (64, 1024):
+            for sigma in (0.3, 0.5, 2.0, 4.0, 16.0):
+                for mu in (0.0, 0.5, 8.3, 100.7):
+                    params = GaussianParams(mu, sigma, n)
+                    synth = kw_synthesize(kw_angle_schedule(params))
+                    gaps.append(np.linalg.norm(synth - discrete_gaussian_amplitudes(params)))
+        assert np.all(np.array(gaps) <= 1e-9)  # a nan gap fails too
 
     def test_requires_power_of_two(self):
         with pytest.raises(ValidationError):
