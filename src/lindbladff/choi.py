@@ -18,8 +18,8 @@ import numpy as np
 from .errors import ValidationError
 from . import numkernel as nk
 from .dilated import CostReport
-from .fastforward import ff_cost, gap_kernel, plan as make_plan
-from .model import JUMP_NORM_ATOL, LindbladSpec, normalize_spectrum
+from .fastforward import FFPlan, ff_cost, gap_kernel, plan as make_plan
+from .model import Hamiltonian, LindbladSpec, normalize_spectrum
 
 # Commutation tolerance of ``is_choi_commuting``, relative to each probe's scale
 COMMUTE_TOL = 1e-9
@@ -90,25 +90,21 @@ def choi_ff_evolve(spec: LindbladSpec, state0: np.ndarray, t: float,
                    eps_total: float) -> tuple[np.ndarray, CostReport, float]:
     """Sequential per-jump fast-forwarding with a uniform error split.
 
-    Each jump is eigendecomposed once, by ``normalize_spectrum``; a jump
-    whose norm, read off that spectrum, exceeds 1 raises.  The channel
-    factorizes only when the generators commute, so the spec must then pass
-    ``is_choi_commuting``; the largest commutator it found is returned after
-    the state and the cost.  Each factor gets eps_total / K and the input
-    order (immaterial up to that budget for a commuting spec).  A jump
-    normalized with map scale s runs for s^2 t: identity shifts leave the
-    dissipator invariant and a c-scaled jump squares the rates.
+    Each jump is eigendecomposed once, by ``normalize_spectrum``, and a jump
+    of any width, normalized with map scale s, runs its normalized form for
+    s^2 t: identity shifts leave the dissipator invariant and a c-scaled jump
+    squares the rates.  A factor whose s^2 t or plan overflows raises naming
+    the jump.  The channel factorizes only when the generators commute, so
+    the spec must then pass ``is_choi_commuting``; the largest commutator it
+    found is returned after the state and the cost.  Each factor gets
+    eps_total / K and the input order (immaterial up to that budget for a
+    commuting spec).
     """
     if not 0 < t < math.inf:
         raise ValidationError(f"evolution time must be positive and finite, got {t}")
     hams = [normalize_spectrum(j) for j in spec.jumps]
-    for k, ham in enumerate(hams):
-        nrm = float(np.max(np.abs(ham.spectrum_map.to_original(ham.eigenvalues[[0, -1]]))))
-        if nrm > 1.0 + JUMP_NORM_ATOL:
-            raise ValidationError(
-                f"jump {k} has operator norm {nrm:.6f} > 1; rescale the jump by 1/{nrm:.4f} "
-                f"and the evolution time by {nrm**2:.4f} (a c-scaled jump squares the rates)"
-            )
+    eps_each = eps_total / len(hams)
+    plans = [_factor_plan(k, ham, t, eps_each) for k, ham in enumerate(hams)]
     passes, worst = is_choi_commuting(spec)
     if not passes:
         raise ValidationError(f"generators do not commute (max commutator {worst:.3e})")
@@ -121,16 +117,26 @@ def choi_ff_evolve(spec: LindbladSpec, state0: np.ndarray, t: float,
         rho = nk.require_hermitian(np.outer(psi, psi.conj()))
     else:
         rho = nk.require_density(state0)
-    eps_each = eps_total / len(hams)
     costs = []
-    for ham in hams:
-        time = ham.spectrum_map.scale ** 2 * t
-        if ham.n_levels == 1 or time == 0.0:
-            continue  # no dissipation: an identity-proportional jump, or an underflowed rate
-        p = make_plan(time, eps_each)
-        rho = ham.dephase(gap_kernel(p, ham.eigenvalues, ham.eigenvalues), rho)
-        costs.append(ff_cost(p))
+    for ham, p in zip(hams, plans):
+        if p is not None:
+            rho = ham.dephase(gap_kernel(p, ham.eigenvalues, ham.eigenvalues), rho)
+            costs.append(ff_cost(p))
     # the counts sum from int 0, so the record keeps integer counts
     cost = CostReport(sum((c.hamiltonian_time for c in costs), 0.0),
                       sum(c.step_count for c in costs), sum(c.ancilla_count for c in costs))
     return rho, cost, worst
+
+
+def _factor_plan(k: int, ham: Hamiltonian, t: float, eps: float) -> FFPlan | None:
+    """The plan of jump k's factor, run for scale^2 t; None when the factor is
+    the identity (an identity-proportional jump, or a rate that underflows)."""
+    try:
+        time = ham.spectrum_map.scale ** 2 * t
+    except OverflowError:
+        time = math.inf
+    try:
+        return None if ham.n_levels == 1 or time == 0.0 else make_plan(time, eps)
+    except ValidationError as exc:
+        raise ValidationError(f"jump {k} of width {ham.spectrum_map.scale:.6g} runs for "
+                              f"scale^2 t = {time:.6g}: {exc}") from None

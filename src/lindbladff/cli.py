@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -66,6 +67,22 @@ def _record(argv, t0: float, outputs: dict, digest: str | None = None,
         "seed": seed,
         "wall_time_s": time.perf_counter() - t0,
     }, sort_keys=True, separators=(",", ":"))
+
+
+def _fields(res) -> dict:
+    """A result tuple's fields as record outputs, arrays as dense text; the
+    cost has its own record field, the Gibbs purification is not written, and
+    a count ``distribution`` is a list, written up to 4097 counts."""
+    outputs = {}
+    for name, value in res._asdict().items():
+        if name in ("cost", "purification") or (name == "distribution" and value.size > 4097):
+            continue
+        if name == "distribution":
+            value = value.tolist()
+        elif isinstance(value, np.ndarray):
+            value = model.format_dense_matrix(np.atleast_2d(value))
+        outputs[name] = value
+    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +232,7 @@ def _cmd_qpe(args, argv):
         else:
             p = make_plan(args.t, args.eps, args.N)
             res = fast_qpe(ham, state, p, args.dist_mode, args.seed, args.repeats)
-        outputs = {
-            "route": args.route,
-            "estimate": res.estimate,
-            "estimate_normalized": res.estimate_normalized,
-            "raw_outcome": res.raw_outcome,
-            "saturated": res.saturated,
-        }
-        if res.distribution.size <= 4097:
-            outputs["distribution"] = res.distribution.tolist()
-        yield _record(argv, t0, outputs, digest, args.seed, res.cost)
+        yield _record(argv, t0, {"route": args.route, **_fields(res)}, digest, args.seed, res.cost)
         return
 
     if args.route == "standard":
@@ -237,16 +245,7 @@ def _cmd_qpe(args, argv):
             eps = (float(state.coeffs[args.eigen]) * args.zeta) ** 2
         p = make_plan(args.t, eps, args.N)
         prep = fast_qpe_eigenstate(ham, state, args.eigen, p)
-    outputs = {
-        "route": args.route,
-        "postselect_probability": prep.postselect_probability,
-        "overlap": prep.overlap,
-        "overlap_bound": prep.overlap_bound,
-        "expected_repeats": prep.expected_repeats,
-        "ideal_amplification_queries": prep.ideal_amplification_queries,
-        "state": model.format_dense_matrix(prep.state.reshape(1, -1)),
-    }
-    yield _record(argv, t0, outputs, digest, args.seed, prep.cost)
+    yield _record(argv, t0, {"route": args.route, **_fields(prep)}, digest, args.seed, prep.cost)
 
 
 def _cmd_gibbs(args, argv):
@@ -255,15 +254,7 @@ def _cmd_gibbs(args, argv):
     for beta in model.parse_number_list("--beta", args.beta):
         t0 = time.perf_counter()
         res = gibbs_prepare(mat, beta, args.eps)
-        outputs = {
-            "beta": beta,
-            "fidelity": res.fidelity,
-            "partition_estimate": res.partition_estimate,
-            "partition_exact": res.partition_exact,
-            "ideal_amplification_queries": res.ideal_amplification_queries,
-            "reduced_state": model.format_dense_matrix(res.reduced_state),
-        }
-        yield _record(argv, t0, outputs, digest, cost=res.cost)
+        yield _record(argv, t0, {"beta": beta, **_fields(res)}, digest, cost=res.cost)
         csv_rows.append(f"{beta},{res.cost.hamiltonian_time},{res.fidelity},"
                         f"{res.partition_estimate},{res.partition_exact}")
     yield from csv_rows
@@ -518,12 +509,14 @@ def run(argv: list[str]) -> int:
         return 1 if exc.code not in (0, None) else 0
     handler = _BENCH[args.suite] if args.cmd == "bench" else _DISPATCH[args.cmd]
     try:
-        body = "".join(line + "\n" for line in handler(args, argv))
+        body = io.StringIO()
+        for line in handler(args, argv):
+            body.write(line + "\n")
         if args.out:
             with open(os.path.join(os.environ.get("LINDBLADFF_OUT_DIR", ""), args.out), "w") as fh:
-                fh.write(body)
+                fh.write(body.getvalue())
         else:
-            sys.stdout.write(body)
+            sys.stdout.write(body.getvalue())
     except (ValidationError, InvariantError, OSError) as exc:
         # an unreadable or unwritable file is a malformed input, as is bad text
         print(f"error: {exc}", file=sys.stderr)

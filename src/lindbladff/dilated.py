@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
+from . import numkernel as nk
 from .model import Hamiltonian
 
 
@@ -56,7 +57,8 @@ def dilated_kernel(t: float, steps: int, eigs_a: np.ndarray, eigs_b: np.ndarray
 def dilated_evolve(ham: Hamiltonian, rho0: np.ndarray, t: float, steps: int
                    ) -> tuple[np.ndarray, CostReport]:
     """Compose ``steps`` dilated steps of the jump ``ham`` with tau = t / steps,
-    from a density matrix or a state vector (see ``Hamiltonian.dephase``).
+    from a density matrix (checked by ``require_density``) or a state vector
+    (see ``Hamiltonian.dephase``).
 
     One step multiplies the coherence between eigenvalues a and b of the jump
     by cos(sqrt(tau) (h_a - h_b)), so the composition is the closed-form
@@ -68,6 +70,8 @@ def dilated_evolve(ham: Hamiltonian, rho0: np.ndarray, t: float, steps: int
         raise ValidationError(f"steps must be >= 1, got {steps}")
     if not 0 < t < math.inf:
         raise ValidationError(f"evolution time must be positive and finite, got {t}")
+    if np.ndim(rho0) != 1:
+        rho0 = nk.require_density(rho0)
     h = ham.eigenvalues
     cost = CostReport(
         hamiltonian_time=steps * math.sqrt(t / steps),

@@ -38,7 +38,7 @@ from .errors import ValidationError
 from . import numkernel as nk
 from .dilated import CostReport, default_steps
 from .kernels import binom_residue_weights
-from .model import JUMP_NORM_ATOL, Hamiltonian
+from .model import Hamiltonian
 
 # Bytes of one streamed block of residue rows (see ``_block_rows``).
 _BLOCK_BYTES = 4 << 20
@@ -154,6 +154,9 @@ def _block_rows(p: FFPlan, dim: int) -> int:
     return min(p.period, 1 << (fit.bit_length() - 1))
 
 
+JUMP_NORM_ATOL = 1e-9  # the one jump-norm rule: |h| <= 1 + this for every eigenvalue evolved
+
+
 def _check_norm(eigs: np.ndarray):
     if float(np.max(np.abs(eigs))) > 1.0 + JUMP_NORM_ATOL:
         raise ValidationError("jump norm exceeds 1; normalize the spectrum and rescale time")
@@ -224,8 +227,7 @@ def ff_evolve(ham: Hamiltonian, state0: np.ndarray, p: FFPlan
     the evolution time the d' controlled factors and one uncontrolled factor
     spend.
     """
-    state0 = np.asarray(state0, dtype=complex)
-    if state0.ndim != 1:
+    if np.ndim(state0) != 1:
         state0 = nk.require_density(state0)
     kernel = gap_kernel(p, ham.eigenvalues, ham.eigenvalues)
     return ham.dephase(kernel, state0), ff_cost(p)

@@ -24,7 +24,6 @@ from . import numkernel as nk
 from .kernels import _require_memory
 
 CLUSTER_RTOL = 1e-9      # eigenvalue clustering, relative to ||H||; read at call time
-JUMP_NORM_ATOL = 1e-9    # jump operator norm <= 1 + this
 
 _LETTERS = {"I": (0, (1, 1)), "X": (1, (1, 1)), "Y": (1, (1j, -1j)), "Z": (0, (1, -1))}
 
@@ -216,7 +215,7 @@ class LindbladSpec(NamedTuple):
 
 def lindblad_spec(jumps) -> LindbladSpec:
     """Check a jump list's structure: a non-empty list of Hermitian matrices
-    of one dimension.  ``choi_ff_evolve`` checks each jump's norm."""
+    of one dimension, each of any operator norm."""
     mats = tuple(map(nk.require_hermitian, jumps))
     if not mats:
         raise ValidationError("empty jump list")

@@ -24,6 +24,9 @@ from .kernels import _require_memory, binom_pmf
 # Truncation of the lattice-Gaussian and theta series, below the double-
 # precision resolution of the dominant term
 SERIES_CUTOFF = 1e-16
+# Centres per block of the direct lattice sum of ``f_mu_sigma``: at most 21
+# sites each, so a block's arrays stay near 11 MiB each
+_SUM_BLOCK = 1 << 16
 
 
 class GaussianParams:
@@ -53,32 +56,46 @@ def binomial_amplitudes(n: int) -> np.ndarray:
     return np.sqrt(binom_pmf(n, 0.5))
 
 
-def f_mu_sigma(mu: float, sigma: float) -> float:
+def f_mu_sigma(mu, sigma: float):
     """Gaussian lattice normalizer f(mu, sigma) = sum_m exp(-(m - mu)^2 / (2 sigma^2)).
 
-    For sigma >= 1 it is evaluated through the dual theta series
-    sqrt(2 pi sigma^2) (1 + 2 sum_l cos(2 pi l mu) q^(l^2)), truncated once
-    the next term drops below the series cutoff (a single term already
-    suffices for sigma >~ 1).  Below sigma = 1 that series cancels
-    catastrophically when mu sits far from the lattice, so the lattice sum
-    is taken directly; its positive terms fall off within a few sites.
+    ``mu`` is one centre (the result is a float) or an array of centres
+    sharing the width (the result is an array).  For sigma >= 1 it is
+    evaluated through the dual theta series sqrt(2 pi sigma^2) (1 + 2 sum_l
+    cos(2 pi l mu) q^(l^2)), truncated once the next term drops below the
+    series cutoff (a single term already suffices for sigma >~ 1).  Below
+    sigma = 1 that series cancels catastrophically when mu sits far from the
+    lattice, so the lattice sum is taken directly; its positive terms fall
+    off within a few sites.  Each centre's sites floor(mu - reach) ..
+    ceil(mu + reach) are summed as one row, so a centre's sum does not
+    depend on the others; rows are built _SUM_BLOCK centres at a time.
     """
     if sigma <= 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
+    mus = np.asarray(mu, dtype=float).reshape(-1)
     if sigma < 1.0:
         reach = sigma * math.sqrt(-2.0 * math.log(SERIES_CUTOFF)) + 1.0
-        m = np.arange(math.floor(mu - reach), math.ceil(mu + reach) + 1)
-        return float(np.sum(np.exp(-((m - mu) ** 2) / (2.0 * sigma ** 2))))
-    base = math.sqrt(2.0 * math.pi * sigma ** 2)
-    total = 1.0
-    l = 1
-    while True:
-        mag = 2.0 * math.exp(-2.0 * math.pi ** 2 * l ** 2 * sigma ** 2)
-        if mag < SERIES_CUTOFF:
-            break
-        total += mag * math.cos(2.0 * math.pi * l * mu)
-        l += 1
-    return base * total
+        lo = np.floor(mus - reach)
+        count = (np.ceil(mus + reach) - lo + 1).astype(np.int64)
+        total = np.empty(mus.size)
+        for start in range(0, mus.size, _SUM_BLOCK):
+            block = slice(start, start + _SUM_BLOCK)
+            for c in np.unique(count[block]).tolist():  # at most two site counts
+                rows = start + np.flatnonzero(count[block] == c)
+                m = lo[rows, None] + np.arange(c)
+                total[rows] = np.sum(np.exp(-((m - mus[rows, None]) ** 2) / (2.0 * sigma ** 2)),
+                                     axis=1)
+    else:
+        total = np.ones(mus.size)
+        l = 1
+        while True:
+            mag = 2.0 * math.exp(-2.0 * math.pi ** 2 * l ** 2 * sigma ** 2)
+            if mag < SERIES_CUTOFF:
+                break
+            total += mag * np.cos(2.0 * math.pi * l * mus)
+            l += 1
+        total *= math.sqrt(2.0 * math.pi * sigma ** 2)
+    return float(total[0]) if np.ndim(mu) == 0 else total
 
 
 def discrete_gaussian_amplitudes(params: GaussianParams) -> np.ndarray:
@@ -124,8 +141,8 @@ def kw_angle_schedule(params: GaussianParams) -> list[np.ndarray]:
     sigma = params.sigma
     schedule = []
     for _ in range(depth):
-        f_parent = np.array([f_mu_sigma(mu, sigma) for mu in mus])
-        f_even = np.array([f_mu_sigma(mu / 2.0, sigma / 2.0) for mu in mus])
+        f_parent = f_mu_sigma(mus, sigma)
+        f_even = f_mu_sigma(mus / 2.0, sigma / 2.0)
         ratio = np.divide(f_even, f_parent, out=np.ones_like(f_parent), where=f_parent > 0)
         bad = np.max(np.abs(np.clip(ratio, 0.0, 1.0) - ratio))
         if not bad <= 1e-12:

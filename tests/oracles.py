@@ -1,7 +1,7 @@
 """Independent oracles that only the tests call: the vectorized propagator,
 adaptive RK4 on the master equation, the literal fast-forwarding circuit,
-the Kronecker-product Pauli sum, the line-by-line jump-list reader, and
-references for the Gibbs, state-synthesis, concentration,
+the Kronecker-product Pauli sum, the line-by-line jump-list reader, the
+per-node angle recursion, and references for the Gibbs, state-synthesis, concentration,
 commuting-generator and amplitude-decision tests.  Each reaches its answer
 by a route the CLI does not take, and may use scipy, which the package
 never does.
@@ -22,6 +22,7 @@ from lindbladff.kernels import binom_pmf
 from lindbladff.model import (Hamiltonian, LindbladSpec, lindblad_spec, load_hamiltonian_text,
                               parse_pauli_sum)
 from lindbladff.qpe import AmplitudeDecision, amplitude_problem, decide_amplitude
+from lindbladff.stateprep import SERIES_CUTOFF
 
 VECTORIZED_CAP = 4096           # dim^2 cap for the vectorized propagator
 DENSE_REFERENCE_CAP = 2 ** 14   # register_dim * system_dim for the circuit oracle
@@ -203,6 +204,34 @@ def kw_synthesize(schedule: list[np.ndarray]) -> np.ndarray:
     return amps
 
 
+def per_node_angle_schedule(params) -> list[np.ndarray]:
+    """``kw_angle_schedule`` by its recursion one node at a time: each node's
+    lattice sums f(mu, sigma) in Python scalars (the theta series with
+    ``math.cos``, or the direct sum over the node's own sites)."""
+    def lattice_sum(mu: float, sigma: float) -> float:
+        if sigma < 1.0:
+            reach = sigma * math.sqrt(-2.0 * math.log(SERIES_CUTOFF)) + 1.0
+            m = np.arange(math.floor(mu - reach), math.ceil(mu + reach) + 1)
+            return float(np.sum(np.exp(-((m - mu) ** 2) / (2.0 * sigma ** 2))))
+        total, l = 1.0, 1
+        while (mag := 2.0 * math.exp(-2.0 * math.pi ** 2 * l ** 2 * sigma ** 2)) >= SERIES_CUTOFF:
+            total += mag * math.cos(2.0 * math.pi * l * mu)
+            l += 1
+        return math.sqrt(2.0 * math.pi * sigma ** 2) * total
+
+    mus, sigma, schedule = [params.mu], params.sigma, []
+    for _ in range(params.n.bit_length() - 1):
+        angles = []
+        for mu in mus:
+            parent = lattice_sum(mu, sigma)
+            ratio = lattice_sum(mu / 2.0, sigma / 2.0) / parent if parent > 0 else 1.0
+            angles.append(math.acos(math.sqrt(min(max(ratio, 0.0), 1.0))))
+        schedule.append(np.array(angles))
+        mus = [mu / 2.0 for mu in mus] + [(mu - 1.0) / 2.0 for mu in mus]
+        sigma /= 2.0
+    return schedule
+
+
 def dml_gap(n: int, p: float) -> float:
     """Largest pointwise gap between the Binomial(N, p) pmf and the Gaussian
     density with matched mean and variance."""
@@ -259,15 +288,13 @@ def line_by_line_jump_list(path: str) -> tuple[list, str]:
 def pauli_noise_spec(terms) -> LindbladSpec:
     """Jumps sqrt(rate) * PauliString; always passes the commutation check.
 
-    ``terms`` is an iterable of (pauli_string, rate) with rates in (0, 1].
+    ``terms`` is an iterable of (pauli_string, rate), each rate positive and
+    finite: a jump of any norm runs.
     """
     jumps = []
     for string, rate in terms:
-        if not 0.0 < rate <= 1.0:
-            raise ValidationError(
-                f"rate {rate} outside (0, 1]; rescale the evolution time instead "
-                f"(a c-scaled jump squares the rates)"
-            )
+        if not 0.0 < rate < math.inf:
+            raise ValidationError(f"rate {rate} is not positive and finite")
         p = parse_pauli_sum(f"1.0 {string}")
         jumps.append(math.sqrt(rate) * p)
     return lindblad_spec(jumps)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -190,23 +191,54 @@ class TestSequentialFastForward:
         assert np.array_equal(rho, np.outer(psi, psi.conj()))
         assert cost._asdict() == {"hamiltonian_time": 0.0, "step_count": 0, "ancilla_count": 0}
 
-    def test_norm_bound_enforced(self, tmp_path, capsys):
-        # the norm is read off the spectrum the channel evolves with, through
-        # an affine map (2 Z, diag(-1.2, 0.3)) or a zero-width one (1.5 I)
+    def test_any_width_runs_its_normalized_form(self):
+        # no jump is refused for its norm: 2 Z and diag(-1.2, 0.3) run their
+        # normalized forms for scale^2 t, and 1.5 I is the identity factor
+        psi = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
+        for jump in (2.0 * PAULI_Z, np.diag([-1.2, 0.3])):
+            spec = lindblad_spec([PAULI_X, jump])
+            rho, _, _ = choi_ff_evolve(spec, psi, 1.0, 0.05)
+            exact = lindblad_exact_general(spec, np.outer(psi, psi.conj()), 1.0)
+            assert nk.trace_distance(rho, exact) <= 0.05
+        # the identity factor keeps its share of eps: the X factor runs at eps / 2
+        alone = choi_ff_evolve(lindblad_spec([PAULI_X]), ZERO_KET[0], 1.0, 0.025)
+        shifted = choi_ff_evolve(lindblad_spec([PAULI_X, 1.5 * np.eye(2)]), ZERO_KET[0], 1.0, 0.05)
+        assert alone[0].tobytes() == shifted[0].tobytes() and alone[1] == shifted[1]
+
+    @pytest.mark.parametrize("jump, t, same, same_t", [
+        (PAULI_Z + 5.0 * np.eye(2), 1.0, PAULI_Z, 1.0),  # an identity shift is no dissipation
+        (2.0 * PAULI_Z, 1.0, PAULI_Z, 4.0),              # a c-scaled jump squares the rate
+    ])
+    def test_width_relations_are_bit_identical(self, rng, jump, t, same, same_t):
+        psi = random_state(rng, 2)
+        got = choi_ff_evolve(lindblad_spec([jump]), psi, t, 0.05)
+        want = choi_ff_evolve(lindblad_spec([same]), psi, same_t, 0.05)
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+
+    def test_overflowing_time_names_the_jump(self):
         psi = np.array([1.0, 0.0], dtype=complex)
-        for jump, nrm in ((2.0 * PAULI_Z, 2.0), (np.diag([-1.2, 0.3]), 1.2),
-                          (1.5 * np.eye(2), 1.5)):
-            with pytest.raises(ValidationError) as info:
-                choi_ff_evolve(lindblad_spec([PAULI_X, jump]), psi, 1.0, 0.1)
-            assert str(info.value) == (
-                f"jump 1 has operator norm {nrm:.6f} > 1; rescale the jump by 1/{nrm:.4f} "
-                f"and the evolution time by {nrm**2:.4f} (a c-scaled jump squares the rates)")
-        (tmp_path / "z.pauli").write_text("2.0 Z\n")
-        (tmp_path / "jumps.txt").write_text("z.pauli\n")
-        rc = cli.run(["evolve", "--method", "choi-ff", "--jumps", str(tmp_path / "jumps.txt"),
-                      "--t", "1"])
-        assert rc == 1
-        assert "rescale the jump by 1/2.0000" in capsys.readouterr().err
+        for scale, message in ((1e200, "runs for scale^2 t = inf: evolution time must be"),
+                               (1e100, "runs for scale^2 t = 4e+200: step count")):
+            with pytest.raises(ValidationError, match=re.escape(f"jump 1 of width {2 * scale:.6g} "
+                                                                + message)):
+                choi_ff_evolve(lindblad_spec([PAULI_X, scale * PAULI_Z]), psi, 1.0, 0.05)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(data=hst.data(), n=hst.integers(1, 3), mixed=hst.booleans(),
+           seed=hst.integers(0, 2 ** 32 - 1), t=hst.floats(0.1, 1.0),
+           eps=hst.floats(0.01, 0.2))
+    def test_pauli_noise_at_any_rate_within_eps(self, data, n, mixed, seed, t, eps):
+        # rates up to 4 make jumps of norm up to 2, which run like any other
+        terms = [(data.draw(hst.text("IXYZ", min_size=n, max_size=n)),
+                  data.draw(hst.floats(0.0, 4.0, exclude_min=True)))
+                 for _ in range(data.draw(hst.integers(1, 3)))]
+        spec = pauli_noise_spec(terms)
+        rng = np.random.default_rng(seed)
+        rho0 = random_density(rng, 2 ** n) if mixed else random_state(rng, 2 ** n)
+        rho, _, _ = choi_ff_evolve(spec, rho0, t, eps)
+        dense0 = rho0 if mixed else np.outer(rho0, rho0.conj())
+        assert nk.trace_distance(rho, lindblad_exact_general(spec, dense0, t)) <= eps
+        assert nk.trace_distance(rho, lindblad_rk4(list(spec.jumps), dense0, t)) <= eps
 
     def test_xz_dephasing_to_maximally_mixed(self):
         spec = lindblad_spec([PAULI_X, PAULI_Z])
@@ -319,8 +351,11 @@ class TestPauliNoise:
         assert np.allclose(spec.jumps[0], math.sqrt(0.5) * PAULI_Z)
 
     def test_rate_validation(self):
-        with pytest.raises(ValidationError, match="rescale"):
-            pauli_noise_spec([("Z", 1.5)])
+        # any positive finite rate is a jump; the rest are rejected
+        assert np.allclose(pauli_noise_spec([("Z", 2.5)]).jumps[0], math.sqrt(2.5) * PAULI_Z)
+        for rate in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="is not positive and finite"):
+                pauli_noise_spec([("Z", rate)])
 
     def test_depolarizing_offdiagonal_rate(self):
         # X+Y+Z noise at rate lam: off-diagonal decays as e^{-4 lam t},

@@ -702,6 +702,51 @@ class TestSubcommands:
             assert outputs["choi_commuting"] is True
             assert outputs["max_commutator"] == original(calls[0])[1]
 
+    def test_rates_above_one_are_the_pauli_channel(self, tmp_path):
+        # rates 2 and 3.5 make jumps of norm sqrt(2) and sqrt(3.5); the channel of
+        # rate g on P is rho -> ((1 + e^{-2 g t}) rho + (1 - e^{-2 g t}) P rho P) / 2
+        (tmp_path / "x.pauli").write_text("1.0 X\n")
+        (tmp_path / "z.pauli").write_text("1.0 Z\n")
+        jumps = tmp_path / "jumps.txt"
+        jumps.write_text("x.pauli 2.0\nz.pauli 3.5\n")
+        (tmp_path / "psi.txt").write_text("0.6,0 0,0.8\n")
+        rc, out = invoke(["evolve", "--method", "choi-ff", "--jumps", str(jumps), "--t", "1",
+                          "--eps", "0.05", "--state", "file:" + str(tmp_path / "psi.txt")])
+        assert rc == 0
+        want = np.outer([0.6, 0.8j], [0.6, -0.8j])
+        for rate, p in ((2.0, np.array([[0, 1], [1, 0]])), (3.5, np.diag([1, -1]))):
+            decay = math.exp(-2.0 * rate)
+            want = 0.5 * (1.0 + decay) * want + 0.5 * (1.0 - decay) * (p @ want @ p)
+        rho = parse_dense_matrix(json.loads(out)["outputs"]["rho_out"])
+        assert trace_distance(rho, want) <= 0.05
+
+    @pytest.mark.parametrize("jump, t, same, same_t", [
+        ("1.0 Z\n5.0 I", "1", "1.0 Z", "1"),  # an identity shift is no dissipation
+        ("2.0 Z", "1", "1.0 Z", "4"),          # a c-scaled jump squares the rate
+    ])
+    def test_width_relations_hold_bitwise(self, tmp_path, jump, t, same, same_t):
+        records = []
+        for name, text, time in (("a", jump, t), ("b", same, same_t)):
+            (tmp_path / f"{name}.pauli").write_text(text + "\n")
+            (tmp_path / f"{name}.txt").write_text(f"{name}.pauli\n")
+            rc, out = invoke(["evolve", "--method", "choi-ff", "--jumps",
+                              str(tmp_path / f"{name}.txt"), "--t", time, "--eps", "0.05"])
+            assert rc == 0
+            records.append(json.loads(out))
+        assert records[0]["outputs"] == records[1]["outputs"]
+        assert records[0]["cost"] == records[1]["cost"]
+
+    def test_overflowing_jump_exits_1_naming_it(self, tmp_path, capsys):
+        (tmp_path / "x.pauli").write_text("1.0 X\n")
+        (tmp_path / "z.pauli").write_text("1e200 Z\n")
+        jumps = tmp_path / "jumps.txt"
+        jumps.write_text("x.pauli\nz.pauli\n")
+        rc, out = invoke(["evolve", "--method", "choi-ff", "--jumps", str(jumps), "--t", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1 and out == ""
+        assert err == ("error: jump 1 of width 2e+200 runs for scale^2 t = inf: "
+                       "evolution time must be positive and finite, got inf\n")
+
     @pytest.mark.parametrize("state", ["plus", "zero"])
     def test_shifted_six_qubit_list_is_the_pauli_channel(self, state):
         # a I + b P dissipates as b^2 D[P], the Pauli channel rho -> ((1 + e^{-2 b^2 t}) rho
@@ -720,6 +765,36 @@ class TestSubcommands:
             decay = math.exp(-2.0 * b * b)
             want = 0.5 * (1.0 + decay) * want + 0.5 * (1.0 - decay) * (p @ want @ p)
         assert trace_distance(parse_dense_matrix(outputs["rho_out"]), want) <= 0.05
+
+
+# Peak RSS a call adds to a fresh process after its import: VmHWM of the
+# process image (ru_maxrss would report the spawning pytest process's peak).
+_PEAK_PROBE = """
+import sys
+from lindbladff import cli
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return int(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+
+base = peak_kib()
+assert cli.run(sys.argv[1:]) == 0
+print(peak_kib() - base)
+"""
+
+
+class TestOutputMemory:
+    def test_table_text_is_held_once(self, tmp_path):
+        # 10^6 + 2 lines, 11 MiB of text: ``run`` holds the text once and copies it
+        # once to write it, beside the 8 MB amplitude array (88 MiB while it joined
+        # a list of every line)
+        argv = ["--out", str(tmp_path / "b.csv"), "stateprep", "--what", "binomial",
+                "--N", "1000000"]
+        env = dict(os.environ, PYTHONPATH=SRC, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", _PEAK_PROBE, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) <= 40 * 1024, int(done.stdout) / 1024
 
 
 class TestColdStart:

@@ -53,6 +53,21 @@ class TestInputChecks:
         with pytest.raises(ValidationError, match="dimension mismatch"):
             PURE_ROUTES[route](psi.astype(complex))
 
+    @pytest.mark.parametrize("rho, message", [
+        (np.diag([2.0, -1.0]), "density matrix has eigenvalue -1.000e+00 below -1.0e-08"),
+        ([[0.5, 1.0], [0.0, 0.5]], "matrix is not Hermitian: max asymmetry 1.000e+00 exceeds 1.0e-10"),
+        (np.diag([0.5, 0.6]), "density matrix trace 1.1 deviates from 1"),
+    ], ids=["negative", "non_hermitian", "trace"])
+    def test_invalid_density_is_rejected_alike(self, rho, message):
+        # every single-jump method checks a density input by ``require_density``
+        ham = normalize_spectrum(np.diag([0.0, 1.0]).astype(complex))
+        for route in (lambda r: lindblad_exact_hermitian(ham, r, 1.0),
+                      lambda r: dilated_evolve(ham, r, 1.0, 4),
+                      lambda r: ff_evolve(ham, r, PLAN)):
+            with pytest.raises(ValidationError) as info:
+                route(np.asarray(rho, dtype=complex))
+            assert str(info.value) == message
+
     def test_column_state_is_typed(self):
         with pytest.raises(ValidationError, match="dimension mismatch"):
             HAM3.components(np.ones((3, 1), dtype=complex) / math.sqrt(3.0))

@@ -4,12 +4,14 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from lindbladff import (GaussianParams, ValidationError, binomial_amplitudes,
                         binomial_gaussian_distance, discrete_gaussian_amplitudes,
                         f_mu_sigma, kw_angle_schedule)
 
-from oracles import dml_gap, kw_synthesize
+from oracles import dml_gap, kw_synthesize, per_node_angle_schedule
 
 
 class TestBinomialAmplitudes:
@@ -56,6 +58,14 @@ class TestThetaNormalizer:
         mu, sigma = 0.0, 0.1
         brute = sum(math.exp(-((k - mu) ** 2) / (2 * sigma ** 2)) for k in range(-50, 51))
         assert np.isclose(f_mu_sigma(mu, sigma), brute, rtol=1e-12)
+
+    @pytest.mark.parametrize("sigma", (0.05, 0.3, 0.999, 1.0, 1.2, 4.0))
+    def test_array_of_centres_is_each_centre_alone(self, rng, sigma):
+        # a centre's sum does not depend on the others (their site counts differ)
+        mus = rng.uniform(-50.0, 50.0, size=200)
+        got = f_mu_sigma(mus, sigma)
+        assert got.tobytes() == np.array([f_mu_sigma(float(mu), sigma) for mu in mus]).tobytes()
+        assert isinstance(f_mu_sigma(float(mus[0]), sigma), float)
 
     def test_lattice_sum_identity_random_params(self):
         rng = np.random.default_rng(5)
@@ -148,6 +158,20 @@ class TestAngleSchedule:
     def test_requires_power_of_two(self):
         with pytest.raises(ValidationError):
             kw_angle_schedule(GaussianParams(3.0, 1.0, 12))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(depth=hst.integers(1, 12), log_sigma=hst.floats(math.log(0.05), math.log(64.0)),
+           mu=hst.floats(-100.0, 5000.0))
+    @example(depth=6, log_sigma=math.log(4.0), mu=39.21)
+    @example(depth=6, log_sigma=math.log(0.3), mu=20.3)
+    @example(depth=10, log_sigma=math.log(2.0), mu=8.3)
+    def test_levels_match_the_per_node_recursion(self, depth, log_sigma, mu):
+        # one f_mu_sigma call per level against one scalar call per node
+        params = GaussianParams(mu, math.exp(log_sigma), 1 << depth)
+        got = kw_angle_schedule(params)
+        want = per_node_angle_schedule(params)
+        assert [a.shape for a in got] == [a.shape for a in want]
+        assert max(float(np.max(np.abs(a - b))) for a, b in zip(got, want)) <= 1e-13
 
 
 class TestBinomialGaussianDistance:
