@@ -202,8 +202,8 @@ def gap_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
         y = x if eigs_b is eigs_a else _real_imag_phases(p, eigs_b, lo, rows)
         for k in range(2):  # real parts, then imaginary parts
             for c in range(0, rows, _SUM_ROWS):
-                f = fold[lo + c:lo + c + _SUM_ROWS]
-                total += (x[k, c:c + _SUM_ROWS].T * f) @ y[k, c:c + _SUM_ROWS]
+                end = min(c + _SUM_ROWS, rows)  # a block may hold fewer rows than a sum
+                total += (x[k, c:end].T * fold[lo + c:lo + end]) @ y[k, c:end]
     edge = math.sqrt(p.tau) * p.period  # -theta_0
     return total + weights[0] * np.outer(np.exp(1j * edge * eigs_a), np.exp(-1j * edge * eigs_b))
 

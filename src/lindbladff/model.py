@@ -376,15 +376,22 @@ def parse_jump_list(text: str) -> list[tuple[str, float]]:
     return entries
 
 
-def parse_oracle(text: str) -> np.ndarray:
-    """Parse an oracle file: whitespace-separated values, each 0 or 1."""
-    bits = []
+def parse_oracle(text: str) -> tuple[int, int]:
+    """Parse an oracle file: whitespace-separated values, each 0 or 1, a
+    nonzero power of two of them.  Returns the address bits n and the
+    witness count, the number of 1s."""
+    size = witnesses = 0
     for lineno, line in _strip(text):
         for tok in line.split():
             if tok not in ("0", "1"):
                 raise ValidationError(f"line {lineno}: oracle value {tok!r} is not 0 or 1")
-            bits.append(int(tok))
-    return np.array(bits, dtype=int)
+            size += 1
+            witnesses += tok == "1"
+    if size == 0:
+        raise ValidationError("empty oracle")
+    if size & (size - 1):
+        raise ValidationError(f"oracle length {size} is not a power of two")
+    return size.bit_length() - 1, witnesses
 
 
 def parse_state_vector(text: str) -> np.ndarray:

@@ -68,6 +68,7 @@ from .dilated import CostReport, dilated_kernel
 from .fastforward import (FFPlan, _check_norm, _residue_phases, ff_cost, gap_kernel,
                           plan as make_plan)
 from .kernels import _require_memory, binom_pmf_window
+from . import model
 from .model import (Hamiltonian, SpectralState, decompose_state,
                     normalize_spectrum, spectral_gap)
 
@@ -467,55 +468,6 @@ class AmplitudeDecision(NamedTuple):
     estimation: EstimationResult
 
 
-def _grover_iterate(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reflection-based search iterate and its flagged uniform state.
-
-    The raw product of the reflection about the flagged uniform state with
-    the flag-Z differs from the rotation form by a global -1; that sign is
-    absorbed here so a zero witness count sits at eigenphase 0, which is what
-    the phase-threshold decision rule below assumes.
-    """
-    n = int(round(math.log2(bits.size)))
-    dim = 1 << (n + 1)
-    eta = np.zeros(dim)
-    for x, fx in enumerate(bits):
-        eta[2 * x + int(fx)] = 2.0 ** (-n / 2.0)
-    signs = np.where(np.arange(dim) & 1, -1.0, 1.0)
-    u = (2.0 * np.outer(eta, eta) - np.eye(dim)) * signs[None, :]
-    return u, eta
-
-
-def _orthogonal_log(u: np.ndarray) -> np.ndarray:
-    """Hermitian H with exp(-i H) = U for real orthogonal U, principal branch.
-
-    U is normal, so its symmetric part C = (U + U^T)/2 commutes with its
-    antisymmetric part S = (U - U^T)/2, and C^2 - S^2 = U^T U = 1.  On the
-    eigenspace of C with eigenvalue cos phi, phi in [0, pi], S^2 = -sin^2 phi,
-    so U = cos phi + S = exp(phi S / sin phi) there: H = i f(C) S with
-    f(cos phi) = phi / sin phi.  f is smooth up to cos phi = 1, where f = 1
-    and S vanishes, so H = 0 there; on cos phi = -1 H = pi, so eigenphase pi
-    maps to +pi.  In the eigenbasis of C, f(C) S is formed as
-    (f_i + f_j)/2 S_ij.  That equals f(C) S because S commutes with C; it is
-    antisymmetric, so H is Hermitian; and it is continuous in the cosines, so
-    near-equal eigenvalues of C need no grouping.
-
-    Eigenvalues of C within 2 dim eps of -1 are eigenphase pi: forming C
-    rounds it by at most dim eps in norm and eigh is backward stable, about
-    dim eps ||C|| with ||C|| <= 1, so by Weyl a -1 of the exact C is computed
-    within 2 dim eps of -1.  A rotation within about sqrt(4 dim eps) of
-    eigenphase pi is therefore not told apart from it.
-    """
-    cos, v = np.linalg.eigh(0.5 * (u + u.T))
-    flip = cos <= -1.0 + 2 * u.shape[0] * np.finfo(float).eps
-    c = np.clip(cos, -1.0, 1.0)
-    sin = np.sqrt((1.0 - c) * (1.0 + c))
-    ratio = np.divide(np.arccos(c), sin, out=np.ones_like(c), where=sin > 0)
-    ratio[flip] = 0.0
-    s = v.T @ (0.5 * (u - u.T)) @ v
-    h = 1j * (v @ (0.5 * (ratio[:, None] + ratio[None, :]) * s) @ v.T)
-    return h + math.pi * (v[:, flip] @ v[:, flip].T)
-
-
 class AmplitudeProblem(NamedTuple):
     """Seed-independent part of the decision demo for one oracle.
 
@@ -533,36 +485,44 @@ class AmplitudeProblem(NamedTuple):
     witness_count: int
 
 
-# Address bits of the decision demo's oracle: its iterate is a dense 2^n x 2^n matrix
-DEMO_MAX_BITS = 6
-
-
-def amplitude_problem(bits, t: float = 250.0, register_n: int = 2048,
+def amplitude_problem(n: int, witnesses: int, t: float = 250.0, register_n: int = 2048,
                       eps: float = 1e-5) -> AmplitudeProblem:
-    """Phase-estimation problem of the search iterate, built once per oracle."""
-    bits = np.asarray(bits)
-    if bits.size == 0:
-        raise ValidationError("empty oracle")
-    if not np.isin(bits, (0, 1)).all():
-        raise ValidationError("an oracle value is neither 0 nor 1")
-    bits = bits.astype(int)
-    n = int(round(math.log2(bits.size)))
-    if bits.size != 1 << n:
-        raise ValidationError(f"oracle length {bits.size} is not a power of two")
-    if n > DEMO_MAX_BITS:
-        raise ValidationError(f"demo capped at n = {DEMO_MAX_BITS} address bits, got {n}")
+    """Phase-estimation problem of the search iterate of an n-bit oracle with
+    ``witnesses`` marked addresses, built once per oracle.
 
-    u, eta = _grover_iterate(bits)
-    ham = normalize_spectrum(_orthogonal_log(u))
-    state = decompose_state(eta, ham)
+    The iterate rotates span{|good>, |bad>} by 2 theta, sin theta = sqrt(W/2^n),
+    and is +-1 on the rest of its 2^(n+1) dimensions (Brassard, Hoyer, Mosca
+    and Tapp, Contemp. Math. 305, 2002), so its principal logarithm has the
+    levels {-2 theta, 0, 2 theta, pi} and the flagged uniform state weight 1/2
+    on each of +-2 theta; at W = 0 or 2^n it is the level 0 or pi itself.
+    Level 0 is the flag-1 complement and pi the flag-0 one: both are empty at
+    n = 0 and carry no weight otherwise, but they set the spectrum map.  An n
+    whose one-witness levels +-2 asin(2^(-n/2)) would cluster with level 0
+    is refused.
+    """
+    if not (n >= 0 and 2.0 * math.asin(math.sqrt(math.ldexp(1.0, -n)))
+            > model.CLUSTER_RTOL * math.pi):
+        raise ValidationError(f"n = {n} address bits: need n >= 0 and one witness's levels "
+                              f"+-2 asin(2^(-n/2)) farther from 0 than the clustering tolerance")
+    if not 0 <= witnesses <= 1 << n:
+        raise ValidationError(f"witness count must lie in [0, 2^n = {1 << n}], got {witnesses}")
+    amplitude = 2.0 ** (-n / 2.0) * math.sqrt(witnesses)
+    if n == 0:  # no complement: the iterate is +1 (W = 0) or -1 (W = 1)
+        levels, weights = [math.pi if witnesses else 0.0], [1.0]
+    elif witnesses in (0, 1 << n):  # the state is the +1 or the -1 eigenvector
+        levels, weights = [0.0, math.pi], ([0.0, 1.0] if witnesses else [1.0, 0.0])
+    else:
+        rotation = 2.0 * math.asin(amplitude)
+        levels, weights = [-rotation, 0.0, rotation, math.pi], [0.5, 0.0, 0.5, 0.0]
+    ham = normalize_spectrum(np.diag(levels))
+    state = decompose_state(np.sqrt(weights), ham)
     p = make_plan(t, eps, n_override=register_n)
     threshold = math.asin(2.0 ** (-n / 2.0))
     est_all, _ = counting_estimator(p.t, p.n, np.arange(p.n + 1))
     side = np.abs(ham.spectrum_map.to_original(est_all)) <= threshold
     dist = _fast_distribution(ham, state, p)
-    witness = int(bits.sum())
     return AmplitudeProblem(ham, p, dist, float(np.sum(dist[side])), threshold,
-                            2.0 ** (-n / 2.0) * math.sqrt(witness), witness)
+                            amplitude, witnesses)
 
 
 def decide_amplitude(problem: AmplitudeProblem, mode: str = "sample",

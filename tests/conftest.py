@@ -125,26 +125,3 @@ def dilated_step(f, rho, tau):
     if rho.shape[0] != f.shape[0]:
         raise ValidationError(f"dimension mismatch: rho {rho.shape[0]} vs jump {f.shape[0]}")
     return _apply_step(_step_unitary(f, tau), rho)
-
-
-def schur_orthogonal_log(u):
-    """Principal Hermitian logarithm of a real orthogonal U through scipy's
-    real Schur form, independent of ``qpe._orthogonal_log``: the form of a
-    normal matrix is block diagonal, 1x1 blocks +-1 and 2x2 rotation blocks,
-    and eigenphase pi is assigned to +pi."""
-    from scipy.linalg import schur
-
-    t, q = schur(u, output="real")
-    dim = u.shape[0]
-    h = np.zeros((dim, dim), dtype=complex)
-    i = 0
-    while i < dim:
-        if i + 1 < dim and abs(t[i + 1, i]) > 1e-10:
-            phi = math.atan2(t[i + 1, i], t[i, i])
-            h[i, i + 1] = -1j * phi
-            h[i + 1, i] = 1j * phi
-            i += 2
-        else:
-            h[i, i] = math.pi if t[i, i] < 0 else 0.0
-            i += 1
-    return q @ h @ q.conj().T

@@ -1,7 +1,8 @@
 """Independent oracles that only the tests call: the vectorized propagator,
 adaptive RK4 on the master equation, the literal fast-forwarding circuit,
 the Kronecker-product Pauli sum, the line-by-line jump-list reader, the
-per-node angle recursion, and references for the Gibbs, state-synthesis, concentration,
+per-node angle recursion, the dense search iterate and its Schur logarithm,
+and references for the Gibbs, state-synthesis, concentration,
 commuting-generator and amplitude-decision tests.  Each reaches its answer
 by a route the CLI does not take, and may use scipy, which the package
 never does.
@@ -19,9 +20,10 @@ from lindbladff import numkernel as nk
 from lindbladff.errors import CapacityError, ValidationError
 from lindbladff.fastforward import FFPlan
 from lindbladff.kernels import binom_pmf
-from lindbladff.model import (Hamiltonian, LindbladSpec, lindblad_spec, load_hamiltonian_text,
-                              parse_pauli_sum)
-from lindbladff.qpe import AmplitudeDecision, amplitude_problem, decide_amplitude
+from lindbladff.model import (Hamiltonian, LindbladSpec, decompose_state, lindblad_spec,
+                              load_hamiltonian_text, normalize_spectrum, parse_pauli_sum)
+from lindbladff.qpe import (AmplitudeDecision, AmplitudeProblem, _fast_distribution,
+                            amplitude_problem, counting_estimator, decide_amplitude)
 from lindbladff.stateprep import SERIES_CUTOFF
 
 VECTORIZED_CAP = 4096           # dim^2 cap for the vectorized propagator
@@ -300,7 +302,7 @@ def pauli_noise_spec(terms) -> LindbladSpec:
     return lindblad_spec(jumps)
 
 
-def amplitude_decision_demo(bits, t: float = 250.0, register_n: int = 2048,
+def amplitude_decision_demo(n: int, witnesses: int, t: float = 250.0, register_n: int = 2048,
                             eps: float = 1e-5, mode: str = "sample",
                             seed=None) -> AmplitudeDecision:
     """Decide witness count W = 0 vs W >= 1 by phase-estimating the iterate.
@@ -309,4 +311,63 @@ def amplitude_decision_demo(bits, t: float = 250.0, register_n: int = 2048,
     nonzero-witness rotation 2 arcsin(2^(-n/2)).  Repeated runs on one oracle
     should build ``amplitude_problem`` once and call ``decide_amplitude``.
     """
-    return decide_amplitude(amplitude_problem(bits, t, register_n, eps), mode, seed)
+    return decide_amplitude(amplitude_problem(n, witnesses, t, register_n, eps), mode, seed)
+
+
+def grover_iterate(bits) -> tuple[np.ndarray, np.ndarray]:
+    """Dense search iterate of a 0/1 oracle on address x flag, 2^(n+1)
+    dimensions, and its flagged uniform state.
+
+    The raw product of the reflection about the flagged uniform state with
+    the flag-Z differs from the rotation form by a global -1; that sign is
+    absorbed here so a zero witness count sits at eigenphase 0, as in
+    ``qpe.amplitude_problem``.
+    """
+    bits = np.asarray(bits, dtype=int)
+    n = bits.size.bit_length() - 1
+    dim = 1 << (n + 1)
+    eta = np.zeros(dim)
+    eta[2 * np.arange(bits.size) + bits] = 2.0 ** (-n / 2.0)
+    signs = np.where(np.arange(dim) & 1, -1.0, 1.0)
+    u = (2.0 * np.outer(eta, eta) - np.eye(dim)) * signs[None, :]
+    return u, eta
+
+
+def schur_orthogonal_log(u):
+    """Principal Hermitian logarithm of a real orthogonal U through scipy's
+    real Schur form: the form of a normal matrix is block diagonal, 1x1
+    blocks +-1 and 2x2 rotation blocks, and eigenphase pi is assigned to +pi."""
+    from scipy.linalg import schur
+
+    t, q = schur(u, output="real")
+    dim = u.shape[0]
+    h = np.zeros((dim, dim), dtype=complex)
+    i = 0
+    while i < dim:
+        if i + 1 < dim and abs(t[i + 1, i]) > 1e-10:
+            phi = math.atan2(t[i + 1, i], t[i, i])
+            h[i, i + 1] = -1j * phi
+            h[i + 1, i] = 1j * phi
+            i += 2
+        else:
+            h[i, i] = math.pi if t[i, i] < 0 else 0.0
+            i += 1
+    return q @ h @ q.conj().T
+
+
+def dense_amplitude_problem(bits, t: float = 250.0, register_n: int = 2048,
+                            eps: float = 1e-5) -> AmplitudeProblem:
+    """``amplitude_problem`` of the oracle ``bits`` with its Hamiltonian,
+    distribution and ``mass_zero`` taken the dense way: the Schur logarithm
+    of the whole iterate, normalized, with the flagged uniform state
+    decomposed against it.  Plan, threshold and amplitude do not depend on
+    the iterate and are the closed form's."""
+    bits = np.asarray(bits, dtype=int)
+    closed = amplitude_problem(bits.size.bit_length() - 1, int(bits.sum()), t, register_n, eps)
+    u, eta = grover_iterate(bits)
+    ham = normalize_spectrum(schur_orthogonal_log(u))
+    p = closed.plan
+    dist = _fast_distribution(ham, decompose_state(eta, ham), p)
+    est, _ = counting_estimator(p.t, p.n, np.arange(p.n + 1))
+    side = np.abs(ham.spectrum_map.to_original(est)) <= closed.threshold
+    return closed._replace(ham=ham, distribution=dist, mass_zero=float(np.sum(dist[side])))

@@ -362,9 +362,7 @@ def test_criterion_12_amplitude_decision_accuracy():
     t0 = time.perf_counter()
     correct = total = 0
     for w, runs in ((0, 34), (1, 33), (4, 33)):
-        bits = np.zeros(16, dtype=int)
-        bits[:w] = 1
-        problem = lff.amplitude_problem(bits)
+        problem = lff.amplitude_problem(4, w)
         for k in range(runs):
             seed = int(np.random.SeedSequence([SEED + 12, w, k]).generate_state(1)[0])
             dec = lff.decide_amplitude(problem, mode="sample", seed=seed)

@@ -267,7 +267,8 @@ class TestExitCodes:
         "oracle_not_digits": ["ae-demo", "--oracle", "{tmp}/bad_oracle.txt"],
         "oracle_empty": ["ae-demo", "--oracle", "{tmp}/empty_oracle.txt"],
         "oracle_value_not_0_or_1": ["ae-demo", "--oracle", "{tmp}/two_oracle.txt"],
-        "ae_n_beyond_cap": ["ae-demo", "--n", "40"],
+        # the first n whose one-witness levels cluster with level 0
+        "ae_n_beyond_cap": ["ae-demo", "--n", "59", "--witnesses", "1"],
         "ae_n_negative": ["ae-demo", "--n", "-1"],
         "witnesses_negative": ["ae-demo", "--n", "2", "--witnesses", "-1"],
         "witnesses_beyond_oracle": ["ae-demo", "--n", "2", "--witnesses", "9"],
@@ -276,6 +277,11 @@ class TestExitCodes:
         "eps_nan": [*EVOLVE, "dilated", "--ham", HAM, "--eps", "nan"],
         "eps_negative": [*EVOLVE, "dilated", "--ham", HAM, "--eps", "-0.1"],
         "eps_squared_underflows": [*EVOLVE, "ff", "--ham", HAM, "--eps", "1e-200"],
+        # one eps range for every method, whether or not it reads eps
+        "eps_above_one_exact": [*EVOLVE, "exact", "--ham", HAM, "--eps", "1.5"],
+        "eps_above_one_dilated": [*EVOLVE, "dilated", "--ham", HAM, "--eps", "1.5"],
+        "eps_above_one_choi_ff": [*EVOLVE, "choi-ff", "--jumps", os.path.join(DATA, "jumps.txt"),
+                                  "--eps", "1.5"],
         "sigma_nan": ["stateprep", "--what", "gaussian", "--sigma", "nan"],
         "mu_not_finite": ["stateprep", "--what", "gaussian", "--mu", "inf"],
         "angles_n_not_a_power_of_two": ["stateprep", "--what", "angles", "--N", "48"],
@@ -358,6 +364,14 @@ class TestExitCodes:
         assert rc == 1 and stdout == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert sorted(os.listdir(tmp_path)) == inputs
+
+    @pytest.mark.parametrize("method", ["exact", "dilated", "ff", "choi-ff"])
+    def test_every_evolve_method_refuses_eps_alike(self, capsys, method):
+        source = (["--jumps", os.path.join(DATA, "jumps.txt")] if method == "choi-ff"
+                  else ["--ham", HAM])
+        rc, out = invoke([*self.EVOLVE, method, *source, "--eps", "1.5"])
+        assert (rc, out) == (1, "")
+        assert capsys.readouterr().err == "error: --eps must lie in (0, 1), got 1.5\n"
 
     # A malformed file for each reader, and the file its error must name.
     NAMED = {
@@ -609,12 +623,13 @@ class TestSubcommands:
     def test_ae_demo_builds_problem_once(self, monkeypatch):
         # the runs sample the counts (and decisions) of the per-run
         # implementation the problem cache replaced; the phases are those of
-        # the numpy-only iterate logarithm, within 1e-15 of the Schur form's
+        # the closed-form levels, within 1e-15 of the dense iterate logarithm's
         runs = (
-            (13, "0.3271551075578256"), (16, "0.418459334956772"), (19, "0.5015961867149552"),
-            (14, "0.35865242810772746"), (0, "-0.5053605102841578"), (0, "-0.5053605102841578"),
-            (0, "-0.5053605102841578"), (24, "0.6268252863111008"), (0, "-0.5053605102841578"),
-            (0, "-0.5053605102841578"), (21, "0.5534416965239124"), (21, "0.5534416965239124"))
+            (13, "0.32715510755782606"), (16, "0.41845933495677246"),
+            (19, "0.5015961867149555"), (14, "0.3586524281077279"), (0, "-0.5053605102841573"),
+            (0, "-0.5053605102841573"), (0, "-0.5053605102841573"), (24, "0.6268252863111013"),
+            (0, "-0.5053605102841573"), (0, "-0.5053605102841573"), (21, "0.5534416965239127"),
+            (21, "0.5534416965239127"))
         want = (
             '{"artifact_version":"0.1.0","command":["ae-demo","--n","4","--witnesses","1",'
             '"--runs","12","--N","2048","--seed","7"],"cost":null,"ham_digest":null,'
@@ -624,11 +639,11 @@ class TestSubcommands:
             + '],"threshold":0.25268025514207865,"witness_count":1},"seed":7}\n'
         )
         calls = []
-        original = qpe._orthogonal_log
+        original = cli.amplitude_problem
 
-        def counted(u):
-            calls.append(u)
-            return original(u)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
 
         decisions = []
         decide = cli.decide_amplitude
@@ -637,7 +652,7 @@ class TestSubcommands:
             decisions.append(decide(*args, **kwargs))
             return decisions[-1]
 
-        monkeypatch.setattr(qpe, "_orthogonal_log", counted)
+        monkeypatch.setattr(cli, "amplitude_problem", counted)
         monkeypatch.setattr(cli, "decide_amplitude", recorded)
         rc, out = invoke(["ae-demo", "--n", "4", "--witnesses", "1", "--runs", "12",
                           "--N", "2048", "--seed", "7"])
@@ -795,6 +810,17 @@ class TestOutputMemory:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert int(done.stdout) <= 40 * 1024, int(done.stdout) / 1024
+
+    def test_ae_demo_holds_no_oracle_array(self, tmp_path):
+        # n and W alone reach the problem, whose four levels add 4.7 MiB to the
+        # import peak with numpy.random: 2^40 oracle values would take 8 TiB
+        argv = ["--out", str(tmp_path / "ae.jsonl"), "ae-demo", "--n", "40", "--witnesses", "1",
+                "--runs", "3"]
+        env = dict(os.environ, PYTHONPATH=SRC, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", _PEAK_PROBE, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) <= 8 * 1024, int(done.stdout) / 1024
 
 
 class TestColdStart:

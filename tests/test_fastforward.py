@@ -9,6 +9,7 @@ from hypothesis import strategies as hst
 
 from lindbladff import (FFPlan, ValidationError, ff_evolve,
                         lindblad_exact_hermitian, normalize_spectrum, plan)
+from lindbladff import fastforward
 from lindbladff import numkernel as nk
 from lindbladff.fastforward import _block_rows, _residue_phases, gap_kernel
 from lindbladff.kernels import _support, binom_residue_weights
@@ -328,6 +329,35 @@ class TestStreamedDensity:
         # |K| <= 1 and the blocks only reorder the sum over residues
         for a, b in ((eigs_a, eigs_a), (eigs_a, eigs_b), (eigs_b, eigs_a)):
             assert np.max(np.abs(gap_kernel(p, a, b) - whole_kernel(p, a, b))) <= 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("levels, columns", [(1025, None), (2048, [0.0, 1.0])],
+                             ids=["1025-levels", "2048-levels"])
+    def test_blocks_shorter_than_a_partial_sum(self, rng, levels, columns):
+        # above 1024 levels a block holds fewer rows than one _SUM_ROWS partial
+        # sum; the blocks regroup the 512-class sum of total weight 1
+        p = plan(8.0, 0.1)
+        a = np.sort(rng.uniform(0.0, 1.0, levels))
+        b = a if columns is None else np.array(columns)
+        assert (p.period, _block_rows(p, levels)) == (1024, 128)
+        got = gap_kernel(p, a, b)
+        assert np.max(np.abs(got - whole_kernel(p, a, b))) <= 32 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("t, eps, n, period", [(2.0, 0.05, None, 256), (8.0, 0.1, None, 1024),
+                                                   (3.0, 0.05, 4 * 10**6, 8192)])
+    def test_shrunk_blocks_match_one_block(self, monkeypatch, rng, t, eps, n, period):
+        # 8 levels take 128 bytes a row, so the whole half period is one block;
+        # shrunk blocks and partial sums of 3 rows (dividing no block) regroup
+        # the sum over P/2 classes of total weight 1: at most 17.5 eps measured
+        p = plan(t, eps, n)
+        eigs = np.sort(rng.uniform(0.0, 1.0, 8))
+        assert p.period == period and _block_rows(p, eigs.size) == period
+        one = gap_kernel(p, eigs, eigs)
+        for rows in (1, 2, 64, 128):
+            monkeypatch.setattr(fastforward, "_BLOCK_BYTES", 128 * rows)
+            assert _block_rows(p, eigs.size) == rows
+            assert np.max(np.abs(gap_kernel(p, eigs, eigs) - one)) <= 32 * np.finfo(float).eps
+        monkeypatch.setattr(fastforward, "_SUM_ROWS", 3)
+        assert np.max(np.abs(gap_kernel(p, eigs, eigs) - one)) <= 32 * np.finfo(float).eps
 
     def test_density_blocks_match_the_whole_kernel(self, rng):
         p = plan(3.0, 0.05, 10**7)

@@ -17,17 +17,18 @@ from lindbladff import (FFPlan, InvariantError, ValidationError,
                         fast_qpe_eigenstate, normalize_spectrum, plan, slow_qpe,
                         slow_qpe_eigenstate, standard_qpe,
                         standard_qpe_eigenstate)
-from lindbladff import qpe, shift_to_zero
+from lindbladff import model, qpe, shift_to_zero
 from lindbladff.dilated import dilated_kernel
 from lindbladff.fastforward import gap_kernel
 from lindbladff.kernels import binom_pmf_window
 from lindbladff.qpe import (_alpha_phases, _counting_distribution,
-                           _fast_distribution, _grover_iterate, _level_rows, _level_spectrum,
-                           _orthogonal_log, _sample_counts)
+                           _fast_distribution, _level_rows, _level_spectrum, _sample_counts,
+                           decide_amplitude)
 
 from conftest import (goal_ledger, log_binom, random_eigenstate, random_hermitian, random_state,
-                      residue_of, schur_orthogonal_log)
-from oracles import amplitude_decision_demo
+                      residue_of)
+from oracles import (amplitude_decision_demo, dense_amplitude_problem, grover_iterate,
+                     schur_orthogonal_log)
 
 
 def eigenstate_input(h, other=None):
@@ -484,20 +485,18 @@ def _rms_error(res, t, n, h_true):
 class TestAmplitudeDemo:
     def test_grover_iterate_is_orthogonal_and_logged(self):
         bits = np.array([1, 0, 1, 0, 0, 0, 0, 0])
-        u, eta = _grover_iterate(bits)
+        u, eta = grover_iterate(bits)
         assert np.max(np.abs(u @ u.T - np.eye(16))) <= 1e-12
-        h = _orthogonal_log(u)
+        h = schur_orthogonal_log(u)
         assert np.max(np.abs(h - h.conj().T)) <= 1e-10
         assert np.max(np.abs(expm(-1j * h) - u)) <= 1e-9
 
     def test_amplitude_value(self):
-        bits = np.zeros(8, dtype=int)
-        bits[:2] = 1
-        dec = amplitude_decision_demo(bits, t=100.0, register_n=512, mode="exact")
+        dec = amplitude_decision_demo(3, 2, t=100.0, register_n=512, mode="exact")
         assert np.isclose(dec.amplitude, 0.5)
 
     def test_zero_witness_certain_in_exact_mode(self):
-        dec = amplitude_decision_demo(np.zeros(16, dtype=int), mode="exact")
+        dec = amplitude_decision_demo(4, 0, mode="exact")
         assert dec.decided_zero and dec.correct
         assert dec.confidence >= 1.0 - 1e-6
 
@@ -505,27 +504,73 @@ class TestAmplitudeDemo:
         correct = 0
         runs = 0
         for w in (0, 1, 4):
-            bits = np.zeros(16, dtype=int)
-            bits[:w] = 1
             for k in range(10):
-                dec = amplitude_decision_demo(bits, mode="sample", seed=1000 + k)
+                dec = amplitude_decision_demo(4, w, mode="sample", seed=1000 + k)
                 correct += int(dec.correct)
                 runs += 1
         assert correct / runs >= 0.95
 
+    def test_address_bits_past_the_level_clustering_are_refused(self, monkeypatch):
+        # one witness's levels +-2 asin(2^(-n/2)) stay apart from level 0 up to
+        # n = 58 at CLUSTER_RTOL = 1e-9, the tolerance read at call time
+        assert qpe.amplitude_problem(58, 1).ham.n_levels == 4
+        for n in (59, 10 ** 400, -1):
+            with pytest.raises(ValidationError, match=f"n = {n} address bits"):
+                qpe.amplitude_problem(n, 1)
+        monkeypatch.setattr(model, "CLUSTER_RTOL", 1e-6)
+        with pytest.raises(ValidationError, match="n = 40 address bits"):
+            qpe.amplitude_problem(40, 0)
+
+
+def oracle_shapes():
+    """Every n <= 6 address bits and W = 0..2^n witnesses."""
+    for n in range(7):
+        for w in range(2 ** n + 1):
+            yield pytest.param(n, w, id=f"n{n}-w{w}")
+
+
+class TestClosedFormProblem:
+    @pytest.mark.parametrize("n, w", oracle_shapes())
+    def test_matches_the_dense_schur_reference(self, n, w):
+        # the dense path carries dim 2^-52 of rounding (the Schur form and the
+        # level means of a dim-dimensional iterate, the state's dim-term sums);
+        # measured at most 0.32 dim 2^-52 on the levels, the map and the
+        # distribution, and 0.1 dim 2^-52 on mass_zero
+        closed = qpe.amplitude_problem(n, w)
+        dense = dense_amplitude_problem(np.arange(2 ** n) < w)
+        tol = 2 ** (n + 1) * np.finfo(float).eps
+        assert closed.ham.eigenvalues.size == dense.ham.eigenvalues.size
+        assert np.max(np.abs(closed.ham.eigenvalues - dense.ham.eigenvalues)) <= tol
+        assert abs(closed.ham.spectrum_map.scale / dense.ham.spectrum_map.scale - 1.0) <= tol
+        assert abs(closed.ham.spectrum_map.shift - dense.ham.spectrum_map.shift) <= tol
+        assert np.max(np.abs(closed.distribution - dense.distribution)) <= tol
+        assert abs(closed.mass_zero - dense.mass_zero) <= tol
+        for k in range(10):
+            a, b = decide_amplitude(closed, seed=k), decide_amplitude(dense, seed=k)
+            assert (a.estimation.raw_outcome, a.decided_zero) == (b.estimation.raw_outcome,
+                                                                  b.decided_zero)
+
+
+def iterate_phases(n, w):
+    """Eigenphases of the n-bit search iterate with w witnesses on (-pi, pi]:
+    +-2 theta on span{good, bad}, one 0 and one pi short of 2^n each on the
+    flag-1 and flag-0 rest; -pi is pi."""
+    rot = 2.0 * math.asin(math.sqrt(w / 2 ** n))
+    return [0.0] * (2 ** n - 1) + [math.pi] * (2 ** n - 1) + [rot, -rot if w < 2 ** n else rot]
+
 
 def grover_iterates():
     """Every search iterate with n <= 6 address bits and W = 0..2^n witnesses."""
-    for n in range(1, 7):
+    for n in range(7):
         for w in range(2 ** n + 1):
-            bits = np.zeros(2 ** n, dtype=int)
-            bits[:w] = 1
-            yield pytest.param(_grover_iterate(bits)[0], id=f"grover-n{n}-w{w}")
+            u, _ = grover_iterate(np.arange(2 ** n) < w)
+            yield pytest.param(u, iterate_phases(n, w), id=f"grover-n{n}-w{w}")
 
 
 def rotation_matrix(rng, plus, minus, angles):
     """Random real orthogonal matrix with ``plus`` eigenvalues +1, ``minus``
-    eigenvalues -1 and one rotation pair e^(+-i a) per entry of ``angles``."""
+    eigenvalues -1 and one rotation pair e^(+-i a) per entry of ``angles``,
+    and its eigenphases."""
     dim = plus + minus + 2 * len(angles)
     block = np.zeros((dim, dim))
     block[np.arange(plus), np.arange(plus)] = 1.0
@@ -534,7 +579,7 @@ def rotation_matrix(rng, plus, minus, angles):
         i = plus + minus + 2 * j
         block[i:i + 2, i:i + 2] = [[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]
     q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
-    return q @ block @ q.T
+    return q @ block @ q.T, [0.0] * plus + [math.pi] * minus + [*angles, *(-a for a in angles)]
 
 
 def generated_rotations():
@@ -547,25 +592,28 @@ def generated_rotations():
                   for _ in range(int(rng.integers(1, 4)))]
         if plus + minus + len(angles) == 0:
             plus = 1
-        yield pytest.param(rotation_matrix(rng, plus, minus, angles), id=f"generated-{case}")
-    yield pytest.param(-np.eye(4), id="minus-only")
-    yield pytest.param(np.eye(3), id="plus-only")
-    yield pytest.param(rotation_matrix(rng, 2, 3, [0.5 * math.pi] * 3), id="quarter-turns")
-    yield pytest.param(rotation_matrix(rng, 1, 3, [math.pi - 0.05] * 2), id="near-pi")
+        yield pytest.param(*rotation_matrix(rng, plus, minus, angles), id=f"generated-{case}")
+    yield pytest.param(-np.eye(4), [math.pi] * 4, id="minus-only")
+    yield pytest.param(np.eye(3), [0.0] * 3, id="plus-only")
+    yield pytest.param(*rotation_matrix(rng, 2, 3, [0.5 * math.pi] * 3), id="quarter-turns")
+    yield pytest.param(*rotation_matrix(rng, 1, 3, [math.pi - 0.05] * 2), id="near-pi")
     # distinct rotations whose cosines differ by about 1e-9
-    yield pytest.param(rotation_matrix(rng, 2, 2, [1.3, 1.3 + 1e-9, 1.3 + 2e-9, 0.1, 0.1 + 1e-9]),
+    yield pytest.param(*rotation_matrix(rng, 2, 2, [1.3, 1.3 + 1e-9, 1.3 + 2e-9, 0.1, 0.1 + 1e-9]),
                        id="close-pairs")
 
 
 class TestOrthogonalLog:
-    @pytest.mark.parametrize("u", [*grover_iterates(), *generated_rotations()])
-    def test_principal_log_matches_schur_oracle(self, u):
-        h = _orthogonal_log(u)
+    # the Schur logarithm is the dense reference of the closed-form amplitude
+    # problem: it must be the principal logarithm, with the phases each
+    # matrix was built from
+    @pytest.mark.parametrize("u, phases", [*grover_iterates(), *generated_rotations()])
+    def test_principal_log_matches_schur_oracle(self, u, phases):
+        h = schur_orthogonal_log(u)
         assert np.max(np.abs(expm(-1j * h) - u)) <= 1e-12
         assert np.max(np.abs(h - h.conj().T)) <= 1e-12
-        phases = np.linalg.eigvalsh(h)
-        assert phases.min() > -math.pi + 1e-6 and phases.max() <= math.pi + 1e-12
-        assert np.max(np.abs(h - schur_orthogonal_log(u))) <= 1e-12
+        got = np.linalg.eigvalsh(h)
+        assert got.min() > -math.pi + 1e-6 and got.max() <= math.pi + 1e-12
+        assert np.max(np.abs(got - np.sort(phases))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -858,6 +906,16 @@ class TestStandardLevels:
         got = standard_qpe(ham, st, d).distribution
         assert got.size == 1 << d > qpe._STANDARD_BLOCK
         assert got.tobytes() == dense_standard_distribution(ham, st, d).tobytes()
+
+    @pytest.mark.parametrize("block", (1, 7, 100, 256))
+    def test_shrunk_blocks_bit_identical_to_one_block(self, monkeypatch, rng, block):
+        # each outcome sums the same levels in the same order in any block,
+        # including blocks of 7 and 100 that divide no register of 2^9 outcomes
+        ham = normalize_spectrum(np.diag([0.0, 3.0 / 8.0, 0.3, 0.71, 1.0]))
+        st = decompose_state(random_state(rng, 5), ham)
+        one = standard_qpe(ham, st, 9).distribution
+        monkeypatch.setattr(qpe, "_STANDARD_BLOCK", block)
+        assert standard_qpe(ham, st, 9).distribution.tobytes() == one.tobytes()
 
 
 # Peak RSS of one route call in a fresh process, against a bare import.  The

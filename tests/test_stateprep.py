@@ -10,6 +10,7 @@ from hypothesis import strategies as hst
 from lindbladff import (GaussianParams, ValidationError, binomial_amplitudes,
                         binomial_gaussian_distance, discrete_gaussian_amplitudes,
                         f_mu_sigma, kw_angle_schedule)
+from lindbladff import stateprep
 
 from oracles import dml_gap, kw_synthesize, per_node_angle_schedule
 
@@ -66,6 +67,15 @@ class TestThetaNormalizer:
         got = f_mu_sigma(mus, sigma)
         assert got.tobytes() == np.array([f_mu_sigma(float(mu), sigma) for mu in mus]).tobytes()
         assert isinstance(f_mu_sigma(float(mus[0]), sigma), float)
+
+    @pytest.mark.parametrize("block", (1, 7, 64))
+    def test_shrunk_blocks_bit_identical_to_one_block(self, monkeypatch, rng, block):
+        # a centre's row is summed alone, so blocks of any size (7 and 64
+        # divide no 500 centres) give the one-block sums bit for bit
+        mus = rng.uniform(-50.0, 50.0, size=500)
+        one = f_mu_sigma(mus, 0.3)
+        monkeypatch.setattr(stateprep, "_SUM_BLOCK", block)
+        assert f_mu_sigma(mus, 0.3).tobytes() == one.tobytes()
 
     def test_lattice_sum_identity_random_params(self):
         rng = np.random.default_rng(5)
