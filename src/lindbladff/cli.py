@@ -219,10 +219,6 @@ def _cmd_qpe(args, argv):
     ham = model.normalize_spectrum(mat)
     if args.mode == "prepare":
         ham = model.shift_to_zero(ham, args.eigen)
-        if args.route == "standard":
-            # phases enter mod 1 here: halving keeps the level at +-1 off the target's phase 0
-            ham = ham._replace(eigenvalues=0.5 * ham.eigenvalues,
-                               spectrum_map=ham.spectrum_map.compose(2.0, 0.0))
     psi = _initial_state(args.state, ham.dim)
     state = model.decompose_state(psi, ham)
 
@@ -278,7 +274,7 @@ def _cmd_ae_demo(args, argv):
     for k in range(args.runs):
         dec = decide_amplitude(problem, mode="sample", seed=_cell_seed(args.seed or 0, k))
         runs.append({"decided_zero": dec.decided_zero, "correct": dec.correct,
-                     "estimate_phase": dec.estimate_phase})
+                     "estimate_phase": dec.estimation.estimate})
         correct += int(dec.correct)
     outputs = {
         "witness_count": problem.witness_count,

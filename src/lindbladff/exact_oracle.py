@@ -20,8 +20,8 @@ def lindblad_exact_hermitian(ham: Hamiltonian, rho0: np.ndarray, t: float) -> np
     """Dephasing-channel solution for the single Hermitian jump ``ham``,
     from a density matrix (checked by ``require_density``) or a state vector
     (see ``Hamiltonian.dephase``)."""
-    if not 0 <= t < np.inf:
-        raise ValidationError(f"evolution time must be >= 0 and finite, got {t}")
+    if not 0 < t < np.inf:
+        raise ValidationError(f"evolution time must be positive and finite, got {t}")
     if np.ndim(rho0) != 1:
         rho0 = nk.require_density(rho0)
     gaps = ham.eigenvalues[:, None] - ham.eigenvalues[None, :]

@@ -33,13 +33,15 @@ N sin^2, never under the Poisson-like tails near k = 0.  That is
 O(P sqrt(N) L) time for L read levels and O(N L) memory, one complex row of
 N + 1 counts per level.
 
-Post-selecting count 0 needs no transform: row 0 of the symmetric-sector
-Hadamard is the binomial amplitude vector, so X[0] = sum_r w_r s_r scales
-eigencomponent l by sum_r w_r e^(-i h_l theta_r), the ``gap_kernel`` column
-at the target eigenvalue 0.  Every route post-selects so (``_postselect``):
-its filter is its channel kernel's column at the target, the dilated
-kernel's on the slow route and the register's Dirichlet amplitude on the
-standard one.
+Preparation takes any target eigenspace beta of the spectrum it is given:
+each route reads the gaps g_l = h_l - h_beta (``_on_gaps``), which put the
+target at 0.  Post-selecting count 0 needs no transform: row 0 of the
+symmetric-sector Hadamard is the binomial amplitude vector, so
+X[0] = sum_r w_r s_r scales eigencomponent l by sum_r w_r e^(-i g_l theta_r),
+the ``gap_kernel`` column at gap 0.  Every route post-selects so
+(``_postselect``): its filter is its channel kernel's column at the target,
+the dilated kernel's on the slow route and the register's Dirichlet
+amplitude on the standard one.
 
 Sampling a count draws on the distribution's support only (``_pick_outcome``),
 so no route holds more than a few arrays of its register size.  The standard
@@ -145,13 +147,12 @@ def standard_qpe(ham: Hamiltonian, state: SpectralState, d: int,
                     mode, seed, repeats)
 
 
-def _require_target_at_zero(ham: Hamiltonian, beta: int):
+def _on_gaps(ham: Hamiltonian, beta: int) -> Hamiltonian:
+    """``ham`` on the gaps h - h_beta to eigenspace ``beta``, the target every
+    preparation route filters at 0; the spectrum map is not read there."""
     if not 0 <= beta < ham.n_levels:
         raise ValidationError(f"eigenspace index {beta} out of range")
-    if abs(float(ham.eigenvalues[beta])) > 1e-12:
-        raise ValidationError(
-            "target eigenvalue must sit at 0; run model.shift_to_zero first"
-        )
+    return ham._replace(eigenvalues=ham.eigenvalues - ham.eigenvalues[beta])
 
 
 def _postselect(state: SpectralState, beta: int, amp: np.ndarray, bound: float,
@@ -191,15 +192,12 @@ _PREPARE_MAX_BITS = 51
 
 def standard_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
                             d: int) -> PreparationResult:
-    """Post-select outcome 0 to filter the zero-eigenvalue component.
+    """Post-select outcome 0 to filter eigenspace ``beta``.
 
-    Outcome 0 scales component l by 2^-d sum_j e^(-2 pi i h_l j), which is
-    1-periodic in h_l and taken at the wrapped argument tw_l.  Phases enter
-    mod 1 on this route, so a component at circular distance |tw| = 0 from
-    the target (e.g. an eigenvalue at exactly 1 after ``shift_to_zero``, which
-    the CLI avoids by halving that spectrum into [-1/2, 1/2]) aliases with it
-    and cannot be filtered; the overlap bound uses the circular gap and
-    becomes vacuous (0) in that case.
+    Outcome 0 scales component l by 2^-d sum_j e^(-2 pi i g_l j) at its gap
+    g_l = h_l - h_beta, a sum 1-periodic in g_l.  Gaps wider than 1/2 are
+    first scaled by 1/2 / max|g| into [-1/2, 1/2], so no level aliases with
+    the target and the overlap bound reads the plain gap.
     """
     if d < 1:
         raise ValidationError(f"need at least one register bit, got {d}")
@@ -207,13 +205,14 @@ def standard_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
         raise ValidationError(
             f"standard-route preparation takes at most {_PREPARE_MAX_BITS} register bits, "
             f"got {d}: past that the phases' rounding, scaled by 2^d, reaches a radian")
-    _require_target_at_zero(ham, beta)
-    h = ham.eigenvalues
-    tw = h - np.round(h)
-    amp = np.exp(-1j * np.pi * tw * ((1 << d) - 1)) * _dirichlet(h, d) / (1 << d)
+    g = _on_gaps(ham, beta).eigenvalues
+    widest = float(np.max(np.abs(g)))
+    if widest > 0.5:
+        g = g * (0.5 / widest)
+    amp = np.exp(-1j * np.pi * g * ((1 << d) - 1)) * _dirichlet(g, d) / (1 << d)
     w = state.weights[beta]
-    gap = float(np.min(np.abs(np.delete(tw, beta)))) if ham.n_levels > 1 else 0.5
-    bound = w / (w + (1.0 - w) / (4.0 * ((1 << d) * gap) ** 2)) if gap > 0 else 0.0
+    gap = float(np.min(np.abs(np.delete(g, beta)))) if ham.n_levels > 1 else 0.5
+    bound = w / (w + (1.0 - w) / (4.0 * ((1 << d) * gap) ** 2))
     return _postselect(state, beta, amp, bound, 1e-10, CostReport(float((1 << d) - 1), d, d))
 
 
@@ -342,8 +341,8 @@ def slow_qpe(ham: Hamiltonian, state: SpectralState, t: float, n: int,
 
 def slow_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
                         t: float, n: int) -> PreparationResult:
-    """Post-select the all-zeros count to filter the zero-eigenvalue component."""
-    _require_target_at_zero(ham, beta)
+    """Post-select the all-zeros count to filter eigenspace ``beta``."""
+    ham = _on_gaps(ham, beta)
     _step_root(ham, t, n)  # argument and range guard
     w = state.weights[beta]
     gap = spectral_gap(ham, beta)
@@ -433,8 +432,8 @@ def fast_qpe(ham: Hamiltonian, state: SpectralState, p: FFPlan,
 
 def fast_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
                         p: FFPlan) -> PreparationResult:
-    """Post-select count 0 on the transformed ledger."""
-    _require_target_at_zero(ham, beta)
+    """Post-select count 0 on the transformed ledger to filter eigenspace ``beta``."""
+    ham = _on_gaps(ham, beta)
     c_beta = float(state.coeffs[beta])
     root_eps = math.sqrt(p.eps)
     # inaccuracy chain: with sqrt(eps) = c_beta * zeta and the unwindowed
@@ -460,26 +459,19 @@ def fast_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
 class AmplitudeDecision(NamedTuple):
     decided_zero: bool
     correct: bool
-    confidence: float
-    amplitude: float
-    witness_count: int
-    threshold: float
-    estimate_phase: float
     estimation: EstimationResult
 
 
 class AmplitudeProblem(NamedTuple):
     """Seed-independent part of the decision demo for one oracle.
 
-    ``distribution`` is the fast readout's count distribution and
-    ``mass_zero`` its mass on the counts whose phase estimate falls within
-    ``threshold``; each run only samples a count from the distribution.
+    ``distribution`` is the fast readout's count distribution; each run only
+    samples a count from it and compares its phase with ``threshold``.
     """
 
     ham: Hamiltonian
     plan: FFPlan
     distribution: np.ndarray
-    mass_zero: float
     threshold: float
     amplitude: float
     witness_count: int
@@ -517,12 +509,8 @@ def amplitude_problem(n: int, witnesses: int, t: float = 250.0, register_n: int 
     ham = normalize_spectrum(np.diag(levels))
     state = decompose_state(np.sqrt(weights), ham)
     p = make_plan(t, eps, n_override=register_n)
-    threshold = math.asin(2.0 ** (-n / 2.0))
-    est_all, _ = counting_estimator(p.t, p.n, np.arange(p.n + 1))
-    side = np.abs(ham.spectrum_map.to_original(est_all)) <= threshold
-    dist = _fast_distribution(ham, state, p)
-    return AmplitudeProblem(ham, p, dist, float(np.sum(dist[side])), threshold,
-                            amplitude, witnesses)
+    return AmplitudeProblem(ham, p, _fast_distribution(ham, state, p),
+                            math.asin(2.0 ** (-n / 2.0)), amplitude, witnesses)
 
 
 def decide_amplitude(problem: AmplitudeProblem, mode: str = "sample",
@@ -532,16 +520,5 @@ def decide_amplitude(problem: AmplitudeProblem, mode: str = "sample",
     result = _readout(problem.ham, problem.distribution,
                       lambda m: counting_estimator(p.t, p.n, m), ff_cost(p), mode, seed, 1)
     decided_zero = abs(result.estimate) <= problem.threshold
-    confidence = problem.mass_zero if decided_zero else 1.0 - problem.mass_zero
-    witness = problem.witness_count
-    return AmplitudeDecision(
-        decided_zero=decided_zero,
-        correct=(decided_zero == (witness == 0)),
-        confidence=confidence,
-        amplitude=problem.amplitude,
-        witness_count=witness,
-        threshold=problem.threshold,
-        estimate_phase=float(result.estimate),
-        estimation=result,
-    )
+    return AmplitudeDecision(decided_zero, decided_zero == (problem.witness_count == 0), result)
 

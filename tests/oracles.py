@@ -23,7 +23,7 @@ from lindbladff.kernels import binom_pmf
 from lindbladff.model import (Hamiltonian, LindbladSpec, decompose_state, lindblad_spec,
                               load_hamiltonian_text, normalize_spectrum, parse_pauli_sum)
 from lindbladff.qpe import (AmplitudeDecision, AmplitudeProblem, _fast_distribution,
-                            amplitude_problem, counting_estimator, decide_amplitude)
+                            amplitude_problem, decide_amplitude)
 from lindbladff.stateprep import SERIES_CUTOFF
 
 VECTORIZED_CAP = 4096           # dim^2 cap for the vectorized propagator
@@ -357,17 +357,14 @@ def schur_orthogonal_log(u):
 
 def dense_amplitude_problem(bits, t: float = 250.0, register_n: int = 2048,
                             eps: float = 1e-5) -> AmplitudeProblem:
-    """``amplitude_problem`` of the oracle ``bits`` with its Hamiltonian,
-    distribution and ``mass_zero`` taken the dense way: the Schur logarithm
-    of the whole iterate, normalized, with the flagged uniform state
-    decomposed against it.  Plan, threshold and amplitude do not depend on
-    the iterate and are the closed form's."""
+    """``amplitude_problem`` of the oracle ``bits`` with its Hamiltonian and
+    distribution taken the dense way: the Schur logarithm of the whole
+    iterate, normalized, with the flagged uniform state decomposed against
+    it.  Plan, threshold and amplitude do not depend on the iterate and are
+    the closed form's."""
     bits = np.asarray(bits, dtype=int)
     closed = amplitude_problem(bits.size.bit_length() - 1, int(bits.sum()), t, register_n, eps)
     u, eta = grover_iterate(bits)
     ham = normalize_spectrum(schur_orthogonal_log(u))
-    p = closed.plan
-    dist = _fast_distribution(ham, decompose_state(eta, ham), p)
-    est, _ = counting_estimator(p.t, p.n, np.arange(p.n + 1))
-    side = np.abs(ham.spectrum_map.to_original(est)) <= closed.threshold
-    return closed._replace(ham=ham, distribution=dist, mass_zero=float(np.sum(dist[side])))
+    dist = _fast_distribution(ham, decompose_state(eta, ham), closed.plan)
+    return closed._replace(ham=ham, distribution=dist)

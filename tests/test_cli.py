@@ -334,6 +334,12 @@ class TestExitCodes:
         "gibbs_beta_one_distinct": ["bench", "gibbs-beta", "--beta", "2,2"],
         "ff_vs_dilated_one_time": ["bench", "ff-vs-dilated", "--t", "4"],
         "steps_zero": [*EVOLVE, "dilated", "--ham", HAM, "--steps", "0"],
+        # one time rule, 0 < t < inf, for every method
+        "t_zero_exact": ["evolve", "--t", "0", "--method", "exact", "--ham", HAM],
+        "t_zero_dilated": ["evolve", "--t", "0", "--method", "dilated", "--ham", HAM],
+        "t_zero_ff": ["evolve", "--t", "0", "--method", "ff", "--ham", HAM],
+        "t_zero_choi_ff": ["evolve", "--t", "0", "--method", "choi-ff", "--jumps",
+                           os.path.join(DATA, "jumps.txt")],
         "qpe_seed_negative": [*SAMPLE, "3", "--seed", "-1"],
         "ae_seed_negative": ["ae-demo", "--seed", "-1"],
     }

@@ -127,6 +127,18 @@ class TestPlan:
         assert p.full_window
         assert p.dprime == p.d
 
+    @settings(max_examples=300, deadline=None)
+    @given(t=hst.floats(1e-3, 1e3), eps=hst.floats(1e-12, 0.999),
+           n=hst.one_of(hst.none(), hst.integers(2, 10 ** 9)))
+    def test_window_is_full_or_inside_the_address_range(self, t, eps, n):
+        # N is even and the half-width a power of two, so a window that
+        # starts below 0 also ends at or past N: it is full, never cut
+        try:
+            p = plan(t, eps, n_override=n)
+        except ValidationError:
+            return
+        assert p.full_window or (0 <= p.window[0] and p.window[1] <= p.n and p.c < 0.5)
+
 
 class TestAddressArithmetic:
     def test_worked_values(self):

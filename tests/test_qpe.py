@@ -23,7 +23,7 @@ from lindbladff.fastforward import gap_kernel
 from lindbladff.kernels import binom_pmf_window
 from lindbladff.qpe import (_alpha_phases, _counting_distribution,
                            _fast_distribution, _level_rows, _level_spectrum, _sample_counts,
-                           decide_amplitude)
+                           counting_estimator, decide_amplitude)
 
 from conftest import (goal_ledger, log_binom, random_eigenstate, random_hermitian, random_state,
                       residue_of)
@@ -118,22 +118,46 @@ class TestStandardEigenstate:
             num = math.sin(math.pi * theta * (1 << d)) ** 2
             assert abs(num) <= 1e-20
 
-    def test_requires_shifted_spectrum(self):
-        ham = normalize_spectrum(np.diag([0.25, 0.75]))
-        st = decompose_state(PLUS, ham)
-        with pytest.raises(ValidationError, match="shift_to_zero"):
-            standard_qpe_eigenstate(ham, st, 0, 3)
-
-    def test_aliased_component_gives_vacuous_bound(self):
-        # an eigenvalue at exactly 1 sits at circular distance 0 from the
-        # target and cannot be filtered on the Fourier route
-        from lindbladff import shift_to_zero
-
+    def test_level_shifted_to_one_is_filtered(self):
+        # shift_to_zero puts the other level at exactly 1, a whole period of
+        # the Dirichlet filter from the target; the gaps are halved into
+        # [-1/2, 1/2] first, so it sits at gap 1/2: bound 0.5 / (0.5 + 0.5/256)
         ham = shift_to_zero(normalize_spectrum(np.diag([0.3, 0.6])), 0)
         st = decompose_state(PLUS, ham)
         prep = standard_qpe_eigenstate(ham, st, 0, 4)
-        assert prep.overlap_bound == 0.0
-        assert np.isclose(prep.overlap, 0.5, atol=1e-12)
+        assert np.isclose(prep.overlap_bound, 256 / 257)
+        assert prep.overlap >= prep.overlap_bound > 0.0
+
+
+PREPARERS = {
+    "standard": lambda ham, st, beta: standard_qpe_eigenstate(ham, st, beta, 5),
+    "slow": lambda ham, st, beta: slow_qpe_eigenstate(ham, st, beta, 16.0, 1000),
+    "fast": lambda ham, st, beta: fast_qpe_eigenstate(ham, st, beta,
+                                                      plan(4.0, 1e-3, n_override=64)),
+}
+
+
+class TestTargetGaps:
+    """Every route prepares any target beta on the gaps h - h_beta."""
+
+    HAM = normalize_spectrum(np.diag([0.1, 0.45, 0.8]))
+    STATE = decompose_state(np.array([0.6, 0.48, 0.64], dtype=complex), HAM)
+
+    @pytest.mark.parametrize("beta", range(3))
+    @pytest.mark.parametrize("route", sorted(PREPARERS))
+    def test_target_off_zero_prepares_on_its_gaps(self, route, beta):
+        h = self.HAM.eigenvalues
+        prep = PREPARERS[route](self.HAM, self.STATE, beta)
+        gaps = PREPARERS[route](self.HAM._replace(eigenvalues=h - h[beta]), self.STATE, beta)
+        assert prep.state.tobytes() == gaps.state.tobytes()
+        assert prep._replace(state=None) == gaps._replace(state=None)
+
+    @pytest.mark.parametrize("beta", (-1, 3))
+    @pytest.mark.parametrize("route", sorted(PREPARERS))
+    def test_out_of_range_target_is_refused_alike(self, route, beta):
+        with pytest.raises(ValidationError) as info:
+            PREPARERS[route](self.HAM, self.STATE, beta)
+        assert str(info.value) == f"eigenspace index {beta} out of range"
 
 
 class TestSlowQpe:
@@ -182,8 +206,6 @@ class TestSlowQpe:
 
     def test_saturation_flag(self):
         ham, st, _ = eigenstate_input(0.5)
-        from lindbladff.qpe import counting_estimator
-
         est, sat = counting_estimator(4.0, 10, 10)
         assert sat and np.isclose(est, math.sqrt(10 / 4.0) * math.pi / 2)
 
@@ -476,8 +498,6 @@ class TestScalingLaws:
 
 
 def _rms_error(res, t, n, h_true):
-    from lindbladff.qpe import counting_estimator
-
     est, _ = counting_estimator(t, n, np.arange(res.distribution.size))
     return float(np.sqrt(np.sum(res.distribution * (est - h_true) ** 2)))
 
@@ -492,13 +512,16 @@ class TestAmplitudeDemo:
         assert np.max(np.abs(expm(-1j * h) - u)) <= 1e-9
 
     def test_amplitude_value(self):
-        dec = amplitude_decision_demo(3, 2, t=100.0, register_n=512, mode="exact")
-        assert np.isclose(dec.amplitude, 0.5)
+        assert np.isclose(qpe.amplitude_problem(3, 2, t=100.0, register_n=512).amplitude, 0.5)
 
     def test_zero_witness_certain_in_exact_mode(self):
-        dec = amplitude_decision_demo(4, 0, mode="exact")
+        problem = qpe.amplitude_problem(4, 0)
+        dec = decide_amplitude(problem, mode="exact")
         assert dec.decided_zero and dec.correct
-        assert dec.confidence >= 1.0 - 1e-6
+        p = problem.plan
+        est, _ = counting_estimator(p.t, p.n, np.arange(p.n + 1))
+        zero_side = np.abs(problem.ham.spectrum_map.to_original(est)) <= problem.threshold
+        assert np.sum(problem.distribution[zero_side]) >= 1.0 - 1e-6
 
     def test_seeded_accuracy(self):
         correct = 0
@@ -535,7 +558,7 @@ class TestClosedFormProblem:
         # the dense path carries dim 2^-52 of rounding (the Schur form and the
         # level means of a dim-dimensional iterate, the state's dim-term sums);
         # measured at most 0.32 dim 2^-52 on the levels, the map and the
-        # distribution, and 0.1 dim 2^-52 on mass_zero
+        # distribution
         closed = qpe.amplitude_problem(n, w)
         dense = dense_amplitude_problem(np.arange(2 ** n) < w)
         tol = 2 ** (n + 1) * np.finfo(float).eps
@@ -544,7 +567,6 @@ class TestClosedFormProblem:
         assert abs(closed.ham.spectrum_map.scale / dense.ham.spectrum_map.scale - 1.0) <= tol
         assert abs(closed.ham.spectrum_map.shift - dense.ham.spectrum_map.shift) <= tol
         assert np.max(np.abs(closed.distribution - dense.distribution)) <= tol
-        assert abs(closed.mass_zero - dense.mass_zero) <= tol
         for k in range(10):
             a, b = decide_amplitude(closed, seed=k), decide_amplitude(dense, seed=k)
             assert (a.estimation.raw_outcome, a.decided_zero) == (b.estimation.raw_outcome,
@@ -733,6 +755,12 @@ def generated_preparation(seed, dim):
     return ham, decompose_state(random_state(rng, dim), ham), beta
 
 
+def standard_filter(gaps, d):
+    """Outcome-0 filter 2^-d sum_j e^(-2 pi i g j) of the d-bit register."""
+    j = np.arange(1 << d)
+    return np.exp(-2j * np.pi * np.outer(gaps, j)).sum(axis=1) / (1 << d)
+
+
 def normalized_filter(state, f):
     """sum_l c_l f_l comps_l over its norm, and that norm squared."""
     vec = (state.coeffs * f) @ state.components
@@ -760,14 +788,12 @@ class TestPreparationRelations:
     @pytest.mark.parametrize("scale", (1.0, 0.5))
     @pytest.mark.parametrize("seed,dim", CASES)
     def test_standard(self, seed, dim, scale):
-        # at scale 1 the eigenvalue at +-1 aliases with the target (bound 0);
-        # at scale 1/2 the circular gap is the plain one
+        # at scale 1 the gaps reach +-1 and are halved into [-1/2, 1/2] before
+        # filtering; at scale 1/2 they are filtered as they are
         ham, st, beta = generated_preparation(seed, dim)
         ham = ham._replace(eigenvalues=scale * ham.eigenvalues)
-        d = 5
-        j = np.arange(1 << d)
-        f = np.exp(-2j * np.pi * np.outer(ham.eigenvalues, j)).sum(axis=1) / (1 << d)
-        self.check(standard_qpe_eigenstate(ham, st, beta, d), st, beta, f, 1e-10)
+        f = standard_filter(min(1.0, 0.5 / scale) * ham.eigenvalues, 5)
+        self.check(standard_qpe_eigenstate(ham, st, beta, 5), st, beta, f, 1e-10)
 
     @pytest.mark.parametrize("seed,dim", CASES)
     def test_slow(self, seed, dim):
@@ -788,6 +814,25 @@ class TestPreparationRelations:
         p0 = float(np.vdot(row0, row0).real)
         assert np.max(np.abs(prep.state - row0 / math.sqrt(p0))) <= 1e-12
         self.check(prep, st, beta, gap_kernel(p, ham.eigenvalues, np.zeros(1))[:, 0], 1e-9)
+
+    @pytest.mark.parametrize("target", ("random", "top", "clustered"))
+    @pytest.mark.parametrize("route", sorted(PREPARERS))
+    @pytest.mark.parametrize("seed,dim", CASES)
+    def test_unshifted(self, seed, dim, route, target):
+        # the spectrum as normalized, in [0, 1]: every route filters the gaps
+        # g = h - h_beta, and the standard route halves them once they reach 1/2
+        ham, rng = generated_spectrum(seed, dim)
+        st = decompose_state(random_state(rng, dim), ham)
+        h = ham.eigenvalues
+        beta = {"random": int(rng.integers(ham.n_levels)), "top": ham.n_levels - 1,
+                "clustered": int(np.argmin(np.diff(h)))}[target]
+        g = h - h[beta]
+        f, slack = {
+            "standard": lambda: (standard_filter(min(1.0, 0.5 / np.max(np.abs(g))) * g, 5), 1e-10),
+            "slow": lambda: (np.cos(math.sqrt(16.0 / 1000) * g) ** 1000, 1.0 / 1000 + 1e-10),
+            "fast": lambda: (gap_kernel(plan(4.0, 1e-3, n_override=64), g, np.zeros(1))[:, 0], 1e-9),
+        }[route]()
+        self.check(PREPARERS[route](ham, st, beta), st, beta, f, slack)
 
 
 ESTIMATORS = {

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from lindbladff import (ValidationError, decompose_state, default_steps,
+from lindbladff import (ValidationError, choi_ff_evolve, decompose_state, default_steps,
                         dilated_evolve, ff_evolve, lindblad_exact_hermitian,
-                        normalize_spectrum, plan)
+                        lindblad_spec, normalize_spectrum, plan)
 from lindbladff.model import CLUSTER_RTOL
 from lindbladff.numkernel import trace_distance
 
@@ -67,6 +67,18 @@ class TestInputChecks:
             with pytest.raises(ValidationError) as info:
                 route(np.asarray(rho, dtype=complex))
             assert str(info.value) == message
+
+    def test_zero_time_is_refused_alike(self):
+        # one time rule, 0 < t < inf, and one message for every evolve method
+        spec = lindblad_spec([np.diag([0.0, 1.0]).astype(complex)])
+        rho = np.eye(2, dtype=complex) / 2
+        for route in (lambda: lindblad_exact_hermitian(HAM3, np.eye(3) / 3, 0.0),
+                      lambda: dilated_evolve(HAM3, np.eye(3) / 3, 0.0, 4),
+                      lambda: plan(0.0, 0.1),
+                      lambda: choi_ff_evolve(spec, rho, 0.0, 0.1)):
+            with pytest.raises(ValidationError) as info:
+                route()
+            assert str(info.value) == "evolution time must be positive and finite, got 0.0"
 
     def test_column_state_is_typed(self):
         with pytest.raises(ValidationError, match="dimension mismatch"):
