@@ -12,7 +12,7 @@ from .gibbs import GibbsResult, gibbs_prepare
 from .model import (Hamiltonian, LindbladSpec, SpectralState, SpectrumMap,
                     decompose_state, lindblad_spec,
                     normalize_spectrum, parse_dense_matrix,
-                    parse_pauli_sum, shift_to_zero, spectral_gap)
+                    parse_pauli_sum, spectral_gap)
 from .qpe import (AmplitudeDecision, AmplitudeProblem, EstimationResult,
                   PreparationResult, amplitude_problem,
                   decide_amplitude, fast_qpe, fast_qpe_eigenstate, slow_qpe,

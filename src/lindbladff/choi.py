@@ -100,8 +100,8 @@ def choi_ff_evolve(spec: LindbladSpec, state0: np.ndarray, t: float,
     eps_total / K and the input order (immaterial up to that budget for a
     commuting spec).
     """
-    if not 0 < t < math.inf:
-        raise ValidationError(f"evolution time must be positive and finite, got {t}")
+    nk.require_time(t)
+    nk.require_eps(eps_total)
     hams = [normalize_spectrum(j) for j in spec.jumps]
     eps_each = eps_total / len(hams)
     plans = [_factor_plan(k, ham, t, eps_each) for k, ham in enumerate(hams)]

@@ -217,8 +217,10 @@ def _cmd_qpe(args, argv):
         raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     mat, digest = _load_ham(args.ham)
     ham = model.normalize_spectrum(mat)
-    if args.mode == "prepare":
-        ham = model.shift_to_zero(ham, args.eigen)
+    if args.mode == "prepare":  # the target's gaps, stretched to unit radius
+        model.spectral_gap(ham, args.eigen)
+        gaps = ham.eigenvalues - ham.eigenvalues[args.eigen]
+        ham = ham._replace(eigenvalues=gaps / float(np.max(np.abs(gaps))))
     psi = _initial_state(args.state, ham.dim)
     state = model.decompose_state(psi, ham)
 

@@ -30,10 +30,8 @@ class CostReport(NamedTuple):
 
 def default_steps(t: float, eps: float) -> int:
     """First-order step count t^3 / eps^2 (rounded up)."""
-    if not 0 < t < math.inf:
-        raise ValidationError(f"evolution time must be positive and finite, got {t}")
-    if not 0 < eps < math.inf:
-        raise ValidationError(f"target error must be positive and finite, got {eps}")
+    nk.require_time(t)
+    nk.require_eps(eps)
     try:  # t^3 or the quotient overflows, or eps^2 underflows to 0
         return max(1, math.ceil(t ** 3 / eps ** 2))
     except (OverflowError, ZeroDivisionError):
@@ -66,10 +64,8 @@ def dilated_evolve(ham: Hamiltonian, rho0: np.ndarray, t: float, steps: int
     evolution time is steps * sqrt(tau) = sqrt(steps * t); every step
     consumes one logical ancilla.
     """
-    if steps < 1:
-        raise ValidationError(f"steps must be >= 1, got {steps}")
-    if not 0 < t < math.inf:
-        raise ValidationError(f"evolution time must be positive and finite, got {t}")
+    steps = nk.require_count(steps, 1, "step count")
+    nk.require_time(t)
     if np.ndim(rho0) != 1:
         rho0 = nk.require_density(rho0)
     h = ham.eigenvalues

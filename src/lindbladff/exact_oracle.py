@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
 from . import numkernel as nk
 from .model import Hamiltonian
 
@@ -20,8 +19,7 @@ def lindblad_exact_hermitian(ham: Hamiltonian, rho0: np.ndarray, t: float) -> np
     """Dephasing-channel solution for the single Hermitian jump ``ham``,
     from a density matrix (checked by ``require_density``) or a state vector
     (see ``Hamiltonian.dephase``)."""
-    if not 0 < t < np.inf:
-        raise ValidationError(f"evolution time must be positive and finite, got {t}")
+    nk.require_time(t)
     if np.ndim(rho0) != 1:
         rho0 = nk.require_density(rho0)
     gaps = ham.eigenvalues[:, None] - ham.eigenvalues[None, :]

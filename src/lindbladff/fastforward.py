@@ -87,15 +87,11 @@ def plan(t: float, eps: float, n_override: int | None = None) -> FFPlan:
     even and the half-width 2^(d'-1) a power of two, so a window starting
     below 0 also ends at or past N: every window is full or inside [0, N].
     """
-    if not 0 < t < math.inf:
-        raise ValidationError(f"evolution time must be positive and finite, got {t}")
-    if not 0.0 < eps < 1.0:
-        raise ValidationError(f"target error must be in (0, 1), got {eps}")
+    nk.require_time(t)
+    nk.require_eps(eps)
     note = ""
     if n_override is not None:
-        n = int(n_override)
-        if n < 2:
-            raise ValidationError(f"register count must be >= 2, got {n}")
+        n = nk.require_count(n_override, 2, "register count")
         if n % 2:
             n += 1
             note = f"odd register override rounded up to {n}"

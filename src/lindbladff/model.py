@@ -15,6 +15,7 @@ eigenvectors span the shared eigenspace, so the tolerance was exercised when
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -36,10 +37,6 @@ class SpectrumMap(NamedTuple):
 
     def to_original(self, h):
         return self.scale * np.asarray(h) + self.shift
-
-    def compose(self, inner_scale: float, inner_shift: float) -> "SpectrumMap":
-        # original = scale * (inner_scale * h + inner_shift) + shift
-        return SpectrumMap(self.scale * inner_scale, self.scale * inner_shift + self.shift)
 
 
 class Hamiltonian(NamedTuple):
@@ -109,18 +106,20 @@ def _cluster(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Each group opens at its lowest eigenvalue and takes every later one
     within the tolerance of it, so no group spans more than the tolerance
-    (a run of small gaps does not chain into one wide group).  Returns the
-    mean of each group and the group index of every eigenvalue.
+    (a run of small gaps does not chain into one wide group).  Returns each
+    group's first eigenvalue, which no rounding-level neighbour moves, and
+    the group index of every eigenvalue.
     """
     norm = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     tol = CLUSTER_RTOL * (norm if norm > 0.0 else 1.0)
     levels = np.empty(eigs.size, dtype=np.int64)
-    level, start = -1, -math.inf
+    level, start, firsts = -1, -math.inf, []
     for i, e in enumerate(eigs.tolist()):
         if e - start > tol:
             level, start = level + 1, e
+            firsts.append(e)
         levels[i] = level
-    return np.bincount(levels, weights=eigs) / np.bincount(levels), levels
+    return np.array(firsts), levels
 
 
 def normalize_spectrum(h: np.ndarray) -> Hamiltonian:
@@ -151,33 +150,14 @@ def normalize_spectrum(h: np.ndarray) -> Hamiltonian:
 
 
 def spectral_gap(ham: Hamiltonian, beta: int) -> float:
-    """Distance from eigenvalue ``beta`` to the rest of the spectrum."""
-    if not 0 <= beta < ham.n_levels:
+    """Distance from eigenvalue ``beta`` to the rest of the spectrum; the one
+    check of a preparation target: an integer index, two levels or more."""
+    if not (isinstance(beta, numbers.Integral) and 0 <= beta < ham.n_levels):
         raise ValidationError(f"eigenspace index {beta} out of range")
     if ham.n_levels < 2:
         raise ValidationError("spectral gap undefined for a single-eigenvalue spectrum")
     others = np.delete(ham.eigenvalues, beta)
     return float(np.min(np.abs(others - ham.eigenvalues[beta])))
-
-
-def shift_to_zero(ham: Hamiltonian, beta: int) -> Hamiltonian:
-    """Shift the spectrum so eigenvalue ``beta`` sits exactly at 0, rescaled
-    to unit spectral radius.
-
-    When ``beta`` is the smallest eigenvalue the result lies in [0, 1]; for an
-    interior target the shifted spectrum spans [-1, 1] (an affine map cannot
-    pin an interior value at the endpoint 0), which downstream consumers
-    accept since the dephasing rates and measurement statistics depend on the
-    eigenvalues only through even functions.
-    """
-    spectral_gap(ham, beta)  # validates index and non-degenerate spectrum
-    h_beta = ham.eigenvalues[beta]
-    shifted = ham.eigenvalues - h_beta
-    scale = float(np.max(np.abs(shifted)))
-    eigs_n = shifted / scale
-    eigs_n[beta] = 0.0
-    smap = ham.spectrum_map.compose(scale, float(h_beta))
-    return Hamiltonian(eigs_n, ham.vectors, ham.levels, smap)
 
 
 class SpectralState(NamedTuple):

@@ -1,13 +1,17 @@
-"""Dense complex linear-algebra primitives shared by every module.
+"""Dense complex linear-algebra primitives and argument rules shared by every module.
 
 All operations are pure functions on numpy arrays; matrices are dense complex
 double precision throughout.  Hermitian inputs are symmetrized as
 (A + A^dag)/2 once their asymmetry is verified to sit below
 ``HERMITIAN_ATOL``; larger asymmetry raises, since silently proceeding would
-mask model-construction bugs upstream.
+mask model-construction bugs upstream.  Each kind of argument has one rule
+and one message here: ``require_state``, ``require_density``, ``require_time``
+(0 < t < inf), ``require_eps`` (0 < eps < 1) and ``require_count`` (integers).
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -93,3 +97,25 @@ def require_density(rho: np.ndarray) -> np.ndarray:
         raise ValidationError(f"density matrix has eigenvalue {wmin:.3e} below -{PSD_ATOL:.1e}")
     return rho
 
+
+def require_time(t: float) -> None:
+    """Validate an evolution time: 0 < t < inf."""
+    if not 0 < t < np.inf:
+        raise ValidationError(f"evolution time must be positive and finite, got {t}")
+
+
+def require_eps(eps: float) -> None:
+    """Validate a target error: 0 < eps < 1."""
+    if not 0 < eps < 1:
+        raise ValidationError(f"target error must be in (0, 1), got {eps}")
+
+
+def require_count(n, floor: int, what: str) -> int:
+    """Validate an integer count of at least ``floor`` and return it as an
+    ``int``; a float, even a whole one, is refused (``operator.index``)."""
+    try:
+        if operator.index(n) >= floor:
+            return operator.index(n)
+    except TypeError:
+        pass
+    raise ValidationError(f"{what} must be an integer >= {floor}, got {n}")

@@ -66,6 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantError, ValidationError
+from . import numkernel as nk
 from .dilated import CostReport, dilated_kernel
 from .fastforward import (FFPlan, _check_norm, _residue_phases, ff_cost, gap_kernel,
                           plan as make_plan)
@@ -131,8 +132,7 @@ def standard_qpe(ham: Hamiltonian, state: SpectralState, d: int,
                  repeats: int = 1) -> EstimationResult:
     """Fourier phase estimation with d register bits, exact distribution summed
     in blocks of ``_STANDARD_BLOCK`` outcomes, each entry as over the whole grid."""
-    if d < 1:
-        raise ValidationError(f"need at least one register bit, got {d}")
+    d = nk.require_count(d, 1, "register bits")
     size = 1 << d
     _require_memory(8 * size, "standard route", f"distribution at d = {d}", "lower d")
     read = _read_levels(state)
@@ -149,9 +149,9 @@ def standard_qpe(ham: Hamiltonian, state: SpectralState, d: int,
 
 def _on_gaps(ham: Hamiltonian, beta: int) -> Hamiltonian:
     """``ham`` on the gaps h - h_beta to eigenspace ``beta``, the target every
-    preparation route filters at 0; the spectrum map is not read there."""
-    if not 0 <= beta < ham.n_levels:
-        raise ValidationError(f"eigenspace index {beta} out of range")
+    preparation route filters at 0; the spectrum map is not read there.
+    ``spectral_gap`` checks the target: in range, of at least two levels."""
+    spectral_gap(ham, beta)
     return ham._replace(eigenvalues=ham.eigenvalues - ham.eigenvalues[beta])
 
 
@@ -199,8 +199,7 @@ def standard_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
     first scaled by 1/2 / max|g| into [-1/2, 1/2], so no level aliases with
     the target and the overlap bound reads the plain gap.
     """
-    if d < 1:
-        raise ValidationError(f"need at least one register bit, got {d}")
+    d = nk.require_count(d, 1, "register bits")
     if d > _PREPARE_MAX_BITS:
         raise ValidationError(
             f"standard-route preparation takes at most {_PREPARE_MAX_BITS} register bits, "
@@ -211,7 +210,7 @@ def standard_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
         g = g * (0.5 / widest)
     amp = np.exp(-1j * np.pi * g * ((1 << d) - 1)) * _dirichlet(g, d) / (1 << d)
     w = state.weights[beta]
-    gap = float(np.min(np.abs(np.delete(g, beta)))) if ham.n_levels > 1 else 0.5
+    gap = float(np.min(np.abs(np.delete(g, beta))))
     bound = w / (w + (1.0 - w) / (4.0 * ((1 << d) * gap) ** 2))
     return _postselect(state, beta, amp, bound, 1e-10, CostReport(float((1 << d) - 1), d, d))
 
@@ -222,8 +221,8 @@ def standard_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
 
 def _step_root(ham: Hamiltonian, t: float, n: int) -> float:
     """sqrt(t/N) for finite t > 0 and N >= 1, where sqrt(t/N) |h| <= pi/2."""
-    if not 0 < t < math.inf or n < 1:
-        raise ValidationError(f"need finite t > 0 and N >= 1, got t={t}, N={n}")
+    nk.require_time(t)
+    nk.require_count(n, 1, "register count")
     root = math.sqrt(t / n)
     if root * float(np.max(np.abs(ham.eigenvalues))) > 0.5 * math.pi:
         raise ValidationError(
@@ -291,8 +290,7 @@ def _sample_counts(dist: np.ndarray, seed, size: int) -> np.ndarray:
 
 def _pick_outcome(dist: np.ndarray, mode: str, seed, repeats: int = 1) -> int:
     """Single-shot outcome by default; repeats > 1 reports the sample median."""
-    if repeats < 1:
-        raise ValidationError(f"need at least one repeat, got {repeats}")
+    repeats = nk.require_count(repeats, 1, "repeats")
     if mode == "exact":
         return int(np.argmax(dist))
     if mode == "sample":

@@ -1,0 +1,115 @@
+"""One rule per argument kind: every library entry point that takes an
+evolution time, a target error, an integer count or a preparation target
+refuses the same bad value with the same ``ValidationError`` message, the
+one its rule in ``numkernel`` (or ``model.spectral_gap``) states."""
+
+import contextlib
+import io
+
+import numpy as np
+import pytest
+
+from lindbladff import (ValidationError, amplitude_problem, choi_ff_evolve, decompose_state,
+                        default_steps, dilated_evolve, fast_qpe,
+                        gibbs_prepare, lindblad_exact_hermitian, lindblad_spec,
+                        normalize_spectrum, plan, slow_qpe, slow_qpe_eigenstate,
+                        standard_qpe, standard_qpe_eigenstate)
+from lindbladff.cli import run
+
+from test_qpe import PREPARERS
+
+HAM = normalize_spectrum(np.diag([0.0, 0.5, 1.0]).astype(complex))
+RHO = np.eye(3, dtype=complex) / 3
+STATE = decompose_state(np.full(3, 3 ** -0.5, dtype=complex), HAM)
+SPEC = lindblad_spec([np.diag([0.0, 1.0]).astype(complex)])
+RHO2 = np.eye(2, dtype=complex) / 2
+PLAN = plan(4.0, 1e-3, n_override=64)
+
+# Each entry point with the argument under test left open.
+TIME = {
+    "lindblad_exact_hermitian": lambda t: lindblad_exact_hermitian(HAM, RHO, t),
+    "dilated_evolve": lambda t: dilated_evolve(HAM, RHO, t, 4),
+    "default_steps": lambda t: default_steps(t, 0.1),
+    "plan": lambda t: plan(t, 0.1),
+    "choi_ff_evolve": lambda t: choi_ff_evolve(SPEC, RHO2, t, 0.1),
+    "slow_qpe": lambda t: slow_qpe(HAM, STATE, t, 64),
+    "slow_qpe_eigenstate": lambda t: slow_qpe_eigenstate(HAM, STATE, 0, t, 64),
+    "amplitude_problem": lambda t: amplitude_problem(2, 1, t=t),
+}
+EPS = {
+    "default_steps": lambda eps: default_steps(1.0, eps),
+    "plan": lambda eps: plan(1.0, eps),
+    "choi_ff_evolve": lambda eps: choi_ff_evolve(SPEC, RHO2, 1.0, eps),
+    "gibbs_prepare": lambda eps: gibbs_prepare(np.diag([0.0, 1.0]), 1.0, eps),
+    "amplitude_problem": lambda eps: amplitude_problem(2, 1, eps=eps),
+}
+# (entry point, floor, the count's name in the message, a count it takes)
+COUNTS = {
+    "plan": (lambda n: plan(1.0, 0.1, n), 2, "register count", 64),
+    "amplitude_problem": (lambda n: amplitude_problem(2, 1, register_n=n), 2,
+                          "register count", 2048),
+    "slow_qpe": (lambda n: slow_qpe(HAM, STATE, 4.0, n), 1, "register count", 64),
+    "slow_qpe_eigenstate": (lambda n: slow_qpe_eigenstate(HAM, STATE, 0, 4.0, n), 1,
+                            "register count", 64),
+    "dilated_evolve": (lambda n: dilated_evolve(HAM, RHO, 1.0, n), 1, "step count", 4),
+    "standard_qpe": (lambda d: standard_qpe(HAM, STATE, d), 1, "register bits", 4),
+    "standard_qpe_eigenstate": (lambda d: standard_qpe_eigenstate(HAM, STATE, 0, d), 1,
+                                "register bits", 4),
+    "standard_qpe_repeats": (lambda r: standard_qpe(HAM, STATE, 4, repeats=r), 1, "repeats", 3),
+    "slow_qpe_repeats": (lambda r: slow_qpe(HAM, STATE, 4.0, 64, "sample", 0, r), 1,
+                         "repeats", 3),
+    "fast_qpe_repeats": (lambda r: fast_qpe(HAM, STATE, PLAN, repeats=r), 1, "repeats", 3),
+}
+
+
+def refusal(call, value) -> str:
+    with pytest.raises(ValidationError) as info:
+        call(value)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("t", (0.0, -1.0, float("nan"), float("inf")))
+@pytest.mark.parametrize("entry", sorted(TIME))
+def test_time_is_refused_alike(entry, t):
+    assert refusal(TIME[entry], t) == f"evolution time must be positive and finite, got {t}"
+
+
+# 1.5 once ran default_steps to one step; choi_ff_evolve checked only its
+# per-jump share, so two jumps ran at 0.75 each
+@pytest.mark.parametrize("eps", (0.0, 1.0, 1.5, -0.1, float("nan"), float("inf")))
+@pytest.mark.parametrize("entry", sorted(EPS))
+def test_target_error_is_refused_alike(entry, eps):
+    assert refusal(EPS[entry], eps) == f"target error must be in (0, 1), got {eps}"
+
+
+# Below the floor, and floats: 2.5 steps once gave NaN entries, a register
+# count of 100.5 numpy's TypeError, and 17.9 an N rounded to 18.
+@pytest.mark.parametrize("value", ("floor", -1, 2.5, 17.9, 100.5, 4.0))
+@pytest.mark.parametrize("entry", sorted(COUNTS))
+def test_count_is_refused_alike(entry, value):
+    call, floor, what, _ = COUNTS[entry]
+    value = floor - 1 if value == "floor" else value
+    assert refusal(call, value) == f"{what} must be an integer >= {floor}, got {value}"
+
+
+@pytest.mark.parametrize("entry", sorted(COUNTS))
+def test_numpy_integer_count_is_taken(entry):
+    call, _, _, good = COUNTS[entry]
+    assert call(np.int64(good)) is not None
+
+
+@pytest.mark.parametrize("route", sorted(PREPARERS))
+def test_one_level_target_is_refused_alike(route, tmp_path):
+    # the standard and fast routes once prepared a one-level spectrum, which
+    # the slow route and the CLI refused; every route now reads the target's
+    # gap, and the CLI's stretch of the gaps checks it the same way
+    ham = normalize_spectrum(0.5 * np.eye(2, dtype=complex))
+    st = decompose_state(np.array([1.0, 0.0], dtype=complex), ham)
+    message = "spectral gap undefined for a single-eigenvalue spectrum"
+    assert refusal(lambda beta: PREPARERS[route](ham, st, beta), 0) == message
+    path = tmp_path / "flat.pauli"
+    path.write_text("0.5 I\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = run(["qpe", "prepare", "--route", route, "--ham", str(path), "--N", "64"])
+    assert (rc, err.getvalue()) == (1, f"error: {message}\n")

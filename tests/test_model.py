@@ -391,30 +391,6 @@ class TestSpectralGap:
             model.spectral_gap(ham, 0)
 
 
-class TestShiftToZero:
-    def test_rescales_to_unit(self):
-        ham = model.normalize_spectrum(np.diag([0.3, 0.6]))
-        shifted = model.shift_to_zero(ham, 0)
-        assert np.allclose(shifted.eigenvalues, [0.0, 1.0])
-
-    def test_target_already_zero(self):
-        ham = model.normalize_spectrum(np.diag([0.0, 1.0]))
-        shifted = model.shift_to_zero(ham, 0)
-        assert np.allclose(shifted.eigenvalues, ham.eigenvalues)
-
-    def test_single_eigenvalue_error(self):
-        ham = model.normalize_spectrum(0.5 * np.eye(2))
-        with pytest.raises(ValidationError):
-            model.shift_to_zero(ham, 0)
-
-    def test_map_composition_round_trips(self):
-        ham = model.normalize_spectrum(np.diag([-1.0, 0.2, 3.0]))
-        shifted = model.shift_to_zero(ham, 1)
-        back = shifted.spectrum_map.to_original(shifted.eigenvalues)
-        assert np.max(np.abs(np.sort(back) - np.array([-1.0, 0.2, 3.0]))) <= 1e-9
-        assert shifted.eigenvalues[1] == 0.0
-
-
 class TestDilate:
     def test_scalar(self):
         assert np.allclose(dilate(np.array([[2.0]])), [[0, 2], [2, 0]])

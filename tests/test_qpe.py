@@ -17,7 +17,7 @@ from lindbladff import (FFPlan, InvariantError, ValidationError,
                         fast_qpe_eigenstate, normalize_spectrum, plan, slow_qpe,
                         slow_qpe_eigenstate, standard_qpe,
                         standard_qpe_eigenstate)
-from lindbladff import model, qpe, shift_to_zero
+from lindbladff import model, qpe
 from lindbladff.dilated import dilated_kernel
 from lindbladff.fastforward import gap_kernel
 from lindbladff.kernels import binom_pmf_window
@@ -119,10 +119,10 @@ class TestStandardEigenstate:
             assert abs(num) <= 1e-20
 
     def test_level_shifted_to_one_is_filtered(self):
-        # shift_to_zero puts the other level at exactly 1, a whole period of
-        # the Dirichlet filter from the target; the gaps are halved into
-        # [-1/2, 1/2] first, so it sits at gap 1/2: bound 0.5 / (0.5 + 0.5/256)
-        ham = shift_to_zero(normalize_spectrum(np.diag([0.3, 0.6])), 0)
+        # the other level sits at exactly 1, a whole period of the Dirichlet
+        # filter from the target; the gaps are halved into [-1/2, 1/2] first,
+        # so it sits at gap 1/2: bound 0.5 / (0.5 + 0.5/256)
+        ham = normalize_spectrum(np.diag([0.0, 1.0]))
         st = decompose_state(PLUS, ham)
         prep = standard_qpe_eigenstate(ham, st, 0, 4)
         assert np.isclose(prep.overlap_bound, 256 / 257)
@@ -152,7 +152,7 @@ class TestTargetGaps:
         assert prep.state.tobytes() == gaps.state.tobytes()
         assert prep._replace(state=None) == gaps._replace(state=None)
 
-    @pytest.mark.parametrize("beta", (-1, 3))
+    @pytest.mark.parametrize("beta", (-1, 3, 1.5, 1.0))
     @pytest.mark.parametrize("route", sorted(PREPARERS))
     def test_out_of_range_target_is_refused_alike(self, route, beta):
         with pytest.raises(ValidationError) as info:
@@ -555,8 +555,8 @@ def oracle_shapes():
 class TestClosedFormProblem:
     @pytest.mark.parametrize("n, w", oracle_shapes())
     def test_matches_the_dense_schur_reference(self, n, w):
-        # the dense path carries dim 2^-52 of rounding (the Schur form and the
-        # level means of a dim-dimensional iterate, the state's dim-term sums);
+        # the dense path carries dim 2^-52 of rounding (the Schur form of a
+        # dim-dimensional iterate, the state's dim-term sums);
         # measured at most 0.32 dim 2^-52 on the levels, the map and the
         # distribution
         closed = qpe.amplitude_problem(n, w)
@@ -748,10 +748,12 @@ def generated_spectrum(seed, dim):
 
 
 def generated_preparation(seed, dim):
-    """A generated Hamiltonian shifted to a populated target, and a random state."""
+    """A generated Hamiltonian on its gaps to a random target, stretched to
+    unit radius as ``qpe prepare`` stretches them, and a random state."""
     ham0, rng = generated_spectrum(seed, dim)
     beta = int(rng.integers(ham0.n_levels))
-    ham = shift_to_zero(ham0, beta)
+    gaps = ham0.eigenvalues - ham0.eigenvalues[beta]
+    ham = ham0._replace(eigenvalues=gaps / np.max(np.abs(gaps)))
     return ham, decompose_state(random_state(rng, dim), ham), beta
 
 
@@ -873,7 +875,7 @@ class TestSupportSampler:
 
     @pytest.mark.parametrize("mode", ("exact", "sample"))
     def test_repeats_below_one_rejected(self, mode):
-        with pytest.raises(ValidationError, match="at least one repeat"):
+        with pytest.raises(ValidationError, match="repeats must be an integer >= 1, got -2"):
             qpe._pick_outcome(np.array([0.5, 0.5]), mode, 0, -2)
 
     def test_blocks_draw_what_one_block_draws(self, monkeypatch):

@@ -173,7 +173,7 @@ def test_ff_and_dilated_within_eps_of_exact(t, eps, case, mixed):
 
 
 # A rounding-level eigenvalue next to an exact 0: the two share one cluster,
-# whose mean moves the level off 0 (model._cluster)
+# which keeps its first member, so the level stays at 0 (model._cluster)
 ZERO_CLUSTER = (np.diag([0.0, 9e-10, 0.5, 1.0]).astype(complex), np.random.default_rng(11))
 
 
@@ -197,6 +197,6 @@ def test_pure_equals_density(route, case, t, steps):
     assert np.max(np.abs(pure - dens)) <= 1e-12
 
 
-def test_zero_cluster_moves_the_level():
+def test_zero_cluster_keeps_the_level():
     ham = normalize_spectrum(ZERO_CLUSTER[0])
-    assert ham.dim > ham.n_levels == 3 and ham.eigenvalues[0] == 4.5e-10
+    assert ham.dim > ham.n_levels == 3 and ham.eigenvalues[0] == 0.0
