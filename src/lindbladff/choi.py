@@ -117,6 +117,8 @@ def choi_ff_evolve(spec: LindbladSpec, state0: np.ndarray, t: float,
         rho = nk.require_hermitian(np.outer(psi, psi.conj()))
     else:
         rho = nk.require_density(state0)
+    if rho.shape[0] != spec.dim:
+        raise ValidationError(f"dimension mismatch: state {rho.shape[0]} vs jumps {spec.dim}")
     costs = []
     for ham, p in zip(hams, plans):
         if p is not None:

@@ -2,10 +2,10 @@
 
 These are reusable test oracles: the tail sums add up the exact pmf, read
 from ``kernels.binom_pmf`` (the centre-out ratio recursion) and zero
-outside its +-36 sigma plus 8 window, which leaves out about 1e-282 of the
-mass in the Gaussian regime and under 1e-34 in the Poisson-like tails of a
-small N p.  The Bernstein-style and Hoeffding bounds are checked against
-them.  ``bernstein_bound`` is the stated form, with p(1-p)/2 + 2c/3 in its
+outside its tail-bound window, which keeps every count whose pmf is at least
+2^-1022 of the largest, Poisson-like tails of a small N p included.  The
+Bernstein-style and Hoeffding bounds are checked against them.
+``bernstein_bound`` is the stated form, with p(1-p)/2 + 2c/3 in its
 denominator: it understates the Bernoulli variance by a factor 4 and is not
 a valid bound (exact tails exceed it, first at N=16, p=1/2, c=1/4).  The
 true-variance Bernstein denominator is 2p(1-p) + 2c/3.

@@ -135,9 +135,7 @@ def normalize_spectrum(h: np.ndarray) -> Hamiltonian:
 
     lo, hi = float(reps[0]), float(reps[-1])
     width = hi - lo
-    if len(reps) == 1 or width == 0.0:
-        if len(reps) > 1:
-            raise ValidationError("distinct eigenvalues with zero spectral width")
+    if len(reps) == 1:
         eigs_n = np.zeros(1)
         smap = SpectrumMap(1.0, lo)
     elif lo >= 0.0 and hi <= 1.0:

@@ -354,14 +354,14 @@ def slow_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
 # Fast route: Kravchuk readout through the product-state identity
 # ---------------------------------------------------------------------------
 
-def _level_spectrum(ham: Hamiltonian, state: SpectralState,
-                    p: FFPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Residue spectra of the read levels and their components.
+def _level_spectrum(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.ndarray:
+    """Residue spectra of the read levels.
 
     Column l holds sqrt(w_l) (1/P) w^(-k shift) sum_r w^(-k r) e^(-i h_l theta_r),
     shape (P, L), for the levels whose w_l clears the rounding floor
     (4 dim 2^-53)^2 of ``_read_levels`` (preparation's count 0 reads every
-    level); the ledger's s_hat_k is this times the normalized components.
+    level); the ledger's s_hat_k is this times the read levels' normalized
+    components.
     """
     _check_norm(ham.eigenvalues)
     read = _read_levels(state)
@@ -369,7 +369,7 @@ def _level_spectrum(ham: Hamiltonian, state: SpectralState,
     shift_phase = np.exp(-2j * math.pi * ((np.arange(period) * p.shift) % period) / period)
     spectrum = np.fft.fft(_residue_phases(p, ham.eigenvalues[read]), axis=0)
     spectrum *= (shift_phase / period)[:, None] * state.coeffs[read]
-    return spectrum, state.components[read]
+    return spectrum
 
 
 def _alpha_phases(n: int, period: int) -> np.ndarray:
@@ -415,7 +415,7 @@ def _fast_distribution(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.
     _step_root(ham, p.t, p.n)  # range guard
     _require_memory(16 * _read_levels(state).size * (p.n + 1), "fast route",
                     f"ledger rows at N = {p.n}", "lower N or raise eps")
-    rows = _level_rows(_level_spectrum(ham, state, p)[0], p.n)
+    rows = _level_rows(_level_spectrum(ham, state, p), p.n)
     parts = rows.view(float).reshape(rows.shape[0], -1, 2)
     return np.einsum("lxc,lxc->x", parts, parts)
 

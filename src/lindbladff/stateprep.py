@@ -5,8 +5,8 @@ the square root of the Binomial(N, 1/2) pmf that ``kernels.binom_pmf``
 builds by its centre-out ratio recursion.  No C(N, m) or log-factorial is
 formed, so the construction survives far past the overflow point of C(N, m)
 without the cancellation of a log-factorial difference; outside the pmf
-window (+-36 sigma plus 8 counts, amplitudes below ~1e-141) the amplitudes
-read exactly 0.  The lattice Gaussian is the periodized Gaussian on Z_N,
+window (amplitudes below 2^-511 of the largest) the amplitudes read
+exactly 0.  The lattice Gaussian is the periodized Gaussian on Z_N,
 normalized by the lattice sum f(mu, sigma), and comes with a recursive
 rotation-angle schedule that synthesizes it one address bit at a time (low
 bit first).

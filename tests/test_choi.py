@@ -191,6 +191,14 @@ class TestSequentialFastForward:
         assert np.array_equal(rho, np.outer(psi, psi.conj()))
         assert cost._asdict() == {"hamiltonian_time": 0.0, "step_count": 0, "ancilla_count": 0}
 
+    @pytest.mark.parametrize("jump", (np.eye(2), 1e-200 * PAULI_X), ids=("identity", "underflowed"))
+    @pytest.mark.parametrize("state", (np.ones(4) / 2, np.eye(4) / 4), ids=("vector", "density"))
+    def test_state_of_another_dimension_is_refused(self, jump, state):
+        # an identity factor never reaches dephase's check, so the state is
+        # checked against the jumps before the factor loop
+        with pytest.raises(ValidationError, match="^dimension mismatch: state 4 vs jumps 2$"):
+            choi_ff_evolve(lindblad_spec([jump]), state, 1.0, 0.1)
+
     def test_any_width_runs_its_normalized_form(self):
         # no jump is refused for its norm: 2 Z and diag(-1.2, 0.3) run their
         # normalized forms for scale^2 t, and 1.5 I is the identity factor

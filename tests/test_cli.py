@@ -342,6 +342,14 @@ class TestExitCodes:
                            os.path.join(DATA, "jumps.txt")],
         "qpe_seed_negative": [*SAMPLE, "3", "--seed", "-1"],
         "ae_seed_negative": ["ae-demo", "--seed", "-1"],
+        # refusals of a spec, a shape or a size that no other case reaches
+        "state_unknown_spec": [*EVOLVE, "exact", "--ham", HAM, "--state", "bogus"],
+        "choi_ff_without_jumps": [*EVOLVE, "choi-ff"],
+        "slow_n_below_estimator_range": ["qpe", "--route", "slow", "--ham", HAM, "--t", "16",
+                                         "--N", "1"],
+        "oracle_not_a_power_of_two": ["ae-demo", "--oracle", "{tmp}/three_oracle.txt"],
+        "gibbs_dim_not_a_power_of_two": ["gibbs", "--ham", "{tmp}/three.dense"],
+        "jumps_of_mixed_dims": [*EVOLVE, "choi-ff", "--jumps", "{tmp}/mixed_dims.txt"],
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -362,6 +370,10 @@ class TestExitCodes:
         (tmp_path / "zero.state").write_text("0,0 0,0\n")
         (tmp_path / "nan.state").write_text("nan,0 0,0\n")
         (tmp_path / "matrix.state").write_text("1,0 0,0\n0,0 0,0\n")
+        (tmp_path / "three_oracle.txt").write_text("0 1 0\n")
+        (tmp_path / "three.dense").write_text("1,0 0,0 0,0\n0,0 2,0 0,0\n0,0 0,0 3,0\n")
+        (tmp_path / "zz.pauli").write_text("1.0 ZZ\n")
+        (tmp_path / "mixed_dims.txt").write_text("z.pauli 0.5\nzz.pauli 0.5\n")
         inputs = sorted(os.listdir(tmp_path))
         out = "{tmp}/no/out.jsonl" if case == "out_in_missing_dir" else "{tmp}/out.jsonl"
         argv = ["--out", out, *self.MALFORMED[case]]

@@ -15,6 +15,13 @@ def test_worked_tail_exact():
     assert abs(binomial_tail(10, 0.5, 0.3) - 112 / 1024) <= 1e-12
 
 
+def test_poisson_like_tail_is_exact():
+    # m >= 13 at N p = 0.00694, about 156 sigma out, where the pmf is near
+    # 1.4e-38; the value is mpmath's sum of the exact pmf at 50 digits
+    tail = binomial_tail(10 ** 4, 6.940202013585375e-07, 0.0012)
+    assert abs(tail - 1.3720600346455590e-38) <= 1e-13 * 1.3720600346455590e-38
+
+
 def test_tail_edge_cases():
     assert np.isclose(binomial_tail(10, 0.5, 0.0), 1.0)
     assert binomial_tail(10, 0.5, 0.6) == 0.0  # beyond max(p, 1-p)

@@ -12,7 +12,7 @@ from lindbladff import (FFPlan, ValidationError, ff_evolve,
 from lindbladff import fastforward
 from lindbladff import numkernel as nk
 from lindbladff.fastforward import _block_rows, _residue_phases, gap_kernel
-from lindbladff.kernels import _support, binom_residue_weights
+from lindbladff.kernels import PMF_FLOOR, _support, binom_residue_weights
 
 from conftest import (full_mixture, goal_ledger, random_density, random_hermitian,
                       random_state, residue_of)
@@ -425,7 +425,7 @@ class TestFoldedKernel:
             return
         w = binom_residue_weights(p.n, p.period, -p.shift)
         half = p.period // 2
-        lo, hi = _support(p.n, 0.5)
+        lo, hi = _support(p.n, 0.5, PMF_FLOOR)
         per_bin = -(-(hi - lo + 1) // p.period)
         gap = np.abs(w[1:half] - w[:half:-1])
         assert np.all(gap <= per_bin * np.finfo(float).eps * w[1:half])

@@ -39,8 +39,8 @@ def test_pmf_window_large_n():
 
 @pytest.mark.parametrize("n", [10 ** 18, 10 ** 300])
 def test_window_beyond_physical_memory_is_capacity_error(n):
-    # +-36 sigma at p = 1/2 spans 3.6e10 counts (268 GiB) at n = 1e18 and
-    # 3.6e151 counts at n = 1e300, more than any array can index
+    # the tail bound at p = 1/2 spans 3.9e10 counts (289 GiB) at n = 1e18 and
+    # 5.3e151 counts at n = 1e300, more than any array can index
     for window in (lambda: kernels.binom_pmf_window(n, 0.5),
                    lambda: kernels.binom_residue_weights(n, 8, 0)):
         with pytest.raises(CapacityError, match="^binomial window needs"):
@@ -62,11 +62,8 @@ def test_residue_weights_sum_and_values():
 def _loop_residue_weights(n, period, offset):
     """Plain-Python transcription of the centre-out recursion and its
     summation order (centre, upward terms, downward terms).  The window is
-    the pmf window's at p = 1/2, centred on round(n / 2); the recursion
-    starts at n // 2, one count below it for half of the odd n."""
-    half = int(math.ceil(36.0 * math.sqrt(n * 0.25))) + 8
-    mid = round(n * 0.5)
-    lo, hi = max(mid - half, 0), min(mid + half, n)
+    the pmf window's at p = 1/2; the recursion starts at n // 2."""
+    lo, hi = kernels._support(n, 0.5, kernels.PMF_FLOOR)
     center = n // 2
     out = [0.0] * period
     out[(center + offset) % period] = 1.0
@@ -85,9 +82,8 @@ def _loop_residue_weights(n, period, offset):
 
 def _loop_pmf_window(n, p):
     """Plain-Python transcription of the pmf window, summed in window order."""
-    half = int(math.ceil(36.0 * math.sqrt(n * p * (1.0 - p)))) + 8
-    center = min(max(int(round(n * p)), 0), n)
-    lo, hi = max(center - half, 0), min(center + half, n)
+    lo, hi = kernels._support(n, p, kernels.PMF_FLOOR)
+    center = min(max(int(round(n * p)), lo), hi)
     w = [0.0] * (hi - lo + 1)
     w[center - lo] = 1.0
     odds = p / (1.0 - p)
@@ -117,12 +113,13 @@ def test_kernels_bitwise_match_loop_transcription(n):
         assert np.array_equal(w, w_ref)
 
 
-def _assert_precision_window(n, p, m):
-    """The floored window holds every m whose pmf is at least the floor times
-    the largest, and its values are the default window's on the overlap."""
-    lo, w = kernels.binom_pmf_window(n, p, amplitude=True)
+def _assert_precision_window(n, p, m, amplitude):
+    """The window holds every m whose pmf is at least its floor times the
+    largest, and its values are the pmf window's on the overlap."""
+    lo, w = kernels.binom_pmf_window(n, p, amplitude=amplitude)
+    floor = kernels.AMPLITUDE_FLOOR if amplitude else kernels.PMF_FLOOR
     logpmf = scipy.stats.binom.logpmf(m, n, p)
-    kept = m[logpmf >= logpmf.max() + math.log(kernels.AMPLITUDE_FLOOR)]
+    kept = m[logpmf >= logpmf.max() + math.log(floor)]
     assert lo <= kept.min() and kept.max() <= lo + w.size - 1, (lo, lo + w.size - 1, kept)
     assert abs(w.sum() - 1.0) <= 1e-14
     lo_wide, wide = kernels.binom_pmf_window(n, p)
@@ -134,13 +131,15 @@ def _assert_precision_window(n, p, m):
 @given(n=hst.integers(1, 10 ** 7), mean=hst.floats(1e-12, 1.0))
 def test_precision_window_small_mean(n, mean):
     # N p <= 1: Poisson-like tails that a fixed multiple of sigma cuts short
-    _assert_precision_window(n, min(mean / n, 1.0), np.arange(min(n, 400) + 1))
+    for amplitude in (True, False):
+        _assert_precision_window(n, min(mean / n, 1.0), np.arange(min(n, 400) + 1), amplitude)
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(n=hst.integers(1, 20000), p=hst.floats(1e-9, 1.0 - 1e-9))
 def test_precision_window_any_mean(n, p):
-    _assert_precision_window(n, p, np.arange(n + 1))
+    for amplitude in (True, False):
+        _assert_precision_window(n, p, np.arange(n + 1), amplitude)
 
 
 def test_precision_window_is_narrower_than_36_sigma():

@@ -22,8 +22,8 @@ from lindbladff.dilated import dilated_kernel
 from lindbladff.fastforward import gap_kernel
 from lindbladff.kernels import binom_pmf_window
 from lindbladff.qpe import (_alpha_phases, _counting_distribution,
-                           _fast_distribution, _level_rows, _level_spectrum, _sample_counts,
-                           counting_estimator, decide_amplitude)
+                           _fast_distribution, _level_rows, _level_spectrum, _read_levels,
+                           _sample_counts, counting_estimator, decide_amplitude)
 
 from conftest import (goal_ledger, log_binom, random_eigenstate, random_hermitian, random_state,
                       residue_of)
@@ -279,8 +279,8 @@ def oracle_rows(ham, state, p):
 
 def transformed_rows(ham, state, p):
     """Rows X[x] = sum_l g_l[x] c_l comps_l of the per-level readout, shape (N+1, dim)."""
-    spectrum, components = _level_spectrum(ham, state, p)
-    return _level_rows(spectrum, p.n).T @ components
+    rows = _level_rows(_level_spectrum(ham, state, p), p.n)
+    return rows.T @ state.components[_read_levels(state)]
 
 
 # (-i)^x for x mod 4
@@ -289,7 +289,7 @@ _MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 def column_rows(ham, state, p):
     """Transformed rows X[x] from the whole ledger, one column per k on its
-    +-36 sigma pmf window, shape (N+1, dim): the dense-column readout."""
+    pmf window, shape (N+1, dim): the dense-column readout."""
     psi = np.tensordot(state.coeffs, state.components, axes=(0, 0))
     ledger = goal_ledger(ham, psi, p)
     n, period = p.n, p.period
@@ -664,7 +664,7 @@ class TestFastReadout:
         populated = data.draw(hst.sets(hst.integers(0, ham.n_levels - 1), min_size=1))
         st = level_subset_state(ham, rng, populated)
         dist = _fast_distribution(ham, st, p)
-        assert _level_spectrum(ham, st, p)[0].shape[1] == len(populated)
+        assert _level_spectrum(ham, st, p).shape[1] == len(populated)
         assert np.sum(np.abs(dist - column_distribution(ham, st, p))) <= 1e-14
         assert abs(dist.sum() - 1.0) <= 1e-14
 
