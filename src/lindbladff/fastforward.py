@@ -16,7 +16,7 @@ level-pair ``gap_kernel`` sum_r w_r e^{-i (h_a - h_b) theta_r}, and
 vector on its eigenspace components, a density matrix in the eigenbasis.
 Residue classes r and P - r carry opposite phases and mirror weights, so the
 kernel is a cosine series over half the classes, summed in real arithmetic
-from blocks of the phase table (one block within 4 MiB), in O(block +
+from blocks of 256 phase-table rows, each one partial sum, in O(block +
 levels^2) memory whatever the register count.  The fast phase-estimation
 readout transforms the whole (P, L) phase table of the L levels it reads
 in one FFT (``qpe._level_spectrum``).
@@ -40,12 +40,10 @@ from .dilated import CostReport, default_steps
 from .kernels import binom_residue_weights
 from .model import Hamiltonian
 
-# Bytes of one streamed block of residue rows (see ``_block_rows``).
-_BLOCK_BYTES = 4 << 20
-# Residue rows per partial sum of ``gap_kernel``: each product sums at most
-# this many rows before it is added to the total, so no long sequential
-# accumulation loses digits against a partial sum near 1.
-_SUM_ROWS = 256
+# Bits of the residue rows in one block of ``gap_kernel``: a block of
+# 2^_SUM_BITS rows is one partial sum, so no long sequential accumulation
+# loses digits against a partial sum near 1.
+_SUM_BITS = 8
 
 
 class FFPlan(NamedTuple):
@@ -114,18 +112,17 @@ def plan(t: float, eps: float, n_override: int | None = None) -> FFPlan:
     return FFPlan(float(t), float(eps), n, t / n, c, d, dprime, window, full_window, note)
 
 
-def _residue_phases(p: FFPlan, eigs: np.ndarray, lo: int = 0,
-                    rows: int | None = None) -> np.ndarray:
-    """Rows [lo, lo + rows) of the phase table exp(-i h sqrt(tau) (2r - 2^d')),
-    shape (rows, n_levels); the whole table (2^d' rows) by default.
+def _phase_blocks(p: FFPlan, eigs: np.ndarray, rows: int, lo: int, hi: int):
+    """Rows [lo, hi) of the phase table exp(-i h sqrt(tau) (2r - 2^d')) in
+    blocks of shape (rows, n_levels); ``rows`` is a power of two dividing ``lo``.
 
     Row r is the product of the single uncontrolled backward factor and the
-    d' cached bit evolutions selected by the bits of r, taken from the lowest
-    bit up, mirroring how the circuit spends its evolution time.  ``rows`` is
-    a power of two and ``lo`` a multiple of it: the low bits enumerate the
-    block by doubling the table (rows with the bit clear, then rows with it
-    set), and the high bits are those of ``lo``, common to the whole block.
-    Every row is the same left-to-right product either way, so a block equals
+    d' bit evolutions selected by the bits of r, taken from the lowest bit
+    up, mirroring how the circuit spends its evolution time.  The bit
+    evolutions and the low-bit table (the uncontrolled factor doubled
+    through the low bits: rows with the bit clear, then rows with it set)
+    are made once per call; each block is that table times its own high
+    bits.  Every row is the same left-to-right product, so a block equals
     its slice of the whole table bit for bit.
 
     The product is also the more accurate table: against 40-digit mpmath on
@@ -135,26 +132,25 @@ def _residue_phases(p: FFPlan, eigs: np.ndarray, lo: int = 0,
     rounding of theta_r, about 20 rad there), and it moved the bytes of 7 of
     the 14 files tests/data/golden_*.jsonl.
     """
-    rows = p.period if rows is None else rows
     low_bits = rows.bit_length() - 1
     root = math.sqrt(p.tau)
-    phases = np.exp(+1j * eigs * root)[None, :]  # uncontrolled factor
-    for j in range(p.dprime):
-        fwd = np.exp(-1j * eigs * root * (1 << j))   # bit 1
-        bwd = np.exp(+1j * eigs * root * (1 << j))   # bit 0
-        if j < low_bits:
-            phases = np.concatenate((phases * bwd, phases * fwd))
-        else:
-            phases *= fwd if (lo >> j) & 1 else bwd
-    return phases
+    fwd = [np.exp(-1j * eigs * root * (1 << j)) for j in range(p.dprime)]  # bit 1
+    bwd = [np.exp(+1j * eigs * root * (1 << j)) for j in range(p.dprime)]  # bit 0
+    table = np.exp(+1j * eigs * root)[None, :]  # uncontrolled factor
+    for j in range(low_bits):
+        table = np.concatenate((table * bwd[j], table * fwd[j]))
+    for start in range(lo, hi, rows):
+        block = table
+        for j in range(low_bits, p.dprime):
+            block = block * (fwd[j] if (start >> j) & 1 else bwd[j])
+        yield block
 
 
-def _block_rows(p: FFPlan, dim: int) -> int:
-    """Residue classes per streamed block: the largest power of two whose
-    (rows, dim) complex block fits _BLOCK_BYTES, at most the period (a level
-    count never exceeds dim)."""
-    fit = max(1, _BLOCK_BYTES // (16 * dim))
-    return min(p.period, 1 << (fit.bit_length() - 1))
+def _residue_phases(p: FFPlan, eigs: np.ndarray, lo: int = 0,
+                    rows: int | None = None) -> np.ndarray:
+    """Rows [lo, lo + rows) of the phase table, the whole table by default."""
+    rows = p.period if rows is None else rows
+    return next(_phase_blocks(p, eigs, rows, lo, lo + rows))
 
 
 JUMP_NORM_ATOL = 1e-9  # the one jump-norm rule: |h| <= 1 + this for every eigenvalue evolved
@@ -163,13 +159,6 @@ JUMP_NORM_ATOL = 1e-9  # the one jump-norm rule: |h| <= 1 + this for every eigen
 def _check_norm(eigs: np.ndarray):
     if float(np.max(np.abs(eigs))) > 1.0 + JUMP_NORM_ATOL:
         raise ValidationError("jump norm exceeds 1; normalize the spectrum and rescale time")
-
-
-def _real_imag_phases(p: FFPlan, eigs: np.ndarray, lo: int, rows: int) -> np.ndarray:
-    """Rows [lo, lo + rows) of the phase table as their real and imaginary
-    parts, shape (2, rows, n_levels)."""
-    x = _residue_phases(p, eigs, lo, rows)
-    return np.stack((x.real, x.imag))
 
 
 def gap_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
@@ -183,10 +172,10 @@ def gap_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
     rounding), so each such pair adds (w_r + w_{P-r}) cos((a - b) theta_r).
     The sum therefore runs over r in (0, P/2) only, as Re(x_r[a] conj(y_r[b]))
     of the phase table rows: real products of their real parts and of their
-    imaginary parts, over blocks of rows sized by ``_block_rows`` and partial
-    sums of ``_SUM_ROWS`` rows.  Class P/2 (theta = 0) adds its weight and
-    the unpaired class 0 adds w_0 e^{i (a - b) sqrt(tau) P}.  Equal spectra
-    (the same array) build one table.  The weights mirror only for an even
+    imaginary parts, one partial sum per block of 2^_SUM_BITS rows (all of
+    (0, P/2) when shorter).  Class P/2 (theta = 0) adds its weight and the
+    unpaired class 0 adds w_0 e^{i (a - b) sqrt(tau) P}.  Equal spectra (the
+    same array) build one table.  The weights mirror only for an even
     register count, which ``plan`` always chooses; an odd one is rejected.
     """
     if p.n % 2:
@@ -198,15 +187,13 @@ def gap_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
     fold = np.empty(half)
     fold[0] = 0.0  # class 0 has no partner; it is added below
     fold[1:] = weights[1:half] + weights[:half:-1]
-    rows = min(half, _block_rows(p, max(eigs_a.size, eigs_b.size)))
+    rows = 1 << min(_SUM_BITS, p.dprime - 1)
     total = np.full((eigs_a.size, eigs_b.size), weights[half])
-    for lo in range(0, half, rows):
-        x = _real_imag_phases(p, eigs_a, lo, rows)
-        y = x if eigs_b is eigs_a else _real_imag_phases(p, eigs_b, lo, rows)
-        for k in range(2):  # real parts, then imaginary parts
-            for c in range(0, rows, _SUM_ROWS):
-                end = min(c + _SUM_ROWS, rows)  # a block may hold fewer rows than a sum
-                total += (x[k, c:end].T * fold[lo + c:lo + end]) @ y[k, c:end]
+    blocks_b = None if eigs_b is eigs_a else _phase_blocks(p, eigs_b, rows, 0, half)
+    for lo, x in zip(range(0, half, rows), _phase_blocks(p, eigs_a, rows, 0, half)):
+        y = x if blocks_b is None else next(blocks_b)
+        for part in (np.real, np.imag):  # a contiguous right operand stays on BLAS
+            total += (part(x).T * fold[lo:lo + rows]) @ np.ascontiguousarray(part(y))
     edge = math.sqrt(p.tau) * p.period  # -theta_0
     return total + weights[0] * np.outer(np.exp(1j * edge * eigs_a), np.exp(-1j * edge * eigs_b))
 

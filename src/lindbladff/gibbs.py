@@ -73,6 +73,7 @@ def gibbs_prepare(h_p: np.ndarray, beta: float, eps: float) -> GibbsResult:
     """
     if beta < 0:
         raise ValidationError(f"inverse temperature must be nonnegative, got {beta}")
+    nk.require_eps(eps)
     h_p = nk.require_square(h_p)
     d = h_p.shape[0]
     if d != 1 << int(round(math.log2(d))):
@@ -80,8 +81,11 @@ def gibbs_prepare(h_p: np.ndarray, beta: float, eps: float) -> GibbsResult:
 
     w, v = _psd_eig(h_p)
     roots = np.sqrt(np.clip(w, 0.0, None))
-    p = make_plan(max(beta, 1e-6), eps)
-    kernel = gap_kernel(p, roots, np.zeros(1))[:, 0]
+    if beta == 0:  # the identity channel: a kernel of ones, no evolution time
+        kernel, cost = np.ones(d, dtype=complex), CostReport(0.0, 0, 0)
+    else:
+        p = make_plan(beta, eps)
+        kernel, cost = gap_kernel(p, roots, np.zeros(1))[:, 0], ff_cost(p)
     block = (v * kernel) @ v.conj().T / (2.0 * math.sqrt(d))  # system rows, copy columns
     norm = float(np.linalg.norm(block))
     if norm < 1e-12:
@@ -101,6 +105,6 @@ def gibbs_prepare(h_p: np.ndarray, beta: float, eps: float) -> GibbsResult:
         partition_estimate=z_est,
         partition_exact=z_exact,
         fidelity=fid,
-        cost=ff_cost(p),
+        cost=cost,
         ideal_amplification_queries=math.sqrt(d / z_est),
     )

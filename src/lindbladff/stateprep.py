@@ -30,17 +30,18 @@ _SUM_BLOCK = 1 << 16
 
 
 class GaussianParams:
-    """Periodized-Gaussian parameters: center mu, width sigma, period N."""
+    """Periodized-Gaussian parameters: center mu, width sigma, period N, with
+    a lattice sum f(mu, sigma) that does not underflow to 0."""
 
     __slots__ = ("mu", "sigma", "n")
 
     def __init__(self, mu: float, sigma: float, n: int):
-        if not 0 < sigma < math.inf:
-            raise ValidationError(f"sigma must be positive and finite, got {sigma}")
         if not math.isfinite(mu):
             raise ValidationError(f"mu must be finite, got {mu}")
         if n < 2:
             raise ValidationError(f"period must be >= 2, got {n}")
+        if f_mu_sigma(mu, sigma) == 0.0:  # f_mu_sigma also holds the one sigma rule
+            raise ValidationError(f"f(mu, sigma) underflows to 0 at mu = {mu}, sigma = {sigma}")
         self.mu = mu
         self.sigma = sigma
         self.n = n
@@ -69,9 +70,11 @@ def f_mu_sigma(mu, sigma: float):
     off within a few sites.  Each centre's sites floor(mu - reach) ..
     ceil(mu + reach) are summed as one row, so a centre's sum does not
     depend on the others; rows are built _SUM_BLOCK centres at a time.
+    Every sigma passes the one width rule 0 < 2 pi sigma^2 < inf: no
+    exponent divides by 0 and the theta normalizer does not overflow.
     """
-    if sigma <= 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
+    if not (sigma > 0 and 0 < 2.0 * math.pi * sigma * sigma < math.inf):
+        raise ValidationError(f"sigma needs 0 < 2 pi sigma^2 < inf, got {sigma}")
     mus = np.asarray(mu, dtype=float).reshape(-1)
     if sigma < 1.0:
         reach = sigma * math.sqrt(-2.0 * math.log(SERIES_CUTOFF)) + 1.0
@@ -101,13 +104,19 @@ def f_mu_sigma(mu, sigma: float):
 def discrete_gaussian_amplitudes(params: GaussianParams) -> np.ndarray:
     """Amplitudes of the periodized Gaussian on {0, ..., N-1} (unit norm).
 
-    xi^2(m) = sum_l exp(-(m + l N - mu)^2 / (2 sigma^2)) / f(mu, sigma); the
-    image sum is truncated once its tail falls below the series cutoff.
+    xi^2(m) = sum_l exp(-(m + l N - mu)^2 / (2 sigma^2)) / f(mu, sigma).  For
+    sigma >= N the image sum is read as f((mu - m) / N, sigma / N), a few
+    theta terms in place of ~17 sigma / N images; below N, where 1 / (sigma /
+    N) would amplify the rounding of (mu - m) / N, its <= ~20 images are
+    summed until the tail falls below the series cutoff.
     """
     mu, sigma, n = params.mu, params.sigma, params.n
     # the counts m, one image term and the running total: 24 bytes per count
     _require_memory(24 * n, "Gaussian amplitudes", f"arrays at N = {n}", "lower N")
+    f = f_mu_sigma(mu, sigma)
     m = np.arange(n, dtype=float)
+    if sigma >= n:
+        return np.sqrt(f_mu_sigma((mu - m) / n, sigma / n) / f)
     # images with |m + l n - mu| > reach contribute below the cutoff
     reach = sigma * math.sqrt(-2.0 * math.log(SERIES_CUTOFF)) + 1.0
     l_lo = int(math.floor((mu - reach) / n)) - 1
@@ -115,8 +124,7 @@ def discrete_gaussian_amplitudes(params: GaussianParams) -> np.ndarray:
     total = np.zeros(n)
     for l in range(l_lo, l_hi + 1):
         total += np.exp(-((m + l * n - mu) ** 2) / (2.0 * sigma ** 2))
-    xi_sq = total / f_mu_sigma(mu, sigma)
-    return np.sqrt(xi_sq)
+    return np.sqrt(total / f)
 
 
 def kw_angle_schedule(params: GaussianParams) -> list[np.ndarray]:

@@ -284,6 +284,12 @@ class TestExitCodes:
                                   "--eps", "1.5"],
         "sigma_nan": ["stateprep", "--what", "gaussian", "--sigma", "nan"],
         "mu_not_finite": ["stateprep", "--what", "gaussian", "--mu", "inf"],
+        # one width rule: sigma^2 past any float used to end in an OverflowError
+        "sigma_square_overflows_angles": ["stateprep", "--what", "angles", "--sigma", "1e200"],
+        "sigma_square_overflows_gaussian": ["stateprep", "--what", "gaussian", "--sigma", "1e300"],
+        # f(8.5, 1e-3) underflows to 0; the amplitudes used to print nan
+        "lattice_sum_underflows": ["stateprep", "--what", "gaussian", "--N", "16", "--mu", "8.5",
+                                   "--sigma", "1e-3"],
         "angles_n_not_a_power_of_two": ["stateprep", "--what", "angles", "--N", "48"],
         # binomial windows past the physical memory: 268 GiB, ~1e143 GiB
         # (a count no array can index) and 2.7e5 GiB of running products

@@ -11,7 +11,7 @@ from lindbladff import (FFPlan, ValidationError, ff_evolve,
                         lindblad_exact_hermitian, normalize_spectrum, plan)
 from lindbladff import fastforward
 from lindbladff import numkernel as nk
-from lindbladff.fastforward import _block_rows, _residue_phases, gap_kernel
+from lindbladff.fastforward import _residue_phases, gap_kernel
 from lindbladff.kernels import PMF_FLOOR, _support, binom_residue_weights
 
 from conftest import (full_mixture, goal_ledger, random_density, random_hermitian,
@@ -65,6 +65,11 @@ def whole_kernel(p, eigs_a, eigs_b):
     """Gap kernel from the two whole phase tables in one weighted product."""
     weights = binom_residue_weights(p.n, p.period, -p.shift)
     return (_residue_phases(p, eigs_a).T * weights) @ _residue_phases(p, eigs_b).conj()
+
+
+def kernel_blocks(p):
+    """Blocks ``gap_kernel`` sums over: 2^_SUM_BITS rows each, over P/2 rows."""
+    return (p.period // 2) >> min(fastforward._SUM_BITS, p.dprime - 1)
 
 
 def selected_phases(p, eigs):
@@ -287,20 +292,11 @@ class TestStreamedDensity:
                 assert block.tobytes() == whole[lo:lo + rows].tobytes(), (rows, lo)
             rows *= 4 if p.period > 4096 else 2  # every other size at large periods, for time
 
-    def test_block_rows_from_byte_budget(self):
-        p = plan(3.0, 0.05, 10**7)
-        assert p.period == 16384
-        assert _block_rows(p, 8) == p.period       # 32768 rows would fit
-        assert _block_rows(p, 64) == 4096
-        assert _block_rows(p, 256) == 1024
-        assert _block_rows(p, 300) == 512
-        assert _block_rows(p, 1 << 20) == 1
-
     def test_one_block_is_the_ledger_product(self, rng):
         p = plan(3.0, 0.05, 10**7)
         ham = normalize_spectrum(random_hermitian(rng, 8))
         psi = random_state(rng, 8)
-        assert _block_rows(p, ham.dim) == p.period
+        assert kernel_blocks(p) == 32
         rho, _ = ff_evolve(ham, psi, p)
         want = ledger_density(goal_ledger(ham, psi, p))
         assert np.max(np.abs(rho - want)) <= 8 * np.finfo(float).eps
@@ -309,7 +305,7 @@ class TestStreamedDensity:
         p = plan(3.0, 0.05, 10**7)
         ham = normalize_spectrum(random_hermitian(rng, 64))
         psi = random_state(rng, 64)
-        assert p.period // _block_rows(p, ham.dim) == 4
+        assert kernel_blocks(p) == 32
         rho, _ = ff_evolve(ham, psi, p)
         assert np.max(np.abs(rho - ledger_density(goal_ledger(ham, psi, p)))) <= 1e-15
 
@@ -329,7 +325,7 @@ class TestStreamedDensity:
     def test_one_block_is_the_whole_kernel(self, rng):
         p = plan(3.0, 0.05, 10**7)
         eigs = normalize_spectrum(random_hermitian(rng, 8)).eigenvalues
-        assert _block_rows(p, eigs.size) == p.period
+        assert kernel_blocks(p) == 32
         got = gap_kernel(p, eigs, eigs)
         assert np.max(np.abs(got - whole_kernel(p, eigs, eigs))) <= 8 * np.finfo(float).eps
 
@@ -337,7 +333,7 @@ class TestStreamedDensity:
         p = plan(3.0, 0.05, 10**7)
         eigs_a = normalize_spectrum(random_hermitian(rng, 64)).eigenvalues
         eigs_b = np.concatenate((eigs_a[:3], [0.0]))
-        assert p.period // _block_rows(p, eigs_a.size) == 4
+        assert kernel_blocks(p) == 32
         # |K| <= 1 and the blocks only reorder the sum over residues
         for a, b in ((eigs_a, eigs_a), (eigs_a, eigs_b), (eigs_b, eigs_a)):
             assert np.max(np.abs(gap_kernel(p, a, b) - whole_kernel(p, a, b))) <= 8 * np.finfo(float).eps
@@ -345,31 +341,32 @@ class TestStreamedDensity:
     @pytest.mark.parametrize("levels, columns", [(1025, None), (2048, [0.0, 1.0])],
                              ids=["1025-levels", "2048-levels"])
     def test_blocks_shorter_than_a_partial_sum(self, rng, levels, columns):
-        # above 1024 levels a block holds fewer rows than one _SUM_ROWS partial
-        # sum; the blocks regroup the 512-class sum of total weight 1
+        # a block is one partial sum whatever the level count, so above 1024
+        # levels a block is as long as at 8; the blocks regroup the 512-class
+        # sum of total weight 1
         p = plan(8.0, 0.1)
         a = np.sort(rng.uniform(0.0, 1.0, levels))
         b = a if columns is None else np.array(columns)
-        assert (p.period, _block_rows(p, levels)) == (1024, 128)
+        assert (p.period, kernel_blocks(p)) == (1024, 2)
         got = gap_kernel(p, a, b)
         assert np.max(np.abs(got - whole_kernel(p, a, b))) <= 32 * np.finfo(float).eps
 
     @pytest.mark.parametrize("t, eps, n, period", [(2.0, 0.05, None, 256), (8.0, 0.1, None, 1024),
                                                    (3.0, 0.05, 4 * 10**6, 8192)])
     def test_shrunk_blocks_match_one_block(self, monkeypatch, rng, t, eps, n, period):
-        # 8 levels take 128 bytes a row, so the whole half period is one block;
-        # shrunk blocks and partial sums of 3 rows (dividing no block) regroup
-        # the sum over P/2 classes of total weight 1: at most 17.5 eps measured
+        # blocks of 2^bits rows, down to one row, regroup the sum over P/2
+        # classes of total weight 1 that one block of all P/2 rows takes: at
+        # most 17 eps measured over 20 draws
         p = plan(t, eps, n)
         eigs = np.sort(rng.uniform(0.0, 1.0, 8))
-        assert p.period == period and _block_rows(p, eigs.size) == period
+        assert p.period == period
+        monkeypatch.setattr(fastforward, "_SUM_BITS", p.dprime)
+        assert kernel_blocks(p) == 1
         one = gap_kernel(p, eigs, eigs)
-        for rows in (1, 2, 64, 128):
-            monkeypatch.setattr(fastforward, "_BLOCK_BYTES", 128 * rows)
-            assert _block_rows(p, eigs.size) == rows
+        for bits in (0, 1, 6, 7):
+            monkeypatch.setattr(fastforward, "_SUM_BITS", bits)
+            assert kernel_blocks(p) == period >> (bits + 1)
             assert np.max(np.abs(gap_kernel(p, eigs, eigs) - one)) <= 32 * np.finfo(float).eps
-        monkeypatch.setattr(fastforward, "_SUM_ROWS", 3)
-        assert np.max(np.abs(gap_kernel(p, eigs, eigs) - one)) <= 32 * np.finfo(float).eps
 
     def test_density_blocks_match_the_whole_kernel(self, rng):
         p = plan(3.0, 0.05, 10**7)

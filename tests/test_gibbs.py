@@ -7,6 +7,7 @@ from lindbladff import (ValidationError, ff_evolve, gibbs_prepare,
                         lindblad_spec, normalize_spectrum, plan)
 from lindbladff import fastforward, gibbs, model
 from lindbladff import numkernel as nk
+from lindbladff.dilated import CostReport
 
 from oracles import exact_gibbs, uhlmann_fidelity
 
@@ -112,9 +113,20 @@ class TestGibbsPrepare:
         assert np.isclose(0.5 * math.sqrt(res.partition_estimate / 2.0), 0.37672, atol=1e-3)
 
     def test_infinite_temperature(self):
+        # beta = 0 is the identity channel: a kernel of ones, no evolution time
         res = gibbs_prepare(H_P2, beta=0.0, eps=0.05)
-        assert np.allclose(res.reduced_state, np.eye(2) / 2, atol=1e-5)
-        assert abs(res.partition_estimate - 2.0) <= 1e-3
+        assert np.max(np.abs(res.reduced_state - np.eye(2) / 2)) <= 2 * np.finfo(float).eps
+        assert abs(res.partition_estimate - 2.0) <= 4 * np.finfo(float).eps
+        assert (res.partition_exact, res.fidelity) == (2.0, 1.0)
+        assert res.cost == CostReport(0.0, 0, 0)
+
+    def test_tiny_beta_is_planned_as_itself(self):
+        # no floor on beta: 1e-300 runs the two-count plan of 1e-300
+        p = plan(1e-300, 0.05)
+        assert p.n == 2
+        res = gibbs_prepare(H_P2, beta=1e-300, eps=0.05)
+        assert res.cost == fastforward.ff_cost(p)
+        assert abs(res.partition_estimate - 2.0) <= 4 * np.finfo(float).eps
 
     def test_purification_reduces_consistently(self):
         res = gibbs_prepare(H_P2, beta=2.0, eps=0.05)

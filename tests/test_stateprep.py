@@ -1,4 +1,5 @@
 import math
+import signal
 import warnings
 
 import mpmath
@@ -105,6 +106,65 @@ class TestDiscreteGaussian:
             params = GaussianParams(float(rng.uniform(0, n)), float(rng.uniform(0.5, n / 3)), n)
             xi = discrete_gaussian_amplitudes(params)
             assert abs(np.linalg.norm(xi) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("sigma", (1e10, 1e150))
+    def test_wide_sigma_takes_no_image_loop(self, sigma):
+        # sigma = 1e10 spans ~10^10 images of N = 16; they are read in closed
+        # form, where summing them one by one never ended
+        def too_slow(signum, frame):
+            raise TimeoutError("wide-sigma amplitudes took over 5 s")
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(5)
+        try:
+            xi = discrete_gaussian_amplitudes(GaussianParams(8.5, sigma, 16))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert xi.shape == (16,) and np.max(np.abs(xi - 0.25)) <= 1e-15
+
+    def test_wide_sigma_matches_the_theta_reference(self):
+        # sigma / N in [1, 50] against 40-digit image sums in their dual theta
+        # form (terms l <= 5 reach far below 40 digits at sigma / N >= 1):
+        # 7.8e-17 worst over 200 draws, where summing the images erred 3.7e-16
+        def theta(x, s):
+            return mpmath.sqrt(2 * mpmath.pi) * s * (1 + 2 * sum(
+                mpmath.exp(-2 * (mpmath.pi * l * s) ** 2) * mpmath.cos(2 * mpmath.pi * l * x)
+                for l in range(1, 6)))
+        rng = np.random.default_rng(11)
+        with mpmath.workdps(40):
+            for _ in range(40):
+                n = int(rng.integers(2, 65))
+                mu, sigma = float(rng.uniform(-3 * n, 4 * n)), float(rng.uniform(1, 50)) * n
+                xi = discrete_gaussian_amplitudes(GaussianParams(mu, sigma, n))
+                f = theta(mpmath.mpf(mu), mpmath.mpf(sigma))
+                for m in range(n):
+                    want = mpmath.sqrt(theta((mpmath.mpf(mu) - m) / n, mpmath.mpf(sigma) / n) / f)
+                    assert abs(float(xi[m] - want)) <= 1.1e-16, (n, mu, sigma, m)
+
+    def test_zero_lattice_sum_is_refused(self):
+        # f(8.5, 1e-3) = e^{-125000} underflows to 0, where the amplitudes
+        # read 0/0 and no angle schedule is defined
+        with pytest.raises(ValidationError, match="underflows to 0"):
+            discrete_gaussian_amplitudes(GaussianParams(8.5, 1e-3, 16))
+
+
+class TestSigmaRule:
+    @pytest.mark.parametrize("sigma", (0.0, -1.0, math.nan, math.inf, 1e-170, 1.2e154,
+                                       1e200, 1e300))
+    def test_one_rule_one_message(self, sigma):
+        # 2 pi sigma^2 must be positive and finite: past 1.34e154 sigma^2
+        # overflowed in an OverflowError, and from 5.35e153 the theta
+        # normalizer read inf
+        messages = []
+        for build in (lambda: GaussianParams(8.0, sigma, 16), lambda: f_mu_sigma(8.0, sigma)):
+            with pytest.raises(ValidationError) as caught:
+                build()
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1] and "0 < 2 pi sigma^2 < inf" in messages[0]
+
+    def test_narrowest_width_inside_the_rule_runs(self):
+        xi = discrete_gaussian_amplitudes(GaussianParams(8.0, 1e-150, 16))
+        assert xi.tobytes() == np.eye(16)[8].tobytes()
 
 
 class TestAngleSchedule:
