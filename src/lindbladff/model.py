@@ -14,6 +14,7 @@ eigenvectors span the shared eigenspace, so the tolerance was exercised when
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from typing import NamedTuple
@@ -321,11 +322,151 @@ def _dense_matrix(lines: list[tuple[int, str]]) -> np.ndarray:
     return np.stack(rows).view(complex)
 
 
+_BLOCK = 1 << 14        # doubles per block (whole rows, or one wider row): 1.4 MiB of slots and masks
+# One value's slot in a block: a sign, the 17 digits (A), "0.000", the 17
+# digits again (B), an exponent and the separator.  A layout keeps some of
+# these bytes: A up to the point and B after it in fixed notation, "0." and
+# zeros before B below 1, A's first digit and "e-0" after B in exponent form.
+_SLOT = b"-" + b"0" * 17 + b"0.000" + b"0" * 17 + b"e-00" + b"\n"
+_A, _DOT, _B, _EXP = 1, 19, 23, 43      # offsets of digit A0, the point, digit B0, exponent digit
+# The kernel's range, 10^-6 < |x| < 10^17: there 16 - E <= 22, so 10^(16 - E)
+# is a double (5^22 < 2^53).  The double 1e-6 lies below 10^-6, outside.
+_LO, _HI = 1e-6, 1e17
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: a = hi + lo with 26 significant bits in each part."""
+    c = 134217729.0 * a                  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's product: (p, err) with p + err == a * 10^k exactly, for 0 <= k <= 22
+    (every such 10^k is a double) and a * 10^k far from overflow and underflow."""
+    b = _POW10[k]
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    p = a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+@functools.cache
+def _text_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's tables, built on first use: every 4-digit group 0000-9999
+    as its ASCII bytes in one uint32, each group's trailing zeros, and the
+    slot mask of each layout, row (E + 6) * 17 + k - 1 for exponent E in
+    [-6, 16] and k = 1..17 significant digits, then one row for a zero.
+    A layout writes the digits before the point from A (E + 1 of them in
+    fixed notation, 1 in exponent form, none below 1) and the rest of the k
+    from B, after the point."""
+    ten = np.frombuffer(b"0123456789", dtype=np.uint8)
+    groups = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    for place in range(4):
+        groups[..., place] = ten.reshape((10,) + (1,) * (3 - place))
+    groups = groups.reshape(10 ** 4, 4).view(np.uint32).ravel()
+    zeros = np.zeros(10 ** 4, dtype=np.uint8)
+    for step in (10, 100, 1000, 10 ** 4):
+        zeros[::step] += 1
+    e = np.arange(-6, 17)[:, None, None]
+    k = np.arange(1, 18)[:, None]
+    c = np.arange(len(_SLOT))
+    small, sci = (-4 <= e) & (e < 0), e < -4
+    head = np.where(e >= 0, e + 1, sci)
+    masks = (((_A <= c) & (c < _A + head))
+             | (small & ((c == _DOT - 1) | ((_DOT < c) & (c < _DOT - e))))
+             | ((c == _DOT) & (head < k))
+             | ((_B + head <= c) & (c < _B + k))
+             | (sci & (_EXP - 3 <= c) & (c <= _EXP))
+             | (c == len(_SLOT) - 1))
+    zero = (c == _DOT - 1) | (c == len(_SLOT) - 1)
+    return groups, zeros, np.vstack([masks.reshape(-1, c.size), zero])
+
+
+def _format_block(v: np.ndarray, seps: np.ndarray) -> np.ndarray:
+    """The bytes of ``'%.17g' % x`` and its separator from ``seps``, for each x of ``v``.
+
+    For 10^-6 < |x| < 10^17 the 17 significant digits are the integer nearest
+    |x| * 10^(16 - E) (ties to even), E the decimal exponent; Dekker's product
+    gives that product exactly as hi + lo, and hi, in [10^16, 10^17], is an
+    even integer, so rint(lo) rounds the sum.  E starts as floor(log10 |x|),
+    which can be one off next to a power of ten, and moves to where the exact
+    product lies in [10^16, 10^17).  The sum never rounds up to 10^17: the
+    double below each power of ten in the range lies further below it than
+    half a unit of the 17th digit.  The digits come from the 4-digit table,
+    and a mask picks each value's layout out of its slot, as %g lays it out:
+    fixed notation for -4 <= E < 17, trailing zeros and a bare point
+    stripped.  Zeros get their own layout, so that a real matrix's imaginary
+    parts stay in the array arithmetic; every other value (nan, inf,
+    subnormals, the rest outside the range) is written by '%.17g' itself.
+    """
+    groups, zeros, masks = _text_tables()
+    ax = np.abs(v)
+    zero = ax == 0.0
+    fast = (ax > _LO) & (ax < _HI)
+    ax = np.where(fast, ax, 1.0)                     # the rest run as 1.0, then are overwritten
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    np.clip(e, -6, 16, out=e)                        # one off at the range's ends, as anywhere
+    hi, lo = _two_product(ax, 16 - e)
+    down = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    up = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+    off = np.flatnonzero(down | up)
+    if off.size:
+        e[off] += up[off].astype(np.int64) - down[off]
+        hi[off], lo[off] = _two_product(ax[off], 16 - e[off])
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+    top, rest = np.divmod(n, 10 ** 8)
+    quad = np.empty((v.size, 5), dtype=np.int32)
+    quad[:, 0], mid = np.divmod(top.astype(np.int32), 10 ** 8)
+    quad[:, 1], quad[:, 2] = np.divmod(mid, 10 ** 4)
+    quad[:, 3], quad[:, 4] = np.divmod(rest.astype(np.int32), 10 ** 4)
+    text = groups[quad].view(np.uint8)[:, 3:]        # the 17 digits; group 0 is "000" + d0
+    tz = zeros[quad[:, 4]]
+    run = quad[:, 4] == 0
+    for col in (3, 2, 1):
+        tz += run * zeros[quad[:, col]]
+        run &= quad[:, col] == 0
+
+    cls = np.where(zero, len(masks) - 1, (e + 6) * 17 + 16 - tz)
+    mask = np.take(masks, cls, axis=0)
+    mask[:, 0] = np.signbit(v)
+    slot = np.empty_like(mask, dtype=np.uint8)
+    slot[:] = np.frombuffer(_SLOT, dtype=np.uint8)
+    slot[:, _A:_A + 17] = text
+    slot[:, _B:_B + 17] = text
+    slot[:, _EXP] = 48 - e
+    slot[:, -1] = seps[:v.size]
+
+    other = np.flatnonzero(~(fast | zero))
+    if other.size:
+        width = len(_SLOT) - 1                   # all but the separator, NUL-padded
+        rare = np.array(["%.17g" % x for x in v[other].tolist()], dtype=f"S{width}")
+        rare = rare.view(np.uint8).reshape(other.size, width)
+        slot[other, :-1] = rare
+        mask[other, :-1] = rare != 0
+    return slot[mask]
+
+
 def format_dense_matrix(a: np.ndarray) -> str:
-    """One line per row, entries "re,im" in %.17g (round-trip exact)."""
-    a = np.ascontiguousarray(a, dtype=complex)
-    template = " ".join(["%.17g,%.17g"] * a.shape[1])
-    return "\n".join([template % tuple(row) for row in a.view(float).tolist()]) + "\n"
+    """One line per row, entries "re,im", each real number byte for byte as
+    ``'%.17g' % x`` writes it: round-trip exact except NaN's sign and payload.
+
+    The rows are formatted in blocks of about ``_BLOCK`` doubles by
+    ``_format_block``; a matrix with no rows or no columns gives one newline
+    per row, and at least one.
+    """
+    x = np.ascontiguousarray(a, dtype=complex).view(float)
+    rows, width = x.shape
+    if rows == 0 or width == 0:
+        return "\n" * max(rows, 1)
+    step = max(1, _BLOCK // width)
+    seps = np.tile(np.frombuffer(b", ", dtype=np.uint8), width // 2)
+    seps[-1] = ord("\n")
+    seps = np.tile(seps, min(step, rows))
+    return "".join([_format_block(x[r:r + step].ravel(), seps).tobytes().decode("ascii")
+                    for r in range(0, rows, step)])
 
 
 def load_hamiltonian_text(text: str) -> np.ndarray:

@@ -26,8 +26,12 @@ from lindbladff.qpe import (AmplitudeDecision, AmplitudeProblem, _fast_distribut
                             amplitude_problem, decide_amplitude)
 from lindbladff.stateprep import SERIES_CUTOFF
 
-VECTORIZED_CAP = 4096           # dim^2 cap for the vectorized propagator
-DENSE_REFERENCE_CAP = 2 ** 14   # register_dim * system_dim for the circuit oracle
+# Each oracle refuses a problem whose largest array would pass ORACLE_BYTES: the
+# dim^2 x dim^2 complex generator of the vectorized propagator, and the
+# register x system complex joint state of the circuit oracle.
+ORACLE_BYTES = 2 ** 28
+VECTORIZED_CAP = math.isqrt(ORACLE_BYTES // 16)   # dim^2, 4096
+DENSE_REFERENCE_CAP = ORACLE_BYTES // 16          # register_dim * system_dim, 2^24
 
 
 def vec(rho: np.ndarray) -> np.ndarray:

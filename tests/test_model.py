@@ -124,8 +124,9 @@ def parse_entrywise(text):
     return np.array(rows, dtype=complex)
 
 
-EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072009e-308,
-               1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0]
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, math.copysign(math.nan, -1.0), 5e-324,
+               -2.2250738585072009e-308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1,
+               1.0 / 3.0, 1e-6, -1e17, 99999999999999984.0, 0.5]
 ENTRY = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
 MATRICES = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
     lambda shape: hnp.arrays(float, (shape[0], 2 * shape[1]), elements=ENTRY)
@@ -166,11 +167,92 @@ def decorated_text(draw, pauli=False):
     return a, "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
 
 
+def assert_same_text(got, want):
+    """got == want, reported at the first entry that differs: pytest's diff of
+    two multi-megabyte strings would take minutes."""
+    if got != want:
+        for i, pair in enumerate(zip(got.split(" "), want.split(" "))):
+            assert (i, pair[0]) == (i, pair[1])
+        assert len(got) == len(want)
+
+
+def _bit_patterns(rng, low=0, high=2047):
+    """2^20 doubles of random sign and mantissa, exponent field in [low, high]."""
+    size = 1 << 20
+    sign = rng.integers(0, 2, size, dtype=np.uint64) << np.uint64(63)
+    exponent = rng.integers(low, high, size, endpoint=True).astype(np.uint64) << np.uint64(52)
+    return (sign | exponent | rng.integers(0, 1 << 52, size, dtype=np.uint64)).view(float)
+
+
+def _ties(rng):
+    """x * 10^k exactly halfway between integers for k = 1..22, x in
+    [10^(16-k), 10^(17-k)): the 17-digit rounding ties, odd multiples of 2^-(k+1)."""
+    parts = []
+    for k in range(1, 23):
+        scale = 2 ** (k + 1)
+        lo = scale * 10 ** 16 // 10 ** k // 2
+        hi = min(scale * 10 ** 17 // 10 ** k, 2 ** 53) // 2
+        parts.append((2 * rng.integers(lo, hi, 1000) + 1) / scale)
+    return np.concatenate(parts)
+
+
+def _powers_of_ten():
+    """The double nearest 10^k and both its neighbours, k = -8..18, both signs."""
+    p = np.array([float(f"1e{k}") for k in range(-8, 19)])
+    p = np.concatenate([np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)])
+    return np.concatenate([p, -p])
+
+
+KERNEL_CASES = {
+    "random bits": lambda rng: _bit_patterns(rng),
+    "random bits in 2^-20..2^57": lambda rng: _bit_patterns(rng, 1023 - 20, 1023 + 57),
+    "powers of ten": lambda rng: _powers_of_ten(),
+    "edge floats": lambda rng: np.array(EDGE_FLOATS),
+    "half-integers": lambda rng: rng.integers(-(1 << 52), 1 << 52, 1 << 16) + 0.5,
+    "dyadic": lambda rng: rng.integers(-1024, 1024, 1 << 16) * 2.0 ** rng.integers(-80, 80, 1 << 16),
+    "17-digit ties": _ties,
+    "log-wide": lambda rng: rng.choice([-1.0, 1.0], 1 << 16) * 10.0 ** rng.uniform(-30, 30, 1 << 16),
+}
+
+
 class TestDenseTextCompatibility:
     @settings(max_examples=300, deadline=None, database=None)
     @given(MATRICES)
     def test_format_bytes_match_entrywise(self, a):
         assert model.format_dense_matrix(a) == format_entrywise(a)
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_format_bytes_match_entrywise_on(self, case, rng):
+        values = KERNEL_CASES[case](rng)
+        a = values.reshape(-1, 2).view(complex).reshape(-1, 8 if values.size % 16 == 0 else 1)
+        assert_same_text(model.format_dense_matrix(a), format_entrywise(a))
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_format_exponent_one_off_is_corrected(self, shift, rng, monkeypatch):
+        """The kernel's first exponent, floor(log10 |x|), is one off where
+        log10 rounds across an integer; a log10 that puts every value one
+        decade off shows that the correction alone sets the exponent."""
+        def log10(x):       # the exponent of '%.16e', which %.17g uses, moved by shift
+            return np.array([int(("%.16e" % y).split("e")[1]) + shift + 0.5 for y in x.tolist()])
+
+        a = np.concatenate([_powers_of_ten(), _bit_patterns(rng, 1023 - 20, 1023 + 57)[:1 << 14]])
+        a = a.reshape(-1, 2).view(complex)
+        monkeypatch.setattr(np, "log10", log10)
+        assert_same_text(model.format_dense_matrix(a), format_entrywise(a))
+
+    @pytest.mark.parametrize("shape", [
+        (3 * model._BLOCK // 16 + 5, 8),      # more rows than one block holds
+        (1, model._BLOCK),                   # one row, twice a block's doubles
+        (3, model._BLOCK // 2 + 1),          # every row a block of its own
+    ])
+    def test_format_blocks_match_entrywise(self, shape, rng):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert_same_text(model.format_dense_matrix(a), format_entrywise(a))
+
+    @pytest.mark.parametrize("shape,text", [((0, 3), "\n"), ((0, 0), "\n"), ((3, 0), "\n\n\n")])
+    def test_format_empty_shapes(self, shape, text):
+        """One newline per row, and one for no rows: the bytes these shapes always had."""
+        assert model.format_dense_matrix(np.zeros(shape, dtype=complex)) == text
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(MATRICES)
