@@ -5,9 +5,9 @@ preparation, and commuting-generator noise channels."""
 __version__ = "0.1.0"
 
 from .errors import CapacityError, InvariantError, ValidationError
-from .dilated import CostReport, dilated_evolve, default_steps
-from .exact_oracle import lindblad_exact_hermitian
-from .fastforward import FFPlan, ff_evolve, plan
+from .dilated import CostReport, default_steps
+from .fastforward import FFPlan, plan
+from .channel import Channel, channel, evolve
 from .gibbs import GibbsResult, gibbs_prepare
 from .model import (Hamiltonian, LindbladSpec, SpectralState, SpectrumMap,
                     decompose_state, lindblad_spec,

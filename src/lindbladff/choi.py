@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ValidationError
 from . import numkernel as nk
+from .channel import Channel, channel
 from .dilated import CostReport
-from .fastforward import FFPlan, ff_cost, gap_kernel, plan as make_plan
 from .model import Hamiltonian, LindbladSpec, normalize_spectrum
 
 # Commutation tolerance of ``is_choi_commuting``, relative to each probe's scale
@@ -104,7 +104,7 @@ def choi_ff_evolve(spec: LindbladSpec, state0: np.ndarray, t: float,
     nk.require_eps(eps_total)
     hams = [normalize_spectrum(j) for j in spec.jumps]
     eps_each = eps_total / len(hams)
-    plans = [_factor_plan(k, ham, t, eps_each) for k, ham in enumerate(hams)]
+    chans = [_factor_channel(k, ham, t, eps_each) for k, ham in enumerate(hams)]
     passes, worst = is_choi_commuting(spec)
     if not passes:
         raise ValidationError(f"generators do not commute (max commutator {worst:.3e})")
@@ -120,25 +120,26 @@ def choi_ff_evolve(spec: LindbladSpec, state0: np.ndarray, t: float,
     if rho.shape[0] != spec.dim:
         raise ValidationError(f"dimension mismatch: state {rho.shape[0]} vs jumps {spec.dim}")
     costs = []
-    for ham, p in zip(hams, plans):
-        if p is not None:
-            rho = ham.dephase(gap_kernel(p, ham.eigenvalues, ham.eigenvalues), rho)
-            costs.append(ff_cost(p))
+    for ham, chan in zip(hams, chans):
+        if chan is not None:
+            rho = ham.dephase(chan.kernel(ham.eigenvalues, ham.eigenvalues), rho)
+            costs.append(chan.cost)
     # the counts sum from int 0, so the record keeps integer counts
     cost = CostReport(sum((c.hamiltonian_time for c in costs), 0.0),
                       sum(c.step_count for c in costs), sum(c.ancilla_count for c in costs))
     return rho, cost, worst
 
 
-def _factor_plan(k: int, ham: Hamiltonian, t: float, eps: float) -> FFPlan | None:
-    """The plan of jump k's factor, run for scale^2 t; None when the factor is
-    the identity (an identity-proportional jump, or a rate that underflows)."""
+def _factor_channel(k: int, ham: Hamiltonian, t: float, eps: float) -> Channel | None:
+    """The ``ff`` channel of jump k's factor, run for scale^2 t; None when the
+    factor is the identity (an identity-proportional jump, or a rate that
+    underflows)."""
     try:
         time = ham.spectrum_map.scale ** 2 * t
     except OverflowError:
         time = math.inf
     try:
-        return None if ham.n_levels == 1 or time == 0.0 else make_plan(time, eps)
+        return None if ham.n_levels == 1 or time == 0.0 else channel("ff", time, eps)
     except ValidationError as exc:
         raise ValidationError(f"jump {k} of width {ham.spectrum_map.scale:.6g} runs for "
                               f"scale^2 t = {time:.6g}: {exc}") from None

@@ -37,9 +37,9 @@ from . import model
 from .model import lindblad_spec
 from .choi import choi_ff_evolve
 from .concentration import bernstein_bound, binomial_tail, hoeffding_bound
-from .dilated import CostReport, default_steps, dilated_evolve
-from .exact_oracle import lindblad_exact_hermitian
-from .fastforward import ff_evolve, plan as make_plan
+from .channel import channel, evolve
+from .dilated import CostReport
+from .fastforward import plan as make_plan
 from .gibbs import gibbs_prepare
 from .qpe import (amplitude_problem, counting_estimator, decide_amplitude,
                   fast_qpe, fast_qpe_eigenstate, slow_qpe, slow_qpe_eigenstate,
@@ -155,6 +155,9 @@ def _cmd_evolve(args, argv):
     t0 = time.perf_counter()
     if not 0.0 < args.eps < 1.0:  # one range for every method, whether or not it reads eps
         raise ValidationError(f"--eps must lie in (0, 1), got {args.eps}")
+    for flag, value, reader in (("--N", args.N, "ff"), ("--steps", args.steps, "dilated")):
+        if value is not None and args.method != reader:
+            raise ValidationError(f"{flag} applies only to --method {reader}")
     if args.method == "choi-ff":
         jumps, digest = _load_jump_list(args.jumps)
         spec = lindblad_spec(jumps)
@@ -172,21 +175,15 @@ def _cmd_evolve(args, argv):
     mat, digest = _load_ham(args.ham)
     ham = model.normalize_spectrum(mat)
     psi = _initial_state(args.state, ham.dim)
+    chan = channel(args.method, args.t, args.eps, args.steps, args.N)
+    rho, cost = evolve(ham, psi, chan)
     outputs = {"method": args.method}
-    if args.method == "ff":
-        p = make_plan(args.t, args.eps, args.N)
-        rho, cost = ff_evolve(ham, psi, p)
+    if (p := chan.plan) is not None:
         outputs["plan"] = {
             "N": p.n, "c": p.c, "d": p.d, "dprime": p.dprime,
             "tau": p.tau, "window": list(p.window), "full_window": p.full_window,
             "mod_convention": "2^d", "note": p.note,
         }
-    elif args.method == "dilated":
-        steps = default_steps(args.t, args.eps) if args.steps is None else args.steps
-        rho, cost = dilated_evolve(ham, psi, args.t, steps)
-    else:  # exact
-        rho = lindblad_exact_hermitian(ham, psi, args.t)
-        cost = CostReport(0.0, 0, 0)
     outputs["rho_out"] = model.format_dense_matrix(rho)
     outputs["spectrum_map"] = {"scale": ham.spectrum_map.scale, "shift": ham.spectrum_map.shift}
     yield _record(argv, t0, outputs, digest, cost=cost)
@@ -336,22 +333,17 @@ def _bench_ff_vs_dilated(args, argv):
     psi = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     ts = model.parse_number_list("--t", args.t or "1,2,4,8,16,32,64")
     yield "t,method,hamiltonian_time,steps,ancillas,trace_distance_to_exact"
-    ff_costs, dil_costs = [], []
+    costs = {"ff": [], "dilated": []}
     for t in ts:
-        exact = lindblad_exact_hermitian(ham, psi, t)
-        p = make_plan(t, args.eps)
-        rho_ff, cost_ff = ff_evolve(ham, psi, p)
-        ff_costs.append(cost_ff.hamiltonian_time)
-        yield (f"{t},ff,{cost_ff.hamiltonian_time!r},{cost_ff.step_count},"
-               f"{cost_ff.ancilla_count},{nk.trace_distance(rho_ff, exact)!r}")
-        steps = default_steps(t, args.eps)
-        rho_d, cost_d = dilated_evolve(ham, psi, t, steps)
-        dil_costs.append(cost_d.hamiltonian_time)
-        yield (f"{t},dilated,{cost_d.hamiltonian_time!r},{cost_d.step_count},"
-               f"{cost_d.ancilla_count},{nk.trace_distance(rho_d, exact)!r}")
-    for name, costs, target in (("ff", ff_costs, 0.5), ("dilated", dil_costs, 2.0)):
+        exact, _ = evolve(ham, psi, channel("exact", t, args.eps))
+        for method in costs:
+            rho, cost = evolve(ham, psi, channel(method, t, args.eps))
+            costs[method].append(cost.hamiltonian_time)
+            yield (f"{t},{method},{cost.hamiltonian_time!r},{cost.step_count},"
+                   f"{cost.ancilla_count},{nk.trace_distance(rho, exact)!r}")
+    for name, target in (("ff", 0.5), ("dilated", 2.0)):
         yield _slope_record(argv, t0, {"suite": "ff-vs-dilated", "series": name},
-                            ts, costs, target, 0.1)
+                            ts, costs[name], target, 0.1)
 
 
 def _bench_qpe_error(args, argv):

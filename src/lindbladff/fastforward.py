@@ -11,9 +11,10 @@ That ledger is an exact description of the circuit (not an approximation) and
 is what keeps register counts of 10^5..10^7 runnable at desk scale.
 
 Nothing holds the whole ledger.  For every pure component it realizes the
-level-pair ``gap_kernel`` sum_r w_r e^{-i (h_a - h_b) theta_r}, and
-``ff_evolve`` applies that kernel through ``Hamiltonian.dephase``: a state
-vector on its eigenspace components, a density matrix in the eigenbasis.
+level-pair ``gap_kernel`` sum_r w_r e^{-i (h_a - h_b) theta_r}, and the
+``ff`` channel of ``channel.channel`` applies that kernel through
+``Hamiltonian.dephase``: a state vector on its eigenspace components, a
+density matrix in the eigenbasis.
 Residue classes r and P - r carry opposite phases and mirror weights, so the
 kernel is a cosine series over half the classes, summed in real arithmetic
 from blocks of 256 phase-table rows, each one partial sum, in O(block +
@@ -38,7 +39,6 @@ from .errors import ValidationError
 from . import numkernel as nk
 from .dilated import CostReport, default_steps
 from .kernels import binom_residue_weights
-from .model import Hamiltonian
 
 # Bits of the residue rows in one block of ``gap_kernel``: a block of
 # 2^_SUM_BITS rows is one partial sum, so no long sequential accumulation
@@ -165,7 +165,7 @@ def gap_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
     """Fast-forward gap kernel sum_r w_r e^{-i (a - b) theta_r}, shape (len a, len b).
 
     Entry [i, j] multiplies the coherence between jump eigenvalues a_i and
-    b_j; ``ff_evolve`` applies it through ``Hamiltonian.dephase`` and
+    b_j; the ``ff`` channel applies it through ``Hamiltonian.dephase`` and
     ``gibbs_prepare`` reads one column of it against eigenvalue 0.  The
     phases theta_r = sqrt(tau) (2r - P) of residue classes r and P - r are
     opposite and their binomial weights mirror each other (equal up to
@@ -202,23 +202,4 @@ def ff_cost(p: FFPlan) -> CostReport:
     """Cost of the fast-forwarded circuit: Hamiltonian time 2^d' sqrt(tau),
     d' controlled factors plus one uncontrolled one, d address ancillas."""
     return CostReport(float(p.period) * math.sqrt(p.tau), p.dprime + 1, p.d)
-
-
-def ff_evolve(ham: Hamiltonian, state0: np.ndarray, p: FFPlan
-              ) -> tuple[np.ndarray, CostReport]:
-    """Fast-forwarded simulation of the dephasing Lindbladian.
-
-    Accepts a state vector or a density matrix.  The circuit's residue
-    ledger realizes, for every pure component, the level-pair ``gap_kernel``
-    in the jump's eigenbasis, so either input is multiplied by that kernel
-    through ``ham.dephase``: a state vector on its eigenspace components, a
-    density matrix in the eigenbasis.  Memory is O(block + dim^2) for any
-    register count.  The reported Hamiltonian time 2^d' sqrt(tau) is exactly
-    the evolution time the d' controlled factors and one uncontrolled factor
-    spend.
-    """
-    if np.ndim(state0) != 1:
-        state0 = nk.require_density(state0)
-    kernel = gap_kernel(p, ham.eigenvalues, ham.eigenvalues)
-    return ham.dephase(kernel, state0), ff_cost(p)
 

@@ -13,10 +13,10 @@ and eigenvalue 0 on the whole ancilla-|1> sector, where it acts as zero.  The
 fast-forwarded channel multiplies each coherence by the gap kernel
 sum_r w_r e^{-i (h_a - h_b) theta_r}; the |1> side of the block always sits at
 eigenvalue 0, so it contributes the phase 1 and the block's |0>|v_i> rows are
-multiplied by K_i = sum_r w_r e^{-i sqrt(w_i) theta_r}, one column of
-``fastforward.gap_kernel`` against eigenvalue 0.  (A zero eigenvalue of H_P
-shares that level, and gets K_i = sum_r w_r = 1, exactly as it should.)  With
-(M (x) I)|Omega> = vec(M) / sqrt(d), the block vector is
+multiplied by K_i = sum_r w_r e^{-i sqrt(w_i) theta_r}, one column of the
+kernel of ``channel("ff", beta, eps)`` against eigenvalue 0.  (A zero
+eigenvalue of H_P shares that level, and gets K_i = sum_r w_r = 1, exactly as
+it should.)  With (M (x) I)|Omega> = vec(M) / sqrt(d), the block vector is
 
     v = vec(V diag(K) V^dag) / (2 sqrt(d)),
 
@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import ValidationError
 from . import numkernel as nk
+from .channel import channel
 from .dilated import CostReport
-from .fastforward import ff_cost, gap_kernel, plan as make_plan
 
 
 class GibbsResult(NamedTuple):
@@ -65,11 +65,10 @@ def _psd_eig(h_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def gibbs_prepare(h_p: np.ndarray, beta: float, eps: float) -> GibbsResult:
     """Prepare the Gibbs purification at inverse temperature beta.
 
-    The channel runs for time beta through the fast-forwarded simulator at
-    target error eps; the partition estimate inverts the ancilla block norm
-    (ideal value sqrt(Z / 2^n) / 2).  One eigendecomposition of H_P gives
-    the jump's roots, the exact Z and both level distributions that the
-    fidelity compares.
+    The ``ff`` channel runs for time beta at target error eps; the partition
+    estimate inverts the ancilla block norm (ideal value sqrt(Z / 2^n) / 2).
+    One eigendecomposition of H_P gives the jump's roots, the exact Z and
+    both level distributions that the fidelity compares.
     """
     if beta < 0:
         raise ValidationError(f"inverse temperature must be nonnegative, got {beta}")
@@ -84,8 +83,8 @@ def gibbs_prepare(h_p: np.ndarray, beta: float, eps: float) -> GibbsResult:
     if beta == 0:  # the identity channel: a kernel of ones, no evolution time
         kernel, cost = np.ones(d, dtype=complex), CostReport(0.0, 0, 0)
     else:
-        p = make_plan(beta, eps)
-        kernel, cost = gap_kernel(p, roots, np.zeros(1))[:, 0], ff_cost(p)
+        chan = channel("ff", beta, eps)
+        kernel, cost = chan.kernel(roots, np.zeros(1))[:, 0], chan.cost
     block = (v * kernel) @ v.conj().T / (2.0 * math.sqrt(d))  # system rows, copy columns
     norm = float(np.linalg.norm(block))
     if norm < 1e-12:

@@ -99,14 +99,14 @@ def require_density(rho: np.ndarray) -> np.ndarray:
 
 
 def require_time(t: float) -> None:
-    """Validate an evolution time: 0 < t < inf."""
-    if not 0 < t < np.inf:
+    """Validate an evolution time: 0 < t < inf (a missing one, None, is refused)."""
+    if t is None or not 0 < t < np.inf:
         raise ValidationError(f"evolution time must be positive and finite, got {t}")
 
 
 def require_eps(eps: float) -> None:
-    """Validate a target error: 0 < eps < 1."""
-    if not 0 < eps < 1:
+    """Validate a target error: 0 < eps < 1 (a missing one, None, is refused)."""
+    if eps is None or not 0 < eps < 1:
         raise ValidationError(f"target error must be in (0, 1), got {eps}")
 
 

@@ -9,9 +9,8 @@ import io
 import numpy as np
 import pytest
 
-from lindbladff import (ValidationError, amplitude_problem, choi_ff_evolve, decompose_state,
-                        default_steps, dilated_evolve, fast_qpe,
-                        gibbs_prepare, lindblad_exact_hermitian, lindblad_spec,
+from lindbladff import (ValidationError, amplitude_problem, channel, choi_ff_evolve,
+                        decompose_state, default_steps, fast_qpe, gibbs_prepare, lindblad_spec,
                         normalize_spectrum, plan, slow_qpe, slow_qpe_eigenstate,
                         standard_qpe, standard_qpe_eigenstate)
 from lindbladff.cli import run
@@ -19,16 +18,18 @@ from lindbladff.cli import run
 from test_qpe import PREPARERS
 
 HAM = normalize_spectrum(np.diag([0.0, 0.5, 1.0]).astype(complex))
-RHO = np.eye(3, dtype=complex) / 3
 STATE = decompose_state(np.full(3, 3 ** -0.5, dtype=complex), HAM)
 SPEC = lindblad_spec([np.diag([0.0, 1.0]).astype(complex)])
 RHO2 = np.eye(2, dtype=complex) / 2
 PLAN = plan(4.0, 1e-3, n_override=64)
 
-# Each entry point with the argument under test left open.
+# Each entry point with the argument under test left open; a single-jump
+# channel is keyed by its method.
 TIME = {
-    "lindblad_exact_hermitian": lambda t: lindblad_exact_hermitian(HAM, RHO, t),
-    "dilated_evolve": lambda t: dilated_evolve(HAM, RHO, t, 4),
+    "exact": lambda t: channel("exact", t, None),
+    "dilated": lambda t: channel("dilated", t, None, 4),
+    "dilated_default_steps": lambda t: channel("dilated", t, 0.1),
+    "ff": lambda t: channel("ff", t, 0.1),
     "default_steps": lambda t: default_steps(t, 0.1),
     "plan": lambda t: plan(t, 0.1),
     "choi_ff_evolve": lambda t: choi_ff_evolve(SPEC, RHO2, t, 0.1),
@@ -37,6 +38,8 @@ TIME = {
     "amplitude_problem": lambda t: amplitude_problem(2, 1, t=t),
 }
 EPS = {
+    "dilated": lambda eps: channel("dilated", 1.0, eps),
+    "ff": lambda eps: channel("ff", 1.0, eps),
     "default_steps": lambda eps: default_steps(1.0, eps),
     "plan": lambda eps: plan(1.0, eps),
     "choi_ff_evolve": lambda eps: choi_ff_evolve(SPEC, RHO2, 1.0, eps),
@@ -51,7 +54,8 @@ COUNTS = {
     "slow_qpe": (lambda n: slow_qpe(HAM, STATE, 4.0, n), 1, "register count", 64),
     "slow_qpe_eigenstate": (lambda n: slow_qpe_eigenstate(HAM, STATE, 0, 4.0, n), 1,
                             "register count", 64),
-    "dilated_evolve": (lambda n: dilated_evolve(HAM, RHO, 1.0, n), 1, "step count", 4),
+    "dilated": (lambda n: channel("dilated", 1.0, None, n), 1, "step count", 4),
+    "ff": (lambda n: channel("ff", 1.0, 0.1, n=n), 2, "register count", 64),
     "standard_qpe": (lambda d: standard_qpe(HAM, STATE, d), 1, "register bits", 4),
     "standard_qpe_eigenstate": (lambda d: standard_qpe_eigenstate(HAM, STATE, 0, d), 1,
                                 "register bits", 4),
@@ -68,15 +72,16 @@ def refusal(call, value) -> str:
     return str(info.value)
 
 
-@pytest.mark.parametrize("t", (0.0, -1.0, float("nan"), float("inf")))
+# None, a missing value, once raised a TypeError from the comparison
+@pytest.mark.parametrize("t", (0.0, -1.0, float("nan"), float("inf"), None))
 @pytest.mark.parametrize("entry", sorted(TIME))
 def test_time_is_refused_alike(entry, t):
     assert refusal(TIME[entry], t) == f"evolution time must be positive and finite, got {t}"
 
 
 # 1.5 once ran default_steps to one step; choi_ff_evolve checked only its
-# per-jump share, so two jumps ran at 0.75 each
-@pytest.mark.parametrize("eps", (0.0, 1.0, 1.5, -0.1, float("nan"), float("inf")))
+# per-jump share, so two jumps ran at 0.75 each; None raised a TypeError
+@pytest.mark.parametrize("eps", (0.0, 1.0, 1.5, -0.1, float("nan"), float("inf"), None))
 @pytest.mark.parametrize("entry", sorted(EPS))
 def test_target_error_is_refused_alike(entry, eps):
     assert refusal(EPS[entry], eps) == f"target error must be in (0, 1), got {eps}"

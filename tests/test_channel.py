@@ -1,0 +1,114 @@
+"""The channel table: each single-jump method is a gap kernel and a cost, and
+``evolve`` applies the kernel.  The table refuses what it cannot build, and
+on generated spectra, states and edge arguments it is bitwise the arithmetic
+each method ran before the table existed."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+from lindbladff import (CostReport, ValidationError, channel, default_steps, evolve,
+                        normalize_spectrum)
+from lindbladff import numkernel as nk
+from lindbladff.fastforward import ff_cost, gap_kernel, plan
+
+from conftest import random_density, random_state
+from test_single_jump import jumps
+
+HAM = normalize_spectrum(np.diag([0.0, 0.5, 1.0]).astype(complex))
+
+
+# A missing or invalid time, eps or count is refused by its one rule, keyed by
+# method, in test_argument_rules.py.
+class TestRefusals:
+    @pytest.mark.parametrize("method", ["Exact", "choi-ff", "", None])
+    def test_unknown_method_is_named(self, method):
+        with pytest.raises(ValidationError) as info:
+            channel(method, 1.0, 0.1)
+        assert str(info.value) == (f"unknown single-jump method {method!r}; "
+                                   f"expected exact, dilated or ff")
+
+    @pytest.mark.parametrize("method, steps", [("exact", None), ("dilated", 4)])
+    def test_method_not_reading_eps_takes_none(self, method, steps):
+        rho, cost = evolve(HAM, np.eye(3, dtype=complex) / 3, channel(method, 1.0, None, steps))
+        assert rho.shape == (3, 3) and cost.step_count == (steps or 0)
+
+    def test_dilated_checks_a_given_count_before_the_time(self):
+        with pytest.raises(ValidationError, match="step count must be an integer >= 1"):
+            channel("dilated", 0.0, None, 0)
+
+
+# ---------------------------------------------------------------------------
+# Bitwise against the arithmetic of the per-method functions the table
+# replaced: exact built exp(-t gaps^2 / 2) inline, dilated called the
+# dilated kernel with default_steps(t, eps) or the given count, ff called
+# gap_kernel on plan(t, eps, n)
+# ---------------------------------------------------------------------------
+
+def reference(method, t, eps, steps, n, a, b):
+    """The kernel on (a, b) and the cost, written as before the table."""
+    if method == "exact":
+        gaps = a[:, None] - b[None, :]
+        return np.exp(-0.5 * t * gaps ** 2), CostReport(0.0, 0, 0)
+    if method == "dilated":
+        if steps is None:
+            steps = default_steps(t, eps)
+        steps = nk.require_count(steps, 1, "step count")
+        nk.require_time(t)
+        x = math.sqrt(t / steps) * (a[:, None] - b[None, :])
+        with np.errstate(divide="ignore"):
+            kernel = np.sign(np.cos(x)) ** steps * np.exp(0.5 * steps * np.log1p(-np.sin(x) ** 2))
+        return kernel, CostReport(steps * math.sqrt(t / steps), steps, steps)
+    p = plan(t, eps, n)
+    return gap_kernel(p, a, b), ff_cost(p)
+
+
+# t and eps at their edges and in the bulk: the smallest subnormal time, an
+# eps^2 that underflows (refused), a t^3 / eps^2 that rounds up to one step,
+# eps one ulp below 1 and near 2/e, where a two-count plan's window fraction
+# reaches 1/2 (both refused by ``plan`` unless a count is given)
+EDGES = [(5e-324, 1e-300), (5e-324, 1 - 2 ** -53), (1e-300, 0.5), (1e-100, 1e-100),
+         (1e-12, 1e-9), (0.5, 2 / math.e), (1.0, math.nextafter(2 / math.e, 0.0)),
+         (8.0, 1e-3), (1e-3, 0.999)]
+
+
+@hst.composite
+def arguments(draw):
+    if draw(hst.booleans()):
+        t, eps = draw(hst.sampled_from(EDGES))
+    else:
+        t, eps = draw(hst.floats(1e-3, 8.0)), draw(hst.floats(1e-3, 1.0, exclude_max=True))
+    steps = draw(hst.one_of(hst.none(), hst.integers(1, 10 ** 9)))
+    n = draw(hst.one_of(hst.none(), hst.integers(2, 10 ** 5)))
+    return t, eps, steps, n
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(case=jumps(), args=arguments(), mixed=hst.booleans())
+@pytest.mark.parametrize("method", ["exact", "dilated", "ff"])
+def test_table_is_bitwise_the_per_method_arithmetic(method, case, args, mixed):
+    t, eps, steps, n = args
+    f, rng = case
+    ham = normalize_spectrum(f)
+    x = random_density(rng, ham.dim) if mixed else random_state(rng, ham.dim)
+    h = ham.eigenvalues
+    other = rng.uniform(-1.0, 1.0, 3)
+    steps, n = (steps if method == "dilated" else None), (n if method == "ff" else None)
+    try:
+        want, want_cost = reference(method, t, eps, steps, n, h, h)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as info:
+            channel(method, t, eps, steps, n)
+        assert str(info.value) == str(exc)
+        return
+    chan = channel(method, t, eps, steps, n)
+    rho, cost = evolve(ham, x, chan)
+    assert np.array_equal(rho, ham.dephase(want, x if x.ndim == 1 else nk.require_density(x)))
+    assert cost == want_cost and type(cost.step_count) is int
+    assert (chan.plan is not None) == (method == "ff")
+    # the column form gibbs reads, and two distinct arrays of equal values
+    for b in (np.zeros(1), h.copy(), other):
+        assert np.array_equal(chan.kernel(h, b), reference(method, t, eps, steps, n, h, b)[0])

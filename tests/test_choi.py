@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from lindbladff import (ValidationError, choi_ff_evolve, ff_evolve, is_choi_commuting,
-                        lindblad_spec, normalize_spectrum, parse_pauli_sum, plan)
+from lindbladff import (ValidationError, channel, choi_ff_evolve, evolve, is_choi_commuting,
+                        lindblad_spec, normalize_spectrum, parse_pauli_sum)
 from lindbladff import choi, cli
 from lindbladff import numkernel as nk
 
@@ -165,7 +165,7 @@ class TestSequentialFastForward:
         psi = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
         rho_seq, cost_seq, _ = choi_ff_evolve(spec, psi, 2.0, 0.05)
         ham = normalize_spectrum(np.diag([0.0, 1.0]))
-        rho_ff, cost_ff = ff_evolve(ham, psi, plan(2.0, 0.05))
+        rho_ff, cost_ff = evolve(ham, psi, channel("ff", 2.0, 0.05))
         assert np.max(np.abs(rho_seq - rho_ff)) <= 1e-12
         assert cost_seq.hamiltonian_time == cost_ff.hamiltonian_time
 
@@ -180,7 +180,7 @@ class TestSequentialFastForward:
         ham = normalize_spectrum(jump)
         assert np.allclose(ham.eigenvalues, levels)
         assert np.isclose(ham.spectrum_map.scale ** 2, time_scale)
-        want, want_cost = ff_evolve(ham, psi, plan(time_scale * 2.0, 0.05))
+        want, want_cost = evolve(ham, psi, channel("ff", time_scale * 2.0, 0.05))
         assert np.max(np.abs(rho - want)) <= 1e-12
         assert np.isclose(cost.hamiltonian_time, want_cost.hamiltonian_time)
 

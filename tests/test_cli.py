@@ -340,6 +340,15 @@ class TestExitCodes:
         "gibbs_beta_one_distinct": ["bench", "gibbs-beta", "--beta", "2,2"],
         "ff_vs_dilated_one_time": ["bench", "ff-vs-dilated", "--t", "4"],
         "steps_zero": [*EVOLVE, "dilated", "--ham", HAM, "--steps", "0"],
+        # --N is read by ff alone and --steps by dilated alone
+        "steps_with_exact": [*EVOLVE, "exact", "--ham", HAM, "--steps", "-5"],
+        "steps_with_ff": [*EVOLVE, "ff", "--ham", HAM, "--steps", "0"],
+        "steps_with_choi_ff": [*EVOLVE, "choi-ff", "--jumps", os.path.join(DATA, "jumps.txt"),
+                               "--steps", "8"],
+        "n_with_dilated": [*EVOLVE, "dilated", "--ham", HAM, "--N", "3"],
+        "n_with_exact": [*EVOLVE, "exact", "--ham", HAM, "--N", "16"],
+        "n_with_choi_ff": [*EVOLVE, "choi-ff", "--jumps", os.path.join(DATA, "jumps.txt"),
+                           "--N", "16"],
         # one time rule, 0 < t < inf, for every method
         "t_zero_exact": ["evolve", "--t", "0", "--method", "exact", "--ham", HAM],
         "t_zero_dilated": ["evolve", "--t", "0", "--method", "dilated", "--ham", HAM],
@@ -396,6 +405,18 @@ class TestExitCodes:
         rc, out = invoke([*self.EVOLVE, method, *source, "--eps", "1.5"])
         assert (rc, out) == (1, "")
         assert capsys.readouterr().err == "error: --eps must lie in (0, 1), got 1.5\n"
+
+    @pytest.mark.parametrize("method", ["exact", "dilated", "ff", "choi-ff"])
+    @pytest.mark.parametrize("flag, reader", [("--N", "ff"), ("--steps", "dilated")])
+    def test_count_flag_names_the_method_that_reads_it(self, capsys, method, flag, reader):
+        source = (["--jumps", os.path.join(DATA, "jumps.txt")] if method == "choi-ff"
+                  else ["--ham", HAM])
+        rc, out = invoke([*self.EVOLVE, method, *source, flag, "16"])
+        if method == reader:
+            assert rc == 0 and json.loads(out)["cost"]["hamiltonian_time"] > 0
+        else:
+            assert (rc, out) == (1, "")
+            assert capsys.readouterr().err == f"error: {flag} applies only to --method {reader}\n"
 
     # A malformed file for each reader, and the file its error must name.
     NAMED = {

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from lindbladff import (ValidationError, default_steps, dilated_evolve,
-                        lindblad_exact_hermitian, normalize_spectrum)
+from lindbladff import ValidationError, channel, default_steps, evolve, normalize_spectrum
 from lindbladff import numkernel as nk
 
 from conftest import dilate, dilated_step, random_density
@@ -58,31 +57,31 @@ def test_step_output_is_density():
 
 
 def test_evolution_approaches_exact():
-    exact = lindblad_exact_hermitian(F_HAM, PLUS_RHO, 1.0)
-    out, cost = dilated_evolve(F_HAM, PLUS_RHO, 1.0, 100)
+    exact = evolve(F_HAM, PLUS_RHO, channel("exact", 1.0, None))[0]
+    out, cost = evolve(F_HAM, PLUS_RHO, channel("dilated", 1.0, None, 100))
     assert abs(out[0, 1].real - 0.5 * np.exp(-0.5)) <= 0.01
     assert np.isclose(out[0, 1].real, exact[0, 1].real, atol=0.01)
     assert cost.step_count == 100 and cost.ancilla_count == 100
 
 
 def test_first_order_convergence_slope():
-    exact = lindblad_exact_hermitian(F_HAM, PLUS_RHO, 1.0)
+    exact = evolve(F_HAM, PLUS_RHO, channel("exact", 1.0, None))[0]
     steps = np.array([50, 100, 200, 400])
-    errs = [nk.trace_distance(dilated_evolve(F_HAM, PLUS_RHO, 1.0, int(s))[0], exact)
-            for s in steps]
+    errs = [nk.trace_distance(evolve(F_HAM, PLUS_RHO, channel("dilated", 1.0, None, int(s)))[0],
+                              exact) for s in steps]
     slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
     assert abs(slope + 1.0) <= 0.15
 
 
 def test_doubling_steps_halves_error():
-    exact = lindblad_exact_hermitian(F_HAM, PLUS_RHO, 1.0)
-    e1 = nk.trace_distance(dilated_evolve(F_HAM, PLUS_RHO, 1.0, 100)[0], exact)
-    e2 = nk.trace_distance(dilated_evolve(F_HAM, PLUS_RHO, 1.0, 200)[0], exact)
+    exact = evolve(F_HAM, PLUS_RHO, channel("exact", 1.0, None))[0]
+    e1 = nk.trace_distance(evolve(F_HAM, PLUS_RHO, channel("dilated", 1.0, None, 100))[0], exact)
+    e2 = nk.trace_distance(evolve(F_HAM, PLUS_RHO, channel("dilated", 1.0, None, 200))[0], exact)
     assert 0.35 <= e2 / e1 <= 0.65
 
 
 def test_cost_law_exact():
-    _, cost = dilated_evolve(F_HAM, PLUS_RHO, 2.0, 8)
+    _, cost = evolve(F_HAM, PLUS_RHO, channel("dilated", 2.0, None, 8))
     assert cost.hamiltonian_time == 8 * np.sqrt(2.0 / 8)
     assert np.isclose(cost.hamiltonian_time, np.sqrt(8 * 2.0))
 
@@ -105,7 +104,7 @@ def test_closed_form_matches_literal_composition():
         while done < steps:
             literal = dilated_step(ham.matrix, literal, tau)
             done += 1
-        closed, _ = dilated_evolve(ham, rho, steps * tau, steps)
+        closed, _ = evolve(ham, rho, channel("dilated", steps * tau, None, steps))
         assert np.max(np.abs(closed - literal)) <= 1e-12
 
 
@@ -113,14 +112,14 @@ def test_closed_form_accurate_at_huge_step_counts():
     # ln cos(x)^N = -t/2 - t^2/(12 N) - O(t^3/N^2) at x = sqrt(t/N); plain
     # cos(x)**N loses ~1e-7 here because cos(x) rounds next to 1
     n, t = 2_621_440_000, 64.0
-    out, _ = dilated_evolve(F_HAM, PLUS_RHO, t, n)
+    out, _ = evolve(F_HAM, PLUS_RHO, channel("dilated", t, None, n))
     log_k = np.log(2.0 * abs(out[0, 1]))
     assert abs(log_k + t / 2 + t ** 2 / (12 * n)) <= 1e-12
 
 
 def test_validation():
     with pytest.raises(ValidationError):
-        dilated_evolve(F_HAM, PLUS_RHO, 1.0, 0)
+        evolve(F_HAM, PLUS_RHO, channel("dilated", 1.0, None, 0))
     with pytest.raises(ValidationError):
         dilated_step(F, PLUS_RHO, 0.0)
     with pytest.raises(ValidationError):
@@ -128,7 +127,7 @@ def test_validation():
 
 
 def test_one_eigendecomposition(monkeypatch):
-    # normalize_spectrum decomposes the jump once; dilated_evolve reuses it
+    # normalize_spectrum decomposes the jump once; evolve reuses it
     calls = []
     herm_eig = nk.herm_eig
 
@@ -141,7 +140,7 @@ def test_one_eigendecomposition(monkeypatch):
     ham = normalize_spectrum(random_density(rng, 6))
     assert calls == [(6, 6)]
     rho = random_density(rng, 6)
-    out, _ = dilated_evolve(ham, rho, 2.0, 9)
+    out, _ = evolve(ham, rho, channel("dilated", 2.0, None, 9))
     assert calls == [(6, 6)]
     # cos(x)^N against exp(-N x^2 / 2) differs by at most t tau / 12 < 0.04 in the log
-    assert np.max(np.abs(out - lindblad_exact_hermitian(ham, rho, 2.0))) <= 0.05
+    assert np.max(np.abs(out - evolve(ham, rho, channel("exact", 2.0, None))[0])) <= 0.05

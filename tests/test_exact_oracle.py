@@ -1,8 +1,10 @@
+"""The exact channel (``channel("exact", ...)``) against the independent
+oracles of ``tests/oracles.py``, and those oracles against each other."""
+
 import numpy as np
 import pytest
 
-from lindbladff import (ValidationError, lindblad_exact_hermitian, lindblad_spec,
-                        normalize_spectrum)
+from lindbladff import ValidationError, channel, evolve, lindblad_spec, normalize_spectrum
 from lindbladff.errors import CapacityError
 
 from conftest import PAULI_Y, PAULI_Z, random_density, random_hermitian
@@ -16,36 +18,38 @@ class TestHermitianSolution:
     def test_identity_jump_is_frozen(self):
         ham = normalize_spectrum(np.eye(2))  # zero-width spectrum, no dissipation
         rho = random_density(np.random.default_rng(0), 2)
-        assert np.allclose(lindblad_exact_hermitian(ham, rho, 7.0), rho)
+        assert np.allclose(evolve(ham, rho, channel("exact", 7.0, None))[0], rho)
 
     def test_two_level_dephasing_vs_rk4(self):
         # frozen from the RK4 oracle: off-diagonal 0.5 e^{-1} at t = 2
-        out = lindblad_exact_hermitian(TWO_LEVEL, PLUS_RHO, 2.0)
+        out = evolve(TWO_LEVEL, PLUS_RHO, channel("exact", 2.0, None))[0]
         assert np.isclose(out[0, 1], 0.18393972058572117, atol=1e-10)
         oracle = lindblad_rk4([TWO_LEVEL.matrix], PLUS_RHO, 2.0)
         assert np.max(np.abs(out - oracle)) <= 1e-9
 
     def test_long_time_reaches_steady_state(self):
-        out = lindblad_exact_hermitian(TWO_LEVEL, PLUS_RHO, 50.0)
+        out = evolve(TWO_LEVEL, PLUS_RHO, channel("exact", 50.0, None))[0]
         assert np.max(np.abs(out - np.eye(2) / 2)) <= 1e-6
 
     def test_trace_preserved(self, rng):
         ham = normalize_spectrum(random_hermitian(rng, 4))
         rho = random_density(rng, 4)
-        out = lindblad_exact_hermitian(ham, rho, 3.0)
+        out = evolve(ham, rho, channel("exact", 3.0, None))[0]
         assert abs(np.trace(out).real - 1.0) <= 1e-10
 
     def test_semigroup(self, rng):
         ham = normalize_spectrum(random_hermitian(rng, 4))
         rho = random_density(rng, 4)
-        once = lindblad_exact_hermitian(ham, rho, 3.0)
-        comp = lindblad_exact_hermitian(ham, lindblad_exact_hermitian(ham, rho, 1.2), 1.8)
+        once = evolve(ham, rho, channel("exact", 3.0, None))[0]
+        half, _ = evolve(ham, rho, channel("exact", 1.2, None))
+        comp, _ = evolve(ham, half, channel("exact", 1.8, None))
         assert np.max(np.abs(once - comp)) <= 1e-9
 
     def test_complete_positivity_spot_check(self, rng):
         for _ in range(20):
             ham = normalize_spectrum(random_hermitian(rng, 4))
-            out = lindblad_exact_hermitian(ham, random_density(rng, 4), float(rng.uniform(0, 5)))
+            chan = channel("exact", float(rng.uniform(0, 5)), None)
+            out, _ = evolve(ham, random_density(rng, 4), chan)
             assert np.linalg.eigvalsh(out)[0] >= -1e-8
 
     def test_cross_rates_strictly_negative(self, rng):
@@ -71,7 +75,7 @@ class TestHermitianSolution:
             assert ham.n_levels < 6 and ham.dim > ham.n_levels
             rho = random_density(rng, 6)
             t = float(rng.uniform(0.2, 3.0))
-            out = lindblad_exact_hermitian(ham, rho, t)
+            out = evolve(ham, rho, channel("exact", t, None))[0]
             assert np.max(np.abs(out - lindblad_exact_general(lindblad_spec([f]), rho, t))) <= 1e-9
             assert np.max(np.abs(out - lindblad_rk4([f], rho, t))) <= 1e-8
 
@@ -81,7 +85,7 @@ class TestGeneralSolution:
         ham = normalize_spectrum(random_hermitian(rng, 3))
         rho = random_density(rng, 3)
         spec = lindblad_spec([ham.matrix])
-        a = lindblad_exact_hermitian(ham, rho, 1.7)
+        a = evolve(ham, rho, channel("exact", 1.7, None))[0]
         b = lindblad_exact_general(spec, rho, 1.7)
         assert np.max(np.abs(a - b)) <= 1e-9
 
@@ -145,5 +149,5 @@ class TestSteadyState:
         gaps = ham.eigenvalues[:, None] - ham.eigenvalues[None, :]
         min_rate = np.min(0.5 * gaps[~np.eye(3, dtype=bool)] ** 2)
         t = 50.0 / min_rate
-        long_time = lindblad_exact_hermitian(ham, rho, t)
+        long_time = evolve(ham, rho, channel("exact", t, None))[0]
         assert np.max(np.abs(long_time - steady_state(ham, rho))) <= 1e-6

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 import tracemalloc
 
 import mpmath
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from lindbladff import (FFPlan, ValidationError, ff_evolve,
-                        lindblad_exact_hermitian, normalize_spectrum, plan)
+from lindbladff import (Channel, FFPlan, ValidationError, channel, evolve,
+                        normalize_spectrum, plan)
 from lindbladff import fastforward
 from lindbladff import numkernel as nk
 from lindbladff.fastforward import _residue_phases, gap_kernel
@@ -40,7 +41,7 @@ def u_add_inverse(p, m):
     return (m - p.shift) % (1 << p.d)
 
 
-def evolve(ham, s, psi):
+def unitary_evolve(ham, s, psi):
     """exp(-i H s) psi from the cached decomposition of ``ham``."""
     v = ham.vectors
     phases = np.exp(-1j * ham.eigenvalues * s)
@@ -52,7 +53,7 @@ def apply_vh(p, ham, m, psi):
     if not 0 <= m < (1 << p.d):
         raise ValidationError(f"address {m} outside [0, 2^{p.d})")
     r = int(residue_of(p, m))
-    return evolve(ham, math.sqrt(p.tau) * (2 * r - p.period), psi)
+    return unitary_evolve(ham, math.sqrt(p.tau) * (2 * r - p.period), psi)
 
 
 def ledger_density(ledger):
@@ -125,7 +126,8 @@ class TestPlan:
         odd = FFPlan(p.t, p.eps, 7, p.t / 7, p.c, p.d, p.dprime, p.window, p.full_window)
         ham = normalize_spectrum(random_hermitian(rng, 3))
         with pytest.raises(ValidationError, match="even register count"):
-            ff_evolve(ham, random_state(rng, 3), odd)
+            evolve(ham, random_state(rng, 3),
+                   Channel(partial(gap_kernel, odd), fastforward.ff_cost(odd), odd))
 
     def test_full_window_coincidence(self):
         p = plan(1.0, 2e-4, n_override=16)  # error target so small c >= 1/2
@@ -177,7 +179,7 @@ class TestControlledEvolution:
         psi = random_state(rng, 2)
         root = math.sqrt(p.tau)
         for m in range(p.window[0], p.window[1] + 1):
-            want = evolve(ham, root * (2 * m - p.n), psi)
+            want = unitary_evolve(ham, root * (2 * m - p.n), psi)
             got = apply_vh(p, ham, m, psi)
             assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -196,13 +198,14 @@ class TestFastForwardEvolve:
     def test_zero_hamiltonian(self, rng):
         ham = normalize_spectrum(np.zeros((2, 2)))
         psi = random_state(rng, 2)
-        rho, _ = ff_evolve(ham, psi, plan(3.0, 0.25))
+        rho, _ = evolve(ham, psi, channel("ff", 3.0, 0.25))
         assert np.max(np.abs(rho - np.outer(psi, psi.conj()))) <= 1e-12
 
     def test_two_level_window_accuracy(self):
-        p = plan(2.0, 0.05)
-        rho, _ = ff_evolve(TWO_LEVEL, PLUS, p)
-        exact = lindblad_exact_hermitian(TWO_LEVEL, np.outer(PLUS, PLUS.conj()), 2.0)
+        chan = channel("ff", 2.0, 0.05)
+        p = chan.plan
+        rho, _ = evolve(TWO_LEVEL, PLUS, chan)
+        exact = evolve(TWO_LEVEL, np.outer(PLUS, PLUS.conj()), channel("exact", 2.0, None))[0]
         assert abs(rho[0, 1] - 0.18393972058572117) <= 0.02
         assert nk.trace_distance(rho, exact) <= 2 * 0.05
         ledger = goal_ledger(TWO_LEVEL, PLUS, p)
@@ -210,8 +213,9 @@ class TestFastForwardEvolve:
         assert np.allclose(np.linalg.norm(ledger.states, axis=1), 1.0, atol=1e-9)
 
     def test_cost_values_t8(self):
-        p = plan(8.0, 0.1)
-        _, cost = ff_evolve(TWO_LEVEL, PLUS, p)
+        chan = channel("ff", 8.0, 0.1)
+        p = chan.plan
+        _, cost = evolve(TWO_LEVEL, PLUS, chan)
         assert cost.hamiltonian_time == 2 ** 10 * math.sqrt(8.0 / 51200)
         assert np.isclose(cost.hamiltonian_time, 12.8)
         assert np.isclose(math.sqrt(51200 * 8.0), 640.0)
@@ -220,26 +224,27 @@ class TestFastForwardEvolve:
     def test_cost_law_default_plans(self):
         for t in (1.0, 2.0, 4.0, 8.0, 16.0):
             for eps in (0.1, 0.05, 0.01):
-                p = plan(t, eps)
-                _, cost = ff_evolve(TWO_LEVEL, PLUS, p)
+                chan = channel("ff", t, eps)
+                p = chan.plan
+                _, cost = evolve(TWO_LEVEL, PLUS, chan)
                 assert cost.hamiltonian_time == p.period * math.sqrt(p.tau)
                 assert cost.hamiltonian_time <= 4.0 * math.sqrt(t * math.log(2.0 / eps))
 
     def test_output_is_density(self, rng):
         ham = normalize_spectrum(random_hermitian(rng, 4))
-        rho, _ = ff_evolve(ham, random_state(rng, 4), plan(1.5, 0.1))
+        rho, _ = evolve(ham, random_state(rng, 4), channel("ff", 1.5, 0.1))
         assert abs(np.trace(rho).real - 1.0) <= 1e-10
         assert np.linalg.eigvalsh(rho)[0] >= -1e-9
 
     def test_density_matrix_input_mixture_linearity(self, rng):
         ham = normalize_spectrum(random_hermitian(rng, 2))
-        p = plan(1.0, 0.1)
+        chan = channel("ff", 1.0, 0.1)
         v1, v2 = random_state(rng, 2), random_state(rng, 2)
         v2 = v2 - (v1.conj() @ v2) * v1
         v2 /= np.linalg.norm(v2)
         rho0 = 0.6 * np.outer(v1, v1.conj()) + 0.4 * np.outer(v2, v2.conj())
-        out_mixed, _ = ff_evolve(ham, rho0, p)
-        out_sum = 0.6 * ff_evolve(ham, v1, p)[0] + 0.4 * ff_evolve(ham, v2, p)[0]
+        out_mixed, _ = evolve(ham, rho0, chan)
+        out_sum = 0.6 * evolve(ham, v1, chan)[0] + 0.4 * evolve(ham, v2, chan)[0]
         assert np.max(np.abs(out_mixed - out_sum)) <= 1e-9
 
     def test_density_input_matches_circuit_mixture(self, rng):
@@ -248,8 +253,9 @@ class TestFastForwardEvolve:
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         ham = normalize_spectrum((q * np.array([0.0, 0.6, 0.6, 1.0])) @ q.conj().T)
         rho0 = random_density(rng, 4)
-        p = plan(1.5, 0.1)
-        out, _ = ff_evolve(ham, rho0, p)
+        chan = channel("ff", 1.5, 0.1)
+        p = chan.plan
+        out, _ = evolve(ham, rho0, chan)
         w, v = np.linalg.eigh(rho0)
         want = sum(w[k] * dense_circuit_reference(ham, v[:, k], p) for k in range(4))
         assert np.max(np.abs(out - want)) <= 1e-12
@@ -258,18 +264,18 @@ class TestFastForwardEvolve:
         raw = normalize_spectrum(random_hermitian(rng, 2))
         raw = raw._replace(eigenvalues=raw.eigenvalues * 1.5)
         with pytest.raises(ValidationError):
-            ff_evolve(raw, random_state(rng, 2), plan(1.0, 0.1))
+            evolve(raw, random_state(rng, 2), channel("ff", 1.0, 0.1))
 
 
     def test_dimension_guard(self, rng):
         ham = normalize_spectrum(random_hermitian(rng, 2))
         with pytest.raises(ValidationError, match="dimension mismatch"):
-            ff_evolve(ham, random_state(rng, 3), plan(1.0, 0.1))
+            evolve(ham, random_state(rng, 3), channel("ff", 1.0, 0.1))
 
     def test_state_norm_guard(self, rng):
         ham = normalize_spectrum(random_hermitian(rng, 2))
         with pytest.raises(ValidationError):
-            ff_evolve(ham, 2.0 * random_state(rng, 2), plan(1.0, 0.1))
+            evolve(ham, 2.0 * random_state(rng, 2), channel("ff", 1.0, 0.1))
 
 
 class TestStreamedDensity:
@@ -293,30 +299,32 @@ class TestStreamedDensity:
             rows *= 4 if p.period > 4096 else 2  # every other size at large periods, for time
 
     def test_one_block_is_the_ledger_product(self, rng):
-        p = plan(3.0, 0.05, 10**7)
+        chan = channel("ff", 3.0, 0.05, n=10**7)
+        p = chan.plan
         ham = normalize_spectrum(random_hermitian(rng, 8))
         psi = random_state(rng, 8)
         assert kernel_blocks(p) == 32
-        rho, _ = ff_evolve(ham, psi, p)
+        rho, _ = evolve(ham, psi, chan)
         want = ledger_density(goal_ledger(ham, psi, p))
         assert np.max(np.abs(rho - want)) <= 8 * np.finfo(float).eps
 
     def test_several_blocks_match_the_ledger_product(self, rng):
-        p = plan(3.0, 0.05, 10**7)
+        chan = channel("ff", 3.0, 0.05, n=10**7)
+        p = chan.plan
         ham = normalize_spectrum(random_hermitian(rng, 64))
         psi = random_state(rng, 64)
         assert kernel_blocks(p) == 32
-        rho, _ = ff_evolve(ham, psi, p)
+        rho, _ = evolve(ham, psi, chan)
         assert np.max(np.abs(rho - ledger_density(goal_ledger(ham, psi, p)))) <= 1e-15
 
     def test_memory_does_not_grow_with_the_ledger(self, rng):
         # the whole ledger at dim 256 and N = 10^7 is 16384 x 256 complex (64 MiB)
-        p = plan(3.0, 0.05, 10**7)
+        chan = channel("ff", 3.0, 0.05, n=10**7)
         ham = normalize_spectrum(random_hermitian(rng, 256))
         psi = random_state(rng, 256)
         tracemalloc.start()
         try:
-            ff_evolve(ham, psi, p)
+            evolve(ham, psi, chan)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -369,21 +377,22 @@ class TestStreamedDensity:
             assert np.max(np.abs(gap_kernel(p, eigs, eigs) - one)) <= 32 * np.finfo(float).eps
 
     def test_density_blocks_match_the_whole_kernel(self, rng):
-        p = plan(3.0, 0.05, 10**7)
+        chan = channel("ff", 3.0, 0.05, n=10**7)
+        p = chan.plan
         ham = normalize_spectrum(random_hermitian(rng, 64))
         rho = random_density(rng, 64)
-        rho_ff, _ = ff_evolve(ham, rho, p)
+        rho_ff, _ = evolve(ham, rho, chan)
         want = ham.dephase(whole_kernel(p, ham.eigenvalues, ham.eigenvalues), rho)
         assert np.max(np.abs(rho_ff - want)) <= 1e-15
 
     def test_density_memory_does_not_grow_with_the_tables(self, rng):
         # the two whole phase tables at dim 256 and N = 10^7 are 64 MiB each
-        p = plan(3.0, 0.05, 10**7)
+        chan = channel("ff", 3.0, 0.05, n=10**7)
         ham = normalize_spectrum(random_hermitian(rng, 256))
         rho = random_density(rng, 256)
         tracemalloc.start()
         try:
-            ff_evolve(ham, rho, p)
+            evolve(ham, rho, chan)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -448,25 +457,28 @@ class TestFoldedKernel:
 class TestDenseReference:
     def test_two_level_n16(self, rng):
         ham = normalize_spectrum(random_hermitian(rng, 2))
-        p = plan(1.0, 0.5, n_override=16)
+        chan = channel("ff", 1.0, 0.5, n=16)
+        p = chan.plan
         psi = random_state(rng, 2)
-        rho_ff, _ = ff_evolve(ham, psi, p)
+        rho_ff, _ = evolve(ham, psi, chan)
         rho_ref = dense_circuit_reference(ham, psi, p)
         assert nk.trace_distance(rho_ff, rho_ref) <= 1e-10
 
     def test_zero_hamiltonian(self, rng):
         ham = normalize_spectrum(np.zeros((2, 2)))
-        p = plan(1.0, 0.5, n_override=16)
+        chan = channel("ff", 1.0, 0.5, n=16)
+        p = chan.plan
         psi = random_state(rng, 2)
         assert nk.trace_distance(
-            ff_evolve(ham, psi, p)[0], dense_circuit_reference(ham, psi, p)) <= 1e-12
+            evolve(ham, psi, chan)[0], dense_circuit_reference(ham, psi, p)) <= 1e-12
 
     def test_random_sweep(self, rng):
         for t, n in ((0.5, 16), (1.0, 32), (2.0, 64)):
             ham = normalize_spectrum(random_hermitian(rng, 2))
-            p = plan(t, 0.4, n_override=n)
+            chan = channel("ff", t, 0.4, n=n)
+            p = chan.plan
             psi = random_state(rng, 2)
-            d = nk.trace_distance(ff_evolve(ham, psi, p)[0],
+            d = nk.trace_distance(evolve(ham, psi, chan)[0],
                                   dense_circuit_reference(ham, psi, p))
             assert d <= 1e-10, (t, n, d)
 
@@ -479,8 +491,9 @@ class TestWindowBound:
             ham = normalize_spectrum(random_hermitian(rng, 2))
             psi = random_state(rng, 2)
             for eps in (0.1, 0.05):
-                p = plan(2.0, eps, n_override=n)
-                rho, _ = ff_evolve(ham, psi, p)
+                chan = channel("ff", 2.0, eps, n=n)
+                p = chan.plan
+                rho, _ = evolve(ham, psi, chan)
                 mix = full_mixture(ham, psi, p)
                 bound = 2.0 * math.exp(-2.0 * p.c ** 2 * p.n)
                 assert nk.trace_distance(rho, mix) <= bound, (n, eps)
@@ -488,9 +501,10 @@ class TestWindowBound:
     def test_full_window_is_exact_mixture(self, rng):
         ham = normalize_spectrum(random_hermitian(rng, 2))
         psi = random_state(rng, 2)
-        p = plan(1.0, 2e-4, n_override=16)
+        chan = channel("ff", 1.0, 2e-4, n=16)
+        p = chan.plan
         assert p.full_window
-        rho, _ = ff_evolve(ham, psi, p)
+        rho, _ = evolve(ham, psi, chan)
         assert nk.trace_distance(rho, full_mixture(ham, psi, p)) <= 1e-12
 
 
@@ -500,7 +514,6 @@ class TestEndToEnd:
             for eps in (0.1, 0.05):
                 ham = normalize_spectrum(random_hermitian(rng, 2))
                 psi = random_state(rng, 2)
-                p = plan(t, eps)
-                rho, _ = ff_evolve(ham, psi, p)
-                exact = lindblad_exact_hermitian(ham, np.outer(psi, psi.conj()), t)
+                rho, _ = evolve(ham, psi, channel("ff", t, eps))
+                exact = evolve(ham, np.outer(psi, psi.conj()), channel("exact", t, None))[0]
                 assert nk.trace_distance(rho, exact) <= 2 * eps, (t, eps)

@@ -1,9 +1,10 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from lindbladff import (ValidationError, ff_evolve, gibbs_prepare,
+from lindbladff import (ValidationError, channel, evolve, gibbs_prepare,
                         lindblad_spec, normalize_spectrum, plan)
 from lindbladff import fastforward, gibbs, model
 from lindbladff import numkernel as nk
@@ -42,14 +43,14 @@ def gibbs_jump(h_p, n):
     return out
 
 
-def dense_gibbs(h_p, p):
+def dense_gibbs(h_p, chan):
     """Evolve |+> (x) |Omega> under the dense jump and read the ancilla block
     times Omega: returns the normalized purification and the partition estimate."""
     d = h_p.shape[0]
     n = d.bit_length() - 1
     omega = np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
     psi0 = np.kron(np.array([1.0, 1.0]) / math.sqrt(2.0), omega)
-    rho, _ = ff_evolve(normalize_spectrum(gibbs_jump(h_p, n)), psi0, p)
+    rho, _ = evolve(normalize_spectrum(gibbs_jump(h_p, n)), psi0, chan)
     half = d * d
     v = rho[:half, half:] @ omega
     norm = float(np.linalg.norm(v))
@@ -158,8 +159,8 @@ class TestGibbsPrepare:
     def test_degenerate_block_error(self, monkeypatch):
         # beta far beyond double precision for this jump; the tight-window
         # plan keeps address leakage from masking the underflow
-        monkeypatch.setattr(gibbs, "make_plan",
-                            lambda t, eps: plan(t, eps, n_override=4096))
+        monkeypatch.setattr(gibbs, "channel",
+                            lambda method, t, eps: channel(method, t, eps, n=4096))
         with pytest.raises(ValidationError, match="degenerate"):
             gibbs_prepare(np.diag([1.0, 1.0]), beta=200.0, eps=2e-4)
 
@@ -167,10 +168,12 @@ class TestGibbsPrepare:
         def refuse(*args, **kwargs):
             raise AssertionError("dense dilated route reached")
 
-        for module, name in ((model, "normalize_spectrum"), (fastforward, "ff_evolve"),
+        # the package's ``channel`` is the builder, which hides its module
+        channel_module = importlib.import_module("lindbladff.channel")
+        for module, name in ((model, "normalize_spectrum"), (channel_module, "evolve"),
                              (np, "kron")):
             monkeypatch.setattr(module, name, refuse)
-        for name in ("normalize_spectrum", "ff_evolve", "goal_ledger", "gibbs_jump"):
+        for name in ("normalize_spectrum", "evolve", "goal_ledger", "gibbs_jump"):
             assert not hasattr(gibbs, name), name
         res = gibbs_prepare(H_P2, beta=2.0, eps=0.05)
         assert res.fidelity >= 1 - 2 * 0.05
@@ -229,17 +232,15 @@ def test_matches_dense_oracle(name, beta, monkeypatch):
     # root, so the oracle clusters only rounding-level splits here.
     monkeypatch.setattr(model, "CLUSTER_RTOL", 1e-12)
     h_p = ORACLE_CASES[name]
-    p = plan(beta, 0.05)  # the plan gibbs_prepare makes
     res = gibbs_prepare(h_p, beta, 0.05)
-    want, z = dense_gibbs(h_p, p)
+    want, z = dense_gibbs(h_p, channel("ff", beta, 0.05))  # the channel gibbs_prepare makes
     assert abs(np.vdot(want, res.purification)) ** 2 >= 1 - 1e-12
     assert abs(res.partition_estimate - z) <= 1e-12 * z
 
 
 def test_singular_at_default_clustering():
     h_p = ORACLE_CASES["singular-n3"]
-    p = plan(1.5, 0.05)  # the plan gibbs_prepare makes
     res = gibbs_prepare(h_p, 1.5, 0.05)
-    want, z = dense_gibbs(h_p, p)
+    want, z = dense_gibbs(h_p, channel("ff", 1.5, 0.05))  # the channel gibbs_prepare makes
     assert abs(np.vdot(want, res.purification)) ** 2 >= 1 - 1e-12
     assert abs(res.partition_estimate - z) <= 1e-12 * z

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from lindbladff import (ValidationError, choi_ff_evolve, decompose_state, default_steps,
-                        dilated_evolve, ff_evolve, lindblad_exact_hermitian,
-                        lindblad_spec, normalize_spectrum, plan)
+from lindbladff import (ValidationError, channel, choi_ff_evolve, decompose_state, evolve,
+                        lindblad_spec, normalize_spectrum)
 from lindbladff.model import CLUSTER_RTOL
 from lindbladff.numkernel import trace_distance
 
@@ -20,17 +19,17 @@ from conftest import dilated_step, random_density, random_state
 from oracles import steady_state
 
 HAM3 = normalize_spectrum(np.diag([0.0, 0.5, 1.0]).astype(complex))
-PLAN = plan(1.0, 0.1, n_override=16)
+FF = channel("ff", 1.0, 0.1, n=16)
 
 MIXED_ROUTES = {
-    "exact": lambda rho: lindblad_exact_hermitian(HAM3, rho, 1.0),
+    "exact": lambda rho: evolve(HAM3, rho, channel("exact", 1.0, None))[0],
     "steady_state": lambda rho: steady_state(HAM3, rho),
-    "dilated": lambda rho: dilated_evolve(HAM3, rho, 1.0, 4),
-    "ff_density": lambda rho: ff_evolve(HAM3, rho, PLAN),
+    "dilated": lambda rho: evolve(HAM3, rho, channel("dilated", 1.0, None, 4)),
+    "ff_density": lambda rho: evolve(HAM3, rho, FF),
 }
 PURE_ROUTES = {
     "decompose_state": lambda psi: decompose_state(psi, HAM3),
-    "ff_pure": lambda psi: ff_evolve(HAM3, psi, PLAN),
+    "ff_pure": lambda psi: evolve(HAM3, psi, FF),
 }
 
 
@@ -61,9 +60,9 @@ class TestInputChecks:
     def test_invalid_density_is_rejected_alike(self, rho, message):
         # every single-jump method checks a density input by ``require_density``
         ham = normalize_spectrum(np.diag([0.0, 1.0]).astype(complex))
-        for route in (lambda r: lindblad_exact_hermitian(ham, r, 1.0),
-                      lambda r: dilated_evolve(ham, r, 1.0, 4),
-                      lambda r: ff_evolve(ham, r, PLAN)):
+        for route in (lambda r: evolve(ham, r, channel("exact", 1.0, None))[0],
+                      lambda r: evolve(ham, r, channel("dilated", 1.0, None, 4)),
+                      lambda r: evolve(ham, r, FF)):
             with pytest.raises(ValidationError) as info:
                 route(np.asarray(rho, dtype=complex))
             assert str(info.value) == message
@@ -72,9 +71,9 @@ class TestInputChecks:
         # one time rule, 0 < t < inf, and one message for every evolve method
         spec = lindblad_spec([np.diag([0.0, 1.0]).astype(complex)])
         rho = np.eye(2, dtype=complex) / 2
-        for route in (lambda: lindblad_exact_hermitian(HAM3, np.eye(3) / 3, 0.0),
-                      lambda: dilated_evolve(HAM3, np.eye(3) / 3, 0.0, 4),
-                      lambda: plan(0.0, 0.1),
+        for route in (lambda: evolve(HAM3, np.eye(3) / 3, channel("exact", 0.0, None))[0],
+                      lambda: evolve(HAM3, np.eye(3) / 3, channel("dilated", 0.0, None, 4)),
+                      lambda: evolve(HAM3, np.eye(3) / 3, channel("ff", 0.0, 0.1)),
                       lambda: choi_ff_evolve(spec, rho, 0.0, 0.1)):
             with pytest.raises(ValidationError) as info:
                 route()
@@ -137,7 +136,7 @@ def test_dilated_evolve_matches_literal_steps(root_tau, case, steps, mixed):
     literal = rho0
     for _ in range(steps):
         literal = dilated_step(ham.matrix, literal, tau)
-    closed, cost = dilated_evolve(ham, rho0, steps * tau, steps)
+    closed, cost = evolve(ham, rho0, channel("dilated", steps * tau, None, steps))
     assert np.max(np.abs(closed - literal)) <= 1e-12
     assert cost.step_count == steps
 
@@ -149,9 +148,9 @@ def test_ff_pure_equals_ff_density(case, t, eps, n):
     f, rng = case
     ham = normalize_spectrum(f)
     psi = random_state(rng, ham.dim)
-    p = plan(t, eps, n_override=n)
-    pure, cost_pure = ff_evolve(ham, psi, p)
-    dens, cost_dens = ff_evolve(ham, np.outer(psi, psi.conj()), p)
+    chan = channel("ff", t, eps, n=n)
+    pure, cost_pure = evolve(ham, psi, chan)
+    dens, cost_dens = evolve(ham, np.outer(psi, psi.conj()), chan)
     assert np.max(np.abs(pure - dens)) <= 1e-12
     assert cost_pure == cost_dens
 
@@ -165,9 +164,9 @@ def test_ff_and_dilated_within_eps_of_exact(t, eps, case, mixed):
     f, rng = case
     ham = normalize_spectrum(f)
     x = random_density(rng, ham.dim) if mixed else random_state(rng, ham.dim)
-    exact = lindblad_exact_hermitian(ham, x, t)
-    ff, _ = ff_evolve(ham, x, plan(t, eps))
-    dilated, _ = dilated_evolve(ham, x, t, default_steps(t, eps))
+    exact = evolve(ham, x, channel("exact", t, None))[0]
+    ff, _ = evolve(ham, x, channel("ff", t, eps))
+    dilated, _ = evolve(ham, x, channel("dilated", t, eps))
     assert trace_distance(ff, exact) <= eps
     assert trace_distance(dilated, exact) <= eps
 
@@ -188,9 +187,9 @@ def test_pure_equals_density(route, case, t, steps):
     ham = normalize_spectrum(f)
     psi = random_state(rng, ham.dim)
     apply = {
-        "exact": lambda s: lindblad_exact_hermitian(ham, s, t),
-        "dilated": lambda s: dilated_evolve(ham, s, t, steps)[0],
-        "ff": lambda s: ff_evolve(ham, s, plan(t, 0.1, n_override=2 * steps))[0],
+        "exact": lambda s: evolve(ham, s, channel("exact", t, None))[0],
+        "dilated": lambda s: evolve(ham, s, channel("dilated", t, None, steps))[0],
+        "ff": lambda s: evolve(ham, s, channel("ff", t, 0.1, n=2 * steps))[0],
     }[route]
     pure = apply(psi)
     dens = apply(np.outer(psi, psi.conj()))
