@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .errors import CapacityError, InvariantError, ValidationError
 from .dilated import CostReport, default_steps
 from .fastforward import FFPlan, plan
-from .channel import Channel, channel, evolve
+from .channel import Channel, evolve
 from .gibbs import GibbsResult, gibbs_prepare
 from .model import (Hamiltonian, LindbladSpec, SpectralState, SpectrumMap,
                     decompose_state, lindblad_spec,

@@ -40,8 +40,13 @@ def channel(method: str, t: float, eps: float | None, steps: int | None = None,
     ``dilated`` runs ``steps`` steps, ``default_steps(t, eps)`` when none is
     given, for Hamiltonian time steps * sqrt(t / steps) and one ancilla per
     step; ``ff`` runs ``plan(t, eps, n)``; ``exact`` costs nothing and reads
-    no eps.  ``steps`` is read by ``dilated`` alone and ``n`` by ``ff`` alone.
+    no eps.  A method refuses a count it does not read (``steps``, ``n``).
     """
+    if method not in ("exact", "dilated", "ff"):
+        raise ValidationError(f"unknown single-jump method {method!r}; expected exact, dilated or ff")
+    for name, count, reader in (("steps", steps, "dilated"), ("n", n, "ff")):
+        if count is not None and method != reader:
+            raise ValidationError(f"{name} is read by the {reader} method alone, not by {method}")
     if method == "ff":
         p = plan(t, eps, n)
         return Channel(partial(gap_kernel, p), ff_cost(p), p)
@@ -53,11 +58,9 @@ def channel(method: str, t: float, eps: float | None, steps: int | None = None,
             nk.require_time(t)
         return Channel(partial(dilated_kernel, t, steps),
                        CostReport(steps * math.sqrt(t / steps), steps, steps))
-    if method == "exact":
-        nk.require_time(t)
-        return Channel(lambda a, b: np.exp(-0.5 * t * (a[:, None] - b[None, :]) ** 2),
-                       CostReport(0.0, 0, 0))
-    raise ValidationError(f"unknown single-jump method {method!r}; expected exact, dilated or ff")
+    nk.require_time(t)
+    return Channel(lambda a, b: np.exp(-0.5 * t * (a[:, None] - b[None, :]) ** 2),
+                   CostReport(0.0, 0, 0))
 
 
 def evolve(ham: Hamiltonian, state: np.ndarray, chan: Channel

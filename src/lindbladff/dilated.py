@@ -44,7 +44,7 @@ def dilated_kernel(t: float, steps: int, eigs_a: np.ndarray, eigs_b: np.ndarray
     Evaluated as sign(cos x)^steps * exp((steps / 2) log1p(-sin^2 x)): the
     cost does not depend on ``steps``, and the log1p form keeps full relative
     accuracy where cos(x) rounds close to 1.  The ``dilated`` channel applies
-    it and the slow phase-estimation route reads its column against
+    it, and the slow phase-estimation routes read that channel's column at
     eigenvalue 0.
     """
     x = math.sqrt(t / steps) * (eigs_a[:, None] - eigs_b[None, :])

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import InvariantError, ValidationError
 from . import numkernel as nk
 from .kernels import _require_memory
 
@@ -280,16 +280,16 @@ def _pauli_sum(lines: list[tuple[int, str]]) -> np.ndarray:
     return h
 
 
-def _parse_dense_tokens(lineno: int, line: str) -> list[complex]:
-    """Entry-by-entry parse of one row, raising at the first malformed entry."""
-    entries = []
+def _parse_dense_tokens(lineno: int, line: str) -> None:
+    """Raise at the first malformed entry of a row the whole-row conversion
+    refused (numpy's conversion takes exactly the strings ``float`` takes)."""
     for tok in line.split():
         try:
             re_s, im_s = tok.split(",")
-            entries.append(complex(float(re_s), float(im_s)))
+            float(re_s), float(im_s)
         except ValueError:
             raise ValidationError(f"line {lineno}: malformed entry {tok!r}, expected 're,im'") from None
-    return entries
+    raise InvariantError(f"line {lineno}: row refused as a whole but every entry parses")
 
 
 def parse_dense_matrix(text: str) -> np.ndarray:
@@ -298,22 +298,19 @@ def parse_dense_matrix(text: str) -> np.ndarray:
 
 
 def _dense_matrix(lines: list[tuple[int, str]]) -> np.ndarray:
-    """Each row is converted in one call as its 2n real numbers, after checking
-    that every entry holds one comma between two numbers; a row that fails
-    is parsed again entry by entry, which names the first malformed entry.
-    Entries keep "nan" and "inf" bit for bit; the checks where the matrix is
-    used reject them."""
+    """Each row is converted in one call as its 2n real numbers; a row with an
+    entry not of one comma between two numbers ("1,", "1,2,3") is parsed again
+    entry by entry, which names the first malformed entry.  Entries keep "nan"
+    and "inf" bit for bit; the checks where the matrix is used reject them."""
     rows = []
     for lineno, line in lines:
         tokens = line.split()
-        row = None
-        if all(tok.count(",") == 1 for tok in tokens):
-            try:
-                row = np.array(line.replace(",", " ").split(), dtype=float)
-            except ValueError:
-                pass
-        if row is None or row.size != 2 * len(tokens):  # an empty half ("1,") drops a number
-            row = np.array(_parse_dense_tokens(lineno, line), dtype=complex).view(float)
+        try:
+            row = np.array(line.replace(",", " ").split(), dtype=float)
+        except ValueError:
+            row = None
+        if row is None or row.size != 2 * len(tokens) or any(tok.count(",") != 1 for tok in tokens):
+            _parse_dense_tokens(lineno, line)
         rows.append(row)
     if not rows:
         raise ValidationError("empty dense-matrix file")

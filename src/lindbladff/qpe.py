@@ -40,7 +40,7 @@ symmetric-sector Hadamard is the binomial amplitude vector, so
 X[0] = sum_r w_r s_r scales eigencomponent l by sum_r w_r e^(-i g_l theta_r),
 the ``gap_kernel`` column at gap 0.  Every route post-selects so
 (``_postselect``): its filter is its channel kernel's column at the target,
-the dilated kernel's on the slow route and the register's Dirichlet
+the ``dilated`` channel's on the slow route and the register's Dirichlet
 amplitude on the standard one.
 
 Sampling a count draws on the distribution's support only (``_pick_outcome``),
@@ -67,7 +67,8 @@ import numpy as np
 
 from .errors import InvariantError, ValidationError
 from . import numkernel as nk
-from .dilated import CostReport, dilated_kernel
+from .channel import channel
+from .dilated import CostReport
 from .fastforward import (FFPlan, _check_norm, _residue_phases, ff_cost, gap_kernel,
                           plan as make_plan)
 from .kernels import _require_memory, binom_pmf_window
@@ -334,7 +335,7 @@ def slow_qpe(ham: Hamiltonian, state: SpectralState, t: float, n: int,
     qs = np.sin(root * ham.eigenvalues[read]) ** 2
     dist = _counting_distribution(state.weights[read], qs, n)
     return _readout(ham, dist, lambda m: counting_estimator(t, n, m),
-                    CostReport(math.sqrt(n * t), n, n), mode, seed, repeats)
+                    channel("dilated", t, None, steps=n).cost, mode, seed, repeats)
 
 
 def slow_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
@@ -342,12 +343,11 @@ def slow_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
     """Post-select the all-zeros count to filter eigenspace ``beta``."""
     ham = _on_gaps(ham, beta)
     _step_root(ham, t, n)  # argument and range guard
-    w = state.weights[beta]
-    gap = spectral_gap(ham, beta)
+    chan = channel("dilated", t, None, steps=n)
+    w, gap = state.weights[beta], spectral_gap(ham, beta)
     bound = w / (w + (1.0 - w) * math.exp(-t * gap ** 2))
-    amp = dilated_kernel(t, n, ham.eigenvalues, np.zeros(1))[:, 0]
-    return _postselect(state, beta, amp, bound, 1.0 / n + 1e-10,
-                       CostReport(math.sqrt(n * t), n, n))
+    amp = chan.kernel(ham.eigenvalues, np.zeros(1))[:, 0]
+    return _postselect(state, beta, amp, bound, 1.0 / n + 1e-10, chan.cost)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +439,7 @@ def fast_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
     zeta = root_eps / c_beta if c_beta > 0 else math.inf
     bound = 0.0
     if zeta < 1.0 / 6.0:
-        plain = dilated_kernel(p.t, p.n, ham.eigenvalues, np.zeros(1))[:, 0]
+        plain = channel("dilated", p.t, None, steps=p.n).kernel(ham.eigenvalues, np.zeros(1))[:, 0]
         if state.weights[beta] / np.sum(state.weights * plain ** 2) >= 1.0 - zeta:
             bound = 1.0 - 6.0 * zeta
     prep = _postselect(state, beta, gap_kernel(p, ham.eigenvalues, np.zeros(1))[:, 0],

@@ -28,6 +28,7 @@ import scipy.stats
 
 import lindbladff as lff
 from lindbladff import numkernel as nk
+from lindbladff.channel import channel
 from lindbladff.cli import run as cli_run
 from lindbladff.qpe import counting_estimator
 
@@ -62,7 +63,7 @@ def test_criterion_01_structured_vs_dense_oracle():
             ham = _random_ham(rng, dim)
             psi = _random_state(rng, dim)
             p = lff.plan(t, eps, n_override=16)
-            rho, _ = lff.evolve(ham, psi, lff.channel("ff", t, eps, n=16))
+            rho, _ = lff.evolve(ham, psi, channel("ff", t, eps, n=16))
             ref = dense_circuit_reference(ham, psi, p)
             worst = max(worst, nk.trace_distance(rho, ref))
     elapsed = time.perf_counter() - t0
@@ -80,7 +81,7 @@ def test_criterion_02_window_bound():
             ham = _random_ham(rng, 2)
             psi = _random_state(rng, 2)
             p = lff.plan(2.0, eps, n_override=n)
-            rho, _ = lff.evolve(ham, psi, lff.channel("ff", 2.0, eps, n=n))
+            rho, _ = lff.evolve(ham, psi, channel("ff", 2.0, eps, n=n))
             mix = full_mixture(ham, psi, p)
             bound = 2.0 * math.exp(-2.0 * p.c ** 2 * p.n)
             dist = nk.trace_distance(rho, mix)
@@ -100,8 +101,8 @@ def test_criterion_03_end_to_end_accuracy():
             for eps in (0.1, 0.05):
                 ham = _random_ham(rng, dim)
                 psi = _random_state(rng, dim)
-                rho, _ = lff.evolve(ham, psi, lff.channel("ff", t, eps))
-                exact = lff.evolve(ham, np.outer(psi, psi.conj()), lff.channel("exact", t, None))[0]
+                rho, _ = lff.evolve(ham, psi, channel("ff", t, eps))
+                exact = lff.evolve(ham, np.outer(psi, psi.conj()), channel("exact", t, None))[0]
                 worst_ratio = max(worst_ratio, nk.trace_distance(rho, exact) / (2 * eps))
     elapsed = time.perf_counter() - t0
     report("03", worst_ratio <= 1.0 and elapsed < 120.0,
@@ -115,10 +116,10 @@ def test_criterion_04_quartic_cost_advantage():
     ts = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
     ff_costs, dil_costs = [], []
     for t in ts:
-        _, cost = lff.evolve(ham, psi, lff.channel("ff", t, 0.1))
+        _, cost = lff.evolve(ham, psi, channel("ff", t, 0.1))
         ff_costs.append(cost.hamiltonian_time)
         steps = lff.default_steps(t, 0.1)
-        _, dcost = lff.evolve(ham, rho0, lff.channel("dilated", t, None, steps))
+        _, dcost = lff.evolve(ham, rho0, channel("dilated", t, None, steps))
         dil_costs.append(dcost.hamiltonian_time)
     s_ff = float(np.polyfit(np.log(ts), np.log(ff_costs), 1)[0])
     s_dil = float(np.polyfit(np.log(ts), np.log(dil_costs), 1)[0])

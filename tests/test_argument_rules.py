@@ -9,10 +9,11 @@ import io
 import numpy as np
 import pytest
 
-from lindbladff import (ValidationError, amplitude_problem, channel, choi_ff_evolve,
+from lindbladff import (ValidationError, amplitude_problem, choi_ff_evolve,
                         decompose_state, default_steps, fast_qpe, gibbs_prepare, lindblad_spec,
                         normalize_spectrum, plan, slow_qpe, slow_qpe_eigenstate,
                         standard_qpe, standard_qpe_eigenstate)
+from lindbladff.channel import channel
 from lindbladff.cli import run
 
 from test_qpe import PREPARERS

@@ -4,14 +4,16 @@ on generated spectra, states and edge arguments it is bitwise the arithmetic
 each method ran before the table existed."""
 
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from lindbladff import (CostReport, ValidationError, channel, default_steps, evolve,
+from lindbladff import (CostReport, ValidationError, default_steps, evolve,
                         normalize_spectrum)
+from lindbladff.channel import channel
 from lindbladff import numkernel as nk
 from lindbladff.fastforward import ff_cost, gap_kernel, plan
 
@@ -39,6 +41,26 @@ class TestRefusals:
     def test_dilated_checks_a_given_count_before_the_time(self):
         with pytest.raises(ValidationError, match="step count must be an integer >= 1"):
             channel("dilated", 0.0, None, 0)
+
+    @pytest.mark.parametrize("method, eps, counts, message", [
+        ("exact", None, {"steps": 3}, "steps is read by the dilated method alone, not by exact"),
+        ("ff", 0.1, {"steps": 3}, "steps is read by the dilated method alone, not by ff"),
+        ("exact", None, {"n": 4}, "n is read by the ff method alone, not by exact"),
+        ("dilated", 0.1, {"n": 4}, "n is read by the ff method alone, not by dilated"),
+        ("exact", None, {"steps": -5}, "steps is read by the dilated method alone, not by exact"),
+        ("ff", 0.1, {"steps": 0, "n": 4}, "steps is read by the dilated method alone, not by ff"),
+    ])
+    def test_foreign_count_names_its_reader(self, method, eps, counts, message):
+        with pytest.raises(ValidationError) as info:
+            channel(method, 1.0, eps, **counts)
+        assert str(info.value) == message
+
+
+def test_channel_is_the_module():
+    import lindbladff
+    import lindbladff.channel as m
+    assert isinstance(m, types.ModuleType) and lindbladff.channel is m
+    assert m.channel is channel and lindbladff.Channel is m.Channel
 
 
 # ---------------------------------------------------------------------------

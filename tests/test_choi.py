@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from lindbladff import (ValidationError, channel, choi_ff_evolve, evolve, is_choi_commuting,
+from lindbladff import (ValidationError, choi_ff_evolve, evolve, is_choi_commuting,
                         lindblad_spec, normalize_spectrum, parse_pauli_sum)
+from lindbladff.channel import channel
 from lindbladff import choi, cli
 from lindbladff import numkernel as nk
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from lindbladff import ValidationError, channel, default_steps, evolve, normalize_spectrum
+from lindbladff import ValidationError, default_steps, evolve, normalize_spectrum
+from lindbladff.channel import channel
 from lindbladff import numkernel as nk
 
 from conftest import dilate, dilated_step, random_density

@@ -4,7 +4,8 @@ oracles of ``tests/oracles.py``, and those oracles against each other."""
 import numpy as np
 import pytest
 
-from lindbladff import ValidationError, channel, evolve, lindblad_spec, normalize_spectrum
+from lindbladff import ValidationError, evolve, lindblad_spec, normalize_spectrum
+from lindbladff.channel import channel
 from lindbladff.errors import CapacityError
 
 from conftest import PAULI_Y, PAULI_Z, random_density, random_hermitian

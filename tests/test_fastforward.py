@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from lindbladff import (Channel, FFPlan, ValidationError, channel, evolve,
+from lindbladff import (Channel, FFPlan, ValidationError, evolve,
                         normalize_spectrum, plan)
+from lindbladff.channel import channel
 from lindbladff import fastforward
 from lindbladff import numkernel as nk
 from lindbladff.fastforward import _residue_phases, gap_kernel

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from lindbladff import (ValidationError, channel, evolve, gibbs_prepare,
+from lindbladff import (ValidationError, evolve, gibbs_prepare,
                         lindblad_spec, normalize_spectrum, plan)
+from lindbladff.channel import channel
 from lindbladff import fastforward, gibbs, model
 from lindbladff import numkernel as nk
 from lindbladff.dilated import CostReport
@@ -168,7 +169,7 @@ class TestGibbsPrepare:
         def refuse(*args, **kwargs):
             raise AssertionError("dense dilated route reached")
 
-        # the package's ``channel`` is the builder, which hides its module
+        # the table's module, whose ``evolve`` a dense route would call
         channel_module = importlib.import_module("lindbladff.channel")
         for module, name in ((model, "normalize_spectrum"), (channel_module, "evolve"),
                              (np, "kron")):

@@ -18,6 +18,7 @@ from lindbladff import (FFPlan, InvariantError, ValidationError,
                         slow_qpe_eigenstate, standard_qpe,
                         standard_qpe_eigenstate)
 from lindbladff import model, qpe
+from lindbladff.channel import channel
 from lindbladff.dilated import dilated_kernel
 from lindbladff.fastforward import gap_kernel
 from lindbladff.kernels import binom_pmf_window
@@ -29,6 +30,7 @@ from conftest import (goal_ledger, log_binom, random_eigenstate, random_hermitia
                       residue_of)
 from oracles import (amplitude_decision_demo, dense_amplitude_problem, grover_iterate,
                      schur_orthogonal_log)
+from test_single_jump import jumps
 
 
 def eigenstate_input(h, other=None):
@@ -241,6 +243,117 @@ class TestSlowEigenstate:
         st = decompose_state(PLUS, ham)
         prep = slow_qpe_eigenstate(ham, st, 0, 1e-6, 100)
         assert np.isclose(prep.overlap, 0.5, atol=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# The slow routes on the dilated channel: bitwise the arithmetic they ran
+# when they called the dilated kernel themselves and priced N steps as
+# sqrt(N t), apart from that price, which is now the channel's N sqrt(t / N)
+# ---------------------------------------------------------------------------
+
+def written_out_filter(t, n, g):
+    """The dilated kernel's column at gap 0, cos(sqrt(t / N) g)^N, as the slow
+    routes evaluated it before they read it from the channel."""
+    x = math.sqrt(t / n) * (g[:, None] - np.zeros(1)[None, :])
+    with np.errstate(divide="ignore"):
+        return (np.sign(np.cos(x)) ** n * np.exp(0.5 * n * np.log1p(-np.sin(x) ** 2)))[:, 0]
+
+
+# (t, N) at their edges: one step, the smallest subnormal time, a step root at
+# the range guard's pi/2 for gaps of 1, N = 2^53, and pairs whose two cost
+# expressions differ in the last bit
+COST_MOVES = [(1.0, 7), (3.0, 10), (7.0, 3)]
+SLOW_EDGES = [(5e-324, 1), (1e-300, 3), (2.0, 1), ((math.pi / 2) ** 2, 1), (16.0, 7),
+              (4.0, 64), (16.0, 256), (64.0, 256), (2.0 ** 54, 2 ** 53)] + COST_MOVES
+
+
+def test_cost_moves_are_covered():
+    for t, n in COST_MOVES:
+        assert math.sqrt(n * t) != n * math.sqrt(t / n)
+
+
+@hst.composite
+def slow_arguments(draw):
+    if draw(hst.booleans()):
+        return draw(hst.sampled_from(SLOW_EDGES))
+    return draw(hst.floats(1e-3, 64.0)), draw(hst.integers(1, 4096))
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(case=jumps(), args=slow_arguments(), beta_draw=hst.integers(0, 5))
+def test_slow_routes_are_bitwise_their_dilated_arithmetic(case, args, beta_draw):
+    t, n = args
+    f, rng = case
+    ham = normalize_spectrum(f)
+    st = decompose_state(random_state(rng, ham.dim), ham)
+    chan_cost = channel("dilated", t, None, steps=n).cost
+    # estimation: the distribution is register-sized, so the largest N is kept to preparation
+    if n <= 4096:
+        try:
+            qpe._step_root(ham, t, n)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as info:
+                slow_qpe(ham, st, t, n)
+            assert str(info.value) == str(exc)
+        else:
+            read = _read_levels(st)
+            qs = np.sin(math.sqrt(t / n) * ham.eigenvalues[read]) ** 2
+            want = np.zeros(n + 1)
+            for w, q in zip(st.weights[read], qs):
+                lo, pm = binom_pmf_window(n, float(q))
+                want[lo: lo + pm.size] += w * pm
+            res = slow_qpe(ham, st, t, n)
+            assert np.array_equal(res.distribution, want)
+            assert res.raw_outcome == int(np.argmax(want))
+            assert res.cost == chan_cost and type(res.cost.step_count) is int
+    # preparation at a target with at least two levels and some weight
+    beta = beta_draw % ham.n_levels
+    if ham.n_levels < 2 or st.coeffs[beta] == 0.0:
+        return
+    g = ham.eigenvalues - ham.eigenvalues[beta]
+    if math.sqrt(t / n) * float(np.max(np.abs(g))) > 0.5 * math.pi:
+        with pytest.raises(ValidationError, match="monotone estimator range"):
+            slow_qpe_eigenstate(ham, st, beta, t, n)
+        return
+    amp = written_out_filter(t, n, g)
+    assert np.array_equal(channel("dilated", t, None, steps=n).kernel(g, np.zeros(1))[:, 0], amp)
+    kept = st.weights * np.abs(amp) ** 2
+    p0 = float(np.sum(kept))
+    prep = slow_qpe_eigenstate(ham, st, beta, t, n)
+    assert prep.postselect_probability == p0
+    assert prep.overlap == float(kept[beta] / p0)
+    assert np.array_equal(prep.state, (st.coeffs * amp) @ st.components / math.sqrt(p0))
+    assert prep.cost == chan_cost
+    assert abs(chan_cost.hamiltonian_time - math.sqrt(n * t)) <= math.ulp(math.sqrt(n * t))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=jumps(), n=hst.sampled_from([2, 4, 64, 512]), full=hst.booleans(),
+       t=hst.sampled_from([1.0, 4.0, 16.0]), eps=hst.sampled_from([1e-9, 1e-4, 1e-2]),
+       beta_draw=hst.integers(0, 5))
+def test_fast_preparation_bound_reads_the_dilated_filter(case, n, full, t, eps, beta_draw):
+    # the inaccuracy chain's unwindowed check reads the dilated channel's
+    # column at 0 at the plan's t and N, narrow windows included
+    f, rng = case
+    ham = normalize_spectrum(f)
+    beta = beta_draw % ham.n_levels
+    if ham.n_levels < 2:
+        return
+    psi = ham.vectors[:, np.flatnonzero(ham.levels == beta)[0]] + 0.05 * random_state(rng, ham.dim)
+    st = decompose_state(psi / np.linalg.norm(psi), ham)
+    p = plan_at(n, full, t)._replace(eps=eps)
+    zeta = math.sqrt(p.eps) / float(st.coeffs[beta])
+    plain = written_out_filter(p.t, p.n, ham.eigenvalues - ham.eigenvalues[beta])
+    want = 0.0
+    if zeta < 1.0 / 6.0 and st.weights[beta] / np.sum(st.weights * plain ** 2) >= 1.0 - zeta:
+        want = 1.0 - 6.0 * zeta
+    try:
+        bound = fast_qpe_eigenstate(ham, st, beta, p).overlap_bound
+    except InvariantError as exc:  # a narrow window may break the chain; the bound is read first
+        if "violates its bound" not in str(exc):
+            return
+        bound = float(str(exc).rsplit(" ", 1)[1])
+    assert bound == want
 
 
 def kravchuk_oracle(n):

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from lindbladff import (ValidationError, channel, choi_ff_evolve, decompose_state, evolve,
+from lindbladff import (ValidationError, choi_ff_evolve, decompose_state, evolve,
                         lindblad_spec, normalize_spectrum)
+from lindbladff.channel import channel
 from lindbladff.model import CLUSTER_RTOL
 from lindbladff.numkernel import trace_distance
 
