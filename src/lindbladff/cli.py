@@ -39,7 +39,6 @@ from .choi import choi_ff_evolve
 from .concentration import bernstein_bound, binomial_tail, hoeffding_bound
 from .channel import channel, evolve
 from .dilated import CostReport
-from .fastforward import plan as make_plan
 from .gibbs import gibbs_prepare
 from .qpe import (amplitude_problem, counting_estimator, decide_amplitude,
                   fast_qpe, fast_qpe_eigenstate, slow_qpe, slow_qpe_eigenstate,
@@ -227,8 +226,8 @@ def _cmd_qpe(args, argv):
         elif args.route == "slow":
             res = slow_qpe(ham, state, args.t, args.N, args.dist_mode, args.seed, args.repeats)
         else:
-            p = make_plan(args.t, args.eps, args.N)
-            res = fast_qpe(ham, state, p, args.dist_mode, args.seed, args.repeats)
+            res = fast_qpe(ham, state, args.t, args.eps, args.N, args.dist_mode, args.seed,
+                           args.repeats)
         yield _record(argv, t0, {"route": args.route, **_fields(res)}, digest, args.seed, res.cost)
         return
 
@@ -240,8 +239,7 @@ def _cmd_qpe(args, argv):
         eps = args.eps
         if args.zeta is not None:
             eps = (float(state.coeffs[args.eigen]) * args.zeta) ** 2
-        p = make_plan(args.t, eps, args.N)
-        prep = fast_qpe_eigenstate(ham, state, args.eigen, p)
+        prep = fast_qpe_eigenstate(ham, state, args.eigen, args.t, eps, args.N)
     yield _record(argv, t0, {"route": args.route, **_fields(prep)}, digest, args.seed, prep.cost)
 
 
@@ -358,16 +356,15 @@ def _bench_qpe_error(args, argv):
     slow_pts, fast_pts = [], []
     for t in ts:
         res = slow_qpe(ham, state, t, args.N_slow)
-        rms = _dist_rms(res.distribution, t, args.N_slow, h_true)
+        rms = _dist_rms(res.distribution, t, h_true)
         slow_pts.append((t, rms))
         yield f"{t},slow,{t!r},{rms!r}"
         try:
-            p = make_plan(t, args.eps, args.N_fast)
-            resf = fast_qpe(ham, state, p)
+            resf = fast_qpe(ham, state, t, args.eps, args.N_fast)
         except ValidationError as exc:
             yield f"{t},fast,skipped,{exc}"
             continue
-        rmsf = _dist_rms(resf.distribution, t, p.n, h_true)
+        rmsf = _dist_rms(resf.distribution, t, h_true)
         fast_pts.append((resf.cost.hamiltonian_time, rmsf))
         yield f"{t},fast,{resf.cost.hamiltonian_time!r},{rmsf!r}"
     for name, pts, target, tol in (("slow", slow_pts, -0.5, 0.1), ("fast", fast_pts, -1.0, 0.15)):
@@ -375,8 +372,8 @@ def _bench_qpe_error(args, argv):
                             [x for x, _ in pts], [y for _, y in pts], target, tol)
 
 
-def _dist_rms(dist: np.ndarray, t: float, n: int, h_true: float) -> float:
-    est, _ = counting_estimator(t, n, np.arange(dist.size))
+def _dist_rms(dist: np.ndarray, t: float, h_true: float) -> float:
+    est, _ = counting_estimator(t, dist.size - 1, np.arange(dist.size))
     return float(math.sqrt(np.sum(dist * (est - h_true) ** 2)))
 
 

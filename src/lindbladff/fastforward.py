@@ -112,9 +112,9 @@ def plan(t: float, eps: float, n_override: int | None = None) -> FFPlan:
     return FFPlan(float(t), float(eps), n, t / n, c, d, dprime, window, full_window, note)
 
 
-def _phase_blocks(p: FFPlan, eigs: np.ndarray, rows: int, lo: int, hi: int):
-    """Rows [lo, hi) of the phase table exp(-i h sqrt(tau) (2r - 2^d')) in
-    blocks of shape (rows, n_levels); ``rows`` is a power of two dividing ``lo``.
+def _phase_blocks(p: FFPlan, eigs: np.ndarray, rows: int, hi: int):
+    """Rows [0, hi) of the phase table exp(-i h sqrt(tau) (2r - 2^d')) in
+    blocks of shape (rows, n_levels); ``rows`` is a power of two.
 
     Row r is the product of the single uncontrolled backward factor and the
     d' bit evolutions selected by the bits of r, taken from the lowest bit
@@ -139,18 +139,16 @@ def _phase_blocks(p: FFPlan, eigs: np.ndarray, rows: int, lo: int, hi: int):
     table = np.exp(+1j * eigs * root)[None, :]  # uncontrolled factor
     for j in range(low_bits):
         table = np.concatenate((table * bwd[j], table * fwd[j]))
-    for start in range(lo, hi, rows):
+    for start in range(0, hi, rows):
         block = table
         for j in range(low_bits, p.dprime):
             block = block * (fwd[j] if (start >> j) & 1 else bwd[j])
         yield block
 
 
-def _residue_phases(p: FFPlan, eigs: np.ndarray, lo: int = 0,
-                    rows: int | None = None) -> np.ndarray:
-    """Rows [lo, lo + rows) of the phase table, the whole table by default."""
-    rows = p.period if rows is None else rows
-    return next(_phase_blocks(p, eigs, rows, lo, lo + rows))
+def _residue_phases(p: FFPlan, eigs: np.ndarray) -> np.ndarray:
+    """The whole phase table, shape (P, n_levels)."""
+    return next(_phase_blocks(p, eigs, p.period, p.period))
 
 
 JUMP_NORM_ATOL = 1e-9  # the one jump-norm rule: |h| <= 1 + this for every eigenvalue evolved
@@ -189,8 +187,8 @@ def gap_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
     fold[1:] = weights[1:half] + weights[:half:-1]
     rows = 1 << min(_SUM_BITS, p.dprime - 1)
     total = np.full((eigs_a.size, eigs_b.size), weights[half])
-    blocks_b = None if eigs_b is eigs_a else _phase_blocks(p, eigs_b, rows, 0, half)
-    for lo, x in zip(range(0, half, rows), _phase_blocks(p, eigs_a, rows, 0, half)):
+    blocks_b = None if eigs_b is eigs_a else _phase_blocks(p, eigs_b, rows, half)
+    for lo, x in zip(range(0, half, rows), _phase_blocks(p, eigs_a, rows, half)):
         y = x if blocks_b is None else next(blocks_b)
         for part in (np.real, np.imag):  # a contiguous right operand stays on BLAS
             total += (part(x).T * fold[lo:lo + rows]) @ np.ascontiguousarray(part(y))

@@ -8,8 +8,8 @@ Three routes are implemented against one result contract:
   joint register-system state is never materialized; outcome distributions
   are per-eigencomponent binomials, evaluated on their numerically relevant
   support, so the ancilla count N can reach 10^6 and beyond.
-* ``fast``: the fast-forwarded ledger read out through the symmetric-sector
-  N-fold Hadamard (the Kravchuk transform).
+* ``fast``: the ledger of ``channel("ff", t, eps, N)`` read out through the
+  symmetric-sector N-fold Hadamard (the Kravchuk transform).
 
 The fast readout never builds the (N+1)^2 transform.  Address m carries the
 binomial amplitude a_m = sqrt(C(N, m) / 2^N) and the system vector s_r of its
@@ -38,7 +38,7 @@ each route reads the gaps g_l = h_l - h_beta (``_on_gaps``), which put the
 target at 0.  Post-selecting count 0 needs no transform: row 0 of the
 symmetric-sector Hadamard is the binomial amplitude vector, so
 X[0] = sum_r w_r s_r scales eigencomponent l by sum_r w_r e^(-i g_l theta_r),
-the ``gap_kernel`` column at gap 0.  Every route post-selects so
+the ``ff`` channel kernel's column at gap 0.  Every route post-selects so
 (``_postselect``): its filter is its channel kernel's column at the target,
 the ``dilated`` channel's on the slow route and the register's Dirichlet
 amplitude on the standard one.
@@ -67,10 +67,9 @@ import numpy as np
 
 from .errors import InvariantError, ValidationError
 from . import numkernel as nk
-from .channel import channel
+from .channel import Channel, channel
 from .dilated import CostReport
-from .fastforward import (FFPlan, _check_norm, _residue_phases, ff_cost, gap_kernel,
-                          plan as make_plan)
+from .fastforward import FFPlan, _check_norm, _residue_phases
 from .kernels import _require_memory, binom_pmf_window
 from . import model
 from .model import (Hamiltonian, SpectralState, decompose_state,
@@ -221,14 +220,14 @@ def standard_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
 # ---------------------------------------------------------------------------
 
 def _step_root(ham: Hamiltonian, t: float, n: int) -> float:
-    """sqrt(t/N) for finite t > 0 and N >= 1, where sqrt(t/N) |h| <= pi/2."""
+    """sqrt(t/N) for finite t > 0 and N >= 1, where sqrt(t/N) max|h| <= pi/2."""
     nk.require_time(t)
     nk.require_count(n, 1, "register count")
     root = math.sqrt(t / n)
-    if root * float(np.max(np.abs(ham.eigenvalues))) > 0.5 * math.pi:
-        raise ValidationError(
-            f"sqrt(t/N) |h| = {root:.3f}|h| leaves the monotone estimator range; increase N"
-        )
+    reach = root * float(np.max(np.abs(ham.eigenvalues)))
+    if reach > 0.5 * math.pi:
+        raise ValidationError(f"sqrt(t/N) max|h| = {reach:.3g} > pi/2 leaves the monotone "
+                              f"estimator range; increase N")
     return root
 
 
@@ -319,10 +318,12 @@ def _readout(ham: Hamiltonian, dist: np.ndarray, phase, cost: CostReport,
 
 
 def counting_estimator(t: float, n: int, m) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized-eigenvalue estimate sqrt(N/t) arcsin(sqrt(m/N)) with clamp."""
+    """Normalized-eigenvalue estimate sqrt(N/t) arcsin(sqrt(m/N)) with clamp;
+    sqrt(N) / sqrt(t) where N/t overflows (a subnormal t), so count 0 reads 0."""
     frac = np.clip(np.asarray(m, dtype=float) / n, 0.0, 1.0)
     saturated = frac >= 1.0
-    return math.sqrt(n / t) * np.arcsin(np.sqrt(frac)), saturated
+    scale = math.sqrt(n / t) if n / t < math.inf else math.sqrt(n) / math.sqrt(t)
+    return scale * np.arcsin(np.sqrt(frac)), saturated
 
 
 def slow_qpe(ham: Hamiltonian, state: SpectralState, t: float, n: int,
@@ -420,17 +421,21 @@ def _fast_distribution(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.
     return np.einsum("lxc,lxc->x", parts, parts)
 
 
-def fast_qpe(ham: Hamiltonian, state: SpectralState, p: FFPlan,
-             mode: str = "exact", seed=None,
+def fast_qpe(ham: Hamiltonian, state: SpectralState, t: float, eps: float,
+             n: int | None = None, mode: str = "exact", seed=None,
              repeats: int = 1) -> EstimationResult:
-    """Counting statistics read out of the fast-forwarded ledger."""
+    """Counting statistics read out of the ledger of ``channel("ff", t, eps, n=n)``."""
+    chan = channel("ff", t, eps, n=n)
+    p = chan.plan
     return _readout(ham, _fast_distribution(ham, state, p),
-                    lambda m: counting_estimator(p.t, p.n, m), ff_cost(p), mode, seed, repeats)
+                    lambda m: counting_estimator(p.t, p.n, m), chan.cost, mode, seed, repeats)
 
 
 def fast_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
-                        p: FFPlan) -> PreparationResult:
-    """Post-select count 0 on the transformed ledger to filter eigenspace ``beta``."""
+                        t: float, eps: float, n: int | None = None) -> PreparationResult:
+    """Post-select count 0 on ``channel("ff", t, eps, n=n)`` to filter eigenspace ``beta``."""
+    chan = channel("ff", t, eps, n=n)
+    p = chan.plan
     ham = _on_gaps(ham, beta)
     c_beta = float(state.coeffs[beta])
     root_eps = math.sqrt(p.eps)
@@ -442,8 +447,8 @@ def fast_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
         plain = channel("dilated", p.t, None, steps=p.n).kernel(ham.eigenvalues, np.zeros(1))[:, 0]
         if state.weights[beta] / np.sum(state.weights * plain ** 2) >= 1.0 - zeta:
             bound = 1.0 - 6.0 * zeta
-    prep = _postselect(state, beta, gap_kernel(p, ham.eigenvalues, np.zeros(1))[:, 0],
-                       bound, 1e-9, ff_cost(p))
+    prep = _postselect(state, beta, chan.kernel(ham.eigenvalues, np.zeros(1))[:, 0],
+                       bound, 1e-9, chan.cost)
     root_p0 = math.sqrt(prep.postselect_probability)
     if root_p0 < c_beta - root_eps - 1e-9:
         raise InvariantError(f"postselect amplitude {root_p0} fell below c_beta - sqrt(eps)")
@@ -463,12 +468,12 @@ class AmplitudeDecision(NamedTuple):
 class AmplitudeProblem(NamedTuple):
     """Seed-independent part of the decision demo for one oracle.
 
-    ``distribution`` is the fast readout's count distribution; each run only
-    samples a count from it and compares its phase with ``threshold``.
+    ``distribution`` is the fast readout's count distribution on ``channel``;
+    each run only samples a count from it and compares its phase with ``threshold``.
     """
 
     ham: Hamiltonian
-    plan: FFPlan
+    channel: Channel
     distribution: np.ndarray
     threshold: float
     amplitude: float
@@ -506,17 +511,17 @@ def amplitude_problem(n: int, witnesses: int, t: float = 250.0, register_n: int 
         levels, weights = [-rotation, 0.0, rotation, math.pi], [0.5, 0.0, 0.5, 0.0]
     ham = normalize_spectrum(np.diag(levels))
     state = decompose_state(np.sqrt(weights), ham)
-    p = make_plan(t, eps, n_override=register_n)
-    return AmplitudeProblem(ham, p, _fast_distribution(ham, state, p),
+    chan = channel("ff", t, eps, n=register_n)
+    return AmplitudeProblem(ham, chan, _fast_distribution(ham, state, chan.plan),
                             math.asin(2.0 ** (-n / 2.0)), amplitude, witnesses)
 
 
 def decide_amplitude(problem: AmplitudeProblem, mode: str = "sample",
                      seed=None) -> AmplitudeDecision:
     """One decision run: sample a count and compare its phase to the threshold."""
-    p = problem.plan
-    result = _readout(problem.ham, problem.distribution,
-                      lambda m: counting_estimator(p.t, p.n, m), ff_cost(p), mode, seed, 1)
+    p = problem.channel.plan
+    result = _readout(problem.ham, problem.distribution, lambda m: counting_estimator(p.t, p.n, m),
+                      problem.channel.cost, mode, seed, 1)
     decided_zero = abs(result.estimate) <= problem.threshold
     return AmplitudeDecision(decided_zero, decided_zero == (problem.witness_count == 0), result)
 

@@ -370,5 +370,5 @@ def dense_amplitude_problem(bits, t: float = 250.0, register_n: int = 2048,
     closed = amplitude_problem(bits.size.bit_length() - 1, int(bits.sum()), t, register_n, eps)
     u, eta = grover_iterate(bits)
     ham = normalize_spectrum(schur_orthogonal_log(u))
-    dist = _fast_distribution(ham, decompose_state(eta, ham), closed.plan)
+    dist = _fast_distribution(ham, decompose_state(eta, ham), closed.channel.plan)
     return closed._replace(ham=ham, distribution=dist)

@@ -148,9 +148,8 @@ def test_criterion_05_sql_vs_heisenberg():
 
     fast_costs, fast_rms = [], []
     for t in ts:
-        p = lff.plan(t, 1e-6, n_override=4096)
-        res = lff.fast_qpe(ham, state, p)
-        est, _ = counting_estimator(t, p.n, np.arange(res.distribution.size))
+        res = lff.fast_qpe(ham, state, t, 1e-6, 4096)
+        est, _ = counting_estimator(t, 4096, np.arange(res.distribution.size))
         fast_costs.append(res.cost.hamiltonian_time)
         fast_rms.append(float(np.sqrt(np.sum(res.distribution * (est - h_true) ** 2))))
     s_fast = float(np.polyfit(np.log(fast_costs), np.log(fast_rms), 1)[0])
@@ -205,7 +204,7 @@ def test_criterion_07_eigenstate_preparation_bounds():
 
     zeta = 0.02
     eps = (float(state.coeffs[0]) * zeta) ** 2
-    fast = lff.fast_qpe_eigenstate(ham, state, 0, lff.plan(16.0, eps, n_override=4096))
+    fast = lff.fast_qpe_eigenstate(ham, state, 0, 16.0, eps, 4096)
     f13_ok = math.sqrt(fast.postselect_probability) >= float(state.coeffs[0]) - math.sqrt(eps)
     f16_ok = fast.overlap >= 1.0 - 6.0 * zeta
     elapsed = time.perf_counter() - t0

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from lindbladff import (ValidationError, amplitude_problem, choi_ff_evolve,
-                        decompose_state, default_steps, fast_qpe, gibbs_prepare, lindblad_spec,
-                        normalize_spectrum, plan, slow_qpe, slow_qpe_eigenstate,
-                        standard_qpe, standard_qpe_eigenstate)
+                        decompose_state, default_steps, fast_qpe, fast_qpe_eigenstate,
+                        gibbs_prepare, lindblad_spec, normalize_spectrum, plan, slow_qpe,
+                        slow_qpe_eigenstate, standard_qpe, standard_qpe_eigenstate)
 from lindbladff.channel import channel
 from lindbladff.cli import run
 
@@ -22,7 +22,6 @@ HAM = normalize_spectrum(np.diag([0.0, 0.5, 1.0]).astype(complex))
 STATE = decompose_state(np.full(3, 3 ** -0.5, dtype=complex), HAM)
 SPEC = lindblad_spec([np.diag([0.0, 1.0]).astype(complex)])
 RHO2 = np.eye(2, dtype=complex) / 2
-PLAN = plan(4.0, 1e-3, n_override=64)
 
 # Each entry point with the argument under test left open; a single-jump
 # channel is keyed by its method.
@@ -36,6 +35,8 @@ TIME = {
     "choi_ff_evolve": lambda t: choi_ff_evolve(SPEC, RHO2, t, 0.1),
     "slow_qpe": lambda t: slow_qpe(HAM, STATE, t, 64),
     "slow_qpe_eigenstate": lambda t: slow_qpe_eigenstate(HAM, STATE, 0, t, 64),
+    "fast_qpe": lambda t: fast_qpe(HAM, STATE, t, 1e-3, 64),
+    "fast_qpe_eigenstate": lambda t: fast_qpe_eigenstate(HAM, STATE, 0, t, 1e-3, 64),
     "amplitude_problem": lambda t: amplitude_problem(2, 1, t=t),
 }
 EPS = {
@@ -45,6 +46,8 @@ EPS = {
     "plan": lambda eps: plan(1.0, eps),
     "choi_ff_evolve": lambda eps: choi_ff_evolve(SPEC, RHO2, 1.0, eps),
     "gibbs_prepare": lambda eps: gibbs_prepare(np.diag([0.0, 1.0]), 1.0, eps),
+    "fast_qpe": lambda eps: fast_qpe(HAM, STATE, 4.0, eps, 64),
+    "fast_qpe_eigenstate": lambda eps: fast_qpe_eigenstate(HAM, STATE, 0, 4.0, eps, 64),
     "amplitude_problem": lambda eps: amplitude_problem(2, 1, eps=eps),
 }
 # (entry point, floor, the count's name in the message, a count it takes)
@@ -57,13 +60,17 @@ COUNTS = {
                             "register count", 64),
     "dilated": (lambda n: channel("dilated", 1.0, None, n), 1, "step count", 4),
     "ff": (lambda n: channel("ff", 1.0, 0.1, n=n), 2, "register count", 64),
+    "fast_qpe": (lambda n: fast_qpe(HAM, STATE, 4.0, 1e-3, n), 2, "register count", 64),
+    "fast_qpe_eigenstate": (lambda n: fast_qpe_eigenstate(HAM, STATE, 0, 4.0, 1e-3, n), 2,
+                            "register count", 64),
     "standard_qpe": (lambda d: standard_qpe(HAM, STATE, d), 1, "register bits", 4),
     "standard_qpe_eigenstate": (lambda d: standard_qpe_eigenstate(HAM, STATE, 0, d), 1,
                                 "register bits", 4),
     "standard_qpe_repeats": (lambda r: standard_qpe(HAM, STATE, 4, repeats=r), 1, "repeats", 3),
     "slow_qpe_repeats": (lambda r: slow_qpe(HAM, STATE, 4.0, 64, "sample", 0, r), 1,
                          "repeats", 3),
-    "fast_qpe_repeats": (lambda r: fast_qpe(HAM, STATE, PLAN, repeats=r), 1, "repeats", 3),
+    "fast_qpe_repeats": (lambda r: fast_qpe(HAM, STATE, 4.0, 1e-3, 64, repeats=r), 1,
+                         "repeats", 3),
 }
 
 

@@ -621,6 +621,22 @@ class TestSubcommands:
         if route == "fast":
             assert rec["outputs"]["overlap_bound"] == 0.0
 
+    @pytest.mark.parametrize("route, n", (("slow", "1"), ("fast", "2")))
+    def test_subnormal_time_reads_count_zero_as_zero(self, route, n):
+        # N/t overflows at t = 5e-324: count 0 once read inf * 0, a bare NaN
+        # in the record and a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out = invoke(["qpe", "--route", route, "--ham", HAM, "--state", "basis:0",
+                              "--t", "5e-324", "--N", n])
+        assert rc == 0
+
+        def finite_only(name):
+            raise ValueError(f"non-finite constant {name}")
+
+        outputs = json.loads(out.splitlines()[0], parse_constant=finite_only)["outputs"]
+        assert (outputs["raw_outcome"], outputs["estimate_normalized"]) == (0, 0.0)
+
     @pytest.mark.parametrize("ham, eigen, overlap, bound", [
         (HAM, "0", 1.0, 0.9997559189650964),
         (os.path.join(DATA, "h_two_qubit.pauli"), "1", 0.9968351152614887, 0.9872529413969969),

@@ -13,7 +13,7 @@ from lindbladff import (Channel, FFPlan, ValidationError, evolve,
 from lindbladff.channel import channel
 from lindbladff import fastforward
 from lindbladff import numkernel as nk
-from lindbladff.fastforward import _residue_phases, gap_kernel
+from lindbladff.fastforward import _phase_blocks, _residue_phases, gap_kernel
 from lindbladff.kernels import PMF_FLOOR, _support, binom_residue_weights
 
 from conftest import (full_mixture, goal_ledger, random_density, random_hermitian,
@@ -294,8 +294,8 @@ class TestStreamedDensity:
         whole = _residue_phases(p, eigs)
         rows = 1
         while rows <= p.period:
-            for lo in range(0, p.period, rows):
-                block = _residue_phases(p, eigs, lo, rows)
+            blocks = _phase_blocks(p, eigs, rows, p.period)
+            for lo, block in zip(range(0, p.period, rows), blocks, strict=True):
                 assert block.tobytes() == whole[lo:lo + rows].tobytes(), (rows, lo)
             rows *= 4 if p.period > 4096 else 2  # every other size at large periods, for time
 

@@ -20,7 +20,7 @@ from lindbladff import (FFPlan, InvariantError, ValidationError,
 from lindbladff import model, qpe
 from lindbladff.channel import channel
 from lindbladff.dilated import dilated_kernel
-from lindbladff.fastforward import gap_kernel
+from lindbladff.fastforward import ff_cost, gap_kernel
 from lindbladff.kernels import binom_pmf_window
 from lindbladff.qpe import (_alpha_phases, _counting_distribution,
                            _fast_distribution, _level_rows, _level_spectrum, _read_levels,
@@ -134,8 +134,7 @@ class TestStandardEigenstate:
 PREPARERS = {
     "standard": lambda ham, st, beta: standard_qpe_eigenstate(ham, st, beta, 5),
     "slow": lambda ham, st, beta: slow_qpe_eigenstate(ham, st, beta, 16.0, 1000),
-    "fast": lambda ham, st, beta: fast_qpe_eigenstate(ham, st, beta,
-                                                      plan(4.0, 1e-3, n_override=64)),
+    "fast": lambda ham, st, beta: fast_qpe_eigenstate(ham, st, beta, 4.0, 1e-3, 64),
 }
 
 
@@ -206,10 +205,43 @@ class TestSlowQpe:
         assert res.cost.hamiltonian_time == math.sqrt(400 * 4.0)
         assert res.cost.ancilla_count == 400
 
+    @pytest.mark.parametrize("t, n, reach", [(1e300, 4, "5e+149"), (4.0, 1, "2"),
+                                             (2.5 * math.pi ** 2, 9, "1.66")])
+    def test_range_refusal_prints_what_it_compares(self, t, n, reach):
+        # sqrt(t/N) max|h| against pi/2, at three significant digits
+        ham = normalize_spectrum(np.diag([-0.5, 1.0]))
+        st = decompose_state(PLUS, ham)
+        with pytest.raises(ValidationError) as info:
+            slow_qpe(ham, st, t, n)
+        assert str(info.value) == (f"sqrt(t/N) max|h| = {reach} > pi/2 leaves the monotone "
+                                   f"estimator range; increase N")
+
     def test_saturation_flag(self):
         ham, st, _ = eigenstate_input(0.5)
         est, sat = counting_estimator(4.0, 10, 10)
         assert sat and np.isclose(est, math.sqrt(10 / 4.0) * math.pi / 2)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(t=hst.one_of(hst.floats(5e-324, 1e300), hst.sampled_from([5e-324, 1e-310, 2.0 ** -1022])),
+       n=hst.one_of(hst.integers(1, 2 ** 53), hst.sampled_from([1, 2, 2 ** 53])),
+       m=hst.integers(0, 2 ** 53))
+def test_counting_estimator_is_finite_and_unmoved(t, n, m):
+    # at a subnormal t, N/t overflows; sqrt(N) / sqrt(t) keeps every count
+    # finite and count 0 at 0, where sqrt(N/t) read inf * 0 = NaN
+    est, sat = counting_estimator(t, n, m)
+    frac = np.clip(np.asarray(m, dtype=float) / n, 0.0, 1.0)
+    assert math.isfinite(est) and (m > 0 or est == 0.0) and sat == (frac >= 1.0)
+    if math.isfinite(n / t):  # the arithmetic every record was written with
+        assert est == math.sqrt(n / t) * np.arcsin(np.sqrt(frac))
+    else:
+        assert est == math.sqrt(n) / math.sqrt(t) * np.arcsin(np.sqrt(frac))
+
+
+def test_counting_estimator_edges_are_covered():
+    # the smallest normal t reads sqrt(N/t) at N = 1 and sqrt(N) / sqrt(t) at N = 2^53
+    assert math.isinf(1 / 5e-324) and math.isinf(1 / 1e-310)
+    assert math.isfinite(1 / 2.0 ** -1022) and math.isinf(2 ** 53 / 2.0 ** -1022)
 
 
 class TestSlowEigenstate:
@@ -327,11 +359,20 @@ def test_slow_routes_are_bitwise_their_dilated_arithmetic(case, args, beta_draw)
     assert abs(chan_cost.hamiltonian_time - math.sqrt(n * t)) <= math.ulp(math.sqrt(n * t))
 
 
+# (N, t, eps) of the fast preparation draws: plan() covers every address at
+# N = 2 and 4 and gives narrow windows at N = 64 and 512
+BOUND_COUNTS, BOUND_TIMES, BOUND_EPS = [2, 4, 64, 512], [1.0, 4.0, 16.0], [1e-9, 1e-4, 1e-2]
+
+
+def test_fast_preparation_draws_cover_full_and_narrow_windows():
+    for n, t, eps in itertools.product(BOUND_COUNTS, BOUND_TIMES, BOUND_EPS):
+        assert plan(t, eps, n).full_window == (n <= 4), (n, t, eps)
+
+
 @settings(max_examples=60, deadline=None, database=None)
-@given(case=jumps(), n=hst.sampled_from([2, 4, 64, 512]), full=hst.booleans(),
-       t=hst.sampled_from([1.0, 4.0, 16.0]), eps=hst.sampled_from([1e-9, 1e-4, 1e-2]),
-       beta_draw=hst.integers(0, 5))
-def test_fast_preparation_bound_reads_the_dilated_filter(case, n, full, t, eps, beta_draw):
+@given(case=jumps(), n=hst.sampled_from(BOUND_COUNTS), t=hst.sampled_from(BOUND_TIMES),
+       eps=hst.sampled_from(BOUND_EPS), beta_draw=hst.integers(0, 5))
+def test_fast_preparation_bound_reads_the_dilated_filter(case, n, t, eps, beta_draw):
     # the inaccuracy chain's unwindowed check reads the dilated channel's
     # column at 0 at the plan's t and N, narrow windows included
     f, rng = case
@@ -341,19 +382,113 @@ def test_fast_preparation_bound_reads_the_dilated_filter(case, n, full, t, eps, 
         return
     psi = ham.vectors[:, np.flatnonzero(ham.levels == beta)[0]] + 0.05 * random_state(rng, ham.dim)
     st = decompose_state(psi / np.linalg.norm(psi), ham)
-    p = plan_at(n, full, t)._replace(eps=eps)
-    zeta = math.sqrt(p.eps) / float(st.coeffs[beta])
-    plain = written_out_filter(p.t, p.n, ham.eigenvalues - ham.eigenvalues[beta])
+    zeta = math.sqrt(eps) / float(st.coeffs[beta])
+    plain = written_out_filter(t, n, ham.eigenvalues - ham.eigenvalues[beta])
     want = 0.0
     if zeta < 1.0 / 6.0 and st.weights[beta] / np.sum(st.weights * plain ** 2) >= 1.0 - zeta:
         want = 1.0 - 6.0 * zeta
     try:
-        bound = fast_qpe_eigenstate(ham, st, beta, p).overlap_bound
+        bound = fast_qpe_eigenstate(ham, st, beta, t, eps, n).overlap_bound
     except InvariantError as exc:  # a narrow window may break the chain; the bound is read first
         if "violates its bound" not in str(exc):
             return
         bound = float(str(exc).rsplit(" ", 1)[1])
     assert bound == want
+
+
+# ---------------------------------------------------------------------------
+# The fast routes on the ff channel: bitwise the arithmetic they ran when
+# they took a plan and called its gap kernel and cost themselves
+# ---------------------------------------------------------------------------
+
+def plan_fast_qpe(ham, st, p, mode, seed, repeats):
+    """The fast estimate on a given plan: its readout, ``ff_cost`` priced."""
+    return qpe._readout(ham, _fast_distribution(ham, st, p),
+                        lambda m: counting_estimator(p.t, p.n, m), ff_cost(p), mode, seed, repeats)
+
+
+def plan_fast_qpe_eigenstate(ham, st, beta, p):
+    """The fast preparation on a given plan, filtered by its ``gap_kernel`` column."""
+    ham = qpe._on_gaps(ham, beta)
+    c_beta = float(st.coeffs[beta])
+    root_eps = math.sqrt(p.eps)
+    zeta = root_eps / c_beta if c_beta > 0 else math.inf
+    bound = 0.0
+    if zeta < 1.0 / 6.0:
+        plain = written_out_filter(p.t, p.n, ham.eigenvalues)
+        if st.weights[beta] / np.sum(st.weights * plain ** 2) >= 1.0 - zeta:
+            bound = 1.0 - 6.0 * zeta
+    prep = qpe._postselect(st, beta, gap_kernel(p, ham.eigenvalues, np.zeros(1))[:, 0],
+                           bound, 1e-9, ff_cost(p))
+    root_p0 = math.sqrt(prep.postselect_probability)
+    if root_p0 < c_beta - root_eps - 1e-9:
+        raise InvariantError(f"postselect amplitude {root_p0} fell below c_beta - sqrt(eps)")
+    return prep
+
+
+def assert_same_outcome(got_call, want_call, array_field):
+    """Both calls raise the same error (``plan`` raises OverflowError at a
+    subnormal eps), or return equal records whose ``array_field`` arrays are
+    equal entry for entry."""
+    try:
+        want = want_call()
+    except (ValidationError, InvariantError, OverflowError) as exc:
+        with pytest.raises(type(exc)) as info:
+            got_call()
+        assert str(info.value) == str(exc)
+        return
+    got = got_call()
+    assert np.array_equal(getattr(got, array_field), getattr(want, array_field))
+    assert got._replace(**{array_field: None}) == want._replace(**{array_field: None})
+
+
+# (t, eps, N) at their edges: subnormal and huge t and eps, t at the range
+# guard's pi/2 for gaps of 1, the smallest and odd counts (rounded up), the
+# default count ceil(t^3 / eps^2), and an eps whose window is under one address
+FAST_EDGES = [(5e-324, 1e-3, 2), (1e-300, 0.5, 3), (1.0, 5e-324, 64), (1.0, 1e-300, 64),
+              (2.0 * (math.pi / 2) ** 2, 1e-3, 2), (4.0 * (math.pi / 2) ** 2, 1e-3, 3),
+              (2.0 ** 54, 1e-3, 4096), (16.0, 1e-3, 4095), (4.0, 1e-3, 1),
+              (1.0, 0.5, None), (4.0, 0.5, None), (16.0, 0.999, None), (5e-324, 0.5, None),
+              (1.0, 1.0 - 2.0 ** -53, 2), (1.0, 1.0 - 2.0 ** -53, 4096)]
+
+
+@hst.composite
+def fast_arguments(draw):
+    if draw(hst.booleans()):
+        return draw(hst.sampled_from(FAST_EDGES))
+    return (draw(hst.floats(1e-3, 64.0)), draw(hst.floats(1e-12, 0.5)),
+            draw(hst.integers(2, 4096)))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(case=jumps(), args=fast_arguments(), beta_draw=hst.integers(0, 5),
+       mode=hst.sampled_from(["exact", "sample"]), seed=hst.integers(0, 2 ** 32 - 1),
+       repeats=hst.integers(1, 5))
+def test_fast_routes_are_bitwise_their_plan_arithmetic(case, args, beta_draw, mode, seed,
+                                                        repeats):
+    t, eps, n = args
+    f, rng = case
+    ham = normalize_spectrum(f)
+    st = decompose_state(random_state(rng, ham.dim), ham)
+    assert_same_outcome(lambda: fast_qpe(ham, st, t, eps, n, mode, seed, repeats),
+                        lambda: plan_fast_qpe(ham, st, plan(t, eps, n), mode, seed, repeats),
+                        "distribution")
+    beta = beta_draw % ham.n_levels
+    assert_same_outcome(lambda: fast_qpe_eigenstate(ham, st, beta, t, eps, n),
+                        lambda: plan_fast_qpe_eigenstate(ham, st, beta, plan(t, eps, n)),
+                        "state")
+
+
+def test_fast_edges_are_covered():
+    # a default count, an odd one rounded up, and every kind of refusal
+    assert plan(1.0, 0.5).n == 4 and plan(16.0, 1e-3, 4095).n == 4096
+    kinds = set()
+    for t, eps, n in FAST_EDGES:
+        try:
+            plan(t, eps, n)
+        except (ValidationError, OverflowError) as exc:
+            kinds.add(str(exc).split(" ", 1)[0])
+    assert kinds == {"cannot", "register", "window"}
 
 
 def kravchuk_oracle(n):
@@ -498,15 +633,14 @@ class TestFastQpe:
     def test_full_window_matches_slow_exactly(self, rng):
         ham = normalize_spectrum(np.diag([0.0, 0.35, 0.9]))
         st = decompose_state(random_state(rng, 3), ham)
-        p = plan(1.0, 2e-4, n_override=16)
-        assert p.full_window
-        fast = fast_qpe(ham, st, p)
+        assert plan(1.0, 2e-4, n_override=16).full_window
+        fast = fast_qpe(ham, st, 1.0, 2e-4, 16)
         slow = slow_qpe(ham, st, 1.0, 16)
         assert np.max(np.abs(fast.distribution - slow.distribution)) <= 1e-12
 
     def test_zero_phase_certain(self):
         ham, st, _ = eigenstate_input(0.0, other=0.6)
-        res = fast_qpe(ham, st, plan(2.0, 1e-3, n_override=256))
+        res = fast_qpe(ham, st, 2.0, 1e-3, 256)
         assert res.distribution[0] >= 1.0 - 2 * math.sqrt(1e-3)
         assert res.raw_outcome == 0
 
@@ -514,8 +648,7 @@ class TestFastQpe:
         for n, eps in ((512, 1e-3), (2048, 1e-4)):
             ham = normalize_spectrum(np.diag([0.0, 0.4, 1.0]))
             st = decompose_state(random_state(rng, 3), ham)
-            p = plan(4.0, eps, n_override=n)
-            fast = fast_qpe(ham, st, p)
+            fast = fast_qpe(ham, st, 4.0, eps, n)
             slow = slow_qpe(ham, st, 4.0, n)
             l1 = float(np.sum(np.abs(fast.distribution - slow.distribution)))
             assert l1 <= 2.0 * math.sqrt(eps), (n, eps, l1)
@@ -523,20 +656,20 @@ class TestFastQpe:
     def test_distribution_sums_to_one(self, rng):
         ham = normalize_spectrum(np.diag([0.0, 0.5]))
         st = decompose_state(random_state(rng, 2), ham)
-        res = fast_qpe(ham, st, plan(2.0, 1e-4, n_override=1024))
+        res = fast_qpe(ham, st, 2.0, 1e-4, 1024)
         assert abs(res.distribution.sum() - 1.0) <= 1e-9
 
     def test_cost_comes_from_ledger(self):
         ham, st, _ = eigenstate_input(0.5)
         p = plan(4.0, 1e-4, n_override=1024)
-        res = fast_qpe(ham, st, p)
+        res = fast_qpe(ham, st, 4.0, 1e-4, 1024)
         assert res.cost.hamiltonian_time == p.period * math.sqrt(p.tau)
 
     def test_large_register_matches_slow(self):
         ham = normalize_spectrum(np.diag([0.0, 0.4, 1.0]))
         st = decompose_state(np.ones(3, dtype=complex) / math.sqrt(3.0), ham)
         n, eps = 10 ** 5, 1e-4
-        fast = fast_qpe(ham, st, plan(64.0, eps, n_override=n))
+        fast = fast_qpe(ham, st, 64.0, eps, n)
         slow = slow_qpe(ham, st, 64.0, n)
         assert abs(fast.distribution.sum() - 1.0) <= 1e-9
         assert np.sum(np.abs(fast.distribution - slow.distribution)) <= 2.0 * math.sqrt(eps)
@@ -546,7 +679,7 @@ class TestFastEigenstate:
     def test_pure_eigenstate(self):
         ham, st, idx = eigenstate_input(0.0, other=0.5)
         eps = 1e-4
-        prep = fast_qpe_eigenstate(ham, st, idx, plan(16.0, eps, n_override=4096))
+        prep = fast_qpe_eigenstate(ham, st, idx, 16.0, eps, 4096)
         assert prep.postselect_probability >= 1.0 - 2 * math.sqrt(eps)
         assert prep.overlap >= 1.0 - 2 * math.sqrt(eps)
 
@@ -556,7 +689,7 @@ class TestFastEigenstate:
         st = decompose_state(PLUS, ham)
         zeta = 0.02
         eps = (float(st.coeffs[0]) * zeta) ** 2
-        prep = fast_qpe_eigenstate(ham, st, 0, plan(16.0, eps, n_override=4096))
+        prep = fast_qpe_eigenstate(ham, st, 0, 16.0, eps, 4096)
         assert np.isclose(prep.postselect_probability, 0.5091518577119774, atol=1e-10)
         assert prep.overlap >= 1.0 - 6.0 * zeta
         assert np.isclose(prep.overlap_bound, 1.0 - 6.0 * zeta)
@@ -565,8 +698,7 @@ class TestFastEigenstate:
     def test_full_window_matches_slow(self):
         ham = normalize_spectrum(np.diag([0.0, 0.5]))
         st = decompose_state(PLUS, ham)
-        p = plan(1.0, 2e-4, n_override=16)
-        fast = fast_qpe_eigenstate(ham, st, 0, p)
+        fast = fast_qpe_eigenstate(ham, st, 0, 1.0, 2e-4, 16)
         slow = slow_qpe_eigenstate(ham, st, 0, 1.0, 16)
         assert abs(fast.postselect_probability - slow.postselect_probability) <= 1e-12
         assert abs(fast.overlap - slow.overlap) <= 1e-12
@@ -578,7 +710,7 @@ class TestFastEigenstate:
         ham = normalize_spectrum(np.diag([0.0, 1.0]))
         c = math.sqrt(1e-17)
         st = decompose_state(np.array([c, math.sqrt(1.0 - c * c)], dtype=complex), ham)
-        fast = fast_qpe_eigenstate(ham, st, 0, plan(64.0, 1e-8, n_override=1000))
+        fast = fast_qpe_eigenstate(ham, st, 0, 64.0, 1e-8, 1000)
         slow = slow_qpe_eigenstate(ham, st, 0, 64.0, 1000)
         assert slow.overlap >= 1.0 - 1e-10
         assert abs(fast.overlap - slow.overlap) <= 1e-10
@@ -602,10 +734,9 @@ class TestScalingLaws:
         ham, st, _ = eigenstate_input(1.0, other=0.5)
         costs, rms = [], []
         for t in (16.0, 32.0, 64.0, 128.0):
-            p = plan(t, 1e-6, n_override=2048)
-            res = fast_qpe(ham, st, p)
+            res = fast_qpe(ham, st, t, 1e-6, 2048)
             costs.append(res.cost.hamiltonian_time)
-            rms.append(_rms_error(res, t, p.n, 1.0))
+            rms.append(_rms_error(res, t, 2048, 1.0))
         slope = np.polyfit(np.log(costs), np.log(rms), 1)[0]
         assert abs(slope + 1.0) <= 0.15
 
@@ -631,7 +762,7 @@ class TestAmplitudeDemo:
         problem = qpe.amplitude_problem(4, 0)
         dec = decide_amplitude(problem, mode="exact")
         assert dec.decided_zero and dec.correct
-        p = problem.plan
+        p = problem.channel.plan
         est, _ = counting_estimator(p.t, p.n, np.arange(p.n + 1))
         zero_side = np.abs(problem.ham.spectrum_map.to_original(est)) <= problem.threshold
         assert np.sum(problem.distribution[zero_side]) >= 1.0 - 1e-6
@@ -820,11 +951,12 @@ class TestReadLevels:
         diag = normalize_spectrum(np.diag(ham.eigenvalues))
         alone = level_subset_state(diag, np.random.default_rng(seed), [k])
         t = min(4.0, float(n))
-        for route, args in ((standard_qpe, (d,)), (slow_qpe, (t, n)),
-                            (fast_qpe, (plan_at(n, full, t),))):
-            got = route(ham, st, *args).distribution
-            want = route(diag, alone, *args).distribution
-            assert np.sum(np.abs(got - want)) <= 1e-14, route.__name__
+        p = plan_at(n, full, t)
+        for route, readout in (("standard", lambda h, s: standard_qpe(h, s, d).distribution),
+                               ("slow", lambda h, s: slow_qpe(h, s, t, n).distribution),
+                               ("fast", lambda h, s: _fast_distribution(h, s, p))):
+            got, want = readout(ham, st), readout(diag, alone)
+            assert np.sum(np.abs(got - want)) <= 1e-14, route
 
     def test_eigenstate_memory_is_one_level_rows(self):
         # one complex row of N + 1 counts and the distribution, not one row per level
@@ -923,8 +1055,9 @@ class TestPreparationRelations:
     @pytest.mark.parametrize("seed,dim", CASES)
     def test_fast_is_readout_row_zero(self, seed, dim, n):
         ham, st, beta = generated_preparation(seed, dim)
-        p = plan(min(4.0, float(n)), 1e-3, n_override=n)
-        prep = fast_qpe_eigenstate(ham, st, beta, p)
+        t = min(4.0, float(n))
+        p = plan(t, 1e-3, n_override=n)
+        prep = fast_qpe_eigenstate(ham, st, beta, t, 1e-3, n)
         row0 = transformed_rows(ham, st, p)[0]
         p0 = float(np.vdot(row0, row0).real)
         assert np.max(np.abs(prep.state - row0 / math.sqrt(p0))) <= 1e-12
@@ -953,8 +1086,8 @@ class TestPreparationRelations:
 ESTIMATORS = {
     "standard": lambda ham, st: standard_qpe(ham, st, 6),
     "slow": lambda ham, st: slow_qpe(ham, st, 16.0, 1000),
-    "fast64": lambda ham, st: fast_qpe(ham, st, plan(4.0, 1e-3, n_override=64)),
-    "fast4096": lambda ham, st: fast_qpe(ham, st, plan(4.0, 1e-3, n_override=4096)),
+    "fast64": lambda ham, st: fast_qpe(ham, st, 4.0, 1e-3, 64),
+    "fast4096": lambda ham, st: fast_qpe(ham, st, 4.0, 1e-3, 4096),
 }
 
 
