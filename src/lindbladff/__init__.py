@@ -14,9 +14,8 @@ from .model import (Hamiltonian, LindbladSpec, SpectralState, SpectrumMap,
                     normalize_spectrum, parse_dense_matrix,
                     parse_pauli_sum, spectral_gap)
 from .qpe import (AmplitudeDecision, AmplitudeProblem, EstimationResult,
-                  PreparationResult, amplitude_problem,
-                  decide_amplitude, fast_qpe, fast_qpe_eigenstate, slow_qpe,
-                  slow_qpe_eigenstate, standard_qpe, standard_qpe_eigenstate)
+                  PreparationResult, amplitude_problem, decide_amplitude, estimate,
+                  prepare, standard_qpe, standard_qpe_eigenstate)
 from .choi import choi_ff_evolve, is_choi_commuting
 from .concentration import bernstein_bound, binomial_tail, hoeffding_bound
 from .stateprep import (GaussianParams, binomial_amplitudes,

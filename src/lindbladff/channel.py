@@ -11,7 +11,6 @@ The independent oracles live with the tests, in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-import math
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -19,15 +18,19 @@ import numpy as np
 
 from .errors import ValidationError
 from . import numkernel as nk
-from .dilated import CostReport, default_steps, dilated_kernel
+from .dilated import CostReport, default_steps, dilated_kernel, step_root
 from .fastforward import FFPlan, ff_cost, gap_kernel, plan
 from .model import Hamiltonian
 
 
 class Channel(NamedTuple):
-    """A gap kernel on any two eigenvalue arrays, shape (len a, len b), its
-    cost, and the plan of an ``ff`` channel (None otherwise)."""
+    """A method at time t and count n (the ``dilated`` step count, the ``ff``
+    plan's even N, None for ``exact``): its gap kernel on any two eigenvalue
+    arrays, shape (len a, len b), its cost, and an ``ff`` channel's plan."""
 
+    method: str
+    t: float
+    n: int | None
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
     cost: CostReport
     plan: FFPlan | None = None
@@ -49,17 +52,18 @@ def channel(method: str, t: float, eps: float | None, steps: int | None = None,
             raise ValidationError(f"{name} is read by the {reader} method alone, not by {method}")
     if method == "ff":
         p = plan(t, eps, n)
-        return Channel(partial(gap_kernel, p), ff_cost(p), p)
+        return Channel("ff", p.t, p.n, partial(gap_kernel, p), ff_cost(p), p)
     if method == "dilated":
         if steps is None:
             steps = default_steps(t, eps)
         else:
             steps = nk.require_count(steps, 1, "step count")
             nk.require_time(t)
-        return Channel(partial(dilated_kernel, t, steps),
-                       CostReport(steps * math.sqrt(t / steps), steps, steps))
+        return Channel("dilated", t, steps, partial(dilated_kernel, t, steps),
+                       CostReport(steps * step_root(t, steps), steps, steps))
     nk.require_time(t)
-    return Channel(lambda a, b: np.exp(-0.5 * t * (a[:, None] - b[None, :]) ** 2),
+    return Channel("exact", t, None,
+                   lambda a, b: np.exp(-0.5 * t * (a[:, None] - b[None, :]) ** 2),
                    CostReport(0.0, 0, 0))
 
 

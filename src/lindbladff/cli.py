@@ -40,9 +40,8 @@ from .concentration import bernstein_bound, binomial_tail, hoeffding_bound
 from .channel import channel, evolve
 from .dilated import CostReport
 from .gibbs import gibbs_prepare
-from .qpe import (amplitude_problem, counting_estimator, decide_amplitude,
-                  fast_qpe, fast_qpe_eigenstate, slow_qpe, slow_qpe_eigenstate,
-                  standard_qpe, standard_qpe_eigenstate)
+from .qpe import (amplitude_problem, counting_estimator, decide_amplitude, estimate,
+                  prepare, standard_qpe, standard_qpe_eigenstate)
 from .stateprep import (GaussianParams, binomial_amplitudes,
                         binomial_gaussian_distance,
                         discrete_gaussian_amplitudes, kw_angle_schedule)
@@ -220,27 +219,18 @@ def _cmd_qpe(args, argv):
     psi = _initial_state(args.state, ham.dim)
     state = model.decompose_state(psi, ham)
 
-    if args.mode == "estimate":
-        if args.route == "standard":
-            res = standard_qpe(ham, state, args.d, args.dist_mode, args.seed, args.repeats)
-        elif args.route == "slow":
-            res = slow_qpe(ham, state, args.t, args.N, args.dist_mode, args.seed, args.repeats)
-        else:
-            res = fast_qpe(ham, state, args.t, args.eps, args.N, args.dist_mode, args.seed,
-                           args.repeats)
-        yield _record(argv, t0, {"route": args.route, **_fields(res)}, digest, args.seed, res.cost)
-        return
-
+    prep = args.mode == "prepare"
     if args.route == "standard":
-        prep = standard_qpe_eigenstate(ham, state, args.eigen, args.d)
-    elif args.route == "slow":
-        prep = slow_qpe_eigenstate(ham, state, args.eigen, args.t, args.N)
+        res = (standard_qpe_eigenstate(ham, state, args.eigen, args.d) if prep else
+               standard_qpe(ham, state, args.d, args.dist_mode, args.seed, args.repeats))
     else:
-        eps = args.eps
-        if args.zeta is not None:
-            eps = (float(state.coeffs[args.eigen]) * args.zeta) ** 2
-        prep = fast_qpe_eigenstate(ham, state, args.eigen, args.t, eps, args.N)
-    yield _record(argv, t0, {"route": args.route, **_fields(prep)}, digest, args.seed, prep.cost)
+        eps = args.eps if not prep or args.zeta is None else (
+            float(state.coeffs[args.eigen]) * args.zeta) ** 2
+        chan = (channel("dilated", args.t, None, steps=args.N) if args.route == "slow" else
+                channel("ff", args.t, eps, n=args.N))
+        res = (prepare(ham, state, args.eigen, chan) if prep else
+               estimate(ham, state, chan, args.dist_mode, args.seed, args.repeats))
+    yield _record(argv, t0, {"route": args.route, **_fields(res)}, digest, args.seed, res.cost)
 
 
 def _cmd_gibbs(args, argv):
@@ -355,12 +345,12 @@ def _bench_qpe_error(args, argv):
     yield "t,route,cost,rms_error"
     slow_pts, fast_pts = [], []
     for t in ts:
-        res = slow_qpe(ham, state, t, args.N_slow)
+        res = estimate(ham, state, channel("dilated", t, None, steps=args.N_slow))
         rms = _dist_rms(res.distribution, t, h_true)
         slow_pts.append((t, rms))
         yield f"{t},slow,{t!r},{rms!r}"
         try:
-            resf = fast_qpe(ham, state, t, args.eps, args.N_fast)
+            resf = estimate(ham, state, channel("ff", t, args.eps, n=args.N_fast))
         except ValidationError as exc:
             yield f"{t},fast,skipped,{exc}"
             continue

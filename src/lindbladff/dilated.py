@@ -37,6 +37,11 @@ def default_steps(t: float, eps: float) -> int:
         raise ValidationError(f"step count t^3 / eps^2 overflows at t = {t}, eps = {eps}") from None
 
 
+def step_root(t: float, n: int) -> float:
+    """sqrt(t / n) for a cost, from sqrt(t) / sqrt(n) where t / n underflows to 0."""
+    return math.sqrt(t / n) if t / n > 0 else math.sqrt(t) / math.sqrt(n)
+
+
 def dilated_kernel(t: float, steps: int, eigs_a: np.ndarray, eigs_b: np.ndarray
                    ) -> np.ndarray:
     """Dilated gap kernel cos(sqrt(t / steps) (a - b))^steps, shape (len a, len b).

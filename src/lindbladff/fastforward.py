@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ValidationError
 from . import numkernel as nk
-from .dilated import CostReport, default_steps
+from .dilated import CostReport, default_steps, step_root
 from .kernels import binom_residue_weights
 
 # Bits of the residue rows in one block of ``gap_kernel``: a block of
@@ -96,6 +96,8 @@ def plan(t: float, eps: float, n_override: int | None = None) -> FFPlan:
     else:
         n = default_steps(t, eps)
         n += n % 2
+    if 2.0 / eps == math.inf:  # a subnormal eps
+        raise ValidationError(f"target error {eps} overflows the window's ln(2 / eps)")
     c = math.sqrt(math.log(2.0 / eps) / 2.0) / math.sqrt(n)
     if c * n < 1.0:
         raise ValidationError(
@@ -197,7 +199,7 @@ def gap_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
 
 
 def ff_cost(p: FFPlan) -> CostReport:
-    """Cost of the fast-forwarded circuit: Hamiltonian time 2^d' sqrt(tau),
+    """Cost of the fast-forwarded circuit: Hamiltonian time 2^d' sqrt(t / N),
     d' controlled factors plus one uncontrolled one, d address ancillas."""
-    return CostReport(float(p.period) * math.sqrt(p.tau), p.dprime + 1, p.d)
+    return CostReport(float(p.period) * step_root(p.t, p.n), p.dprime + 1, p.d)
 

@@ -1,15 +1,17 @@
 """Phase estimation routes and the amplitude-estimation decision demo.
 
-Three routes are implemented against one result contract:
+Two readouts are implemented against one result contract:
 
-* ``standard``: Fourier-basis phase estimation, exact outcome distribution
-  from the Dirichlet kernel of the phase register.
-* ``slow``: ancilla-counting statistics of the dephasing Lindbladian.  The
-  joint register-system state is never materialized; outcome distributions
-  are per-eigencomponent binomials, evaluated on their numerically relevant
-  support, so the ancilla count N can reach 10^6 and beyond.
-* ``fast``: the ledger of ``channel("ff", t, eps, N)`` read out through the
-  symmetric-sector N-fold Hadamard (the Kravchuk transform).
+* ``standard_qpe``: Fourier-basis phase estimation, exact outcome
+  distribution from the Dirichlet kernel of the phase register.
+* ``estimate``: counting statistics of a ``dilated`` channel of N steps (the
+  slow route), per-eigencomponent Binomial(N, sin^2(sqrt(t/N) h)) on their
+  numerically relevant support, so N can reach 10^6 and beyond; or of an
+  ``ff`` channel of register count N (the fast route), its ledger read out
+  through the symmetric-sector N-fold Hadamard (the Kravchuk transform).
+  Both read ``counting_estimator(t, N, m)``; the fast readout is the slow one
+  within total variation 2 sqrt(out), out the Binomial(N, 1/2) mass outside
+  the plan's window, for Hamiltonian time P sqrt(t/N) instead of N sqrt(t/N).
 
 The fast readout never builds the (N+1)^2 transform.  Address m carries the
 binomial amplitude a_m = sqrt(C(N, m) / 2^N) and the system vector s_r of its
@@ -33,15 +35,15 @@ N sin^2, never under the Poisson-like tails near k = 0.  That is
 O(P sqrt(N) L) time for L read levels and O(N L) memory, one complex row of
 N + 1 counts per level.
 
-Preparation takes any target eigenspace beta of the spectrum it is given:
-each route reads the gaps g_l = h_l - h_beta (``_on_gaps``), which put the
-target at 0.  Post-selecting count 0 needs no transform: row 0 of the
+Preparation (``standard_qpe_eigenstate``, or ``prepare`` on a ``dilated`` or
+``ff`` channel) takes any target eigenspace beta of the spectrum it is given:
+each reads the gaps g_l = h_l - h_beta (``_on_gaps``), which put the target
+at 0.  Post-selecting count 0 needs no transform: row 0 of the
 symmetric-sector Hadamard is the binomial amplitude vector, so
 X[0] = sum_r w_r s_r scales eigencomponent l by sum_r w_r e^(-i g_l theta_r),
 the ``ff`` channel kernel's column at gap 0.  Every route post-selects so
 (``_postselect``): its filter is its channel kernel's column at the target,
-the ``dilated`` channel's on the slow route and the register's Dirichlet
-amplitude on the standard one.
+or the register's Dirichlet amplitude on the standard route.
 
 Sampling a count draws on the distribution's support only (``_pick_outcome``),
 so no route holds more than a few arrays of its register size.  The standard
@@ -216,20 +218,8 @@ def standard_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
 
 
 # ---------------------------------------------------------------------------
-# Slow (Lindbladian counting) route
+# Slow counting distribution, sampler and readout
 # ---------------------------------------------------------------------------
-
-def _step_root(ham: Hamiltonian, t: float, n: int) -> float:
-    """sqrt(t/N) for finite t > 0 and N >= 1, where sqrt(t/N) max|h| <= pi/2."""
-    nk.require_time(t)
-    nk.require_count(n, 1, "register count")
-    root = math.sqrt(t / n)
-    reach = root * float(np.max(np.abs(ham.eigenvalues)))
-    if reach > 0.5 * math.pi:
-        raise ValidationError(f"sqrt(t/N) max|h| = {reach:.3g} > pi/2 leaves the monotone "
-                              f"estimator range; increase N")
-    return root
-
 
 def _counting_distribution(weights: np.ndarray, qs: np.ndarray, n: int) -> np.ndarray:
     dist = np.zeros(n + 1)
@@ -326,31 +316,6 @@ def counting_estimator(t: float, n: int, m) -> tuple[np.ndarray, np.ndarray]:
     return scale * np.arcsin(np.sqrt(frac)), saturated
 
 
-def slow_qpe(ham: Hamiltonian, state: SpectralState, t: float, n: int,
-             mode: str = "exact", seed=None,
-             repeats: int = 1) -> EstimationResult:
-    """Counting statistics of N short dephasing steps (exact distribution)."""
-    root = _step_root(ham, t, n)
-    _require_memory(8 * (n + 1), "slow route", f"distribution at N = {n}", "lower N")
-    read = _read_levels(state)
-    qs = np.sin(root * ham.eigenvalues[read]) ** 2
-    dist = _counting_distribution(state.weights[read], qs, n)
-    return _readout(ham, dist, lambda m: counting_estimator(t, n, m),
-                    channel("dilated", t, None, steps=n).cost, mode, seed, repeats)
-
-
-def slow_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
-                        t: float, n: int) -> PreparationResult:
-    """Post-select the all-zeros count to filter eigenspace ``beta``."""
-    ham = _on_gaps(ham, beta)
-    _step_root(ham, t, n)  # argument and range guard
-    chan = channel("dilated", t, None, steps=n)
-    w, gap = state.weights[beta], spectral_gap(ham, beta)
-    bound = w / (w + (1.0 - w) * math.exp(-t * gap ** 2))
-    amp = chan.kernel(ham.eigenvalues, np.zeros(1))[:, 0]
-    return _postselect(state, beta, amp, bound, 1.0 / n + 1e-10, chan.cost)
-
-
 # ---------------------------------------------------------------------------
 # Fast route: Kravchuk readout through the product-state identity
 # ---------------------------------------------------------------------------
@@ -413,7 +378,6 @@ def _fast_distribution(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.
     the weights w_l ride in the spectrum.  |g|^2 is summed through a float
     view of the rows, with no (L, N+1) temporary.
     """
-    _step_root(ham, p.t, p.n)  # range guard
     _require_memory(16 * _read_levels(state).size * (p.n + 1), "fast route",
                     f"ledger rows at N = {p.n}", "lower N or raise eps")
     rows = _level_rows(_level_spectrum(ham, state, p), p.n)
@@ -421,36 +385,69 @@ def _fast_distribution(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.
     return np.einsum("lxc,lxc->x", parts, parts)
 
 
-def fast_qpe(ham: Hamiltonian, state: SpectralState, t: float, eps: float,
-             n: int | None = None, mode: str = "exact", seed=None,
-             repeats: int = 1) -> EstimationResult:
-    """Counting statistics read out of the ledger of ``channel("ff", t, eps, n=n)``."""
-    chan = channel("ff", t, eps, n=n)
-    p = chan.plan
-    return _readout(ham, _fast_distribution(ham, state, p),
-                    lambda m: counting_estimator(p.t, p.n, m), chan.cost, mode, seed, repeats)
+# ---------------------------------------------------------------------------
+# The counting readout on a dilated (slow) or ff (fast) channel
+# ---------------------------------------------------------------------------
+
+def _require_counting(chan: Channel):
+    if chan.method not in ("dilated", "ff"):
+        raise ValidationError(f"counting readout takes a dilated or ff channel, not {chan.method}")
 
 
-def fast_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
-                        t: float, eps: float, n: int | None = None) -> PreparationResult:
-    """Post-select count 0 on ``channel("ff", t, eps, n=n)`` to filter eigenspace ``beta``."""
-    chan = channel("ff", t, eps, n=n)
-    p = chan.plan
+def _step_root(ham: Hamiltonian, chan: Channel) -> float:
+    """sqrt(t/N) of ``chan``, where sqrt(t/N) max|h| <= pi/2."""
+    root = math.sqrt(chan.t / chan.n)
+    reach = root * float(np.max(np.abs(ham.eigenvalues)))
+    if reach > 0.5 * math.pi:
+        raise ValidationError(f"sqrt(t/N) max|h| = {reach:.3g} > pi/2 leaves the monotone "
+                              f"estimator range; increase N")
+    return root
+
+
+def estimate(ham: Hamiltonian, state: SpectralState, chan: Channel,
+             mode: str = "exact", seed=None, repeats: int = 1) -> EstimationResult:
+    """Counting statistics of ``chan``, a ``dilated`` or ``ff`` channel of
+    count N (exact distribution), read by ``counting_estimator(t, N, m)``."""
+    _require_counting(chan)
+    root = _step_root(ham, chan)
+    if chan.plan is not None:
+        dist = _fast_distribution(ham, state, chan.plan)
+    else:
+        _require_memory(8 * (chan.n + 1), "slow route", f"distribution at N = {chan.n}",
+                        "lower N")
+        read = _read_levels(state)
+        dist = _counting_distribution(state.weights[read],
+                                      np.sin(root * ham.eigenvalues[read]) ** 2, chan.n)
+    return _readout(ham, dist, lambda m: counting_estimator(chan.t, chan.n, m), chan.cost,
+                    mode, seed, repeats)
+
+
+def prepare(ham: Hamiltonian, state: SpectralState, beta: int, chan: Channel
+            ) -> PreparationResult:
+    """Post-select count 0 on ``chan``, a ``dilated`` or ``ff`` channel, to filter
+    eigenspace ``beta``.  The ``dilated`` overlap bound w / (w + (1 - w) e^(-t gap^2))
+    holds in the estimator's range; the ``ff`` one is the inaccuracy chain: with
+    sqrt(eps) = c_beta zeta and the unwindowed (``dilated``) overlap at 1 - zeta,
+    the windowed one stays above 1 - 6 zeta, its amplitude above c_beta - sqrt(eps)."""
+    _require_counting(chan)
     ham = _on_gaps(ham, beta)
-    c_beta = float(state.coeffs[beta])
-    root_eps = math.sqrt(p.eps)
-    # inaccuracy chain: with sqrt(eps) = c_beta * zeta and the unwindowed
-    # overlap already at 1 - zeta, the windowed overlap stays above 1 - 6 zeta
-    zeta = root_eps / c_beta if c_beta > 0 else math.inf
-    bound = 0.0
-    if zeta < 1.0 / 6.0:
-        plain = channel("dilated", p.t, None, steps=p.n).kernel(ham.eigenvalues, np.zeros(1))[:, 0]
-        if state.weights[beta] / np.sum(state.weights * plain ** 2) >= 1.0 - zeta:
-            bound = 1.0 - 6.0 * zeta
-    prep = _postselect(state, beta, chan.kernel(ham.eigenvalues, np.zeros(1))[:, 0],
-                       bound, 1e-9, chan.cost)
+    zero, p = np.zeros(1), chan.plan
+    c_beta, w = float(state.coeffs[beta]), state.weights[beta]
+    if p is None:
+        _step_root(ham, chan)  # range guard
+        bound = w / (w + (1.0 - w) * math.exp(-chan.t * spectral_gap(ham, beta) ** 2))
+        slack = 1.0 / chan.n + 1e-10
+    else:
+        zeta = math.sqrt(p.eps) / c_beta if c_beta > 0 else math.inf
+        bound, slack = 0.0, 1e-9
+        if zeta < 1.0 / 6.0:
+            plain = channel("dilated", p.t, None, steps=p.n).kernel(ham.eigenvalues, zero)[:, 0]
+            if w / np.sum(state.weights * plain ** 2) >= 1.0 - zeta:
+                bound = 1.0 - 6.0 * zeta
+    prep = _postselect(state, beta, chan.kernel(ham.eigenvalues, zero)[:, 0], bound, slack,
+                       chan.cost)
     root_p0 = math.sqrt(prep.postselect_probability)
-    if root_p0 < c_beta - root_eps - 1e-9:
+    if p is not None and root_p0 < c_beta - math.sqrt(p.eps) - 1e-9:
         raise InvariantError(f"postselect amplitude {root_p0} fell below c_beta - sqrt(eps)")
     return prep
 
@@ -512,16 +509,16 @@ def amplitude_problem(n: int, witnesses: int, t: float = 250.0, register_n: int 
     ham = normalize_spectrum(np.diag(levels))
     state = decompose_state(np.sqrt(weights), ham)
     chan = channel("ff", t, eps, n=register_n)
-    return AmplitudeProblem(ham, chan, _fast_distribution(ham, state, chan.plan),
+    return AmplitudeProblem(ham, chan, estimate(ham, state, chan).distribution,
                             math.asin(2.0 ** (-n / 2.0)), amplitude, witnesses)
 
 
 def decide_amplitude(problem: AmplitudeProblem, mode: str = "sample",
                      seed=None) -> AmplitudeDecision:
     """One decision run: sample a count and compare its phase to the threshold."""
-    p = problem.channel.plan
-    result = _readout(problem.ham, problem.distribution, lambda m: counting_estimator(p.t, p.n, m),
-                      problem.channel.cost, mode, seed, 1)
+    chan = problem.channel
+    result = _readout(problem.ham, problem.distribution,
+                      lambda m: counting_estimator(chan.t, chan.n, m), chan.cost, mode, seed, 1)
     decided_zero = abs(result.estimate) <= problem.threshold
     return AmplitudeDecision(decided_zero, decided_zero == (problem.witness_count == 0), result)
 

@@ -141,14 +141,14 @@ def test_criterion_05_sql_vs_heisenberg():
     n_slow = 1_000_000
     slow_rms = []
     for t in ts:
-        res = lff.slow_qpe(ham, state, t, n_slow)
+        res = lff.estimate(ham, state, channel("dilated", t, None, steps=n_slow))
         est, _ = counting_estimator(t, n_slow, np.arange(res.distribution.size))
         slow_rms.append(float(np.sqrt(np.sum(res.distribution * (est - h_true) ** 2))))
     s_slow = float(np.polyfit(np.log(ts), np.log(slow_rms), 1)[0])
 
     fast_costs, fast_rms = [], []
     for t in ts:
-        res = lff.fast_qpe(ham, state, t, 1e-6, 4096)
+        res = lff.estimate(ham, state, channel("ff", t, 1e-6, n=4096))
         est, _ = counting_estimator(t, 4096, np.arange(res.distribution.size))
         fast_costs.append(res.cost.hamiltonian_time)
         fast_rms.append(float(np.sqrt(np.sum(res.distribution * (est - h_true) ** 2))))
@@ -198,13 +198,13 @@ def test_criterion_07_eigenstate_preparation_bounds():
     state = lff.decompose_state(plus, ham)
 
     n = 10 ** 4
-    slow = lff.slow_qpe_eigenstate(ham, state, 0, 16.0, n)
+    slow = lff.prepare(ham, state, 0, channel("dilated", 16.0, None, steps=n))
     slow_ok = (slow.overlap >= slow.overlap_bound - 1.0 / n
                and slow.overlap >= 0.982013 - 1e-4)
 
     zeta = 0.02
     eps = (float(state.coeffs[0]) * zeta) ** 2
-    fast = lff.fast_qpe_eigenstate(ham, state, 0, 16.0, eps, 4096)
+    fast = lff.prepare(ham, state, 0, channel("ff", 16.0, eps, n=4096))
     f13_ok = math.sqrt(fast.postselect_probability) >= float(state.coeffs[0]) - math.sqrt(eps)
     f16_ok = fast.overlap >= 1.0 - 6.0 * zeta
     elapsed = time.perf_counter() - t0

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from lindbladff import (ValidationError, amplitude_problem, choi_ff_evolve,
-                        decompose_state, default_steps, fast_qpe, fast_qpe_eigenstate,
-                        gibbs_prepare, lindblad_spec, normalize_spectrum, plan, slow_qpe,
-                        slow_qpe_eigenstate, standard_qpe, standard_qpe_eigenstate)
+                        decompose_state, default_steps, estimate, gibbs_prepare,
+                        lindblad_spec, normalize_spectrum, plan, prepare, standard_qpe,
+                        standard_qpe_eigenstate)
 from lindbladff.channel import channel
 from lindbladff.cli import run
 
@@ -23,8 +23,18 @@ STATE = decompose_state(np.full(3, 3 ** -0.5, dtype=complex), HAM)
 SPEC = lindblad_spec([np.diag([0.0, 1.0]).astype(complex)])
 RHO2 = np.eye(2, dtype=complex) / 2
 
+
+def slow(t, n):
+    return channel("dilated", t, None, steps=n)
+
+
+def fast(t, eps, n):
+    return channel("ff", t, eps, n=n)
+
 # Each entry point with the argument under test left open; a single-jump
-# channel is keyed by its method.
+# channel is keyed by its method, and the slow and fast routes' estimate and
+# prepare, on the dilated and ff channels, by slow_qpe, fast_qpe and their
+# _eigenstate forms.
 TIME = {
     "exact": lambda t: channel("exact", t, None),
     "dilated": lambda t: channel("dilated", t, None, 4),
@@ -33,10 +43,10 @@ TIME = {
     "default_steps": lambda t: default_steps(t, 0.1),
     "plan": lambda t: plan(t, 0.1),
     "choi_ff_evolve": lambda t: choi_ff_evolve(SPEC, RHO2, t, 0.1),
-    "slow_qpe": lambda t: slow_qpe(HAM, STATE, t, 64),
-    "slow_qpe_eigenstate": lambda t: slow_qpe_eigenstate(HAM, STATE, 0, t, 64),
-    "fast_qpe": lambda t: fast_qpe(HAM, STATE, t, 1e-3, 64),
-    "fast_qpe_eigenstate": lambda t: fast_qpe_eigenstate(HAM, STATE, 0, t, 1e-3, 64),
+    "slow_qpe": lambda t: estimate(HAM, STATE, slow(t, 64)),
+    "slow_qpe_eigenstate": lambda t: prepare(HAM, STATE, 0, slow(t, 64)),
+    "fast_qpe": lambda t: estimate(HAM, STATE, fast(t, 1e-3, 64)),
+    "fast_qpe_eigenstate": lambda t: prepare(HAM, STATE, 0, fast(t, 1e-3, 64)),
     "amplitude_problem": lambda t: amplitude_problem(2, 1, t=t),
 }
 EPS = {
@@ -46,8 +56,8 @@ EPS = {
     "plan": lambda eps: plan(1.0, eps),
     "choi_ff_evolve": lambda eps: choi_ff_evolve(SPEC, RHO2, 1.0, eps),
     "gibbs_prepare": lambda eps: gibbs_prepare(np.diag([0.0, 1.0]), 1.0, eps),
-    "fast_qpe": lambda eps: fast_qpe(HAM, STATE, 4.0, eps, 64),
-    "fast_qpe_eigenstate": lambda eps: fast_qpe_eigenstate(HAM, STATE, 0, 4.0, eps, 64),
+    "fast_qpe": lambda eps: estimate(HAM, STATE, fast(4.0, eps, 64)),
+    "fast_qpe_eigenstate": lambda eps: prepare(HAM, STATE, 0, fast(4.0, eps, 64)),
     "amplitude_problem": lambda eps: amplitude_problem(2, 1, eps=eps),
 }
 # (entry point, floor, the count's name in the message, a count it takes)
@@ -55,21 +65,20 @@ COUNTS = {
     "plan": (lambda n: plan(1.0, 0.1, n), 2, "register count", 64),
     "amplitude_problem": (lambda n: amplitude_problem(2, 1, register_n=n), 2,
                           "register count", 2048),
-    "slow_qpe": (lambda n: slow_qpe(HAM, STATE, 4.0, n), 1, "register count", 64),
-    "slow_qpe_eigenstate": (lambda n: slow_qpe_eigenstate(HAM, STATE, 0, 4.0, n), 1,
-                            "register count", 64),
+    "slow_qpe": (lambda n: estimate(HAM, STATE, slow(4.0, n)), 1, "step count", 64),
+    "slow_qpe_eigenstate": (lambda n: prepare(HAM, STATE, 0, slow(4.0, n)), 1, "step count", 64),
     "dilated": (lambda n: channel("dilated", 1.0, None, n), 1, "step count", 4),
     "ff": (lambda n: channel("ff", 1.0, 0.1, n=n), 2, "register count", 64),
-    "fast_qpe": (lambda n: fast_qpe(HAM, STATE, 4.0, 1e-3, n), 2, "register count", 64),
-    "fast_qpe_eigenstate": (lambda n: fast_qpe_eigenstate(HAM, STATE, 0, 4.0, 1e-3, n), 2,
+    "fast_qpe": (lambda n: estimate(HAM, STATE, fast(4.0, 1e-3, n)), 2, "register count", 64),
+    "fast_qpe_eigenstate": (lambda n: prepare(HAM, STATE, 0, fast(4.0, 1e-3, n)), 2,
                             "register count", 64),
     "standard_qpe": (lambda d: standard_qpe(HAM, STATE, d), 1, "register bits", 4),
     "standard_qpe_eigenstate": (lambda d: standard_qpe_eigenstate(HAM, STATE, 0, d), 1,
                                 "register bits", 4),
     "standard_qpe_repeats": (lambda r: standard_qpe(HAM, STATE, 4, repeats=r), 1, "repeats", 3),
-    "slow_qpe_repeats": (lambda r: slow_qpe(HAM, STATE, 4.0, 64, "sample", 0, r), 1,
+    "slow_qpe_repeats": (lambda r: estimate(HAM, STATE, slow(4.0, 64), "sample", 0, r), 1,
                          "repeats", 3),
-    "fast_qpe_repeats": (lambda r: fast_qpe(HAM, STATE, 4.0, 1e-3, 64, repeats=r), 1,
+    "fast_qpe_repeats": (lambda r: estimate(HAM, STATE, fast(4.0, 1e-3, 64), repeats=r), 1,
                          "repeats", 3),
 }
 

@@ -6,6 +6,7 @@ each method ran before the table existed."""
 import math
 import types
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,7 +84,9 @@ def reference(method, t, eps, steps, n, a, b):
         x = math.sqrt(t / steps) * (a[:, None] - b[None, :])
         with np.errstate(divide="ignore"):
             kernel = np.sign(np.cos(x)) ** steps * np.exp(0.5 * steps * np.log1p(-np.sin(x) ** 2))
-        return kernel, CostReport(steps * math.sqrt(t / steps), steps, steps)
+        # priced from sqrt(t) / sqrt(steps) where t / steps underflows to 0
+        root = math.sqrt(t / steps) if t / steps > 0 else math.sqrt(t) / math.sqrt(steps)
+        return kernel, CostReport(steps * root, steps, steps)
     p = plan(t, eps, n)
     return gap_kernel(p, a, b), ff_cost(p)
 
@@ -134,3 +137,14 @@ def test_table_is_bitwise_the_per_method_arithmetic(method, case, args, mixed):
     # the column form gibbs reads, and two distinct arrays of equal values
     for b in (np.zeros(1), h.copy(), other):
         assert np.array_equal(chan.kernel(h, b), reference(method, t, eps, steps, n, h, b)[0])
+
+
+@pytest.mark.parametrize("n", (2, 3, 64, 2 ** 20, 2 ** 53))
+def test_subnormal_time_is_priced_from_the_root_of_each(n):
+    # t / N underflows to 0, so N sqrt(t / N) and P sqrt(t / N) once read 0.0;
+    # sqrt(t) / sqrt(N) stays within two roundings of the exact root
+    t = 5e-324
+    for chan in (channel("dilated", t, None, steps=n), channel("ff", t, 0.1, n=n)):
+        count = chan.plan.period if chan.plan else chan.n
+        exact = count * mpmath.sqrt(mpmath.mpf(t) / chan.n)
+        assert abs(chan.cost.hamiltonian_time / exact - 1) <= 2.0 ** -51

@@ -637,6 +637,25 @@ class TestSubcommands:
         outputs = json.loads(out.splitlines()[0], parse_constant=finite_only)["outputs"]
         assert (outputs["raw_outcome"], outputs["estimate_normalized"]) == (0, 0.0)
 
+    @pytest.mark.parametrize("argv", (["qpe", "--route", "slow", "--N", "2"],
+                                      ["qpe", "--route", "fast", "--N", "2"],
+                                      ["evolve", "--method", "dilated", "--steps", "2"],
+                                      ["evolve", "--method", "ff", "--N", "2"]))
+    def test_subnormal_time_is_priced_above_zero(self, argv):
+        # t / N underflows to 0 at t = 5e-324, where the cost once read 0.0
+        rc, out = invoke(argv + ["--ham", HAM, "--t", "5e-324"])
+        assert rc == 0
+        assert json.loads(out.splitlines()[0])["cost"]["hamiltonian_time"] > 0.0
+
+    @pytest.mark.parametrize("cmd", (["qpe", "--route", "fast"], ["evolve", "--method", "ff"]))
+    def test_subnormal_eps_is_one_error_line(self, cmd):
+        # 2 / eps overflows: the plan once raised OverflowError, exit 2 and a traceback
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc, out = invoke(cmd + ["--ham", HAM, "--t", "1", "--N", "64", "--eps", "5e-324"])
+        assert (rc, out) == (1, "")
+        assert err.getvalue() == "error: target error 5e-324 overflows the window's ln(2 / eps)\n"
+
     @pytest.mark.parametrize("ham, eigen, overlap, bound", [
         (HAM, "0", 1.0, 0.9997559189650964),
         (os.path.join(DATA, "h_two_qubit.pauli"), "1", 0.9968351152614887, 0.9872529413969969),

@@ -128,7 +128,8 @@ class TestPlan:
         ham = normalize_spectrum(random_hermitian(rng, 3))
         with pytest.raises(ValidationError, match="even register count"):
             evolve(ham, random_state(rng, 3),
-                   Channel(partial(gap_kernel, odd), fastforward.ff_cost(odd), odd))
+                   Channel("ff", odd.t, odd.n, partial(gap_kernel, odd),
+                           fastforward.ff_cost(odd), odd))
 
     def test_full_window_coincidence(self):
         p = plan(1.0, 2e-4, n_override=16)  # error target so small c >= 1/2

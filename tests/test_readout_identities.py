@@ -1,0 +1,116 @@
+"""The fast-forward mechanism as two identities, through the public API.
+
+Address m of the register has probability pmf(m) = C(N, m) / 2^N and drives
+e^(-i H sqrt(t/N) (2 r(m) - P)).  Inside the plan's window [lo, hi] that
+phase is 2m - N, the dilated step's own, and summed over every address the
+dilated phases give cos(sqrt(t/N) gap)^N, the ``dilated`` kernel at N steps.
+So the ``ff`` channel and the ``dilated`` channel at the plan's t and N are
+mixtures of the same unitary conjugations except on the addresses outside
+the window, whose mass is out:
+
+* every entry of the two gap kernels differs by at most 2 out;
+* the two count distributions of ``estimate`` differ by at most 2 sqrt(out)
+  in total variation;
+
+and where the window covers every address (out = 0) they agree to rounding.
+"""
+
+import itertools
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
+
+from lindbladff import decompose_state, estimate, normalize_spectrum
+from lindbladff.channel import channel
+from lindbladff.model import CLUSTER_RTOL
+
+from conftest import log_binom, random_state
+
+# Register counts (odd ones are rounded up by the plan), target errors and
+# times of the draws: full windows at small N and eps, narrow ones elsewhere.
+COUNTS = [2, 3, 4, 16, 64, 255, 1024, 4096]
+EPS = [0.5, 1e-2, 1e-3, 1e-6, 1e-12]
+TIMES = [0.5, 2.0, 16.0, 64.0]
+
+# Rounding allowed on top of each bound: at most 6 ulp of 1 measured between
+# the kernels on full windows (4 ulp beyond 2 out on narrow ones), and a total
+# variation of 2.7e-16 between full-window distributions.
+KERNEL_ROUNDING = 16 * 2.0 ** -52
+TV_ROUNDING = 1e-14
+
+
+def channels(t, eps, n):
+    """The ``ff`` channel and the ``dilated`` channel at its plan's t and N."""
+    ff = channel("ff", t, eps, n=n)
+    return ff, channel("dilated", ff.t, None, steps=ff.n)
+
+
+def outside_mass(p):
+    """Binomial(N, 1/2) mass outside ``p.window``, summed term by term: one
+    minus the inside mass would lose it to cancellation."""
+    lo, hi = p.window
+    m = np.arange(p.n + 1)
+    outside = m[(m < lo) | (m > hi)]
+    return float(np.sum(np.exp(log_binom(p.n, outside) - p.n * math.log(2.0))))
+
+
+def in_range(p):
+    """``estimate``'s range for spectra in [-1, 1]: sqrt(t/N) <= pi/2."""
+    return math.sqrt(p.t / p.n) <= 0.5 * math.pi
+
+
+@hst.composite
+def spectra(draw):
+    """Eigenvalues in [-1, 1]: random; clustered (pairs half or twice the
+    clustering tolerance apart, merged or kept by ``normalize_spectrum``);
+    or degenerate (values repeated)."""
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    dim = draw(hst.integers(2, 6))
+    h = rng.uniform(-1.0, 1.0, dim)
+    kind = draw(hst.sampled_from(["random", "clustered", "degenerate"]))
+    if kind == "clustered":
+        pairs = dim // 2
+        h[1::2] = h[0:2 * pairs:2] + rng.choice([-2.0, -0.5, 0.5, 2.0], pairs) * CLUSTER_RTOL
+    elif kind == "degenerate":
+        h = rng.choice(h[:max(1, dim // 2)], dim)
+    return np.clip(h, -1.0, 1.0), rng
+
+
+def test_draws_cover_full_and_narrow_windows():
+    full = narrow = 0
+    for n, eps, t in itertools.product(COUNTS, EPS, TIMES):
+        p = channel("ff", t, eps, n=n).plan
+        if in_range(p):
+            full += p.full_window
+            narrow += not p.full_window and outside_mass(p) > TV_ROUNDING
+    assert full >= 10 and narrow >= 10, (full, narrow)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=spectra(), n=hst.sampled_from(COUNTS), eps=hst.sampled_from(EPS),
+       t=hst.sampled_from(TIMES))
+def test_ff_kernel_is_the_dilated_kernel_within_twice_the_outside_mass(case, n, eps, t):
+    h, rng = case
+    ff, dilated = channels(t, eps, n)
+    out = outside_mass(ff.plan)
+    assert out == 0.0 or not ff.plan.full_window
+    for b in (h, np.zeros(1), rng.uniform(-1.0, 1.0, 3)):
+        gap = np.max(np.abs(ff.kernel(h, b) - dilated.kernel(h, b)))
+        assert gap <= 2.0 * out + KERNEL_ROUNDING, (gap, out)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=spectra(), n=hst.sampled_from(COUNTS), eps=hst.sampled_from(EPS),
+       t=hst.sampled_from(TIMES))
+def test_fast_readout_is_the_slow_readout_within_twice_the_root_outside_mass(case, n, eps, t):
+    h, rng = case
+    ff, dilated = channels(t, eps, n)
+    assume(in_range(ff.plan))
+    q, _ = np.linalg.qr(rng.normal(size=(h.size, h.size)) + 1j * rng.normal(size=(h.size, h.size)))
+    ham = normalize_spectrum((q * h) @ q.conj().T)
+    st = decompose_state(random_state(rng, ham.dim), ham)
+    fast, slow = estimate(ham, st, ff).distribution, estimate(ham, st, dilated).distribution
+    tv = 0.5 * float(np.sum(np.abs(fast - slow)))
+    assert tv <= 2.0 * math.sqrt(outside_mass(ff.plan)) + TV_ROUNDING, tv
