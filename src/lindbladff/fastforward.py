@@ -11,16 +11,17 @@ That ledger is an exact description of the circuit (not an approximation) and
 is what keeps register counts of 10^5..10^7 runnable at desk scale.
 
 Nothing holds the whole ledger.  For every pure component it realizes the
-level-pair ``gap_kernel`` sum_r w_r e^{-i (h_a - h_b) theta_r}, and the
-``ff`` channel of ``channel.channel`` applies that kernel through
-``Hamiltonian.dephase``: a state vector on its eigenspace components, a
-density matrix in the eigenbasis.
+level-pair ``gap_kernel`` sum_r w_r e^{-i (h_a - h_b) theta_r}, which the
+``ff`` channel of ``channel.channel`` applies through ``Hamiltonian.dephase``.
 Residue classes r and P - r carry opposite phases and mirror weights, so the
 kernel is a cosine series over half the classes, summed in real arithmetic
 from blocks of 256 phase-table rows, each one partial sum, in O(block +
-levels^2) memory whatever the register count.  The fast phase-estimation
-readout transforms the whole (P, L) phase table of the L levels it reads
-in one FFT (``qpe._level_spectrum``).
+levels^2) memory whatever the register count.  Every phase is at most the
+circuit's Hamiltonian time B, so the kernel is band limited in each level:
+past B + 15 to 20 levels it is summed on that many Chebyshev points and
+interpolated (``_node_count``).  The fast phase-estimation readout transforms
+the whole (P, L) phase table of the L levels it reads in one FFT
+(``qpe._level_spectrum``).
 
 Address arithmetic is modulo 2^d (the d-bit register) rather than modulo N;
 the shift maps the window bijectively either way and the out-of-window
@@ -38,9 +39,9 @@ import numpy as np
 from .errors import ValidationError
 from . import numkernel as nk
 from .dilated import CostReport, default_steps, step_root
-from .kernels import binom_residue_weights
+from .kernels import AMPLITUDE_FLOOR, PMF_FLOOR, binom_residue_weights
 
-# Bits of the residue rows in one block of ``gap_kernel``: a block of
+# Bits of the residue rows in one block of ``_blocked_sum``: a block of
 # 2^_SUM_BITS rows is one partial sum, so no long sequential accumulation
 # loses digits against a partial sum near 1.
 _SUM_BITS = 8
@@ -161,28 +162,63 @@ def _check_norm(eigs: np.ndarray):
         raise ValidationError("jump norm exceeds 1; normalize the spectrum and rescale time")
 
 
+def _node_count(p: FFPlan, width: float, limit: int) -> int:
+    """The first M >= 2 below ``limit`` (else ``limit``) at which M Chebyshev
+    points interpolate every e^{-i a theta}, |theta| <= B, over ``width``: its
+    coefficients are 2 J_m(z), z = B width / 2 (Jacobi-Anger), and |J_m(z)| <=
+    (z/2)^m / m!, so an interpolant errs by e <= 4 (z/2)^M / M! (M + 1) / (M + 1
+    - z/2), a mean of products of two by 3e; M takes 3e <= 2^-53 / 4."""
+    h = 0.25 * ff_cost(p).hamiltonian_time * width      # z / 2
+    term = 0.5 * h * h                                  # (z/2)^m / m! at m = 2
+    for m in range(2, limit):
+        if m + 1 > h and 48.0 * term * (m + 1) / (m + 1 - h) <= 2.0 ** -53:
+            return m
+        term *= h / (m + 1)
+    return limit
+
+
 def gap_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
     """Fast-forward gap kernel sum_r w_r e^{-i (a - b) theta_r}, shape (len a, len b).
 
     Entry [i, j] multiplies the coherence between jump eigenvalues a_i and
     b_j; the ``ff`` channel applies it through ``Hamiltonian.dephase`` and
-    ``gibbs_prepare`` reads one column of it against eigenvalue 0.  The
-    phases theta_r = sqrt(tau) (2r - P) of residue classes r and P - r are
-    opposite and their binomial weights mirror each other (equal up to
-    rounding), so each such pair adds (w_r + w_{P-r}) cos((a - b) theta_r).
-    The sum therefore runs over r in (0, P/2) only, as Re(x_r[a] conj(y_r[b]))
-    of the phase table rows: real products of their real parts and of their
-    imaginary parts, one partial sum per block of 2^_SUM_BITS rows (all of
-    (0, P/2) when shorter).  Class P/2 (theta = 0) adds its weight and the
-    unpaired class 0 adds w_0 e^{i (a - b) sqrt(tau) P}.  Equal spectra (the
-    same array) build one table.  The weights mirror only for an even
-    register count, which ``plan`` always chooses; an odd one is rejected.
+    ``gibbs_prepare`` reads one column of it against eigenvalue 0.  Every
+    |theta_r| <= B = ``ff_cost(p).hamiltonian_time``, so one spectrum (the same
+    array a and b) of more levels L than its ``_node_count`` M is 1 + Phi (K(x,
+    x) - 1) Phi^T: K on M Chebyshev points x, its weights on the window down to
+    2^-106 of the peak, and Phi barycentric (Berrut and Trefethen, SIAM Review
+    46, 2004), a level on a node (or overflowing near one) taking its row.
+    That is O(P M^2 + L^2 M), not O(P L^2), and the 1 keeps the rounding to
+    the size of 1 - K.  Columns, and M >= L, take ``_blocked_sum``.
     """
     if p.n % 2:
         raise ValidationError(f"gap kernel needs an even register count, got {p.n}")
     _check_norm(eigs_a)
     _check_norm(eigs_b)
-    weights = binom_residue_weights(p.n, p.period, -p.shift)
+    if (eigs_b is eigs_a and eigs_a.size > 2
+            and (m := _node_count(p, float(np.ptp(eigs_a)), eigs_a.size)) < eigs_a.size):
+        lo, hi = float(eigs_a.min()), float(eigs_a.max())
+        x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.sin(0.5 * np.pi * np.arange(m - 1, -m, -2) / (m - 1))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            phi = np.resize([1.0, -1.0], m) * np.r_[0.5, np.ones(m - 2), 0.5] / (eigs_a[:, None] - x)
+            phi /= phi.sum(axis=1, keepdims=True)
+        near = ~np.isfinite(phi).all(axis=1)
+        phi[near] = np.eye(m)[np.abs(eigs_a[near, None] - x).argmin(axis=1)]
+        return phi @ (_blocked_sum(p, x, x, AMPLITUDE_FLOOR) - 1.0) @ phi.T + 1.0
+    return _blocked_sum(p, eigs_a, eigs_b, PMF_FLOOR)
+
+
+def _blocked_sum(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray, floor: float) -> np.ndarray:
+    """The gap kernel as its sum.  Classes r and P - r have opposite phases
+    theta_r = sqrt(tau) (2r - P) and mirror weights (equal up to rounding, for
+    the even N that ``gap_kernel`` requires), so each pair adds (w_r + w_{P-r})
+    cos((a - b) theta_r): the sum runs over r in (0, P/2) as Re(x_r[a]
+    conj(y_r[b])) of the phase table rows, real products of their real and of
+    their imaginary parts, one partial sum per block of 2^_SUM_BITS rows (all
+    of (0, P/2) when shorter).  Class P/2 (theta = 0) adds its weight and the
+    unpaired class 0 w_0 e^{i (a - b) sqrt(tau) P}.  One spectrum (the same
+    array) builds one table."""
+    weights = binom_residue_weights(p.n, p.period, -p.shift, floor)
     half = p.period // 2
     fold = np.empty(half)
     fold[0] = 0.0  # class 0 has no partner; it is added below

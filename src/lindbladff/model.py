@@ -15,13 +15,14 @@ eigenvectors span the shared eigenspace, so the tolerance was exercised when
 from __future__ import annotations
 
 import functools
+import io
 import math
 import numbers
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvariantError, ValidationError
+from .errors import ValidationError
 from . import numkernel as nk
 from .kernels import _require_memory
 
@@ -280,43 +281,48 @@ def _pauli_sum(lines: list[tuple[int, str]]) -> np.ndarray:
     return h
 
 
-def _parse_dense_tokens(lineno: int, line: str) -> None:
-    """Raise at the first malformed entry of a row the whole-row conversion
-    refused (numpy's conversion takes exactly the strings ``float`` takes)."""
-    for tok in line.split():
-        try:
-            re_s, im_s = tok.split(",")
-            float(re_s), float(im_s)
-        except ValueError:
-            raise ValidationError(f"line {lineno}: malformed entry {tok!r}, expected 're,im'") from None
-    raise InvariantError(f"line {lineno}: row refused as a whole but every entry parses")
-
-
 def parse_dense_matrix(text: str) -> np.ndarray:
     """Parse the dense text format: one row per line, entries "re,im"."""
     return _dense_matrix(_strip(text))
 
 
+# The bytes of a number ("inf", "infinity" and "nan" in any case too), and
+# the tables that write a blank as a space and as a comma
+_NUMBER_BYTES = b"0123456789+-.eEiInNfFtTyYaA"
+_BLANKS = bytes(32 if chr(i) in " \t" else i for i in range(256))
+_COMMAS = bytes(44 if chr(i) in " \t" else i for i in range(256))
+
+
 def _dense_matrix(lines: list[tuple[int, str]]) -> np.ndarray:
-    """Each row is converted in one call as its 2n real numbers; a row with an
-    entry not of one comma between two numbers ("1,", "1,2,3") is parsed again
-    entry by entry, which names the first malformed entry.  Entries keep "nan"
-    and "inf" bit for bit; the checks where the matrix is used reject them."""
+    """Entries "re,im", each real number as ``float`` reads it ("nan" and "inf"
+    bit for bit; the checks where the matrix is used reject them).  The lines
+    are one ``np.loadtxt`` call when, with the number bytes taken out, one
+    pass leaves comma, blank, ..., comma: one comma in every entry and one
+    blank between entries, the conversion refusing an empty field.  Anything
+    else is read by ``float`` entry by entry, which names the first malformed
+    entry and takes what ``float`` alone does (underscores, non-ASCII digits)."""
+    if not lines:
+        raise ValidationError("empty dense-matrix file")
+    seps = b" ".join(line.encode().translate(_BLANKS, _NUMBER_BYTES) for _, line in lines)
+    if seps == b", " * (len(seps) // 2) + b",":
+        data = b"\n".join(line.encode().translate(_COMMAS) for _, line in lines)
+        try:
+            return np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, ndmin=2).view(complex)
+        except ValueError:
+            pass
     rows = []
     for lineno, line in lines:
-        tokens = line.split()
-        try:
-            row = np.array(line.replace(",", " ").split(), dtype=float)
-        except ValueError:
-            row = None
-        if row is None or row.size != 2 * len(tokens) or any(tok.count(",") != 1 for tok in tokens):
-            _parse_dense_tokens(lineno, line)
+        row = []
+        for tok in line.split():
+            try:
+                re_s, im_s = tok.split(",")
+                row += float(re_s), float(im_s)
+            except ValueError:
+                raise ValidationError(f"line {lineno}: malformed entry {tok!r}, expected 're,im'") from None
         rows.append(row)
-    if not rows:
-        raise ValidationError("empty dense-matrix file")
-    if len({r.size for r in rows}) != 1:
+    if len({len(r) for r in rows}) != 1:
         raise ValidationError("rows have inconsistent lengths")
-    return np.stack(rows).view(complex)
+    return np.array(rows).view(complex)
 
 
 _BLOCK = 1 << 14        # doubles per block (whole rows, or one wider row): 1.4 MiB of slots and masks

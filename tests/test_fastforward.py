@@ -1,3 +1,4 @@
+import itertools
 import math
 from functools import partial
 import tracemalloc
@@ -15,6 +16,7 @@ from lindbladff import fastforward
 from lindbladff import numkernel as nk
 from lindbladff.fastforward import _phase_blocks, _residue_phases, gap_kernel
 from lindbladff.kernels import PMF_FLOOR, _support, binom_residue_weights
+from lindbladff.model import CLUSTER_RTOL
 
 from conftest import (full_mixture, goal_ledger, random_density, random_hermitian,
                       random_state, residue_of)
@@ -456,6 +458,88 @@ class TestFoldedKernel:
             assert np.max(np.abs(got - high_precision_kernel(p, a, b))) <= 8 * np.finfo(float).eps
 
 
+# ---------------------------------------------------------------------------
+# The band-limited kernel against the blocked sum it interpolates
+# ---------------------------------------------------------------------------
+
+def edge_plans():
+    """Plans with t, eps and N at their edges, P up to 2^15 so the blocked sum
+    over up to 512 levels stays cheap; plans ``plan`` refuses are left out."""
+    plans = []
+    for t, eps, n in itertools.product([1e-3, 0.5, 2.0, 8.0, 64.0], [0.9, 0.1, 1e-3, 1e-9],
+                                       [None, 2, 16, 1024, 10**5, 10**7]):
+        try:
+            p = plan(t, eps, n)
+        except ValidationError:
+            continue
+        if p.period <= 1 << 15:
+            plans.append(p)
+    return plans
+
+
+EDGE_PLANS = edge_plans()
+# Rounding of the interpolated kernel against the blocked sum: at most 14.5 ulp
+# of 1 measured over 546 draws (L up to 512, M up to 174, both intervals)
+BAND_ROUNDING = 24 * 2.0 ** -52
+
+
+def spectrum(rng, kind, low, levels):
+    """``levels`` eigenvalues in [low, 1]: random with both ends present;
+    clustered (pairs half or twice ``CLUSTER_RTOL`` apart); or degenerate
+    (values repeated)."""
+    h = rng.uniform(low, 1.0, levels)
+    if kind == "random":
+        h[:2] = low, 1.0
+    elif kind == "clustered":
+        pairs = levels // 2
+        h[1::2] = h[0:2 * pairs:2] + rng.choice([-2.0, -0.5, 0.5, 2.0], pairs) * CLUSTER_RTOL
+    else:
+        h = rng.choice(h[:max(1, levels // 2)], levels)
+    return np.clip(h, low, 1.0)
+
+
+class TestBandLimitedKernel:
+    def test_edge_plans_reach_both_paths(self):
+        # some plans interpolate below 512 levels on either interval, and every
+        # plan keeps the blocked sum at or below its node count
+        counts = [fastforward._node_count(p, width, 10**4) for p in EDGE_PLANS for width in (1.0, 2.0)]
+        assert len(EDGE_PLANS) >= 40
+        assert sum(m < 512 for m in counts) >= 60 and min(counts) >= 2
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(p=hst.sampled_from(EDGE_PLANS), low=hst.sampled_from([0.0, -1.0]),
+           kind=hst.sampled_from(["random", "clustered", "degenerate"]),
+           above=hst.booleans(), share=hst.floats(0.0, 1.0), seed=hst.integers(0, 2**32 - 1))
+    def test_matches_the_blocked_sum(self, p, low, kind, above, share, seed):
+        # above the node count M of the full interval the kernel interpolates,
+        # at or below it (the spectrum's own M may be smaller) it is the sum
+        m = fastforward._node_count(p, 1.0 - low, 10**4)
+        if above and m < 512:
+            levels = m + 1 + round(share * (511 - m))
+        else:
+            levels = 3 + round(share * (min(m, 512) - 3))
+        h = spectrum(np.random.default_rng(seed), kind, low, levels)
+        got, want = gap_kernel(p, h, h), fastforward._blocked_sum(p, h, h, PMF_FLOOR)
+        if fastforward._node_count(p, float(np.ptp(h)), levels) < levels:
+            assert np.max(np.abs(got - want)) <= BAND_ROUNDING
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    def test_columns_and_two_spectra_keep_the_blocked_sum(self, rng):
+        p = plan(3.0, 0.05, 10**7)
+        h = spectrum(rng, "random", 0.0, 256)
+        for b in (np.zeros(1), h.copy(), h[:100]):
+            assert gap_kernel(p, h, b).tobytes() == fastforward._blocked_sum(p, h, b, PMF_FLOOR).tobytes()
+
+    def test_levels_on_or_beside_a_node_take_its_row(self):
+        # 0 and 1 are the end nodes; 5e-324 overflows its row against node 0
+        p = plan(1.0, 0.1, 10**7)
+        h = np.concatenate(([0.0, 5e-324, 1.0], np.linspace(0.01, 0.99, 40)))
+        got = gap_kernel(p, h, h)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - fastforward._blocked_sum(p, h, h, PMF_FLOOR))) <= BAND_ROUNDING
+
+
 class TestDenseReference:
     def test_two_level_n16(self, rng):
         ham = normalize_spectrum(random_hermitian(rng, 2))
@@ -473,6 +557,19 @@ class TestDenseReference:
         psi = random_state(rng, 2)
         assert nk.trace_distance(
             evolve(ham, psi, chan)[0], dense_circuit_reference(ham, psi, p)) <= 1e-12
+
+    def test_band_limited_dim32(self, rng):
+        # P = 16 and B = 2.8 at N = 64 put M = 18 below 32 nondegenerate
+        # levels, so the channel interpolates while the oracle sums the circuit
+        ham = normalize_spectrum(random_hermitian(rng, 32))
+        chan = channel("ff", 2.0, 0.4, n=64)
+        p = chan.plan
+        h = ham.eigenvalues
+        assert (ham.n_levels, p.period) == (32, 16)
+        assert fastforward._node_count(p, float(np.ptp(h)), h.size) < 32
+        for psi in (random_state(rng, 32), random_state(rng, 32)):
+            d = nk.trace_distance(evolve(ham, psi, chan)[0], dense_circuit_reference(ham, psi, p))
+            assert d <= 1e-10, d
 
     def test_random_sweep(self, rng):
         for t, n in ((0.5, 16), (1.0, 32), (2.0, 64)):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lindbladff import ValidationError, model
+from lindbladff import InvariantError, ValidationError, model
 
 from conftest import PAULI_X, PAULI_Z, dilate, random_hermitian, random_state
 from oracles import kron_pauli_sum
@@ -296,6 +296,131 @@ class TestDenseTextCompatibility:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             model.parse_dense_matrix(text)
         assert outcome(parse_entrywise, text) == message
+
+
+# ---------------------------------------------------------------------------
+# The whole-file dense parser against the row-wise one it replaced
+# ---------------------------------------------------------------------------
+
+def parse_rowwise(text):
+    """The row-wise dense parser, transcribed: each row one numpy conversion of
+    its 2n numbers; a row that fails it or whose comma count is off parsed
+    again entry by entry, which names the first malformed entry."""
+    rows = []
+    for lineno, line in model._strip(text):
+        tokens = line.split()
+        try:
+            row = np.array(line.replace(",", " ").split(), dtype=float)
+        except ValueError:
+            row = None
+        if row is None or row.size != 2 * len(tokens) or any(tok.count(",") != 1 for tok in tokens):
+            for tok in tokens:
+                try:
+                    re_s, im_s = tok.split(",")
+                    float(re_s), float(im_s)
+                except ValueError:
+                    raise ValidationError(f"line {lineno}: malformed entry {tok!r}, expected 're,im'") from None
+            raise InvariantError(f"line {lineno}: row refused as a whole but every entry parses")
+        rows.append(row)
+    if not rows:
+        raise ValidationError("empty dense-matrix file")
+    if len({r.size for r in rows}) != 1:
+        raise ValidationError("rows have inconsistent lengths")
+    return np.stack(rows).view(complex)
+
+
+def result(parse, text):
+    """The parsed array, or the type and message of the error."""
+    try:
+        return parse(text)
+    except (ValidationError, InvariantError) as exc:
+        return type(exc), str(exc)
+
+
+SPECIAL_NUMBERS = ["0", "-0", "0.0", "-0.0", "+0", "nan", "-nan", "NaN", "+nan", "inf", "-inf",
+                   "Infinity", "-INF", "5e-324", "-4.9e-324", "2.2250738585072009e-308",
+                   "2.225073858507201e-308", "1e400", "-1e400", "1e-400", "-1e-400", "1.", ".5", "1E5"]
+NUMBER = st.one_of(
+    st.sampled_from(SPECIAL_NUMBERS),
+    st.builds(lambda fmt, x: fmt(x), st.sampled_from([lambda x: "%.17g" % x, repr, lambda x: "%.3g" % x]),
+              st.floats(allow_nan=True, allow_infinity=True)),
+)
+# Entries that break the "re,im" layout, or that only ``float`` reads
+MUTATIONS = ["1,", ",1", "1,2,3", "1,,2", "1 2", "1_0,2", "\u0661\u0662,1", "0x10,1", "1,2\x1f3,4",
+             "1\x1f,2", "1,2\u30003,4", "1e,1", "--1,1", "1,nan(1)"]
+
+
+@st.composite
+def dense_files(draw):
+    """Dense text with its numbers in %.17g, repr or short decimals and special
+    values; tabs, runs of blanks, comments, blank lines and CRLF; and maybe one
+    mutation: a malformed or ``float``-only entry, or a row one entry short."""
+    shape = draw(st.tuples(st.integers(1, 5), st.integers(1, 5)))
+    entries = [[f"{draw(NUMBER)},{draw(NUMBER)}" for _ in range(shape[1])] for _ in range(shape[0])]
+    mutation = draw(st.sampled_from([None, "short row"] + MUTATIONS))
+    i, j = draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))
+    if mutation == "short row":
+        del entries[i][j]
+    elif mutation is not None:
+        entries[i][j] = mutation
+    blank = st.sampled_from([" ", " ", " ", "  ", "\t", " \t "])
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for row in entries:
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "   ", "# comment", " #0,0 1,1"])))
+        line = "".join(draw(blank) + e if k else e for k, e in enumerate(row))
+        lines.append(draw(st.sampled_from(["", "", " ", "\t"])) + line
+                     + draw(st.sampled_from(["", "", "  ", " # trailing", "#x,y"])))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+class TestWholeFileParse:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(dense_files())
+    def test_matches_the_rowwise_parser(self, text):
+        got, want = result(model.parse_dense_matrix, text), result(parse_rowwise, text)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert isinstance(got, np.ndarray) and same_bits(got, want)
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_each_mutation_matches_the_rowwise_parser(self, mutation):
+        for text in (f"0,1 {mutation}\n2,3 4,5\n", f"{mutation}\r\n0,0 1,1\r\n",
+                     f"# c\n0,0\t1,1\n2,2   {mutation}"):
+            got, want = result(model.parse_dense_matrix, text), result(parse_rowwise, text)
+            assert got == want if isinstance(want, tuple) else same_bits(got, want)
+
+    @pytest.mark.parametrize("text,whole", [
+        ("1,2 3,4\n5,6\t7,8", True), ("-nan,Infinity", True), ("1,2", True), ("1,2 3,4\n5,6", True),
+        ("1, 2,3", True), (",1", True), ("1,2,3 4", False), ("1,2  3,4", False), ("1,2 3", False),
+        ("0,1 1 2", False), ("1\x1f,2", False), ("0x1,2", False), ("1_0,2", False), ("\u0661,1", False),
+    ])
+    def test_one_conversion_where_the_separators_alternate(self, text, whole, monkeypatch):
+        # comma, blank, ..., comma among number bytes alone goes to np.loadtxt,
+        # which refuses what the alternation lets through (a row short, an
+        # empty field); the rest goes straight to float
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(text) or loadtxt(*a, **k))
+        got, want = result(model.parse_dense_matrix, text), result(parse_rowwise, text)
+        assert got == want if isinstance(want, tuple) else same_bits(got, want)
+        assert len(calls) == whole
+
+    def test_nan_sign_and_float_only_digits_keep_their_bits(self):
+        got = model.parse_dense_matrix("-nan,nan 1_0,\u0661\u0662\n-0,1e-400 1e400,5e-324")
+        want = np.array([[complex(-math.nan, math.nan), 10 + 12j],
+                         [complex(-0.0, 0.0), complex(math.inf, 5e-324)]])
+        assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+        assert math.copysign(1.0, got.real[0, 0]) == -1.0
+
+    def test_spectral_sized_files_match_bitwise(self, rng):
+        # a 256 x 256 matrix written by repr and by %.17g
+        a = rng.standard_normal((256, 512)).view(complex)
+        for text in (format_entrywise(a), "\n".join(" ".join(f"{z.real!r},{z.imag!r}" for z in row)
+                                                    for row in a.tolist())):
+            assert same_bits(model.parse_dense_matrix(text), parse_rowwise(text))
 
 
 def picked_parser(text):

@@ -22,7 +22,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from lindbladff import decompose_state, estimate, normalize_spectrum
+from lindbladff import decompose_state, estimate, fastforward, normalize_spectrum
 from lindbladff.channel import channel
 from lindbladff.model import CLUSTER_RTOL
 
@@ -65,9 +65,10 @@ def in_range(p):
 def spectra(draw):
     """Eigenvalues in [-1, 1]: random; clustered (pairs half or twice the
     clustering tolerance apart, merged or kept by ``normalize_spectrum``);
-    or degenerate (values repeated)."""
+    or degenerate (values repeated).  Up to 64 of them, past the node count
+    of many plans, where the ``ff`` kernel is interpolated (``fastforward``)."""
     rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
-    dim = draw(hst.integers(2, 6))
+    dim = draw(hst.one_of(hst.integers(2, 6), hst.integers(7, 64)))
     h = rng.uniform(-1.0, 1.0, dim)
     kind = draw(hst.sampled_from(["random", "clustered", "degenerate"]))
     if kind == "clustered":
@@ -86,6 +87,13 @@ def test_draws_cover_full_and_narrow_windows():
             full += p.full_window
             narrow += not p.full_window and outside_mass(p) > TV_ROUNDING
     assert full >= 10 and narrow >= 10, (full, narrow)
+
+
+def test_draws_reach_the_band_limited_kernel():
+    # the node count over [-1, 1] is below 64 levels for most plans of the grid
+    below = sum(fastforward._node_count(channel("ff", t, eps, n=n).plan, 2.0, 10 ** 4) < 64
+                for n, eps, t in itertools.product(COUNTS, EPS, TIMES))
+    assert below >= 100, below
 
 
 @settings(max_examples=200, deadline=None, database=None)
