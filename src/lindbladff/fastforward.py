@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ValidationError
 from . import numkernel as nk
 from .dilated import CostReport, default_steps, step_root
-from .kernels import AMPLITUDE_FLOOR, PMF_FLOOR, binom_residue_weights
+from .kernels import binom_residue_weights
 
 # Bits of the residue rows in one block of ``_blocked_sum``: a block of
 # 2^_SUM_BITS rows is one partial sum, so no long sequential accumulation
@@ -126,7 +126,7 @@ def _phase_blocks(p: FFPlan, eigs: np.ndarray, rows: int, hi: int):
     through the low bits: rows with the bit clear, then rows with it set)
     are made once per call; each block is that table times its own high
     bits.  Every row is the same left-to-right product, so a block equals
-    its slice of the whole table bit for bit.
+    its slice of the whole table bit for bit (but for blocks of one number).
 
     The product is also the more accurate table: against 40-digit mpmath on
     the levels {-1, -0.314, 0.707, 1} at t = 16, eps = 1e-3, it erred
@@ -142,11 +142,16 @@ def _phase_blocks(p: FFPlan, eigs: np.ndarray, rows: int, hi: int):
     table = np.exp(+1j * eigs * root)[None, :]  # uncontrolled factor
     for j in range(low_bits):
         table = np.concatenate((table * bwd[j], table * fwd[j]))
+    # High bits multiply lines of ``wide`` rows by their factor repeated ``wide``
+    # times: the same products, in inner loops of 256 numbers or more
+    wide = min(rows, 1 << (255 // max(eigs.size, 1)).bit_length())
+    lines = table.reshape(rows // wide, -1)
+    high = [(np.tile(bwd[j], wide), np.tile(fwd[j], wide)) for j in range(low_bits, p.dprime)]
     for start in range(0, hi, rows):
-        block = table
-        for j in range(low_bits, p.dprime):
-            block = block * (fwd[j] if (start >> j) & 1 else bwd[j])
-        yield block
+        block = lines
+        for j, factors in enumerate(high, low_bits):
+            block = block * factors[(start >> j) & 1]
+        yield block.reshape(table.shape)
 
 
 def _residue_phases(p: FFPlan, eigs: np.ndarray) -> np.ndarray:
@@ -185,9 +190,9 @@ def gap_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
     ``gibbs_prepare`` reads one column of it against eigenvalue 0.  Every
     |theta_r| <= B = ``ff_cost(p).hamiltonian_time``, so one spectrum (the same
     array a and b) of more levels L than its ``_node_count`` M is 1 + Phi (K(x,
-    x) - 1) Phi^T: K on M Chebyshev points x, its weights on the window down to
-    2^-106 of the peak, and Phi barycentric (Berrut and Trefethen, SIAM Review
-    46, 2004), a level on a node (or overflowing near one) taking its row.
+    x) - 1) Phi^T: K the sum on M Chebyshev points x, and Phi barycentric
+    (Berrut and Trefethen, SIAM Review 46, 2004), a level on a node (or
+    overflowing near one) taking its row.
     That is O(P M^2 + L^2 M), not O(P L^2), and the 1 keeps the rounding to
     the size of 1 - K.  Columns, and M >= L, take ``_blocked_sum``.
     """
@@ -204,11 +209,11 @@ def gap_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
             phi /= phi.sum(axis=1, keepdims=True)
         near = ~np.isfinite(phi).all(axis=1)
         phi[near] = np.eye(m)[np.abs(eigs_a[near, None] - x).argmin(axis=1)]
-        return phi @ (_blocked_sum(p, x, x, AMPLITUDE_FLOOR) - 1.0) @ phi.T + 1.0
-    return _blocked_sum(p, eigs_a, eigs_b, PMF_FLOOR)
+        return phi @ (_blocked_sum(p, x, x) - 1.0) @ phi.T + 1.0
+    return _blocked_sum(p, eigs_a, eigs_b)
 
 
-def _blocked_sum(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray, floor: float) -> np.ndarray:
+def _blocked_sum(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
     """The gap kernel as its sum.  Classes r and P - r have opposite phases
     theta_r = sqrt(tau) (2r - P) and mirror weights (equal up to rounding, for
     the even N that ``gap_kernel`` requires), so each pair adds (w_r + w_{P-r})
@@ -218,7 +223,7 @@ def _blocked_sum(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray, floor: float
     of (0, P/2) when shorter).  Class P/2 (theta = 0) adds its weight and the
     unpaired class 0 w_0 e^{i (a - b) sqrt(tau) P}.  One spectrum (the same
     array) builds one table."""
-    weights = binom_residue_weights(p.n, p.period, -p.shift, floor)
+    weights = binom_residue_weights(p.n, p.period, -p.shift)
     half = p.period // 2
     fold = np.empty(half)
     fold[0] = 0.0  # class 0 has no partner; it is added below

@@ -126,10 +126,9 @@ def binom_pmf(n: int, p: float) -> np.ndarray:
     return out
 
 
-def binom_residue_weights(n: int, period: int, offset: int, floor: float = PMF_FLOOR) -> np.ndarray:
-    """Binomial(n, 1/2) mass aggregated by the residue class (m + offset) mod
-    period, on the window of pmf >= ``floor`` times the largest."""
-    lo, hi = _support(n, 0.5, floor)
+def binom_residue_weights(n: int, period: int, offset: int) -> np.ndarray:
+    """Binomial(n, 1/2) mass aggregated by the residue class (m + offset) mod period."""
+    lo, hi = _support(n, 0.5, PMF_FLOOR)
     center = n // 2
     up, down = _centre_out(n, center, lo, hi, 1.0)
     values = np.concatenate(([1.0], up, down))

@@ -15,7 +15,6 @@ eigenvectors span the shared eigenspace, so the tolerance was exercised when
 from __future__ import annotations
 
 import functools
-import io
 import math
 import numbers
 from typing import NamedTuple
@@ -286,30 +285,33 @@ def parse_dense_matrix(text: str) -> np.ndarray:
     return _dense_matrix(_strip(text))
 
 
-# The bytes of a number ("inf", "infinity" and "nan" in any case too), and
-# the tables that write a blank as a space and as a comma
+# The bytes of a number ("inf", "infinity" and "nan" in any case too)
 _NUMBER_BYTES = b"0123456789+-.eEiInNfFtTyYaA"
-_BLANKS = bytes(32 if chr(i) in " \t" else i for i in range(256))
-_COMMAS = bytes(44 if chr(i) in " \t" else i for i in range(256))
 
 
 def _dense_matrix(lines: list[tuple[int, str]]) -> np.ndarray:
     """Entries "re,im", each real number as ``float`` reads it ("nan" and "inf"
     bit for bit; the checks where the matrix is used reject them).  The lines
-    are one ``np.loadtxt`` call when, with the number bytes taken out, one
-    pass leaves comma, blank, ..., comma: one comma in every entry and one
-    blank between entries, the conversion refusing an empty field.  Anything
-    else is read by ``float`` entry by entry, which names the first malformed
-    entry and takes what ``float`` alone does (underscores, non-ASCII digits)."""
+    stream through one ``np.loadtxt`` call, each line's entries (split at ASCII
+    blanks) joined by commas once its number bytes taken out leave comma,
+    blank, ..., comma: one comma in every entry, the conversion refusing an
+    empty field or a short row.  Anything else is read by ``float`` entry by
+    entry, which names the first malformed entry and takes what ``float``
+    alone does (underscores, non-ASCII digits and blanks)."""
     if not lines:
         raise ValidationError("empty dense-matrix file")
-    seps = b" ".join(line.encode().translate(_BLANKS, _NUMBER_BYTES) for _, line in lines)
-    if seps == b", " * (len(seps) // 2) + b",":
-        data = b"\n".join(line.encode().translate(_COMMAS) for _, line in lines)
-        try:
-            return np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, ndmin=2).view(complex)
-        except ValueError:
-            pass
+
+    def joined():
+        for _, line in lines:
+            entries = line.encode(errors="replace").split()
+            if b" ".join(entries).translate(None, _NUMBER_BYTES) != b", " * (len(entries) - 1) + b",":
+                raise ValueError(line)
+            yield b",".join(entries)
+
+    try:
+        return np.loadtxt(joined(), delimiter=",", comments=None, ndmin=2).view(complex)
+    except ValueError:
+        pass
     rows = []
     for lineno, line in lines:
         row = []

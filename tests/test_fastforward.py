@@ -302,6 +302,19 @@ class TestStreamedDensity:
                 assert block.tobytes() == whole[lo:lo + rows].tobytes(), (rows, lo)
             rows *= 4 if p.period > 4096 else 2  # every other size at large periods, for time
 
+    @pytest.mark.parametrize("levels", [2, 3, 40, 129])
+    def test_few_levels_take_lines_of_rows(self, rng, levels):
+        # fewer than 256 levels multiply their high bits over lines of several
+        # rows; one level in blocks of one row is a lone number, which numpy
+        # multiplies in its scalar loop, a last bit apart from its vector loops
+        p = plan(3.0, 0.05, 10**6)
+        eigs = rng.uniform(-1.0, 1.0, levels)
+        whole = _residue_phases(p, eigs)
+        for rows in (2, 8, 256, 1024):
+            blocks = _phase_blocks(p, eigs, rows, p.period)
+            for lo, block in zip(range(0, p.period, rows), blocks, strict=True):
+                assert block.tobytes() == whole[lo:lo + rows].tobytes(), (rows, lo)
+
     def test_one_block_is_the_ledger_product(self, rng):
         chan = channel("ff", 3.0, 0.05, n=10**7)
         p = chan.plan
@@ -519,7 +532,7 @@ class TestBandLimitedKernel:
         else:
             levels = 3 + round(share * (min(m, 512) - 3))
         h = spectrum(np.random.default_rng(seed), kind, low, levels)
-        got, want = gap_kernel(p, h, h), fastforward._blocked_sum(p, h, h, PMF_FLOOR)
+        got, want = gap_kernel(p, h, h), fastforward._blocked_sum(p, h, h)
         if fastforward._node_count(p, float(np.ptp(h)), levels) < levels:
             assert np.max(np.abs(got - want)) <= BAND_ROUNDING
         else:
@@ -529,7 +542,7 @@ class TestBandLimitedKernel:
         p = plan(3.0, 0.05, 10**7)
         h = spectrum(rng, "random", 0.0, 256)
         for b in (np.zeros(1), h.copy(), h[:100]):
-            assert gap_kernel(p, h, b).tobytes() == fastforward._blocked_sum(p, h, b, PMF_FLOOR).tobytes()
+            assert gap_kernel(p, h, b).tobytes() == fastforward._blocked_sum(p, h, b).tobytes()
 
     def test_levels_on_or_beside_a_node_take_its_row(self):
         # 0 and 1 are the end nodes; 5e-324 overflows its row against node 0
@@ -537,7 +550,7 @@ class TestBandLimitedKernel:
         h = np.concatenate(([0.0, 5e-324, 1.0], np.linspace(0.01, 0.99, 40)))
         got = gap_kernel(p, h, h)
         assert np.all(np.isfinite(got))
-        assert np.max(np.abs(got - fastforward._blocked_sum(p, h, h, PMF_FLOOR))) <= BAND_ROUNDING
+        assert np.max(np.abs(got - fastforward._blocked_sum(p, h, h))) <= BAND_ROUNDING
 
 
 class TestDenseReference:

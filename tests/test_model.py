@@ -347,7 +347,7 @@ NUMBER = st.one_of(
 )
 # Entries that break the "re,im" layout, or that only ``float`` reads
 MUTATIONS = ["1,", ",1", "1,2,3", "1,,2", "1 2", "1_0,2", "\u0661\u0662,1", "0x10,1", "1,2\x1f3,4",
-             "1\x1f,2", "1,2\u30003,4", "1e,1", "--1,1", "1,nan(1)"]
+             "1\x1f,2", "1,2\u30003,4", "1e,1", "--1,1", "1,nan(1)", "1,\ud800", "\ud8001,2"]
 
 
 @st.composite
@@ -393,20 +393,27 @@ class TestWholeFileParse:
             assert got == want if isinstance(want, tuple) else same_bits(got, want)
 
     @pytest.mark.parametrize("text,whole", [
-        ("1,2 3,4\n5,6\t7,8", True), ("-nan,Infinity", True), ("1,2", True), ("1,2 3,4\n5,6", True),
-        ("1, 2,3", True), (",1", True), ("1,2,3 4", False), ("1,2  3,4", False), ("1,2 3", False),
-        ("0,1 1 2", False), ("1\x1f,2", False), ("0x1,2", False), ("1_0,2", False), ("\u0661,1", False),
+        ("1,2 3,4\n5,6\t7,8", True), ("-nan,Infinity", True), ("1,2", True), ("1,2  3,4", True),
+        ("1,2 \t 3,4\n5,6   7,8", True), ("1,2 3,4\n5,6", False), ("1, 2,3", False), (",1", False),
+        ("1,2,3 4", False), ("1,2 3", False), ("0,1 1 2", False), ("1\x1f,2", False), ("0x1,2", False),
+        ("1_0,2", False), ("\u0661,1", False), ("1,\ud800", False),
     ])
-    def test_one_conversion_where_the_separators_alternate(self, text, whole, monkeypatch):
-        # comma, blank, ..., comma among number bytes alone goes to np.loadtxt,
-        # which refuses what the alternation lets through (a row short, an
-        # empty field); the rest goes straight to float
-        calls = []
+    def test_c_reader_converts_where_the_separators_alternate(self, text, whole, monkeypatch):
+        # entries of one comma among number bytes alone, at any run of blanks,
+        # are converted by np.loadtxt, which refuses what the check lets
+        # through (a row short, an empty field); the rest is read by float
+        converted = []
         loadtxt = np.loadtxt
-        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(text) or loadtxt(*a, **k))
+
+        def counted(*args, **kwargs):
+            out = loadtxt(*args, **kwargs)
+            converted.append(text)
+            return out
+
+        monkeypatch.setattr(np, "loadtxt", counted)
         got, want = result(model.parse_dense_matrix, text), result(parse_rowwise, text)
         assert got == want if isinstance(want, tuple) else same_bits(got, want)
-        assert len(calls) == whole
+        assert len(converted) == whole
 
     def test_nan_sign_and_float_only_digits_keep_their_bits(self):
         got = model.parse_dense_matrix("-nan,nan 1_0,\u0661\u0662\n-0,1e-400 1e400,5e-324")
