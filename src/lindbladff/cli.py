@@ -179,7 +179,7 @@ def _cmd_evolve(args, argv):
     if (p := chan.plan) is not None:
         outputs["plan"] = {
             "N": p.n, "c": p.c, "d": p.d, "dprime": p.dprime,
-            "tau": p.tau, "window": list(p.window), "full_window": p.full_window,
+            "tau": p.t / p.n, "window": list(p.window), "full_window": p.full_window,
             "mod_convention": "2^d", "note": p.note,
         }
     outputs["rho_out"] = model.format_dense_matrix(rho)

@@ -38,7 +38,7 @@ def default_steps(t: float, eps: float) -> int:
 
 
 def step_root(t: float, n: int) -> float:
-    """sqrt(t / n) for a cost, from sqrt(t) / sqrt(n) where t / n underflows to 0."""
+    """sqrt(t / n), the step root of both circuits: sqrt(t) / sqrt(n) where t / n underflows."""
     return math.sqrt(t / n) if t / n > 0 else math.sqrt(t) / math.sqrt(n)
 
 
@@ -52,7 +52,7 @@ def dilated_kernel(t: float, steps: int, eigs_a: np.ndarray, eigs_b: np.ndarray
     it, and the slow phase-estimation routes read that channel's column at
     eigenvalue 0.
     """
-    x = math.sqrt(t / steps) * (eigs_a[:, None] - eigs_b[None, :])
+    x = step_root(t, steps) * (eigs_a[:, None] - eigs_b[None, :])
     with np.errstate(divide="ignore"):
         return np.sign(np.cos(x)) ** steps * np.exp(0.5 * steps * np.log1p(-np.sin(x) ** 2))
 

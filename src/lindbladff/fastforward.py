@@ -3,7 +3,7 @@
 The simulated circuit prepares a binomial-amplitude address register, then
 conjugates a bank of address-bit-controlled forward/backward evolutions by a
 modular shift so that the sqrt(N)-wide bulk of the binomial mass drives the
-correct evolution e^{-i H sqrt(tau) (2m - N)}.  Because the register stays
+correct evolution e^{-i H sqrt(t/N) (2m - N)}.  Because the register stays
 diagonal throughout, the system action depends on the address m only through
 its residue r(m) = (m - N/2 + 2^(d'-1)) mod 2^d', so the whole joint state is
 represented exactly by 2^d' system vectors plus one weight per residue class.
@@ -21,7 +21,7 @@ circuit's Hamiltonian time B, so the kernel is band limited in each level:
 past B + 15 to 20 levels it is summed on that many Chebyshev points and
 interpolated (``_node_count``).  The fast phase-estimation readout transforms
 the whole (P, L) phase table of the L levels it reads in one FFT
-(``qpe._level_spectrum``).
+(``residue_spectrum``).
 
 Address arithmetic is modulo 2^d (the d-bit register) rather than modulo N;
 the shift maps the window bijectively either way and the out-of-window
@@ -59,7 +59,6 @@ class FFPlan(NamedTuple):
     t: float
     eps: float
     n: int                      # register count (even; ``gap_kernel`` enforces it)
-    tau: float                  # t / n
     c: float                    # window half-width fraction
     d: int                      # address bits
     dprime: int                 # controlled bits
@@ -112,12 +111,12 @@ def plan(t: float, eps: float, n_override: int | None = None) -> FFPlan:
     full_window = window[0] <= 0 and window[1] >= n
     if not full_window and c >= 0.5:
         raise ValidationError(f"window fraction c = {c:.3f} >= 1/2 without full coverage")
-    return FFPlan(float(t), float(eps), n, t / n, c, d, dprime, window, full_window, note)
+    return FFPlan(float(t), float(eps), n, c, d, dprime, window, full_window, note)
 
 
 def _phase_blocks(p: FFPlan, eigs: np.ndarray, rows: int, hi: int):
-    """Rows [0, hi) of the phase table exp(-i h sqrt(tau) (2r - 2^d')) in
-    blocks of shape (rows, n_levels); ``rows`` is a power of two.
+    """Rows [0, hi) of the phase table exp(-i h ``step_root(t, N)`` (2r - 2^d'))
+    in blocks of shape (rows, n_levels); ``rows`` is a power of two.
 
     Row r is the product of the single uncontrolled backward factor and the
     d' bit evolutions selected by the bits of r, taken from the lowest bit
@@ -136,7 +135,7 @@ def _phase_blocks(p: FFPlan, eigs: np.ndarray, rows: int, hi: int):
     the 14 files tests/data/golden_*.jsonl.
     """
     low_bits = rows.bit_length() - 1
-    root = math.sqrt(p.tau)
+    root = step_root(p.t, p.n)
     fwd = [np.exp(-1j * eigs * root * (1 << j)) for j in range(p.dprime)]  # bit 1
     bwd = [np.exp(+1j * eigs * root * (1 << j)) for j in range(p.dprime)]  # bit 0
     table = np.exp(+1j * eigs * root)[None, :]  # uncontrolled factor
@@ -157,6 +156,16 @@ def _phase_blocks(p: FFPlan, eigs: np.ndarray, rows: int, hi: int):
 def _residue_phases(p: FFPlan, eigs: np.ndarray) -> np.ndarray:
     """The whole phase table, shape (P, n_levels)."""
     return next(_phase_blocks(p, eigs, p.period, p.period))
+
+
+def residue_spectrum(p: FFPlan, eigs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The ledger's DFT per level, shape (P, L): coeffs[l] (1/P) w^(-k shift) sum_r
+    w^(-k r) e^(-i eigs[l] theta_r), w = e^(2 pi i/P), once the jump norm is checked."""
+    _check_norm(eigs)
+    shift_phase = np.exp(-2j * math.pi * ((np.arange(p.period) * p.shift) % p.period) / p.period)
+    spectrum = np.fft.fft(_residue_phases(p, eigs), axis=0)
+    spectrum *= (shift_phase / p.period)[:, None] * coeffs
+    return spectrum
 
 
 JUMP_NORM_ATOL = 1e-9  # the one jump-norm rule: |h| <= 1 + this for every eigenvalue evolved
@@ -215,13 +224,13 @@ def gap_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
 
 def _blocked_sum(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
     """The gap kernel as its sum.  Classes r and P - r have opposite phases
-    theta_r = sqrt(tau) (2r - P) and mirror weights (equal up to rounding, for
+    theta_r = sqrt(t/N) (2r - P) and mirror weights (equal up to rounding, for
     the even N that ``gap_kernel`` requires), so each pair adds (w_r + w_{P-r})
     cos((a - b) theta_r): the sum runs over r in (0, P/2) as Re(x_r[a]
     conj(y_r[b])) of the phase table rows, real products of their real and of
     their imaginary parts, one partial sum per block of 2^_SUM_BITS rows (all
     of (0, P/2) when shorter).  Class P/2 (theta = 0) adds its weight and the
-    unpaired class 0 w_0 e^{i (a - b) sqrt(tau) P}.  One spectrum (the same
+    unpaired class 0 w_0 e^{i (a - b) B}, theta_0 = -B.  One spectrum (the same
     array) builds one table."""
     weights = binom_residue_weights(p.n, p.period, -p.shift)
     half = p.period // 2
@@ -235,7 +244,7 @@ def _blocked_sum(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarra
         y = x if blocks_b is None else next(blocks_b)
         for part in (np.real, np.imag):  # a contiguous right operand stays on BLAS
             total += (part(x).T * fold[lo:lo + rows]) @ np.ascontiguousarray(part(y))
-    edge = math.sqrt(p.tau) * p.period  # -theta_0
+    edge = ff_cost(p).hamiltonian_time
     return total + weights[0] * np.outer(np.exp(1j * edge * eigs_a), np.exp(-1j * edge * eigs_b))
 
 

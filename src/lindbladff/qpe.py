@@ -70,8 +70,8 @@ import numpy as np
 from .errors import InvariantError, ValidationError
 from . import numkernel as nk
 from .channel import Channel, channel
-from .dilated import CostReport
-from .fastforward import FFPlan, _check_norm, _residue_phases
+from .dilated import CostReport, step_root
+from .fastforward import FFPlan, residue_spectrum
 from .kernels import _require_memory, binom_pmf_window
 from . import model
 from .model import (Hamiltonian, SpectralState, decompose_state,
@@ -320,24 +320,6 @@ def counting_estimator(t: float, n: int, m) -> tuple[np.ndarray, np.ndarray]:
 # Fast route: Kravchuk readout through the product-state identity
 # ---------------------------------------------------------------------------
 
-def _level_spectrum(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.ndarray:
-    """Residue spectra of the read levels.
-
-    Column l holds sqrt(w_l) (1/P) w^(-k shift) sum_r w^(-k r) e^(-i h_l theta_r),
-    shape (P, L), for the levels whose w_l clears the rounding floor
-    (4 dim 2^-53)^2 of ``_read_levels`` (preparation's count 0 reads every
-    level); the ledger's s_hat_k is this times the read levels' normalized
-    components.
-    """
-    _check_norm(ham.eigenvalues)
-    read = _read_levels(state)
-    period = p.period
-    shift_phase = np.exp(-2j * math.pi * ((np.arange(period) * p.shift) % period) / period)
-    spectrum = np.fft.fft(_residue_phases(p, ham.eigenvalues[read]), axis=0)
-    spectrum *= (shift_phase / period)[:, None] * state.coeffs[read]
-    return spectrum
-
-
 def _alpha_phases(n: int, period: int) -> np.ndarray:
     """sigma^N e^(i N theta) for theta = pi k / P, k = 0..P-1, sigma = sign(cos theta)."""
     k = np.arange(period)
@@ -378,9 +360,10 @@ def _fast_distribution(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.
     the weights w_l ride in the spectrum.  |g|^2 is summed through a float
     view of the rows, with no (L, N+1) temporary.
     """
-    _require_memory(16 * _read_levels(state).size * (p.n + 1), "fast route",
+    read = _read_levels(state)
+    _require_memory(16 * read.size * (p.n + 1), "fast route",
                     f"ledger rows at N = {p.n}", "lower N or raise eps")
-    rows = _level_rows(_level_spectrum(ham, state, p), p.n)
+    rows = _level_rows(residue_spectrum(p, ham.eigenvalues[read], state.coeffs[read]), p.n)
     parts = rows.view(float).reshape(rows.shape[0], -1, 2)
     return np.einsum("lxc,lxc->x", parts, parts)
 
@@ -394,9 +377,9 @@ def _require_counting(chan: Channel):
         raise ValidationError(f"counting readout takes a dilated or ff channel, not {chan.method}")
 
 
-def _step_root(ham: Hamiltonian, chan: Channel) -> float:
-    """sqrt(t/N) of ``chan``, where sqrt(t/N) max|h| <= pi/2."""
-    root = math.sqrt(chan.t / chan.n)
+def _root_in_range(ham: Hamiltonian, chan: Channel) -> float:
+    """``step_root(t, N)`` of ``chan``, refused past the range guard sqrt(t/N) max|h| <= pi/2."""
+    root = step_root(chan.t, chan.n)
     reach = root * float(np.max(np.abs(ham.eigenvalues)))
     if reach > 0.5 * math.pi:
         raise ValidationError(f"sqrt(t/N) max|h| = {reach:.3g} > pi/2 leaves the monotone "
@@ -409,7 +392,7 @@ def estimate(ham: Hamiltonian, state: SpectralState, chan: Channel,
     """Counting statistics of ``chan``, a ``dilated`` or ``ff`` channel of
     count N (exact distribution), read by ``counting_estimator(t, N, m)``."""
     _require_counting(chan)
-    root = _step_root(ham, chan)
+    root = _root_in_range(ham, chan)
     if chan.plan is not None:
         dist = _fast_distribution(ham, state, chan.plan)
     else:
@@ -434,7 +417,7 @@ def prepare(ham: Hamiltonian, state: SpectralState, beta: int, chan: Channel
     zero, p = np.zeros(1), chan.plan
     c_beta, w = float(state.coeffs[beta]), state.weights[beta]
     if p is None:
-        _step_root(ham, chan)  # range guard
+        _root_in_range(ham, chan)
         bound = w / (w + (1.0 - w) * math.exp(-chan.t * spectral_gap(ham, beta) ** 2))
         slack = 1.0 / chan.n + 1e-10
     else:

@@ -61,9 +61,9 @@ def full_mixture(ham, psi, p):
     comps = ham.components(psi)
     m = np.arange(p.n + 1)
     pmf = np.exp(log_binom(p.n, m) - p.n * math.log(2.0))
-    root = math.sqrt(p.tau)
+    root = math.sqrt(p.t / p.n)
     out = np.zeros((ham.dim, ham.dim), dtype=complex)
-    # element (a, b) weight: sum_m pmf(m) exp(-i (h_a - h_b) sqrt(tau) (2m - n))
+    # element (a, b) weight: sum_m pmf(m) exp(-i (h_a - h_b) sqrt(t / n) (2m - n))
     angles = root * (2 * m - p.n)
     for a in range(ham.n_levels):
         for b in range(ham.n_levels):

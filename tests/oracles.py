@@ -166,7 +166,7 @@ def dense_circuit_reference(ham: Hamiltonian, psi: np.ndarray, p: FFPlan) -> np.
 
     fwd = np.array([(m + p.shift) % reg for m in range(reg)])
     joint = joint[fwd]                       # inverse shift: row m <- row (m + shift)
-    root = math.sqrt(p.tau)
+    root = math.sqrt(p.t / p.n)
     mat = ham.matrix
     for j in range(p.dprime):
         u0 = expm(+1j * mat * root * (1 << j))

@@ -919,6 +919,12 @@ class TestColdStart:
         (tmp_path / "x.pauli").write_text("1.0 XX\n")
         jumps = tmp_path / "jumps.txt"
         jumps.write_text("z.pauli 0.5\nx.pauli 0.25\n")
+        # 64 levels: the dense parse and format, and at N = 10^7 (P = 8192, B = 2.6)
+        # an ff node count below the level count, the band-limited kernel
+        a = np.random.default_rng(64).standard_normal((64, 128)).view(complex)
+        dense = tmp_path / "h64.dense"
+        dense.write_text("".join(" ".join(f"{z.real!r},{z.imag!r}" for z in row) + "\n"
+                                 for row in (a + a.conj().T).tolist()))
         code = textwrap.dedent(f"""
             import sys
             for name in ("scipy", "mpmath", "hypothesis", "pytest"):
@@ -935,6 +941,9 @@ class TestColdStart:
                 ["evolve", "--method", "ff", "--ham", ham, "--t", "1", "--N", "16"],
                 ["evolve", "--method", "exact", "--ham", ham, "--t", "1"],
                 ["evolve", "--method", "dilated", "--ham", ham, "--t", "1", "--steps", "8"],
+                ["evolve", "--method", "exact", "--ham", {str(dense)!r}, "--t", "1"],
+                ["evolve", "--method", "ff", "--ham", {str(dense)!r}, "--t", "1", "--N",
+                 "10000000"],
                 ["evolve", "--method", "choi-ff", "--jumps", {str(jumps)!r}, "--t", "1",
                  "--eps", "0.05"],
                 ["evolve", "--method", "choi-ff", "--jumps", {SHIFTED6!r}, "--t", "1",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from lindbladff import (Channel, FFPlan, ValidationError, evolve,
+from lindbladff import (Channel, ValidationError, evolve,
                         normalize_spectrum, plan)
 from lindbladff.channel import channel
 from lindbladff import fastforward
@@ -20,7 +20,8 @@ from lindbladff.model import CLUSTER_RTOL
 
 from conftest import (full_mixture, goal_ledger, random_density, random_hermitian,
                       random_state, residue_of)
-from oracles import dense_circuit_reference
+from oracles import DENSE_REFERENCE_CAP, dense_circuit_reference
+from test_single_jump import jumps
 
 TWO_LEVEL = normalize_spectrum(np.diag([0.0, 1.0]))
 PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -56,7 +57,7 @@ def apply_vh(p, ham, m, psi):
     if not 0 <= m < (1 << p.d):
         raise ValidationError(f"address {m} outside [0, 2^{p.d})")
     r = int(residue_of(p, m))
-    return unitary_evolve(ham, math.sqrt(p.tau) * (2 * r - p.period), psi)
+    return unitary_evolve(ham, math.sqrt(p.t / p.n) * (2 * r - p.period), psi)
 
 
 def ledger_density(ledger):
@@ -79,7 +80,7 @@ def kernel_blocks(p):
 def selected_phases(p, eigs):
     """Whole phase table, one bit at a time over every row: each row selects
     the forward or backward factor of bit j with ``np.where``."""
-    root = math.sqrt(p.tau)
+    root = math.sqrt(p.t / p.n)
     r = np.arange(p.period)
     phases = np.tile(np.exp(+1j * eigs * root), (p.period, 1))
     for j in range(p.dprime):
@@ -126,7 +127,7 @@ class TestPlan:
         # an even N; ``plan`` rounds odd counts up, a hand-built plan must not
         # slip an odd one past it
         p = plan(1.0, 0.1, n_override=8)
-        odd = FFPlan(p.t, p.eps, 7, p.t / 7, p.c, p.d, p.dprime, p.window, p.full_window)
+        odd = p._replace(n=7)
         ham = normalize_spectrum(random_hermitian(rng, 3))
         with pytest.raises(ValidationError, match="even register count"):
             evolve(ham, random_state(rng, 3),
@@ -181,7 +182,7 @@ class TestControlledEvolution:
         ham = normalize_spectrum(random_hermitian(rng, 2))
         p = plan(1.0, 0.5, n_override=16)
         psi = random_state(rng, 2)
-        root = math.sqrt(p.tau)
+        root = math.sqrt(p.t / p.n)
         for m in range(p.window[0], p.window[1] + 1):
             want = unitary_evolve(ham, root * (2 * m - p.n), psi)
             got = apply_vh(p, ham, m, psi)
@@ -231,7 +232,7 @@ class TestFastForwardEvolve:
                 chan = channel("ff", t, eps)
                 p = chan.plan
                 _, cost = evolve(TWO_LEVEL, PLUS, chan)
-                assert cost.hamiltonian_time == p.period * math.sqrt(p.tau)
+                assert cost.hamiltonian_time == p.period * math.sqrt(p.t / p.n)
                 assert cost.hamiltonian_time <= 4.0 * math.sqrt(t * math.log(2.0 / eps))
 
     def test_output_is_density(self, rng):
@@ -267,7 +268,7 @@ class TestFastForwardEvolve:
     def test_norm_guard(self, rng):
         raw = normalize_spectrum(random_hermitian(rng, 2))
         raw = raw._replace(eigenvalues=raw.eigenvalues * 1.5)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="jump norm exceeds 1"):
             evolve(raw, random_state(rng, 2), channel("ff", 1.0, 0.1))
 
 
@@ -289,6 +290,16 @@ class TestStreamedDensity:
         ham = normalize_spectrum(random_hermitian(rng, 6))
         got = _residue_phases(p, ham.eigenvalues)
         assert got.tobytes() == selected_phases(p, ham.eigenvalues).tobytes()
+
+    def test_subnormal_time_keeps_its_phases(self):
+        # t / N rounds to 0 at t = 5e-324, N = 2; the table reads the step root
+        # sqrt(t) / sqrt(N), so its largest phase, at class 0 and level +-1, is the
+        # circuit's Hamiltonian time B = P sqrt(t) / sqrt(N), not 0
+        p = plan(5e-324, 1e-3, 2)
+        table = _residue_phases(p, np.array([-1.0, 0.0, 1.0]))
+        assert (p.t / p.n, p.period) == (0.0, 4)
+        assert float(np.max(np.abs(table.imag))) == fastforward.ff_cost(p).hamiltonian_time
+        assert fastforward.ff_cost(p).hamiltonian_time == 6.286911138810514e-162
 
     @pytest.mark.parametrize("t,eps,n", [(1.0, 0.5, 16), (2.0, 0.05, None), (3.0, 0.05, 10**6)])
     def test_every_block_is_its_slice(self, rng, t, eps, n):
@@ -417,12 +428,12 @@ class TestStreamedDensity:
 
 
 def high_precision_kernel(p, eigs_a, eigs_b, digits=40):
-    """sum_r w_r e^{-i (a - b) theta_r}, theta_r = sqrt(tau) (2r - P), over
+    """sum_r w_r e^{-i (a - b) theta_r}, theta_r = sqrt(t / N) (2r - P), over
     every residue class at ``digits`` significant digits, from the double
-    weights and tau."""
+    weights and t / N."""
     weights = binom_residue_weights(p.n, p.period, -p.shift)
     with mpmath.workdps(digits):
-        root = mpmath.sqrt(mpmath.mpf(p.tau))
+        root = mpmath.sqrt(mpmath.mpf(p.t / p.n))
         terms = [(mpmath.mpf(w), root * (2 * r - p.period))
                  for r, w in enumerate(weights.tolist()) if w]
         out = np.empty((eigs_a.size, eigs_b.size), dtype=complex)
@@ -553,7 +564,34 @@ class TestBandLimitedKernel:
         assert np.max(np.abs(got - fastforward._blocked_sum(p, h, h))) <= BAND_ROUNDING
 
 
+# Target errors of the generated circuit cross-check: every register count
+# 2..64 plans under each, and both full and narrow windows occur
+CIRCUIT_EPS = [0.4, 0.05, 1e-3, 1e-6]
+
+
 class TestDenseReference:
+    def test_generated_plans_cover_full_and_narrow_windows(self):
+        plans = [plan(1.0, eps, n) for eps in CIRCUIT_EPS for n in range(2, 65)]
+        assert {p.full_window for p in plans} == {True, False}
+        assert max(p.n for p in plans) == 64
+        assert max((1 << p.d) * 6 for p in plans) <= DENSE_REFERENCE_CAP  # jumps() dim <= 6
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(case=jumps(), t=hst.floats(1e-3, 16.0), eps=hst.sampled_from(CIRCUIT_EPS),
+           n=hst.integers(2, 64))
+    def test_generated_jumps_match_the_circuit(self, case, t, eps, n):
+        # the ff channel's kernel against the literal circuit on jumps of dim
+        # 2-6 with clustered spectra; an odd n is rounded up to the next even N.
+        # 3.7e-14 was the largest entry error over 1500 draws
+        f, rng = case
+        ham = normalize_spectrum(f)
+        chan = channel("ff", t, eps, n=n)
+        assert chan.n == n + n % 2
+        psi = random_state(rng, ham.dim)
+        got = evolve(ham, psi, chan)[0]
+        want = dense_circuit_reference(ham, psi, chan.plan)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
     def test_two_level_n16(self, rng):
         ham = normalize_spectrum(random_hermitian(rng, 2))
         chan = channel("ff", 1.0, 0.5, n=16)

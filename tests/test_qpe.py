@@ -20,10 +20,10 @@ from lindbladff import model, qpe
 from lindbladff import numkernel as nk
 from lindbladff.channel import channel
 from lindbladff.dilated import dilated_kernel
-from lindbladff.fastforward import ff_cost, gap_kernel
+from lindbladff.fastforward import ff_cost, gap_kernel, residue_spectrum
 from lindbladff.kernels import _require_memory, binom_pmf_window
 from lindbladff.qpe import (_alpha_phases, _counting_distribution,
-                           _fast_distribution, _level_rows, _level_spectrum, _read_levels,
+                           _fast_distribution, _level_rows, _read_levels,
                            _sample_counts, counting_estimator, decide_amplitude)
 
 from conftest import (goal_ledger, log_binom, random_eigenstate, random_hermitian, random_state,
@@ -303,8 +303,9 @@ def written_out_filter(t, n, g):
 
 # (t, N) at their edges: one step, the smallest subnormal time, a step root at
 # the range guard's pi/2 for gaps of 1, N = 2^53, and pairs whose two cost
-# expressions differ in the last bit
-COST_MOVES = [(1.0, 7), (3.0, 10), (7.0, 3)]
+# expressions differ: by one ulp, and by two (the last two pairs)
+COST_MOVES = [(1.0, 7), (3.0, 10), (7.0, 3), (0.37502690136087846, 375),
+              (18.324540326743016, 192)]
 SLOW_EDGES = [(5e-324, 1), (1e-300, 3), (2.0, 1), ((math.pi / 2) ** 2, 1), (16.0, 7),
               (4.0, 64), (16.0, 256), (64.0, 256), (2.0 ** 54, 2 ** 53)] + COST_MOVES
 
@@ -332,7 +333,7 @@ def test_slow_routes_are_bitwise_their_dilated_arithmetic(case, args, beta_draw)
     # estimation: the distribution is register-sized, so the largest N is kept to preparation
     if n <= 4096:
         try:
-            qpe._step_root(ham, slow_channel(t, n))
+            qpe._root_in_range(ham, slow_channel(t, n))
         except ValidationError as exc:
             with pytest.raises(ValidationError) as info:
                 estimate(ham, st, slow_channel(t, n))
@@ -366,7 +367,10 @@ def test_slow_routes_are_bitwise_their_dilated_arithmetic(case, args, beta_draw)
     assert prep.overlap == float(kept[beta] / p0)
     assert np.array_equal(prep.state, (st.coeffs * amp) @ st.components / math.sqrt(p0))
     assert prep.cost == chan_cost
-    assert abs(chan_cost.hamiltonian_time - math.sqrt(n * t)) <= math.ulp(math.sqrt(n * t))
+    # N sqrt(t / N) carries 2.5 u of rounding (u = 2^-53: the quotient, the root,
+    # the product) and sqrt(N t) 1.5 u, so the two differ by at most 4 u sqrt(N t),
+    # two ulp for about 0.1% of random pairs
+    assert abs(chan_cost.hamiltonian_time - math.sqrt(n * t)) <= 4 * 2.0 ** -53 * math.sqrt(n * t)
 
 
 # (N, t, eps) of the fast preparation draws: plan() covers every address at
@@ -630,6 +634,18 @@ def test_counting_refuses_the_exact_channel(call):
     assert str(info.value) == "counting readout takes a dilated or ff channel, not exact"
 
 
+@pytest.mark.parametrize("call", [lambda ham, st, chan: estimate(ham, st, chan),
+                                  lambda ham, st, chan: prepare(ham, st, 0, chan)])
+def test_fast_readouts_refuse_a_jump_norm_above_one(call):
+    # sqrt(t/N) 1.5 = 0.375 passes the range guard, so the ledger's spectrum
+    # (estimate) and the gap kernel's column (prepare) meet the norm check
+    ham = normalize_spectrum(np.diag([0.0, 0.5, 1.0]))
+    ham = ham._replace(eigenvalues=1.5 * ham.eigenvalues)
+    st = decompose_state(np.ones(3, dtype=complex) / math.sqrt(3.0), ham)
+    with pytest.raises(ValidationError, match="jump norm exceeds 1"):
+        call(ham, st, channel("ff", 4.0, 1e-3, n=64))
+
+
 def kravchuk_oracle(n):
     """Dense symmetric-sector N-fold Hadamard in the excitation-count basis.
 
@@ -666,8 +682,9 @@ def oracle_rows(ham, state, p):
 
 def transformed_rows(ham, state, p):
     """Rows X[x] = sum_l g_l[x] c_l comps_l of the per-level readout, shape (N+1, dim)."""
-    rows = _level_rows(_level_spectrum(ham, state, p), p.n)
-    return rows.T @ state.components[_read_levels(state)]
+    read = _read_levels(state)
+    rows = _level_rows(residue_spectrum(p, ham.eigenvalues[read], state.coeffs[read]), p.n)
+    return rows.T @ state.components[read]
 
 
 # (-i)^x for x mod 4
@@ -706,8 +723,8 @@ def plan_at(n, full, t=4.0):
     dprime = d + n % 2 if full else max(1, d - 3)
     half = 1 << (dprime - 1)
     window = (n // 2 - half, n // 2 + half - 1)
-    return FFPlan(t, 0.1, n, t / n, half / n, d, dprime, window,
-                  window[0] <= 0 and window[1] >= n)
+    return FFPlan(t=t, eps=0.1, n=n, c=half / n, d=d, dprime=dprime, window=window,
+                  full_window=window[0] <= 0 and window[1] >= n)
 
 
 class TestKravchukUnitary:
@@ -802,7 +819,7 @@ class TestFastQpe:
         ham, st, _ = eigenstate_input(0.5)
         p = plan(4.0, 1e-4, n_override=1024)
         res = estimate(ham, st, fast_channel(4.0, 1e-4, 1024))
-        assert res.cost.hamiltonian_time == p.period * math.sqrt(p.tau)
+        assert res.cost.hamiltonian_time == p.period * math.sqrt(p.t / p.n)
 
     def test_large_register_matches_slow(self):
         ham = normalize_spectrum(np.diag([0.0, 0.4, 1.0]))
@@ -1047,7 +1064,7 @@ class TestFastReadout:
         populated = data.draw(hst.sets(hst.integers(0, ham.n_levels - 1), min_size=1))
         st = level_subset_state(ham, rng, populated)
         dist = _fast_distribution(ham, st, p)
-        assert _level_spectrum(ham, st, p).shape[1] == len(populated)
+        assert _read_levels(st).size == len(populated)
         assert np.sum(np.abs(dist - column_distribution(ham, st, p))) <= 1e-14
         assert abs(dist.sum() - 1.0) <= 1e-14
 
