@@ -1,19 +1,23 @@
 """Command-line front end: experiment orchestration, deterministic seeding,
 line-delimited records, and the benchmark suites.
 
-Each subcommand is a generator of its output lines, JSON records and CSV
-rows alike; ``run`` collects them and writes them once the call succeeds, to
-stdout or to ``--out FILE`` (a relative path resolves against
-``LINDBLADFF_OUT_DIR`` when set), so a failing call writes nothing; ``run``
-is the only code that opens a file for writing.  A ``ValidationError`` or an
-``OSError`` (a missing or unwritable file) exits 1 with one ``error:`` line,
-an ``InvariantError`` exits 2.  Records are one JSON object per line with
-sorted keys and compact separators, so identical invocations (same argv and
-seed) are byte-identical apart from the ``wall_time_s`` field.  Every record
-is built by ``_record``, and every input file is opened by ``_read`` and
-parsed by ``model``, so a parse error names its file; ``model`` also reads
-the comma-list options, and its error names the option.  The runs of
-``ae-demo`` derive their seeds from ``--seed`` through
+Each subcommand is a generator of its output lines, JSON records (lists of
+bytes pieces) and CSV rows (str) alike; ``run`` holds them as UTF-8 bytes
+and writes them once the call succeeds, to stdout or to ``--out FILE`` (a
+relative path resolves against ``LINDBLADFF_OUT_DIR`` when set), so a
+failing call writes nothing; ``run`` is the only code that opens a file for
+writing.  A ``ValidationError`` or an ``OSError`` (a missing or unwritable
+file) exits 1 with one ``error:`` line, an ``InvariantError`` exits 2.
+Records are one JSON object per line with sorted keys and compact
+separators, so identical invocations (same argv and seed) are byte-identical
+apart from the ``wall_time_s`` field.  Every record is built by ``_record``,
+which leaves each array's dense text, newlines escaped, a piece of the line
+as it was formatted, so ``json.dumps`` never scans a matrix and the text is
+never copied.  Every input file is read whole as bytes by ``_read`` and
+parsed by ``model``, so a parse error names its file, and a file that is not
+UTF-8 text is a malformed input like any other; ``model`` also reads the
+comma-list options, and its error names the option.  The runs of ``ae-demo``
+derive their seeds from ``--seed`` through
 ``numpy.random.SeedSequence([seed, run_index])``.
 """
 
@@ -52,34 +56,45 @@ from .stateprep import (GaussianParams, binomial_amplitudes,
 # ---------------------------------------------------------------------------
 
 def _record(argv, t0: float, outputs: dict, digest: str | None = None,
-            seed: int | None = None, cost: CostReport | None = None) -> str:
+            seed: int | None = None, cost: CostReport | None = None) -> list[bytes]:
     """The one record constructor: a JSON line of the command, its outputs
-    (plain JSON values, built so by each subcommand), the cost dict and the
-    wall time since t0."""
-    return json.dumps({
+    (plain JSON values and arrays, built so by each subcommand), the cost
+    dict and the wall time since t0, as the list of its bytes pieces.  Each
+    array is written as dense text, ``model.format_dense_matrix`` of it with
+    its newlines escaped, which is a piece of the line as it stands: of the
+    bytes that text holds, JSON escapes the newline alone, so ``json.dumps``
+    writes only the rest of the record, and the text is never copied."""
+    arrays = sorted(name for name, value in outputs.items() if isinstance(value, np.ndarray))
+    texts = [model.format_dense_matrix(np.atleast_2d(outputs[name]), newline=b"\\n")
+             for name in arrays]
+    line = json.dumps({
         "artifact_version": __version__,
         "command": argv,
         "cost": cost._asdict() if cost is not None else None,
         "ham_digest": digest,
-        "outputs": outputs,
+        "outputs": {**outputs, **dict.fromkeys(arrays, "\0")},
         "seed": seed,
         "wall_time_s": time.perf_counter() - t0,
-    }, sort_keys=True, separators=(",", ":"))
+    }, sort_keys=True, separators=(",", ":")).encode()
+    # json.dumps writes each stand-in "\0" as "\u0000", in sorted key order;
+    # every string after the first stand-in is the program's own, none "\0"
+    # (the argv sorts before "outputs"), so the last len(arrays) are theirs
+    parts = line.rsplit(b'"\\u0000"', len(arrays))
+    pieces = [parts[0]]
+    for text, part in zip(texts, parts[1:]):
+        pieces += b'"', text, b'"', part
+    return pieces
 
 
 def _fields(res) -> dict:
-    """A result tuple's fields as record outputs, arrays as dense text; the
-    cost has its own record field, the Gibbs purification is not written, and
-    a count ``distribution`` is a list, written up to 4097 counts."""
+    """A result tuple's fields as record outputs; the cost has its own record
+    field, the Gibbs purification is not written, and a count
+    ``distribution`` is a list, written up to 4097 counts."""
     outputs = {}
     for name, value in res._asdict().items():
         if name in ("cost", "purification") or (name == "distribution" and value.size > 4097):
             continue
-        if name == "distribution":
-            value = value.tolist()
-        elif isinstance(value, np.ndarray):
-            value = model.format_dense_matrix(np.atleast_2d(value))
-        outputs[name] = value
+        outputs[name] = value.tolist() if name == "distribution" else value
     return outputs
 
 
@@ -88,13 +103,15 @@ def _fields(res) -> dict:
 # ---------------------------------------------------------------------------
 
 def _read(path: str, parse):
-    """``parse`` applied to one input file's text; its ``ValidationError``
-    is raised again with the file's path in front."""
-    with open(path) as fh:
-        try:
-            return parse(fh.read())
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
+    """``parse`` applied to the bytes of one input file, read whole and
+    handed on undecoded; its ``ValidationError`` (bytes that are not UTF-8
+    text among them) is raised again with the file's path in front."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse(data)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _load_ham(path: str | None) -> tuple[np.ndarray, str]:
@@ -126,7 +143,7 @@ def _initial_state(spec: str, dim: int) -> np.ndarray:
 
 
 def _slope_record(argv, t0: float, outputs: dict, xs, ys, target: float,
-                  tol: float) -> str:
+                  tol: float) -> list[bytes]:
     """Bench verdict record: the log-log slope of ys against xs and whether
     it lies within ``tol`` of ``target``, added to ``outputs``; the fit needs
     every x and y positive and finite, at two distinct x at least."""
@@ -163,7 +180,7 @@ def _cmd_evolve(args, argv):
         rho, cost, worst = choi_ff_evolve(spec, rho0_vec, args.t, args.eps)
         outputs = {
             "method": args.method,
-            "rho_out": model.format_dense_matrix(rho),
+            "rho_out": rho,
             "choi_commuting": True,
             "max_commutator": worst,
         }
@@ -182,7 +199,7 @@ def _cmd_evolve(args, argv):
             "tau": p.t / p.n, "window": list(p.window), "full_window": p.full_window,
             "mod_convention": "2^d", "note": p.note,
         }
-    outputs["rho_out"] = model.format_dense_matrix(rho)
+    outputs["rho_out"] = rho
     outputs["spectrum_map"] = {"scale": ham.spectrum_map.scale, "shift": ham.spectrum_map.shift}
     yield _record(argv, t0, outputs, digest, cost=cost)
 
@@ -482,14 +499,23 @@ def run(argv: list[str]) -> int:
         return 1 if exc.code not in (0, None) else 0
     handler = _BENCH[args.suite] if args.cmd == "bench" else _DISPATCH[args.cmd]
     try:
-        body = io.StringIO()
+        chunks, rows = [], io.BytesIO()
         for line in handler(args, argv):
-            body.write(line + "\n")
+            if isinstance(line, str):           # a table row, gathered compactly
+                rows.write(line.encode())
+                rows.write(b"\n")
+            else:                               # a record's pieces, held as built
+                chunks += rows.getvalue(), *line, b"\n"
+                rows = io.BytesIO()
+        chunks.append(rows.getvalue())
         if args.out:
-            with open(os.path.join(os.environ.get("LINDBLADFF_OUT_DIR", ""), args.out), "w") as fh:
-                fh.write(body.getvalue())
-        else:
-            sys.stdout.write(body.getvalue())
+            with open(os.path.join(os.environ.get("LINDBLADFF_OUT_DIR", ""), args.out), "wb") as fh:
+                fh.writelines(chunks)
+        elif hasattr(sys.stdout, "buffer"):
+            sys.stdout.flush()
+            sys.stdout.buffer.writelines(chunks)
+        else:                                   # a text stream alone, such as an io.StringIO
+            sys.stdout.write(b"".join(chunks).decode())
     except (ValidationError, InvariantError, OSError) as exc:
         # an unreadable or unwritable file is a malformed input, as is bad text
         print(f"error: {exc}", file=sys.stderr)

@@ -2,8 +2,10 @@
 and eigenspace bookkeeping.
 
 Every input text format (Pauli sums, dense matrices, jump lists, state
-files, oracles) is parsed here, from the lines that ``_strip`` alone reads,
-and so are the comma lists of numbers that CLI options take.
+files, oracles) is parsed here, from a str or from a file's UTF-8 bytes, and
+so are the comma lists of numbers that CLI options take.  ``_strip`` alone
+reads lines; a dense matrix in the layout ``format_dense_matrix`` writes is
+read whole, by ``_written_layout``, before any line is split.
 
 A :class:`Hamiltonian` always carries a normalized spectrum together with the
 affine map back to the caller's original energy units.  Degenerate eigenvalues
@@ -208,9 +210,16 @@ def lindblad_spec(jumps) -> LindbladSpec:
 # File formats
 # ---------------------------------------------------------------------------
 
-def _strip(text: str) -> list[tuple[int, str]]:
+def _strip(text: str | bytes) -> list[tuple[int, str]]:
     """The one line reader of every input format: (line number, content)
-    pairs, where ``#`` starts a comment and lines left blank are dropped."""
+    pairs, where ``#`` starts a comment and lines left blank are dropped.
+    Bytes are decoded as UTF-8, and bytes that are not UTF-8 are an error
+    naming the offset of the first bad one."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"byte {exc.start}: not UTF-8 text") from None
     lines = ((i, raw.split("#", 1)[0].strip()) for i, raw in enumerate(text.splitlines(), start=1))
     return [(i, line) for i, line in lines if line]
 
@@ -240,7 +249,7 @@ def parse_number_list(option: str, text: str, integer: bool = False) -> list:
             for tok in map(str.strip, text.split(",")) if tok]
 
 
-def parse_pauli_sum(text: str) -> np.ndarray:
+def parse_pauli_sum(text: str | bytes) -> np.ndarray:
     """Parse "coefficient PauliString" lines into a dense Hermitian matrix."""
     return _pauli_sum(_strip(text))
 
@@ -280,38 +289,54 @@ def _pauli_sum(lines: list[tuple[int, str]]) -> np.ndarray:
     return h
 
 
-def parse_dense_matrix(text: str) -> np.ndarray:
+def parse_dense_matrix(text: str | bytes) -> np.ndarray:
     """Parse the dense text format: one row per line, entries "re,im"."""
-    return _dense_matrix(_strip(text))
+    mat = _written_layout(text)
+    return _dense_matrix(_strip(text)) if mat is None else mat
 
 
 # The bytes of a number ("inf", "infinity" and "nan" in any case too)
 _NUMBER_BYTES = b"0123456789+-.eEiInNfFtTyYaA"
 
 
+def _written_layout(text: str | bytes) -> np.ndarray | None:
+    """The matrix of a dense text in the layout ``format_dense_matrix`` writes,
+    converted by one ``np.loadtxt`` call (numpy's C reader, correctly rounded),
+    or None for any other text.  The layout: entries of number bytes with one
+    comma in each, one blank between entries, lines ended by a newline byte
+    (the last one optional), no comment and no blank line.  One check of the
+    whole text finds it: with its number bytes deleted it is ``rows`` copies
+    of one row, commas with a blank between each two and a newline after the
+    last.  Blanks become commas; where the conversion refuses what the check
+    lets through (an empty or malformed number) the answer is None too."""
+    if isinstance(text, str):
+        if not text.isascii():
+            return None
+        text = text.encode()
+    skeleton = text.translate(None, _NUMBER_BYTES)
+    row = skeleton[:skeleton.find(b"\n") + 1] or skeleton + b"\n"
+    ends = text.endswith(b"\n")
+    rows = skeleton.count(row) + (not ends)
+    if (row != b", " * (row.count(b",") - 1) + b",\n"
+            or len(skeleton) != rows * len(row) - (not ends)
+            or not (ends or skeleton.endswith(row[:-1]))):
+        return None
+    try:    # a list of lines, not one stream: the call touches fewer fresh pages
+        return np.loadtxt(text.replace(b" ", b",").split(b"\n"), delimiter=",",
+                          comments=None, ndmin=2).view(complex)
+    except ValueError:
+        return None
+
+
 def _dense_matrix(lines: list[tuple[int, str]]) -> np.ndarray:
     """Entries "re,im", each real number as ``float`` reads it ("nan" and "inf"
-    bit for bit; the checks where the matrix is used reject them).  The lines
-    stream through one ``np.loadtxt`` call, each line's entries (split at ASCII
-    blanks) joined by commas once its number bytes taken out leave comma,
-    blank, ..., comma: one comma in every entry, the conversion refusing an
-    empty field or a short row.  Anything else is read by ``float`` entry by
-    entry, which names the first malformed entry and takes what ``float``
-    alone does (underscores, non-ASCII digits and blanks)."""
+    bit for bit; the checks where the matrix is used reject them), entry by
+    entry: the format's definition for every layout (tabs, runs of blanks,
+    comments and CRLF among them), which names the first malformed entry and
+    takes what ``float`` alone does (underscores, non-ASCII digits and
+    blanks)."""
     if not lines:
         raise ValidationError("empty dense-matrix file")
-
-    def joined():
-        for _, line in lines:
-            entries = line.encode(errors="replace").split()
-            if b" ".join(entries).translate(None, _NUMBER_BYTES) != b", " * (len(entries) - 1) + b",":
-                raise ValueError(line)
-            yield b",".join(entries)
-
-    try:
-        return np.loadtxt(joined(), delimiter=",", comments=None, ndmin=2).view(complex)
-    except ValueError:
-        pass
     rows = []
     for lineno, line in lines:
         row = []
@@ -454,37 +479,44 @@ def _format_block(v: np.ndarray, seps: np.ndarray) -> np.ndarray:
     return slot[mask]
 
 
-def format_dense_matrix(a: np.ndarray) -> str:
+def format_dense_matrix(a: np.ndarray, newline: bytes = b"\n") -> bytes:
     """One line per row, entries "re,im", each real number byte for byte as
     ``'%.17g' % x`` writes it: round-trip exact except NaN's sign and payload.
+    The text is ASCII bytes, each row ended by ``newline`` (a record writes
+    JSON's escaped newline, the two bytes backslash and n, there).
 
     The rows are formatted in blocks of about ``_BLOCK`` doubles by
-    ``_format_block``; a matrix with no rows or no columns gives one newline
-    per row, and at least one.
+    ``_format_block`` and the blocks joined once; a matrix with no rows or no
+    columns gives one newline per row, and at least one.
     """
     x = np.ascontiguousarray(a, dtype=complex).view(float)
     rows, width = x.shape
     if rows == 0 or width == 0:
-        return "\n" * max(rows, 1)
+        return newline * max(rows, 1)
     step = max(1, _BLOCK // width)
     seps = np.tile(np.frombuffer(b", ", dtype=np.uint8), width // 2)
     seps[-1] = ord("\n")
     seps = np.tile(seps, min(step, rows))
-    return "".join([_format_block(x[r:r + step].ravel(), seps).tobytes().decode("ascii")
-                    for r in range(0, rows, step)])
+    blocks = (_format_block(x[r:r + step].ravel(), seps) for r in range(0, rows, step))
+    if newline != b"\n":
+        blocks = (block.tobytes().replace(b"\n", newline) for block in blocks)
+    return b"".join(blocks)
 
 
-def load_hamiltonian_text(text: str) -> np.ndarray:
+def load_hamiltonian_text(text: str | bytes) -> np.ndarray:
     """Parse either supported Hamiltonian format, read from the first line
     with content: a dense entry holds a comma, a Pauli line's first token
-    never does."""
+    never does.  A dense matrix in the written layout is read whole first."""
+    mat = _written_layout(text)
+    if mat is not None:
+        return mat
     lines = _strip(text)
     if not lines:
         raise ValidationError("empty Hamiltonian file")
     return (_dense_matrix if "," in lines[0][1].split()[0] else _pauli_sum)(lines)
 
 
-def parse_jump_list(text: str) -> list[tuple[str, float]]:
+def parse_jump_list(text: str | bytes) -> list[tuple[str, float]]:
     """Parse a jump list, "path [rate]" per line, into (path, rate) pairs; the
     rate defaults to 1 and must be a finite number >= 0, and a list with no
     entry is rejected."""
@@ -500,7 +532,7 @@ def parse_jump_list(text: str) -> list[tuple[str, float]]:
     return entries
 
 
-def parse_oracle(text: str) -> tuple[int, int]:
+def parse_oracle(text: str | bytes) -> tuple[int, int]:
     """Parse an oracle file: whitespace-separated values, each 0 or 1, a
     nonzero power of two of them.  Returns the address bits n and the
     witness count, the number of 1s."""
@@ -518,7 +550,7 @@ def parse_oracle(text: str) -> tuple[int, int]:
     return size.bit_length() - 1, witnesses
 
 
-def parse_state_vector(text: str) -> np.ndarray:
+def parse_state_vector(text: str | bytes) -> np.ndarray:
     """A state file: one row or one column of "re,im" amplitudes, finite and
     not all zero, returned as a unit vector."""
     rows = parse_dense_matrix(text)

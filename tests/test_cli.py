@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import lindbladff
 from lindbladff import choi, cli, model, qpe
@@ -140,6 +141,49 @@ class TestRecords:
         assert not path.exists()
 
 
+RECORD_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -4e-320,
+                     1e300, -1e300, 1e-300, -1e-300]),
+    st.floats(allow_nan=True, allow_infinity=True))
+RECORD_ARRAYS = st.integers(1, 5).flatmap(lambda n: st.sampled_from([(n,), (1, n), (n, 1), (n, 2)])).flatmap(
+    lambda shape: hnp.arrays(float, (*shape[:-1], 2 * shape[-1]), elements=RECORD_ENTRY)
+).map(lambda re_im: re_im.view(complex))
+
+
+class TestRecordSplice:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(arrays=st.dictionaries(st.sampled_from(["a", "reduced_state", "rho_out", "state"]),
+                                  RECORD_ARRAYS, min_size=1),
+           argv=st.lists(st.text(), max_size=3))
+    def test_record_is_json_dumps_of_its_text(self, arrays, argv):
+        # each array's text spliced in is json.dumps' own escape of it, whatever the
+        # argv holds ("\0" and escapes among it) and wherever the keys sort
+        argv = [*argv, "\0", '"\\u0000"']
+        outputs = {"method": "exact", "note": "a\nb", **arrays, "z": [1.5, "\\u0000"]}
+        line = b"".join(cli._record(argv, 0.0, outputs, "ab" * 32, 7))
+        want = json.dumps({
+            "artifact_version": lindbladff.__version__, "command": argv, "cost": None,
+            "ham_digest": "ab" * 32, "seed": 7, "wall_time_s": json.loads(line)["wall_time_s"],
+            "outputs": {k: model.format_dense_matrix(np.atleast_2d(v)).decode("ascii")
+                        if isinstance(v, np.ndarray) else v for k, v in outputs.items()},
+        }, sort_keys=True, separators=(",", ":"))
+        assert line == want.encode()
+
+    @pytest.mark.parametrize("argv", [
+        ["qpe", "prepare", "--route", "fast", "--ham", H2, "--eigen", "1", "--t", "4", "--N", "64"],
+        ["gibbs", "--ham", H2, "--beta", "1,2", "--eps", "0.05"],
+        ["evolve", "--method", "choi-ff", "--jumps", "tests/data/jumps.txt", "--t", "1"],
+    ])
+    def test_result_arrays_splice_as_json_dumps(self, monkeypatch, argv):
+        monkeypatch.chdir(ROOT)
+        rc, out = invoke(argv)
+        assert rc == 0
+        records = [line for line in out.splitlines() if line.startswith("{")]
+        assert records
+        for line in records:
+            assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+
+
 def main_process(argv):
     """``python -m lindbladff.cli argv`` in a fresh interpreter, from the repo root,
     with stdout block-buffered into its pipe as in a plain shell."""
@@ -190,6 +234,31 @@ class TestMainProcess:
         rc, want = invoke(argv)
         assert rc == 0 and want.count("\n") == int(n) + 2
         assert done.stdout == want
+
+
+class TestRealStream:
+    def test_pipe_and_out_file_hold_the_redirected_bytes(self, tmp_path, monkeypatch, rng):
+        # run() writing to a real stdout pipe and to a real file gives the bytes
+        # it writes to a redirected sys.stdout: a 64-level dense Hamiltonian's
+        # exact record, 100 KB, past a pipe buffer
+        h = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        (tmp_path / "h64.dense").write_bytes(model.format_dense_matrix(h + h.conj().T))
+        argv = ["evolve", "--method", "exact", "--ham", "h64.dense", "--t", "0.5",
+                "--state", "basis:3"]
+        # the children inherit this process's BLAS thread settings, so all three agree
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env.update(PYTHONPATH=SRC)
+        piped = subprocess.run([sys.executable, "-m", "lindbladff.cli", *argv], cwd=tmp_path,
+                               env=env, capture_output=True, timeout=120)
+        filed = subprocess.run([sys.executable, "-m", "lindbladff.cli", "--out", "r.jsonl", *argv],
+                               cwd=tmp_path, env=env, capture_output=True, timeout=120)
+        assert (piped.returncode, piped.stderr, filed.returncode, filed.stdout) == (0, b"", 0, b"")
+        monkeypatch.chdir(tmp_path)
+        rc, redirected = invoke(argv)
+        assert rc == 0 and len(redirected) > 100_000
+        assert cut_fields(piped.stdout.decode("ascii")) == cut_fields(redirected)
+        filed_text = (tmp_path / "r.jsonl").read_bytes().decode("ascii")
+        assert cut_fields(filed_text, command=True) == cut_fields(redirected, command=True)
 
 
 class TestExitCodes:
@@ -441,6 +510,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 1 and out == ""
         assert err.startswith(f"error: {tmp_path / name}: line 2: ") and err.count("\n") == 1, err
+
+    # A file with a byte that is not UTF-8 for each reader, the file its error
+    # must name and the offset of that byte.
+    NOT_UTF8 = {
+        "dense_ham": ([*EVOLVE, "exact", "--ham", "{tmp}/bad.dense"], "bad.dense", 24),
+        "pauli_ham": ([*EVOLVE, "exact", "--ham", "{tmp}/bad.pauli"], "bad.pauli", 5),
+        "jump_list": ([*EVOLVE, "choi-ff", "--jumps", "{tmp}/bad.txt"], "bad.txt", 12),
+        "listed_jump": ([*EVOLVE, "choi-ff", "--jumps", "{tmp}/jbad.txt"], "bad.pauli", 5),
+        "state": ([*EVOLVE, "exact", "--ham", HAM, "--state", "file:{tmp}/bad.state"],
+                  "bad.state", 4),
+        "oracle": (["ae-demo", "--oracle", "{tmp}/bad.oracle"], "bad.oracle", 2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NOT_UTF8))
+    def test_file_that_is_not_utf8_names_its_byte(self, tmp_path, capsys, case):
+        (tmp_path / "z.pauli").write_text("1.0 Z\n")
+        (tmp_path / "bad.dense").write_bytes(b"1.0,0.0 0.0,0.0\n0.0,0.0 \xff1.0,0.0\n")
+        (tmp_path / "bad.pauli").write_bytes(b"1.0 Z\xe9\n")
+        (tmp_path / "bad.txt").write_bytes(b"z.pauli 0.5\n\xfez.pauli\n")
+        (tmp_path / "jbad.txt").write_text("z.pauli 0.5\nbad.pauli 0.5\n")
+        (tmp_path / "bad.state").write_bytes(b"0.6,\xc00 0,0.8\n")
+        (tmp_path / "bad.oracle").write_bytes(b"0 \x801\n")
+        argv, name, offset = self.NOT_UTF8[case]
+        rc, out = invoke([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+        assert (rc, out) == (1, "")
+        assert capsys.readouterr().err == f"error: {tmp_path / name}: byte {offset}: not UTF-8 text\n"
 
     # A check made after a parse, and the file and message its error must name.
     CHECKED = {

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import re
@@ -219,13 +220,13 @@ class TestDenseTextCompatibility:
     @settings(max_examples=300, deadline=None, database=None)
     @given(MATRICES)
     def test_format_bytes_match_entrywise(self, a):
-        assert model.format_dense_matrix(a) == format_entrywise(a)
+        assert model.format_dense_matrix(a).decode("ascii") == format_entrywise(a)
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_format_bytes_match_entrywise_on(self, case, rng):
         values = KERNEL_CASES[case](rng)
         a = values.reshape(-1, 2).view(complex).reshape(-1, 8 if values.size % 16 == 0 else 1)
-        assert_same_text(model.format_dense_matrix(a), format_entrywise(a))
+        assert_same_text(model.format_dense_matrix(a).decode("ascii"), format_entrywise(a))
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_format_exponent_one_off_is_corrected(self, shift, rng, monkeypatch):
@@ -238,7 +239,7 @@ class TestDenseTextCompatibility:
         a = np.concatenate([_powers_of_ten(), _bit_patterns(rng, 1023 - 20, 1023 + 57)[:1 << 14]])
         a = a.reshape(-1, 2).view(complex)
         monkeypatch.setattr(np, "log10", log10)
-        assert_same_text(model.format_dense_matrix(a), format_entrywise(a))
+        assert_same_text(model.format_dense_matrix(a).decode("ascii"), format_entrywise(a))
 
     @pytest.mark.parametrize("shape", [
         (3 * model._BLOCK // 16 + 5, 8),      # more rows than one block holds
@@ -247,12 +248,12 @@ class TestDenseTextCompatibility:
     ])
     def test_format_blocks_match_entrywise(self, shape, rng):
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        assert_same_text(model.format_dense_matrix(a), format_entrywise(a))
+        assert_same_text(model.format_dense_matrix(a).decode("ascii"), format_entrywise(a))
 
     @pytest.mark.parametrize("shape,text", [((0, 3), "\n"), ((0, 0), "\n"), ((3, 0), "\n\n\n")])
     def test_format_empty_shapes(self, shape, text):
         """One newline per row, and one for no rows: the bytes these shapes always had."""
-        assert model.format_dense_matrix(np.zeros(shape, dtype=complex)) == text
+        assert model.format_dense_matrix(np.zeros(shape, dtype=complex)) == text.encode()
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(MATRICES)
@@ -393,15 +394,16 @@ class TestWholeFileParse:
             assert got == want if isinstance(want, tuple) else same_bits(got, want)
 
     @pytest.mark.parametrize("text,whole", [
-        ("1,2 3,4\n5,6\t7,8", True), ("-nan,Infinity", True), ("1,2", True), ("1,2  3,4", True),
-        ("1,2 \t 3,4\n5,6   7,8", True), ("1,2 3,4\n5,6", False), ("1, 2,3", False), (",1", False),
+        ("1,2 3,4\n5,6\t7,8", False), ("-nan,Infinity", True), ("1,2", True), ("1,2  3,4", False),
+        ("1,2 \t 3,4\n5,6   7,8", False), ("1,2 3,4\n5,6", False), ("1, 2,3", False), (",1", False),
         ("1,2,3 4", False), ("1,2 3", False), ("0,1 1 2", False), ("1\x1f,2", False), ("0x1,2", False),
         ("1_0,2", False), ("\u0661,1", False), ("1,\ud800", False),
     ])
     def test_c_reader_converts_where_the_separators_alternate(self, text, whole, monkeypatch):
-        # entries of one comma among number bytes alone, at any run of blanks,
-        # are converted by np.loadtxt, which refuses what the check lets
-        # through (a row short, an empty field); the rest is read by float
+        # entries of one comma among number bytes alone, one blank between
+        # them, are converted by np.loadtxt, which refuses what the check lets
+        # through (an empty field); the rest (tabs and runs of blanks among it)
+        # is read by float
         converted = []
         loadtxt = np.loadtxt
 
@@ -428,6 +430,112 @@ class TestWholeFileParse:
         for text in (format_entrywise(a), "\n".join(" ".join(f"{z.real!r},{z.imag!r}" for z in row)
                                                     for row in a.tolist())):
             assert same_bits(model.parse_dense_matrix(text), parse_rowwise(text))
+
+
+
+@contextlib.contextmanager
+def c_reader_conversions():
+    """The shapes of what ``np.loadtxt`` returns while the block runs; a call
+    that refuses its text adds nothing."""
+    shapes, loadtxt = [], np.loadtxt
+
+    def counted(*args, **kwargs):
+        out = loadtxt(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    np.loadtxt = counted
+    try:
+        yield shapes
+    finally:
+        np.loadtxt = loadtxt
+
+
+WRITTEN_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -4e-320,
+                     2.2250738585072009e-308, 1e300, -1e300, 1e-300, -1e-300]),
+    st.floats(allow_nan=True, allow_infinity=True))
+WRITTEN = st.integers(1, 6).flatmap(lambda n: st.sampled_from([(1, n), (n, 1), (n, 3)])).flatmap(
+    lambda shape: hnp.arrays(float, (shape[0], 2 * shape[1]), elements=WRITTEN_ENTRY)
+).map(lambda re_im: re_im.view(complex))
+
+def _comma_moved_on_the_last_line(text):
+    """'a,b c,d' -> 'a b,c,d' on the last line, which loses its newline: every
+    row still has its numbers and its commas, and the last row has one entry
+    with no comma and one with two."""
+    head, last = text[:-1].rsplit("\n", 1)
+    re_s, rest = last.split(",", 1)
+    im_s, rest = rest.split(" ", 1)
+    return f"{head}\n{re_s} {im_s},{rest}"
+
+
+# Files a blank, a byte or a line away from the written layout, made from its text
+NEAR_WRITTEN = {
+    "comma_moved_on_the_last_line": _comma_moved_on_the_last_line,
+    "trailing_blank": lambda text: text.replace("\n", " \n", 1),
+    "tab": lambda text: text.replace(" ", "\t", 1),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "comment_line": lambda text: "# written by hand\n" + text,
+    "blank_line": lambda text: text.replace("\n", "\n\n", 1),
+    "blank_inside_an_entry": lambda text: text.replace(",", ", ", 1),     # "1, 2,3"
+    "empty_real_part": lambda text: "," + text.split(",", 1)[1],         # ",1"
+}
+
+
+class TestWrittenLayout:
+    """Text in the layout ``format_dense_matrix`` writes takes one ``np.loadtxt``
+    call on the whole file; any other layout is read by ``float``."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(WRITTEN, st.booleans())
+    def test_written_files_take_one_c_reader_call(self, a, final_newline):
+        text = model.format_dense_matrix(a).decode("ascii")
+        text = text if final_newline else text[:-1]
+        want = parse_rowwise(text)
+        for parse in (model.parse_dense_matrix, model.load_hamiltonian_text):
+            for data in (text, text.encode()):
+                with c_reader_conversions() as shapes:
+                    got = parse(data)
+                assert shapes == [a.view(float).shape]
+                assert same_bits(got, want)
+        kept = ~np.isnan(a.view(float))
+        assert got.view(float)[kept].tobytes() == a.view(float)[kept].tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1)])
+    def test_written_state_takes_one_c_reader_call(self, shape, rng):
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        with c_reader_conversions() as shapes:
+            got = model.parse_state_vector(model.format_dense_matrix(v))
+        assert shapes == [v.view(float).shape]
+        assert got.tobytes() == (v.reshape(-1) / np.linalg.norm(v)).tobytes()
+
+    @pytest.mark.parametrize("case", sorted(NEAR_WRITTEN))
+    def test_near_written_files_take_the_float_loop(self, case, rng):
+        written = model.format_dense_matrix(rng.standard_normal((3, 6)).view(complex)).decode("ascii")
+        text = NEAR_WRITTEN[case](written)
+        want = result(parse_rowwise, text)
+        for data in (text, text.encode()):
+            with c_reader_conversions() as shapes:
+                got = result(model.parse_dense_matrix, data)
+            assert shapes == []
+            assert got == want if isinstance(want, tuple) else same_bits(got, want)
+
+    @pytest.mark.parametrize("parse,data,offset", [
+        (model.parse_dense_matrix, b"1,0 0,0\n0,0 \xff1,0\n", 12),
+        (model.load_hamiltonian_text, b"1,0 0,0\n0,0 \xff1,0\n", 12),
+        (model.load_hamiltonian_text, b"1.0 Z\xe9\n", 5),
+        (model.parse_pauli_sum, b"# \xc3\n1.0 Z\n", 2),
+        (model.parse_state_vector, b"\x800.6,0 0,0.8\n", 0),
+        (model.parse_jump_list, b"z.pauli 0.5\n\xfe.pauli\n", 12),
+        (model.parse_oracle, b"0 1 \xed\xa0\x80 1\n", 4),      # a surrogate's UTF-8 bytes
+    ])
+    def test_bytes_that_are_not_utf8_name_their_offset(self, parse, data, offset):
+        with pytest.raises(ValidationError, match=f"^byte {offset}: not UTF-8 text$"):
+            parse(data)
+
+    def test_utf8_bytes_read_as_their_text(self):
+        text = "# \u00e9t\u00e9\n1,0 0,0\n0,0 \u0661,0\n"
+        assert same_bits(model.parse_dense_matrix(text.encode()), model.parse_dense_matrix(text))
 
 
 def picked_parser(text):
