@@ -1,6 +1,8 @@
 """Command-line front end: experiment orchestration, deterministic seeding,
 line-delimited records, and the benchmark suites.
 
+argparse is the one table of subcommands: each subcommand and each ``bench``
+suite binds its handler and declares only the options that handler reads.
 Each subcommand is a generator of its output lines, JSON records (lists of
 bytes pieces) and CSV rows (str) alike; ``run`` holds them as UTF-8 bytes
 and writes them once the call succeeds, to stdout or to ``--out FILE`` (a
@@ -170,9 +172,11 @@ def _cmd_evolve(args, argv):
     t0 = time.perf_counter()
     if not 0.0 < args.eps < 1.0:  # one range for every method, whether or not it reads eps
         raise ValidationError(f"--eps must lie in (0, 1), got {args.eps}")
-    for flag, value, reader in (("--N", args.N, "ff"), ("--steps", args.steps, "dilated")):
-        if value is not None and args.method != reader:
-            raise ValidationError(f"{flag} applies only to --method {reader}")
+    for flag, value, readers in (("--N", args.N, ("ff",)), ("--steps", args.steps, ("dilated",)),
+                                 ("--ham", args.ham, ("exact", "dilated", "ff")),
+                                 ("--jumps", args.jumps, ("choi-ff",))):
+        if value is not None and args.method not in readers:
+            raise ValidationError(f"{flag} applies only to --method {', '.join(readers)}")
     if args.method == "choi-ff":
         jumps, digest = _load_jump_list(args.jumps)
         spec = lindblad_spec(jumps)
@@ -336,7 +340,7 @@ def _bench_ff_vs_dilated(args, argv):
     mat = np.diag([0.0, 1.0]).astype(complex)
     ham = model.normalize_spectrum(mat)
     psi = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    ts = model.parse_number_list("--t", args.t or "1,2,4,8,16,32,64")
+    ts = model.parse_number_list("--t", args.t)
     yield "t,method,hamiltonian_time,steps,ancillas,trace_distance_to_exact"
     costs = {"ff": [], "dilated": []}
     for t in ts:
@@ -357,8 +361,7 @@ def _bench_qpe_error(args, argv):
     eigvec = np.array([0.0, 0.0, 1.0], dtype=complex)
     state = model.decompose_state(eigvec, ham)
     h_true = 1.0
-    # default grid starts at t h^2 = 16, past the small-count Poisson regime
-    ts = model.parse_number_list("--t", args.t or "16,32,64,128")
+    ts = model.parse_number_list("--t", args.t)
     yield "t,route,cost,rms_error"
     slow_pts, fast_pts = [], []
     for t in ts:
@@ -410,8 +413,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     ev = sub.add_parser("evolve", help="run one Lindblad evolution")
+    ev.set_defaults(handler=_cmd_evolve)
     ev.add_argument("--method", choices=["ff", "dilated", "exact", "choi-ff"], default="ff")
-    ev.add_argument("--ham", help="Hamiltonian / jump file")
+    ev.add_argument("--ham", help="Hamiltonian / jump file (exact, dilated, ff)")
     ev.add_argument("--jumps", help="jump-list file (choi-ff)")
     ev.add_argument("--t", type=float, required=True)
     ev.add_argument("--eps", type=float, default=0.1)
@@ -420,6 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--state", default="plus")
 
     qp = sub.add_parser("qpe", help="phase estimation / eigenstate preparation")
+    qp.set_defaults(handler=_cmd_qpe)
     qp.add_argument("mode", nargs="?", choices=["estimate", "prepare"], default="estimate")
     qp.add_argument("--route", choices=["standard", "slow", "fast"], required=True)
     qp.add_argument("--ham", required=True)
@@ -437,11 +442,13 @@ def _build_parser() -> argparse.ArgumentParser:
     qp.add_argument("--seed", type=int, default=None)
 
     gb = sub.add_parser("gibbs", help="Gibbs-state preparation sweep")
+    gb.set_defaults(handler=_cmd_gibbs)
     gb.add_argument("--ham", required=True, help="problem Hamiltonian (PSD, norm <= 1)")
     gb.add_argument("--beta", default="1,2,4")
     gb.add_argument("--eps", type=float, default=0.05)
 
     ae = sub.add_parser("ae-demo", help="amplitude-estimation decision demo")
+    ae.set_defaults(handler=_cmd_ae_demo)
     ae.add_argument("--n", type=int, default=4, help="oracle address bits")
     ae.add_argument("--witnesses", type=int, default=0)
     ae.add_argument("--oracle", help="file of 0/1 oracle values")
@@ -452,6 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ae.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("stateprep", help="amplitude tables and angle schedules")
+    sp.set_defaults(handler=_cmd_stateprep)
     sp.add_argument("--what", choices=["binomial", "gaussian", "angles", "distance"],
                     required=True)
     sp.add_argument("--N", type=int, default=16)
@@ -459,35 +467,28 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma", type=float, default=2.0)
 
     bd = sub.add_parser("bounds", help="concentration-bound comparison grid")
+    bd.set_defaults(handler=_cmd_bounds)
     bd.add_argument("--N-grid", dest="N_grid", default="10,50,100,200")
     bd.add_argument("--p-grid", dest="p_grid", default="0.1,0.3,0.5,0.7,0.9")
     bd.add_argument("--c-grid", dest="c_grid", default="0.05,0.15,0.25,0.35,0.45")
 
     bn = sub.add_parser("bench", help="scaling benchmark suites")
-    bn.add_argument("suite", choices=["ff-vs-dilated", "qpe-error", "gibbs-beta"])
-    bn.add_argument("--t", default=None,
-                    help="time grid (default 1..64 for ff-vs-dilated, 16..128 for qpe-error)")
-    bn.add_argument("--eps", type=float, default=0.1)
-    bn.add_argument("--beta", default="1,2,4,8")
-    bn.add_argument("--N-slow", dest="N_slow", type=int, default=1_000_000)
-    bn.add_argument("--N-fast", dest="N_fast", type=int, default=4096)
+    suites = bn.add_subparsers(dest="suite", required=True)
+    fd = suites.add_parser("ff-vs-dilated", help="cost slopes in t: ff 0.5, dilated 2.0")
+    fd.set_defaults(handler=_bench_ff_vs_dilated)
+    fd.add_argument("--t", default="1,2,4,8,16,32,64", help="time grid")
+    qe = suites.add_parser("qpe-error", help="error slopes in cost: slow -0.5, fast -1")
+    qe.set_defaults(handler=_bench_qpe_error)
+    # the default grid starts at t h^2 = 16, past the small-count Poisson regime
+    qe.add_argument("--t", default="16,32,64,128", help="time grid")
+    qe.add_argument("--N-slow", dest="N_slow", type=int, default=1_000_000)
+    qe.add_argument("--N-fast", dest="N_fast", type=int, default=4096)
+    gbb = suites.add_parser("gibbs-beta", help="Gibbs preparation cost slope in beta: 0.5")
+    gbb.set_defaults(handler=_bench_gibbs_beta)
+    gbb.add_argument("--beta", default="1,2,4,8", help="inverse-temperature grid")
+    for suite in (fd, qe, gbb):
+        suite.add_argument("--eps", type=float, default=0.1, help="target error")
     return ap
-
-
-_DISPATCH = {
-    "evolve": _cmd_evolve,
-    "qpe": _cmd_qpe,
-    "gibbs": _cmd_gibbs,
-    "ae-demo": _cmd_ae_demo,
-    "stateprep": _cmd_stateprep,
-    "bounds": _cmd_bounds,
-}
-
-_BENCH = {
-    "ff-vs-dilated": _bench_ff_vs_dilated,
-    "qpe-error": _bench_qpe_error,
-    "gibbs-beta": _bench_gibbs_beta,
-}
 
 
 def run(argv: list[str]) -> int:
@@ -497,10 +498,9 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    handler = _BENCH[args.suite] if args.cmd == "bench" else _DISPATCH[args.cmd]
     try:
         chunks, rows = [], io.BytesIO()
-        for line in handler(args, argv):
+        for line in args.handler(args, argv):
             if isinstance(line, str):           # a table row, gathered compactly
                 rows.write(line.encode())
                 rows.write(b"\n")

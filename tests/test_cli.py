@@ -487,6 +487,17 @@ class TestExitCodes:
             assert (rc, out) == (1, "")
             assert capsys.readouterr().err == f"error: {flag} applies only to --method {reader}\n"
 
+    @pytest.mark.parametrize("method", ["exact", "dilated", "ff", "choi-ff"])
+    def test_file_flag_names_the_methods_that_read_it(self, tmp_path, capsys, method):
+        # the flag is refused before its file is opened: none exists at that path
+        flag, readers = (("--ham", "exact, dilated, ff") if method == "choi-ff"
+                         else ("--jumps", "choi-ff"))
+        source = (["--jumps", os.path.join(DATA, "jumps.txt")] if method == "choi-ff"
+                  else ["--ham", HAM])
+        rc, out = invoke([*self.EVOLVE, method, *source, flag, str(tmp_path / "absent")])
+        assert (rc, out) == (1, "")
+        assert capsys.readouterr().err == f"error: {flag} applies only to --method {readers}\n"
+
     # A malformed file for each reader, and the file its error must name.
     NAMED = {
         "ham": ([*EVOLVE, "exact", "--ham", "{tmp}/bad.pauli"], "bad.pauli"),
@@ -1070,6 +1081,12 @@ class TestColdStart:
         assert done.stdout == "False\n"
 
 
+# The options each bench suite reads: those its numeric sweep sets, and no others
+SUITE_READS = {suite: TestNumericOptionSweep.SHAPES[f"bench_{suite.replace('-', '_')}"][1].split()
+               for suite in ("ff-vs-dilated", "qpe-error", "gibbs-beta")}
+SUITE_VALUES = {"--t": "1,2", "--eps": "0.1", "--beta": "1,2", "--N-slow": "100", "--N-fast": "64"}
+
+
 class TestBench:
     def test_ff_vs_dilated_records_are_timed(self):
         rc, out = invoke(["bench", "ff-vs-dilated"])
@@ -1091,6 +1108,22 @@ class TestBench:
         by_series = {r["outputs"]["series"]: r["outputs"] for r in slopes}
         assert by_series["ff"]["pass"] and by_series["dilated"]["pass"]
         assert abs(by_series["dilated"]["slope"] - 2.0) <= 0.1
+
+    @pytest.mark.parametrize("suite", sorted(SUITE_READS))
+    def test_suite_help_lists_exactly_its_options(self, suite):
+        rc, out = invoke(["bench", suite, "--help"])
+        assert rc == 0
+        # one option per line of the options list, "-h, --help" apart
+        assert sorted(re.findall(r"^ +(--[\w-]+)", out, re.MULTILINE)) == sorted(SUITE_READS[suite])
+
+    @pytest.mark.parametrize("suite, option", [(suite, option) for suite in sorted(SUITE_READS)
+                                               for option in sorted(SUITE_VALUES)
+                                               if option not in SUITE_READS[suite]])
+    def test_suite_refuses_an_option_it_does_not_read(self, capsys, suite, option):
+        rc, out = invoke(["bench", suite, option, SUITE_VALUES[option]])
+        assert (rc, out) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and f"error: unrecognized arguments: {option} " in err
 
     def test_gibbs_beta_suite(self):
         rc, out = invoke(["bench", "gibbs-beta", "--beta", "1,2,4", "--eps", "0.05"])
