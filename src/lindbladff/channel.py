@@ -6,6 +6,12 @@ exp(-t (h_a - h_b)^2 / 2); ``dilated``, cos(sqrt(t / N) (h_a - h_b))^N for N
 steps (``dilated.dilated_kernel``); ``ff``, sum_r w_r e^{-i (h_a - h_b)
 theta_r} (``fastforward.gap_kernel``).  ``channel`` builds a method's kernel
 and cost once, ``evolve`` applies the kernel through ``Hamiltonian.dephase``.
+
+Each kernel is E[e^{-i (a - b) theta}] over a phase law (``node_count``), so
+``evolve_matrix`` takes a state vector psi to psi psi^dag + Y C Y^dag, Y's
+columns T_k(S) psi (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967, 1984), on
+the matrix's own eigenvalues, where the eigenbasis path merges each cluster
+into its first one: the two differ by at most sup |dK| times its width.
 The independent oracles live with the tests, in ``tests/oracles.py``.
 """
 
@@ -19,8 +25,8 @@ import numpy as np
 from .errors import ValidationError
 from . import numkernel as nk
 from .dilated import CostReport, default_steps, dilated_kernel, step_root
-from .fastforward import FFPlan, ff_cost, gap_kernel, plan
-from .model import Hamiltonian
+from .fastforward import JUMP_NORM_ATOL, FFPlan, _node_count, ff_cost, gap_kernel, plan
+from .model import Hamiltonian, SpectrumMap, normalize_levels, normalize_spectrum
 
 
 class Channel(NamedTuple):
@@ -76,3 +82,62 @@ def evolve(ham: Hamiltonian, state: np.ndarray, chan: Channel
         state = nk.require_density(state)
     h = ham.eigenvalues
     return ham.dephase(chan.kernel(h, h), state), chan.cost
+
+
+def node_count(chan: Channel, width: float, limit: int) -> int:
+    """The first M >= 2 below ``limit`` (else ``limit``) at which M Chebyshev
+    points interpolate ``chan``'s kernel over a normalized spectrum of
+    ``width``, as ``fastforward._node_count`` rules for ``ff`` (|theta| <= B),
+    with its Bessel tail's mean over the law theta ~ N(0, t) for ``exact`` and
+    ``dilated`` (theta = sqrt(t / N) (2m - N), whose even moments are at most
+    N(0, t)'s): E |theta|^m = (2t)^(m/2) Gamma((m + 1)/2) / sqrt(pi)."""
+    if chan.plan is not None:
+        return _node_count(chan.plan, width, limit)
+    h, t = 0.25 * width, chan.t
+    term, ratio = 1.0, np.pi ** -0.5     # E (h |theta|)^m / m! and Gamma((m + 2)/2) / Gamma((m + 1)/2)
+    for m in range(limit):
+        q = h * (t * (m + 2)) ** 0.5 / (m + 1)  # bounds every later term ratio (Gautschi)
+        if m >= 2 and q < 1.0 and 48.0 * term / (1.0 - q) <= 2.0 ** -53:
+            return m
+        term *= h * (2.0 * t) ** 0.5 * ratio / (m + 1)
+        ratio = 0.5 * (m + 1) / ratio
+    return limit
+
+
+def evolve_matrix(h: np.ndarray, state: np.ndarray, chan: Channel
+                  ) -> tuple[np.ndarray, CostReport, SpectrumMap]:
+    """``evolve`` of ``normalize_spectrum(h)``, and its spectrum map; a state
+    vector whose node count is below the dimension takes ``_node_form`` (on two
+    levels or more, unmerged within the jump norm) and forms no eigenvectors."""
+    h = nk.require_hermitian(h)
+    if np.ndim(state) == 1:
+        psi = nk.require_state(state, h.shape[0])
+        w = np.linalg.eigvalsh(h)
+        eigs, _, smap = normalize_levels(w)
+        lo, hi = ((w[[0, -1]] - smap.shift) / smap.scale).tolist()
+        if (eigs.size > 1 and hi <= 1.0 + JUMP_NORM_ATOL
+                and (m := node_count(chan, hi - lo, w.size)) < w.size):
+            return _node_form(h, psi, chan, w, nk.chebyshev_points(lo, hi, m)), chan.cost, smap
+    ham = normalize_spectrum(h)
+    return (*evolve(ham, state, chan), ham.spectrum_map)
+
+
+def _node_form(h: np.ndarray, psi: np.ndarray, chan: Channel, w: np.ndarray,
+               x: np.ndarray) -> np.ndarray:
+    """psi psi^dag + Y^T C conj(Y) on the M Chebyshev points x that span h's
+    eigenvalues w, normalized: C = D (K(x, x) - 1) D^T holds the kernel's 2-D
+    Chebyshev coefficients (D the cosine transform interpolating on x; the 1
+    keeps the rounding at the size of 1 - K), and row k of Y is T_k(S) psi by
+    the three-term recurrence, S = (2h - w_0 - w_last) / (w_last - w_0)."""
+    n = x.size - 1
+    d = np.cos(np.pi * (np.outer(np.arange(n + 1), np.arange(n + 1)) % (2 * n)) / n)
+    d *= np.r_[0.5, np.ones(n - 1), 0.5] * (2.0 / n)
+    d[[0, n]] *= 0.5
+    c = d @ (chan.kernel(x, x) - 1.0) @ d.T
+    s = h * (2.0 / (w[-1] - w[0]))
+    s.flat[::w.size + 1] -= (w[0] + w[-1]) / (w[-1] - w[0])
+    y = np.empty((n + 1, w.size), dtype=complex)
+    y[0], y[1] = psi, s @ psi
+    for k in range(2, n + 1):
+        y[k] = 2.0 * (s @ y[k - 1]) - y[k - 2]
+    return np.outer(psi, psi.conj()) + y.T @ c @ y.conj()

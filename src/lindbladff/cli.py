@@ -43,7 +43,7 @@ from . import model
 from .model import lindblad_spec
 from .choi import choi_ff_evolve
 from .concentration import bernstein_bound, binomial_tail, hoeffding_bound
-from .channel import channel, evolve
+from .channel import channel, evolve, evolve_matrix
 from .dilated import CostReport
 from .gibbs import gibbs_prepare
 from .qpe import (amplitude_problem, counting_estimator, decide_amplitude, estimate,
@@ -192,10 +192,9 @@ def _cmd_evolve(args, argv):
         return
 
     mat, digest = _load_ham(args.ham)
-    ham = model.normalize_spectrum(mat)
-    psi = _initial_state(args.state, ham.dim)
+    psi = _initial_state(args.state, len(mat))
     chan = channel(args.method, args.t, args.eps, args.steps, args.N)
-    rho, cost = evolve(ham, psi, chan)
+    rho, cost, smap = evolve_matrix(mat, psi, chan)
     outputs = {"method": args.method}
     if (p := chan.plan) is not None:
         outputs["plan"] = {
@@ -204,7 +203,7 @@ def _cmd_evolve(args, argv):
             "mod_convention": "2^d", "note": p.note,
         }
     outputs["rho_out"] = rho
-    outputs["spectrum_map"] = {"scale": ham.spectrum_map.scale, "shift": ham.spectrum_map.shift}
+    outputs["spectrum_map"] = {"scale": smap.scale, "shift": smap.shift}
     yield _record(argv, t0, outputs, digest, cost=cost)
 
 
@@ -273,9 +272,12 @@ def _cmd_ae_demo(args, argv):
     if args.seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     if args.oracle:
+        for flag, value in (("--n", args.n), ("--witnesses", args.witnesses)):
+            if value is not None:
+                raise ValidationError(f"{flag} applies only without --oracle, whose file sets it")
         n, witnesses = _read(args.oracle, model.parse_oracle)
     else:
-        n, witnesses = args.n, args.witnesses
+        n, witnesses = 4 if args.n is None else args.n, args.witnesses or 0
     problem = amplitude_problem(n, witnesses, t=args.t, register_n=args.N, eps=args.eps)
     runs = []
     correct = 0
@@ -295,14 +297,18 @@ def _cmd_ae_demo(args, argv):
 
 
 def _cmd_stateprep(args, argv):
+    for flag, value in (("--mu", args.mu), ("--sigma", args.sigma)):
+        if value is not None and args.what in ("binomial", "distance"):
+            raise ValidationError(f"{flag} applies only to --what gaussian, angles")
+    mu, sigma = 8.0 if args.mu is None else args.mu, 2.0 if args.sigma is None else args.sigma
     if args.what in ("binomial", "gaussian"):
         amps = (binomial_amplitudes(args.N) if args.what == "binomial" else
-                discrete_gaussian_amplitudes(GaussianParams(args.mu, args.sigma, args.N)))
+                discrete_gaussian_amplitudes(GaussianParams(mu, sigma, args.N)))
         yield "m,amplitude"
         for m, a in enumerate(amps):
             yield f"{m},{float(a)!r}"
     elif args.what == "angles":
-        sched = kw_angle_schedule(GaussianParams(args.mu, args.sigma, args.N))
+        sched = kw_angle_schedule(GaussianParams(mu, sigma, args.N))
         yield "level,path,angle"
         for level, angles in enumerate(sched):
             for path, angle in enumerate(angles):
@@ -449,8 +455,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ae = sub.add_parser("ae-demo", help="amplitude-estimation decision demo")
     ae.set_defaults(handler=_cmd_ae_demo)
-    ae.add_argument("--n", type=int, default=4, help="oracle address bits")
-    ae.add_argument("--witnesses", type=int, default=0)
+    ae.add_argument("--n", type=int, help="oracle address bits (default 4; not with --oracle)")
+    ae.add_argument("--witnesses", type=int, help="witness count (default 0; not with --oracle)")
     ae.add_argument("--oracle", help="file of 0/1 oracle values")
     ae.add_argument("--runs", type=int, default=1)
     ae.add_argument("--t", type=float, default=250.0)
@@ -463,8 +469,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--what", choices=["binomial", "gaussian", "angles", "distance"],
                     required=True)
     sp.add_argument("--N", type=int, default=16)
-    sp.add_argument("--mu", type=float, default=8.0)
-    sp.add_argument("--sigma", type=float, default=2.0)
+    sp.add_argument("--mu", type=float, help="center (default 8; gaussian, angles)")
+    sp.add_argument("--sigma", type=float, help="width (default 2; gaussian, angles)")
 
     bd = sub.add_parser("bounds", help="concentration-bound comparison grid")
     bd.set_defaults(handler=_cmd_bounds)
@@ -485,7 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
     qe.add_argument("--N-fast", dest="N_fast", type=int, default=4096)
     gbb = suites.add_parser("gibbs-beta", help="Gibbs preparation cost slope in beta: 0.5")
     gbb.set_defaults(handler=_bench_gibbs_beta)
-    gbb.add_argument("--beta", default="1,2,4,8", help="inverse-temperature grid")
+    gbb.add_argument("--beta", default="1,2,4,8,16", help="inverse-temperature grid")
     for suite in (fd, qe, gbb):
         suite.add_argument("--eps", type=float, default=0.1, help="target error")
     return ap

@@ -211,8 +211,7 @@ def gap_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
     _check_norm(eigs_b)
     if (eigs_b is eigs_a and eigs_a.size > 2
             and (m := _node_count(p, float(np.ptp(eigs_a)), eigs_a.size)) < eigs_a.size):
-        lo, hi = float(eigs_a.min()), float(eigs_a.max())
-        x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.sin(0.5 * np.pi * np.arange(m - 1, -m, -2) / (m - 1))
+        x = nk.chebyshev_points(float(eigs_a.min()), float(eigs_a.max()), m)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             phi = np.resize([1.0, -1.0], m) * np.r_[0.5, np.ones(m - 2), 0.5] / (eigs_a[:, None] - x)
             phi /= phi.sum(axis=1, keepdims=True)

@@ -49,7 +49,11 @@ class Hamiltonian(NamedTuple):
     eigenvectors as columns and ``levels[j]`` the index of the eigenvalue that
     column j belongs to; clustered columns are contiguous, so eigenspace k is
     spanned by ``vectors[:, levels == k]``.  The methods that apply the
-    decomposition to a state check that state's shape and dimension.
+    decomposition to a state check that state's shape and dimension.  A
+    state vector whose node count is below ``dim`` skips this decomposition
+    (``channel.evolve_matrix``): its kernel is read at every eigenvalue of the
+    matrix, unmerged, which moves the output by at most sup |dK| times the
+    width of a cluster merged here.
     """
 
     eigenvalues: np.ndarray
@@ -75,9 +79,7 @@ class Hamiltonian(NamedTuple):
     def components(self, v: np.ndarray) -> np.ndarray:
         """Stack of eigenspace components P_k v, shape (n_levels, dim), of a
         normalized state ``v`` of dimension ``dim``."""
-        v = nk.require_state(v)
-        if v.shape != (self.dim,):
-            raise ValidationError(f"dimension mismatch: state {v.shape} vs Hamiltonian {self.dim}")
+        v = nk.require_state(v, self.dim)
         # P_k v sums the columns of V diag(V^dag v) that belong to level k,
         # and each level's columns are contiguous
         starts = np.flatnonzero(np.diff(self.levels, prepend=-1))
@@ -134,20 +136,20 @@ def normalize_spectrum(h: np.ndarray) -> Hamiltonian:
     spectral width) normalizes to the single level 0 (``n_levels == 1``).
     """
     w, v = nk.herm_eig(h)
-    reps, levels = _cluster(w)
+    eigs, levels, smap = normalize_levels(w)
+    return Hamiltonian(eigs, v, levels, smap)
 
+
+def normalize_levels(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, SpectrumMap]:
+    """The clustered levels of ascending eigenvalues ``w`` as ``normalize_spectrum``
+    maps them, each eigenvalue's level index and the spectrum map."""
+    reps, levels = _cluster(w)
     lo, hi = float(reps[0]), float(reps[-1])
-    width = hi - lo
     if len(reps) == 1:
-        eigs_n = np.zeros(1)
-        smap = SpectrumMap(1.0, lo)
-    elif lo >= 0.0 and hi <= 1.0:
-        eigs_n = reps
-        smap = SpectrumMap(1.0, 0.0)
-    else:
-        eigs_n = (reps - lo) / width
-        smap = SpectrumMap(width, lo)
-    return Hamiltonian(eigs_n, v, levels, smap)
+        return np.zeros(1), levels, SpectrumMap(1.0, lo)
+    if lo >= 0.0 and hi <= 1.0:
+        return reps, levels, SpectrumMap(1.0, 0.0)
+    return (reps - lo) / (hi - lo), levels, SpectrumMap(hi - lo, lo)
 
 
 def spectral_gap(ham: Hamiltonian, beta: int) -> float:

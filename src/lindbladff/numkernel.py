@@ -66,6 +66,11 @@ def herm_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(require_hermitian(a))
 
 
+def chebyshev_points(lo: float, hi: float, m: int) -> np.ndarray:
+    """The m >= 2 points cos(pi k / (m - 1)) on [lo, hi], in their sine form."""
+    return 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.sin(0.5 * np.pi * np.arange(m - 1, -m, -2) / (m - 1))
+
+
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Half the trace norm of rho - sigma."""
     rho = require_square(rho)
@@ -76,13 +81,15 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
-def require_state(v: np.ndarray) -> np.ndarray:
-    """Validate that ``v`` is a normalized state vector."""
+def require_state(v: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """Validate a normalized state vector, of shape (dim,) if ``dim`` is given."""
     v = np.asarray(v, dtype=complex)
     nrm = np.linalg.norm(v)
     if not abs(nrm - 1.0) <= UNIT_NORM_ATOL:  # a NaN norm fails too
         raise ValidationError(
             f"state vector norm {float(nrm)!r} deviates from 1 beyond {UNIT_NORM_ATOL:.1e}")
+    if dim is not None and v.shape != (dim,):
+        raise ValidationError(f"dimension mismatch: state {v.shape} vs Hamiltonian {dim}")
     return v
 
 

@@ -1,11 +1,11 @@
 """Independent oracles that only the tests call: the vectorized propagator,
-adaptive RK4 on the master equation, the literal fast-forwarding circuit,
-the Kronecker-product Pauli sum, the line-by-line jump-list reader, the
-per-node angle recursion, the dense search iterate and its Schur logarithm,
-and references for the Gibbs, state-synthesis, concentration,
-commuting-generator and amplitude-decision tests.  Each reaches its answer
-by a route the CLI does not take, and may use scipy, which the package
-never does.
+adaptive RK4 on the master equation, the dephasing channel on an unmerged
+spectrum, the literal fast-forwarding circuit, the Kronecker-product Pauli
+sum, the line-by-line jump-list reader, the per-node angle recursion, the
+dense search iterate and its Schur logarithm, and references for the Gibbs,
+state-synthesis, concentration, commuting-generator and amplitude-decision
+tests.  Each reaches its answer by a route the CLI does not take, and may use
+scipy, which the package never does.
 """
 
 from __future__ import annotations
@@ -137,6 +137,15 @@ def lindblad_rk4(jumps, rho0: np.ndarray, t: float) -> np.ndarray:
         else:
             h *= max(0.1, 0.9 * (_RK4_LOCAL_TOL / err) ** 0.2)
     return rho
+
+
+def unmerged_channel(hn: np.ndarray, psi: np.ndarray, gap) -> np.ndarray:
+    """sum_ab gap(h_a - h_b) P_a psi psi^dag P_b over every eigenvalue h_a of
+    the normalized jump matrix hn, none merged into a cluster: numpy's eigh and
+    the gap function as the caller writes it, the benchmark checker's formula."""
+    w, v = np.linalg.eigh(hn)
+    x = v * (v.conj().T @ nk.require_state(psi))
+    return x @ gap(w[:, None] - w[None, :]) @ x.conj().T
 
 
 def dense_circuit_reference(ham: Hamiltonian, psi: np.ndarray, p: FFPlan) -> np.ndarray:

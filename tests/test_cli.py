@@ -432,6 +432,13 @@ class TestExitCodes:
         "slow_n_below_estimator_range": ["qpe", "--route", "slow", "--ham", HAM, "--t", "16",
                                          "--N", "1"],
         "oracle_not_a_power_of_two": ["ae-demo", "--oracle", "{tmp}/three_oracle.txt"],
+        # an oracle file sets --n and --witnesses; binomial and distance read no --mu, --sigma
+        "n_with_oracle": ["ae-demo", "--oracle", "{tmp}/oracle.txt", "--n", "2"],
+        "witnesses_with_oracle": ["ae-demo", "--oracle", "{tmp}/oracle.txt", "--witnesses", "1"],
+        "mu_with_binomial": ["stateprep", "--what", "binomial", "--N", "4", "--mu", "99"],
+        "sigma_with_binomial": ["stateprep", "--what", "binomial", "--sigma", "2"],
+        "mu_with_distance": ["stateprep", "--what", "distance", "--mu", "8"],
+        "sigma_with_distance": ["stateprep", "--what", "distance", "--N", "4", "--sigma", "1"],
         "gibbs_dim_not_a_power_of_two": ["gibbs", "--ham", "{tmp}/three.dense"],
         "jumps_of_mixed_dims": [*EVOLVE, "choi-ff", "--jumps", "{tmp}/mixed_dims.txt"],
     }
@@ -455,6 +462,7 @@ class TestExitCodes:
         (tmp_path / "nan.state").write_text("nan,0 0,0\n")
         (tmp_path / "matrix.state").write_text("1,0 0,0\n0,0 0,0\n")
         (tmp_path / "three_oracle.txt").write_text("0 1 0\n")
+        (tmp_path / "oracle.txt").write_text("0 1 0 0\n")
         (tmp_path / "three.dense").write_text("1,0 0,0 0,0\n0,0 2,0 0,0\n0,0 0,0 3,0\n")
         (tmp_path / "zz.pauli").write_text("1.0 ZZ\n")
         (tmp_path / "mixed_dims.txt").write_text("z.pauli 0.5\nzz.pauli 0.5\n")
@@ -466,6 +474,40 @@ class TestExitCodes:
         assert rc == 1 and stdout == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert sorted(os.listdir(tmp_path)) == inputs
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ae-demo", "--oracle", "{tmp}", "--n", "2"],
+         "--n applies only without --oracle, whose file sets it"),
+        (["ae-demo", "--witnesses", "0", "--oracle", "{tmp}"],
+         "--witnesses applies only without --oracle, whose file sets it"),
+        (["stateprep", "--what", "binomial", "--N", "4", "--mu", "99"],
+         "--mu applies only to --what gaussian, angles"),
+        (["stateprep", "--what", "distance", "--sigma", "2"],
+         "--sigma applies only to --what gaussian, angles"),
+    ])
+    def test_option_its_mode_does_not_read_is_refused(self, tmp_path, capsys, argv, message):
+        oracle = tmp_path / "oracle.txt"
+        oracle.write_text("0 1 0 0\n")
+        rc, out = invoke([str(oracle) if arg == "{tmp}" else arg for arg in argv])
+        assert (rc, out, capsys.readouterr().err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, default", [
+        (["ae-demo", "--oracle", "{tmp}", "--runs", "2"], ["ae-demo", "--n", "2", "--witnesses", "1",
+                                                          "--runs", "2"]),
+        (["ae-demo", "--runs", "2"], ["ae-demo", "--n", "4", "--witnesses", "0", "--runs", "2"]),
+        (["stateprep", "--what", "angles"], ["stateprep", "--what", "angles", "--mu", "8",
+                                             "--sigma", "2"]),
+        (["stateprep", "--what", "gaussian"], ["stateprep", "--what", "gaussian", "--mu", "8",
+                                               "--sigma", "2"]),
+    ])
+    def test_unset_option_takes_its_default(self, tmp_path, argv, default):
+        oracle = tmp_path / "oracle.txt"
+        oracle.write_text("0 1 0 0\n")
+        rc, out = invoke([str(oracle) if arg == "{tmp}" else arg for arg in argv])
+        assert rc == 0
+        want = invoke(default)[1]
+        # the records differ in their command and wall time alone
+        assert cut_fields(out, command=True) == cut_fields(want, command=True)
 
     @pytest.mark.parametrize("method", ["exact", "dilated", "ff", "choi-ff"])
     def test_every_evolve_method_refuses_eps_alike(self, capsys, method):
@@ -1124,6 +1166,17 @@ class TestBench:
         assert (rc, out) == (1, "")
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and f"error: unrecognized arguments: {option} " in err
+
+    @pytest.mark.parametrize("suite", sorted(SUITE_READS))
+    def test_default_grid_reads_its_slope_inside_the_gate(self, suite):
+        # at least 0.05 inside it: a grid on the gate's edge (gibbs-beta on
+        # 1,2,4,8 read 0.6 against 0.5 +- 0.1) passes or fails on a rounding
+        rc, out = invoke(["bench", suite])
+        assert rc == 0
+        records = [json.loads(l)["outputs"] for l in out.splitlines() if l.startswith("{")]
+        assert len(records) == (1 if suite == "gibbs-beta" else 2)
+        for rec in records:
+            assert abs(rec["slope"] - rec["target"]) <= rec["tolerance"] - 0.05, rec
 
     def test_gibbs_beta_suite(self):
         rc, out = invoke(["bench", "gibbs-beta", "--beta", "1,2,4", "--eps", "0.05"])
