@@ -7,11 +7,13 @@ steps (``dilated.dilated_kernel``); ``ff``, sum_r w_r e^{-i (h_a - h_b)
 theta_r} (``fastforward.gap_kernel``).  ``channel`` builds a method's kernel
 and cost once, ``evolve`` applies the kernel through ``Hamiltonian.dephase``.
 
-Each kernel is E[e^{-i (a - b) theta}] over a phase law (``node_count``), so
-``evolve_matrix`` takes a state vector psi to psi psi^dag + Y C Y^dag, Y's
-columns T_k(S) psi (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967, 1984), on
-the matrix's own eigenvalues, where the eigenbasis path merges each cluster
-into its first one: the two differ by at most sup |dK| times its width.
+Each kernel is E[e^{-i (a - b) theta}] over a phase law, so it is band
+limited and ``node_count``'s Chebyshev points carry it: ``level_kernel``
+interpolates it from them to the levels of a spectrum, and ``evolve_matrix``
+takes a state vector psi to psi psi^dag + Y C Y^dag, Y's columns T_k(S) psi
+(Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967, 1984), on the matrix's own
+eigenvalues, where the eigenbasis path merges each cluster into its first
+one: the two differ by at most sup |dK| times its width.
 The independent oracles live with the tests, in ``tests/oracles.py``.
 """
 
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import ValidationError
 from . import numkernel as nk
 from .dilated import CostReport, default_steps, dilated_kernel, step_root
-from .fastforward import JUMP_NORM_ATOL, FFPlan, _node_count, ff_cost, gap_kernel, plan
+from .fastforward import JUMP_NORM_ATOL, FFPlan, ff_cost, gap_kernel, plan
 from .model import Hamiltonian, SpectrumMap, normalize_levels, normalize_spectrum
 
 
@@ -80,26 +82,47 @@ def evolve(ham: Hamiltonian, state: np.ndarray, chan: Channel
     output density matrix and the channel's cost."""
     if np.ndim(state) != 1:
         state = nk.require_density(state)
-    h = ham.eigenvalues
-    return ham.dephase(chan.kernel(h, h), state), chan.cost
+    return ham.dephase(level_kernel(chan, ham.eigenvalues), state), chan.cost
+
+
+def level_kernel(chan: Channel, h: np.ndarray) -> np.ndarray:
+    """``chan``'s kernel on one spectrum h, shape (L, L).  Past its node count
+    M < L levels it is 1 + Phi (K(x, x) - 1) Phi^T: K the kernel on M Chebyshev
+    points x over [min h, max h], and Phi barycentric (Berrut and Trefethen,
+    SIAM Review 46, 2004), a level on a node (or overflowing near one) taking
+    its row.  That reads the kernel at M^2 pairs, not L^2 (for ``ff`` O(P M^2
+    + L^2 M), not O(P L^2)), and the 1 keeps the rounding to the size of 1 -
+    K.  At M >= L it is ``chan.kernel(h, h)``."""
+    if h.size > 2 and (m := node_count(chan, float(np.ptp(h)), h.size)) < h.size:
+        x = nk.chebyshev_points(float(h.min()), float(h.max()), m)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            phi = np.resize([1.0, -1.0], m) * np.r_[0.5, np.ones(m - 2), 0.5] / (h[:, None] - x)
+            phi /= phi.sum(axis=1, keepdims=True)
+        near = ~np.isfinite(phi).all(axis=1)
+        phi[near] = np.eye(m)[np.abs(h[near, None] - x).argmin(axis=1)]
+        return phi @ (chan.kernel(x, x) - 1.0) @ phi.T + 1.0
+    return chan.kernel(h, h)
 
 
 def node_count(chan: Channel, width: float, limit: int) -> int:
     """The first M >= 2 below ``limit`` (else ``limit``) at which M Chebyshev
     points interpolate ``chan``'s kernel over a normalized spectrum of
-    ``width``, as ``fastforward._node_count`` rules for ``ff`` (|theta| <= B),
-    with its Bessel tail's mean over the law theta ~ N(0, t) for ``exact`` and
-    ``dilated`` (theta = sqrt(t / N) (2m - N), whose even moments are at most
-    N(0, t)'s): E |theta|^m = (2t)^(m/2) Gamma((m + 1)/2) / sqrt(pi)."""
-    if chan.plan is not None:
-        return _node_count(chan.plan, width, limit)
-    h, t = 0.25 * width, chan.t
+    ``width``: its coefficients are the mean of 2 J_m(theta width / 2) over
+    the phase law (Jacobi-Anger), |J_m(z)| <= (z/2)^m / m!, so with h = width
+    / 4 an interpolant errs by e <= 4 E (h |theta|)^M / M! / (1 - q), q bounding
+    every later term ratio, a mean of products of two by 3e; M takes 3e <=
+    2^-53 / 4.  ``ff``'s law is |theta| <= B, q = h B / (m + 1); ``exact``'s
+    and ``dilated``'s N(0, t) (even moments at least ``dilated``'s), E
+    |theta|^m = (2t)^(m/2) Gamma((m + 1)/2) / sqrt(pi), q = h sqrt(t (m + 2)) /
+    (m + 1) (Gautschi)."""
+    bounded = chan.plan is not None
+    h, t = 0.25 * width * (chan.cost.hamiltonian_time if bounded else 1.0), chan.t
     term, ratio = 1.0, np.pi ** -0.5     # E (h |theta|)^m / m! and Gamma((m + 2)/2) / Gamma((m + 1)/2)
     for m in range(limit):
-        q = h * (t * (m + 2)) ** 0.5 / (m + 1)  # bounds every later term ratio (Gautschi)
+        q = h / (m + 1) if bounded else h * (t * (m + 2)) ** 0.5 / (m + 1)
         if m >= 2 and q < 1.0 and 48.0 * term / (1.0 - q) <= 2.0 ** -53:
             return m
-        term *= h * (2.0 * t) ** 0.5 * ratio / (m + 1)
+        term *= q if bounded else h * (2.0 * t) ** 0.5 * ratio / (m + 1)
         ratio = 0.5 * (m + 1) / ratio
     return limit
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from . import numkernel as nk
-from .channel import Channel, channel
+from .channel import Channel, channel, level_kernel
 from .dilated import CostReport
 from .model import Hamiltonian, LindbladSpec, normalize_spectrum
 
@@ -122,7 +122,7 @@ def choi_ff_evolve(spec: LindbladSpec, state0: np.ndarray, t: float,
     costs = []
     for ham, chan in zip(hams, chans):
         if chan is not None:
-            rho = ham.dephase(chan.kernel(ham.eigenvalues, ham.eigenvalues), rho)
+            rho = ham.dephase(level_kernel(chan, ham.eigenvalues), rho)
             costs.append(chan.cost)
     # the counts sum from int 0, so the record keeps integer counts
     cost = CostReport(sum((c.hamiltonian_time for c in costs), 0.0),

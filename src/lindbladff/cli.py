@@ -224,6 +224,11 @@ def _load_jump_list(path: str) -> tuple[list[np.ndarray], str]:
 
 def _cmd_qpe(args, argv):
     t0 = time.perf_counter()
+    for flag, value, readers in (("--d", args.d, ("standard",)), ("--t", args.t, ("slow", "fast")),
+                                 ("--N", args.N, ("slow", "fast")), ("--eps", args.eps, ("fast",)),
+                                 ("--zeta", args.zeta, ("fast",))):
+        if value is not None and args.route not in readers:
+            raise ValidationError(f"{flag} applies only to --route {', '.join(readers)}")
     if args.route == "slow" and args.N is None:
         raise ValidationError("--N is required for the slow route")
     if args.zeta is not None and not args.zeta > 0:
@@ -241,13 +246,15 @@ def _cmd_qpe(args, argv):
 
     prep = args.mode == "prepare"
     if args.route == "standard":
-        res = (standard_qpe_eigenstate(ham, state, args.eigen, args.d) if prep else
-               standard_qpe(ham, state, args.d, args.dist_mode, args.seed, args.repeats))
+        d = 8 if args.d is None else args.d
+        res = (standard_qpe_eigenstate(ham, state, args.eigen, d) if prep else
+               standard_qpe(ham, state, d, args.dist_mode, args.seed, args.repeats))
     else:
-        eps = args.eps if not prep or args.zeta is None else (
-            float(state.coeffs[args.eigen]) * args.zeta) ** 2
-        chan = (channel("dilated", args.t, None, steps=args.N) if args.route == "slow" else
-                channel("ff", args.t, eps, n=args.N))
+        t = 16.0 if args.t is None else args.t
+        eps = ((float(state.coeffs[args.eigen]) * args.zeta) ** 2 if prep and args.zeta is not None
+               else 1e-4 if args.eps is None else args.eps)
+        chan = (channel("dilated", t, None, steps=args.N) if args.route == "slow" else
+                channel("ff", t, eps, n=args.N))
         res = (prepare(ham, state, args.eigen, chan) if prep else
                estimate(ham, state, chan, args.dist_mode, args.seed, args.repeats))
     yield _record(argv, t0, {"route": args.route, **_fields(res)}, digest, args.seed, res.cost)
@@ -435,13 +442,13 @@ def _build_parser() -> argparse.ArgumentParser:
     qp.add_argument("--route", choices=["standard", "slow", "fast"], required=True)
     qp.add_argument("--ham", required=True)
     qp.add_argument("--state", default="plus")
-    qp.add_argument("--d", type=int, default=8, help="register bits (standard route)")
-    qp.add_argument("--t", type=float, default=16.0)
-    qp.add_argument("--N", type=int, default=None)
-    qp.add_argument("--eps", type=float, default=1e-4, help="fast-plan window error")
+    qp.add_argument("--d", type=int, help="register bits (default 8; standard route)")
+    qp.add_argument("--t", type=float, help="evolution time (default 16; slow, fast routes)")
+    qp.add_argument("--N", type=int, help="register count (slow, fast routes)")
+    qp.add_argument("--eps", type=float, help="fast-plan window error (default 1e-4; fast route)")
     qp.add_argument("--eigen", type=int, default=0, help="target eigenspace (prepare)")
-    qp.add_argument("--zeta", type=float, default=None,
-                    help="preparation inaccuracy target; sets eps=(c_beta*zeta)^2")
+    qp.add_argument("--zeta", type=float,
+                    help="preparation inaccuracy target; sets eps=(c_beta*zeta)^2 (fast route)")
     qp.add_argument("--mode", dest="dist_mode", choices=["exact", "sample"], default="exact")
     qp.add_argument("--repeats", type=int, default=1,
                     help="sample-mode repetitions, median outcome (default single-shot)")

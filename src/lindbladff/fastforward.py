@@ -16,12 +16,9 @@ level-pair ``gap_kernel`` sum_r w_r e^{-i (h_a - h_b) theta_r}, which the
 Residue classes r and P - r carry opposite phases and mirror weights, so the
 kernel is a cosine series over half the classes, summed in real arithmetic
 from blocks of 256 phase-table rows, each one partial sum, in O(block +
-levels^2) memory whatever the register count.  Every phase is at most the
-circuit's Hamiltonian time B, so the kernel is band limited in each level:
-past B + 15 to 20 levels it is summed on that many Chebyshev points and
-interpolated (``_node_count``).  The fast phase-estimation readout transforms
-the whole (P, L) phase table of the L levels it reads in one FFT
-(``residue_spectrum``).
+levels^2) memory whatever the register count.  The fast phase-estimation
+readout transforms the whole (P, L) phase table of the L levels it reads in
+one FFT (``residue_spectrum``).
 
 Address arithmetic is modulo 2^d (the d-bit register) rather than modulo N;
 the shift maps the window bijectively either way and the out-of-window
@@ -41,7 +38,7 @@ from . import numkernel as nk
 from .dilated import CostReport, default_steps, step_root
 from .kernels import binom_residue_weights
 
-# Bits of the residue rows in one block of ``_blocked_sum``: a block of
+# Bits of the residue rows in one block of ``gap_kernel``: a block of
 # 2^_SUM_BITS rows is one partial sum, so no long sequential accumulation
 # loses digits against a partial sum near 1.
 _SUM_BITS = 8
@@ -176,61 +173,25 @@ def _check_norm(eigs: np.ndarray):
         raise ValidationError("jump norm exceeds 1; normalize the spectrum and rescale time")
 
 
-def _node_count(p: FFPlan, width: float, limit: int) -> int:
-    """The first M >= 2 below ``limit`` (else ``limit``) at which M Chebyshev
-    points interpolate every e^{-i a theta}, |theta| <= B, over ``width``: its
-    coefficients are 2 J_m(z), z = B width / 2 (Jacobi-Anger), and |J_m(z)| <=
-    (z/2)^m / m!, so an interpolant errs by e <= 4 (z/2)^M / M! (M + 1) / (M + 1
-    - z/2), a mean of products of two by 3e; M takes 3e <= 2^-53 / 4."""
-    h = 0.25 * ff_cost(p).hamiltonian_time * width      # z / 2
-    term = 0.5 * h * h                                  # (z/2)^m / m! at m = 2
-    for m in range(2, limit):
-        if m + 1 > h and 48.0 * term * (m + 1) / (m + 1 - h) <= 2.0 ** -53:
-            return m
-        term *= h / (m + 1)
-    return limit
-
-
 def gap_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
     """Fast-forward gap kernel sum_r w_r e^{-i (a - b) theta_r}, shape (len a, len b).
 
     Entry [i, j] multiplies the coherence between jump eigenvalues a_i and
     b_j; the ``ff`` channel applies it through ``Hamiltonian.dephase`` and
-    ``gibbs_prepare`` reads one column of it against eigenvalue 0.  Every
-    |theta_r| <= B = ``ff_cost(p).hamiltonian_time``, so one spectrum (the same
-    array a and b) of more levels L than its ``_node_count`` M is 1 + Phi (K(x,
-    x) - 1) Phi^T: K the sum on M Chebyshev points x, and Phi barycentric
-    (Berrut and Trefethen, SIAM Review 46, 2004), a level on a node (or
-    overflowing near one) taking its row.
-    That is O(P M^2 + L^2 M), not O(P L^2), and the 1 keeps the rounding to
-    the size of 1 - K.  Columns, and M >= L, take ``_blocked_sum``.
+    ``gibbs_prepare`` reads one column of it against eigenvalue 0.  Classes r
+    and P - r have opposite phases theta_r = sqrt(t/N) (2r - P) and mirror
+    weights (equal up to rounding, for an even N, which is checked), so each
+    pair adds (w_r + w_{P-r}) cos((a - b) theta_r): the sum runs over r in (0,
+    P/2) as Re(x_r[a] conj(y_r[b])) of the phase table rows, real products of
+    their real and of their imaginary parts, one partial sum per block of
+    2^_SUM_BITS rows (all of (0, P/2) when shorter).  Class P/2 (theta = 0)
+    adds its weight and the unpaired class 0 w_0 e^{i (a - b) B}, theta_0 =
+    -B.  One spectrum (the same array) builds one table.
     """
     if p.n % 2:
         raise ValidationError(f"gap kernel needs an even register count, got {p.n}")
     _check_norm(eigs_a)
     _check_norm(eigs_b)
-    if (eigs_b is eigs_a and eigs_a.size > 2
-            and (m := _node_count(p, float(np.ptp(eigs_a)), eigs_a.size)) < eigs_a.size):
-        x = nk.chebyshev_points(float(eigs_a.min()), float(eigs_a.max()), m)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            phi = np.resize([1.0, -1.0], m) * np.r_[0.5, np.ones(m - 2), 0.5] / (eigs_a[:, None] - x)
-            phi /= phi.sum(axis=1, keepdims=True)
-        near = ~np.isfinite(phi).all(axis=1)
-        phi[near] = np.eye(m)[np.abs(eigs_a[near, None] - x).argmin(axis=1)]
-        return phi @ (_blocked_sum(p, x, x) - 1.0) @ phi.T + 1.0
-    return _blocked_sum(p, eigs_a, eigs_b)
-
-
-def _blocked_sum(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
-    """The gap kernel as its sum.  Classes r and P - r have opposite phases
-    theta_r = sqrt(t/N) (2r - P) and mirror weights (equal up to rounding, for
-    the even N that ``gap_kernel`` requires), so each pair adds (w_r + w_{P-r})
-    cos((a - b) theta_r): the sum runs over r in (0, P/2) as Re(x_r[a]
-    conj(y_r[b])) of the phase table rows, real products of their real and of
-    their imaginary parts, one partial sum per block of 2^_SUM_BITS rows (all
-    of (0, P/2) when shorter).  Class P/2 (theta = 0) adds its weight and the
-    unpaired class 0 w_0 e^{i (a - b) B}, theta_0 = -B.  One spectrum (the same
-    array) builds one table."""
     weights = binom_residue_weights(p.n, p.period, -p.shift)
     half = p.period // 2
     fold = np.empty(half)

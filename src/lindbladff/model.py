@@ -49,8 +49,9 @@ class Hamiltonian(NamedTuple):
     eigenvectors as columns and ``levels[j]`` the index of the eigenvalue that
     column j belongs to; clustered columns are contiguous, so eigenspace k is
     spanned by ``vectors[:, levels == k]``.  The methods that apply the
-    decomposition to a state check that state's shape and dimension.  A
-    state vector whose node count is below ``dim`` skips this decomposition
+    decomposition to a state check that state's shape and dimension; the
+    channels read their kernel on ``eigenvalues`` by ``channel.level_kernel``.
+    A state vector whose node count is below ``dim`` skips this decomposition
     (``channel.evolve_matrix``): its kernel is read at every eigenvalue of the
     matrix, unmerged, which moves the output by at most sup |dK| times the
     width of a cluster merged here.

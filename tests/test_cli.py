@@ -290,8 +290,9 @@ class TestExitCodes:
         # basis:0 is |00>, the top eigenvector; eigenspace 0 is |11>
         ham = tmp_path / "h.pauli"
         ham.write_text("0.0 II\n1.0 ZI\n0.5 IZ\n")
+        size = [] if route == "standard" else ["--t", "4", "--N", "64"]  # read by slow, fast
         rc, out = invoke(["qpe", "prepare", "--route", route, "--ham", str(ham),
-                          "--state", "basis:0", "--eigen", "0", "--t", "4", "--N", "64"])
+                          "--state", "basis:0", "--eigen", "0", *size])
         assert rc == 1 and out == ""
         assert capsys.readouterr().err == "error: state has no weight on eigenspace 0\n"
 
@@ -373,7 +374,7 @@ class TestExitCodes:
         "standard_d_past_any_float": ["qpe", "--route", "standard", "--ham", H2Q, "--d", "2000"],
         "prepare_d_past_any_float": [*PREPARE, "--d", "2000"],
         "prepare_d_past_phase_rounding": [*PREPARE, "--d", "52"],
-        "zeta_negative": [*PREPARE, "--zeta", "-1"],
+        "zeta_negative": ["qpe", "prepare", "--route", "fast", "--ham", H2Q, "--zeta", "-1"],
         # inputs rejected where they are read: a 2^40 x 2^40 matrix, non-finite
         # numbers, a third jump-list column, and state files with no unit vector
         "pauli_too_wide": [*EVOLVE, "exact", "--ham", "{tmp}/wide.pauli"],
@@ -439,6 +440,16 @@ class TestExitCodes:
         "sigma_with_binomial": ["stateprep", "--what", "binomial", "--sigma", "2"],
         "mu_with_distance": ["stateprep", "--what", "distance", "--mu", "8"],
         "sigma_with_distance": ["stateprep", "--what", "distance", "--N", "4", "--sigma", "1"],
+        # each qpe route refuses the options only the others read
+        "t_with_standard": ["qpe", "--route", "standard", "--ham", H2Q, "--t", "99"],
+        "n_with_standard": ["qpe", "--route", "standard", "--ham", H2Q, "--N", "7"],
+        "eps_with_standard": ["qpe", "--route", "standard", "--ham", H2Q, "--eps", "1e-3"],
+        "zeta_with_standard": [*PREPARE, "--zeta", "0.1"],
+        "d_with_slow": ["qpe", "--route", "slow", "--ham", H2Q, "--t", "4", "--N", "64", "--d", "3"],
+        "d_with_fast": ["qpe", "--route", "fast", "--ham", H2Q, "--N", "64", "--d", "3"],
+        "eps_with_slow": ["qpe", "--route", "slow", "--ham", H2Q, "--N", "64", "--eps", "1e-3"],
+        "zeta_with_slow": ["qpe", "prepare", "--route", "slow", "--ham", H2Q, "--N", "64",
+                           "--zeta", "0.1"],
         "gibbs_dim_not_a_power_of_two": ["gibbs", "--ham", "{tmp}/three.dense"],
         "jumps_of_mixed_dims": [*EVOLVE, "choi-ff", "--jumps", "{tmp}/mixed_dims.txt"],
     }
@@ -484,6 +495,16 @@ class TestExitCodes:
          "--mu applies only to --what gaussian, angles"),
         (["stateprep", "--what", "distance", "--sigma", "2"],
          "--sigma applies only to --what gaussian, angles"),
+        (["qpe", "--route", "standard", "--ham", HAM, "--d", "3", "--t", "99", "--N", "7"],
+         "--t applies only to --route slow, fast"),
+        (["qpe", "--route", "standard", "--ham", HAM, "--N", "7"],
+         "--N applies only to --route slow, fast"),
+        (["qpe", "--route", "slow", "--ham", HAM, "--d", "3", "--t", "4", "--N", "64"],
+         "--d applies only to --route standard"),
+        (["qpe", "--route", "slow", "--ham", HAM, "--N", "64", "--eps", "1e-3"],
+         "--eps applies only to --route fast"),
+        (["qpe", "prepare", "--route", "slow", "--ham", HAM, "--N", "64", "--zeta", "0.1"],
+         "--zeta applies only to --route fast"),
     ])
     def test_option_its_mode_does_not_read_is_refused(self, tmp_path, capsys, argv, message):
         oracle = tmp_path / "oracle.txt"
@@ -499,6 +520,12 @@ class TestExitCodes:
                                              "--sigma", "2"]),
         (["stateprep", "--what", "gaussian"], ["stateprep", "--what", "gaussian", "--mu", "8",
                                                "--sigma", "2"]),
+        (["qpe", "--route", "standard", "--ham", HAM], ["qpe", "--route", "standard", "--ham", HAM,
+                                                        "--d", "8"]),
+        (["qpe", "--route", "slow", "--ham", HAM, "--N", "64"],
+         ["qpe", "--route", "slow", "--ham", HAM, "--N", "64", "--t", "16"]),
+        (["qpe", "--route", "fast", "--ham", HAM, "--N", "64"],
+         ["qpe", "--route", "fast", "--ham", HAM, "--N", "64", "--t", "16", "--eps", "1e-4"]),
     ])
     def test_unset_option_takes_its_default(self, tmp_path, argv, default):
         oracle = tmp_path / "oracle.txt"
@@ -757,9 +784,12 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("route", ("standard", "slow", "fast"))
     def test_qpe_prepare_vacuous_bound_is_json(self, route):
-        # zeta = 1/4 >= 1/6 leaves the fast route's 1 - 6 zeta chain vacuous
+        # zeta = 1/4 >= 1/6 leaves the fast route's 1 - 6 zeta chain vacuous;
+        # each route is given the options it reads
+        reads = {"standard": [], "slow": ["--t", "4", "--N", "64"],
+                 "fast": ["--t", "4", "--N", "64", "--zeta", "0.25"]}[route]
         rc, out = invoke(["qpe", "prepare", "--route", route, "--ham", HAM, "--state", "plus",
-                          "--eigen", "0", "--t", "4", "--N", "64", "--zeta", "0.25"])
+                          "--eigen", "0", *reads])
         assert rc == 0
 
         def finite_only(name):

@@ -1,9 +1,13 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from lindbladff import ValidationError, default_steps, evolve, normalize_spectrum
 from lindbladff.channel import channel
+from lindbladff.dilated import dilated_kernel, step_root
 from lindbladff import numkernel as nk
 
 from conftest import dilate, dilated_step, random_density
@@ -116,6 +120,22 @@ def test_closed_form_accurate_at_huge_step_counts():
     out, _ = evolve(F_HAM, PLUS_RHO, channel("dilated", t, None, n))
     log_k = np.log(2.0 * abs(out[0, 1]))
     assert abs(log_k + t / 2 + t ** 2 / (12 * n)) <= 1e-12
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_few_steps_accurate_where_cos_vanishes(steps):
+    # 1 - sin^2 x loses a small cos x (the one-step kernel read 7.45e-9 for
+    # 7.85e-9 at t = 2.4674010509243174 and gap 1), and at few steps the power
+    # does not damp the loss; against 40-digit mpmath on the kernel's own
+    # argument x, near pi/2 and 3pi/2 (where cos x changes sign): measured 1.9 ulp
+    t = steps * (math.pi / 2) ** 2
+    offsets = np.logspace(-16, -0.5, 32)
+    gaps = np.concatenate([c + s * offsets for c in (1.0, 3.0) for s in (-1.0, 1.0)])
+    got = dilated_kernel(t, steps, gaps, np.zeros(1))[:, 0]
+    x = step_root(t, steps) * gaps
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.cos(mpmath.mpf(v)) ** steps) for v in x.tolist()])
+    assert np.all(np.abs(got - want) <= 8 * 2.0 ** -52 * np.abs(want))
 
 
 def test_validation():

@@ -3,7 +3,8 @@ node count M is below the jump's dimension gets rho = psi psi^dag + Y C Y^dag
 on the matrix's own eigenvalues.  On generated spectra (dims 16-128, t and eps
 at their edges) it matches the eigenbasis path within a few ulp where no
 cluster is merged, and an unmerged-spectrum oracle where one is; its node rule
-interpolates every kernel within 2^-53; and no golden argv reaches it."""
+interpolates every kernel within 2^-53; and no golden argv reaches it or
+``level_kernel``'s interpolation."""
 
 import importlib
 import os
@@ -203,8 +204,10 @@ def test_normal_law_node_counts(t, width, m):
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_argvs_keep_the_eigenbasis_path(monkeypatch, case):
+    # nor reaches ``level_kernel``'s interpolation: both forms read Chebyshev points
     monkeypatch.chdir(ROOT)
     monkeypatch.setattr(channel_module, "_node_form", mock.Mock(side_effect=AssertionError))
+    monkeypatch.setattr(channel_module.nk, "chebyshev_points", mock.Mock(side_effect=AssertionError))
     rc, out = invoke(GOLDEN[case])
     assert rc == 0
     with open(os.path.join(DATA, f"golden_{case}.jsonl")) as fh:

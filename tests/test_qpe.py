@@ -295,10 +295,13 @@ class TestSlowEigenstate:
 
 def written_out_filter(t, n, g):
     """The dilated kernel's column at gap 0, cos(sqrt(t / N) g)^N, as the slow
-    routes evaluated it before they read it from the channel."""
+    routes evaluated it before they read it from the channel, and cos(x)^N
+    itself where |cos x| <= 1/2 (where 1 - sin^2 x loses a small cos x)."""
     x = math.sqrt(t / n) * (g[:, None] - np.zeros(1)[None, :])
+    c = np.cos(x)
     with np.errstate(divide="ignore"):
-        return (np.sign(np.cos(x)) ** n * np.exp(0.5 * n * np.log1p(-np.sin(x) ** 2)))[:, 0]
+        far = np.sign(c) ** n * np.exp(0.5 * n * np.log1p(-np.sin(x) ** 2))
+    return np.where(np.abs(c) > 0.5, far, c ** n)[:, 0]
 
 
 # (t, N) at their edges: one step, the smallest subnormal time, a step root at

@@ -26,8 +26,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from lindbladff import ValidationError, decompose_state, estimate, fastforward, normalize_spectrum
-from lindbladff.channel import channel
+from lindbladff import ValidationError, decompose_state, estimate, normalize_spectrum
+from lindbladff.channel import channel, level_kernel, node_count
 from lindbladff.model import CLUSTER_RTOL
 
 from conftest import log_binom, random_state
@@ -85,7 +85,7 @@ def spectra(draw):
     """Eigenvalues in [-1, 1]: random; clustered (pairs half or twice the
     clustering tolerance apart, merged or kept by ``normalize_spectrum``);
     or degenerate (values repeated).  Up to 64 of them, past the node count
-    of many plans, where the ``ff`` kernel is interpolated (``fastforward``)."""
+    of many plans, where the ``ff`` kernel is interpolated (``level_kernel``)."""
     rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
     dim = draw(hst.one_of(hst.integers(2, 6), hst.integers(7, 64)))
     h = rng.uniform(-1.0, 1.0, dim)
@@ -109,7 +109,7 @@ def test_draws_cover_full_and_narrow_windows():
 
 def test_draws_reach_the_band_limited_kernel():
     # the node count over [-1, 1] is below 64 levels for most plans of the grid
-    below = sum(fastforward._node_count(p, 2.0, 10 ** 4) < 64 for *_, p in grid())
+    below = sum(node_count(channels(t, eps, n)[0], 2.0, 10 ** 4) < 64 for n, eps, t, _ in grid())
     assert below >= 100, below
 
 
@@ -139,8 +139,11 @@ def test_ff_kernel_is_the_dilated_kernel_within_twice_the_outside_mass(case, n, 
     assume(t < 1024.0 or in_range(ff.plan))
     out = outside_mass(ff.plan)
     assert out == 0.0 or not ff.plan.full_window
-    for b in (h, np.zeros(1), rng.uniform(-1.0, 1.0, 3)):
-        gap = np.max(np.abs(ff.kernel(h, b) - dilated.kernel(h, b)))
+    # the spectrum's own kernel (interpolated past its node count), a column, and a block
+    other = rng.uniform(-1.0, 1.0, 3)
+    for got, b in ((level_kernel(ff, h), h), (ff.kernel(h, np.zeros(1)), np.zeros(1)),
+                   (ff.kernel(h, other), other)):
+        gap = np.max(np.abs(got - dilated.kernel(h, b)))
         assert gap <= 2.0 * out + KERNEL_ROUNDING, (gap, out)
 
 
