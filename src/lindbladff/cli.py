@@ -172,11 +172,6 @@ def _cmd_evolve(args, argv):
     t0 = time.perf_counter()
     if not 0.0 < args.eps < 1.0:  # one range for every method, whether or not it reads eps
         raise ValidationError(f"--eps must lie in (0, 1), got {args.eps}")
-    for flag, value, readers in (("--N", args.N, ("ff",)), ("--steps", args.steps, ("dilated",)),
-                                 ("--ham", args.ham, ("exact", "dilated", "ff")),
-                                 ("--jumps", args.jumps, ("choi-ff",))):
-        if value is not None and args.method not in readers:
-            raise ValidationError(f"{flag} applies only to --method {', '.join(readers)}")
     if args.method == "choi-ff":
         jumps, digest = _load_jump_list(args.jumps)
         spec = lindblad_spec(jumps)
@@ -224,11 +219,6 @@ def _load_jump_list(path: str) -> tuple[list[np.ndarray], str]:
 
 def _cmd_qpe(args, argv):
     t0 = time.perf_counter()
-    for flag, value, readers in (("--d", args.d, ("standard",)), ("--t", args.t, ("slow", "fast")),
-                                 ("--N", args.N, ("slow", "fast")), ("--eps", args.eps, ("fast",)),
-                                 ("--zeta", args.zeta, ("fast",))):
-        if value is not None and args.route not in readers:
-            raise ValidationError(f"{flag} applies only to --route {', '.join(readers)}")
     if args.route == "slow" and args.N is None:
         raise ValidationError("--N is required for the slow route")
     if args.zeta is not None and not args.zeta > 0:
@@ -237,24 +227,18 @@ def _cmd_qpe(args, argv):
         raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     mat, digest = _load_ham(args.ham)
     ham = model.normalize_spectrum(mat)
-    if args.mode == "prepare":  # the target's gaps, stretched to unit radius
+    if prep := args.mode == "prepare":  # the target's gaps, stretched to unit radius
         model.spectral_gap(ham, args.eigen)
         gaps = ham.eigenvalues - ham.eigenvalues[args.eigen]
         ham = ham._replace(eigenvalues=gaps / float(np.max(np.abs(gaps))))
-    psi = _initial_state(args.state, ham.dim)
-    state = model.decompose_state(psi, ham)
-
-    prep = args.mode == "prepare"
+    state = model.decompose_state(_initial_state(args.state, ham.dim), ham)
     if args.route == "standard":
-        d = 8 if args.d is None else args.d
-        res = (standard_qpe_eigenstate(ham, state, args.eigen, d) if prep else
-               standard_qpe(ham, state, d, args.dist_mode, args.seed, args.repeats))
-    else:
-        t = 16.0 if args.t is None else args.t
-        eps = ((float(state.coeffs[args.eigen]) * args.zeta) ** 2 if prep and args.zeta is not None
-               else 1e-4 if args.eps is None else args.eps)
-        chan = (channel("dilated", t, None, steps=args.N) if args.route == "slow" else
-                channel("ff", t, eps, n=args.N))
+        res = (standard_qpe_eigenstate(ham, state, args.eigen, args.d) if prep else
+               standard_qpe(ham, state, args.d, args.dist_mode, args.seed, args.repeats))
+    else:  # a --zeta target, read by the fast route's prepare alone, sets eps
+        eps = args.eps if args.zeta is None else (float(state.coeffs[args.eigen]) * args.zeta) ** 2
+        chan = (channel("dilated", args.t, None, steps=args.N) if args.route == "slow" else
+                channel("ff", args.t, eps, n=args.N))
         res = (prepare(ham, state, args.eigen, chan) if prep else
                estimate(ham, state, chan, args.dist_mode, args.seed, args.repeats))
     yield _record(argv, t0, {"route": args.route, **_fields(res)}, digest, args.seed, res.cost)
@@ -278,44 +262,28 @@ def _cmd_ae_demo(args, argv):
         raise ValidationError(f"--runs must be at least 1, got {args.runs}")
     if args.seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {args.seed}")
-    if args.oracle:
-        for flag, value in (("--n", args.n), ("--witnesses", args.witnesses)):
-            if value is not None:
-                raise ValidationError(f"{flag} applies only without --oracle, whose file sets it")
-        n, witnesses = _read(args.oracle, model.parse_oracle)
-    else:
-        n, witnesses = 4 if args.n is None else args.n, args.witnesses or 0
+    n, witnesses = (_read(args.oracle, model.parse_oracle) if args.oracle is not None
+                    else (args.n, args.witnesses))
     problem = amplitude_problem(n, witnesses, t=args.t, register_n=args.N, eps=args.eps)
-    runs = []
-    correct = 0
-    for k in range(args.runs):
-        dec = decide_amplitude(problem, mode="sample", seed=_cell_seed(args.seed or 0, k))
-        runs.append({"decided_zero": dec.decided_zero, "correct": dec.correct,
-                     "estimate_phase": dec.estimation.estimate})
-        correct += int(dec.correct)
-    outputs = {
-        "witness_count": problem.witness_count,
-        "amplitude": problem.amplitude,
-        "threshold": problem.threshold,
-        "runs": runs,
-        "accuracy": correct / args.runs,
-    }
+    decs = [decide_amplitude(problem, mode="sample", seed=_cell_seed(args.seed, k))
+            for k in range(args.runs)]
+    runs = [{"decided_zero": dec.decided_zero, "correct": dec.correct,
+             "estimate_phase": dec.estimation.estimate} for dec in decs]
+    outputs = {"witness_count": problem.witness_count, "amplitude": problem.amplitude,
+               "threshold": problem.threshold, "runs": runs,
+               "accuracy": sum(dec.correct for dec in decs) / args.runs}
     yield _record(argv, t0, outputs, seed=args.seed)
 
 
 def _cmd_stateprep(args, argv):
-    for flag, value in (("--mu", args.mu), ("--sigma", args.sigma)):
-        if value is not None and args.what in ("binomial", "distance"):
-            raise ValidationError(f"{flag} applies only to --what gaussian, angles")
-    mu, sigma = 8.0 if args.mu is None else args.mu, 2.0 if args.sigma is None else args.sigma
     if args.what in ("binomial", "gaussian"):
         amps = (binomial_amplitudes(args.N) if args.what == "binomial" else
-                discrete_gaussian_amplitudes(GaussianParams(mu, sigma, args.N)))
+                discrete_gaussian_amplitudes(GaussianParams(args.mu, args.sigma, args.N)))
         yield "m,amplitude"
         for m, a in enumerate(amps):
             yield f"{m},{float(a)!r}"
     elif args.what == "angles":
-        sched = kw_angle_schedule(GaussianParams(mu, sigma, args.N))
+        sched = kw_angle_schedule(GaussianParams(args.mu, args.sigma, args.N))
         yield "level,path,angle"
         for level, angles in enumerate(sched):
             for path, angle in enumerate(angles):
@@ -417,6 +385,35 @@ def _bench_gibbs_beta(args, argv):
 # Parser and entry point
 # ---------------------------------------------------------------------------
 
+def _declare(parser, flag: str, reads: dict, default=None, help: str = "", **kw):
+    """Add an option that only some modes read; return its action.  ``reads``
+    maps each action that picks a mode to the modes that read the option, or
+    to why the option is read only while that one is unset.  The option parses
+    to None, so a given one shows; ``_check_modes`` fills in ``default``."""
+    rules = [(a.dest, modes, f"without {a.option_strings[0]}, {modes}" if isinstance(modes, str)
+              else f"to {(a.option_strings or parser.prog.split()[-1:])[0]} {', '.join(modes)}")
+             for a, modes in reads.items()]
+    notes = [f"default {default}"] * (default is not None) + [f"only {p}" for *_, p in rules]
+    action = parser.add_argument(flag, help=f"{help} ({'; '.join(notes)})", **kw)
+    parser.get_default("declared").append((action.dest, flag, rules, default))
+    return action
+
+
+def _check_modes(args) -> None:
+    """Refuse a declared option given to a mode that does not read it, and
+    fill each unset one.  What was given is seen before any is filled, since
+    ``--repeats`` reads the value of ``--mode``, filled or given."""
+    declared = getattr(args, "declared", ())
+    given = [decl for decl in declared if getattr(args, decl[0]) is not None]
+    vars(args).update((dest, default) for dest, _, _, default in declared
+                      if getattr(args, dest) is None)
+    for _, flag, rules, _ in given:
+        for picker, modes, phrase in rules:
+            value = getattr(args, picker)
+            if value is not None if isinstance(modes, str) else value not in modes:
+                raise ValidationError(f"{flag} applies only {phrase}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="lindbladff",
@@ -426,33 +423,34 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     ev = sub.add_parser("evolve", help="run one Lindblad evolution")
-    ev.set_defaults(handler=_cmd_evolve)
-    ev.add_argument("--method", choices=["ff", "dilated", "exact", "choi-ff"], default="ff")
-    ev.add_argument("--ham", help="Hamiltonian / jump file (exact, dilated, ff)")
-    ev.add_argument("--jumps", help="jump-list file (choi-ff)")
+    ev.set_defaults(handler=_cmd_evolve, declared=[])
+    method = ev.add_argument("--method", choices=["ff", "dilated", "exact", "choi-ff"], default="ff")
+    _declare(ev, "--N", {method: ("ff",)}, help="register-count override", type=int)
+    _declare(ev, "--steps", {method: ("dilated",)}, help="step override", type=int)
+    _declare(ev, "--ham", {method: ("exact", "dilated", "ff")}, help="Hamiltonian file")
+    _declare(ev, "--jumps", {method: ("choi-ff",)}, help="jump-list file")
     ev.add_argument("--t", type=float, required=True)
     ev.add_argument("--eps", type=float, default=0.1)
-    ev.add_argument("--N", type=int, default=None, help="register-count override (ff)")
-    ev.add_argument("--steps", type=int, default=None, help="step override (dilated)")
     ev.add_argument("--state", default="plus")
 
     qp = sub.add_parser("qpe", help="phase estimation / eigenstate preparation")
-    qp.set_defaults(handler=_cmd_qpe)
-    qp.add_argument("mode", nargs="?", choices=["estimate", "prepare"], default="estimate")
-    qp.add_argument("--route", choices=["standard", "slow", "fast"], required=True)
+    qp.set_defaults(handler=_cmd_qpe, declared=[])
+    mode = qp.add_argument("mode", nargs="?", choices=["estimate", "prepare"], default="estimate")
+    route = qp.add_argument("--route", choices=["standard", "slow", "fast"], required=True)
     qp.add_argument("--ham", required=True)
     qp.add_argument("--state", default="plus")
-    qp.add_argument("--d", type=int, help="register bits (default 8; standard route)")
-    qp.add_argument("--t", type=float, help="evolution time (default 16; slow, fast routes)")
-    qp.add_argument("--N", type=int, help="register count (slow, fast routes)")
-    qp.add_argument("--eps", type=float, help="fast-plan window error (default 1e-4; fast route)")
-    qp.add_argument("--eigen", type=int, default=0, help="target eigenspace (prepare)")
-    qp.add_argument("--zeta", type=float,
-                    help="preparation inaccuracy target; sets eps=(c_beta*zeta)^2 (fast route)")
-    qp.add_argument("--mode", dest="dist_mode", choices=["exact", "sample"], default="exact")
-    qp.add_argument("--repeats", type=int, default=1,
-                    help="sample-mode repetitions, median outcome (default single-shot)")
-    qp.add_argument("--seed", type=int, default=None)
+    _declare(qp, "--d", {route: ("standard",)}, 8, "register bits", type=int)
+    _declare(qp, "--t", {route: ("slow", "fast")}, 16.0, "evolution time", type=float)
+    _declare(qp, "--N", {route: ("slow", "fast")}, help="register count", type=int)
+    zeta = _declare(qp, "--zeta", {route: ("fast",), mode: ("prepare",)}, type=float,
+                    help="preparation inaccuracy target; sets eps=(c_beta*zeta)^2")
+    _declare(qp, "--eps", {route: ("fast",), zeta: "which sets it"}, 1e-4,
+             "fast-plan window error", type=float)
+    _declare(qp, "--eigen", {mode: ("prepare",)}, 0, "target eigenspace", type=int)
+    picked = _declare(qp, "--mode", {mode: ("estimate",)}, "exact", "count distribution",
+                      dest="dist_mode", choices=["exact", "sample"])
+    _declare(qp, "--repeats", {picked: ("sample",)}, 1, "repetitions, median outcome", type=int)
+    _declare(qp, "--seed", {picked: ("sample",)}, help="sampling seed", type=int)
 
     gb = sub.add_parser("gibbs", help="Gibbs-state preparation sweep")
     gb.set_defaults(handler=_cmd_gibbs)
@@ -461,10 +459,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gb.add_argument("--eps", type=float, default=0.05)
 
     ae = sub.add_parser("ae-demo", help="amplitude-estimation decision demo")
-    ae.set_defaults(handler=_cmd_ae_demo)
-    ae.add_argument("--n", type=int, help="oracle address bits (default 4; not with --oracle)")
-    ae.add_argument("--witnesses", type=int, help="witness count (default 0; not with --oracle)")
-    ae.add_argument("--oracle", help="file of 0/1 oracle values")
+    ae.set_defaults(handler=_cmd_ae_demo, declared=[])
+    oracle = ae.add_argument("--oracle", help="file of 0/1 oracle values")
+    _declare(ae, "--n", {oracle: "whose file sets it"}, 4, "oracle address bits", type=int)
+    _declare(ae, "--witnesses", {oracle: "whose file sets it"}, 0, "witness count", type=int)
     ae.add_argument("--runs", type=int, default=1)
     ae.add_argument("--t", type=float, default=250.0)
     ae.add_argument("--N", type=int, default=2048)
@@ -472,12 +470,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ae.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("stateprep", help="amplitude tables and angle schedules")
-    sp.set_defaults(handler=_cmd_stateprep)
-    sp.add_argument("--what", choices=["binomial", "gaussian", "angles", "distance"],
-                    required=True)
+    sp.set_defaults(handler=_cmd_stateprep, declared=[])
+    what = sp.add_argument("--what", choices=["binomial", "gaussian", "angles", "distance"],
+                           required=True)
     sp.add_argument("--N", type=int, default=16)
-    sp.add_argument("--mu", type=float, help="center (default 8; gaussian, angles)")
-    sp.add_argument("--sigma", type=float, help="width (default 2; gaussian, angles)")
+    _declare(sp, "--mu", {what: ("gaussian", "angles")}, 8.0, "center", type=float)
+    _declare(sp, "--sigma", {what: ("gaussian", "angles")}, 2.0, "width", type=float)
 
     bd = sub.add_parser("bounds", help="concentration-bound comparison grid")
     bd.set_defaults(handler=_cmd_bounds)
@@ -512,6 +510,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
+        _check_modes(args)                      # before any file is opened
         chunks, rows = [], io.BytesIO()
         for line in args.handler(args, argv):
             if isinstance(line, str):           # a table row, gathered compactly
@@ -521,7 +520,7 @@ def run(argv: list[str]) -> int:
                 chunks += rows.getvalue(), *line, b"\n"
                 rows = io.BytesIO()
         chunks.append(rows.getvalue())
-        if args.out:
+        if args.out is not None:
             with open(os.path.join(os.environ.get("LINDBLADFF_OUT_DIR", ""), args.out), "wb") as fh:
                 fh.writelines(chunks)
         elif hasattr(sys.stdout, "buffer"):

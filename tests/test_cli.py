@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -261,6 +262,62 @@ class TestRealStream:
         assert cut_fields(filed_text, command=True) == cut_fields(redirected, command=True)
 
 
+# A value for each option the generated refusal cases set; every path names no file
+DECLARED_VALUES = {"--ham": "{tmp}/absent", "--jumps": "{tmp}/absent", "--oracle": "{tmp}/absent",
+                   "--t": "4", "--N": "16", "--steps": "8", "--d": "3", "--eps": "0.001",
+                   "--zeta": "0.1", "--eigen": "0", "--mode": "sample", "--repeats": "3",
+                   "--seed": "2", "--mu": "8", "--sigma": "2", "--n": "3", "--witnesses": "1"}
+
+
+def declared_cases():
+    """(subcommand, option, mode, argv, refusal) for each option that a
+    subcommand declares mode-specific (``cli._declare``), read from the
+    parser: for each rule of the option, each value of the option that picks
+    the mode, unset too.  The option's other rules are met, and so are those
+    of each declared picker that is given.  ``refusal`` is the message the
+    option must be refused with, or None where the mode reads it."""
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    for name, parser in subparsers.items():
+        declared = parser.get_default("declared") or []
+        rules_of = {dest: rules for dest, _, rules, _ in declared}
+        filled = {dest: default for dest, _, _, default in declared}
+        actions = {a.dest: a for a in parser._actions}
+        for _, flag, rules, _ in declared:
+            for picker, modes, _ in rules:
+                action = actions[picker]
+                shown = action.option_strings[0] if action.option_strings else name
+                if isinstance(modes, str):  # read only while the picker is unset
+                    values, refusal = [None, "given"], f"{flag} applies only without {shown}, {modes}"
+                else:
+                    values = [None] * (not action.required) + action.choices
+                    refusal = f"{flag} applies only to {shown} {', '.join(modes)}"
+                for value in values:
+                    setting = {picker: value}
+                    needs = [r for r in rules if r[0] != picker] + rules_of.get(picker, []) * bool(value)
+                    while needs:
+                        other, other_modes, _ = needs.pop()
+                        if other not in setting:
+                            setting[other] = None if isinstance(other_modes, str) else other_modes[0]
+                            needs += rules_of.get(other, []) * bool(setting[other])
+                    read = (value is None if isinstance(modes, str) else
+                            (filled.get(picker, action.default) if value is None else value) in modes)
+                    argv = [name]
+                    for a in parser._actions:
+                        given = setting.get(a.dest)
+                        if given is None and a.required:  # --route, --what, --t, qpe's --ham
+                            given = a.choices[0] if a.choices else "given"
+                        if given == "given":
+                            given = DECLARED_VALUES[a.option_strings[0]]
+                        if given is not None:
+                            argv += [*a.option_strings[:1], given]
+                    yield (name, flag, f"{shown} {value or 'unset'}",
+                           [*argv, flag, DECLARED_VALUES[flag]], None if read else refusal)
+
+
+DECLARED_CASES = list(declared_cases())
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self):
         rc, _ = invoke(["frobnicate"])
@@ -451,6 +508,9 @@ class TestExitCodes:
         "zeta_with_slow": ["qpe", "prepare", "--route", "slow", "--ham", H2Q, "--N", "64",
                            "--zeta", "0.1"],
         "gibbs_dim_not_a_power_of_two": ["gibbs", "--ham", "{tmp}/three.dense"],
+        # an empty path is given, like any other, and names no file
+        "oracle_path_empty": ["ae-demo", "--oracle", ""],
+        "out_path_empty": ["--out", "", "stateprep", "--what", "binomial", "--N", "4"],
         "jumps_of_mixed_dims": [*EVOLVE, "choi-ff", "--jumps", "{tmp}/mixed_dims.txt"],
     }
 
@@ -526,6 +586,13 @@ class TestExitCodes:
          ["qpe", "--route", "slow", "--ham", HAM, "--N", "64", "--t", "16"]),
         (["qpe", "--route", "fast", "--ham", HAM, "--N", "64"],
          ["qpe", "--route", "fast", "--ham", HAM, "--N", "64", "--t", "16", "--eps", "1e-4"]),
+        (["qpe", "prepare", "--route", "standard", "--ham", HAM],
+         ["qpe", "prepare", "--route", "standard", "--ham", HAM, "--eigen", "0", "--d", "8"]),
+        (["qpe", "--route", "standard", "--ham", HAM, "--d", "3"],
+         ["qpe", "--route", "standard", "--ham", HAM, "--d", "3", "--mode", "exact"]),
+        (["qpe", "--route", "slow", "--ham", HAM, "--N", "64", "--mode", "sample", "--seed", "1"],
+         ["qpe", "--route", "slow", "--ham", HAM, "--N", "64", "--mode", "sample", "--seed", "1",
+          "--repeats", "1"]),
     ])
     def test_unset_option_takes_its_default(self, tmp_path, argv, default):
         oracle = tmp_path / "oracle.txt"
@@ -535,6 +602,24 @@ class TestExitCodes:
         want = invoke(default)[1]
         # the records differ in their command and wall time alone
         assert cut_fields(out, command=True) == cut_fields(want, command=True)
+
+    @pytest.mark.parametrize("argv, refusal", [case[3:] for case in DECLARED_CASES],
+                             ids=[f"{name} {flag} {mode}" for name, flag, mode, *_ in DECLARED_CASES])
+    def test_option_is_refused_where_its_mode_does_not_read_it(self, tmp_path, capsys, argv,
+                                                               refusal):
+        # every file path names no file: a refused option is refused before any is opened
+        rc, out = invoke([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+        err = capsys.readouterr().err
+        if refusal is None:
+            assert "applies only" not in err, err
+        else:
+            assert (rc, out, err) == (1, "", f"error: {refusal}\n")
+
+    def test_every_declared_option_is_read_and_refused(self):
+        # 17 declared: 4 in evolve, 9 in qpe, 2 in ae-demo and 2 in stateprep
+        cases = {(name, flag, refusal is None) for name, flag, _, _, refusal in DECLARED_CASES}
+        declared = {(name, flag) for name, flag, *_ in DECLARED_CASES}
+        assert len(declared) == 17 and len(cases) == 2 * len(declared), sorted(cases)
 
     @pytest.mark.parametrize("method", ["exact", "dilated", "ff", "choi-ff"])
     def test_every_evolve_method_refuses_eps_alike(self, capsys, method):

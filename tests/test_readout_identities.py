@@ -15,8 +15,8 @@ the window, whose mass is out:
 and where the window covers every address (out = 0) they agree to rounding.
 The draws reach the edges of t (a subnormal and a tiny t, whose t / N
 underflows, and t = 1024) and of eps (0.999).  A plan that ``plan`` refuses
-is assumed away, and so is a draw outside ``estimate``'s range: every readout
-draw, and a kernel draw at t = 1024.  None of them counts as a pass.
+is assumed away, and so is a readout draw outside ``estimate``'s range.  None
+of them counts as a pass.
 """
 
 import itertools
@@ -133,18 +133,22 @@ def test_ff_kernel_is_the_dilated_kernel_within_twice_the_outside_mass(case, n, 
     pair = channels(t, eps, n)
     assume(pair is not None)
     ff, dilated = pair
-    # At t = 1024 outside estimate's range (N <= 255) the phases reach 45-90 rad,
-    # and the two kernels differ by those arguments' own rounding: 5.3e-15 at
-    # N = 2, past KERNEL_ROUNDING, with each within 3.6e-15 of 50-digit mpmath
-    assume(t < 1024.0 or in_range(ff.plan))
     out = outside_mass(ff.plan)
     assert out == 0.0 or not ff.plan.full_window
+    # At t = 1024 outside estimate's range (N <= 255) the phases reach 45-90 rad,
+    # and the two kernels differ by those arguments' own rounding, up to 3.7e-15
+    # past KERNEL_ROUNDING at N = 2, each kernel within 3.6e-15 of 50-digit
+    # mpmath.  So the phases' own rounding is allowed too, 2^-52 B |a - b| for
+    # the plan's Hamiltonian time B: over 59,220 checks on the grid, 111 of them
+    # past KERNEL_ROUNDING, the worst excess was 0.11 of that term.
+    phase = 2.0 ** -52 * ff.cost.hamiltonian_time
     # the spectrum's own kernel (interpolated past its node count), a column, and a block
     other = rng.uniform(-1.0, 1.0, 3)
     for got, b in ((level_kernel(ff, h), h), (ff.kernel(h, np.zeros(1)), np.zeros(1)),
                    (ff.kernel(h, other), other)):
         gap = np.max(np.abs(got - dilated.kernel(h, b)))
-        assert gap <= 2.0 * out + KERNEL_ROUNDING, (gap, out)
+        spread = np.max(np.abs(h[:, None] - b))
+        assert gap <= 2.0 * out + KERNEL_ROUNDING + phase * spread, (gap, out, phase * spread)
 
 
 @settings(max_examples=150, deadline=None, database=None)
