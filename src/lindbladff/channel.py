@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ValidationError
 from . import numkernel as nk
 from .dilated import CostReport, default_steps, dilated_kernel, step_root
-from .fastforward import JUMP_NORM_ATOL, FFPlan, ff_cost, gap_kernel, plan
+from .fastforward import FFPlan, ff_cost, gap_kernel, plan
 from .model import Hamiltonian, SpectrumMap, normalize_levels, normalize_spectrum
 
 
@@ -138,7 +138,7 @@ def evolve_matrix(h: np.ndarray, state: np.ndarray, chan: Channel
         w = np.linalg.eigvalsh(h)
         eigs, _, smap = normalize_levels(w)
         lo, hi = ((w[[0, -1]] - smap.shift) / smap.scale).tolist()
-        if (eigs.size > 1 and hi <= 1.0 + JUMP_NORM_ATOL
+        if (eigs.size > 1 and hi <= 1.0 + nk.JUMP_NORM_ATOL
                 and (m := node_count(chan, hi - lo, w.size)) < w.size):
             return _node_form(h, psi, chan, w, nk.chebyshev_points(lo, hi, m)), chan.cost, smap
     ham = normalize_spectrum(h)

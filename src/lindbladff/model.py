@@ -180,13 +180,15 @@ class SpectralState(NamedTuple):
 
 
 def decompose_state(v: np.ndarray, ham: Hamiltonian) -> SpectralState:
+    """The eigenspace decomposition of v; components that do not sum back to v
+    (an eigenvector missing from ``ham.vectors``) are refused."""
     comps = ham.components(v)
+    if not np.linalg.norm(comps.sum(axis=0) - v) <= nk.UNIT_NORM_ATOL:
+        raise ValidationError("eigenspace components do not sum to the state; eigenbasis incomplete?")
     coeffs = np.linalg.norm(comps, axis=1)
     safe = np.where(coeffs > 0, coeffs, 1.0)
     normalized = comps / safe[:, None]
     normalized[coeffs == 0] = 0.0
-    if not abs(float(np.sum(coeffs ** 2)) - 1.0) <= nk.UNIT_NORM_ATOL:
-        raise ValidationError("eigenspace weights do not sum to 1; eigenbasis incomplete?")
     return SpectralState(coeffs, normalized)
 
 

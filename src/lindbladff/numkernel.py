@@ -5,7 +5,8 @@ double precision throughout.  Hermitian inputs are symmetrized as
 (A + A^dag)/2 once their asymmetry is verified to sit below
 ``HERMITIAN_ATOL``; larger asymmetry raises, since silently proceeding would
 mask model-construction bugs upstream.  Each kind of argument has one rule
-and one message here: ``require_state``, ``require_density``, ``require_time``
+and one message here: ``require_square`` (a non-empty square matrix),
+``require_state``, ``require_density``, ``require_jump_norm``, ``require_time``
 (0 < t < inf), ``require_eps`` (0 < eps < 1) and ``require_count`` (integers).
 """
 
@@ -21,19 +22,14 @@ HERMITIAN_ATOL = 1e-10   # max |A - A^dag| accepted (then symmetrized)
 UNIT_NORM_ATOL = 1e-9    # state-vector normalization
 TRACE_ATOL = 1e-9        # density-matrix trace
 PSD_ATOL = 1e-8          # density eigenvalues >= -PSD_ATOL
+JUMP_NORM_ATOL = 1e-9    # |h| <= 1 + this for every jump eigenvalue evolved
 
 
-def as_matrix(a) -> np.ndarray:
+def require_square(a) -> np.ndarray:
+    """Validate a non-empty square matrix and return it as a complex array."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise ValidationError(f"expected a matrix, got ndim={a.ndim}")
-    return a
-
-
-def require_square(a: np.ndarray) -> np.ndarray:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    if not (a.ndim == 2 and 0 < a.shape[0] == a.shape[1]):
+        raise ValidationError(f"expected a non-empty square matrix, got shape {a.shape}")
     return a
 
 
@@ -41,7 +37,7 @@ def hermiticity_defect(a: np.ndarray) -> float:
     """Max-entry distance between A and its conjugate transpose; an entry that
     is not finite makes it NaN or inf, without numpy's inf - inf warning."""
     with np.errstate(invalid="ignore"):
-        return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+        return float(np.max(np.abs(a - a.conj().T)))
 
 
 def require_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
@@ -103,6 +99,13 @@ def require_density(rho: np.ndarray) -> np.ndarray:
     if wmin < -PSD_ATOL:
         raise ValidationError(f"density matrix has eigenvalue {wmin:.3e} below -{PSD_ATOL:.1e}")
     return rho
+
+
+def require_jump_norm(eigs: np.ndarray, message: str = "jump norm exceeds 1; normalize "
+                      "the spectrum and rescale time") -> None:
+    """Validate the eigenvalues a jump evolves: |h| <= 1 + ``JUMP_NORM_ATOL``."""
+    if not float(np.max(np.abs(eigs))) <= 1.0 + JUMP_NORM_ATOL:  # a NaN fails too
+        raise ValidationError(message)
 
 
 def require_time(t: float) -> None:

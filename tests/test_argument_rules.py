@@ -136,3 +136,18 @@ def test_one_level_target_is_refused_alike(route, tmp_path):
         count = [] if route == "standard" else ["--N", "64"]  # the standard route reads no --N
         rc = run(["qpe", "prepare", "--route", route, "--ham", str(path), *count])
     assert (rc, err.getvalue()) == (1, f"error: {message}\n")
+
+
+# A 0x0 matrix once reached eigh: normalize_spectrum and choi_ff_evolve raised
+# an IndexError, gibbs_prepare a "math domain error" from its log2(0)
+EMPTY = np.zeros((0, 0), dtype=complex)
+MATRIX = {
+    "normalize_spectrum": normalize_spectrum,
+    "gibbs_prepare": lambda a: gibbs_prepare(a, 1.0, 0.1),
+    "choi_ff_evolve": lambda a: choi_ff_evolve(lindblad_spec([a]), a, 1.0, 0.1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MATRIX))
+def test_empty_matrix_is_refused_alike(entry):
+    assert refusal(MATRIX[entry], EMPTY) == "expected a non-empty square matrix, got shape (0, 0)"

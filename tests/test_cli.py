@@ -185,11 +185,17 @@ class TestRecordSplice:
             assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
 
 
+# ``python -m lindbladff.cli`` where scipy, a test extra only, cannot be imported:
+# numpy is the one runtime dependency, so no route may need it
+NUMPY_ONLY = ("import runpy, sys; sys.modules['scipy'] = None; "
+              "runpy.run_module('lindbladff.cli', run_name='__main__', alter_sys=True)")
+
+
 def main_process(argv):
-    """``python -m lindbladff.cli argv`` in a fresh interpreter, from the repo root,
-    with stdout block-buffered into its pipe as in a plain shell."""
+    """``python -m lindbladff.cli argv``, scipy unimportable, in a fresh interpreter
+    from the repo root, with stdout block-buffered into its pipe as in a plain shell."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    return subprocess.run([sys.executable, "-m", "lindbladff.cli", *argv], cwd=ROOT,
+    return subprocess.run([sys.executable, "-c", NUMPY_ONLY, *argv], cwd=ROOT,
                           env=dict(env, PYTHONPATH=SRC), capture_output=True,
                           text=True, timeout=120)
 

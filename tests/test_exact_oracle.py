@@ -1,14 +1,19 @@
 """The exact channel (``channel("exact", ...)``) against the independent
 oracles of ``tests/oracles.py``, and those oracles against each other."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from lindbladff import ValidationError, evolve, lindblad_spec, normalize_spectrum
 from lindbladff.channel import channel
 from lindbladff.errors import CapacityError
+from lindbladff.model import CLUSTER_RTOL
 
-from conftest import PAULI_Y, PAULI_Z, random_density, random_hermitian
+from conftest import PAULI_Y, PAULI_Z, random_density, random_hermitian, random_state
 from oracles import lindblad_exact_general, lindblad_rk4, steady_state
 
 PLUS_RHO = np.full((2, 2), 0.5, dtype=complex)
@@ -79,6 +84,48 @@ class TestHermitianSolution:
             out = evolve(ham, rho, channel("exact", t, None))[0]
             assert np.max(np.abs(out - lindblad_exact_general(lindblad_spec([f]), rho, t))) <= 1e-9
             assert np.max(np.abs(out - lindblad_rk4([f], rho, t))) <= 1e-8
+
+
+@hst.composite
+def small_jumps(draw):
+    """A jump of dim 2-6, a state vector or a density matrix, and t at its
+    edges: the spectrum is random, or a few levels repeated exactly
+    (degenerate) or spread under half the cluster tolerance (clustered),
+    inside [0, 1] (an identity map) or over [-3, 3]."""
+    dim = draw(hst.integers(2, 6))
+    kind = draw(hst.sampled_from(["random", "degenerate", "clustered"]))
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    lo, hi = (0.0, 1.0) if draw(hst.booleans()) else (-3.0, 3.0)
+    if kind == "random":
+        eigs = rng.uniform(lo, hi, dim)
+    else:
+        centers = rng.uniform(lo, hi, int(rng.integers(1, dim)))
+        eigs = rng.choice(centers, dim)
+        if kind == "clustered":
+            eigs += rng.random(dim) * 0.45 * CLUSTER_RTOL * np.max(np.abs(centers))
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    f = (q * eigs) @ q.conj().T
+    state = random_density(rng, dim) if draw(hst.booleans()) else random_state(rng, dim)
+    t = draw(hst.one_of(hst.sampled_from([1e-9, 1e-3, 16.0]), hst.floats(1e-3, 16.0)))
+    return 0.5 * (f + f.conj().T), state, t
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(case=small_jumps())
+def test_generated_cross_check_vs_oracles(case):
+    # The oracles evolve the normalized jump (F - shift) / scale unmerged; the
+    # eigenbasis path merges each cluster into its first eigenvalue, which
+    # moves every gap by at most the cluster tolerance over the scale, and the
+    # kernel by sqrt(t / e) times that (the largest slope of exp(-t g^2 / 2))
+    f, state, t = case
+    ham = normalize_spectrum(f)
+    smap = ham.spectrum_map
+    jump = (f - smap.shift * np.eye(len(f))) / smap.scale
+    rho = state if state.ndim == 2 else np.outer(state, state.conj())
+    out = evolve(ham, state, channel("exact", t, None))[0]
+    merge = math.sqrt(t / math.e) * CLUSTER_RTOL * np.max(np.abs(np.linalg.eigvalsh(f))) / smap.scale
+    assert np.max(np.abs(out - lindblad_exact_general(lindblad_spec([jump]), rho, t))) <= 1e-9 + merge
+    assert np.max(np.abs(out - lindblad_rk4([jump], rho, t))) <= 1e-8 + merge
 
 
 class TestGeneralSolution:

@@ -269,6 +269,15 @@ class TestFastForwardEvolve:
         with pytest.raises(ValidationError, match="jump norm exceeds 1"):
             evolve(raw, random_state(rng, 2), channel("ff", 1.0, 0.1))
 
+    @pytest.mark.parametrize("reader", [lambda p, h: gap_kernel(p, h, np.zeros(1)),
+                                        lambda p, h: fastforward.residue_spectrum(p, h, np.ones(2))],
+                             ids=["gap_kernel", "residue_spectrum"])
+    def test_norm_guard_refuses_nan(self, reader):
+        # nan > 1 + JUMP_NORM_ATOL is false: the rule once let a NaN eigenvalue
+        # through, to a NaN kernel entry
+        with pytest.raises(ValidationError, match="jump norm exceeds 1"):
+            reader(fastforward.plan(1.0, 0.1), np.array([np.nan, 0.5]))
+
 
     def test_dimension_guard(self, rng):
         ham = normalize_spectrum(random_hermitian(rng, 2))

@@ -1,8 +1,11 @@
 import importlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from lindbladff import (ValidationError, evolve, gibbs_prepare,
                         lindblad_spec, normalize_spectrum, plan)
@@ -86,6 +89,23 @@ class TestGibbsJump:
     def test_rejects_large_norm(self):
         with pytest.raises(ValidationError, match="exceeds 1"):
             gibbs_jump(np.diag([0.0, 1.5]), 1)
+
+    def test_norm_rule_reads_the_roots_it_evolves(self):
+        # the jump is sqrt(H_P): its top root may reach 1 + JUMP_NORM_ATOL, as
+        # every jump eigenvalue the ff kernel evolves may, and no further (the
+        # rule once read H_P's own norm against a literal 1 + 1e-9)
+        bound = 1.0 + nk.JUMP_NORM_ATOL
+        edge = bound * bound
+        while math.sqrt(edge) > bound:
+            edge = math.nextafter(edge, 0.0)
+        while math.sqrt(math.nextafter(edge, 2.0)) <= bound:
+            edge = math.nextafter(edge, 2.0)
+        past = math.nextafter(edge, 2.0)
+        assert nk.herm_eig(np.diag([0.0, edge]))[0][-1] == edge
+        res = gibbs_prepare(np.diag([0.0, edge]), 1.0, 0.05)
+        assert res.partition_exact == 1.0 + math.exp(-edge)
+        with pytest.raises(ValidationError, match=f"^problem Hamiltonian norm {past:.6f} exceeds 1$"):
+            gibbs_prepare(np.diag([0.0, past]), 1.0, 0.05)
 
 
 class TestExactGibbs:
@@ -235,6 +255,35 @@ def test_matches_dense_oracle(name, beta, monkeypatch):
     h_p = ORACLE_CASES[name]
     res = gibbs_prepare(h_p, beta, 0.05)
     want, z = dense_gibbs(h_p, channel("ff", beta, 0.05))  # the channel gibbs_prepare makes
+    assert abs(np.vdot(want, res.purification)) ** 2 >= 1 - 1e-12
+    assert abs(res.partition_estimate - z) <= 1e-12 * z
+
+
+@hst.composite
+def psd_problems(draw):
+    """A PSD H_P of dim 2, 4 or 8 whose spectrum holds the levels 0 and 1, the
+    rest random or repeats of them, diagonal or rotated, and beta in (0, 4]."""
+    d = 1 << draw(hst.integers(1, 3))
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    rest = rng.uniform(0.0, 1.0, d - 2)
+    if draw(hst.booleans()):
+        rest = rng.choice(np.r_[0.0, 1.0, rest[:1]], d - 2)
+    w = np.r_[0.0, rest, 1.0].astype(complex)
+    q = random_unitary(rng, d) if draw(hst.booleans()) else np.eye(d)
+    h_p = (q * w) @ q.conj().T
+    beta = draw(hst.one_of(hst.sampled_from([4.0, 1e-300]),
+                           hst.floats(0.0, 4.0, exclude_min=True)))
+    return 0.5 * (h_p + h_p.conj().T), beta
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=psd_problems())
+def test_generated_spectra_match_dense_oracle(case):
+    # the clustering tolerance of test_matches_dense_oracle, for its reason
+    h_p, beta = case
+    res = gibbs_prepare(h_p, beta, 0.05)
+    with mock.patch.object(model, "CLUSTER_RTOL", 1e-12):
+        want, z = dense_gibbs(h_p, channel("ff", beta, 0.05))
     assert abs(np.vdot(want, res.purification)) ** 2 >= 1 - 1e-12
     assert abs(res.partition_estimate - z) <= 1e-12 * z
 

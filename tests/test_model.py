@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lindbladff import InvariantError, ValidationError, model
+from lindbladff import numkernel as nk
 
 from conftest import PAULI_X, PAULI_Z, dilate, random_hermitian, random_state
 from oracles import kron_pauli_sum
@@ -760,3 +761,18 @@ class TestDecomposeState:
         with pytest.raises(ValidationError):
             model.decompose_state(random_state(rng, 3), ham)
 
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_state_norm_is_read_by_its_rule_alone(self, rng, sign):
+        # a norm of 1 + 8e-10 passed require_state and was then refused here,
+        # where the weights restated its tolerance on ||v||^2
+        ham = model.normalize_spectrum(random_hermitian(rng, 6))
+        v = random_state(rng, 6) * (1.0 + sign * 0.99 * nk.UNIT_NORM_ATOL)
+        st = model.decompose_state(v, ham)
+        assert abs(np.sum(st.weights) - np.vdot(v, v).real) <= 1e-15
+
+    def test_incomplete_eigenbasis_is_refused(self, rng):
+        ham = model.normalize_spectrum(random_hermitian(rng, 6))
+        short = ham._replace(eigenvalues=ham.eigenvalues[:-1], vectors=ham.vectors[:, :-1],
+                             levels=ham.levels[:-1])
+        with pytest.raises(ValidationError, match="eigenbasis incomplete"):
+            model.decompose_state(random_state(rng, 6), short)
