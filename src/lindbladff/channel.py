@@ -44,31 +44,28 @@ class Channel(NamedTuple):
     plan: FFPlan | None = None
 
 
-def channel(method: str, t: float, eps: float | None, steps: int | None = None,
-            n: int | None = None) -> Channel:
-    """The ``exact``, ``dilated`` or ``ff`` channel for time t.
+def channel(method: str, t: float, eps: float | None, n: int | None = None) -> Channel:
+    """The ``exact``, ``dilated`` or ``ff`` channel for time t and count n.
 
-    ``dilated`` runs ``steps`` steps, ``default_steps(t, eps)`` when none is
-    given, for Hamiltonian time steps * sqrt(t / steps) and one ancilla per
-    step; ``ff`` runs ``plan(t, eps, n)``; ``exact`` costs nothing and reads
-    no eps.  A method refuses a count it does not read (``steps``, ``n``).
+    ``dilated`` runs n steps, ``default_steps(t, eps)`` when n is None, for
+    Hamiltonian time n * sqrt(t / n) and one ancilla per step; ``ff`` runs
+    ``plan(t, eps, n)``; ``exact`` costs nothing and reads no eps and no n.
     """
     if method not in ("exact", "dilated", "ff"):
         raise ValidationError(f"unknown single-jump method {method!r}; expected exact, dilated or ff")
-    for name, count, reader in (("steps", steps, "dilated"), ("n", n, "ff")):
-        if count is not None and method != reader:
-            raise ValidationError(f"{name} is read by the {reader} method alone, not by {method}")
     if method == "ff":
         p = plan(t, eps, n)
         return Channel("ff", p.t, p.n, partial(gap_kernel, p), ff_cost(p), p)
     if method == "dilated":
-        if steps is None:
-            steps = default_steps(t, eps)
+        if n is None:
+            n = default_steps(t, eps)
         else:
-            steps = nk.require_count(steps, 1, "step count")
+            n = nk.require_count(n, 1, "step count")
             nk.require_time(t)
-        return Channel("dilated", t, steps, partial(dilated_kernel, t, steps),
-                       CostReport(steps * step_root(t, steps), steps, steps))
+        return Channel("dilated", t, n, partial(dilated_kernel, t, n),
+                       CostReport(n * step_root(t, n), n, n))
+    if n is not None:
+        raise ValidationError("n is read by the dilated and ff methods, not by exact")
     nk.require_time(t)
     return Channel("exact", t, None,
                    lambda a, b: np.exp(-0.5 * t * (a[:, None] - b[None, :]) ** 2),

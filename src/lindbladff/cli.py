@@ -188,7 +188,8 @@ def _cmd_evolve(args, argv):
 
     mat, digest = _load_ham(args.ham)
     psi = _initial_state(args.state, len(mat))
-    chan = channel(args.method, args.t, args.eps, args.steps, args.N)
+    chan = channel(args.method, args.t, args.eps,
+                   args.steps if args.method == "dilated" else args.N)
     rho, cost, smap = evolve_matrix(mat, psi, chan)
     outputs = {"method": args.method}
     if (p := chan.plan) is not None:
@@ -223,8 +224,8 @@ def _cmd_qpe(args, argv):
         raise ValidationError("--N is required for the slow route")
     if args.zeta is not None and not args.zeta > 0:
         raise ValidationError(f"--zeta must be positive, got {args.zeta}")
-    if args.seed is not None and args.seed < 0:
-        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+    if args.seed is not None:
+        nk.require_count(args.seed, 0, "--seed")
     mat, digest = _load_ham(args.ham)
     ham = model.normalize_spectrum(mat)
     if prep := args.mode == "prepare":  # the target's gaps, stretched to unit radius
@@ -237,8 +238,7 @@ def _cmd_qpe(args, argv):
                standard_qpe(ham, state, args.d, args.dist_mode, args.seed, args.repeats))
     else:  # a --zeta target, read by the fast route's prepare alone, sets eps
         eps = args.eps if args.zeta is None else (float(state.coeffs[args.eigen]) * args.zeta) ** 2
-        chan = (channel("dilated", args.t, None, steps=args.N) if args.route == "slow" else
-                channel("ff", args.t, eps, n=args.N))
+        chan = channel("dilated" if args.route == "slow" else "ff", args.t, eps, args.N)
         res = (prepare(ham, state, args.eigen, chan) if prep else
                estimate(ham, state, chan, args.dist_mode, args.seed, args.repeats))
     yield _record(argv, t0, {"route": args.route, **_fields(res)}, digest, args.seed, res.cost)
@@ -258,10 +258,8 @@ def _cmd_gibbs(args, argv):
 
 def _cmd_ae_demo(args, argv):
     t0 = time.perf_counter()
-    if args.runs < 1:
-        raise ValidationError(f"--runs must be at least 1, got {args.runs}")
-    if args.seed < 0:
-        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+    nk.require_count(args.runs, 1, "--runs")
+    nk.require_count(args.seed, 0, "--seed")
     n, witnesses = (_read(args.oracle, model.parse_oracle) if args.oracle is not None
                     else (args.n, args.witnesses))
     problem = amplitude_problem(n, witnesses, t=args.t, register_n=args.N, eps=args.eps)
@@ -346,7 +344,7 @@ def _bench_qpe_error(args, argv):
     yield "t,route,cost,rms_error"
     slow_pts, fast_pts = [], []
     for t in ts:
-        res = estimate(ham, state, channel("dilated", t, None, steps=args.N_slow))
+        res = estimate(ham, state, channel("dilated", t, None, n=args.N_slow))
         rms = _dist_rms(res.distribution, t, h_true)
         slow_pts.append((t, rms))
         yield f"{t},slow,{t!r},{rms!r}"

@@ -18,14 +18,14 @@ import math
 import numpy as np
 
 from .errors import ValidationError
+from . import numkernel as nk
 from .kernels import _require_memory, binom_pmf
 
 
 def binomial_tail(n: int, p: float, c: float) -> float:
     """Exact mass of |m - N p| >= c N under Binomial(N, p); p is checked by
     the pmf's window (``kernels.binom_pmf_window``)."""
-    if n < 0:
-        raise ValidationError(f"N must be >= 0, got {n}")
+    n = nk.require_count(n, 0, "N")
     if not math.isfinite(c):
         raise ValidationError(f"c must be finite, got {c}")
     if c < 0:

@@ -56,7 +56,7 @@ def _psd_eig(h_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of a PSD H_P whose jump sqrt(H_P) passes the
     jump-norm rule on the roots it evolves."""
     w, v = nk.herm_eig(h_p)
-    if w[0] < -1e-9:
+    if w[0] < -nk.PSD_ATOL:
         raise ValidationError(f"problem Hamiltonian has eigenvalue {w[0]:.3e} < 0")
     nk.require_jump_norm(math.sqrt(max(w[-1], 0.0)),
                          f"problem Hamiltonian norm {w[-1]:.6f} exceeds 1")
@@ -71,7 +71,7 @@ def gibbs_prepare(h_p: np.ndarray, beta: float, eps: float) -> GibbsResult:
     One eigendecomposition of H_P gives the jump's roots, the exact Z and
     both level distributions that the fidelity compares.
     """
-    if beta < 0:
+    if beta is None or beta < 0:
         raise ValidationError(f"inverse temperature must be nonnegative, got {beta}")
     nk.require_eps(eps)
     h_p = nk.require_square(h_p)

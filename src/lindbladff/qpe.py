@@ -424,7 +424,7 @@ def prepare(ham: Hamiltonian, state: SpectralState, beta: int, chan: Channel
         zeta = math.sqrt(p.eps) / c_beta if c_beta > 0 else math.inf
         bound, slack = 0.0, 1e-9
         if zeta < 1.0 / 6.0:
-            plain = channel("dilated", p.t, None, steps=p.n).kernel(ham.eigenvalues, zero)[:, 0]
+            plain = channel("dilated", p.t, None, n=p.n).kernel(ham.eigenvalues, zero)[:, 0]
             if w / np.sum(state.weights * plain ** 2) >= 1.0 - zeta:
                 bound = 1.0 - 6.0 * zeta
     prep = _postselect(state, beta, chan.kernel(ham.eigenvalues, zero)[:, 0], bound, slack,
@@ -475,11 +475,12 @@ def amplitude_problem(n: int, witnesses: int, t: float = 250.0, register_n: int 
     whose one-witness levels +-2 asin(2^(-n/2)) would cluster with level 0
     is refused.
     """
-    if not (n >= 0 and 2.0 * math.asin(math.sqrt(math.ldexp(1.0, -n)))
-            > model.CLUSTER_RTOL * math.pi):
+    n = nk.require_count(n, 0, "address bits")
+    if not 2.0 * math.asin(math.sqrt(math.ldexp(1.0, -n))) > model.CLUSTER_RTOL * math.pi:
         raise ValidationError(f"n = {n} address bits: need n >= 0 and one witness's levels "
                               f"+-2 asin(2^(-n/2)) farther from 0 than the clustering tolerance")
-    if not 0 <= witnesses <= 1 << n:
+    witnesses = nk.require_count(witnesses, 0, "witness count")
+    if witnesses > 1 << n:
         raise ValidationError(f"witness count must lie in [0, 2^n = {1 << n}], got {witnesses}")
     amplitude = 2.0 ** (-n / 2.0) * math.sqrt(witnesses)
     if n == 0:  # no complement: the iterate is +1 (W = 0) or -1 (W = 1)

@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
+from . import numkernel as nk
 from .kernels import _require_memory, binom_pmf
 
 # Truncation of the lattice-Gaussian and theta series, below the double-
@@ -36,10 +37,9 @@ class GaussianParams:
     __slots__ = ("mu", "sigma", "n")
 
     def __init__(self, mu: float, sigma: float, n: int):
-        if not math.isfinite(mu):
+        if mu is None or not math.isfinite(mu):
             raise ValidationError(f"mu must be finite, got {mu}")
-        if n < 2:
-            raise ValidationError(f"period must be >= 2, got {n}")
+        n = nk.require_count(n, 2, "period")
         if f_mu_sigma(mu, sigma) == 0.0:  # f_mu_sigma also holds the one sigma rule
             raise ValidationError(f"f(mu, sigma) underflows to 0 at mu = {mu}, sigma = {sigma}")
         self.mu = mu
@@ -52,9 +52,7 @@ def binomial_amplitudes(n: int) -> np.ndarray:
 
     The square root of the Binomial(n, 1/2) pmf, zero outside its window.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    return np.sqrt(binom_pmf(n, 0.5))
+    return np.sqrt(binom_pmf(nk.require_count(n, 1, "n"), 0.5))
 
 
 def f_mu_sigma(mu, sigma: float):
@@ -73,7 +71,7 @@ def f_mu_sigma(mu, sigma: float):
     Every sigma passes the one width rule 0 < 2 pi sigma^2 < inf: no
     exponent divides by 0 and the theta normalizer does not overflow.
     """
-    if not (sigma > 0 and 0 < 2.0 * math.pi * sigma * sigma < math.inf):
+    if sigma is None or not (sigma > 0 and 0 < 2.0 * math.pi * sigma * sigma < math.inf):
         raise ValidationError(f"sigma needs 0 < 2 pi sigma^2 < inf, got {sigma}")
     mus = np.asarray(mu, dtype=float).reshape(-1)
     if sigma < 1.0:
@@ -169,7 +167,7 @@ def kw_angle_schedule(params: GaussianParams) -> list[np.ndarray]:
 def binomial_gaussian_distance(n: int) -> float:
     """l2 gap between the binomial amplitudes (restricted to m < N) and the
     matched periodized Gaussian (mu = N/2, sigma = sqrt(N)/2)."""
-    if n % 2 != 0:
+    if nk.require_count(n, 2, "n") % 2 != 0:
         raise ValidationError(f"n must be even, got {n}")
     a = binomial_amplitudes(n)[:n]
     xi = discrete_gaussian_amplitudes(GaussianParams(n / 2.0, math.sqrt(n) / 2.0, n))

@@ -141,7 +141,7 @@ def test_criterion_05_sql_vs_heisenberg():
     n_slow = 1_000_000
     slow_rms = []
     for t in ts:
-        res = lff.estimate(ham, state, channel("dilated", t, None, steps=n_slow))
+        res = lff.estimate(ham, state, channel("dilated", t, None, n=n_slow))
         est, _ = counting_estimator(t, n_slow, np.arange(res.distribution.size))
         slow_rms.append(float(np.sqrt(np.sum(res.distribution * (est - h_true) ** 2))))
     s_slow = float(np.polyfit(np.log(ts), np.log(slow_rms), 1)[0])
@@ -198,7 +198,7 @@ def test_criterion_07_eigenstate_preparation_bounds():
     state = lff.decompose_state(plus, ham)
 
     n = 10 ** 4
-    slow = lff.prepare(ham, state, 0, channel("dilated", 16.0, None, steps=n))
+    slow = lff.prepare(ham, state, 0, channel("dilated", 16.0, None, n=n))
     slow_ok = (slow.overlap >= slow.overlap_bound - 1.0 / n
                and slow.overlap >= 0.982013 - 1e-4)
 

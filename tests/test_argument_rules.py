@@ -9,8 +9,10 @@ import io
 import numpy as np
 import pytest
 
-from lindbladff import (ValidationError, amplitude_problem, choi_ff_evolve,
-                        decompose_state, default_steps, estimate, gibbs_prepare,
+from lindbladff import (GaussianParams, ValidationError, amplitude_problem,
+                        binomial_amplitudes, binomial_gaussian_distance, binomial_tail,
+                        choi_ff_evolve, decompose_state, default_steps,
+                        discrete_gaussian_amplitudes, estimate, gibbs_prepare, kw_angle_schedule,
                         lindblad_spec, normalize_spectrum, plan, prepare, standard_qpe,
                         standard_qpe_eigenstate)
 from lindbladff.channel import channel
@@ -25,7 +27,7 @@ RHO2 = np.eye(2, dtype=complex) / 2
 
 
 def slow(t, n):
-    return channel("dilated", t, None, steps=n)
+    return channel("dilated", t, None, n=n)
 
 
 def fast(t, eps, n):
@@ -80,6 +82,15 @@ COUNTS = {
                          "repeats", 3),
     "fast_qpe_repeats": (lambda r: estimate(HAM, STATE, fast(4.0, 1e-3, 64), repeats=r), 1,
                          "repeats", 3),
+    "binomial_tail": (lambda n: binomial_tail(n, 0.5, 0.1), 0, "N", 10),
+    "binomial_amplitudes": (binomial_amplitudes, 1, "n", 4),
+    "binomial_gaussian_distance": (binomial_gaussian_distance, 2, "n", 4),
+    "discrete_gaussian_amplitudes": (
+        lambda n: discrete_gaussian_amplitudes(GaussianParams(8.0, 2.0, n)), 2, "period", 16),
+    "kw_angle_schedule": (lambda n: kw_angle_schedule(GaussianParams(8.0, 2.0, n)), 2,
+                          "period", 16),
+    "amplitude_problem_address_bits": (lambda n: amplitude_problem(n, 0), 0, "address bits", 2),
+    "amplitude_problem_witnesses": (lambda w: amplitude_problem(2, w), 0, "witness count", 1),
 }
 
 
@@ -105,7 +116,10 @@ def test_target_error_is_refused_alike(entry, eps):
 
 
 # Below the floor, and floats: 2.5 steps once gave NaN entries, a register
-# count of 100.5 numpy's TypeError, and 17.9 an N rounded to 18.
+# count of 100.5 numpy's TypeError, and 17.9 an N rounded to 18; a float
+# period once reached kw_angle_schedule's int.bit_length (AttributeError) or
+# gave discrete_gaussian_amplitudes ceil(17.9) = 18 amplitudes, and 1.5
+# witnesses built a problem.
 @pytest.mark.parametrize("value", ("floor", -1, 2.5, 17.9, 100.5, 4.0))
 @pytest.mark.parametrize("entry", sorted(COUNTS))
 def test_count_is_refused_alike(entry, value):

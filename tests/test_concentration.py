@@ -101,7 +101,7 @@ def test_validation():
 
 
 @pytest.mark.parametrize("n,p,c,message", [
-    (-3, 0.5, 0.1, "N must be >= 0, got -3"),
+    (-3, 0.5, 0.1, "N must be an integer >= 0, got -3"),
     (10, float("nan"), 0.1, "p must be in [0, 1], got nan"),
     (10, 0.5, -0.1, "c must be nonnegative, got -0.1"),
     (10, 0.5, float("nan"), "c must be finite, got nan"),

@@ -86,6 +86,14 @@ class TestGibbsJump:
         with pytest.raises(ValidationError, match="< 0"):
             gibbs_jump(np.diag([-0.1, 0.5]), 1)
 
+    def test_positivity_reads_the_density_tolerance(self):
+        # H_P's eigenvalues may dip to -PSD_ATOL, as a density matrix's may
+        # (the rule once read a literal -1e-9)
+        res = gibbs_prepare(np.diag([-5e-9, 1.0]), 1.0, 0.05)
+        assert abs(res.fidelity - 1.0) <= 1e-6
+        with pytest.raises(ValidationError, match="< 0"):
+            gibbs_prepare(np.diag([-2e-8, 1.0]), 1.0, 0.05)
+
     def test_rejects_large_norm(self):
         with pytest.raises(ValidationError, match="exceeds 1"):
             gibbs_jump(np.diag([0.0, 1.5]), 1)
@@ -141,6 +149,17 @@ class TestGibbsPrepare:
         assert abs(res.partition_estimate - 2.0) <= 4 * np.finfo(float).eps
         assert (res.partition_exact, res.fidelity) == (2.0, 1.0)
         assert res.cost == CostReport(0.0, 0, 0)
+
+    def test_missing_beta_is_refused_by_its_rule(self):
+        # None once raised a TypeError from the comparison
+        with pytest.raises(ValidationError, match="^inverse temperature must be nonnegative, got None$"):
+            gibbs_prepare(H_P2, None, 0.05)
+
+    @pytest.mark.parametrize("beta", (math.nan, math.inf))
+    def test_non_finite_beta_is_refused_by_the_time_rule(self, beta):
+        with pytest.raises(ValidationError) as info:
+            gibbs_prepare(H_P2, beta, 0.05)
+        assert str(info.value) == f"evolution time must be positive and finite, got {beta}"
 
     def test_tiny_beta_is_planned_as_itself(self):
         # no floor on beta: 1e-300 runs the two-count plan of 1e-300

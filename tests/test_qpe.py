@@ -49,7 +49,7 @@ PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
 def slow_channel(t, n):
     """The slow route's channel: n dilated steps."""
-    return channel("dilated", t, None, steps=n)
+    return channel("dilated", t, None, n=n)
 
 
 def fast_channel(t, eps, n=None):
@@ -332,7 +332,7 @@ def test_slow_routes_are_bitwise_their_dilated_arithmetic(case, args, beta_draw)
     f, rng = case
     ham = normalize_spectrum(f)
     st = decompose_state(random_state(rng, ham.dim), ham)
-    chan_cost = channel("dilated", t, None, steps=n).cost
+    chan_cost = channel("dilated", t, None, n=n).cost
     # estimation: the distribution is register-sized, so the largest N is kept to preparation
     if n <= 4096:
         try:
@@ -362,7 +362,7 @@ def test_slow_routes_are_bitwise_their_dilated_arithmetic(case, args, beta_draw)
             prepare(ham, st, beta, slow_channel(t, n))
         return
     amp = written_out_filter(t, n, g)
-    assert np.array_equal(channel("dilated", t, None, steps=n).kernel(g, np.zeros(1))[:, 0], amp)
+    assert np.array_equal(channel("dilated", t, None, n=n).kernel(g, np.zeros(1))[:, 0], amp)
     kept = st.weights * np.abs(amp) ** 2
     p0 = float(np.sum(kept))
     prep = prepare(ham, st, beta, slow_channel(t, n))
@@ -538,13 +538,13 @@ def route_slow_qpe(ham, state, t, n, mode="exact", seed=None, repeats=1):
     qs = np.sin(root * ham.eigenvalues[read]) ** 2
     dist = _counting_distribution(state.weights[read], qs, n)
     return qpe._readout(ham, dist, lambda m: counting_estimator(t, n, m),
-                        channel("dilated", t, None, steps=n).cost, mode, seed, repeats)
+                        channel("dilated", t, None, n=n).cost, mode, seed, repeats)
 
 
 def route_slow_qpe_eigenstate(ham, state, beta, t, n):
     ham = qpe._on_gaps(ham, beta)
     route_step_root(ham, t, n)  # argument and range guard
-    chan = channel("dilated", t, None, steps=n)
+    chan = channel("dilated", t, None, n=n)
     w, gap = state.weights[beta], model.spectral_gap(ham, beta)
     bound = w / (w + (1.0 - w) * math.exp(-t * gap ** 2))
     amp = chan.kernel(ham.eigenvalues, np.zeros(1))[:, 0]
@@ -567,7 +567,7 @@ def route_fast_qpe_eigenstate(ham, state, beta, t, eps, n=None):
     zeta = root_eps / c_beta if c_beta > 0 else math.inf
     bound = 0.0
     if zeta < 1.0 / 6.0:
-        plain = channel("dilated", p.t, None, steps=p.n).kernel(ham.eigenvalues, np.zeros(1))[:, 0]
+        plain = channel("dilated", p.t, None, n=p.n).kernel(ham.eigenvalues, np.zeros(1))[:, 0]
         if state.weights[beta] / np.sum(state.weights * plain ** 2) >= 1.0 - zeta:
             bound = 1.0 - 6.0 * zeta
     prep = qpe._postselect(state, beta, chan.kernel(ham.eigenvalues, np.zeros(1))[:, 0],
@@ -940,9 +940,11 @@ class TestAmplitudeDemo:
         # one witness's levels +-2 asin(2^(-n/2)) stay apart from level 0 up to
         # n = 58 at CLUSTER_RTOL = 1e-9, the tolerance read at call time
         assert qpe.amplitude_problem(58, 1).ham.n_levels == 4
-        for n in (59, 10 ** 400, -1):
+        for n in (59, 10 ** 400):
             with pytest.raises(ValidationError, match=f"n = {n} address bits"):
                 qpe.amplitude_problem(n, 1)
+        with pytest.raises(ValidationError, match="^address bits must be an integer >= 0, got -1$"):
+            qpe.amplitude_problem(-1, 1)
         monkeypatch.setattr(model, "CLUSTER_RTOL", 1e-6)
         with pytest.raises(ValidationError, match="n = 40 address bits"):
             qpe.amplitude_problem(40, 0)
@@ -1387,7 +1389,7 @@ if sys.argv[1] != "import":
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     state = decompose_state(v / np.linalg.norm(v), ham)
     if sys.argv[1] == "slow":
-        estimate(ham, state, channel("dilated", 1024.0, None, steps=10 ** 7),
+        estimate(ham, state, channel("dilated", 1024.0, None, n=10 ** 7),
                  mode="sample", seed=5, repeats=15)
     elif sys.argv[1] == "standard22":
         standard_qpe(ham, state, 22)

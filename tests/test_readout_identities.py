@@ -56,7 +56,7 @@ def channels(t, eps, n):
         if str(exc).startswith("window c*N = "):
             return None
         raise
-    return ff, channel("dilated", ff.t, None, steps=ff.n)
+    return ff, channel("dilated", ff.t, None, n=ff.n)
 
 
 def grid():

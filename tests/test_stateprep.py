@@ -150,7 +150,7 @@ class TestDiscreteGaussian:
 
 class TestSigmaRule:
     @pytest.mark.parametrize("sigma", (0.0, -1.0, math.nan, math.inf, 1e-170, 1.2e154,
-                                       1e200, 1e300))
+                                       1e200, 1e300, None))
     def test_one_rule_one_message(self, sigma):
         # 2 pi sigma^2 must be positive and finite: past 1.34e154 sigma^2
         # overflowed in an OverflowError, and from 5.35e153 the theta
@@ -161,6 +161,13 @@ class TestSigmaRule:
                 build()
             messages.append(str(caught.value))
         assert messages[0] == messages[1] and "0 < 2 pi sigma^2 < inf" in messages[0]
+
+    @pytest.mark.parametrize("mu", (math.nan, math.inf, None))
+    def test_centre_must_be_finite(self, mu):
+        # None once raised a TypeError from math.isfinite
+        with pytest.raises(ValidationError) as caught:
+            GaussianParams(mu, 2.0, 16)
+        assert str(caught.value) == f"mu must be finite, got {mu}"
 
     def test_narrowest_width_inside_the_rule_runs(self):
         xi = discrete_gaussian_amplitudes(GaussianParams(8.0, 1e-150, 16))
