@@ -15,7 +15,7 @@ from .model import (Hamiltonian, LindbladSpec, SpectralState, SpectrumMap,
                     parse_pauli_sum, spectral_gap)
 from .qpe import (AmplitudeDecision, AmplitudeProblem, EstimationResult,
                   PreparationResult, amplitude_problem, decide_amplitude, estimate,
-                  prepare, standard_qpe, standard_qpe_eigenstate)
+                  prepare, standard_qpe)
 from .choi import choi_ff_evolve, is_choi_commuting
 from .concentration import bernstein_bound, binomial_tail, hoeffding_bound
 from .stateprep import (GaussianParams, binomial_amplitudes,

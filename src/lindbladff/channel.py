@@ -1,4 +1,4 @@
-"""The one table of single-Hermitian-jump methods.
+"""The one table of phase laws: the single-Hermitian-jump methods and the register.
 
 Each method multiplies the coherence between levels a and b of the jump by
 a function of the gap h_a - h_b, in the jump's eigenbasis: ``exact``,
@@ -6,6 +6,8 @@ exp(-t (h_a - h_b)^2 / 2); ``dilated``, cos(sqrt(t / N) (h_a - h_b))^N for N
 steps (``dilated.dilated_kernel``); ``ff``, sum_r w_r e^{-i (h_a - h_b)
 theta_r} (``fastforward.gap_kernel``).  ``channel`` builds a method's kernel
 and cost once, ``evolve`` applies the kernel through ``Hamiltonian.dephase``.
+``standard``'s law, theta uniform on 2 pi {0, ..., 2^d - 1} (a d-bit Fourier
+register), gives ``qpe.prepare`` the kernel 2^-d sum_j e^{-2 pi i (a - b) j}.
 
 Each kernel is E[e^{-i (a - b) theta}] over a phase law, so it is band
 limited and ``node_count``'s Chebyshev points carry it: ``level_kernel``
@@ -32,26 +34,36 @@ from .model import Hamiltonian, SpectrumMap, normalize_levels, normalize_spectru
 
 
 class Channel(NamedTuple):
-    """A method at time t and count n (the ``dilated`` step count, the ``ff``
-    plan's even N, None for ``exact``): its gap kernel on any two eigenvalue
-    arrays, shape (len a, len b), its cost, and an ``ff`` channel's plan."""
+    """A method at time t (None for ``standard``) and count n (``dilated``'s steps,
+    the ``ff`` plan's even N, ``standard``'s register bits, None for ``exact``): its
+    gap kernel on any two eigenvalue arrays, shape (len a, len b), cost and ``ff`` plan."""
 
     method: str
-    t: float
+    t: float | None
     n: int | None
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
     cost: CostReport
     plan: FFPlan | None = None
 
 
-def channel(method: str, t: float, eps: float | None, n: int | None = None) -> Channel:
-    """The ``exact``, ``dilated`` or ``ff`` channel for time t and count n.
+def _dirichlet(theta: np.ndarray, d: int) -> np.ndarray:
+    """sin(pi tw 2^d) / sin(pi tw) at theta wrapped to tw in [-1/2, 1/2], 2^d at
+    integer theta: 1-periodic, its square the 2^d-outcome register's outcome ratio."""
+    tw = theta - np.round(theta)
+    s = np.sin(np.pi * tw)
+    big = np.sin(np.pi * tw * (1 << d))
+    return np.where(tw == 0.0, float(1 << d), big / np.where(tw == 0.0, 1.0, s))
+
+
+def channel(method: str, t: float | None, eps: float | None, n: int | None = None) -> Channel:
+    """The ``exact``, ``dilated``, ``ff`` or ``standard`` channel for time t and count n.
 
     ``dilated`` runs n steps, ``default_steps(t, eps)`` when n is None, for
     Hamiltonian time n * sqrt(t / n) and one ancilla per step; ``ff`` runs
-    ``plan(t, eps, n)``; ``exact`` costs nothing and reads no eps and no n.
+    ``plan(t, eps, n)``; ``exact`` costs nothing and reads no eps and no n;
+    ``standard`` reads n alone, d <= 51 register bits, for 2^d - 1 evolutions.
     """
-    if method not in ("exact", "dilated", "ff"):
+    if method not in ("exact", "dilated", "ff", "standard"):
         raise ValidationError(f"unknown single-jump method {method!r}; expected exact, dilated or ff")
     if method == "ff":
         p = plan(t, eps, n)
@@ -64,6 +76,18 @@ def channel(method: str, t: float, eps: float | None, n: int | None = None) -> C
             nk.require_time(t)
         return Channel("dilated", t, n, partial(dilated_kernel, t, n),
                        CostReport(n * step_root(t, n), n, n))
+    if method == "standard":
+        # rounding in pi tw 2^d: 0.59 rad at d = 51, 1.2 at d = 52 (2000 h against 60 digits)
+        if (d := nk.require_count(n, 1, "register bits")) > 51:
+            raise ValidationError(f"standard-route preparation takes at most 51 register bits, "
+                                  f"got {d}: past that the phases' rounding, scaled by 2^d, "
+                                  f"reaches a radian")
+        if t is not None or eps is not None:
+            raise ValidationError("standard reads n alone, no t and no eps")
+        def kernel(a, b):  # e^{-i pi x (2^d - 1)} D_d(x) / 2^d at x = a - b
+            x = a[:, None] - b[None, :]
+            return np.exp(-1j * np.pi * x * ((1 << d) - 1)) * _dirichlet(x, d) / (1 << d)
+        return Channel("standard", None, d, kernel, CostReport(float((1 << d) - 1), d, d))
     if n is not None:
         raise ValidationError("n is read by the dilated and ff methods, not by exact")
     nk.require_time(t)
@@ -72,11 +96,21 @@ def channel(method: str, t: float, eps: float | None, n: int | None = None) -> C
                    CostReport(0.0, 0, 0))
 
 
+def _require_node_law(chan: Channel) -> Channel:
+    """``chan``, unless it is the ``standard`` lattice, which neither the node
+    rule nor the counting readout holds for: ``qpe.prepare`` alone reads it."""
+    if chan.method == "standard":
+        raise ValidationError("the standard channel only prepares: evolve, evolve_matrix and "
+                              "estimate take an exact, dilated or ff channel")
+    return chan
+
+
 def evolve(ham: Hamiltonian, state: np.ndarray, chan: Channel
            ) -> tuple[np.ndarray, CostReport]:
     """``chan`` applied to a density matrix (checked by ``require_density``)
     or a state vector (see ``Hamiltonian.dephase``) of the jump ``ham``: the
     output density matrix and the channel's cost."""
+    _require_node_law(chan)
     if np.ndim(state) != 1:
         state = nk.require_density(state)
     return ham.dephase(level_kernel(chan, ham.eigenvalues), state), chan.cost
@@ -129,6 +163,7 @@ def evolve_matrix(h: np.ndarray, state: np.ndarray, chan: Channel
     """``evolve`` of ``normalize_spectrum(h)``, and its spectrum map; a state
     vector whose node count is below the dimension takes ``_node_form`` (on two
     levels or more, unmerged within the jump norm) and forms no eigenvectors."""
+    _require_node_law(chan)
     h = nk.require_hermitian(h)
     if np.ndim(state) == 1:
         psi = nk.require_state(state, h.shape[0])

@@ -42,12 +42,11 @@ def bernstein_bound(n: int, p: float, c: float) -> float:
     Kept as stated because the worked values pin it; it is not a valid tail
     bound.  The true-variance form has denominator 2p(1-p) + 2c/3.
     """
-    if c == 0:
-        return 2.0
-    return 2.0 * math.exp(-n * c ** 2 / (0.5 * p * (1.0 - p) + 2.0 * c / 3.0))
+    n = nk.require_count(n, 0, "N")
+    return 2.0 if c == 0 else 2.0 * math.exp(-n * c ** 2 / (0.5 * p * (1.0 - p) + 2.0 * c / 3.0))
 
 
 def hoeffding_bound(n: int, c: float) -> float:
     """2 exp(-2 c^2 N)."""
-    return 2.0 * math.exp(-2.0 * c ** 2 * n)
+    return 2.0 * math.exp(-2.0 * c ** 2 * nk.require_count(n, 0, "N"))
 

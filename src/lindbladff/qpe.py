@@ -3,7 +3,8 @@
 Two readouts are implemented against one result contract:
 
 * ``standard_qpe``: Fourier-basis phase estimation, exact outcome
-  distribution from the Dirichlet kernel of the phase register.
+  distribution from the Dirichlet kernel of the phase register
+  (``channel._dirichlet``).
 * ``estimate``: counting statistics of a ``dilated`` channel of N steps (the
   slow route), per-eigencomponent Binomial(N, sin^2(sqrt(t/N) h)) on their
   numerically relevant support, so N can reach 10^6 and beyond; or of an
@@ -35,15 +36,13 @@ N sin^2, never under the Poisson-like tails near k = 0.  That is
 O(P sqrt(N) L) time for L read levels and O(N L) memory, one complex row of
 N + 1 counts per level.
 
-Preparation (``standard_qpe_eigenstate``, or ``prepare`` on a ``dilated`` or
-``ff`` channel) takes any target eigenspace beta of the spectrum it is given:
-each reads the gaps g_l = h_l - h_beta (``_on_gaps``), which put the target
-at 0.  Post-selecting count 0 needs no transform: row 0 of the
+Preparation (``prepare`` on a ``standard``, ``dilated`` or ``ff`` channel)
+takes any target eigenspace beta of the spectrum it is given: it reads the
+gaps g_l = h_l - h_beta (``_on_gaps``), which put the target at 0, and
+post-selects count 0 (``_postselect``), scaling eigencomponent l by the
+channel kernel's column at the target.  That needs no transform: row 0 of the
 symmetric-sector Hadamard is the binomial amplitude vector, so
-X[0] = sum_r w_r s_r scales eigencomponent l by sum_r w_r e^(-i g_l theta_r),
-the ``ff`` channel kernel's column at gap 0.  Every route post-selects so
-(``_postselect``): its filter is its channel kernel's column at the target,
-or the register's Dirichlet amplitude on the standard route.
+X[0] = sum_r w_r s_r scales eigencomponent l by sum_r w_r e^(-i g_l theta_r).
 
 Sampling a count draws on the distribution's support only (``_pick_outcome``),
 so no route holds more than a few arrays of its register size.  The standard
@@ -69,7 +68,7 @@ import numpy as np
 
 from .errors import InvariantError, ValidationError
 from . import numkernel as nk
-from .channel import Channel, channel
+from .channel import Channel, _dirichlet, _require_node_law, channel
 from .dilated import CostReport, step_root
 from .fastforward import FFPlan, residue_spectrum
 from .kernels import _require_memory, binom_pmf_window
@@ -104,20 +103,6 @@ class PreparationResult(NamedTuple):
 # ---------------------------------------------------------------------------
 # Standard (Fourier) route
 # ---------------------------------------------------------------------------
-
-def _dirichlet(theta: np.ndarray, d: int) -> np.ndarray:
-    """sin(pi tw 2^d) / sin(pi tw) at theta wrapped to tw in [-1/2, 1/2],
-    with value 2^d at integer theta.
-
-    Its square, the outcome ratio of the 2^d-outcome register, is 1-periodic
-    in theta; only an exactly integer theta needs the removable-singularity
-    value.
-    """
-    tw = theta - np.round(theta)
-    s = np.sin(np.pi * tw)
-    big = np.sin(np.pi * tw * (1 << d))
-    return np.where(tw == 0.0, float(1 << d), big / np.where(tw == 0.0, 1.0, s))
-
 
 # Outcomes per block of the standard route's distribution.
 _STANDARD_BLOCK = 1 << 14
@@ -183,38 +168,6 @@ def _postselect(state: SpectralState, beta: int, amp: np.ndarray, bound: float,
         overlap_bound=float(bound),
         cost=cost,
     )
-
-
-# The phases pi * tw * 2^d carry the rounding of pi * tw scaled by 2^d plus
-# their own half ulp, 2^(d - 53): at most 0.59 rad at d = 51 and 1.2 rad at
-# d = 52 (2000 random h against 60-digit arithmetic), so past d = 51 the
-# filter's phases are noise.
-_PREPARE_MAX_BITS = 51
-
-
-def standard_qpe_eigenstate(ham: Hamiltonian, state: SpectralState, beta: int,
-                            d: int) -> PreparationResult:
-    """Post-select outcome 0 to filter eigenspace ``beta``.
-
-    Outcome 0 scales component l by 2^-d sum_j e^(-2 pi i g_l j) at its gap
-    g_l = h_l - h_beta, a sum 1-periodic in g_l.  Gaps wider than 1/2 are
-    first scaled by 1/2 / max|g| into [-1/2, 1/2], so no level aliases with
-    the target and the overlap bound reads the plain gap.
-    """
-    d = nk.require_count(d, 1, "register bits")
-    if d > _PREPARE_MAX_BITS:
-        raise ValidationError(
-            f"standard-route preparation takes at most {_PREPARE_MAX_BITS} register bits, "
-            f"got {d}: past that the phases' rounding, scaled by 2^d, reaches a radian")
-    g = _on_gaps(ham, beta).eigenvalues
-    widest = float(np.max(np.abs(g)))
-    if widest > 0.5:
-        g = g * (0.5 / widest)
-    amp = np.exp(-1j * np.pi * g * ((1 << d) - 1)) * _dirichlet(g, d) / (1 << d)
-    w = state.weights[beta]
-    gap = float(np.min(np.abs(np.delete(g, beta))))
-    bound = w / (w + (1.0 - w) / (4.0 * ((1 << d) * gap) ** 2))
-    return _postselect(state, beta, amp, bound, 1e-10, CostReport(float((1 << d) - 1), d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +326,7 @@ def _fast_distribution(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.
 # ---------------------------------------------------------------------------
 
 def _require_counting(chan: Channel):
-    if chan.method not in ("dilated", "ff"):
+    if _require_node_law(chan).method not in ("dilated", "ff"):
         raise ValidationError(f"counting readout takes a dilated or ff channel, not {chan.method}")
 
 
@@ -407,16 +360,24 @@ def estimate(ham: Hamiltonian, state: SpectralState, chan: Channel,
 
 def prepare(ham: Hamiltonian, state: SpectralState, beta: int, chan: Channel
             ) -> PreparationResult:
-    """Post-select count 0 on ``chan``, a ``dilated`` or ``ff`` channel, to filter
-    eigenspace ``beta``.  The ``dilated`` overlap bound w / (w + (1 - w) e^(-t gap^2))
-    holds in the estimator's range; the ``ff`` one is the inaccuracy chain: with
-    sqrt(eps) = c_beta zeta and the unwindowed (``dilated``) overlap at 1 - zeta,
-    the windowed one stays above 1 - 6 zeta, its amplitude above c_beta - sqrt(eps)."""
-    _require_counting(chan)
+    """Post-select count 0 on ``chan`` to filter eigenspace ``beta``.  The
+    ``standard`` filter is 1-periodic in the gap, so gaps past 1/2 are scaled by
+    1/2 / max|g| into [-1/2, 1/2]; its bound is w / (w + (1 - w) / (4 (2^d gap)^2)).
+    The ``dilated`` one, w / (w + (1 - w) e^(-t gap^2)), holds in the estimator's
+    range; the ``ff`` one is the inaccuracy chain: with sqrt(eps) = c_beta zeta and
+    the unwindowed (``dilated``) overlap at 1 - zeta, the windowed one stays above
+    1 - 6 zeta, its amplitude above c_beta - sqrt(eps)."""
+    if chan.method != "standard":
+        _require_counting(chan)
     ham = _on_gaps(ham, beta)
     zero, p = np.zeros(1), chan.plan
     c_beta, w = float(state.coeffs[beta]), state.weights[beta]
-    if p is None:
+    if chan.method == "standard":
+        if (widest := float(np.max(np.abs(ham.eigenvalues)))) > 0.5:
+            ham = ham._replace(eigenvalues=ham.eigenvalues * (0.5 / widest))
+        bound = w / (w + (1.0 - w) / (4.0 * ((1 << chan.n) * spectral_gap(ham, beta)) ** 2))
+        slack = 1e-10
+    elif p is None:
         _root_in_range(ham, chan)
         bound = w / (w + (1.0 - w) * math.exp(-chan.t * spectral_gap(ham, beta) ** 2))
         slack = 1.0 / chan.n + 1e-10
@@ -477,7 +438,7 @@ def amplitude_problem(n: int, witnesses: int, t: float = 250.0, register_n: int 
     """
     n = nk.require_count(n, 0, "address bits")
     if not 2.0 * math.asin(math.sqrt(math.ldexp(1.0, -n))) > model.CLUSTER_RTOL * math.pi:
-        raise ValidationError(f"n = {n} address bits: need n >= 0 and one witness's levels "
+        raise ValidationError(f"n = {n} address bits: need one witness's levels "
                               f"+-2 asin(2^(-n/2)) farther from 0 than the clustering tolerance")
     witnesses = nk.require_count(witnesses, 0, "witness count")
     if witnesses > 1 << n:

@@ -2,9 +2,10 @@
 adaptive RK4 on the master equation, the dephasing channel on an unmerged
 spectrum, the literal fast-forwarding circuit, the Kronecker-product Pauli
 sum, the line-by-line jump-list reader, the per-node angle recursion, the
-dense search iterate and its Schur logarithm, and references for the Gibbs,
-state-synthesis, concentration, commuting-generator and amplitude-decision
-tests.  Each reaches its answer by a route the CLI does not take, and may use
+dense search iterate and its Schur logarithm, the standard route's
+preparation in its closed form and in explicit register sums, and references
+for the Gibbs, state-synthesis, concentration, commuting-generator and
+amplitude-decision tests.  Each reaches its answer by a route the CLI does not take, and may use
 scipy, which the package never does.
 """
 
@@ -14,16 +15,19 @@ import hashlib
 import math
 import os
 
+import mpmath
 import numpy as np
 
 from lindbladff import numkernel as nk
-from lindbladff.errors import CapacityError, ValidationError
+from lindbladff.dilated import CostReport
+from lindbladff.errors import CapacityError, InvariantError, ValidationError
 from lindbladff.fastforward import FFPlan
 from lindbladff.kernels import binom_pmf
-from lindbladff.model import (Hamiltonian, LindbladSpec, decompose_state, lindblad_spec,
-                              load_hamiltonian_text, normalize_spectrum, parse_pauli_sum)
-from lindbladff.qpe import (AmplitudeDecision, AmplitudeProblem, _fast_distribution,
-                            amplitude_problem, decide_amplitude)
+from lindbladff.model import (Hamiltonian, LindbladSpec, SpectralState, decompose_state,
+                              lindblad_spec, load_hamiltonian_text, normalize_spectrum,
+                              parse_pauli_sum, spectral_gap)
+from lindbladff.qpe import (AmplitudeDecision, AmplitudeProblem, PreparationResult,
+                            _fast_distribution, amplitude_problem, decide_amplitude)
 from lindbladff.stateprep import SERIES_CUTOFF
 
 # Each oracle refuses a problem whose largest array would pass ORACLE_BYTES: the
@@ -381,3 +385,148 @@ def dense_amplitude_problem(bits, t: float = 250.0, register_n: int = 2048,
     ham = normalize_spectrum(schur_orthogonal_log(u))
     dist = _fast_distribution(ham, decompose_state(eta, ham), closed.channel.plan)
     return closed._replace(ham=ham, distribution=dist)
+
+
+def standard_filter(gaps, d):
+    """Outcome-0 filter 2^-d sum_j e^(-2 pi i g j) of the d-bit register."""
+    j = np.arange(1 << d)
+    return np.exp(-2j * np.pi * np.outer(gaps, j)).sum(axis=1) / (1 << d)
+
+
+def closed_form_standard_prepare(ham: Hamiltonian, state: SpectralState, beta: int,
+                                 d: int) -> PreparationResult:
+    """Standard-route preparation as the route wrote it before it read the
+    ``standard`` channel's kernel: post-select outcome 0, which scales
+    component l by e^(-i pi g_l (2^d - 1)) D_d(g_l) / 2^d at its gap
+    g_l = h_l - h_beta, D_d = sin(pi g 2^d) / sin(pi g) in its closed form,
+    the gaps first scaled by 1/2 / max|g| into [-1/2, 1/2] once they pass 1/2."""
+    d = nk.require_count(d, 1, "register bits")
+    if d > 51:
+        raise ValidationError(
+            f"standard-route preparation takes at most 51 register bits, "
+            f"got {d}: past that the phases' rounding, scaled by 2^d, reaches a radian")
+    spectral_gap(ham, beta)
+    g = ham.eigenvalues - ham.eigenvalues[beta]
+    widest = float(np.max(np.abs(g)))
+    if widest > 0.5:
+        g = g * (0.5 / widest)
+    tw = g - np.round(g)
+    ratio = np.where(tw == 0.0, float(1 << d),
+                     np.sin(np.pi * tw * (1 << d)) / np.where(tw == 0.0, 1.0, np.sin(np.pi * tw)))
+    amp = np.exp(-1j * np.pi * g * ((1 << d) - 1)) * ratio / (1 << d)
+    w = state.weights[beta]
+    gap = float(np.min(np.abs(np.delete(g, beta))))
+    bound = w / (w + (1.0 - w) / (4.0 * ((1 << d) * gap) ** 2))
+    c_beta = float(state.coeffs[beta])
+    if c_beta == 0.0:
+        raise ValidationError(f"state has no weight on eigenspace {beta}")
+    kept = state.weights * np.abs(amp) ** 2
+    p0 = float(np.sum(kept))
+    overlap = float(kept[beta] / p0)
+    if overlap < bound - 1e-10:
+        raise InvariantError(f"overlap {overlap} violates its bound {bound}")
+    return PreparationResult(p0, overlap, (state.coeffs * amp) @ state.components / math.sqrt(p0),
+                             1.0 / p0, 1.0 / c_beta, float(bound),
+                             CostReport(float((1 << d) - 1), d, d))
+
+
+def standard_route_numbers(lam, comps, beta: int, d: int) -> dict:
+    """What ``qpe prepare --route standard`` and ``qpe --route standard`` write
+    for the eigenvalues ``lam`` (ascending, distinct) and the projected
+    components P_l psi (``comps``), in the current mpmath precision, each
+    output a list of real numbers.
+
+    The spectrum is read as it is inside [0, 1], else mapped affinely onto it.
+    Preparation stretches the gaps h_l - h_beta to radius 1/2 and scales
+    component l by the explicit sum f_l = 2^-d sum_j e^(-2 pi i g_l j); the
+    state is sum_l f_l P_l psi / sqrt(p0), so no eigenvector phase enters.
+    The distribution sums |2^-d sum_j e^(2 pi i j (h_l - y / 2^d))|^2 over the
+    levels' weights ||P_l psi||^2, and the estimate reads its argmax outcome.
+    """
+    mp = mpmath.mp
+    size = 1 << d
+    lo, hi = lam[0], lam[-1]
+    scale, shift = (1, 0) if lo >= 0 and hi <= 1 else (hi - lo, lo)
+    h = [(x - shift) / scale for x in lam]
+    weights = [sum(abs(z) ** 2 for z in comp) for comp in comps]
+
+    def register_sum(phase):
+        return mp.fsum(mp.expjpi(2 * phase * j) for j in range(size)) / size
+
+    gaps = [x - h[beta] for x in h]
+    widest = max(abs(x) for x in gaps)
+    g = [x / (2 * widest) for x in gaps]
+    f = [register_sum(-x) for x in g]
+    kept = [w * abs(x) ** 2 for w, x in zip(weights, f)]
+    p0 = mp.fsum(kept)
+    state = [sum(x * comp[i] for x, comp in zip(f, comps)) / mp.sqrt(p0)
+             for i in range(len(comps[0]))]
+    gap = min(abs(x) for i, x in enumerate(g) if i != beta)
+    w = weights[beta]
+    dist = [mp.fsum(wl * abs(register_sum(hl - mp.mpf(y) / size)) ** 2
+                    for wl, hl in zip(weights, h)) for y in range(size)]
+    top = max(range(size), key=lambda y: dist[y])
+    return {
+        "postselect_probability": [p0],
+        "overlap": [kept[beta] / p0],
+        "state": [part for z in state for part in (mp.re(z), mp.im(z))],
+        "expected_repeats": [1 / p0],
+        "ideal_amplification_queries": [1 / mp.sqrt(w)],
+        "overlap_bound": [w / (w + (1 - w) / (4 * (size * gap) ** 2))],
+        "distribution": dist,
+        "raw_outcome": [top],
+        "estimate_normalized": [mp.mpf(top) / size],
+        "estimate": [scale * mp.mpf(top) / size + shift],
+    }
+
+
+def standard_route_oracle(terms, psi: np.ndarray, beta: int, d: int, dps: int = 40):
+    """``standard_route_numbers`` on mpmath's dense eigendecomposition of
+    ``kron_pauli_sum(terms)`` at ``dps`` digits, with the first-order bound on
+    how far the package's float64 numbers may lie from them.
+
+    The error model: each side reads the matrix to an ulp an entry, and eigh's
+    eigenvalues are exact for H + E, ||E|| <= dim u ||H|| (u = 2^-53, Weyl),
+    so ||E|| <= e = 2 dim u ||H|| in all; each P_l psi then moves by at most
+    e / gap_l (Davis and Kahan), gap_l its distance to the other eigenvalues.
+    A number x moves by at most the sum of |dx/dtheta| e_theta over those
+    inputs (central differences, at ``dps`` digits), plus 4 2^d u (1 + |x|) for
+    the float arithmetic after the eigendecomposition, whose phases reach
+    2^d pi.  Returns (numbers, bounds), each a dict of lists.
+    """
+    mp = mpmath.mp
+    u = 2.0 ** -53
+    with mpmath.workdps(dps):
+        mat = kron_pauli_sum(terms)
+        lam, vecs = mp.eighe(mpmath.matrix(mat.tolist()))
+        dim = mat.shape[0]
+        lam = [lam[i] for i in range(dim)]
+        if any(b - a <= 0 for a, b in zip(lam, lam[1:])):
+            raise ValidationError("the oracle takes a nondegenerate spectrum, ascending")
+        cols = [[vecs[i, l] for i in range(dim)] for l in range(dim)]
+        proj = [mp.fsum(mp.conj(v[i]) * complex(psi[i]) for i in range(dim)) for v in cols]
+        comps = [[v[i] * c for i in range(dim)] for v, c in zip(cols, proj)]
+        numbers = standard_route_numbers(lam, comps, beta, d)
+        err = 2 * dim * u * max(abs(x) for x in lam)
+        step = mp.mpf(10) ** (-dps // 3)
+        bounds = {name: [4 * (1 << d) * u * (1 + abs(x)) for x in xs]
+                  for name, xs in numbers.items()}
+
+        def add(move, budget):
+            plus, minus = (standard_route_numbers(*move(s), beta, d) for s in (step, -step))
+            for name in bounds:
+                for i, (a, b) in enumerate(zip(plus[name], minus[name])):
+                    bounds[name][i] += abs(a - b) / (2 * step) * budget
+
+        for l in range(dim):
+            gap = min(abs(lam[l] - x) for k, x in enumerate(lam) if k != l)
+            add(lambda s: ([x + s * (k == l) for k, x in enumerate(lam)], comps), err)
+            for i in range(dim):
+                for unit in (1, 1j):
+                    def move(s, l=l, i=i, unit=unit):
+                        moved = [list(c) for c in comps]
+                        moved[l][i] += s * unit
+                        return lam, moved
+                    add(move, err / gap)
+    return ({name: [float(x) for x in xs] for name, xs in numbers.items()},
+            {name: [float(x) for x in xs] for name, xs in bounds.items()})

@@ -9,12 +9,12 @@ import io
 import numpy as np
 import pytest
 
-from lindbladff import (GaussianParams, ValidationError, amplitude_problem,
+from lindbladff import (GaussianParams, ValidationError, amplitude_problem, bernstein_bound,
                         binomial_amplitudes, binomial_gaussian_distance, binomial_tail,
                         choi_ff_evolve, decompose_state, default_steps,
-                        discrete_gaussian_amplitudes, estimate, gibbs_prepare, kw_angle_schedule,
-                        lindblad_spec, normalize_spectrum, plan, prepare, standard_qpe,
-                        standard_qpe_eigenstate)
+                        discrete_gaussian_amplitudes, estimate, gibbs_prepare, hoeffding_bound,
+                        kw_angle_schedule, lindblad_spec, normalize_spectrum, plan, prepare,
+                        standard_qpe)
 from lindbladff.channel import channel
 from lindbladff.cli import run
 
@@ -33,10 +33,14 @@ def slow(t, n):
 def fast(t, eps, n):
     return channel("ff", t, eps, n=n)
 
+
+def standard(d):
+    return channel("standard", None, None, n=d)
+
 # Each entry point with the argument under test left open; a single-jump
 # channel is keyed by its method, and the slow and fast routes' estimate and
 # prepare, on the dilated and ff channels, by slow_qpe, fast_qpe and their
-# _eigenstate forms.
+# _eigenstate forms, and prepare on the standard channel by standard_qpe_eigenstate.
 TIME = {
     "exact": lambda t: channel("exact", t, None),
     "dilated": lambda t: channel("dilated", t, None, 4),
@@ -75,7 +79,7 @@ COUNTS = {
     "fast_qpe_eigenstate": (lambda n: prepare(HAM, STATE, 0, fast(4.0, 1e-3, n)), 2,
                             "register count", 64),
     "standard_qpe": (lambda d: standard_qpe(HAM, STATE, d), 1, "register bits", 4),
-    "standard_qpe_eigenstate": (lambda d: standard_qpe_eigenstate(HAM, STATE, 0, d), 1,
+    "standard_qpe_eigenstate": (lambda d: prepare(HAM, STATE, 0, standard(d)), 1,
                                 "register bits", 4),
     "standard_qpe_repeats": (lambda r: standard_qpe(HAM, STATE, 4, repeats=r), 1, "repeats", 3),
     "slow_qpe_repeats": (lambda r: estimate(HAM, STATE, slow(4.0, 64), "sample", 0, r), 1,
@@ -83,6 +87,9 @@ COUNTS = {
     "fast_qpe_repeats": (lambda r: estimate(HAM, STATE, fast(4.0, 1e-3, 64), repeats=r), 1,
                          "repeats", 3),
     "binomial_tail": (lambda n: binomial_tail(n, 0.5, 0.1), 0, "N", 10),
+    # the bounds once priced -3 and 10.5 trials (2.34 and 1.62)
+    "bernstein_bound": (lambda n: bernstein_bound(n, 0.5, 0.1), 0, "N", 10),
+    "hoeffding_bound": (lambda n: hoeffding_bound(n, 0.1), 0, "N", 10),
     "binomial_amplitudes": (binomial_amplitudes, 1, "n", 4),
     "binomial_gaussian_distance": (binomial_gaussian_distance, 2, "n", 4),
     "discrete_gaussian_amplitudes": (

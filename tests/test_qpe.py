@@ -1,4 +1,7 @@
+import contextlib
+import io
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -14,11 +17,11 @@ from scipy.linalg import eigh_tridiagonal, expm, hadamard
 
 from lindbladff import (FFPlan, InvariantError, ValidationError,
                         decompose_state, estimate, normalize_spectrum, plan, prepare,
-                        standard_qpe,
-                        standard_qpe_eigenstate)
+                        standard_qpe)
 from lindbladff import model, qpe
 from lindbladff import numkernel as nk
-from lindbladff.channel import channel
+from lindbladff.channel import channel, evolve, evolve_matrix
+from lindbladff.cli import run
 from lindbladff.dilated import dilated_kernel
 from lindbladff.fastforward import ff_cost, gap_kernel, residue_spectrum
 from lindbladff.kernels import _require_memory, binom_pmf_window
@@ -28,8 +31,9 @@ from lindbladff.qpe import (_alpha_phases, _counting_distribution,
 
 from conftest import (goal_ledger, log_binom, random_eigenstate, random_hermitian, random_state,
                       residue_of)
-from oracles import (amplitude_decision_demo, dense_amplitude_problem, grover_iterate,
-                     schur_orthogonal_log)
+from oracles import (amplitude_decision_demo, closed_form_standard_prepare,
+                     dense_amplitude_problem, grover_iterate, schur_orthogonal_log,
+                     standard_filter, standard_route_oracle)
 from test_single_jump import jumps
 
 
@@ -45,6 +49,9 @@ def eigenstate_input(h, other=None):
 
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DATA = os.path.join(ROOT, "tests", "data")
+H2Q = os.path.join(DATA, "h_two_qubit.pauli")
 
 
 def slow_channel(t, n):
@@ -55,6 +62,11 @@ def slow_channel(t, n):
 def fast_channel(t, eps, n=None):
     """The fast route's channel: the ff plan of register count n."""
     return channel("ff", t, eps, n=n)
+
+
+def standard_channel(d):
+    """The standard route's channel: the d-bit register's lattice law."""
+    return channel("standard", None, None, n=d)
 
 
 class TestStandardQpe:
@@ -109,13 +121,13 @@ class TestStandardEigenstate:
         # w_beta = 1/2, gap 0.5, d = 3: bound 0.5 / (0.5 + 0.5/64)
         ham = normalize_spectrum(np.diag([0.0, 0.5]))
         st = decompose_state(PLUS, ham)
-        prep = standard_qpe_eigenstate(ham, st, 0, 3)
+        prep = prepare(ham, st, 0, standard_channel(3))
         assert np.isclose(prep.overlap_bound, 0.98462, atol=5e-6)
         assert prep.overlap >= prep.overlap_bound - 1e-10
 
     def test_pure_eigenstate(self):
         ham, st, idx = eigenstate_input(0.0, other=0.5)
-        prep = standard_qpe_eigenstate(ham, st, idx, 4)
+        prep = prepare(ham, st, idx, standard_channel(4))
         assert np.isclose(prep.postselect_probability, 1.0, atol=1e-12)
         assert np.isclose(prep.overlap, 1.0, atol=1e-12)
 
@@ -136,13 +148,136 @@ class TestStandardEigenstate:
         # so it sits at gap 1/2: bound 0.5 / (0.5 + 0.5/256)
         ham = normalize_spectrum(np.diag([0.0, 1.0]))
         st = decompose_state(PLUS, ham)
-        prep = standard_qpe_eigenstate(ham, st, 0, 4)
+        prep = prepare(ham, st, 0, standard_channel(4))
         assert np.isclose(prep.overlap_bound, 256 / 257)
         assert prep.overlap >= prep.overlap_bound > 0.0
 
 
+class TestStandardLaw:
+    """The standard route prepares through ``prepare`` on its lattice law,
+    ``channel("standard", None, None, n=d)``, bit for bit the closed form it
+    ran before (``oracles.closed_form_standard_prepare``)."""
+
+    @staticmethod
+    def outcome(call):
+        """Every field of a preparation as exact text and bytes, or its error."""
+        try:
+            res = call()
+        except (ValidationError, InvariantError) as exc:
+            return type(exc), str(exc)
+        scalars = [repr(v) for k, v in res._asdict().items() if k not in ("state", "cost")]
+        return scalars, res.state.dtype, res.state.shape, res.state.tobytes(), repr(res.cost)
+
+    @staticmethod
+    def cases(seed):
+        """Spectra drawn distinct, with exact repeats, with a pair 100 cluster
+        tolerances apart and with a pair merged into one level; each as
+        normalized and on a target's gaps stretched to unit radius, as ``qpe
+        prepare`` stretches them, with a random state, the target's
+        eigenvector and a state with no weight on the target."""
+        rng = np.random.default_rng(seed)
+        dim = 2 + seed % 5
+        eigs = rng.random(dim)
+        if seed % 4 == 1:
+            eigs[1:dim - 1:2] = eigs[0:dim - 2:2]
+        elif seed % 4 >= 2:
+            eigs[-1] = eigs[0] + (1e-7 if seed % 4 == 2 else 1e-13)
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        ham = normalize_spectrum((q * eigs) @ q.conj().T)
+        for beta in range(ham.n_levels):
+            gaps = ham.eigenvalues - ham.eigenvalues[beta]
+            space = ham.vectors[:, ham.levels == beta]
+            other = random_state(rng, dim)
+            other -= space @ (space.conj().T @ other)
+            states, hams = [random_state(rng, dim), space[:, 0]], [ham]
+            if ham.n_levels > 1:
+                states.append(other / np.linalg.norm(other))
+                hams.append(ham._replace(eigenvalues=gaps / np.max(np.abs(gaps))))
+            for h in hams:
+                for v in states:
+                    yield h, decompose_state(v, h), beta
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_prepare_is_the_closed_form_bit_for_bit(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        for ham, st, beta in self.cases(seed):
+            for d in (1, 2, 51, int(rng.integers(3, 51)), 0, 52, 2000, 2.5):
+                want = self.outcome(lambda: closed_form_standard_prepare(ham, st, beta, d))
+                got = self.outcome(lambda: prepare(ham, st, beta, standard_channel(d)))
+                assert got == want, (seed, beta, d)
+        ham, st, _ = eigenstate_input(0.25)
+        for beta in (-1, 2, 1.0):
+            assert (self.outcome(lambda: prepare(ham, st, beta, standard_channel(4)))
+                    == self.outcome(lambda: closed_form_standard_prepare(ham, st, beta, 4)))
+
+    @pytest.mark.parametrize("d", ("52", "2000"))
+    def test_cli_refuses_register_bits_past_the_phase_rounding(self, d):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+            rc = run(["qpe", "prepare", "--route", "standard", "--ham", H2Q, "--d", d])
+        assert (rc, out.getvalue(), err.getvalue()) == (1, "", (
+            f"error: standard-route preparation takes at most 51 register bits, got {d}: "
+            f"past that the phases' rounding, scaled by 2^d, reaches a radian\n"))
+
+    def test_only_prepare_reads_the_standard_law(self):
+        ham = normalize_spectrum(np.diag([0.0, 0.5]))
+        chan = standard_channel(4)
+        message = ("the standard channel only prepares: evolve, evolve_matrix and estimate "
+                   "take an exact, dilated or ff channel")
+        for call in (lambda: evolve(ham, PLUS, chan),
+                     lambda: evolve_matrix(np.diag([0.0, 0.5]), PLUS, chan),
+                     lambda: estimate(ham, decompose_state(PLUS, ham), chan)):
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("t, eps", ((1.0, None), (None, 0.1)))
+    def test_standard_law_reads_no_time_and_no_error(self, t, eps):
+        with pytest.raises(ValidationError) as info:
+            channel("standard", t, eps, n=4)
+        assert str(info.value) == "standard reads n alone, no t and no eps"
+
+    def test_goldens_match_the_explicit_sum_oracle(self):
+        # every number the two standard-route goldens hold, against explicit
+        # register sums on mpmath's eigendecomposition of the dense Pauli sum,
+        # within the first-order error bound that the oracle derives
+        records = {}
+        for case in ("prepare_standard", "qpe_standard"):
+            with open(os.path.join(DATA, f"golden_{case}.jsonl")) as fh:
+                records[case] = json.loads(fh.readline())
+        opts, est_opts = ({a: b for a, b in zip(rec["command"], rec["command"][1:])
+                           if a.startswith("--")} for rec in records.values())
+        assert {k: v for k, v in opts.items() if k != "--eigen"} == est_opts
+        assert "--state" not in opts        # the plus state
+        with open(os.path.join(ROOT, opts["--ham"])) as fh:
+            terms = [(float(c), p) for c, p in (line.split() for line in fh
+                                                if line.strip() and not line.startswith("#"))]
+        d = int(opts["--d"])
+        psi = np.full(1 << len(terms[0][1]), 2.0 ** (-len(terms[0][1]) / 2), dtype=complex)
+        want, bound = standard_route_oracle(terms, psi, int(opts["--eigen"]), d)
+        prep, est = records["prepare_standard"]["outputs"], records["qpe_standard"]["outputs"]
+        got = {name: [prep[name]] for name in ("postselect_probability", "overlap",
+                                               "expected_repeats", "ideal_amplification_queries",
+                                               "overlap_bound")}
+        got["state"] = [float(x) for z in prep["state"].split() for x in z.split(",")]
+        got["distribution"] = est["distribution"]
+        got.update((name, [est[name]]) for name in ("raw_outcome", "estimate_normalized",
+                                                    "estimate"))
+        assert sorted(got) == sorted(want)
+        for name in got:
+            assert len(got[name]) == len(want[name]), name
+            for i, (g, w, b) in enumerate(zip(got[name], want[name], bound[name])):
+                assert b < 1e-12 and abs(g - w) <= b, (name, i, g, w, b)
+        top, second = sorted(want["distribution"])[-1:-3:-1]
+        assert top - second > 2 * max(bound["distribution"])  # one argmax
+        assert est["raw_outcome"] == want["raw_outcome"][0] and est["saturated"] is False
+        for rec in records.values():
+            assert rec["cost"] == {"hamiltonian_time": (1 << d) - 1.0, "step_count": d,
+                                   "ancilla_count": d}
+
+
 PREPARERS = {
-    "standard": lambda ham, st, beta: standard_qpe_eigenstate(ham, st, beta, 5),
+    "standard": lambda ham, st, beta: prepare(ham, st, beta, standard_channel(5)),
     "slow": lambda ham, st, beta: prepare(ham, st, beta, slow_channel(16.0, 1000)),
     "fast": lambda ham, st, beta: prepare(ham, st, beta, fast_channel(4.0, 1e-3, 64)),
 }
@@ -941,8 +1076,11 @@ class TestAmplitudeDemo:
         # n = 58 at CLUSTER_RTOL = 1e-9, the tolerance read at call time
         assert qpe.amplitude_problem(58, 1).ham.n_levels == 4
         for n in (59, 10 ** 400):
-            with pytest.raises(ValidationError, match=f"n = {n} address bits"):
+            with pytest.raises(ValidationError) as info:
                 qpe.amplitude_problem(n, 1)
+            assert str(info.value) == (f"n = {n} address bits: need one witness's levels "
+                                       f"+-2 asin(2^(-n/2)) farther from 0 than the clustering "
+                                       f"tolerance")
         with pytest.raises(ValidationError, match="^address bits must be an integer >= 0, got -1$"):
             qpe.amplitude_problem(-1, 1)
         monkeypatch.setattr(model, "CLUSTER_RTOL", 1e-6)
@@ -1164,12 +1302,6 @@ def generated_preparation(seed, dim):
     return ham, decompose_state(random_state(rng, dim), ham), beta
 
 
-def standard_filter(gaps, d):
-    """Outcome-0 filter 2^-d sum_j e^(-2 pi i g j) of the d-bit register."""
-    j = np.arange(1 << d)
-    return np.exp(-2j * np.pi * np.outer(gaps, j)).sum(axis=1) / (1 << d)
-
-
 def normalized_filter(state, f):
     """sum_l c_l f_l comps_l over its norm, and that norm squared."""
     vec = (state.coeffs * f) @ state.components
@@ -1202,7 +1334,7 @@ class TestPreparationRelations:
         ham, st, beta = generated_preparation(seed, dim)
         ham = ham._replace(eigenvalues=scale * ham.eigenvalues)
         f = standard_filter(min(1.0, 0.5 / scale) * ham.eigenvalues, 5)
-        self.check(standard_qpe_eigenstate(ham, st, beta, 5), st, beta, f, 1e-10)
+        self.check(prepare(ham, st, beta, standard_channel(5)), st, beta, f, 1e-10)
 
     @pytest.mark.parametrize("seed,dim", CASES)
     def test_slow(self, seed, dim):
