@@ -7,7 +7,8 @@ steps (``dilated.dilated_kernel``); ``ff``, sum_r w_r e^{-i (h_a - h_b)
 theta_r} (``fastforward.gap_kernel``).  ``channel`` builds a method's kernel
 and cost once, ``evolve`` applies the kernel through ``Hamiltonian.dephase``.
 ``standard``'s law, theta uniform on 2 pi {0, ..., 2^d - 1} (a d-bit Fourier
-register), gives ``qpe.prepare`` the kernel 2^-d sum_j e^{-2 pi i (a - b) j}.
+register), has the kernel 2^-d sum_j e^{-2 pi i (a - b) j}: ``qpe.estimate``
+reads its outcome distribution, ``qpe.prepare`` its outcome-0 filter.
 
 Each kernel is E[e^{-i (a - b) theta}] over a phase law, so it is band
 limited and ``node_count``'s Chebyshev points carry it: ``level_kernel``
@@ -64,7 +65,8 @@ def channel(method: str, t: float | None, eps: float | None, n: int | None = Non
     ``standard`` reads n alone, d <= 51 register bits, for 2^d - 1 evolutions.
     """
     if method not in ("exact", "dilated", "ff", "standard"):
-        raise ValidationError(f"unknown single-jump method {method!r}; expected exact, dilated or ff")
+        raise ValidationError(f"unknown channel method {method!r}; "
+                              f"expected exact, dilated, ff or standard")
     if method == "ff":
         p = plan(t, eps, n)
         return Channel("ff", p.t, p.n, partial(gap_kernel, p), ff_cost(p), p)
@@ -79,7 +81,7 @@ def channel(method: str, t: float | None, eps: float | None, n: int | None = Non
     if method == "standard":
         # rounding in pi tw 2^d: 0.59 rad at d = 51, 1.2 at d = 52 (2000 h against 60 digits)
         if (d := nk.require_count(n, 1, "register bits")) > 51:
-            raise ValidationError(f"standard-route preparation takes at most 51 register bits, "
+            raise ValidationError(f"the standard route takes at most 51 register bits, "
                                   f"got {d}: past that the phases' rounding, scaled by 2^d, "
                                   f"reaches a radian")
         if t is not None or eps is not None:
@@ -97,11 +99,12 @@ def channel(method: str, t: float | None, eps: float | None, n: int | None = Non
 
 
 def _require_node_law(chan: Channel) -> Channel:
-    """``chan``, unless it is the ``standard`` lattice, which neither the node
-    rule nor the counting readout holds for: ``qpe.prepare`` alone reads it."""
+    """``chan``, unless it is the ``standard`` lattice, which the node rule does
+    not hold for: ``evolve`` and ``evolve_matrix`` refuse it, phase estimation
+    (``qpe.estimate``, ``qpe.prepare``) reads it."""
     if chan.method == "standard":
-        raise ValidationError("the standard channel only prepares: evolve, evolve_matrix and "
-                              "estimate take an exact, dilated or ff channel")
+        raise ValidationError("the standard channel does not evolve: evolve and evolve_matrix "
+                              "take an exact, dilated or ff channel")
     return chan
 
 

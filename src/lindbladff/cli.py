@@ -47,7 +47,7 @@ from .channel import channel, evolve, evolve_matrix
 from .dilated import CostReport
 from .gibbs import gibbs_prepare
 from .qpe import (amplitude_problem, counting_estimator, decide_amplitude, estimate,
-                  prepare, standard_qpe)
+                  prepare)
 from .stateprep import (GaussianParams, binomial_amplitudes,
                         binomial_gaussian_distance,
                         discrete_gaussian_amplitudes, kw_angle_schedule)
@@ -233,15 +233,13 @@ def _cmd_qpe(args, argv):
         gaps = ham.eigenvalues - ham.eigenvalues[args.eigen]
         ham = ham._replace(eigenvalues=gaps / float(np.max(np.abs(gaps))))
     state = model.decompose_state(_initial_state(args.state, ham.dim), ham)
-    if args.route == "standard" and not prep:  # the Fourier readout, not a channel's counts
-        res = standard_qpe(ham, state, args.d, args.dist_mode, args.seed, args.repeats)
-    else:  # a --zeta target, read by the fast route's prepare alone, sets eps
-        eps = args.eps if args.zeta is None else (float(state.coeffs[args.eigen]) * args.zeta) ** 2
-        chan = channel(*{"standard": ("standard", None, None, args.d),
-                         "slow": ("dilated", args.t, eps, args.N),
-                         "fast": ("ff", args.t, eps, args.N)}[args.route])
-        res = (prepare(ham, state, args.eigen, chan) if prep else
-               estimate(ham, state, chan, args.dist_mode, args.seed, args.repeats))
+    # a --zeta target, read by the fast route's prepare alone, sets eps
+    eps = args.eps if args.zeta is None else (float(state.coeffs[args.eigen]) * args.zeta) ** 2
+    chan = channel(*{"standard": ("standard", None, None, args.d),
+                     "slow": ("dilated", args.t, eps, args.N),
+                     "fast": ("ff", args.t, eps, args.N)}[args.route])
+    res = (prepare(ham, state, args.eigen, chan) if prep else
+           estimate(ham, state, chan, args.dist_mode, args.seed, args.repeats))
     yield _record(argv, t0, {"route": args.route, **_fields(res)}, digest, args.seed, res.cost)
 
 

@@ -56,7 +56,7 @@ def _require_memory(nbytes: int, route: str, what: str, remedy: str):
     """Raise ``CapacityError`` when ``nbytes`` exceed the physical memory.
 
     The size is printed through ``Decimal``, which holds any integer a float
-    cannot (d = 2000 register bits ask for 2^2003 bytes)."""
+    cannot (a Pauli sum 600 letters wide asks for 16 4^600 bytes)."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > memory:
         from decimal import Decimal

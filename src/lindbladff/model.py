@@ -70,13 +70,6 @@ class Hamiltonian(NamedTuple):
     def n_levels(self) -> int:
         return len(self.eigenvalues)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """V diag(eigenvalues[levels]) V^dag, rebuilt from the clustered
-        decomposition on every access."""
-        m = (self.vectors * self.eigenvalues[self.levels]) @ self.vectors.conj().T
-        return 0.5 * (m + m.conj().T)
-
     def components(self, v: np.ndarray) -> np.ndarray:
         """Stack of eigenspace components P_k v, shape (n_levels, dim), of a
         normalized state ``v`` of dimension ``dim``."""

@@ -1,18 +1,22 @@
-"""Phase estimation routes and the amplitude-estimation decision demo.
+"""Phase estimation and preparation on a channel, and the amplitude-estimation
+decision demo.
 
-Two readouts are implemented against one result contract:
+``estimate`` reads a channel's exact outcome distribution, and ``_readout``
+picks one outcome from it and reads the outcome map and the cost off the
+channel:
 
-* ``standard_qpe``: Fourier-basis phase estimation, exact outcome
-  distribution from the Dirichlet kernel of the phase register
-  (``channel._dirichlet``).
-* ``estimate``: counting statistics of a ``dilated`` channel of N steps (the
-  slow route), per-eigencomponent Binomial(N, sin^2(sqrt(t/N) h)) on their
-  numerically relevant support, so N can reach 10^6 and beyond; or of an
-  ``ff`` channel of register count N (the fast route), its ledger read out
-  through the symmetric-sector N-fold Hadamard (the Kravchuk transform).
-  Both read ``counting_estimator(t, N, m)``; the fast readout is the slow one
-  within total variation 2 sqrt(out), out the Binomial(N, 1/2) mass outside
-  the plan's window, for Hamiltonian time P sqrt(t/N) instead of N sqrt(t/N).
+* a ``standard`` channel of d register bits: Fourier-basis phase estimation,
+  the distribution from the Dirichlet kernel of the register
+  (``channel._dirichlet``, summed by ``_standard_distribution``), outcome y
+  read as y / 2^d.
+* a ``dilated`` channel of N steps (the slow route): per-eigencomponent
+  Binomial(N, sin^2(sqrt(t/N) h)) on their numerically relevant support, so N
+  can reach 10^6 and beyond; or an ``ff`` channel of register count N (the
+  fast route), its ledger read out through the symmetric-sector N-fold
+  Hadamard (the Kravchuk transform).  Both read ``counting_estimator(t, N,
+  m)``; the fast readout is the slow one within total variation 2 sqrt(out),
+  out the Binomial(N, 1/2) mass outside the plan's window, for Hamiltonian
+  time P sqrt(t/N) instead of N sqrt(t/N).
 
 The fast readout never builds the (N+1)^2 transform.  Address m carries the
 binomial amplitude a_m = sqrt(C(N, m) / 2^N) and the system vector s_r of its
@@ -50,8 +54,7 @@ route sums its distribution in fixed blocks of 2^14 outcomes, all levels into
 one block before the next: an exact-mode call holds the 2^d distribution
 (32 MiB at d = 22) and O(block) scratch, whatever the level count.  Every
 route checks its register-sized arrays, and sample mode its draws, against
-the physical memory before it builds them (``kernels._require_memory``), and
-every estimate is read out of its distribution by ``_readout``.
+the physical memory before it builds them (``kernels._require_memory``).
 
 An estimate reads the levels of weight above (4 dim 2^-53)^2, the square of the
 rounding that ``decompose_state``'s amplitudes carry (``_read_levels``): lighter
@@ -68,7 +71,7 @@ import numpy as np
 
 from .errors import InvariantError, ValidationError
 from . import numkernel as nk
-from .channel import Channel, _dirichlet, _require_node_law, channel
+from .channel import Channel, _dirichlet, channel
 from .dilated import CostReport, step_root
 from .fastforward import FFPlan, residue_spectrum
 from .kernels import _require_memory, binom_pmf_window
@@ -114,12 +117,9 @@ def _read_levels(state: SpectralState) -> np.ndarray:
     return np.flatnonzero(state.weights > (4 * state.components.shape[1] * 2.0 ** -53) ** 2)
 
 
-def standard_qpe(ham: Hamiltonian, state: SpectralState, d: int,
-                 mode: str = "exact", seed=None,
-                 repeats: int = 1) -> EstimationResult:
-    """Fourier phase estimation with d register bits, exact distribution summed
-    in blocks of ``_STANDARD_BLOCK`` outcomes, each entry as over the whole grid."""
-    d = nk.require_count(d, 1, "register bits")
+def _standard_distribution(ham: Hamiltonian, state: SpectralState, d: int) -> np.ndarray:
+    """The d-bit Fourier register's outcome distribution, summed in blocks of
+    ``_STANDARD_BLOCK`` outcomes, each entry as over the whole grid."""
     size = 1 << d
     _require_memory(8 * size, "standard route", f"distribution at d = {d}", "lower d")
     read = _read_levels(state)
@@ -130,8 +130,7 @@ def standard_qpe(ham: Hamiltonian, state: SpectralState, d: int,
         for h, w in zip(ham.eigenvalues[read], state.weights[read]):
             block += w * _dirichlet(h - ys, d) ** 2
     dist /= 4 ** d
-    return _readout(ham, dist, lambda y: (y / size, False), CostReport(float(size - 1), d, d),
-                    mode, seed, repeats)
+    return dist
 
 
 def _on_gaps(ham: Hamiltonian, beta: int) -> Hamiltonian:
@@ -244,18 +243,20 @@ def _pick_outcome(dist: np.ndarray, mode: str, seed, repeats: int = 1) -> int:
     raise ValidationError(f"unknown mode {mode!r}")
 
 
-def _readout(ham: Hamiltonian, dist: np.ndarray, phase, cost: CostReport,
-             mode: str, seed, repeats: int) -> EstimationResult:
-    """Pick an outcome from ``dist`` and report its estimate, where
-    ``phase(outcome)`` returns the normalized estimate and the saturated flag."""
+def _readout(ham: Hamiltonian, dist: np.ndarray, chan: Channel, mode: str, seed,
+             repeats: int) -> EstimationResult:
+    """Pick an outcome from ``dist`` and report its estimate and ``chan``'s cost:
+    outcome y of a ``standard`` register reads y / 2^d, count m of any other
+    channel ``counting_estimator(t, N, m)``."""
     y = _pick_outcome(dist, mode, seed, repeats)
-    est, sat = phase(y)
+    est, sat = ((y / (1 << chan.n), False) if chan.method == "standard" else
+                counting_estimator(chan.t, chan.n, y))
     return EstimationResult(
         estimate=float(ham.spectrum_map.to_original(est)),
         estimate_normalized=float(est),
         raw_outcome=int(y),
         distribution=dist,
-        cost=cost,
+        cost=chan.cost,
         saturated=bool(sat),
     )
 
@@ -322,12 +323,13 @@ def _fast_distribution(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.
 
 
 # ---------------------------------------------------------------------------
-# The counting readout on a dilated (slow) or ff (fast) channel
+# Estimation and preparation on a dilated (slow), ff (fast) or standard channel
 # ---------------------------------------------------------------------------
 
-def _require_counting(chan: Channel):
-    if _require_node_law(chan).method not in ("dilated", "ff"):
-        raise ValidationError(f"counting readout takes a dilated or ff channel, not {chan.method}")
+def _require_estimation(chan: Channel):
+    if chan.method not in ("dilated", "ff", "standard"):
+        raise ValidationError(f"phase estimation takes a dilated, ff or standard channel, "
+                              f"not {chan.method}")
 
 
 def _root_in_range(ham: Hamiltonian, chan: Channel) -> float:
@@ -342,20 +344,23 @@ def _root_in_range(ham: Hamiltonian, chan: Channel) -> float:
 
 def estimate(ham: Hamiltonian, state: SpectralState, chan: Channel,
              mode: str = "exact", seed=None, repeats: int = 1) -> EstimationResult:
-    """Counting statistics of ``chan``, a ``dilated`` or ``ff`` channel of
-    count N (exact distribution), read by ``counting_estimator(t, N, m)``."""
-    _require_counting(chan)
-    root = _root_in_range(ham, chan)
-    if chan.plan is not None:
-        dist = _fast_distribution(ham, state, chan.plan)
+    """The exact outcome distribution of ``chan`` and an outcome read from it
+    (``_readout``): the Fourier register's on a ``standard`` channel of d bits,
+    the counting statistics of a ``dilated`` or ``ff`` channel of count N."""
+    _require_estimation(chan)
+    if chan.method == "standard":
+        dist = _standard_distribution(ham, state, chan.n)
     else:
-        _require_memory(8 * (chan.n + 1), "slow route", f"distribution at N = {chan.n}",
-                        "lower N")
-        read = _read_levels(state)
-        dist = _counting_distribution(state.weights[read],
-                                      np.sin(root * ham.eigenvalues[read]) ** 2, chan.n)
-    return _readout(ham, dist, lambda m: counting_estimator(chan.t, chan.n, m), chan.cost,
-                    mode, seed, repeats)
+        root = _root_in_range(ham, chan)
+        if chan.plan is not None:
+            dist = _fast_distribution(ham, state, chan.plan)
+        else:
+            _require_memory(8 * (chan.n + 1), "slow route", f"distribution at N = {chan.n}",
+                            "lower N")
+            read = _read_levels(state)
+            dist = _counting_distribution(state.weights[read],
+                                          np.sin(root * ham.eigenvalues[read]) ** 2, chan.n)
+    return _readout(ham, dist, chan, mode, seed, repeats)
 
 
 def prepare(ham: Hamiltonian, state: SpectralState, beta: int, chan: Channel
@@ -367,8 +372,7 @@ def prepare(ham: Hamiltonian, state: SpectralState, beta: int, chan: Channel
     range; the ``ff`` one is the inaccuracy chain: with sqrt(eps) = c_beta zeta and
     the unwindowed (``dilated``) overlap at 1 - zeta, the windowed one stays above
     1 - 6 zeta, its amplitude above c_beta - sqrt(eps)."""
-    if chan.method != "standard":
-        _require_counting(chan)
+    _require_estimation(chan)
     ham = _on_gaps(ham, beta)
     zero, p = np.zeros(1), chan.plan
     c_beta, w = float(state.coeffs[beta]), state.weights[beta]
@@ -461,9 +465,7 @@ def amplitude_problem(n: int, witnesses: int, t: float = 250.0, register_n: int 
 def decide_amplitude(problem: AmplitudeProblem, mode: str = "sample",
                      seed=None) -> AmplitudeDecision:
     """One decision run: sample a count and compare its phase to the threshold."""
-    chan = problem.channel
-    result = _readout(problem.ham, problem.distribution,
-                      lambda m: counting_estimator(chan.t, chan.n, m), chan.cost, mode, seed, 1)
+    result = _readout(problem.ham, problem.distribution, problem.channel, mode, seed, 1)
     decided_zero = abs(result.estimate) <= problem.threshold
     return AmplitudeDecision(decided_zero, decided_zero == (problem.witness_count == 0), result)
 

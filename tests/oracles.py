@@ -1,11 +1,12 @@
-"""Independent oracles that only the tests call: the vectorized propagator,
-adaptive RK4 on the master equation, the dephasing channel on an unmerged
-spectrum, the literal fast-forwarding circuit, the Kronecker-product Pauli
-sum, the line-by-line jump-list reader, the per-node angle recursion, the
-dense search iterate and its Schur logarithm, the standard route's
-preparation in its closed form and in explicit register sums, and references
-for the Gibbs, state-synthesis, concentration, commuting-generator and
-amplitude-decision tests.  Each reaches its answer by a route the CLI does not take, and may use
+"""Independent oracles that only the tests call: the dense matrix of a
+Hamiltonian's decomposition, the vectorized propagator, adaptive RK4 on the
+master equation, the dephasing channel on an unmerged spectrum, the literal
+fast-forwarding circuit, the Kronecker-product Pauli sum, the line-by-line
+jump-list reader, the per-node angle recursion, the dense search iterate and
+its Schur logarithm, the standard route's estimation and preparation in their
+closed form and in explicit register sums, and references for the Gibbs,
+state-synthesis, concentration, commuting-generator and amplitude-decision
+tests.  Each reaches its answer by a route the CLI does not take, and may use
 scipy, which the package never does.
 """
 
@@ -26,8 +27,9 @@ from lindbladff.kernels import binom_pmf
 from lindbladff.model import (Hamiltonian, LindbladSpec, SpectralState, decompose_state,
                               lindblad_spec, load_hamiltonian_text, normalize_spectrum,
                               parse_pauli_sum, spectral_gap)
-from lindbladff.qpe import (AmplitudeDecision, AmplitudeProblem, PreparationResult,
-                            _fast_distribution, amplitude_problem, decide_amplitude)
+from lindbladff.qpe import (AmplitudeDecision, AmplitudeProblem, EstimationResult,
+                            PreparationResult, _fast_distribution, _pick_outcome, _read_levels,
+                            amplitude_problem, decide_amplitude)
 from lindbladff.stateprep import SERIES_CUTOFF
 
 # Each oracle refuses a problem whose largest array would pass ORACLE_BYTES: the
@@ -48,6 +50,13 @@ def unvec(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     d = int(round(np.sqrt(v.size)))
     return v.reshape(d, d)
+
+
+def hamiltonian_matrix(ham: Hamiltonian) -> np.ndarray:
+    """V diag(eigenvalues[levels]) V^dag, rebuilt from the clustered
+    decomposition of ``ham``."""
+    m = (ham.vectors * ham.eigenvalues[ham.levels]) @ ham.vectors.conj().T
+    return 0.5 * (m + m.conj().T)
 
 
 def steady_state(ham: Hamiltonian, rho0: np.ndarray) -> np.ndarray:
@@ -152,8 +161,9 @@ def unmerged_channel(hn: np.ndarray, psi: np.ndarray, gap) -> np.ndarray:
     return x @ gap(w[:, None] - w[None, :]) @ x.conj().T
 
 
-def dense_circuit_reference(ham: Hamiltonian, psi: np.ndarray, p: FFPlan) -> np.ndarray:
-    """Literal dense simulation of the circuit, as an oracle for the ledger.
+def dense_circuit_reference(mat: np.ndarray, psi: np.ndarray, p: FFPlan) -> np.ndarray:
+    """Literal dense simulation of the circuit of the jump ``mat``, as an
+    oracle for the ledger.
 
     Builds the full 2^d x dim joint state, applies the inverse shift, the d'
     bit-controlled evolutions, the uncontrolled backward factor and the
@@ -166,9 +176,9 @@ def dense_circuit_reference(ham: Hamiltonian, psi: np.ndarray, p: FFPlan) -> np.
 
     psi = nk.require_state(psi)
     reg = 1 << p.d
-    if reg * ham.dim > DENSE_REFERENCE_CAP:
+    if reg * len(mat) > DENSE_REFERENCE_CAP:
         raise CapacityError(
-            f"dense reference needs register*system = {reg * ham.dim} "
+            f"dense reference needs register*system = {reg * len(mat)} "
             f"> cap {DENSE_REFERENCE_CAP}"
         )
     log_fact = gammaln(np.arange(p.n + 1) + 1.0)  # log m!; reversed, log (n - m)!
@@ -180,7 +190,6 @@ def dense_circuit_reference(ham: Hamiltonian, psi: np.ndarray, p: FFPlan) -> np.
     fwd = np.array([(m + p.shift) % reg for m in range(reg)])
     joint = joint[fwd]                       # inverse shift: row m <- row (m + shift)
     root = math.sqrt(p.t / p.n)
-    mat = ham.matrix
     for j in range(p.dprime):
         u0 = expm(+1j * mat * root * (1 << j))
         u1 = expm(-1j * mat * root * (1 << j))
@@ -393,6 +402,30 @@ def standard_filter(gaps, d):
     return np.exp(-2j * np.pi * np.outer(gaps, j)).sum(axis=1) / (1 << d)
 
 
+def closed_form_standard_qpe(ham: Hamiltonian, state: SpectralState, d: int,
+                             mode: str = "exact", seed=None,
+                             repeats: int = 1) -> EstimationResult:
+    """Standard-route estimation as the route wrote it before it read the
+    ``standard`` channel: the d-bit register's distribution summed over the
+    whole grid of outcomes y / 2^d, level by level, from D_d = sin(pi g 2^d) /
+    sin(pi g) in its closed form at g = h - y / 2^d, the picked outcome read
+    as y / 2^d and priced 2^d - 1 evolutions on d steps and d ancillas."""
+    d = nk.require_count(d, 1, "register bits")
+    size = 1 << d
+    ys = np.arange(size) / size
+    dist = np.zeros(size)
+    read = _read_levels(state)
+    for h, w in zip(ham.eigenvalues[read], state.weights[read]):
+        tw = (h - ys) - np.round(h - ys)
+        ratio = np.where(tw == 0.0, float(size),
+                         np.sin(np.pi * tw * size) / np.where(tw == 0.0, 1.0, np.sin(np.pi * tw)))
+        dist += w * ratio ** 2
+    dist /= 4 ** d
+    y = _pick_outcome(dist, mode, seed, repeats)
+    return EstimationResult(float(ham.spectrum_map.to_original(y / size)), float(y / size),
+                            int(y), dist, CostReport(float(size - 1), d, d), False)
+
+
 def closed_form_standard_prepare(ham: Hamiltonian, state: SpectralState, beta: int,
                                  d: int) -> PreparationResult:
     """Standard-route preparation as the route wrote it before it read the
@@ -403,7 +436,7 @@ def closed_form_standard_prepare(ham: Hamiltonian, state: SpectralState, beta: i
     d = nk.require_count(d, 1, "register bits")
     if d > 51:
         raise ValidationError(
-            f"standard-route preparation takes at most 51 register bits, "
+            f"the standard route takes at most 51 register bits, "
             f"got {d}: past that the phases' rounding, scaled by 2^d, reaches a radian")
     spectral_gap(ham, beta)
     g = ham.eigenvalues - ham.eigenvalues[beta]

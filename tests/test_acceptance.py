@@ -34,7 +34,8 @@ from lindbladff.qpe import counting_estimator
 
 from conftest import full_mixture
 from oracles import (dense_circuit_reference, dml_gap, exact_gibbs, generator_matrix,
-                     kw_synthesize, lindblad_exact_general, pauli_noise_spec)
+                     hamiltonian_matrix, kw_synthesize, lindblad_exact_general,
+                     pauli_noise_spec)
 
 SEED = 424242
 
@@ -64,7 +65,7 @@ def test_criterion_01_structured_vs_dense_oracle():
             psi = _random_state(rng, dim)
             p = lff.plan(t, eps, n_override=16)
             rho, _ = lff.evolve(ham, psi, channel("ff", t, eps, n=16))
-            ref = dense_circuit_reference(ham, psi, p)
+            ref = dense_circuit_reference(hamiltonian_matrix(ham), psi, p)
             worst = max(worst, nk.trace_distance(rho, ref))
     elapsed = time.perf_counter() - t0
     report("01", worst <= 1e-10 and elapsed < 5.0,
@@ -174,7 +175,7 @@ def test_criterion_06_standard_qpe_bounds():
             vec = np.zeros(2, dtype=complex)
             vec[0 if lo == h else 1] = 1.0
             state = lff.decompose_state(vec, ham)
-            res = lff.standard_qpe(ham, state, d)
+            res = lff.estimate(ham, state, channel("standard", None, None, n=d))
             ys = np.arange(1 << d) / (1 << d)
             circ = np.abs(((h - ys) + 0.5) % 1.0 - 0.5)
             for eps in (0.02, 0.05, 0.1):
@@ -183,7 +184,7 @@ def test_criterion_06_standard_qpe_bounds():
     # exactly representable phase: all mass on the true outcome
     ham = lff.normalize_spectrum(np.diag([0.25, 0.75]))
     state = lff.decompose_state(np.array([1.0, 0.0], dtype=complex), ham)
-    res = lff.standard_qpe(ham, state, 3)
+    res = lff.estimate(ham, state, channel("standard", None, None, n=3))
     exact_ok = np.isclose(res.distribution[2], 1.0, atol=1e-12)
     elapsed = time.perf_counter() - t0
     report("06", worst_excess <= 1e-12 and exact_ok and elapsed < 30.0,

@@ -13,8 +13,7 @@ from lindbladff import (GaussianParams, ValidationError, amplitude_problem, bern
                         binomial_amplitudes, binomial_gaussian_distance, binomial_tail,
                         choi_ff_evolve, decompose_state, default_steps,
                         discrete_gaussian_amplitudes, estimate, gibbs_prepare, hoeffding_bound,
-                        kw_angle_schedule, lindblad_spec, normalize_spectrum, plan, prepare,
-                        standard_qpe)
+                        kw_angle_schedule, lindblad_spec, normalize_spectrum, plan, prepare)
 from lindbladff.channel import channel
 from lindbladff.cli import run
 
@@ -38,9 +37,9 @@ def standard(d):
     return channel("standard", None, None, n=d)
 
 # Each entry point with the argument under test left open; a single-jump
-# channel is keyed by its method, and the slow and fast routes' estimate and
-# prepare, on the dilated and ff channels, by slow_qpe, fast_qpe and their
-# _eigenstate forms, and prepare on the standard channel by standard_qpe_eigenstate.
+# channel is keyed by its method, and estimate and prepare on the dilated, ff
+# and standard channels by slow_qpe, fast_qpe and standard_qpe and their
+# _eigenstate forms.
 TIME = {
     "exact": lambda t: channel("exact", t, None),
     "dilated": lambda t: channel("dilated", t, None, 4),
@@ -78,10 +77,11 @@ COUNTS = {
     "fast_qpe": (lambda n: estimate(HAM, STATE, fast(4.0, 1e-3, n)), 2, "register count", 64),
     "fast_qpe_eigenstate": (lambda n: prepare(HAM, STATE, 0, fast(4.0, 1e-3, n)), 2,
                             "register count", 64),
-    "standard_qpe": (lambda d: standard_qpe(HAM, STATE, d), 1, "register bits", 4),
+    "standard_qpe": (lambda d: estimate(HAM, STATE, standard(d)), 1, "register bits", 4),
     "standard_qpe_eigenstate": (lambda d: prepare(HAM, STATE, 0, standard(d)), 1,
                                 "register bits", 4),
-    "standard_qpe_repeats": (lambda r: standard_qpe(HAM, STATE, 4, repeats=r), 1, "repeats", 3),
+    "standard_qpe_repeats": (lambda r: estimate(HAM, STATE, standard(4), repeats=r), 1, "repeats",
+                             3),
     "slow_qpe_repeats": (lambda r: estimate(HAM, STATE, slow(4.0, 64), "sample", 0, r), 1,
                          "repeats", 3),
     "fast_qpe_repeats": (lambda r: estimate(HAM, STATE, fast(4.0, 1e-3, 64), repeats=r), 1,

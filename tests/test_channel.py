@@ -33,8 +33,8 @@ class TestRefusals:
     def test_unknown_method_is_named(self, method):
         with pytest.raises(ValidationError) as info:
             channel(method, 1.0, 0.1)
-        assert str(info.value) == (f"unknown single-jump method {method!r}; "
-                                   f"expected exact, dilated or ff")
+        assert str(info.value) == (f"unknown channel method {method!r}; "
+                                   f"expected exact, dilated, ff or standard")
 
     @pytest.mark.parametrize("method, steps", [("exact", None), ("dilated", 4)])
     def test_method_not_reading_eps_takes_none(self, method, steps):

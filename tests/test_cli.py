@@ -433,7 +433,7 @@ class TestExitCodes:
         "repeats_zero": [*SAMPLE, "0"],
         "prepare_d_negative": [*PREPARE, "--d", "-1"],
         "prepare_d_zero": [*PREPARE, "--d", "0"],
-        # 2^2003 bytes is past any float; past d = 51 the filter's phases are noise
+        # past d = 51 the register's phases are noise, in estimation and preparation alike
         "standard_d_past_any_float": ["qpe", "--route", "standard", "--ham", H2Q, "--d", "2000"],
         "prepare_d_past_any_float": [*PREPARE, "--d", "2000"],
         "prepare_d_past_phase_rounding": [*PREPARE, "--d", "52"],
@@ -441,6 +441,8 @@ class TestExitCodes:
         # inputs rejected where they are read: a 2^40 x 2^40 matrix, non-finite
         # numbers, a third jump-list column, and state files with no unit vector
         "pauli_too_wide": [*EVOLVE, "exact", "--ham", "{tmp}/wide.pauli"],
+        # 16 4^600 bytes is past any float: the size is printed through Decimal
+        "pauli_past_any_float": [*EVOLVE, "exact", "--ham", "{tmp}/wide600.pauli"],
         "coefficient_nan": [*EVOLVE, "exact", "--ham", "{tmp}/nan.pauli"],
         "coefficient_inf": [*EVOLVE, "exact", "--ham", "{tmp}/inf.pauli"],
         "rate_inf": [*EVOLVE, "choi-ff", "--jumps", "{tmp}/inf_rate.txt"],
@@ -531,6 +533,7 @@ class TestExitCodes:
         (tmp_path / "empty_oracle.txt").write_text("")
         (tmp_path / "two_oracle.txt").write_text("2 0 0 0\n")
         (tmp_path / "wide.pauli").write_text("1.0 " + "Z" * 40 + "\n")
+        (tmp_path / "wide600.pauli").write_text("1.0 " + "Z" * 600 + "\n")
         (tmp_path / "nan.pauli").write_text("nan Z\n")
         (tmp_path / "inf.pauli").write_text("inf XZ\n1 ZZ\n")
         (tmp_path / "inf_rate.txt").write_text("z.pauli inf\n")
@@ -551,6 +554,16 @@ class TestExitCodes:
         assert rc == 1 and stdout == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert sorted(os.listdir(tmp_path)) == inputs
+
+    def test_pauli_size_past_any_float_is_printed(self, tmp_path, capsys):
+        # the machine's memory ends the line, so the size alone is pinned
+        (tmp_path / "wide600.pauli").write_text("1.0 " + "Z" * 600 + "\n")
+        rc, stdout = invoke([arg.replace("{tmp}", str(tmp_path))
+                             for arg in self.MALFORMED["pauli_past_any_float"]])
+        assert (rc, stdout) == (1, "")
+        assert capsys.readouterr().err.startswith(
+            f"error: {tmp_path / 'wide600.pauli'}: Pauli sum needs 2.57e+353 GiB of dense matrix "
+            f"at 600 qubits, more than the ")
 
     @pytest.mark.parametrize("argv, message", [
         (["ae-demo", "--oracle", "{tmp}", "--n", "2"],

@@ -11,6 +11,7 @@ from lindbladff.dilated import dilated_kernel, step_root
 from lindbladff import numkernel as nk
 
 from conftest import dilate, dilated_step, random_density
+from oracles import hamiltonian_matrix
 
 PLUS_RHO = np.full((2, 2), 0.5, dtype=complex)
 F = np.diag([0.0, 1.0]).astype(complex)
@@ -107,7 +108,7 @@ def test_closed_form_matches_literal_composition():
     literal, done = rho, 0
     for steps in (1, 7, 100, 500):
         while done < steps:
-            literal = dilated_step(ham.matrix, literal, tau)
+            literal = dilated_step(hamiltonian_matrix(ham), literal, tau)
             done += 1
         closed, _ = evolve(ham, rho, channel("dilated", steps * tau, None, steps))
         assert np.max(np.abs(closed - literal)) <= 1e-12

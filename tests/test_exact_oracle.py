@@ -14,7 +14,7 @@ from lindbladff.errors import CapacityError
 from lindbladff.model import CLUSTER_RTOL
 
 from conftest import PAULI_Y, PAULI_Z, random_density, random_hermitian, random_state
-from oracles import lindblad_exact_general, lindblad_rk4, steady_state
+from oracles import hamiltonian_matrix, lindblad_exact_general, lindblad_rk4, steady_state
 
 PLUS_RHO = np.full((2, 2), 0.5, dtype=complex)
 TWO_LEVEL = normalize_spectrum(np.diag([0.0, 1.0]))
@@ -30,7 +30,7 @@ class TestHermitianSolution:
         # frozen from the RK4 oracle: off-diagonal 0.5 e^{-1} at t = 2
         out = evolve(TWO_LEVEL, PLUS_RHO, channel("exact", 2.0, None))[0]
         assert np.isclose(out[0, 1], 0.18393972058572117, atol=1e-10)
-        oracle = lindblad_rk4([TWO_LEVEL.matrix], PLUS_RHO, 2.0)
+        oracle = lindblad_rk4([hamiltonian_matrix(TWO_LEVEL)], PLUS_RHO, 2.0)
         assert np.max(np.abs(out - oracle)) <= 1e-9
 
     def test_long_time_reaches_steady_state(self):
@@ -132,7 +132,7 @@ class TestGeneralSolution:
     def test_matches_hermitian_route(self, rng):
         ham = normalize_spectrum(random_hermitian(rng, 3))
         rho = random_density(rng, 3)
-        spec = lindblad_spec([ham.matrix])
+        spec = lindblad_spec([hamiltonian_matrix(ham)])
         a = evolve(ham, rho, channel("exact", 1.7, None))[0]
         b = lindblad_exact_general(spec, rho, 1.7)
         assert np.max(np.abs(a - b)) <= 1e-9

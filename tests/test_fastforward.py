@@ -18,7 +18,7 @@ from lindbladff.kernels import PMF_FLOOR, _support, binom_residue_weights
 
 from conftest import (full_mixture, goal_ledger, random_density, random_hermitian,
                       random_state, residue_of)
-from oracles import DENSE_REFERENCE_CAP, dense_circuit_reference
+from oracles import DENSE_REFERENCE_CAP, dense_circuit_reference, hamiltonian_matrix
 from test_single_jump import jumps
 
 TWO_LEVEL = normalize_spectrum(np.diag([0.0, 1.0]))
@@ -260,7 +260,8 @@ class TestFastForwardEvolve:
         p = chan.plan
         out, _ = evolve(ham, rho0, chan)
         w, v = np.linalg.eigh(rho0)
-        want = sum(w[k] * dense_circuit_reference(ham, v[:, k], p) for k in range(4))
+        mat = hamiltonian_matrix(ham)
+        want = sum(w[k] * dense_circuit_reference(mat, v[:, k], p) for k in range(4))
         assert np.max(np.abs(out - want)) <= 1e-12
 
     def test_norm_guard(self, rng):
@@ -520,7 +521,7 @@ class TestDenseReference:
         assert chan.n == n + n % 2
         psi = random_state(rng, ham.dim)
         got = evolve(ham, psi, chan)[0]
-        want = dense_circuit_reference(ham, psi, chan.plan)
+        want = dense_circuit_reference(hamiltonian_matrix(ham), psi, chan.plan)
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_two_level_n16(self, rng):
@@ -529,7 +530,7 @@ class TestDenseReference:
         p = chan.plan
         psi = random_state(rng, 2)
         rho_ff, _ = evolve(ham, psi, chan)
-        rho_ref = dense_circuit_reference(ham, psi, p)
+        rho_ref = dense_circuit_reference(hamiltonian_matrix(ham), psi, p)
         assert nk.trace_distance(rho_ff, rho_ref) <= 1e-10
 
     def test_zero_hamiltonian(self, rng):
@@ -537,8 +538,8 @@ class TestDenseReference:
         chan = channel("ff", 1.0, 0.5, n=16)
         p = chan.plan
         psi = random_state(rng, 2)
-        assert nk.trace_distance(
-            evolve(ham, psi, chan)[0], dense_circuit_reference(ham, psi, p)) <= 1e-12
+        want = dense_circuit_reference(hamiltonian_matrix(ham), psi, p)
+        assert nk.trace_distance(evolve(ham, psi, chan)[0], want) <= 1e-12
 
     def test_band_limited_dim32(self, rng):
         # P = 16 and B = 2.8 at N = 64 put M = 18 below 32 nondegenerate
@@ -550,7 +551,8 @@ class TestDenseReference:
         assert (ham.n_levels, p.period) == (32, 16)
         assert node_count(chan, float(np.ptp(h)), h.size) < 32
         for psi in (random_state(rng, 32), random_state(rng, 32)):
-            d = nk.trace_distance(evolve(ham, psi, chan)[0], dense_circuit_reference(ham, psi, p))
+            d = nk.trace_distance(evolve(ham, psi, chan)[0],
+                                  dense_circuit_reference(hamiltonian_matrix(ham), psi, p))
             assert d <= 1e-10, d
 
     def test_random_sweep(self, rng):
@@ -560,7 +562,7 @@ class TestDenseReference:
             p = chan.plan
             psi = random_state(rng, 2)
             d = nk.trace_distance(evolve(ham, psi, chan)[0],
-                                  dense_circuit_reference(ham, psi, p))
+                                  dense_circuit_reference(hamiltonian_matrix(ham), psi, p))
             assert d <= 1e-10, (t, n, d)
 
 

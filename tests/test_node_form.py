@@ -8,7 +8,6 @@ interpolates every kernel within 2^-53; and no golden argv reaches it or
 
 import importlib
 import os
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -22,7 +21,7 @@ from lindbladff.kernels import binom_residue_weights
 from lindbladff.model import CLUSTER_RTOL
 
 from conftest import random_state
-from oracles import dense_circuit_reference, unmerged_channel
+from oracles import dense_circuit_reference, hamiltonian_matrix, unmerged_channel
 from test_cli import DATA, GOLDEN, ROOT, invoke, strip_wall_time
 
 channel_module = importlib.import_module("lindbladff.channel")
@@ -121,7 +120,7 @@ def test_clustered_matches_the_unmerged_oracle(case, chan):
     assume(took)
     hn = (h - smap.shift * np.eye(len(h))) / smap.scale
     if chan.method == "ff":
-        want = dense_circuit_reference(SimpleNamespace(matrix=hn, dim=len(h)), psi, chan.plan)
+        want = dense_circuit_reference(hn, psi, chan.plan)
     elif chan.method == "exact":
         want = unmerged_channel(hn, psi, lambda g: np.exp(-0.5 * chan.t * g ** 2))
     else:
@@ -226,7 +225,7 @@ def test_a_64_level_jump_takes_the_node_form():
 @pytest.mark.parametrize("method", ["exact", "dilated", "ff"])
 def test_density_and_wide_node_counts_keep_the_eigenbasis_path(method):
     rng = np.random.default_rng(7)
-    h = normalize_spectrum(np.diag(rng.uniform(-1, 1, 32)).astype(complex)).matrix
+    h = hamiltonian_matrix(normalize_spectrum(np.diag(rng.uniform(-1, 1, 32)).astype(complex)))
     psi = random_state(rng, 32)
     chan = channel(method, 1.0, 0.1) if method != "exact" else channel("exact", 1.0, None)
     assert routed(h, psi, chan)[2]

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,11 +17,10 @@ from hypothesis import strategies as hst
 from scipy.linalg import eigh_tridiagonal, expm, hadamard
 
 from lindbladff import (FFPlan, InvariantError, ValidationError,
-                        decompose_state, estimate, normalize_spectrum, plan, prepare,
-                        standard_qpe)
+                        decompose_state, estimate, normalize_spectrum, plan, prepare)
 from lindbladff import model, qpe
 from lindbladff import numkernel as nk
-from lindbladff.channel import channel, evolve, evolve_matrix
+from lindbladff.channel import Channel, channel, evolve, evolve_matrix
 from lindbladff.cli import run
 from lindbladff.dilated import dilated_kernel
 from lindbladff.fastforward import ff_cost, gap_kernel, residue_spectrum
@@ -32,6 +32,7 @@ from lindbladff.qpe import (_alpha_phases, _counting_distribution,
 from conftest import (goal_ledger, log_binom, random_eigenstate, random_hermitian, random_state,
                       residue_of)
 from oracles import (amplitude_decision_demo, closed_form_standard_prepare,
+                     closed_form_standard_qpe,
                      dense_amplitude_problem, grover_iterate, schur_orthogonal_log,
                      standard_filter, standard_route_oracle)
 from test_single_jump import jumps
@@ -72,7 +73,7 @@ def standard_channel(d):
 class TestStandardQpe:
     def test_representable_phase_is_certain(self):
         ham, st, _ = eigenstate_input(0.25)
-        res = standard_qpe(ham, st, 3)
+        res = estimate(ham, st, standard_channel(3))
         assert np.isclose(res.distribution[2], 1.0, atol=1e-12)
         assert np.isclose(res.estimate, 0.25)
         assert np.max(np.abs(np.delete(res.distribution, 2))) <= 1e-12
@@ -80,18 +81,18 @@ class TestStandardQpe:
     def test_distribution_sums_to_one(self, rng):
         ham = normalize_spectrum(np.diag([0.0, 0.35, 1.0]))
         st = decompose_state(random_state(rng, 3), ham)
-        res = standard_qpe(ham, st, 6)
+        res = estimate(ham, st, standard_channel(6))
         assert abs(res.distribution.sum() - 1.0) <= 1e-9
 
     def test_cost_counts_register_evolutions(self):
         ham, st, _ = eigenstate_input(0.3)
-        assert standard_qpe(ham, st, 5).cost.hamiltonian_time == 31
+        assert estimate(ham, st, standard_channel(5)).cost.hamiltonian_time == 31
 
     def test_failure_tail_bound(self, rng):
         for d in range(4, 11):
             h = float(rng.uniform(0, 1))
             ham, st, _ = eigenstate_input(h)
-            res = standard_qpe(ham, st, d)
+            res = estimate(ham, st, standard_channel(d))
             ys = np.arange(1 << d) / (1 << d)
             circ = np.abs(((h - ys) + 0.5) % 1.0 - 0.5)
             for eps in (0.01, 0.05, 0.1):
@@ -100,8 +101,8 @@ class TestStandardQpe:
 
     def test_sampling_is_deterministic_per_seed(self):
         ham, st, _ = eigenstate_input(0.3)
-        a = standard_qpe(ham, st, 6, mode="sample", seed=42)
-        b = standard_qpe(ham, st, 6, mode="sample", seed=42)
+        a = estimate(ham, st, standard_channel(6), mode="sample", seed=42)
+        b = estimate(ham, st, standard_channel(6), mode="sample", seed=42)
         assert a.raw_outcome == b.raw_outcome
 
     def test_repeat_median_mode_tightens_estimates(self):
@@ -154,19 +155,20 @@ class TestStandardEigenstate:
 
 
 class TestStandardLaw:
-    """The standard route prepares through ``prepare`` on its lattice law,
-    ``channel("standard", None, None, n=d)``, bit for bit the closed form it
-    ran before (``oracles.closed_form_standard_prepare``)."""
+    """The standard route estimates and prepares through ``estimate`` and
+    ``prepare`` on its lattice law, ``channel("standard", None, None, n=d)``,
+    bit for bit the closed forms it ran before
+    (``oracles.closed_form_standard_qpe`` and ``closed_form_standard_prepare``)."""
 
     @staticmethod
     def outcome(call):
-        """Every field of a preparation as exact text and bytes, or its error."""
+        """Every field of a result as exact text, its arrays as bytes, or its error."""
         try:
             res = call()
         except (ValidationError, InvariantError) as exc:
             return type(exc), str(exc)
-        scalars = [repr(v) for k, v in res._asdict().items() if k not in ("state", "cost")]
-        return scalars, res.state.dtype, res.state.shape, res.state.tobytes(), repr(res.cost)
+        return [(k, v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else (k, repr(v))
+                for k, v in res._asdict().items()]
 
     @staticmethod
     def cases(seed):
@@ -210,26 +212,49 @@ class TestStandardLaw:
             assert (self.outcome(lambda: prepare(ham, st, beta, standard_channel(4)))
                     == self.outcome(lambda: closed_form_standard_prepare(ham, st, beta, 4)))
 
-    @pytest.mark.parametrize("d", ("52", "2000"))
-    def test_cli_refuses_register_bits_past_the_phase_rounding(self, d):
+    @pytest.mark.parametrize("seed", range(24))
+    def test_estimate_is_the_closed_form_bit_for_bit(self, seed):
+        rng = np.random.default_rng(2000 + seed)
+        for ham, st, _ in self.cases(seed):
+            for d in (1, 2, int(rng.integers(3, 17)), 0, 2.5):
+                for mode, repeats in itertools.product(("exact", "sample"), (1, 15)):
+                    args = (mode, int(rng.integers(2 ** 32)), repeats)
+                    want = self.outcome(lambda: closed_form_standard_qpe(ham, st, d, *args))
+                    got = self.outcome(lambda: estimate(ham, st, standard_channel(d), *args))
+                    assert got == want, (seed, d, args)
+
+    @staticmethod
+    def cli_refusal(mode, d):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
-            rc = run(["qpe", "prepare", "--route", "standard", "--ham", H2Q, "--d", d])
-        assert (rc, out.getvalue(), err.getvalue()) == (1, "", (
-            f"error: standard-route preparation takes at most 51 register bits, got {d}: "
-            f"past that the phases' rounding, scaled by 2^d, reaches a radian\n"))
+            rc = run(["qpe", mode, "--route", "standard", "--ham", H2Q, "--d", d])
+        return rc, out.getvalue(), err.getvalue()
+
+    CAP = ("error: the standard route takes at most 51 register bits, got {}: "
+           "past that the phases' rounding, scaled by 2^d, reaches a radian\n")
+
+    @pytest.mark.parametrize("d", ("52", "2000"))
+    def test_cli_refuses_register_bits_past_the_phase_rounding(self, d):
+        assert self.cli_refusal("prepare", d) == (1, "", self.CAP.format(d))
+
+    @pytest.mark.parametrize("d", ("52", "2000"))
+    def test_cli_estimate_refuses_register_bits_past_the_phase_rounding(self, d):
+        # the cap once held for preparation alone: estimation ran into the memory check
+        assert self.cli_refusal("estimate", d) == (1, "", self.CAP.format(d))
 
     def test_only_prepare_reads_the_standard_law(self):
+        # the phase-estimation pair, estimate and prepare, reads the law; evolution does not
         ham = normalize_spectrum(np.diag([0.0, 0.5]))
         chan = standard_channel(4)
-        message = ("the standard channel only prepares: evolve, evolve_matrix and estimate "
+        message = ("the standard channel does not evolve: evolve and evolve_matrix "
                    "take an exact, dilated or ff channel")
         for call in (lambda: evolve(ham, PLUS, chan),
-                     lambda: evolve_matrix(np.diag([0.0, 0.5]), PLUS, chan),
-                     lambda: estimate(ham, decompose_state(PLUS, ham), chan)):
+                     lambda: evolve_matrix(np.diag([0.0, 0.5]), PLUS, chan)):
             with pytest.raises(ValidationError) as info:
                 call()
             assert str(info.value) == message
+        st = decompose_state(PLUS, ham)
+        assert estimate(ham, st, chan).cost == prepare(ham, st, 0, chan).cost == chan.cost
 
     @pytest.mark.parametrize("t, eps", ((1.0, None), (None, 0.1)))
     def test_standard_law_reads_no_time_and_no_error(self, t, eps):
@@ -555,8 +580,8 @@ def test_fast_preparation_bound_reads_the_dilated_filter(case, n, t, eps, beta_d
 
 def plan_fast_qpe(ham, st, p, mode, seed, repeats):
     """The fast estimate on a given plan: its readout, ``ff_cost`` priced."""
-    return qpe._readout(ham, route_fast_distribution(ham, st, p),
-                        lambda m: counting_estimator(p.t, p.n, m), ff_cost(p), mode, seed, repeats)
+    chan = Channel("ff", p.t, p.n, partial(gap_kernel, p), ff_cost(p), p)
+    return qpe._readout(ham, route_fast_distribution(ham, st, p), chan, mode, seed, repeats)
 
 
 def plan_fast_qpe_eigenstate(ham, st, beta, p):
@@ -672,8 +697,7 @@ def route_slow_qpe(ham, state, t, n, mode="exact", seed=None, repeats=1):
     read = _read_levels(state)
     qs = np.sin(root * ham.eigenvalues[read]) ** 2
     dist = _counting_distribution(state.weights[read], qs, n)
-    return qpe._readout(ham, dist, lambda m: counting_estimator(t, n, m),
-                        channel("dilated", t, None, n=n).cost, mode, seed, repeats)
+    return qpe._readout(ham, dist, channel("dilated", t, None, n=n), mode, seed, repeats)
 
 
 def route_slow_qpe_eigenstate(ham, state, beta, t, n):
@@ -688,9 +712,8 @@ def route_slow_qpe_eigenstate(ham, state, beta, t, n):
 
 def route_fast_qpe(ham, state, t, eps, n=None, mode="exact", seed=None, repeats=1):
     chan = channel("ff", t, eps, n=n)
-    p = chan.plan
-    return qpe._readout(ham, route_fast_distribution(ham, state, p),
-                        lambda m: counting_estimator(p.t, p.n, m), chan.cost, mode, seed, repeats)
+    return qpe._readout(ham, route_fast_distribution(ham, state, chan.plan), chan, mode, seed,
+                        repeats)
 
 
 def route_fast_qpe_eigenstate(ham, state, beta, t, eps, n=None):
@@ -769,7 +792,8 @@ def test_counting_refuses_the_exact_channel(call):
     ham = normalize_spectrum(np.diag([0.0, 0.5]))
     with pytest.raises(ValidationError) as info:
         call(ham, decompose_state(PLUS, ham), channel("exact", 1.0, None))
-    assert str(info.value) == "counting readout takes a dilated or ff channel, not exact"
+    assert str(info.value) == ("phase estimation takes a dilated, ff or standard channel, "
+                               "not exact")
 
 
 @pytest.mark.parametrize("call", [lambda ham, st, chan: estimate(ham, st, chan),
@@ -1251,7 +1275,8 @@ class TestReadLevels:
         alone = level_subset_state(diag, np.random.default_rng(seed), [k])
         t = min(4.0, float(n))
         p = plan_at(n, full, t)
-        for route, readout in (("standard", lambda h, s: standard_qpe(h, s, d).distribution),
+        for route, readout in (("standard",
+                                lambda h, s: estimate(h, s, standard_channel(d)).distribution),
                                ("slow",
                                 lambda h, s: estimate(h, s, slow_channel(t, n)).distribution),
                                ("fast", lambda h, s: _fast_distribution(h, s, p))):
@@ -1378,7 +1403,7 @@ class TestPreparationRelations:
 
 
 ESTIMATORS = {
-    "standard": lambda ham, st: standard_qpe(ham, st, 6),
+    "standard": lambda ham, st: estimate(ham, st, standard_channel(6)),
     "slow": lambda ham, st: estimate(ham, st, slow_channel(16.0, 1000)),
     "fast64": lambda ham, st: estimate(ham, st, fast_channel(4.0, 1e-3, 64)),
     "fast4096": lambda ham, st: estimate(ham, st, fast_channel(4.0, 1e-3, 4096)),
@@ -1432,7 +1457,7 @@ class TestSupportSampler:
         # the earlier sampler: Generator.choice over the support only
         ham = normalize_spectrum(np.diag([0.0, 0.3, 0.71, 1.0]))
         st = decompose_state(np.array([0.6, 0.5, 0.5, math.sqrt(0.14)]), ham)
-        dist = standard_qpe(ham, st, d).distribution
+        dist = estimate(ham, st, standard_channel(d)).distribution
         assert dist.size > qpe._SAMPLE_BLOCK or d == 12
         support = np.flatnonzero(dist)
         p = dist[support] / dist.sum()
@@ -1482,7 +1507,7 @@ class TestStandardLevels:
         if not np.any(amps):
             amps[0] = 1.0
         st = decompose_state(amps / np.linalg.norm(amps), ham)
-        got = standard_qpe(ham, st, d).distribution
+        got = estimate(ham, st, standard_channel(d)).distribution
         assert got.tobytes() == dense_standard_distribution(ham, st, d).tobytes()
 
     @pytest.mark.parametrize("d", (15, 16, 18))
@@ -1490,7 +1515,7 @@ class TestStandardLevels:
         # 2, 4 and 16 blocks of outcomes; one phase sits exactly on the grid
         ham = normalize_spectrum(np.diag([0.0, 3.0 / 8.0, 0.3, 0.71, 1.0]))
         st = decompose_state(random_state(rng, 5), ham)
-        got = standard_qpe(ham, st, d).distribution
+        got = estimate(ham, st, standard_channel(d)).distribution
         assert got.size == 1 << d > qpe._STANDARD_BLOCK
         assert got.tobytes() == dense_standard_distribution(ham, st, d).tobytes()
 
@@ -1500,9 +1525,9 @@ class TestStandardLevels:
         # including blocks of 7 and 100 that divide no register of 2^9 outcomes
         ham = normalize_spectrum(np.diag([0.0, 3.0 / 8.0, 0.3, 0.71, 1.0]))
         st = decompose_state(random_state(rng, 5), ham)
-        one = standard_qpe(ham, st, 9).distribution
+        one = estimate(ham, st, standard_channel(9)).distribution
         monkeypatch.setattr(qpe, "_STANDARD_BLOCK", block)
-        assert standard_qpe(ham, st, 9).distribution.tobytes() == one.tobytes()
+        assert estimate(ham, st, standard_channel(9)).distribution.tobytes() == one.tobytes()
 
 
 # Peak RSS of one route call in a fresh process, against a bare import.  The
@@ -1513,7 +1538,7 @@ import sys
 import numpy as np
 import lindbladff
 if sys.argv[1] != "import":
-    from lindbladff import decompose_state, estimate, normalize_spectrum, standard_qpe
+    from lindbladff import decompose_state, estimate, normalize_spectrum
     from lindbladff.channel import channel
     rng = np.random.default_rng(3)
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
@@ -1524,11 +1549,12 @@ if sys.argv[1] != "import":
         estimate(ham, state, channel("dilated", 1024.0, None, n=10 ** 7),
                  mode="sample", seed=5, repeats=15)
     elif sys.argv[1] == "standard22":
-        standard_qpe(ham, state, 22)
+        estimate(ham, state, channel("standard", None, None, n=22))
     elif sys.argv[1] == "standard22-sample":
-        standard_qpe(ham, state, 22, mode="sample", seed=5, repeats=15)
+        estimate(ham, state, channel("standard", None, None, n=22), mode="sample", seed=5,
+                 repeats=15)
     else:
-        standard_qpe(ham, state, 18)
+        estimate(ham, state, channel("standard", None, None, n=18))
 with open("/proc/self/status") as status:
     print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """

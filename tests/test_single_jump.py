@@ -17,7 +17,7 @@ from lindbladff.model import CLUSTER_RTOL
 from lindbladff.numkernel import trace_distance
 
 from conftest import dilated_step, random_density, random_state
-from oracles import steady_state
+from oracles import hamiltonian_matrix, steady_state
 
 HAM3 = normalize_spectrum(np.diag([0.0, 0.5, 1.0]).astype(complex))
 FF = channel("ff", 1.0, 0.1, n=16)
@@ -136,7 +136,7 @@ def test_dilated_evolve_matches_literal_steps(root_tau, case, steps, mixed):
     tau = root_tau ** 2
     literal = rho0
     for _ in range(steps):
-        literal = dilated_step(ham.matrix, literal, tau)
+        literal = dilated_step(hamiltonian_matrix(ham), literal, tau)
     closed, cost = evolve(ham, rho0, channel("dilated", steps * tau, None, steps))
     assert np.max(np.abs(closed - literal)) <= 1e-12
     assert cost.step_count == steps
