@@ -228,10 +228,8 @@ def _cmd_qpe(args, argv):
         nk.require_count(args.seed, 0, "--seed")
     mat, digest = _load_ham(args.ham)
     ham = model.normalize_spectrum(mat)
-    if prep := args.mode == "prepare":  # the target's gaps, stretched to unit radius
+    if prep := args.mode == "prepare":  # refuse a bad target before --zeta reads its weight
         model.spectral_gap(ham, args.eigen)
-        gaps = ham.eigenvalues - ham.eigenvalues[args.eigen]
-        ham = ham._replace(eigenvalues=gaps / float(np.max(np.abs(gaps))))
     state = model.decompose_state(_initial_state(args.state, ham.dim), ham)
     # a --zeta target, read by the fast route's prepare alone, sets eps
     eps = args.eps if args.zeta is None else (float(state.coeffs[args.eigen]) * args.zeta) ** 2

@@ -42,10 +42,11 @@ N + 1 counts per level.
 
 Preparation (``prepare`` on a ``standard``, ``dilated`` or ``ff`` channel)
 takes any target eigenspace beta of the spectrum it is given: it reads the
-gaps g_l = h_l - h_beta (``_on_gaps``), which put the target at 0, and
-post-selects count 0 (``_postselect``), scaling eigencomponent l by the
-channel kernel's column at the target.  That needs no transform: row 0 of the
-symmetric-sector Hadamard is the binomial amplitude vector, so
+gaps g_l = (h_l - h_beta) / max|h - h_beta|, which put the target at 0 and
+the farthest level at unit distance (halved on the 1-periodic ``standard``
+lattice), and post-selects count 0 (``_postselect``), scaling eigencomponent
+l by the channel kernel's column at the target.  That needs no transform:
+row 0 of the symmetric-sector Hadamard is the binomial amplitude vector, so
 X[0] = sum_r w_r s_r scales eigencomponent l by sum_r w_r e^(-i g_l theta_r).
 
 Sampling a count draws on the distribution's support only (``_pick_outcome``),
@@ -131,14 +132,6 @@ def _standard_distribution(ham: Hamiltonian, state: SpectralState, d: int) -> np
             block += w * _dirichlet(h - ys, d) ** 2
     dist /= 4 ** d
     return dist
-
-
-def _on_gaps(ham: Hamiltonian, beta: int) -> Hamiltonian:
-    """``ham`` on the gaps h - h_beta to eigenspace ``beta``, the target every
-    preparation route filters at 0; the spectrum map is not read there.
-    ``spectral_gap`` checks the target: in range, of at least two levels."""
-    spectral_gap(ham, beta)
-    return ham._replace(eigenvalues=ham.eigenvalues - ham.eigenvalues[beta])
 
 
 def _postselect(state: SpectralState, beta: int, amp: np.ndarray, bound: float,
@@ -332,10 +325,10 @@ def _require_estimation(chan: Channel):
                               f"not {chan.method}")
 
 
-def _root_in_range(ham: Hamiltonian, chan: Channel) -> float:
+def _root_in_range(h: np.ndarray, chan: Channel) -> float:
     """``step_root(t, N)`` of ``chan``, refused past the range guard sqrt(t/N) max|h| <= pi/2."""
     root = step_root(chan.t, chan.n)
-    reach = root * float(np.max(np.abs(ham.eigenvalues)))
+    reach = root * float(np.max(np.abs(h)))
     if reach > 0.5 * math.pi:
         raise ValidationError(f"sqrt(t/N) max|h| = {reach:.3g} > pi/2 leaves the monotone "
                               f"estimator range; increase N")
@@ -351,7 +344,7 @@ def estimate(ham: Hamiltonian, state: SpectralState, chan: Channel,
     if chan.method == "standard":
         dist = _standard_distribution(ham, state, chan.n)
     else:
-        root = _root_in_range(ham, chan)
+        root = _root_in_range(ham.eigenvalues, chan)
         if chan.plan is not None:
             dist = _fast_distribution(ham, state, chan.plan)
         else:
@@ -365,35 +358,38 @@ def estimate(ham: Hamiltonian, state: SpectralState, chan: Channel,
 
 def prepare(ham: Hamiltonian, state: SpectralState, beta: int, chan: Channel
             ) -> PreparationResult:
-    """Post-select count 0 on ``chan`` to filter eigenspace ``beta``.  The
-    ``standard`` filter is 1-periodic in the gap, so gaps past 1/2 are scaled by
-    1/2 / max|g| into [-1/2, 1/2]; its bound is w / (w + (1 - w) / (4 (2^d gap)^2)).
-    The ``dilated`` one, w / (w + (1 - w) e^(-t gap^2)), holds in the estimator's
+    """Post-select count 0 on ``chan`` to filter eigenspace ``beta``.  Every
+    route reads the gaps g = h - h_beta stretched to unit radius, g / max|g|, so
+    the result depends on the spectrum only up to a positive scale and shift;
+    the ``standard`` filter is 1-periodic in the gap, so that route halves them
+    into [-1/2, 1/2].  Its bound is w / (w + (1 - w) / (4 (2^d gap)^2)); the
+    ``dilated`` one, w / (w + (1 - w) e^(-t gap^2)), holds in the estimator's
     range; the ``ff`` one is the inaccuracy chain: with sqrt(eps) = c_beta zeta and
     the unwindowed (``dilated``) overlap at 1 - zeta, the windowed one stays above
     1 - 6 zeta, its amplitude above c_beta - sqrt(eps)."""
     _require_estimation(chan)
-    ham = _on_gaps(ham, beta)
+    gap = spectral_gap(ham, beta)
+    g = ham.eigenvalues - ham.eigenvalues[beta]
+    widest = float(np.max(np.abs(g)))
+    g, gap = g / widest, gap / widest
     zero, p = np.zeros(1), chan.plan
     c_beta, w = float(state.coeffs[beta]), state.weights[beta]
     if chan.method == "standard":
-        if (widest := float(np.max(np.abs(ham.eigenvalues)))) > 0.5:
-            ham = ham._replace(eigenvalues=ham.eigenvalues * (0.5 / widest))
-        bound = w / (w + (1.0 - w) / (4.0 * ((1 << chan.n) * spectral_gap(ham, beta)) ** 2))
+        g, gap = 0.5 * g, 0.5 * gap
+        bound = w / (w + (1.0 - w) / (4.0 * ((1 << chan.n) * gap) ** 2))
         slack = 1e-10
     elif p is None:
-        _root_in_range(ham, chan)
-        bound = w / (w + (1.0 - w) * math.exp(-chan.t * spectral_gap(ham, beta) ** 2))
+        _root_in_range(g, chan)
+        bound = w / (w + (1.0 - w) * math.exp(-chan.t * gap ** 2))
         slack = 1.0 / chan.n + 1e-10
     else:
         zeta = math.sqrt(p.eps) / c_beta if c_beta > 0 else math.inf
         bound, slack = 0.0, 1e-9
         if zeta < 1.0 / 6.0:
-            plain = channel("dilated", p.t, None, n=p.n).kernel(ham.eigenvalues, zero)[:, 0]
+            plain = channel("dilated", p.t, None, n=p.n).kernel(g, zero)[:, 0]
             if w / np.sum(state.weights * plain ** 2) >= 1.0 - zeta:
                 bound = 1.0 - 6.0 * zeta
-    prep = _postselect(state, beta, chan.kernel(ham.eigenvalues, zero)[:, 0], bound, slack,
-                       chan.cost)
+    prep = _postselect(state, beta, chan.kernel(g, zero)[:, 0], bound, slack, chan.cost)
     root_p0 = math.sqrt(prep.postselect_probability)
     if p is not None and root_p0 < c_beta - math.sqrt(p.eps) - 1e-9:
         raise InvariantError(f"postselect amplitude {root_p0} fell below c_beta - sqrt(eps)")

@@ -3,11 +3,11 @@ Hamiltonian's decomposition, the vectorized propagator, adaptive RK4 on the
 master equation, the dephasing channel on an unmerged spectrum, the literal
 fast-forwarding circuit, the Kronecker-product Pauli sum, the line-by-line
 jump-list reader, the per-node angle recursion, the dense search iterate and
-its Schur logarithm, the standard route's estimation and preparation in their
-closed form and in explicit register sums, and references for the Gibbs,
-state-synthesis, concentration, commuting-generator and amplitude-decision
-tests.  Each reaches its answer by a route the CLI does not take, and may use
-scipy, which the package never does.
+its Schur logarithm, a target's gaps stretched to unit radius, the standard
+route's estimation and preparation in their closed form and in explicit
+register sums, and references for the Gibbs, state-synthesis, concentration,
+commuting-generator and amplitude-decision tests.  Each reaches its answer by
+a route the CLI does not take, and may use scipy, which the package never does.
 """
 
 from __future__ import annotations
@@ -394,6 +394,16 @@ def dense_amplitude_problem(bits, t: float = 250.0, register_n: int = 2048,
     ham = normalize_spectrum(schur_orthogonal_log(u))
     dist = _fast_distribution(ham, decompose_state(eta, ham), closed.channel.plan)
     return closed._replace(ham=ham, distribution=dist)
+
+
+def unit_gaps(ham: Hamiltonian, beta: int) -> Hamiltonian:
+    """``ham`` on the gaps h - h_beta to eigenspace ``beta`` over their widest,
+    the spectrum every preparation route filters, built as its own Hamiltonian:
+    the target checked by ``spectral_gap``, then subtracted, then divided out;
+    the spectrum map is left as it was."""
+    spectral_gap(ham, beta)
+    gaps = ham.eigenvalues - ham.eigenvalues[beta]
+    return ham._replace(eigenvalues=gaps / float(np.max(np.abs(gaps))))
 
 
 def standard_filter(gaps, d):

@@ -145,7 +145,7 @@ def test_numpy_integer_count_is_taken(entry):
 def test_one_level_target_is_refused_alike(route, tmp_path):
     # the standard and fast routes once prepared a one-level spectrum, which
     # the slow route and the CLI refused; every route now reads the target's
-    # gap, and the CLI's stretch of the gaps checks it the same way
+    # gap, and the CLI checks it the same way before --zeta reads its weight
     ham = normalize_spectrum(0.5 * np.eye(2, dtype=complex))
     st = decompose_state(np.array([1.0, 0.0], dtype=complex), ham)
     message = "spectral gap undefined for a single-eigenvalue spectrum"

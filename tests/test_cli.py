@@ -438,6 +438,11 @@ class TestExitCodes:
         "prepare_d_past_any_float": [*PREPARE, "--d", "2000"],
         "prepare_d_past_phase_rounding": [*PREPARE, "--d", "52"],
         "zeta_negative": ["qpe", "prepare", "--route", "fast", "--ham", H2Q, "--zeta", "-1"],
+        # --zeta reads the target's weight, so the target is checked first
+        "zeta_target_past_the_levels": ["qpe", "prepare", "--route", "fast", "--ham", H2Q,
+                                        "--zeta", "0.1", "--eigen", "9"],
+        "zeta_target_negative": ["qpe", "prepare", "--route", "fast", "--ham", H2Q,
+                                 "--zeta", "0.1", "--eigen", "-1"],
         # inputs rejected where they are read: a 2^40 x 2^40 matrix, non-finite
         # numbers, a third jump-list column, and state files with no unit vector
         "pauli_too_wide": [*EVOLVE, "exact", "--ham", "{tmp}/wide.pauli"],
@@ -554,6 +559,14 @@ class TestExitCodes:
         assert rc == 1 and stdout == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert sorted(os.listdir(tmp_path)) == inputs
+
+    @pytest.mark.parametrize("case", ("zeta_target_past_the_levels", "zeta_target_negative"))
+    def test_zeta_target_out_of_range_is_named(self, capsys, case):
+        # unchecked, --eigen 9 ended in an IndexError where --zeta read its weight
+        rc, stdout = invoke(self.MALFORMED[case])
+        eigen = self.MALFORMED[case][-1]
+        assert (rc, stdout) == (1, "")
+        assert capsys.readouterr().err == f"error: eigenspace index {eigen} out of range\n"
 
     def test_pauli_size_past_any_float_is_printed(self, tmp_path, capsys):
         # the machine's memory ends the line, so the size alone is pinned

@@ -34,7 +34,7 @@ from conftest import (goal_ledger, log_binom, random_eigenstate, random_hermitia
 from oracles import (amplitude_decision_demo, closed_form_standard_prepare,
                      closed_form_standard_qpe,
                      dense_amplitude_problem, grover_iterate, schur_orthogonal_log,
-                     standard_filter, standard_route_oracle)
+                     standard_filter, standard_route_oracle, unit_gaps)
 from test_single_jump import jumps
 
 
@@ -174,8 +174,8 @@ class TestStandardLaw:
     def cases(seed):
         """Spectra drawn distinct, with exact repeats, with a pair 100 cluster
         tolerances apart and with a pair merged into one level; each as
-        normalized and on a target's gaps stretched to unit radius, as ``qpe
-        prepare`` stretches them, with a random state, the target's
+        normalized and on a target's gaps stretched to unit radius
+        (``oracles.unit_gaps``), with a random state, the target's
         eigenvector and a state with no weight on the target."""
         rng = np.random.default_rng(seed)
         dim = 2 + seed % 5
@@ -187,30 +187,34 @@ class TestStandardLaw:
         q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
         ham = normalize_spectrum((q * eigs) @ q.conj().T)
         for beta in range(ham.n_levels):
-            gaps = ham.eigenvalues - ham.eigenvalues[beta]
             space = ham.vectors[:, ham.levels == beta]
             other = random_state(rng, dim)
             other -= space @ (space.conj().T @ other)
             states, hams = [random_state(rng, dim), space[:, 0]], [ham]
             if ham.n_levels > 1:
                 states.append(other / np.linalg.norm(other))
-                hams.append(ham._replace(eigenvalues=gaps / np.max(np.abs(gaps))))
+                hams.append(unit_gaps(ham, beta))
             for h in hams:
                 for v in states:
                     yield h, decompose_state(v, h), beta
 
     @pytest.mark.parametrize("seed", range(24))
     def test_prepare_is_the_closed_form_bit_for_bit(self, seed):
+        # prepare on any spectrum is the closed form on the target's unit gaps;
+        # a one-level spectrum has no gaps to stretch, and the closed form
+        # refuses it itself, after the register bits, as the channel does
         rng = np.random.default_rng(1000 + seed)
         for ham, st, beta in self.cases(seed):
+            unit = unit_gaps(ham, beta) if ham.n_levels > 1 else ham
             for d in (1, 2, 51, int(rng.integers(3, 51)), 0, 52, 2000, 2.5):
-                want = self.outcome(lambda: closed_form_standard_prepare(ham, st, beta, d))
+                want = self.outcome(lambda: closed_form_standard_prepare(unit, st, beta, d))
                 got = self.outcome(lambda: prepare(ham, st, beta, standard_channel(d)))
                 assert got == want, (seed, beta, d)
         ham, st, _ = eigenstate_input(0.25)
         for beta in (-1, 2, 1.0):
-            assert (self.outcome(lambda: prepare(ham, st, beta, standard_channel(4)))
-                    == self.outcome(lambda: closed_form_standard_prepare(ham, st, beta, 4)))
+            assert (self.outcome(lambda: prepare(ham, st, beta, standard_channel(4))) ==
+                    self.outcome(lambda: closed_form_standard_prepare(unit_gaps(ham, beta), st,
+                                                                      beta, 4)))
 
     @pytest.mark.parametrize("seed", range(24))
     def test_estimate_is_the_closed_form_bit_for_bit(self, seed):
@@ -416,10 +420,11 @@ def test_counting_estimator_edges_are_covered():
 
 class TestSlowEigenstate:
     def test_worked_instance(self):
-        # frozen at N = 1e4: p0 = 0.50915538, overlap = 0.98201850
+        # frozen at N = 1e4: p0 = 0.50915538, overlap = 0.98201850; the gap
+        # 0.5 is stretched to 1, so t = 4 keeps t gap^2 = 4 as when t was 16
         ham = normalize_spectrum(np.diag([0.0, 0.5]))
         st = decompose_state(PLUS, ham)
-        prep = prepare(ham, st, 0, slow_channel(16.0, 10 ** 4))
+        prep = prepare(ham, st, 0, slow_channel(4.0, 10 ** 4))
         assert np.isclose(prep.postselect_probability, 0.5091553774243089, atol=1e-12)
         assert np.isclose(prep.postselect_probability, 0.509158, atol=1e-5)
         assert np.isclose(prep.overlap, 0.982018, atol=1e-5)
@@ -438,7 +443,7 @@ class TestSlowEigenstate:
         st = decompose_state(PLUS, ham)
         monkeypatch.setattr(qpe, "spectral_gap", lambda ham, beta: 10.0)
         with pytest.raises(InvariantError, match="violates its bound"):
-            prepare(ham, st, 0, slow_channel(16.0, 10 ** 4))
+            prepare(ham, st, 0, slow_channel(4.0, 10 ** 4))
 
     def test_short_time_no_filtering(self):
         ham = normalize_spectrum(np.diag([0.0, 0.5]))
@@ -496,7 +501,7 @@ def test_slow_routes_are_bitwise_their_dilated_arithmetic(case, args, beta_draw)
     # estimation: the distribution is register-sized, so the largest N is kept to preparation
     if n <= 4096:
         try:
-            qpe._root_in_range(ham, slow_channel(t, n))
+            qpe._root_in_range(ham.eigenvalues, slow_channel(t, n))
         except ValidationError as exc:
             with pytest.raises(ValidationError) as info:
                 estimate(ham, st, slow_channel(t, n))
@@ -512,11 +517,11 @@ def test_slow_routes_are_bitwise_their_dilated_arithmetic(case, args, beta_draw)
             assert np.array_equal(res.distribution, want)
             assert res.raw_outcome == int(np.argmax(want))
             assert res.cost == chan_cost and type(res.cost.step_count) is int
-    # preparation at a target with at least two levels and some weight
+    # preparation at a target with at least two levels and some weight, on its unit gaps
     beta = beta_draw % ham.n_levels
     if ham.n_levels < 2 or st.coeffs[beta] == 0.0:
         return
-    g = ham.eigenvalues - ham.eigenvalues[beta]
+    g = unit_gaps(ham, beta).eigenvalues
     if math.sqrt(t / n) * float(np.max(np.abs(g))) > 0.5 * math.pi:
         with pytest.raises(ValidationError, match="monotone estimator range"):
             prepare(ham, st, beta, slow_channel(t, n))
@@ -560,7 +565,7 @@ def test_fast_preparation_bound_reads_the_dilated_filter(case, n, t, eps, beta_d
     psi = ham.vectors[:, np.flatnonzero(ham.levels == beta)[0]] + 0.05 * random_state(rng, ham.dim)
     st = decompose_state(psi / np.linalg.norm(psi), ham)
     zeta = math.sqrt(eps) / float(st.coeffs[beta])
-    plain = written_out_filter(t, n, ham.eigenvalues - ham.eigenvalues[beta])
+    plain = written_out_filter(t, n, unit_gaps(ham, beta).eigenvalues)
     want = 0.0
     if zeta < 1.0 / 6.0 and st.weights[beta] / np.sum(st.weights * plain ** 2) >= 1.0 - zeta:
         want = 1.0 - 6.0 * zeta
@@ -585,8 +590,9 @@ def plan_fast_qpe(ham, st, p, mode, seed, repeats):
 
 
 def plan_fast_qpe_eigenstate(ham, st, beta, p):
-    """The fast preparation on a given plan, filtered by its ``gap_kernel`` column."""
-    ham = qpe._on_gaps(ham, beta)
+    """The fast preparation on a given plan, filtered by its ``gap_kernel``
+    column at the target's unit gaps."""
+    ham = unit_gaps(ham, beta)
     c_beta = float(st.coeffs[beta])
     root_eps = math.sqrt(p.eps)
     zeta = root_eps / c_beta if c_beta > 0 else math.inf
@@ -701,7 +707,7 @@ def route_slow_qpe(ham, state, t, n, mode="exact", seed=None, repeats=1):
 
 
 def route_slow_qpe_eigenstate(ham, state, beta, t, n):
-    ham = qpe._on_gaps(ham, beta)
+    ham = unit_gaps(ham, beta)
     route_step_root(ham, t, n)  # argument and range guard
     chan = channel("dilated", t, None, n=n)
     w, gap = state.weights[beta], model.spectral_gap(ham, beta)
@@ -719,7 +725,7 @@ def route_fast_qpe(ham, state, t, eps, n=None, mode="exact", seed=None, repeats=
 def route_fast_qpe_eigenstate(ham, state, beta, t, eps, n=None):
     chan = channel("ff", t, eps, n=n)
     p = chan.plan
-    ham = qpe._on_gaps(ham, beta)
+    ham = unit_gaps(ham, beta)
     c_beta = float(state.coeffs[beta])
     root_eps = math.sqrt(p.eps)
     zeta = root_eps / c_beta if c_beta > 0 else math.inf
@@ -796,13 +802,15 @@ def test_counting_refuses_the_exact_channel(call):
                                "not exact")
 
 
-@pytest.mark.parametrize("call", [lambda ham, st, chan: estimate(ham, st, chan),
-                                  lambda ham, st, chan: prepare(ham, st, 0, chan)])
+@pytest.mark.parametrize("call", [
+    lambda ham, st, chan: estimate(ham._replace(eigenvalues=np.array([0.0, 0.75, 1.5])), st, chan),
+    lambda ham, st, chan: prepare(ham._replace(eigenvalues=np.array([0.0, 0.5, math.nan])), st, 0,
+                                  chan)])
 def test_fast_readouts_refuse_a_jump_norm_above_one(call):
     # sqrt(t/N) 1.5 = 0.375 passes the range guard, so the ledger's spectrum
-    # (estimate) and the gap kernel's column (prepare) meet the norm check
+    # (estimate) meets the norm check; preparation stretches any finite gaps
+    # to unit radius, so its gap kernel's column (prepare) meets it at a NaN level
     ham = normalize_spectrum(np.diag([0.0, 0.5, 1.0]))
-    ham = ham._replace(eigenvalues=1.5 * ham.eigenvalues)
     st = decompose_state(np.ones(3, dtype=complex) / math.sqrt(3.0), ham)
     with pytest.raises(ValidationError, match="jump norm exceeds 1"):
         call(ham, st, channel("ff", 4.0, 1e-3, n=64))
@@ -1002,12 +1010,13 @@ class TestFastEigenstate:
         assert prep.overlap >= 1.0 - 2 * math.sqrt(eps)
 
     def test_worked_inaccuracy_chain(self):
-        # zeta = 0.02, eps = (c_beta zeta)^2; overlap must clear 1 - 6 zeta
+        # zeta = 0.02, eps = (c_beta zeta)^2; overlap must clear 1 - 6 zeta;
+        # the gap 0.5 is stretched to 1, so t = 4 keeps t gap^2 = 4 as at t = 16
         ham = normalize_spectrum(np.diag([0.0, 0.5]))
         st = decompose_state(PLUS, ham)
         zeta = 0.02
         eps = (float(st.coeffs[0]) * zeta) ** 2
-        prep = prepare(ham, st, 0, fast_channel(16.0, eps, 4096))
+        prep = prepare(ham, st, 0, fast_channel(4.0, eps, 4096))
         assert np.isclose(prep.postselect_probability, 0.5091518577119774, atol=1e-10)
         assert prep.overlap >= 1.0 - 6.0 * zeta
         assert np.isclose(prep.overlap_bound, 1.0 - 6.0 * zeta)
@@ -1319,11 +1328,10 @@ def generated_spectrum(seed, dim):
 
 def generated_preparation(seed, dim):
     """A generated Hamiltonian on its gaps to a random target, stretched to
-    unit radius as ``qpe prepare`` stretches them, and a random state."""
+    unit radius as ``prepare`` stretches them, and a random state."""
     ham0, rng = generated_spectrum(seed, dim)
     beta = int(rng.integers(ham0.n_levels))
-    gaps = ham0.eigenvalues - ham0.eigenvalues[beta]
-    ham = ham0._replace(eigenvalues=gaps / np.max(np.abs(gaps)))
+    ham = unit_gaps(ham0, beta)
     return ham, decompose_state(random_state(rng, dim), ham), beta
 
 
@@ -1354,11 +1362,11 @@ class TestPreparationRelations:
     @pytest.mark.parametrize("scale", (1.0, 0.5))
     @pytest.mark.parametrize("seed,dim", CASES)
     def test_standard(self, seed, dim, scale):
-        # at scale 1 the gaps reach +-1 and are halved into [-1/2, 1/2] before
-        # filtering; at scale 1/2 they are filtered as they are
+        # at either scale the gaps are stretched back to +-1 and halved into
+        # [-1/2, 1/2] before filtering
         ham, st, beta = generated_preparation(seed, dim)
         ham = ham._replace(eigenvalues=scale * ham.eigenvalues)
-        f = standard_filter(min(1.0, 0.5 / scale) * ham.eigenvalues, 5)
+        f = standard_filter(0.5 / scale * ham.eigenvalues, 5)
         self.check(prepare(ham, st, beta, standard_channel(5)), st, beta, f, 1e-10)
 
     @pytest.mark.parametrize("seed,dim", CASES)
@@ -1387,19 +1395,36 @@ class TestPreparationRelations:
     @pytest.mark.parametrize("seed,dim", CASES)
     def test_unshifted(self, seed, dim, route, target):
         # the spectrum as normalized, in [0, 1]: every route filters the gaps
-        # g = h - h_beta, and the standard route halves them once they reach 1/2
+        # g = h - h_beta stretched to unit radius, and the standard route halves them
         ham, rng = generated_spectrum(seed, dim)
         st = decompose_state(random_state(rng, dim), ham)
         h = ham.eigenvalues
         beta = {"random": int(rng.integers(ham.n_levels)), "top": ham.n_levels - 1,
                 "clustered": int(np.argmin(np.diff(h)))}[target]
-        g = h - h[beta]
+        g = (h - h[beta]) / np.max(np.abs(h - h[beta]))
         f, slack = {
-            "standard": lambda: (standard_filter(min(1.0, 0.5 / np.max(np.abs(g))) * g, 5), 1e-10),
+            "standard": lambda: (standard_filter(0.5 * g, 5), 1e-10),
             "slow": lambda: (np.cos(math.sqrt(16.0 / 1000) * g) ** 1000, 1.0 / 1000 + 1e-10),
             "fast": lambda: (gap_kernel(plan(4.0, 1e-3, n_override=64), g, np.zeros(1))[:, 0], 1e-9),
         }[route]()
         self.check(PREPARERS[route](ham, st, beta), st, beta, f, slack)
+
+    @pytest.mark.parametrize("a, b", ((3.0, -1.25), (0.125, 0.5)))
+    @pytest.mark.parametrize("route", sorted(PREPARERS))
+    @pytest.mark.parametrize("seed,dim", CASES)
+    def test_prepare_reads_gaps_in_any_units(self, seed, dim, route, a, b):
+        # every route reads the target's gaps stretched to unit radius, so a
+        # spectrum a h + b (a > 0) prepares what h prepares, up to rounding
+        ham, rng = generated_spectrum(seed, dim)
+        st = decompose_state(random_state(rng, dim), ham)
+        beta = int(rng.integers(ham.n_levels))
+        want = PREPARERS[route](ham, st, beta)
+        got = PREPARERS[route](ham._replace(eigenvalues=a * ham.eigenvalues + b), st, beta)
+        assert np.max(np.abs(got.state - want.state)) <= 1e-12
+        for field in ("postselect_probability", "overlap", "expected_repeats",
+                      "ideal_amplification_queries", "overlap_bound"):
+            assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, field
+        assert got.cost == want.cost
 
 
 ESTIMATORS = {
