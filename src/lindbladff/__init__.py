@@ -5,7 +5,7 @@ preparation, and commuting-generator noise channels."""
 __version__ = "0.1.0"
 
 from .errors import CapacityError, InvariantError, ValidationError
-from .dilated import CostReport, default_steps
+from .numkernel import CostReport, default_steps
 from .fastforward import FFPlan, plan
 from .channel import Channel, evolve
 from .gibbs import GibbsResult, gibbs_prepare

@@ -3,20 +3,29 @@
 Each method multiplies the coherence between levels a and b of the jump by
 a function of the gap h_a - h_b, in the jump's eigenbasis: ``exact``,
 exp(-t (h_a - h_b)^2 / 2); ``dilated``, cos(sqrt(t / N) (h_a - h_b))^N for N
-steps (``dilated.dilated_kernel``); ``ff``, sum_r w_r e^{-i (h_a - h_b)
-theta_r} (``fastforward.gap_kernel``).  ``channel`` builds a method's kernel
-and cost once, ``evolve`` applies the kernel through ``Hamiltonian.dephase``.
+steps (``dilated_kernel``); ``ff``, sum_r w_r e^{-i (h_a - h_b) theta_r}
+(``fastforward.gap_kernel``).  ``channel`` builds a method's kernel and cost
+once, ``evolve`` applies the kernel through ``Hamiltonian.dephase``.
 ``standard``'s law, theta uniform on 2 pi {0, ..., 2^d - 1} (a d-bit Fourier
 register), has the kernel 2^-d sum_j e^{-2 pi i (a - b) j}: ``qpe.estimate``
 reads its outcome distribution, ``qpe.prepare`` its outcome-0 filter.
 
+The ``dilated`` circuit is the baseline: each of its N steps adjoins a fresh
+ancilla in |0>, evolves the pair under the block anti-diagonal dilation of
+the jump for sqrt(t / N), and traces the ancilla out again.  A single step is
+an exact CPTP channel; only the N-fold composition approximates the Lindblad
+semigroup, with first-order accuracy in tau = t / N.  ``dilated_kernel``
+composes the steps in closed form; the tests check it against the literal
+circuit.
+
 Each kernel is E[e^{-i (a - b) theta}] over a phase law, so it is band
-limited and ``node_count``'s Chebyshev points carry it: ``level_kernel``
-interpolates it from them to the levels of a spectrum, and ``evolve_matrix``
-takes a state vector psi to psi psi^dag + Y C Y^dag, Y's columns T_k(S) psi
-(Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967, 1984), on the matrix's own
-eigenvalues, where the eigenbasis path merges each cluster into its first
-one: the two differ by at most sup |dK| times its width.
+limited and ``node_count``'s Chebyshev points carry the evolving laws (it
+refuses the ``standard`` lattice, which does not evolve): ``level_kernel``
+interpolates a kernel from them to the levels of a spectrum, and
+``evolve_matrix`` takes a state vector psi to psi psi^dag + Y C Y^dag, Y's
+columns T_k(S) psi (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967, 1984), on
+the matrix's own eigenvalues, where the eigenbasis path merges each cluster
+into its first one: the two differ by at most sup |dK| times its width.
 The independent oracles live with the tests, in ``tests/oracles.py``.
 """
 
@@ -29,7 +38,6 @@ import numpy as np
 
 from .errors import ValidationError
 from . import numkernel as nk
-from .dilated import CostReport, default_steps, dilated_kernel, step_root
 from .fastforward import FFPlan, ff_cost, gap_kernel, plan
 from .model import Hamiltonian, SpectrumMap, normalize_levels, normalize_spectrum
 
@@ -43,7 +51,7 @@ class Channel(NamedTuple):
     t: float | None
     n: int | None
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    cost: CostReport
+    cost: nk.CostReport
     plan: FFPlan | None = None
 
 
@@ -54,6 +62,24 @@ def _dirichlet(theta: np.ndarray, d: int) -> np.ndarray:
     s = np.sin(np.pi * tw)
     big = np.sin(np.pi * tw * (1 << d))
     return np.where(tw == 0.0, float(1 << d), big / np.where(tw == 0.0, 1.0, s))
+
+
+def dilated_kernel(t: float, steps: int, eigs_a: np.ndarray, eigs_b: np.ndarray
+                   ) -> np.ndarray:
+    """Dilated gap kernel cos(sqrt(t / steps) (a - b))^steps, shape (len a, len b).
+
+    Evaluated where |cos x| > 1/2 as sign(cos x)^steps * exp((steps / 2)
+    log1p(-sin^2 x)), which keeps full relative accuracy where cos(x) rounds
+    close to 1, and elsewhere as cos(x)^steps, since 1 - sin^2 x loses the
+    digits of a small cos x (at one step, 7.45e-9 for 7.85e-9); the cost does
+    not depend on ``steps``.  The ``dilated`` channel applies it, and the slow
+    phase-estimation routes read that channel's column at eigenvalue 0.
+    """
+    x = nk.step_root(t, steps) * (eigs_a[:, None] - eigs_b[None, :])
+    c = np.cos(x)
+    with np.errstate(divide="ignore"):
+        far = np.sign(c) ** steps * np.exp(0.5 * steps * np.log1p(-np.sin(x) ** 2))
+    return np.where(np.abs(c) > 0.5, far, c ** steps)
 
 
 def channel(method: str, t: float | None, eps: float | None, n: int | None = None) -> Channel:
@@ -72,12 +98,12 @@ def channel(method: str, t: float | None, eps: float | None, n: int | None = Non
         return Channel("ff", p.t, p.n, partial(gap_kernel, p), ff_cost(p), p)
     if method == "dilated":
         if n is None:
-            n = default_steps(t, eps)
+            n = nk.default_steps(t, eps)
         else:
             n = nk.require_count(n, 1, "step count")
             nk.require_time(t)
         return Channel("dilated", t, n, partial(dilated_kernel, t, n),
-                       CostReport(n * step_root(t, n), n, n))
+                       nk.CostReport(n * nk.step_root(t, n), n, n))
     if method == "standard":
         # rounding in pi tw 2^d: 0.59 rad at d = 51, 1.2 at d = 52 (2000 h against 60 digits)
         if (d := nk.require_count(n, 1, "register bits")) > 51:
@@ -89,31 +115,20 @@ def channel(method: str, t: float | None, eps: float | None, n: int | None = Non
         def kernel(a, b):  # e^{-i pi x (2^d - 1)} D_d(x) / 2^d at x = a - b
             x = a[:, None] - b[None, :]
             return np.exp(-1j * np.pi * x * ((1 << d) - 1)) * _dirichlet(x, d) / (1 << d)
-        return Channel("standard", None, d, kernel, CostReport(float((1 << d) - 1), d, d))
+        return Channel("standard", None, d, kernel, nk.CostReport(float((1 << d) - 1), d, d))
     if n is not None:
         raise ValidationError("n is read by the dilated and ff methods, not by exact")
     nk.require_time(t)
     return Channel("exact", t, None,
                    lambda a, b: np.exp(-0.5 * t * (a[:, None] - b[None, :]) ** 2),
-                   CostReport(0.0, 0, 0))
-
-
-def _require_node_law(chan: Channel) -> Channel:
-    """``chan``, unless it is the ``standard`` lattice, which the node rule does
-    not hold for: ``evolve`` and ``evolve_matrix`` refuse it, phase estimation
-    (``qpe.estimate``, ``qpe.prepare``) reads it."""
-    if chan.method == "standard":
-        raise ValidationError("the standard channel does not evolve: evolve and evolve_matrix "
-                              "take an exact, dilated or ff channel")
-    return chan
+                   nk.CostReport(0.0, 0, 0))
 
 
 def evolve(ham: Hamiltonian, state: np.ndarray, chan: Channel
-           ) -> tuple[np.ndarray, CostReport]:
+           ) -> tuple[np.ndarray, nk.CostReport]:
     """``chan`` applied to a density matrix (checked by ``require_density``)
     or a state vector (see ``Hamiltonian.dephase``) of the jump ``ham``: the
     output density matrix and the channel's cost."""
-    _require_node_law(chan)
     if np.ndim(state) != 1:
         state = nk.require_density(state)
     return ham.dephase(level_kernel(chan, ham.eigenvalues), state), chan.cost
@@ -127,7 +142,7 @@ def level_kernel(chan: Channel, h: np.ndarray) -> np.ndarray:
     its row.  That reads the kernel at M^2 pairs, not L^2 (for ``ff`` O(P M^2
     + L^2 M), not O(P L^2)), and the 1 keeps the rounding to the size of 1 -
     K.  At M >= L it is ``chan.kernel(h, h)``."""
-    if h.size > 2 and (m := node_count(chan, float(np.ptp(h)), h.size)) < h.size:
+    if (m := node_count(chan, float(np.ptp(h)), h.size)) < h.size:
         x = nk.chebyshev_points(float(h.min()), float(h.max()), m)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             phi = np.resize([1.0, -1.0], m) * np.r_[0.5, np.ones(m - 2), 0.5] / (h[:, None] - x)
@@ -148,8 +163,13 @@ def node_count(chan: Channel, width: float, limit: int) -> int:
     2^-53 / 4.  ``ff``'s law is |theta| <= B, q = h B / (m + 1); ``exact``'s
     and ``dilated``'s N(0, t) (even moments at least ``dilated``'s), E
     |theta|^m = (2t)^(m/2) Gamma((m + 1)/2) / sqrt(pi), q = h sqrt(t (m + 2)) /
-    (m + 1) (Gautschi)."""
-    bounded = chan.plan is not None
+    (m + 1) (Gautschi).  ``standard``'s lattice, which no evolution takes
+    (phase estimation, ``qpe.estimate`` and ``qpe.prepare``, reads it), is
+    refused."""
+    if chan.method == "standard":
+        raise ValidationError("the standard channel does not evolve: evolve and evolve_matrix "
+                              "take an exact, dilated or ff channel")
+    bounded = chan.method == "ff"
     h, t = 0.25 * width * (chan.cost.hamiltonian_time if bounded else 1.0), chan.t
     term, ratio = 1.0, np.pi ** -0.5     # E (h |theta|)^m / m! and Gamma((m + 2)/2) / Gamma((m + 1)/2)
     for m in range(limit):
@@ -162,11 +182,10 @@ def node_count(chan: Channel, width: float, limit: int) -> int:
 
 
 def evolve_matrix(h: np.ndarray, state: np.ndarray, chan: Channel
-                  ) -> tuple[np.ndarray, CostReport, SpectrumMap]:
+                  ) -> tuple[np.ndarray, nk.CostReport, SpectrumMap]:
     """``evolve`` of ``normalize_spectrum(h)``, and its spectrum map; a state
     vector whose node count is below the dimension takes ``_node_form`` (on two
     levels or more, unmerged within the jump norm) and forms no eigenvectors."""
-    _require_node_law(chan)
     h = nk.require_hermitian(h)
     if np.ndim(state) == 1:
         psi = nk.require_state(state, h.shape[0])

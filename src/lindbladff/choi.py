@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ValidationError
 from . import numkernel as nk
 from .channel import Channel, channel, level_kernel
-from .dilated import CostReport
 from .model import Hamiltonian, LindbladSpec, normalize_spectrum
 
 # Commutation tolerance of ``is_choi_commuting``, relative to each probe's scale
@@ -87,7 +86,7 @@ def is_choi_commuting(spec: LindbladSpec) -> tuple[bool, float]:
 
 
 def choi_ff_evolve(spec: LindbladSpec, state0: np.ndarray, t: float,
-                   eps_total: float) -> tuple[np.ndarray, CostReport, float]:
+                   eps_total: float) -> tuple[np.ndarray, nk.CostReport, float]:
     """Sequential per-jump fast-forwarding with a uniform error split.
 
     Each jump is eigendecomposed once, by ``normalize_spectrum``, and a jump
@@ -125,8 +124,8 @@ def choi_ff_evolve(spec: LindbladSpec, state0: np.ndarray, t: float,
             rho = ham.dephase(level_kernel(chan, ham.eigenvalues), rho)
             costs.append(chan.cost)
     # the counts sum from int 0, so the record keeps integer counts
-    cost = CostReport(sum((c.hamiltonian_time for c in costs), 0.0),
-                      sum(c.step_count for c in costs), sum(c.ancilla_count for c in costs))
+    cost = nk.CostReport(sum((c.hamiltonian_time for c in costs), 0.0),
+                         sum(c.step_count for c in costs), sum(c.ancilla_count for c in costs))
     return rho, cost, worst
 
 

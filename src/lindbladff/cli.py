@@ -44,7 +44,6 @@ from .model import lindblad_spec
 from .choi import choi_ff_evolve
 from .concentration import bernstein_bound, binomial_tail, hoeffding_bound
 from .channel import channel, evolve, evolve_matrix
-from .dilated import CostReport
 from .gibbs import gibbs_prepare
 from .qpe import (amplitude_problem, counting_estimator, decide_amplitude, estimate,
                   prepare)
@@ -58,7 +57,7 @@ from .stateprep import (GaussianParams, binomial_amplitudes,
 # ---------------------------------------------------------------------------
 
 def _record(argv, t0: float, outputs: dict, digest: str | None = None,
-            seed: int | None = None, cost: CostReport | None = None) -> list[bytes]:
+            seed: int | None = None, cost: nk.CostReport | None = None) -> list[bytes]:
     """The one record constructor: a JSON line of the command, its outputs
     (plain JSON values and arrays, built so by each subcommand), the cost
     dict and the wall time since t0, as the list of its bytes pieces.  Each

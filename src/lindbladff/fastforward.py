@@ -20,6 +20,10 @@ levels^2) memory whatever the register count.  The fast phase-estimation
 readout transforms the whole (P, L) phase table of the L levels it reads in
 one FFT (``residue_spectrum``).
 
+An ``FFPlan`` is data only: ``plan`` sizes it from ``numkernel.default_steps``,
+``ff_cost`` prices it as a ``numkernel.CostReport``, and the ``ff`` channel
+carries it beside its kernel.
+
 Address arithmetic is modulo 2^d (the d-bit register) rather than modulo N;
 the shift maps the window bijectively either way and the out-of-window
 components are realized as the periodic evolutions the circuit itself
@@ -35,7 +39,6 @@ import numpy as np
 
 from .errors import ValidationError
 from . import numkernel as nk
-from .dilated import CostReport, default_steps, step_root
 from .kernels import binom_residue_weights
 
 # Bits of the residue rows in one block of ``gap_kernel``: a block of
@@ -91,7 +94,7 @@ def plan(t: float, eps: float, n_override: int | None = None) -> FFPlan:
             n += 1
             note = f"odd register override rounded up to {n}"
     else:
-        n = default_steps(t, eps)
+        n = nk.default_steps(t, eps)
         n += n % 2
     if 2.0 / eps == math.inf:  # a subnormal eps
         raise ValidationError(f"target error {eps} overflows the window's ln(2 / eps)")
@@ -132,7 +135,7 @@ def _phase_blocks(p: FFPlan, eigs: np.ndarray, rows: int, hi: int):
     the 14 files tests/data/golden_*.jsonl.
     """
     low_bits = rows.bit_length() - 1
-    root = step_root(p.t, p.n)
+    root = nk.step_root(p.t, p.n)
     fwd = [np.exp(-1j * eigs * root * (1 << j)) for j in range(p.dprime)]  # bit 1
     bwd = [np.exp(+1j * eigs * root * (1 << j)) for j in range(p.dprime)]  # bit 0
     table = np.exp(+1j * eigs * root)[None, :]  # uncontrolled factor
@@ -201,8 +204,8 @@ def gap_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
     return total + weights[0] * np.outer(np.exp(1j * edge * eigs_a), np.exp(-1j * edge * eigs_b))
 
 
-def ff_cost(p: FFPlan) -> CostReport:
+def ff_cost(p: FFPlan) -> nk.CostReport:
     """Cost of the fast-forwarded circuit: Hamiltonian time 2^d' sqrt(t / N),
     d' controlled factors plus one uncontrolled one, d address ancillas."""
-    return CostReport(float(p.period) * step_root(p.t, p.n), p.dprime + 1, p.d)
+    return nk.CostReport(float(p.period) * nk.step_root(p.t, p.n), p.dprime + 1, p.d)
 

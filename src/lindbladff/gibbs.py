@@ -39,7 +39,6 @@ import numpy as np
 from .errors import ValidationError
 from . import numkernel as nk
 from .channel import channel
-from .dilated import CostReport
 
 
 class GibbsResult(NamedTuple):
@@ -48,7 +47,7 @@ class GibbsResult(NamedTuple):
     partition_estimate: float
     partition_exact: float         # Z of the reference Gibbs state
     fidelity: float
-    cost: CostReport
+    cost: nk.CostReport
     ideal_amplification_queries: float
 
 
@@ -82,7 +81,7 @@ def gibbs_prepare(h_p: np.ndarray, beta: float, eps: float) -> GibbsResult:
     w, v = _psd_eig(h_p)
     roots = np.sqrt(np.clip(w, 0.0, None))
     if beta == 0:  # the identity channel: a kernel of ones, no evolution time
-        kernel, cost = np.ones(d, dtype=complex), CostReport(0.0, 0, 0)
+        kernel, cost = np.ones(d, dtype=complex), nk.CostReport(0.0, 0, 0)
     else:
         chan = channel("ff", beta, eps)
         kernel, cost = chan.kernel(roots, np.zeros(1))[:, 0], chan.cost

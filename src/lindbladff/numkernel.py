@@ -8,11 +8,16 @@ mask model-construction bugs upstream.  Each kind of argument has one rule
 and one message here: ``require_square`` (a non-empty square matrix),
 ``require_state``, ``require_density``, ``require_jump_norm``, ``require_time``
 (0 < t < inf), ``require_eps`` (0 < eps < 1) and ``require_count`` (integers).
+Every circuit reads its resources and its N-step time slicing from here too:
+the ``CostReport`` ledger, ``default_steps`` (the first-order count t^3 /
+eps^2) and ``step_root`` (sqrt(t / N)).
 """
 
 from __future__ import annotations
 
+import math
 import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,3 +134,26 @@ def require_count(n, floor: int, what: str) -> int:
     except TypeError:
         pass
     raise ValidationError(f"{what} must be an integer >= {floor}, got {n}")
+
+
+class CostReport(NamedTuple):
+    """Resource ledger: total Hamiltonian evolution time, steps, ancillas."""
+
+    hamiltonian_time: float
+    step_count: int
+    ancilla_count: int
+
+
+def default_steps(t: float, eps: float) -> int:
+    """First-order step count t^3 / eps^2 (rounded up)."""
+    require_time(t)
+    require_eps(eps)
+    try:  # t^3 or the quotient overflows, or eps^2 underflows to 0
+        return max(1, math.ceil(t ** 3 / eps ** 2))
+    except (OverflowError, ZeroDivisionError):
+        raise ValidationError(f"step count t^3 / eps^2 overflows at t = {t}, eps = {eps}") from None
+
+
+def step_root(t: float, n: int) -> float:
+    """sqrt(t / n), the step root of both circuits: sqrt(t) / sqrt(n) where t / n underflows."""
+    return math.sqrt(t / n) if t / n > 0 else math.sqrt(t) / math.sqrt(n)

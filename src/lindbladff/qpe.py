@@ -10,8 +10,9 @@ channel:
   (``channel._dirichlet``, summed by ``_standard_distribution``), outcome y
   read as y / 2^d.
 * a ``dilated`` channel of N steps (the slow route): per-eigencomponent
-  Binomial(N, sin^2(sqrt(t/N) h)) on their numerically relevant support, so N
-  can reach 10^6 and beyond; or an ``ff`` channel of register count N (the
+  Binomial(N, sin^2(sqrt(t/N) h)), sqrt(t/N) the circuits' shared
+  ``numkernel.step_root``, on their numerically relevant support, so N can
+  reach 10^6 and beyond; or an ``ff`` channel of register count N (the
   fast route), its ledger read out through the symmetric-sector N-fold
   Hadamard (the Kravchuk transform).  Both read ``counting_estimator(t, N,
   m)``; the fast readout is the slow one within total variation 2 sqrt(out),
@@ -73,7 +74,6 @@ import numpy as np
 from .errors import InvariantError, ValidationError
 from . import numkernel as nk
 from .channel import Channel, _dirichlet, channel
-from .dilated import CostReport, step_root
 from .fastforward import FFPlan, residue_spectrum
 from .kernels import _require_memory, binom_pmf_window
 from . import model
@@ -88,7 +88,7 @@ class EstimationResult(NamedTuple):
     estimate_normalized: float
     raw_outcome: int
     distribution: np.ndarray
-    cost: CostReport
+    cost: nk.CostReport
     saturated: bool = False
 
 
@@ -101,7 +101,7 @@ class PreparationResult(NamedTuple):
     expected_repeats: float
     ideal_amplification_queries: float
     overlap_bound: float
-    cost: CostReport
+    cost: nk.CostReport
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,7 @@ def _standard_distribution(ham: Hamiltonian, state: SpectralState, d: int) -> np
 
 
 def _postselect(state: SpectralState, beta: int, amp: np.ndarray, bound: float,
-                slack: float, cost: CostReport) -> PreparationResult:
+                slack: float, cost: nk.CostReport) -> PreparationResult:
     """Post-selection that scales eigencomponent l by the filter ``amp[l]``.
 
     The outcome has probability p0 = sum_l w_l |amp_l|^2 and leaves the
@@ -327,7 +327,7 @@ def _require_estimation(chan: Channel):
 
 def _root_in_range(h: np.ndarray, chan: Channel) -> float:
     """``step_root(t, N)`` of ``chan``, refused past the range guard sqrt(t/N) max|h| <= pi/2."""
-    root = step_root(chan.t, chan.n)
+    root = nk.step_root(chan.t, chan.n)
     reach = root * float(np.max(np.abs(h)))
     if reach > 0.5 * math.pi:
         raise ValidationError(f"sqrt(t/N) max|h| = {reach:.3g} > pi/2 leaves the monotone "

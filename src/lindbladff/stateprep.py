@@ -32,7 +32,10 @@ _SUM_BLOCK = 1 << 16
 
 class GaussianParams:
     """Periodized-Gaussian parameters: center mu, width sigma, period N, with
-    a lattice sum f(mu, sigma) that does not underflow to 0."""
+    a lattice sum f(mu, sigma) that does not underflow to 0.  The amplitudes
+    and their angle schedule are N-periodic in mu, so mu is kept as the exact
+    remainder fmod(mu, N): far from 0 the image sums would lose the position
+    of each address against mu."""
 
     __slots__ = ("mu", "sigma", "n")
 
@@ -40,6 +43,7 @@ class GaussianParams:
         if mu is None or not math.isfinite(mu):
             raise ValidationError(f"mu must be finite, got {mu}")
         n = nk.require_count(n, 2, "period")
+        mu = math.fmod(mu, n)
         if f_mu_sigma(mu, sigma) == 0.0:  # f_mu_sigma also holds the one sigma rule
             raise ValidationError(f"f(mu, sigma) underflows to 0 at mu = {mu}, sigma = {sigma}")
         self.mu = mu

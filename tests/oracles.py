@@ -20,7 +20,7 @@ import mpmath
 import numpy as np
 
 from lindbladff import numkernel as nk
-from lindbladff.dilated import CostReport
+from lindbladff.numkernel import CostReport
 from lindbladff.errors import CapacityError, InvariantError, ValidationError
 from lindbladff.fastforward import FFPlan
 from lindbladff.kernels import binom_pmf

@@ -18,12 +18,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import lindbladff
-from lindbladff import choi, cli, model, qpe
+from lindbladff import FFPlan, choi, cli, lindblad_spec, model, qpe
 from lindbladff.cli import run
 from lindbladff.model import parse_dense_matrix
 from lindbladff.numkernel import trace_distance
 
-from oracles import line_by_line_jump_list
+from conftest import dilated_step
+from oracles import (dense_circuit_reference, kron_pauli_sum, lindblad_exact_general,
+                     line_by_line_jump_list)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lindbladff.__file__)))
@@ -140,6 +142,142 @@ class TestRecords:
         assert rc == 1 and out == ""
         assert capsys.readouterr().err.startswith("error: ")
         assert not path.exists()
+
+
+U = 2.0 ** -53  # unit roundoff
+
+
+def _pauli_file(path):
+    """The dense Pauli sum of a file, built by Kronecker products."""
+    with open(os.path.join(ROOT, path)) as fh:
+        rows = [line.split() for line in fh if line.strip() and not line.startswith("#")]
+    return kron_pauli_sum([(float(c), p) for c, p in rows])
+
+
+def _ff_formulas(t, eps, n=None):
+    """The fast-forwarding plan's N, c, d and d' by the paper's formulas."""
+    if n is None:
+        n = math.ceil(t ** 3 / eps ** 2)
+    n += n % 2
+    c = math.sqrt(math.log(2.0 / eps) / 2.0) / math.sqrt(n)
+    d = max(1, math.ceil(math.log2(n + 1)))
+    return n, c, d, min(math.ceil(math.log2(c * n)) + 1, d)
+
+
+class TestEvolveGoldensAgainstOracles:
+    """The four ``evolve`` golden files against oracles that take another route:
+    the vectorized propagator, the literal fast-forwarding circuit, the literal
+    dilated steps and the exact two-jump channel.
+
+    Error model of a single-jump record, u = 2^-53, d the dimension, ||H|| <= 1
+    (each jump's spectrum map is the identity): every law is a mixture of the
+    conjugations by e^(-i H theta) over its phase law, so reading H as H + E
+    moves the output by at most 2 E|theta| ||E|| in trace norm, a bound on every
+    entry, and eigh is backward stable with ||E|| <= 2 d u ||H|| (as in
+    ``standard_route_oracle``); its eigenvectors are unitary within d u, and the
+    four d-term products of the eigenbasis multiplier err by d u an entry each,
+    8 d u in all; a kernel from k rounded steps, each of size at most 1 in all,
+    errs by k u.  Each oracle's budget is stated where it is read.  The three
+    single-jump budgets stay below 2e-13, so moving any of their numbers by
+    1e-12 fails."""
+
+    @staticmethod
+    def golden(case):
+        with open(os.path.join(DATA, f"golden_{case}.jsonl")) as fh:
+            rec = json.loads(fh.readline())
+        opts = dict(zip(rec["command"][1::2], rec["command"][2::2]))
+        return rec, opts, parse_dense_matrix(rec["outputs"]["rho_out"])
+
+    @staticmethod
+    def record_budget(d, mean_abs_theta, kernel_steps):
+        return (4.0 * mean_abs_theta * d + 8.0 * d + kernel_steps) * U
+
+    def test_exact_against_the_vectorized_propagator(self):
+        rec, opts, got = self.golden("evolve_exact")
+        h, t = _pauli_file(opts["--ham"]), float(opts["--t"])
+        psi = np.eye(len(h))[int(opts["--state"].split(":")[1])]
+        want = lindblad_exact_general(lindblad_spec([h]), np.outer(psi, psi), t)
+        # expm of A = t L, Hermitian, negative semidefinite and of norm t max(gap)^2 / 2,
+        # is backward stable to d^2 u ||A||, plus 4 u ||A|| building L, and a contraction;
+        # the kernel exp(-t gap^2 / 2) rounds its argument by 3u relative, its value by u;
+        # E|theta| = sqrt(2 t / pi) for theta ~ N(0, t)
+        norm_a = t * float(np.ptp(np.linalg.eigvalsh(h))) ** 2 / 2.0
+        oracle = (len(h) ** 2 + 4) * U * (1.0 + norm_a)
+        bound = self.record_budget(len(h), math.sqrt(2.0 * t / math.pi), 1.5 * t + 1.0) + oracle
+        assert bound < 2e-13 and np.max(np.abs(got - want)) <= bound
+        assert rec["outputs"]["spectrum_map"] == {"scale": 1.0, "shift": 0.0}
+        assert rec["cost"] == {"hamiltonian_time": 0.0, "step_count": 0, "ancilla_count": 0}
+
+    def test_ff_against_the_literal_circuit(self):
+        rec, opts, got = self.golden("evolve")
+        h, t, eps = _pauli_file(opts["--ham"]), float(opts["--t"]), float(opts["--eps"])
+        n, c, d, dprime = _ff_formulas(t, eps, int(opts["--N"]))
+        half = 1 << (dprime - 1)
+        window = [n // 2 - half, n // 2 + half - 1]
+        full = window[0] <= 0 and window[1] >= n
+        assert rec["outputs"]["plan"] == {
+            "N": n, "c": c, "d": d, "dprime": dprime, "tau": t / n, "window": window,
+            "full_window": full, "mod_convention": "2^d", "note": ""}
+        edge = (1 << dprime) * math.sqrt(t / n)
+        assert rec["cost"] == {"hamiltonian_time": edge, "step_count": dprime + 1,
+                               "ancilla_count": d}
+        p = FFPlan(t, eps, n, c, d, dprime, tuple(window), full)
+        psi = np.full(len(h), 1.0 / math.sqrt(len(h)), dtype=complex)
+        want = dense_circuit_reference(h, psi, p)
+        # the circuit's amplitudes exp((log N! - log m! - log (N-m)! - N log 2) / 2) carry
+        # 2 (log N! + N log 2) u + u relative, twice in rho; each of its d' + 1 expm
+        # factors (|theta| <= edge) and their row products err by (2 dim + 2)(1 + edge) u,
+        # twice in rho; the trace over 2^d rows sums terms of at most 1 in all.  The
+        # kernel sums N pmf ratios, P / 2 cosines and rows of d' + 1 factors, |theta| <= edge
+        amp = 2.0 * (math.lgamma(n + 1) + n * math.log(2.0)) + 1.0
+        oracle = (2 * amp + 2 * (dprime + 1) * (2 * len(h) + 2) * (1 + edge) + (1 << d)) * U
+        bound = self.record_budget(len(h), edge, n + half + dprime + 3) + oracle
+        assert bound < 2e-13 and np.max(np.abs(got - want)) <= bound
+        assert rec["outputs"]["spectrum_map"] == {"scale": 1.0, "shift": 0.0}
+
+    def test_dilated_against_the_literal_steps(self):
+        rec, opts, got = self.golden("evolve_dilated")
+        h, t, eps = _pauli_file(opts["--ham"]), float(opts["--t"]), float(opts["--eps"])
+        n = math.ceil(t ** 3 / eps ** 2)
+        assert n == 25 and "--state" not in opts     # the plus state
+        assert rec["cost"] == {"hamiltonian_time": n * math.sqrt(t / n), "step_count": n,
+                               "ancilla_count": n}
+        psi = np.full(len(h), 1.0 / math.sqrt(len(h)), dtype=complex)
+        want = np.outer(psi, psi.conj())
+        for _ in range(n):
+            want = dilated_step(h, want, t / n)
+        # each literal step, a contraction, errs as one eigenbasis evolution of the
+        # 2d-dimensional dilation for sqrt(t / N): 2 sqrt(t / N) 2 (2d) u + 6 (2d) u + u
+        # (its partial trace); the law is theta = sqrt(t / N) times a +-1 walk of N
+        # steps, E|theta| <= sqrt(t), and its kernel's N log1p(-sin^2) or cos^N errs
+        # by at most 5 N u + 2u
+        step = (8.0 * math.sqrt(t / n) * len(h) + 12.0 * len(h) + 1.0) * U
+        bound = self.record_budget(len(h), math.sqrt(t), 5.0 * n + 2.0) + n * step
+        assert bound < 2e-13 and np.max(np.abs(got - want)) <= bound
+        assert rec["outputs"]["spectrum_map"] == {"scale": 1.0, "shift": 0.0}
+
+    def test_choi_ff_within_eps_of_the_exact_two_jump_channel(self):
+        rec, opts, got = self.golden("evolve_choi_ff")
+        t, eps = float(opts["--t"]), float(opts["--eps"])
+        with open(os.path.join(ROOT, opts["--jumps"])) as fh:
+            listed = [line.split() for line in fh if line.strip() and not line.startswith("#")]
+        base = os.path.dirname(opts["--jumps"])
+        jumps = [math.sqrt(float(rate)) * _pauli_file(os.path.join(base, name))
+                 for name, rate in listed]
+        psi = np.full(len(jumps[0]), 1.0 / math.sqrt(len(jumps[0])), dtype=complex)
+        want = lindblad_exact_general(lindblad_spec(jumps), np.outer(psi, psi.conj()), t)
+        assert trace_distance(got, want) <= eps
+        assert rec["outputs"]["max_commutator"] == 0.0 and rec["outputs"]["choi_commuting"]
+        # each jump sqrt(rate) P, P a Pauli string of spectrum {-1, 1}, runs its unit-width
+        # form for (2 sqrt(rate))^2 t on eps / K
+        cost = [0.0, 0, 0]
+        for _, rate in listed:
+            time = (2.0 * math.sqrt(float(rate))) ** 2 * t
+            n, _, d, dprime = _ff_formulas(time, eps / len(listed))
+            cost = [cost[0] + (1 << dprime) * math.sqrt(time / n), cost[1] + dprime + 1,
+                    cost[2] + d]
+        assert rec["cost"] == dict(zip(("hamiltonian_time", "step_count", "ancilla_count"),
+                                       cost))
 
 
 RECORD_ENTRY = st.one_of(

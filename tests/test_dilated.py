@@ -6,8 +6,8 @@ import pytest
 from scipy.linalg import expm
 
 from lindbladff import ValidationError, default_steps, evolve, normalize_spectrum
-from lindbladff.channel import channel
-from lindbladff.dilated import dilated_kernel, step_root
+from lindbladff.channel import channel, dilated_kernel
+from lindbladff.numkernel import step_root
 from lindbladff import numkernel as nk
 
 from conftest import dilate, dilated_step, random_density

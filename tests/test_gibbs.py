@@ -12,7 +12,7 @@ from lindbladff import (ValidationError, evolve, gibbs_prepare,
 from lindbladff.channel import channel
 from lindbladff import fastforward, gibbs, model
 from lindbladff import numkernel as nk
-from lindbladff.dilated import CostReport
+from lindbladff.numkernel import CostReport
 
 from oracles import exact_gibbs, uhlmann_fidelity
 

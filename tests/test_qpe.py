@@ -20,9 +20,8 @@ from lindbladff import (FFPlan, InvariantError, ValidationError,
                         decompose_state, estimate, normalize_spectrum, plan, prepare)
 from lindbladff import model, qpe
 from lindbladff import numkernel as nk
-from lindbladff.channel import Channel, channel, evolve, evolve_matrix
+from lindbladff.channel import Channel, channel, dilated_kernel, evolve, evolve_matrix
 from lindbladff.cli import run
-from lindbladff.dilated import dilated_kernel
 from lindbladff.fastforward import ff_cost, gap_kernel, residue_spectrum
 from lindbladff.kernels import _require_memory, binom_pmf_window
 from lindbladff.qpe import (_alpha_phases, _counting_distribution,
@@ -247,13 +246,25 @@ class TestStandardLaw:
         assert self.cli_refusal("estimate", d) == (1, "", self.CAP.format(d))
 
     def test_only_prepare_reads_the_standard_law(self):
-        # the phase-estimation pair, estimate and prepare, reads the law; evolution does not
+        # the phase-estimation pair, estimate and prepare, reads the law; evolution
+        # does not: the node rule that every evolution asks refuses it on one, two
+        # or three levels, for a state vector or a density matrix, on the node
+        # path and on the eigenbasis path (a top cluster past the jump norm)
         ham = normalize_spectrum(np.diag([0.0, 0.5]))
         chan = standard_channel(4)
         message = ("the standard channel does not evolve: evolve and evolve_matrix "
                    "take an exact, dilated or ff channel")
+        three, psi3 = np.diag([0.0, 0.5, 1.0]), np.ones(3) / math.sqrt(3.0)
+        top = np.diag(np.r_[10.0 + np.linspace(0.0, 1e-3, 31), 10.001 + 9e-9])
         for call in (lambda: evolve(ham, PLUS, chan),
-                     lambda: evolve_matrix(np.diag([0.0, 0.5]), PLUS, chan)):
+                     lambda: evolve_matrix(np.diag([0.0, 0.5]), PLUS, chan),
+                     lambda: evolve(normalize_spectrum(np.eye(2)), PLUS, chan),
+                     lambda: evolve_matrix(np.eye(2), PLUS, chan),
+                     lambda: evolve(normalize_spectrum(three), psi3, chan),
+                     lambda: evolve_matrix(three, psi3, chan),
+                     lambda: evolve(ham, np.outer(PLUS, PLUS.conj()), chan),
+                     lambda: evolve_matrix(three, np.outer(psi3, psi3), chan),
+                     lambda: evolve_matrix(top, np.ones(32) / math.sqrt(32.0), chan)):
             with pytest.raises(ValidationError) as info:
                 call()
             assert str(info.value) == message

@@ -107,6 +107,22 @@ class TestDiscreteGaussian:
             xi = discrete_gaussian_amplitudes(params)
             assert abs(np.linalg.norm(xi) - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("n, sigma", ((4, 0.7), (64, 3.0)))
+    def test_centre_far_from_zero_is_read_modulo_the_period(self, n, sigma):
+        # the amplitudes and their angles are N-periodic in mu; a dyadic mu
+        # keeps mu + kN exact up to k = 2^40.  Read as given, a far centre lost
+        # each address's position against it: at N = 4, mu = 1e17 every
+        # amplitude read sqrt(3), and at mu = 1e308 the schedule was refused
+        base = discrete_gaussian_amplitudes(GaussianParams(1.25, sigma, n))
+        for k in (-3, 1, 7, 2 ** 20, 2 ** 40):
+            shifted = discrete_gaussian_amplitudes(GaussianParams(1.25 + k * n, sigma, n))
+            assert np.max(np.abs(shifted - base)) <= 1e-12, k
+        for mu in (1e16, 1e17, 1e308):
+            params = GaussianParams(mu, sigma, n)
+            xi = discrete_gaussian_amplitudes(params)
+            assert abs(np.linalg.norm(xi) - 1.0) <= 1e-12, mu
+            assert np.linalg.norm(kw_synthesize(kw_angle_schedule(params)) - xi) <= 1e-8, mu
+
     @pytest.mark.parametrize("sigma", (1e10, 1e150))
     def test_wide_sigma_takes_no_image_loop(self, sigma):
         # sigma = 1e10 spans ~10^10 images of N = 16; they are read in closed
