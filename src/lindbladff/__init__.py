@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 
 from .errors import CapacityError, InvariantError, ValidationError
 from .numkernel import CostReport, default_steps
-from .fastforward import FFPlan, plan
-from .channel import Channel, evolve
+from .channel import Channel, FFPlan, evolve, plan
 from .gibbs import GibbsResult, gibbs_prepare
 from .model import (Hamiltonian, LindbladSpec, SpectralState, SpectrumMap,
                     decompose_state, lindblad_spec,

@@ -73,8 +73,7 @@ import numpy as np
 
 from .errors import InvariantError, ValidationError
 from . import numkernel as nk
-from .channel import Channel, _dirichlet, channel
-from .fastforward import FFPlan, residue_spectrum
+from .channel import Channel, FFPlan, _dirichlet, _residue_phases, channel
 from .kernels import _require_memory, binom_pmf_window
 from . import model
 from .model import (Hamiltonian, SpectralState, decompose_state,
@@ -271,6 +270,16 @@ def _alpha_phases(n: int, period: int) -> np.ndarray:
     """sigma^N e^(i N theta) for theta = pi k / P, k = 0..P-1, sigma = sign(cos theta)."""
     k = np.arange(period)
     return np.where(2 * k > period, -1, 1) ** n * np.exp(1j * np.pi * ((n * k) % (2 * period)) / period)
+
+
+def residue_spectrum(p: FFPlan, eigs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The ledger's DFT per level, shape (P, L): coeffs[l] (1/P) w^(-k shift) sum_r
+    w^(-k r) e^(-i eigs[l] theta_r), w = e^(2 pi i/P), once the jump norm is checked."""
+    nk.require_jump_norm(eigs)
+    shift_phase = np.exp(-2j * math.pi * ((np.arange(p.period) * p.shift) % p.period) / p.period)
+    spectrum = np.fft.fft(_residue_phases(p, eigs), axis=0)
+    spectrum *= (shift_phase / p.period)[:, None] * coeffs
+    return spectrum
 
 
 def _level_rows(spectrum: np.ndarray, n: int) -> np.ndarray:

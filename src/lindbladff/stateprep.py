@@ -63,7 +63,9 @@ def f_mu_sigma(mu, sigma: float):
     """Gaussian lattice normalizer f(mu, sigma) = sum_m exp(-(m - mu)^2 / (2 sigma^2)).
 
     ``mu`` is one centre (the result is a float) or an array of centres
-    sharing the width (the result is an array).  For sigma >= 1 it is
+    sharing the width (the result is an array).  f is 1-periodic in mu, so
+    each centre is first reduced to its exact remainder fmod(mu, 1): far from
+    0 the sites round to the float spacing of mu.  For sigma >= 1 it is
     evaluated through the dual theta series sqrt(2 pi sigma^2) (1 + 2 sum_l
     cos(2 pi l mu) q^(l^2)), truncated once the next term drops below the
     series cutoff (a single term already suffices for sigma >~ 1).  Below
@@ -77,7 +79,7 @@ def f_mu_sigma(mu, sigma: float):
     """
     if sigma is None or not (sigma > 0 and 0 < 2.0 * math.pi * sigma * sigma < math.inf):
         raise ValidationError(f"sigma needs 0 < 2 pi sigma^2 < inf, got {sigma}")
-    mus = np.asarray(mu, dtype=float).reshape(-1)
+    mus = np.fmod(np.asarray(mu, dtype=float).reshape(-1), 1.0)
     if sigma < 1.0:
         reach = sigma * math.sqrt(-2.0 * math.log(SERIES_CUTOFF)) + 1.0
         lo = np.floor(mus - reach)

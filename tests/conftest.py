@@ -6,7 +6,7 @@ import pytest
 
 from lindbladff import ValidationError, decompose_state, normalize_spectrum
 from lindbladff import numkernel as nk
-from lindbladff.fastforward import _residue_phases
+from lindbladff.channel import _residue_phases
 from lindbladff.kernels import binom_residue_weights
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -22,7 +22,7 @@ import numpy as np
 from lindbladff import numkernel as nk
 from lindbladff.numkernel import CostReport
 from lindbladff.errors import CapacityError, InvariantError, ValidationError
-from lindbladff.fastforward import FFPlan
+from lindbladff.channel import FFPlan
 from lindbladff.kernels import binom_pmf
 from lindbladff.model import (Hamiltonian, LindbladSpec, SpectralState, decompose_state,
                               lindblad_spec, load_hamiltonian_text, normalize_spectrum,

@@ -15,9 +15,8 @@ from hypothesis import strategies as hst
 
 from lindbladff import (CostReport, ValidationError, default_steps, evolve,
                         normalize_spectrum)
-from lindbladff.channel import channel, level_kernel, node_count
+from lindbladff.channel import channel, ff_cost, gap_kernel, level_kernel, node_count, plan
 from lindbladff import numkernel as nk
-from lindbladff.fastforward import ff_cost, gap_kernel, plan
 from lindbladff.model import CLUSTER_RTOL
 
 from conftest import random_density, random_state

@@ -10,11 +10,11 @@ from hypothesis import strategies as hst
 
 from lindbladff import (Channel, ValidationError, evolve,
                         normalize_spectrum, plan)
-from lindbladff.channel import channel, node_count
-from lindbladff import fastforward
+from lindbladff.channel import _phase_blocks, _residue_phases, channel, gap_kernel, node_count
+import lindbladff.channel as laws
 from lindbladff import numkernel as nk
-from lindbladff.fastforward import _phase_blocks, _residue_phases, gap_kernel
 from lindbladff.kernels import PMF_FLOOR, _support, binom_residue_weights
+from lindbladff.qpe import residue_spectrum
 
 from conftest import (full_mixture, goal_ledger, random_density, random_hermitian,
                       random_state, residue_of)
@@ -72,7 +72,7 @@ def whole_kernel(p, eigs_a, eigs_b):
 
 def kernel_blocks(p):
     """Blocks ``gap_kernel`` sums over: 2^_SUM_BITS rows each, over P/2 rows."""
-    return (p.period // 2) >> min(fastforward._SUM_BITS, p.dprime - 1)
+    return (p.period // 2) >> min(laws._SUM_BITS, p.dprime - 1)
 
 
 def selected_phases(p, eigs):
@@ -130,7 +130,7 @@ class TestPlan:
         with pytest.raises(ValidationError, match="even register count"):
             evolve(ham, random_state(rng, 3),
                    Channel("ff", odd.t, odd.n, partial(gap_kernel, odd),
-                           fastforward.ff_cost(odd), odd))
+                           laws.ff_cost(odd), odd))
 
     def test_full_window_coincidence(self):
         p = plan(1.0, 2e-4, n_override=16)  # error target so small c >= 1/2
@@ -271,13 +271,13 @@ class TestFastForwardEvolve:
             evolve(raw, random_state(rng, 2), channel("ff", 1.0, 0.1))
 
     @pytest.mark.parametrize("reader", [lambda p, h: gap_kernel(p, h, np.zeros(1)),
-                                        lambda p, h: fastforward.residue_spectrum(p, h, np.ones(2))],
+                                        lambda p, h: residue_spectrum(p, h, np.ones(2))],
                              ids=["gap_kernel", "residue_spectrum"])
     def test_norm_guard_refuses_nan(self, reader):
         # nan > 1 + JUMP_NORM_ATOL is false: the rule once let a NaN eigenvalue
         # through, to a NaN kernel entry
         with pytest.raises(ValidationError, match="jump norm exceeds 1"):
-            reader(fastforward.plan(1.0, 0.1), np.array([np.nan, 0.5]))
+            reader(laws.plan(1.0, 0.1), np.array([np.nan, 0.5]))
 
 
     def test_dimension_guard(self, rng):
@@ -306,8 +306,8 @@ class TestStreamedDensity:
         p = plan(5e-324, 1e-3, 2)
         table = _residue_phases(p, np.array([-1.0, 0.0, 1.0]))
         assert (p.t / p.n, p.period) == (0.0, 4)
-        assert float(np.max(np.abs(table.imag))) == fastforward.ff_cost(p).hamiltonian_time
-        assert fastforward.ff_cost(p).hamiltonian_time == 6.286911138810514e-162
+        assert float(np.max(np.abs(table.imag))) == laws.ff_cost(p).hamiltonian_time
+        assert laws.ff_cost(p).hamiltonian_time == 6.286911138810514e-162
 
     @pytest.mark.parametrize("t,eps,n", [(1.0, 0.5, 16), (2.0, 0.05, None), (3.0, 0.05, 10**6)])
     def test_every_block_is_its_slice(self, rng, t, eps, n):
@@ -410,11 +410,11 @@ class TestStreamedDensity:
         p = plan(t, eps, n)
         eigs = np.sort(rng.uniform(0.0, 1.0, 8))
         assert p.period == period
-        monkeypatch.setattr(fastforward, "_SUM_BITS", p.dprime)
+        monkeypatch.setattr(laws, "_SUM_BITS", p.dprime)
         assert kernel_blocks(p) == 1
         one = gap_kernel(p, eigs, eigs)
         for bits in (0, 1, 6, 7):
-            monkeypatch.setattr(fastforward, "_SUM_BITS", bits)
+            monkeypatch.setattr(laws, "_SUM_BITS", bits)
             assert kernel_blocks(p) == period >> (bits + 1)
             assert np.max(np.abs(gap_kernel(p, eigs, eigs) - one)) <= 32 * np.finfo(float).eps
 

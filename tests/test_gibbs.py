@@ -9,8 +9,8 @@ from hypothesis import strategies as hst
 
 from lindbladff import (ValidationError, evolve, gibbs_prepare,
                         lindblad_spec, normalize_spectrum, plan)
-from lindbladff.channel import channel
-from lindbladff import fastforward, gibbs, model
+from lindbladff.channel import channel, ff_cost
+from lindbladff import gibbs, model
 from lindbladff import numkernel as nk
 from lindbladff.numkernel import CostReport
 
@@ -166,7 +166,7 @@ class TestGibbsPrepare:
         p = plan(1e-300, 0.05)
         assert p.n == 2
         res = gibbs_prepare(H_P2, beta=1e-300, eps=0.05)
-        assert res.cost == fastforward.ff_cost(p)
+        assert res.cost == ff_cost(p)
         assert abs(res.partition_estimate - 2.0) <= 4 * np.finfo(float).eps
 
     def test_purification_reduces_consistently(self):

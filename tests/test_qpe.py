@@ -20,13 +20,14 @@ from lindbladff import (FFPlan, InvariantError, ValidationError,
                         decompose_state, estimate, normalize_spectrum, plan, prepare)
 from lindbladff import model, qpe
 from lindbladff import numkernel as nk
-from lindbladff.channel import Channel, channel, dilated_kernel, evolve, evolve_matrix
+from lindbladff.channel import (Channel, channel, dilated_kernel, evolve, evolve_matrix, ff_cost,
+                                gap_kernel)
 from lindbladff.cli import run
-from lindbladff.fastforward import ff_cost, gap_kernel, residue_spectrum
 from lindbladff.kernels import _require_memory, binom_pmf_window
 from lindbladff.qpe import (_alpha_phases, _counting_distribution,
                            _fast_distribution, _level_rows, _read_levels,
-                           _sample_counts, counting_estimator, decide_amplitude)
+                           _sample_counts, counting_estimator, decide_amplitude,
+                           residue_spectrum)
 
 from conftest import (goal_ledger, log_binom, random_eigenstate, random_hermitian, random_state,
                       residue_of)

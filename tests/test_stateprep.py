@@ -78,6 +78,15 @@ class TestThetaNormalizer:
         monkeypatch.setattr(stateprep, "_SUM_BLOCK", block)
         assert f_mu_sigma(mus, 0.3).tobytes() == one.tobytes()
 
+    @pytest.mark.parametrize("sigma", (0.7, 1.05, 3.0))
+    @pytest.mark.parametrize("mu", (1e15 + 0.25, 1e16, 1e17, 1e308, -1e16))
+    def test_far_centre_is_its_remainder(self, mu, sigma):
+        # f is 1-periodic in mu; far from 0 the sites once rounded to the float
+        # spacing of mu (f(1e17, 0.7) read 1.0) and the theta series went NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f_mu_sigma(mu, sigma) == f_mu_sigma(math.fmod(mu, 1.0), sigma)
+
     def test_lattice_sum_identity_random_params(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
