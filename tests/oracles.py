@@ -12,6 +12,7 @@ a route the CLI does not take, and may use scipy, which the package never does.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -200,6 +201,153 @@ def dense_circuit_reference(mat: np.ndarray, psi: np.ndarray, p: FFPlan) -> np.n
     back = np.array([(m - p.shift) % reg for m in range(reg)])
     joint = joint[back]                      # forward shift
     return joint.T @ joint.conj()
+
+
+# Register counts up to which ``residue_weights`` sums C(n, m) exactly
+EXACT_FOLD_CAP = 1 << 14
+
+
+@functools.lru_cache(maxsize=16)
+def _binomial_half_pmf(n: int) -> tuple[int, tuple]:
+    """(lo, pmf): C(n, m) / 2^n at 40 digits for m = lo, lo + 1, ..., from the
+    centre outward by the ratios (n - m) / (m + 1), down to 2^-200 of the
+    centre on each side."""
+    with mpmath.workdps(40):
+        centre = n // 2
+        peak = mpmath.binomial(n, centre) / mpmath.mpf(2) ** n
+        floor = peak * mpmath.mpf(2) ** -200
+        up, v = [], peak
+        for m in range(centre, n):
+            v = v * (n - m) / (m + 1)
+            if v < floor:
+                break
+            up.append(v)
+        down, v = [], peak
+        for m in range(centre, 0, -1):
+            v = v * m / (n - m + 1)
+            if v < floor:
+                break
+            down.append(v)
+    return centre - len(down), tuple(down[::-1] + [peak] + up)
+
+
+def residue_weights(n: int, period: int, shift: int) -> list:
+    """The Binomial(n, 1/2) mass of each residue class r = (m - shift) mod
+    ``period`` of the addresses m, as mpmath numbers at the current precision.
+
+    Up to n = ``EXACT_FOLD_CAP`` each class is the exact integer sum of its
+    C(n, m), divided by 2^n once; above it each class sums the 40-digit pmf
+    of ``_binomial_half_pmf``, whose mass left out is below 2^-190.  Neither
+    reads the package's binomial kernels."""
+    if n <= EXACT_FOLD_CAP:
+        sums, c = [0] * period, 1
+        for m in range(n + 1):
+            sums[(m - shift) % period] += c
+            c = c * (n - m) // (m + 1)
+        return [mpmath.mpf(s) / mpmath.mpf(2) ** n for s in sums]
+    lo, pmf = _binomial_half_pmf(n)
+    sums = [[] for _ in range(period)]
+    for m, v in enumerate(pmf, lo):
+        sums[(m - shift) % period].append(v)
+    return [mpmath.fsum(s) for s in sums]
+
+
+def residue_thetas(p: FFPlan) -> list:
+    """theta_r = sqrt(t / N) (2r - P) of each residue class, the double root
+    (sqrt(t) / sqrt(N) where t / N underflows) times an exact integer."""
+    root = math.sqrt(p.t / p.n) if p.t / p.n > 0 else math.sqrt(p.t) / math.sqrt(p.n)
+    return [mpmath.mpf(root) * (2 * r - p.period) for r in range(p.period)]
+
+
+def residue_sum_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
+    """The plain residue sum sum_r w_r e^{-i (a - b) theta_r} on every pair of
+    a and b, over every class, in long double: the weights of
+    ``residue_weights`` rounded to doubles, the gaps and phases to 64 bits
+    where the platform's long double holds them.  Shape (len a, len b)."""
+    ld = np.longdouble
+    weights = np.array([float(w) for w in residue_weights(p.n, p.period, p.shift)], dtype=ld)
+    root = ld(math.sqrt(p.t / p.n) if p.t / p.n > 0 else math.sqrt(p.t) / math.sqrt(p.n))
+    thetas = root * (2 * np.arange(p.period) - p.period).astype(ld)
+    gaps = (np.asarray(eigs_a, dtype=ld)[:, None] - np.asarray(eigs_b, dtype=ld)[None, :]).ravel()
+    out = np.zeros(gaps.size, dtype=np.clongdouble)
+    rows = max(1, (1 << 18) // max(gaps.size, 1))
+    for lo in range(0, p.period, rows):
+        phases = np.exp(-1j * np.outer(thetas[lo:lo + rows], gaps))
+        out += weights[lo:lo + rows] @ phases
+    return out.astype(complex).reshape(len(eigs_a), len(eigs_b))
+
+
+def ff_column(p: FFPlan, levels) -> list:
+    """sum_r w_r e^{-i h theta_r} at each h of ``levels`` (mpmath numbers), the
+    ``ff`` kernel's column at 0, in the current mpmath precision."""
+    weights, thetas = residue_weights(p.n, p.period, p.shift), residue_thetas(p)
+    return [mpmath.fsum(w * mpmath.expj(-h * th) for w, th in zip(weights, thetas) if w)
+            for h in levels]
+
+
+def ff_prepare_numbers(lam, comps, beta: int, p: FFPlan) -> dict:
+    """What ``qpe prepare --route fast`` writes on plan p for the eigenvalues
+    ``lam`` (ascending, distinct) and the projected components P_l psi
+    (``comps``), in the current mpmath precision, each output a list of real
+    numbers: the gaps g_l = (h_l - h_beta) / max|h - h_beta| and component l
+    scaled by the ``ff`` column f_l at g_l, the state sum_l f_l P_l psi /
+    sqrt(p0); the overlap bound is 1 - 6 zeta, zeta = sqrt(eps) / c_beta, where
+    zeta < 1/6 and the dilated filter cos(sqrt(t / N) g)^N keeps an overlap of
+    at least 1 - zeta, else 0.  The dilated overlap's margin to 1 - zeta is
+    returned too, so that the branch can be checked away from its edge."""
+    mp = mpmath.mp
+    weights = [sum(abs(z) ** 2 for z in comp) for comp in comps]
+    gaps = [x - lam[beta] for x in lam]
+    widest = max(abs(x) for x in gaps)
+    g = [x / widest for x in gaps]
+    f = ff_column(p, g)
+    kept = [w * abs(x) ** 2 for w, x in zip(weights, f)]
+    p0 = mp.fsum(kept)
+    state = [sum(x * comp[i] for x, comp in zip(f, comps)) / mp.sqrt(p0)
+             for i in range(len(comps[0]))]
+    w = weights[beta]
+    zeta = mp.sqrt(p.eps) / mp.sqrt(w)
+    root = mp.sqrt(mp.mpf(p.t) / p.n)
+    plain = [mp.cos(root * x) ** p.n for x in g]
+    margin = w / mp.fsum(wl * x ** 2 for wl, x in zip(weights, plain)) - (1 - zeta)
+    bound = 1 - 6 * zeta if zeta < mp.mpf(1) / 6 and margin >= 0 else mp.mpf(0)
+    return {
+        "postselect_probability": [p0],
+        "overlap": [kept[beta] / p0],
+        "state": [part for z in state for part in (mp.re(z), mp.im(z))],
+        "expected_repeats": [1 / p0],
+        "ideal_amplification_queries": [1 / mp.sqrt(w)],
+        "overlap_bound": [bound],
+        "dilated_margin": [margin],
+    }
+
+
+def gibbs_numbers(lam, vecs, beta: float, p: FFPlan) -> dict:
+    """What ``gibbs`` writes at inverse temperature beta on plan p for the PSD
+    H_P = sum_l lam_l v_l v_l^dag (``vecs`` its eigenvectors), in the current
+    mpmath precision, each output a list of real numbers: the ``ff`` column
+    K_l at the roots sqrt(lam_l), the partition estimate sum_l |K_l|^2, the
+    reduced state sum_l q_l v_l v_l^dag with q_l = |K_l|^2 / sum |K|^2 (its
+    entries row by row, real and imaginary parts), the exact partition
+    function sum_l e^(-beta lam_l), the Uhlmann fidelity of the two commuting
+    states (sum_l sqrt(q_l e^(-beta lam_l) / Z))^2 and the ideal amplification
+    queries sqrt(dim / sum |K|^2)."""
+    mp = mpmath.mp
+    dim = len(vecs)
+    k = ff_column(p, [mp.sqrt(max(x, 0)) for x in lam])
+    z_est = mp.fsum(abs(x) ** 2 for x in k)
+    q = [abs(x) ** 2 / z_est for x in k]
+    rho = [mp.fsum(ql * v[i] * mp.conj(v[j]) for ql, v in zip(q, vecs))
+           for i in range(dim) for j in range(dim)]
+    boltz = [mp.exp(-beta * x) for x in lam]
+    z = mp.fsum(boltz)
+    return {
+        "partition_estimate": [z_est],
+        "reduced_state": [part for x in rho for part in (mp.re(x), mp.im(x))],
+        "partition_exact": [z],
+        "fidelity": [mp.fsum(mp.sqrt(ql * b / z) for ql, b in zip(q, boltz)) ** 2],
+        "ideal_amplification_queries": [mp.sqrt(dim / z_est)],
+    }
 
 
 def exact_gibbs(h_p: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
@@ -526,37 +674,52 @@ def standard_route_numbers(lam, comps, beta: int, d: int) -> dict:
 def standard_route_oracle(terms, psi: np.ndarray, beta: int, d: int, dps: int = 40):
     """``standard_route_numbers`` on mpmath's dense eigendecomposition of
     ``kron_pauli_sum(terms)`` at ``dps`` digits, with the first-order bound on
-    how far the package's float64 numbers may lie from them.
+    how far the package's float64 numbers may lie from them (``eigen_oracle``),
+    plus 4 2^d u (1 + |x|) for the float arithmetic after the
+    eigendecomposition, whose phases reach 2^d pi.  Returns (numbers,
+    bounds), each a dict of lists."""
+    return eigen_oracle(kron_pauli_sum(terms),
+                        lambda lam, comps: standard_route_numbers(lam, comps, beta, d),
+                        lambda x: 4 * (1 << d) * 2.0 ** -53 * (1 + abs(x)), psi, dps)
+
+
+def eigen_oracle(mat: np.ndarray, numbers, float_bound, psi=None, dps: int = 40):
+    """``numbers(lam, vecs)`` on mpmath's eigendecomposition of the dense
+    Hermitian ``mat`` at ``dps`` digits, lam ascending and distinct and vecs
+    the projected components P_l psi (the eigenvectors themselves where psi
+    is None), with the first-order bound on how far the package's float64
+    numbers may lie from them.
 
     The error model: each side reads the matrix to an ulp an entry, and eigh's
     eigenvalues are exact for H + E, ||E|| <= dim u ||H|| (u = 2^-53, Weyl),
-    so ||E|| <= e = 2 dim u ||H|| in all; each P_l psi then moves by at most
-    e / gap_l (Davis and Kahan), gap_l its distance to the other eigenvalues.
-    A number x moves by at most the sum of |dx/dtheta| e_theta over those
-    inputs (central differences, at ``dps`` digits), plus 4 2^d u (1 + |x|) for
-    the float arithmetic after the eigendecomposition, whose phases reach
-    2^d pi.  Returns (numbers, bounds), each a dict of lists.
+    so ||E|| <= e = 2 dim u ||H|| in all; each P_l psi (each eigenvector, up to
+    its phase) then moves by at most e / gap_l (Davis and Kahan), gap_l its
+    distance to the other eigenvalues.  A number x moves by at most the sum of
+    |dx/dtheta| e_theta over those inputs (central differences, at ``dps``
+    digits), plus ``float_bound(x)`` for the float arithmetic after the
+    eigendecomposition.  Returns (numbers, bounds), each a dict of lists.
     """
     mp = mpmath.mp
     u = 2.0 ** -53
     with mpmath.workdps(dps):
-        mat = kron_pauli_sum(terms)
         lam, vecs = mp.eighe(mpmath.matrix(mat.tolist()))
         dim = mat.shape[0]
         lam = [lam[i] for i in range(dim)]
         if any(b - a <= 0 for a, b in zip(lam, lam[1:])):
             raise ValidationError("the oracle takes a nondegenerate spectrum, ascending")
         cols = [[vecs[i, l] for i in range(dim)] for l in range(dim)]
-        proj = [mp.fsum(mp.conj(v[i]) * complex(psi[i]) for i in range(dim)) for v in cols]
-        comps = [[v[i] * c for i in range(dim)] for v, c in zip(cols, proj)]
-        numbers = standard_route_numbers(lam, comps, beta, d)
+        if psi is None:
+            comps = cols
+        else:
+            proj = [mp.fsum(mp.conj(v[i]) * complex(psi[i]) for i in range(dim)) for v in cols]
+            comps = [[v[i] * c for i in range(dim)] for v, c in zip(cols, proj)]
+        want = numbers(lam, comps)
         err = 2 * dim * u * max(abs(x) for x in lam)
         step = mp.mpf(10) ** (-dps // 3)
-        bounds = {name: [4 * (1 << d) * u * (1 + abs(x)) for x in xs]
-                  for name, xs in numbers.items()}
+        bounds = {name: [float_bound(x) for x in xs] for name, xs in want.items()}
 
         def add(move, budget):
-            plus, minus = (standard_route_numbers(*move(s), beta, d) for s in (step, -step))
+            plus, minus = (numbers(*move(s)) for s in (step, -step))
             for name in bounds:
                 for i, (a, b) in enumerate(zip(plus[name], minus[name])):
                     bounds[name][i] += abs(a - b) / (2 * step) * budget
@@ -571,5 +734,5 @@ def standard_route_oracle(terms, psi: np.ndarray, beta: int, d: int, dps: int = 
                         moved[l][i] += s * unit
                         return lam, moved
                     add(move, err / gap)
-    return ({name: [float(x) for x in xs] for name, xs in numbers.items()},
+    return ({name: [float(x) for x in xs] for name, xs in want.items()},
             {name: [float(x) for x in xs] for name, xs in bounds.items()})

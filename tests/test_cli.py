@@ -11,6 +11,7 @@ import textwrap
 import contextlib
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,8 +25,9 @@ from lindbladff.model import parse_dense_matrix
 from lindbladff.numkernel import trace_distance
 
 from conftest import dilated_step
-from oracles import (dense_circuit_reference, kron_pauli_sum, lindblad_exact_general,
-                     line_by_line_jump_list)
+from oracles import (dense_circuit_reference, eigen_oracle, exact_gibbs, ff_prepare_numbers,
+                     gibbs_numbers, kron_pauli_sum, lindblad_exact_general,
+                     line_by_line_jump_list, uhlmann_fidelity)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lindbladff.__file__)))
@@ -278,6 +280,152 @@ class TestEvolveGoldensAgainstOracles:
                     cost[2] + d]
         assert rec["cost"] == dict(zip(("hamiltonian_time", "step_count", "ancilla_count"),
                                        cost))
+
+
+def _float_budget(edge, dim):
+    """Rounding allowed for a number x computed after the eigendecomposition
+    from ``ff`` kernel entries: each entry errs by at most (16 + 2 B) u, 16 ulp
+    of 1 and the rounding of phases up to the plan's Hamiltonian time B (as in
+    tests/test_readout_identities.py), and each number sums at most dim
+    products of two entries and a dim-term eigenvector product each, so 8 dim
+    times that, relative to 1 + |x|."""
+    return lambda x: 8 * dim * (16 + 2 * edge) * U * (1 + abs(x))
+
+
+def _check_numbers(got, want, bound):
+    """Every number of ``got`` within its bound of ``want``, each bound below 1e-12."""
+    assert sorted(got) == sorted(want), (sorted(got), sorted(want))
+    for name in got:
+        assert len(got[name]) == len(want[name]), name
+        for i, (g, w, b) in enumerate(zip(got[name], want[name], bound[name])):
+            assert b < 1e-12 and abs(g - w) <= b, (name, i, g, w, b)
+
+
+def _ff_plan(t, eps, n=None):
+    """The ``FFPlan`` of ``_ff_formulas`` and its Hamiltonian time P sqrt(t / N)."""
+    n, c, d, dprime = _ff_formulas(t, eps, n)
+    half = 1 << (dprime - 1)
+    window = (n // 2 - half, n // 2 + half - 1)
+    p = FFPlan(t, eps, n, c, d, dprime, window, window[0] <= 0 and window[1] >= n)
+    return p, (1 << dprime) * math.sqrt(t / n)
+
+
+def _matrix_numbers(text):
+    return [x for z in parse_dense_matrix(text).ravel() for x in (z.real, z.imag)]
+
+
+def _gibbs_oracle(mat, beta, eps):
+    p, edge = _ff_plan(beta, eps)
+    numbers = lambda lam, vecs: gibbs_numbers(lam, vecs, beta, p)
+    want, bound = eigen_oracle(mat, numbers, _float_budget(edge, len(mat)))
+    # the oracle's own numbers against the float Gibbs oracles: exact_gibbs'
+    # spectral Z, and scipy's square roots for the Uhlmann fidelity, which
+    # assumes nothing about the two states commuting
+    rho = np.array(want["reduced_state"]).view(complex).reshape(mat.shape)
+    gibbs, z = exact_gibbs(mat, beta)
+    assert abs(z - want["partition_exact"][0]) <= 8 * len(mat) * (1 + beta) * U * z
+    assert abs(uhlmann_fidelity(rho, gibbs) - want["fidelity"][0]) <= 1e-13
+    return p, edge, want, bound
+
+
+def check_gibbs_golden(text):
+    """Every number of a ``gibbs`` golden text against ``gibbs_numbers`` on
+    mpmath's eigendecomposition, within ``eigen_oracle``'s first-order bound:
+    each record's outputs and cost, and each CSV row as its record's numbers."""
+    lines = text.splitlines()
+    records = [json.loads(line) for line in lines if line.startswith("{")]
+    rows = [line for line in lines if not line.startswith("{")]
+    assert rows[0] == "beta,hamiltonian_time,fidelity,partition_estimate,partition_exact"
+    assert len(rows) == len(records) + 1
+    opts = dict(zip(records[0]["command"][1::2], records[0]["command"][2::2]))
+    mat, eps = _pauli_file(opts["--ham"]), float(opts["--eps"])
+    betas = [float(b) for b in opts["--beta"].split(",")]
+    assert len(records) == len(betas)
+    for rec, row, beta in zip(records, rows[1:], betas):
+        out = rec["outputs"]
+        assert out["beta"] == beta and rec["seed"] is None
+        p, edge, want, bound = _gibbs_oracle(mat, beta, eps)
+        assert rec["cost"] == {"hamiltonian_time": edge, "step_count": p.dprime + 1,
+                               "ancilla_count": p.d}
+        got = {name: [out[name]] for name in want if name != "reduced_state"}
+        got["reduced_state"] = _matrix_numbers(out["reduced_state"])
+        _check_numbers(got, want, bound)
+        assert row == (f"{beta},{edge},{out['fidelity']},{out['partition_estimate']},"
+                       f"{out['partition_exact']}")
+
+
+def check_prepare_fast_golden(text):
+    """Every number of a ``qpe prepare --route fast`` golden text against
+    ``ff_prepare_numbers`` on mpmath's eigendecomposition, within
+    ``eigen_oracle``'s first-order bound, and its cost by the plan's formulas."""
+    rec = json.loads(text)
+    opts = dict(zip(rec["command"][2::2], rec["command"][3::2]))
+    assert rec["command"][:2] == ["qpe", "prepare"] and opts["--route"] == "fast"
+    assert "--eps" not in opts and "--state" not in opts      # the default eps, the plus state
+    args = cli._build_parser().parse_args(rec["command"])
+    cli._check_modes(args)
+    eps = args.eps
+    mat, t, beta = _pauli_file(opts["--ham"]), float(opts["--t"]), int(opts["--eigen"])
+    p, edge = _ff_plan(t, eps, int(opts["--N"]))
+    assert rec["cost"] == {"hamiltonian_time": edge, "step_count": p.dprime + 1,
+                           "ancilla_count": p.d}
+    psi = np.full(len(mat), 1.0 / math.sqrt(len(mat)), dtype=complex)
+    want, bound = eigen_oracle(mat, lambda lam, comps: ff_prepare_numbers(lam, comps, beta, p),
+                               _float_budget(edge, len(mat)), psi)
+    # the overlap bound's branch is read away from its edge
+    assert abs(want.pop("dilated_margin")[0]) > 1e-6 + bound.pop("dilated_margin")[0]
+    out = rec["outputs"]
+    assert out["route"] == "fast" and rec["seed"] is None
+    got = {name: [out[name]] for name in want if name != "state"}
+    got["state"] = _matrix_numbers(out["state"])
+    _check_numbers(got, want, bound)
+
+
+def check_bench_gibbs_beta_golden(text):
+    """A ``bench gibbs-beta`` golden text: each row's cost by the plan's
+    formulas and its fidelity against ``gibbs_numbers`` on diag(0, 1); the
+    slope refitted from the rows' own costs at 40 digits, within 64 u."""
+    lines = text.splitlines()
+    rec = json.loads(lines[-1])
+    assert lines[0] == "beta,hamiltonian_time,fidelity"
+    opts = dict(zip(rec["command"][2::2], rec["command"][3::2]))
+    betas = [float(b) for b in opts["--beta"].split(",")]
+    eps = float(opts["--eps"])
+    mat = np.diag([0.0, 1.0]).astype(complex)
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:-1]]
+    assert [row[0] for row in rows] == betas
+    for beta, edge, fidelity in rows:
+        p, want_edge, want, bound = _gibbs_oracle(mat, beta, eps)
+        assert edge == want_edge
+        _check_numbers({"fidelity": [fidelity]}, {"fidelity": want["fidelity"]},
+                       {"fidelity": bound["fidelity"]})
+    with mpmath.workdps(40):
+        xs = [mpmath.log(b) for b, _, _ in rows]
+        ys = [mpmath.log(e) for _, e, _ in rows]
+        x0, y0 = sum(xs) / len(xs), sum(ys) / len(ys)
+        slope = float(mpmath.fsum((x - x0) * (y - y0) for x, y in zip(xs, ys))
+                      / mpmath.fsum((x - x0) ** 2 for x in xs))
+    out = rec["outputs"]
+    assert abs(out["slope"] - slope) <= 64 * U
+    assert {k: v for k, v in out.items() if k != "slope"} == {
+        "suite": "gibbs-beta", "target": 0.5, "tolerance": 0.1,
+        "pass": abs(out["slope"] - 0.5) <= 0.1}
+    assert (rec["cost"], rec["ham_digest"], rec["seed"]) == (None, None, None)
+
+
+class TestFastGoldensAgainstOracles:
+    """The three golden files the ``ff`` kernel writes through a column at 0
+    (``gibbs``, ``qpe prepare --route fast`` and ``bench gibbs-beta``), number
+    by number against explicit residue sums on mpmath's eigendecomposition,
+    with the binomial weights summed exactly (``oracles.residue_weights``)."""
+
+    @pytest.mark.parametrize("case, check", [("gibbs", check_gibbs_golden),
+                                             ("prepare_fast", check_prepare_fast_golden),
+                                             ("bench_gibbs_beta", check_bench_gibbs_beta_golden)])
+    def test_golden_matches_the_residue_sum_oracle(self, monkeypatch, case, check):
+        monkeypatch.chdir(ROOT)
+        with open(os.path.join(DATA, f"golden_{case}.jsonl")) as fh:
+            check(fh.read())
 
 
 RECORD_ENTRY = st.one_of(
