@@ -28,8 +28,8 @@ exactly, not an approximation, which keeps register counts of 10^5..10^7 at
 desk scale.  Addresses are taken modulo 2^d (the d-bit register), not modulo
 N: the shift maps the window bijectively either way, and the addresses
 outside it take the periodic evolutions the circuit itself produces, so they
-stay physical.  Classes r and P - r carry opposite phases and mirror weights,
-so ``gap_kernel`` is a cosine series over half the classes.
+stay physical.  The weights, the Binomial(N, 1/2) mass folded mod P, have the
+DFT (-1)^k cos(pi k / P)^N, so ``gap_kernel`` sums O(sqrt(log(1/eps))) terms.
 
 Each kernel is E[e^{-i (a - b) theta}] over a phase law, so it is band
 limited and ``node_count``'s Chebyshev points carry the evolving laws (it
@@ -52,7 +52,6 @@ import numpy as np
 
 from .errors import ValidationError
 from . import numkernel as nk
-from .kernels import binom_residue_weights
 from .model import Hamiltonian, SpectrumMap, normalize_levels, normalize_spectrum
 
 
@@ -96,10 +95,11 @@ def dilated_kernel(t: float, steps: int, eigs_a: np.ndarray, eigs_b: np.ndarray
     return np.where(np.abs(c) > 0.5, far, c ** steps)
 
 
-# Bits of the residue rows in one block of ``gap_kernel``: a block of
-# 2^_SUM_BITS rows is one partial sum, so no long sequential accumulation
-# loses digits against a partial sum near 1.
-_SUM_BITS = 8
+# math.pi = _PI_HI + _PI_MID, each times an integer |k| < 2^23 exact (30 and 23
+# bits), and pi = math.pi + _PI_TAIL: so pi k - fl(pi k) comes to about 2^-100
+_PI_HI = math.ldexp(math.floor(math.ldexp(math.pi, 28)), -28)
+_PI_MID = math.pi - _PI_HI
+_PI_TAIL = 1.2246467991473532e-16
 
 
 class FFPlan(NamedTuple):
@@ -218,35 +218,46 @@ def gap_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
 
     Entry [i, j] multiplies the coherence between jump eigenvalues a_i and
     b_j; the ``ff`` channel applies it through ``Hamiltonian.dephase`` and
-    ``gibbs_prepare`` reads one column of it against eigenvalue 0.  Classes r
-    and P - r have opposite phases theta_r = sqrt(t/N) (2r - P) and mirror
-    weights (equal up to rounding, for an even N, which is checked), so each
-    pair adds (w_r + w_{P-r}) cos((a - b) theta_r): the sum runs over r in (0,
-    P/2) as Re(x_r[a] conj(y_r[b])) of the phase table rows, real products of
-    their real and of their imaginary parts, one partial sum per block of
-    2^_SUM_BITS rows (all of (0, P/2) when shorter).  Class P/2 (theta = 0)
-    adds its weight and the unpaired class 0 w_0 e^{i (a - b) B}, theta_0 =
-    -B.  One spectrum (the same array) builds one table.
+    ``gibbs_prepare`` reads one column of it against eigenvalue 0.  For an
+    even N (checked) Poisson summation of the folded weights gives
+    (1/P) sum_{|k| < P/2} c_k sin(s_k) e^{i s_k / P} / sin(s_k / P), c_k =
+    cos(pi k / P)^N as exp((N / 2) log1p(-sin^2(pi k / P))) and s_k = pi k +
+    B (a - b), B = ``ff_cost``'s Hamiltonian time: only the K terms with c_k
+    >= 2^-60 (K solved for), the ratio P below |s_k| = 2^-30 (where s_k / P
+    may be subnormal).  Each term reads its own sin(s_k), from the s_k its
+    denominator reads, and takes the rounding of s_k (a two-sum) into both to
+    first order: a shared numerator (-1)^k sin(B (a - b)) errs where pi k +
+    B (a - b) cancels, an uncorrected s_k by 17 ulp at N = 16, P = 32, B = 64.
+    Terms k and -k are added in pairs, so K(b, a) is conj K(a, b) bit for bit.
     """
     if p.n % 2:
         raise ValidationError(f"gap kernel needs an even register count, got {p.n}")
     nk.require_jump_norm(eigs_a)
     if eigs_b is not eigs_a:
         nk.require_jump_norm(eigs_b)
-    weights = binom_residue_weights(p.n, p.period, -p.shift)
-    half = p.period // 2
-    fold = np.empty(half)
-    fold[0] = 0.0  # class 0 has no partner; it is added below
-    fold[1:] = weights[1:half] + weights[:half:-1]
-    rows = 1 << min(_SUM_BITS, p.dprime - 1)
-    total = np.full((eigs_a.size, eigs_b.size), weights[half])
-    blocks_b = None if eigs_b is eigs_a else _phase_blocks(p, eigs_b, rows, half)
-    for lo, x in zip(range(0, half, rows), _phase_blocks(p, eigs_a, rows, half)):
-        y = x if blocks_b is None else next(blocks_b)
-        for part in (np.real, np.imag):  # a contiguous right operand stays on BLAS
-            total += (part(x).T * fold[lo:lo + rows]) @ np.ascontiguousarray(part(y))
-    edge = ff_cost(p).hamiltonian_time
-    return total + weights[0] * np.outer(np.exp(1j * edge * eigs_a), np.exp(-1j * edge * eigs_b))
+    period = p.period
+    x = ff_cost(p).hamiltonian_time * (eigs_a[:, None] - eigs_b[None, :])
+
+    def term(k):  # sin(s) e^{i s / P} / sin(s / P) at s = pi k + x, as real and imaginary parts
+        hi = math.pi * k
+        lo = ((_PI_HI * k - hi) + _PI_MID * k) + _PI_TAIL * k   # pi k - hi
+        s = hi + x
+        v = s - hi
+        e = (hi - (s - v)) + (x - v) + lo                 # pi k + x - s (Knuth's two-sum)
+        sine, q = np.sin(s) + np.cos(s) * e, s / period
+        low = np.sin(q) + np.cos(q) * (e / period)
+        with np.errstate(divide="ignore", invalid="ignore"):  # P to the last bit below 2^-30
+            return np.where(np.abs(s) < 2.0 ** -30, float(period), sine * np.cos(q) / low), sine
+
+    # c_k >= 2^-60 while sin^2(pi k / P) <= 1 - 2^(-120 / N)
+    reach = math.asin(math.sqrt(-math.expm1(-120.0 * math.log(2.0) / p.n)))
+    real, imag = term(0)                                      # c_0 = 1
+    for k in range(1, min(period // 2 - 1, math.floor(period / math.pi * reach)) + 1):
+        c = math.exp(0.5 * p.n * math.log1p(-math.sin(math.pi * k / period) ** 2))
+        (re_up, im_up), (re_down, im_down) = term(k), term(-k)
+        real += c * (re_up + re_down)
+        imag += c * (im_up + im_down)
+    return (real + 1j * imag) / period
 
 
 def ff_cost(p: FFPlan) -> nk.CostReport:
@@ -312,8 +323,8 @@ def level_kernel(chan: Channel, h: np.ndarray) -> np.ndarray:
     M < L levels it is 1 + Phi (K(x, x) - 1) Phi^T: K the kernel on M Chebyshev
     points x over [min h, max h], and Phi barycentric (Berrut and Trefethen,
     SIAM Review 46, 2004), a level on a node (or overflowing near one) taking
-    its row.  That reads the kernel at M^2 pairs, not L^2 (for ``ff`` O(P M^2
-    + L^2 M), not O(P L^2)), and the 1 keeps the rounding to the size of 1 -
+    its row.  That reads the kernel at M^2 pairs, not L^2 (for ``ff`` O(K M^2
+    + L^2 M), not O(K L^2)), and the 1 keeps the rounding to the size of 1 -
     K.  At M >= L it is ``chan.kernel(h, h)``."""
     if (m := node_count(chan, float(np.ptp(h)), h.size)) < h.size:
         x = nk.chebyshev_points(float(h.min()), float(h.max()), m)

@@ -1,23 +1,21 @@
-"""Hot binomial kernels of the fast-forwarded simulator, in numpy.
+"""Binomial kernels of the counting readouts and the state tables, in numpy.
 
-The two kernels below dominate the runtime of large fast-forwarding plans
-(register counts up to ~10^7; a few ms per call at N = 10^7).  They follow
-one summation order, and that order is the contract that keeps records
-byte-stable on any numpy/BLAS build:
+The pmf window below serves the slow and fast phase-estimation readouts and
+the binomial amplitude table (register counts up to ~10^7; a few ms per call
+at N = 10^7).  It follows one summation order, and that order is the
+contract that keeps records byte-stable on any numpy/BLAS build:
 
-* the unnormalized pmf is 1 at the centre (``round(N p)`` for the pmf window,
-  ``N // 2`` for the residue weights, whose window is the pmf window's at
-  p = 1/2) and is extended outward by a running
-  product of the ratios ``(N-m)/(m+1) * odds`` upward and
-  ``m/(N-m+1) / odds`` downward, with ``odds = p/(1-p)``;
-* values are accumulated sequentially: residue bins and the normalizing total
-  in the order centre, upward terms, downward terms; the pmf window's total
-  in window order (low to high).
+* the unnormalized pmf is 1 at the centre ``round(N p)`` and is extended
+  outward by a running product of the ratios ``(N-m)/(m+1) * odds`` upward
+  and ``m/(N-m+1) / odds`` downward, with ``odds = p/(1-p)``;
+* the normalizing total is accumulated sequentially in window order (low to
+  high).
 
-The running products are spelled ``np.cumprod``, the bin sums ``np.bincount``
-and the totals ``np.cumsum(...)[-1]``, all of which accumulate in input
-order; the tests check both kernels bit for bit against a plain-Python loop
-transcription of this order.
+The running products are spelled ``np.cumprod`` and the total
+``np.cumsum(...)[-1]``, both of which accumulate in input order; the tests
+check the window bit for bit against a plain-Python loop transcription of
+this order.  (The ``ff`` gap kernel reads no window: its residue weights
+enter through their closed-form Fourier coefficients, ``channel.gap_kernel``.)
 
 The pmf slices are normalized by their own sum.  Every window is the one
 tail bound of ``_support``: it holds each count whose pmf is at least a floor
@@ -65,15 +63,6 @@ def _require_memory(nbytes: int, route: str, what: str, remedy: str):
             f"more than the {memory / 2**30:.1f} GiB of physical memory; {remedy}")
 
 
-def _centre_out(n: int, center: int, lo: int, hi: int, odds: float):
-    """Running products from the centre: up to ``hi`` and down to ``lo``."""
-    m = np.arange(center, hi)
-    up = np.cumprod((n - m) / (m + 1.0) * odds)
-    m = np.arange(center, lo, -1)
-    down = np.cumprod(m / (n - m + 1.0) / odds)
-    return up, down
-
-
 def _support(n: int, p: float, floor: float) -> tuple[int, int]:
     """An integer interval holding every m with pmf(m) >= floor * max pmf.
 
@@ -111,7 +100,11 @@ def binom_pmf_window(n: int, p: float, amplitude: bool = False
         return n, np.array([1.0])
     lo, hi = _support(n, p, AMPLITUDE_FLOOR if amplitude else PMF_FLOOR)
     center = min(max(int(round(n * p)), lo), hi)
-    up, down = _centre_out(n, center, lo, hi, p / (1.0 - p))
+    odds = p / (1.0 - p)
+    m = np.arange(center, hi)                   # running products from the centre
+    up = np.cumprod((n - m) / (m + 1.0) * odds)
+    m = np.arange(center, lo, -1)
+    down = np.cumprod(m / (n - m + 1.0) / odds)
     w = np.concatenate((down[::-1], [1.0], up))
     w /= np.cumsum(w)[-1]
     return lo, w
@@ -123,17 +116,4 @@ def binom_pmf(n: int, p: float) -> np.ndarray:
     lo, w = binom_pmf_window(n, p)
     out = np.zeros(n + 1)
     out[lo: lo + w.size] = w
-    return out
-
-
-def binom_residue_weights(n: int, period: int, offset: int) -> np.ndarray:
-    """Binomial(n, 1/2) mass aggregated by the residue class (m + offset) mod period."""
-    lo, hi = _support(n, 0.5, PMF_FLOOR)
-    center = n // 2
-    up, down = _centre_out(n, center, lo, hi, 1.0)
-    values = np.concatenate(([1.0], up, down))
-    m = np.concatenate(([center], np.arange(center + 1, hi + 1),
-                        np.arange(center - 1, lo - 1, -1)))
-    out = np.bincount((m + offset) % period, weights=values, minlength=period)
-    out /= np.cumsum(values)[-1]
     return out

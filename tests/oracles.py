@@ -252,11 +252,15 @@ def residue_weights(n: int, period: int, shift: int) -> list:
     return [mpmath.fsum(s) for s in sums]
 
 
+def _root(p: FFPlan) -> float:
+    """The double step root sqrt(t / N), sqrt(t) / sqrt(N) where t / N underflows."""
+    return math.sqrt(p.t / p.n) if p.t / p.n > 0 else math.sqrt(p.t) / math.sqrt(p.n)
+
+
 def residue_thetas(p: FFPlan) -> list:
-    """theta_r = sqrt(t / N) (2r - P) of each residue class, the double root
-    (sqrt(t) / sqrt(N) where t / N underflows) times an exact integer."""
-    root = math.sqrt(p.t / p.n) if p.t / p.n > 0 else math.sqrt(p.t) / math.sqrt(p.n)
-    return [mpmath.mpf(root) * (2 * r - p.period) for r in range(p.period)]
+    """theta_r = sqrt(t / N) (2r - P) of each residue class, the double step
+    root times an exact integer."""
+    return [mpmath.mpf(_root(p)) * (2 * r - p.period) for r in range(p.period)]
 
 
 def residue_sum_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
@@ -266,8 +270,7 @@ def residue_sum_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.
     where the platform's long double holds them.  Shape (len a, len b)."""
     ld = np.longdouble
     weights = np.array([float(w) for w in residue_weights(p.n, p.period, p.shift)], dtype=ld)
-    root = ld(math.sqrt(p.t / p.n) if p.t / p.n > 0 else math.sqrt(p.t) / math.sqrt(p.n))
-    thetas = root * (2 * np.arange(p.period) - p.period).astype(ld)
+    thetas = ld(_root(p)) * (2 * np.arange(p.period) - p.period).astype(ld)
     gaps = (np.asarray(eigs_a, dtype=ld)[:, None] - np.asarray(eigs_b, dtype=ld)[None, :]).ravel()
     out = np.zeros(gaps.size, dtype=np.clongdouble)
     rows = max(1, (1 << 18) // max(gaps.size, 1))

@@ -213,27 +213,24 @@ class TestEvolveGoldensAgainstOracles:
     def test_ff_against_the_literal_circuit(self):
         rec, opts, got = self.golden("evolve")
         h, t, eps = _pauli_file(opts["--ham"]), float(opts["--t"]), float(opts["--eps"])
-        n, c, d, dprime = _ff_formulas(t, eps, int(opts["--N"]))
-        half = 1 << (dprime - 1)
-        window = [n // 2 - half, n // 2 + half - 1]
-        full = window[0] <= 0 and window[1] >= n
+        p, edge = _ff_plan(t, eps, int(opts["--N"]))
         assert rec["outputs"]["plan"] == {
-            "N": n, "c": c, "d": d, "dprime": dprime, "tau": t / n, "window": window,
-            "full_window": full, "mod_convention": "2^d", "note": ""}
-        edge = (1 << dprime) * math.sqrt(t / n)
-        assert rec["cost"] == {"hamiltonian_time": edge, "step_count": dprime + 1,
-                               "ancilla_count": d}
-        p = FFPlan(t, eps, n, c, d, dprime, tuple(window), full)
+            "N": p.n, "c": p.c, "d": p.d, "dprime": p.dprime, "tau": t / p.n,
+            "window": list(p.window), "full_window": p.full_window, "mod_convention": "2^d",
+            "note": ""}
+        assert rec["cost"] == {"hamiltonian_time": edge, "step_count": p.dprime + 1,
+                               "ancilla_count": p.d}
         psi = np.full(len(h), 1.0 / math.sqrt(len(h)), dtype=complex)
         want = dense_circuit_reference(h, psi, p)
         # the circuit's amplitudes exp((log N! - log m! - log (N-m)! - N log 2) / 2) carry
         # 2 (log N! + N log 2) u + u relative, twice in rho; each of its d' + 1 expm
         # factors (|theta| <= edge) and their row products err by (2 dim + 2)(1 + edge) u,
         # twice in rho; the trace over 2^d rows sums terms of at most 1 in all.  The
-        # kernel sums N pmf ratios, P / 2 cosines and rows of d' + 1 factors, |theta| <= edge
-        amp = 2.0 * (math.lgamma(n + 1) + n * math.log(2.0)) + 1.0
-        oracle = (2 * amp + 2 * (dprime + 1) * (2 * len(h) + 2) * (1 + edge) + (1 << d)) * U
-        bound = self.record_budget(len(h), edge, n + half + dprime + 3) + oracle
+        # kernel is allowed N + P/2 + d' + 3 roundings of size at most 1, more than
+        # the closed form's at most P/2 pairs of terms take
+        amp = 2.0 * (math.lgamma(p.n + 1) + p.n * math.log(2.0)) + 1.0
+        oracle = (2 * amp + 2 * (p.dprime + 1) * (2 * len(h) + 2) * (1 + edge) + (1 << p.d)) * U
+        bound = self.record_budget(len(h), edge, p.n + p.period // 2 + p.dprime + 3) + oracle
         assert bound < 2e-13 and np.max(np.abs(got - want)) <= bound
         assert rec["outputs"]["spectrum_map"] == {"scale": 1.0, "shift": 0.0}
 
@@ -426,6 +423,31 @@ class TestFastGoldensAgainstOracles:
         monkeypatch.chdir(ROOT)
         with open(os.path.join(DATA, f"golden_{case}.jsonl")) as fh:
             check(fh.read())
+
+
+class TestPlansOnceBeyondMemory:
+    """Plans whose residue weights once needed more memory than the machine
+    holds (268 GiB at eps = 1e-9, a count no array can index at 1e-150, 9.5e3
+    GiB at t = 1024, eps = 1e-6): the closed-form kernel reads about
+    sqrt(log(1/eps)) terms at any register count, so each call runs."""
+
+    @pytest.mark.parametrize("t, eps", [("1024", "1e-6"), ("1", "1e-9"), ("1", "1e-150")])
+    def test_ff_evolve_is_within_eps_of_the_exact_channel(self, monkeypatch, t, eps):
+        # within eps, or within the kernel's rounding where eps is below it
+        monkeypatch.chdir(ROOT)
+        rc, out = invoke(["evolve", "--method", "ff", "--ham", H1, "--t", t, "--eps", eps,
+                          "--state", "plus"])
+        assert rc == 0
+        got = parse_dense_matrix(json.loads(out)["outputs"]["rho_out"])
+        want = lindblad_exact_general(lindblad_spec([_pauli_file(H1)]), np.full((2, 2), 0.5),
+                                      float(t))
+        assert trace_distance(got, want) <= max(float(eps), 16 * 2.0 ** -52)
+
+    def test_gibbs_at_a_tiny_eps_runs(self, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        rc, out = invoke(["gibbs", "--ham", H2, "--beta", "1", "--eps", "1e-12"])
+        assert rc == 0
+        assert 1.0 - json.loads(out.splitlines()[0])["outputs"]["fidelity"] <= 1e-12
 
 
 RECORD_ENTRY = st.one_of(
@@ -710,11 +732,6 @@ class TestExitCodes:
         "lattice_sum_underflows": ["stateprep", "--what", "gaussian", "--N", "16", "--mu", "8.5",
                                    "--sigma", "1e-3"],
         "angles_n_not_a_power_of_two": ["stateprep", "--what", "angles", "--N", "48"],
-        # binomial windows past the physical memory: 268 GiB, ~1e143 GiB
-        # (a count no array can index) and 2.7e5 GiB of running products
-        "ff_window_beyond_memory": [*EVOLVE, "ff", "--ham", HAM, "--eps", "1e-9"],
-        "ff_window_past_any_array": [*EVOLVE, "ff", "--ham", HAM, "--eps", "1e-150"],
-        "gibbs_window_beyond_memory": ["gibbs", "--ham", H2Q, "--beta", "1", "--eps", "1e-12"],
         "repeats_beyond_memory": [*SAMPLE, "100000000000"],
         "repeats_zero": [*SAMPLE, "0"],
         "prepare_d_negative": [*PREPARE, "--d", "-1"],

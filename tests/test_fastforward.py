@@ -5,7 +5,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from lindbladff import (Channel, ValidationError, evolve,
@@ -13,12 +13,12 @@ from lindbladff import (Channel, ValidationError, evolve,
 from lindbladff.channel import _phase_blocks, _residue_phases, channel, gap_kernel, node_count
 import lindbladff.channel as laws
 from lindbladff import numkernel as nk
-from lindbladff.kernels import PMF_FLOOR, _support, binom_residue_weights
 from lindbladff.qpe import residue_spectrum
 
 from conftest import (full_mixture, goal_ledger, random_density, random_hermitian,
                       random_state, residue_of)
-from oracles import DENSE_REFERENCE_CAP, dense_circuit_reference, hamiltonian_matrix
+from oracles import (DENSE_REFERENCE_CAP, EXACT_FOLD_CAP, dense_circuit_reference,
+                     hamiltonian_matrix, residue_sum_kernel, residue_thetas, residue_weights)
 from test_single_jump import jumps
 
 TWO_LEVEL = normalize_spectrum(np.diag([0.0, 1.0]))
@@ -62,17 +62,6 @@ def ledger_density(ledger):
     """Density of the whole residue ledger, sum_r w_r s_r s_r^dag in one product."""
     s = ledger.states
     return (s.T * ledger.weights) @ s.conj()
-
-
-def whole_kernel(p, eigs_a, eigs_b):
-    """Gap kernel from the two whole phase tables in one weighted product."""
-    weights = binom_residue_weights(p.n, p.period, -p.shift)
-    return (_residue_phases(p, eigs_a).T * weights) @ _residue_phases(p, eigs_b).conj()
-
-
-def kernel_blocks(p):
-    """Blocks ``gap_kernel`` sums over: 2^_SUM_BITS rows each, over P/2 rows."""
-    return (p.period // 2) >> min(laws._SUM_BITS, p.dprime - 1)
 
 
 def selected_phases(p, eigs):
@@ -121,9 +110,9 @@ class TestPlan:
             plan(1.0, 1.5)
 
     def test_odd_register_count_is_rejected(self, rng):
-        # the gap kernel folds mirror residue classes, which pair up only for
-        # an even N; ``plan`` rounds odd counts up, a hand-built plan must not
-        # slip an odd one past it
+        # the gap kernel's Fourier coefficients (-1)^k cos(pi k / P)^N hold for
+        # an even N, whose shift N/2 - P/2 is a whole address; ``plan`` rounds
+        # odd counts up, a hand-built plan must not slip an odd one past it
         p = plan(1.0, 0.1, n_override=8)
         odd = p._replace(n=7)
         ham = normalize_spectrum(random_hermitian(rng, 3))
@@ -334,24 +323,14 @@ class TestStreamedDensity:
             for lo, block in zip(range(0, p.period, rows), blocks, strict=True):
                 assert block.tobytes() == whole[lo:lo + rows].tobytes(), (rows, lo)
 
-    def test_one_block_is_the_ledger_product(self, rng):
+    @pytest.mark.parametrize("dim, bound", [(8, 8 * np.finfo(float).eps), (64, 1e-15)])
+    def test_pure_input_is_the_ledger_product(self, rng, dim, bound):
         chan = channel("ff", 3.0, 0.05, n=10**7)
         p = chan.plan
-        ham = normalize_spectrum(random_hermitian(rng, 8))
-        psi = random_state(rng, 8)
-        assert kernel_blocks(p) == 32
+        ham = normalize_spectrum(random_hermitian(rng, dim))
+        psi = random_state(rng, dim)
         rho, _ = evolve(ham, psi, chan)
-        want = ledger_density(goal_ledger(ham, psi, p))
-        assert np.max(np.abs(rho - want)) <= 8 * np.finfo(float).eps
-
-    def test_several_blocks_match_the_ledger_product(self, rng):
-        chan = channel("ff", 3.0, 0.05, n=10**7)
-        p = chan.plan
-        ham = normalize_spectrum(random_hermitian(rng, 64))
-        psi = random_state(rng, 64)
-        assert kernel_blocks(p) == 32
-        rho, _ = evolve(ham, psi, chan)
-        assert np.max(np.abs(rho - ledger_density(goal_ledger(ham, psi, p)))) <= 1e-15
+        assert np.max(np.abs(rho - ledger_density(goal_ledger(ham, psi, p)))) <= bound
 
     def test_memory_does_not_grow_with_the_ledger(self, rng):
         # the whole ledger at dim 256 and N = 10^7 is 16384 x 256 complex (64 MiB)
@@ -366,65 +345,20 @@ class TestStreamedDensity:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20, peak / 2 ** 20
 
-    def test_one_block_is_the_whole_kernel(self, rng):
-        p = plan(3.0, 0.05, 10**7)
-        eigs = normalize_spectrum(random_hermitian(rng, 8)).eigenvalues
-        assert kernel_blocks(p) == 32
-        got = gap_kernel(p, eigs, eigs)
-        assert np.max(np.abs(got - whole_kernel(p, eigs, eigs))) <= 8 * np.finfo(float).eps
-
     def test_one_array_and_its_copy_give_one_kernel(self, rng):
-        # one spectrum builds one phase table, the numbers two equal arrays build
+        # one spectrum checks its jump norm once, and gives the numbers two
+        # equal arrays give
         p = plan(3.0, 0.05, 10**7)
         h = np.sort(rng.uniform(0.0, 1.0, 256))
         assert gap_kernel(p, h, h).tobytes() == gap_kernel(p, h, h.copy()).tobytes()
 
-    def test_kernel_blocks_match_the_whole_kernel(self, rng):
-        p = plan(3.0, 0.05, 10**7)
-        eigs_a = normalize_spectrum(random_hermitian(rng, 64)).eigenvalues
-        eigs_b = np.concatenate((eigs_a[:3], [0.0]))
-        assert kernel_blocks(p) == 32
-        # |K| <= 1 and the blocks only reorder the sum over residues
-        for a, b in ((eigs_a, eigs_a), (eigs_a, eigs_b), (eigs_b, eigs_a)):
-            assert np.max(np.abs(gap_kernel(p, a, b) - whole_kernel(p, a, b))) <= 8 * np.finfo(float).eps
-
-    @pytest.mark.parametrize("levels, columns", [(1025, None), (2048, [0.0, 1.0])],
-                             ids=["1025-levels", "2048-levels"])
-    def test_blocks_shorter_than_a_partial_sum(self, rng, levels, columns):
-        # a block is one partial sum whatever the level count, so above 1024
-        # levels a block is as long as at 8; the blocks regroup the 512-class
-        # sum of total weight 1
-        p = plan(8.0, 0.1)
-        a = np.sort(rng.uniform(0.0, 1.0, levels))
-        b = a if columns is None else np.array(columns)
-        assert (p.period, kernel_blocks(p)) == (1024, 2)
-        got = gap_kernel(p, a, b)
-        assert np.max(np.abs(got - whole_kernel(p, a, b))) <= 32 * np.finfo(float).eps
-
-    @pytest.mark.parametrize("t, eps, n, period", [(2.0, 0.05, None, 256), (8.0, 0.1, None, 1024),
-                                                   (3.0, 0.05, 4 * 10**6, 8192)])
-    def test_shrunk_blocks_match_one_block(self, monkeypatch, rng, t, eps, n, period):
-        # blocks of 2^bits rows, down to one row, regroup the sum over P/2
-        # classes of total weight 1 that one block of all P/2 rows takes: at
-        # most 17 eps measured over 20 draws
-        p = plan(t, eps, n)
-        eigs = np.sort(rng.uniform(0.0, 1.0, 8))
-        assert p.period == period
-        monkeypatch.setattr(laws, "_SUM_BITS", p.dprime)
-        assert kernel_blocks(p) == 1
-        one = gap_kernel(p, eigs, eigs)
-        for bits in (0, 1, 6, 7):
-            monkeypatch.setattr(laws, "_SUM_BITS", bits)
-            assert kernel_blocks(p) == period >> (bits + 1)
-            assert np.max(np.abs(gap_kernel(p, eigs, eigs) - one)) <= 32 * np.finfo(float).eps
-
-    def test_density_blocks_match_the_whole_kernel(self, rng):
+    def test_density_input_matches_the_residue_sum(self, rng):
         chan = channel("ff", 3.0, 0.05, n=10**7)
         p = chan.plan
         ham = normalize_spectrum(random_hermitian(rng, 64))
         rho = random_density(rng, 64)
         rho_ff, _ = evolve(ham, rho, chan)
-        want = ham.dephase(whole_kernel(p, ham.eigenvalues, ham.eigenvalues), rho)
+        want = ham.dephase(residue_sum_kernel(p, ham.eigenvalues, ham.eigenvalues), rho)
         assert np.max(np.abs(rho_ff - want)) <= 1e-15
 
     def test_density_memory_does_not_grow_with_the_tables(self, rng):
@@ -443,13 +377,11 @@ class TestStreamedDensity:
 
 def high_precision_kernel(p, eigs_a, eigs_b, digits=40):
     """sum_r w_r e^{-i (a - b) theta_r}, theta_r = sqrt(t / N) (2r - P), over
-    every residue class at ``digits`` significant digits, from the double
-    weights and t / N."""
-    weights = binom_residue_weights(p.n, p.period, -p.shift)
+    every residue class at ``digits`` significant digits, from the oracle's
+    weights and the double step root."""
     with mpmath.workdps(digits):
-        root = mpmath.sqrt(mpmath.mpf(p.t / p.n))
-        terms = [(mpmath.mpf(w), root * (2 * r - p.period))
-                 for r, w in enumerate(weights.tolist()) if w]
+        terms = [(w, th) for w, th in zip(residue_weights(p.n, p.period, p.shift),
+                                          residue_thetas(p)) if w]
         out = np.empty((eigs_a.size, eigs_b.size), dtype=complex)
         for i, a in enumerate(eigs_a.tolist()):
             for j, b in enumerate(eigs_b.tolist()):
@@ -459,30 +391,6 @@ def high_precision_kernel(p, eigs_a, eigs_b, digits=40):
 
 
 class TestFoldedKernel:
-    @settings(max_examples=200, deadline=None, database=None)
-    @given(t=hst.floats(0.25, 8.0), eps=hst.floats(0.01, 0.5),
-           n=hst.one_of(hst.integers(2, 5000), hst.integers(5000, 10**7)))
-    def test_residue_weights_are_mirror_symmetric(self, t, eps, n):
-        # w_r = w_{P-r} in exact arithmetic; each bin sums the same terms in
-        # another order, so they agree to (terms per bin) eps.  They are not
-        # equal bit for bit (N = 22, P = 8 below), which is why the fold adds
-        # w_r + w_{P-r} instead of doubling one of them.
-        try:
-            p = plan(t, eps, n)
-        except ValidationError:
-            return
-        w = binom_residue_weights(p.n, p.period, -p.shift)
-        half = p.period // 2
-        lo, hi = _support(p.n, 0.5, PMF_FLOOR)
-        per_bin = -(-(hi - lo + 1) // p.period)
-        gap = np.abs(w[1:half] - w[:half:-1])
-        assert np.all(gap <= per_bin * np.finfo(float).eps * w[1:half])
-
-    def test_weights_differ_in_the_last_bit(self):
-        p = plan(1.0, 0.5, 22)
-        w = binom_residue_weights(p.n, p.period, -p.shift)
-        assert p.period == 8 and not np.array_equal(w[1:4], w[:4:-1])
-
     @pytest.mark.parametrize("t,eps,n,period", [(1.0, 0.5, 16, 8), (1.0, 0.5, 22, 8),
                                                 (3.0, 0.05, 4000, 256),
                                                 (3.0, 0.05, 10**5, 1024)])
@@ -494,6 +402,121 @@ class TestFoldedKernel:
         for a, b in ((eigs, eigs), (eigs, zero)):
             got = gap_kernel(p, a, b)
             assert np.max(np.abs(got - high_precision_kernel(p, a, b))) <= 8 * np.finfo(float).eps
+
+
+# Register counts of the generated kernel check: every count up to
+# oracles.EXACT_FOLD_CAP folds exact integer sums; the larger ones, a few so
+# that their 40-digit pmfs are computed once, fold mpmath's
+LARGE_COUNTS = [10 ** 5 + 2, 10 ** 6, 4 * 10 ** 6 + 2, 10 ** 7]
+KERNEL_ULPS = 8 * 2.0 ** -52
+
+
+def kernel_plan(t, eps, n):
+    """``plan(t, eps, n)`` where it is accepted and its period is 8 to 2^14, else None."""
+    try:
+        p = plan(t, eps, n)
+    except ValidationError:
+        return None
+    return p if 8 <= p.period <= 1 << 14 else None
+
+
+def poisson_kernel(p, gaps, digits=40):
+    """(1/P) sum_{|k| < P/2} cos(pi k / P)^N sin(s_k) / sin(s_k / P) e^{i s_k / P},
+    s_k = pi k + B gap, at ``digits`` digits from the exact double gap and the
+    double Hamiltonian time B, over every k whose cos(pi k / P)^N passes
+    10^-(digits + 5) (it falls with |k|); the residue sum itself by Poisson
+    summation (``test_poisson_form_is_the_residue_sum``)."""
+    big_b = laws.ff_cost(p).hamiltonian_time
+    out = []
+    with mpmath.workdps(digits + 30):
+        for gap in gaps:
+            x = mpmath.mpf(big_b) * mpmath.mpf(gap)
+            terms = []
+            for k in range(p.period // 2):
+                c = mpmath.exp(p.n * mpmath.log(mpmath.cos(mpmath.pi * k / p.period)))
+                if c < mpmath.mpf(10) ** -(digits + 5):
+                    break
+                for s in {mpmath.pi * k + x, -mpmath.pi * k + x}:
+                    ratio = (p.period if s == 0 else
+                             mpmath.sin(s) / mpmath.sin(s / p.period) * mpmath.expj(s / p.period))
+                    terms.append(c * ratio)
+            out.append(complex(mpmath.fsum(terms) / p.period))
+    return np.array(out)
+
+
+class TestClosedForm:
+    """The closed form against the plain residue sum over every class."""
+
+    def test_generated_plans_cover_shifts_windows_and_overrides(self):
+        # the draws of the generated check reach odd and even shifts, full and
+        # narrow windows, and both register-count branches of the oracle
+        plans = [p for t in (0.01, 0.5, 4.0, 64.0) for eps in (0.9, 0.1, 1e-3, 1e-9)
+                 for n in [2, 16, 22, 64, 100, 1000, 4000, 16384, *LARGE_COUNTS]
+                 if (p := kernel_plan(t, eps, n)) is not None]
+        assert {p.shift % 2 for p in plans} == {0, 1}
+        assert {p.full_window for p in plans} == {True, False}
+        assert min(p.period for p in plans) == 8 and max(p.period for p in plans) == 1 << 14
+        assert any(p.n > EXACT_FOLD_CAP for p in plans)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(t=hst.floats(1e-3, 64.0), eps=hst.floats(1e-12, 0.999),
+           n=hst.one_of(hst.integers(2, EXACT_FOLD_CAP), hst.sampled_from(LARGE_COUNTS)),
+           seed=hst.integers(0, 2 ** 32 - 1))
+    @example(t=64.0, eps=1e-9, n=16, seed=0)
+    def test_generated_plans_match_the_residue_sum(self, t, eps, n, seed):
+        # P = 8 to 2^14 on n overrides (odd ones rounded up), both shift parities
+        # and full and narrow windows, against the long-double residue sum: a
+        # spectrum with its ends, a column at 0 and a block of other points.
+        # The example (P = 32, B = 64, every c_k near 1) read 17 ulp before
+        # each s_k carried its own rounding
+        p = kernel_plan(t, eps, n)
+        assume(p is not None)
+        rng = np.random.default_rng(seed)
+        h = np.concatenate(([-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, 5)))
+        for b in (h, np.zeros(1), rng.uniform(-1.0, 1.0, 3)):
+            got = gap_kernel(p, h, b)
+            assert np.max(np.abs(got - residue_sum_kernel(p, h, b))) <= KERNEL_ULPS
+
+    @pytest.mark.parametrize("gap", [5e-324, 2.2e-313, 1e-300, 1e-20, 1e-9])
+    def test_tiny_gaps_read_one(self, gap):
+        # B gap is subnormal at the smallest gaps, where s / P keeps fewer bits
+        # than s: a ratio of the two once read 1 - 7.9e-12 at gap 2.2e-313
+        p = plan(1.0, 0.4, 2)
+        got = gap_kernel(p, np.array([gap, -gap]), np.zeros(1))[:, 0]
+        assert np.max(np.abs(got - 1.0)) <= 2.0 ** -52 + laws.ff_cost(p).hamiltonian_time * gap
+
+    @pytest.mark.parametrize("t, eps, n", [(1.0, 0.5, 16), (1.0, 0.5, 22), (2.0, 0.05, None),
+                                           (1.0, 1e-3, 64), (3.0, 0.05, 4000)])
+    def test_poisson_form_is_the_residue_sum(self, t, eps, n):
+        # the 40-digit oracle of the large plans below is the residue sum, checked
+        # at 40 digits where the sum over every class is cheap (both shift parities)
+        p = plan(t, eps, n)
+        gaps = np.array([-1.0, -0.3, 0.0, 0.01, 0.7, 1.0])
+        want = high_precision_kernel(p, gaps, np.zeros(1))[:, 0]
+        assert np.max(np.abs(poisson_kernel(p, gaps) - want)) <= 1e-30
+
+    @pytest.mark.parametrize("t, eps, period", [(2.0, 0.05, 256), (8.0, 0.01, 8192),
+                                                (8.0, 1e-3, 131072), (64.0, 1e-3, 1 << 21),
+                                                (32.0, 1e-4, 1 << 23), (1024.0, 1e-6, 1 << 38)])
+    def test_large_plans_match_forty_digits(self, t, eps, period):
+        # the default plans up to P = 2^23, and t = 1024, eps = 1e-6 (N = 1.07e21),
+        # on 16 gaps or more in [-1, 1]: random ones, and those where
+        # pi k + B gap cancels to the last bits of the gap
+        p = plan(t, eps)
+        assert p.period == period
+        big_b = laws.ff_cost(p).hamiltonian_time
+        near = [s * math.pi * k / big_b for k in range(1, 9) for s in (1, -1)
+                if math.pi * k <= big_b]
+        gaps = np.concatenate((near, [0.0, 1.0, -1.0],
+                               np.random.default_rng(period).uniform(-1.0, 1.0, 16 - len(near))))
+        assert gaps.size >= 16 and np.all(np.abs(gaps) <= 1.0)
+        got = gap_kernel(p, gaps, np.zeros(1))[:, 0]
+        assert np.max(np.abs(got - poisson_kernel(p, gaps))) <= KERNEL_ULPS
+        # item 19's identity: within 2 out of the dilated kernel cos(sqrt(t/N) gap)^N,
+        # out below Hoeffding's 2 exp(-P^2 / (2N)) outside a window of half-width P/2
+        out = 0.0 if p.full_window else 2.0 * math.exp(-p.period ** 2 / (2.0 * p.n))
+        dilated = channel("dilated", p.t, None, n=p.n).kernel(gaps, np.zeros(1))[:, 0]
+        assert np.max(np.abs(got - dilated)) <= 2.0 * out + KERNEL_ULPS
 
 
 # Target errors of the generated circuit cross-check: every register count

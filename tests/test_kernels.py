@@ -41,43 +41,8 @@ def test_pmf_window_large_n():
 def test_window_beyond_physical_memory_is_capacity_error(n):
     # the tail bound at p = 1/2 spans 3.9e10 counts (289 GiB) at n = 1e18 and
     # 5.3e151 counts at n = 1e300, more than any array can index
-    for window in (lambda: kernels.binom_pmf_window(n, 0.5),
-                   lambda: kernels.binom_residue_weights(n, 8, 0)):
-        with pytest.raises(CapacityError, match="^binomial window needs"):
-            window()
-
-
-def test_residue_weights_sum_and_values():
-    n, period = 64, 8
-    offset = -(n // 2 - period // 2)
-    w = kernels.binom_residue_weights(n, period, offset)
-    assert abs(w.sum() - 1.0) <= 1e-12
-    ref = np.zeros(period)
-    pmf = scipy.stats.binom.pmf(np.arange(n + 1), n, 0.5)
-    for m in range(n + 1):
-        ref[(m + offset) % period] += pmf[m]
-    assert np.max(np.abs(w - ref)) <= 1e-12
-
-
-def _loop_residue_weights(n, period, offset):
-    """Plain-Python transcription of the centre-out recursion and its
-    summation order (centre, upward terms, downward terms).  The window is
-    the pmf window's at p = 1/2; the recursion starts at n // 2."""
-    lo, hi = kernels._support(n, 0.5, kernels.PMF_FLOOR)
-    center = n // 2
-    out = [0.0] * period
-    out[(center + offset) % period] = 1.0
-    total = v = 1.0
-    for m in range(center, hi):
-        v *= (n - m) / (m + 1.0)
-        out[(m + 1 + offset) % period] += v
-        total += v
-    v = 1.0
-    for m in range(center, lo, -1):
-        v *= m / (n - m + 1.0)
-        out[(m - 1 + offset) % period] += v
-        total += v
-    return np.array([x / total for x in out])
+    with pytest.raises(CapacityError, match="^binomial window needs"):
+        kernels.binom_pmf_window(n, 0.5)
 
 
 def _loop_pmf_window(n, p):
@@ -103,9 +68,6 @@ def _loop_pmf_window(n, p):
 
 @pytest.mark.parametrize("n", [0, 1, 7, 16, 63, 100, 1001, 1333, 1335])
 def test_kernels_bitwise_match_loop_transcription(n):
-    for period, offset in ((8, -(n // 2 - 4)), (5, 3)):
-        assert np.array_equal(kernels.binom_residue_weights(n, period, offset),
-                              _loop_residue_weights(n, period, offset))
     for p in (0.5, 0.37, 0.9):
         lo, w = kernels.binom_pmf_window(n, p)
         lo_ref, w_ref = _loop_pmf_window(n, p)

@@ -17,11 +17,10 @@ from hypothesis import strategies as hst
 
 from lindbladff import ValidationError, evolve, normalize_spectrum
 from lindbladff.channel import channel, evolve_matrix, node_count
-from lindbladff.kernels import binom_residue_weights
 from lindbladff.model import CLUSTER_RTOL
 
 from conftest import random_state
-from oracles import dense_circuit_reference, hamiltonian_matrix, unmerged_channel
+from oracles import dense_circuit_reference, hamiltonian_matrix, residue_weights, unmerged_channel
 from test_cli import DATA, GOLDEN, ROOT, invoke, strip_wall_time
 
 channel_module = importlib.import_module("lindbladff.channel")
@@ -152,7 +151,7 @@ def long_kernel(chan, a, b):
         x = np.sqrt(LD(chan.t) / chan.n) * g
         return np.sign(np.cos(x)) ** chan.n * np.exp(0.5 * chan.n * np.log1p(-np.sin(x) ** 2))
     p = chan.plan
-    weights = binom_residue_weights(p.n, p.period, -p.shift).astype(LD)
+    weights = np.array([float(w) for w in residue_weights(p.n, p.period, p.shift)], dtype=LD)
     thetas = np.sqrt(LD(p.t) / p.n) * (2 * np.arange(p.period) - p.period).astype(LD)
     out = np.zeros(g.shape, dtype=np.clongdouble)
     for w, theta in zip(weights, thetas):

@@ -947,7 +947,7 @@ class TestKravchukUnitary:
     @pytest.mark.parametrize("n", (1, 2, 3, 7, 64, 512, 4096))
     def test_row_zero_closed_form_matches_rows(self, rng, n, full):
         # row 0 of the readout scales each component by the fast filter, the
-        # gap kernel's column at eigenvalue 0; its mirror fold needs an even N
+        # gap kernel's column at eigenvalue 0; its closed form needs an even N
         p = plan_at(n, full)
         ham = normalize_spectrum(random_hermitian(rng, 4))
         st = decompose_state(random_state(rng, 4), ham)
