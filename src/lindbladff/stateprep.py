@@ -87,7 +87,7 @@ def f_mu_sigma(mu, sigma: float):
         total = np.empty(mus.size)
         for start in range(0, mus.size, _SUM_BLOCK):
             block = slice(start, start + _SUM_BLOCK)
-            for c in np.unique(count[block]).tolist():  # at most two site counts
+            for c in sorted(set(count[block].tolist())):  # at most two site counts
                 rows = start + np.flatnonzero(count[block] == c)
                 m = lo[rows, None] + np.arange(c)
                 total[rows] = np.sum(np.exp(-((m - mus[rows, None]) ** 2) / (2.0 * sigma ** 2)),

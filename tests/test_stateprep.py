@@ -1,5 +1,8 @@
 import math
+import os
 import signal
+import subprocess
+import sys
 import warnings
 
 import mpmath
@@ -77,6 +80,20 @@ class TestThetaNormalizer:
         one = f_mu_sigma(mus, 0.3)
         monkeypatch.setattr(stateprep, "_SUM_BLOCK", block)
         assert f_mu_sigma(mus, 0.3).tobytes() == one.tobytes()
+
+    def test_angles_call_leaves_numpy_ma_unloaded(self):
+        # np.unique loads numpy.ma on its first call, which made a cold
+        # ``stateprep --what angles`` several times slower than a warm one;
+        # the lattice sum's site counts need nothing past numpy's core
+        code = ("import contextlib, io, sys\n"
+                "from lindbladff.cli import run\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    rc = run(['stateprep', '--what', 'angles', '--N', '64'])\n"
+                "print(rc, 'numpy.ma' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(stateprep.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.split() == ["0", "False"], done.stderr
 
     @pytest.mark.parametrize("sigma", (0.7, 1.05, 3.0))
     @pytest.mark.parametrize("mu", (1e15 + 0.25, 1e16, 1e17, 1e308, -1e16))
