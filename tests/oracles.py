@@ -266,18 +266,19 @@ def residue_thetas(p: FFPlan) -> list:
 def residue_sum_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
     """The plain residue sum sum_r w_r e^{-i (a - b) theta_r} on every pair of
     a and b, over every class, in long double: the weights of
-    ``residue_weights`` rounded to doubles, the gaps and phases to 64 bits
-    where the platform's long double holds them.  Shape (len a, len b)."""
+    ``residue_weights`` rounded to doubles, and each term the product of the
+    phases e^{-i a theta_r} and e^{i b theta_r} to 64 bits where the
+    platform's long double holds them.  Shape (len a, len b)."""
     ld = np.longdouble
     weights = np.array([float(w) for w in residue_weights(p.n, p.period, p.shift)], dtype=ld)
     thetas = ld(_root(p)) * (2 * np.arange(p.period) - p.period).astype(ld)
-    gaps = (np.asarray(eigs_a, dtype=ld)[:, None] - np.asarray(eigs_b, dtype=ld)[None, :]).ravel()
-    out = np.zeros(gaps.size, dtype=np.clongdouble)
-    rows = max(1, (1 << 18) // max(gaps.size, 1))
-    for lo in range(0, p.period, rows):
-        phases = np.exp(-1j * np.outer(thetas[lo:lo + rows], gaps))
-        out += weights[lo:lo + rows] @ phases
-    return out.astype(complex).reshape(len(eigs_a), len(eigs_b))
+    a, b = np.asarray(eigs_a, dtype=ld), np.asarray(eigs_b, dtype=ld)
+    out = np.zeros((a.size, b.size), dtype=np.clongdouble)
+    for lo in range(0, p.period, 2048):
+        rows = slice(lo, lo + 2048)
+        out += (np.exp(-1j * np.outer(a, thetas[rows])) * weights[rows]
+                ) @ np.exp(1j * np.outer(b, thetas[rows])).T
+    return out.astype(complex)
 
 
 def ff_column(p: FFPlan, levels) -> list:
