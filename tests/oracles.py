@@ -252,15 +252,15 @@ def residue_weights(n: int, period: int, shift: int) -> list:
     return [mpmath.fsum(s) for s in sums]
 
 
-def _root(p: FFPlan) -> float:
+def _root(t: float, n: int) -> float:
     """The double step root sqrt(t / N), sqrt(t) / sqrt(N) where t / N underflows."""
-    return math.sqrt(p.t / p.n) if p.t / p.n > 0 else math.sqrt(p.t) / math.sqrt(p.n)
+    return math.sqrt(t / n) if t / n > 0 else math.sqrt(t) / math.sqrt(n)
 
 
 def residue_thetas(p: FFPlan) -> list:
     """theta_r = sqrt(t / N) (2r - P) of each residue class, the double step
     root times an exact integer."""
-    return [mpmath.mpf(_root(p)) * (2 * r - p.period) for r in range(p.period)]
+    return [mpmath.mpf(_root(p.t, p.n)) * (2 * r - p.period) for r in range(p.period)]
 
 
 def residue_sum_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
@@ -271,7 +271,7 @@ def residue_sum_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.
     platform's long double holds them.  Shape (len a, len b)."""
     ld = np.longdouble
     weights = np.array([float(w) for w in residue_weights(p.n, p.period, p.shift)], dtype=ld)
-    thetas = ld(_root(p)) * (2 * np.arange(p.period) - p.period).astype(ld)
+    thetas = ld(_root(p.t, p.n)) * (2 * np.arange(p.period) - p.period).astype(ld)
     a, b = np.asarray(eigs_a, dtype=ld), np.asarray(eigs_b, dtype=ld)
     out = np.zeros((a.size, b.size), dtype=np.clongdouble)
     for lo in range(0, p.period, 2048):
@@ -287,6 +287,102 @@ def ff_column(p: FFPlan, levels) -> list:
     weights, thetas = residue_weights(p.n, p.period, p.shift), residue_thetas(p)
     return [mpmath.fsum(w * mpmath.expj(-h * th) for w, th in zip(weights, thetas) if w)
             for h in levels]
+
+
+@functools.lru_cache(maxsize=4)
+def _kravchuk_classes(n: int, period: int, shift: int, dps: int) -> tuple:
+    """B[x][r] = sum over the addresses m of class r = (m - shift) mod
+    ``period`` of U[x, m] a_m, at ``dps`` digits: U the symmetric-sector N-fold
+    Hadamard, U[x, m] = 2^(-N/2) sqrt(C(N, m) / C(N, x)) K_x(m), and a_m =
+    sqrt(C(N, m) / 2^N) the binomial amplitude, so U[x, m] a_m = C(N, m)
+    K_x(m) / (2^N sqrt(C(N, x))).  Column m of the Kravchuk values K_x(m) is
+    the coefficient list of (1 - z)^m (1 + z)^(N - m), built column by column
+    in exact integers."""
+    binom = [math.comb(n, j) for j in range(n + 1)]
+    classes = [[0] * period for _ in range(n + 1)]
+    for m in range(n + 1):
+        minus = [(-1) ** j * math.comb(m, j) for j in range(m + 1)]
+        plus = [math.comb(n - m, j) for j in range(n - m + 1)]
+        r = (m - shift) % period
+        for x in range(n + 1):
+            kx = sum(minus[j] * plus[x - j] for j in range(max(0, x - n + m), min(x, m) + 1))
+            classes[x][r] += binom[m] * kx
+    with mpmath.workdps(dps):
+        scale = [1 / (mpmath.mpf(2) ** n * mpmath.sqrt(b)) for b in binom]
+        return tuple(tuple(mpmath.mpf(c) * s for c in row) for row, s in zip(classes, scale))
+
+
+def kravchuk_readout(p: FFPlan, lam, weights) -> list:
+    """The fast route's count distribution on plan p, in the current mpmath
+    precision: sum_l w_l |g_l[x]|^2 for x = 0..N, g_l[x] = sum_m U[x, m] a_m
+    e^(-i lam_l theta_(r(m))), the explicit Kravchuk sum over every address m
+    (``_kravchuk_classes``) of the phase table e^(-i lam_l theta_r), theta_r
+    the double step root times 2r - P, which the circuit's bit-selected
+    factors multiply out to.  For the register counts of a few hundred whose
+    exact integers stay small."""
+    rows = _kravchuk_classes(p.n, p.period, p.shift, mpmath.mp.dps)
+    thetas = residue_thetas(p)
+    dist = [0] * (p.n + 1)
+    for h, w in zip(lam, weights):
+        phases = [mpmath.expj(-h * th) for th in thetas]
+        for x, row in enumerate(rows):
+            dist[x] += w * abs(mpmath.fsum(b * f for b, f in zip(row, phases))) ** 2
+    return dist
+
+
+def sampled_median(dist, seed, repeats: int, margin: float) -> int:
+    """The median of ``repeats`` counts drawn from ``dist`` by inverse CDF on
+    numpy's ``default_rng(seed).random`` variates: draw v picks the first
+    count whose cumulative mass over the total passes v.  Each variate must lie
+    more than ``margin`` from every cumulative mass, so that a distribution
+    within ``margin`` of ``dist`` in total picks the same counts."""
+    total = mpmath.fsum(dist)
+    cdf, acc = [], mpmath.mpf(0)
+    for x in dist:
+        acc += x
+        cdf.append(acc / total)
+    picks = []
+    for v in np.random.default_rng(seed).random(repeats).tolist():
+        assert min(abs(c - v) for c in cdf) > margin, (v, margin)
+        picks.append(next(x for x, c in enumerate(cdf) if c > v))
+    return int(np.median(picks))
+
+
+def slow_rms_error(t: float, n: int, h: float) -> tuple:
+    """The rms error sqrt(sum_m pmf(m) (est(m) - h)^2) of the slow readout of
+    the eigenvalue h at time t and count n, est(m) = sqrt(n / t) asin(sqrt(m /
+    n)), on the Binomial(n, sin^2(sqrt(t / n) h)) pmf at 40 digits (the double
+    step root, as the circuit reads it), over the counts whose pmf is at least
+    2^-200 of the mode's; and the first-order bound on a float64 evaluation
+    that sums the pmf's window, each entry extended from the centre c by
+    running ratios (3 u a step, so (3 |m - c| + 2 W + 8) u relative with the
+    normalization over W entries) and est(m) to 8 u of |est|."""
+    u = 2.0 ** -53
+    with mpmath.workdps(40):
+        q = mpmath.sin(mpmath.mpf(_root(t, n)) * h) ** 2
+        mode = min(int(mpmath.floor((n + 1) * q)), n)
+        peak = mpmath.binomial(n, mode) * q ** mode * (1 - q) ** (n - mode)
+        floor, odds = peak * mpmath.mpf(2) ** -200, q / (1 - q)
+        pmf, v = {mode: peak}, peak
+        for m in range(mode, n):
+            v = v * (n - m) / (m + 1) * odds
+            if v < floor:
+                break
+            pmf[m + 1] = v
+        v = peak
+        for m in range(mode, 0, -1):
+            v = v * m / (n - m + 1) / odds
+            if v < floor:
+                break
+            pmf[m - 1] = v
+        centre, width = int(round(float(n * q))), len(pmf)
+        scale = mpmath.sqrt(mpmath.mpf(n) / t)
+        est = {m: scale * mpmath.asin(mpmath.sqrt(mpmath.mpf(m) / n)) for m in pmf}
+        square = mpmath.fsum(w * (est[m] - h) ** 2 for m, w in pmf.items())
+        slack = mpmath.fsum(w * ((est[m] - h) ** 2 * (3 * abs(m - centre) + 2 * width + 8)
+                                 + 16 * abs(est[m] - h) * abs(est[m])) for m, w in pmf.items())
+        rms = mpmath.sqrt(square)
+        return float(rms), float(slack * u / (2 * rms) + 2 * u * rms)
 
 
 def ff_prepare_numbers(lam, comps, beta: int, p: FFPlan) -> dict:

@@ -26,8 +26,8 @@ from lindbladff.numkernel import trace_distance
 
 from conftest import dilated_step
 from oracles import (dense_circuit_reference, eigen_oracle, exact_gibbs, ff_prepare_numbers,
-                     gibbs_numbers, kron_pauli_sum, lindblad_exact_general,
-                     line_by_line_jump_list, uhlmann_fidelity)
+                     gibbs_numbers, kravchuk_readout, kron_pauli_sum, lindblad_exact_general,
+                     line_by_line_jump_list, sampled_median, slow_rms_error, uhlmann_fidelity)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lindbladff.__file__)))
@@ -378,6 +378,15 @@ def check_prepare_fast_golden(text):
     _check_numbers(got, want, bound)
 
 
+def _refit_slope(xs, ys):
+    """The least-squares slope of log ys against log xs, at 40 digits."""
+    with mpmath.workdps(40):
+        xs, ys = [mpmath.log(x) for x in xs], [mpmath.log(y) for y in ys]
+        x0, y0 = sum(xs) / len(xs), sum(ys) / len(ys)
+        return float(mpmath.fsum((x - x0) * (y - y0) for x, y in zip(xs, ys))
+                     / mpmath.fsum((x - x0) ** 2 for x in xs))
+
+
 def check_bench_gibbs_beta_golden(text):
     """A ``bench gibbs-beta`` golden text: each row's cost by the plan's
     formulas and its fidelity against ``gibbs_numbers`` on diag(0, 1); the
@@ -396,14 +405,9 @@ def check_bench_gibbs_beta_golden(text):
         assert edge == want_edge
         _check_numbers({"fidelity": [fidelity]}, {"fidelity": want["fidelity"]},
                        {"fidelity": bound["fidelity"]})
-    with mpmath.workdps(40):
-        xs = [mpmath.log(b) for b, _, _ in rows]
-        ys = [mpmath.log(e) for _, e, _ in rows]
-        x0, y0 = sum(xs) / len(xs), sum(ys) / len(ys)
-        slope = float(mpmath.fsum((x - x0) * (y - y0) for x, y in zip(xs, ys))
-                      / mpmath.fsum((x - x0) ** 2 for x in xs))
     out = rec["outputs"]
-    assert abs(out["slope"] - slope) <= 64 * U
+    assert abs(out["slope"] - _refit_slope([b for b, _, _ in rows], [e for _, e, _ in rows])
+               ) <= 64 * U
     assert {k: v for k, v in out.items() if k != "slope"} == {
         "suite": "gibbs-beta", "target": 0.5, "tolerance": 0.1,
         "pass": abs(out["slope"] - 0.5) <= 0.1}
@@ -420,6 +424,108 @@ class TestFastGoldensAgainstOracles:
                                              ("prepare_fast", check_prepare_fast_golden),
                                              ("bench_gibbs_beta", check_bench_gibbs_beta_golden)])
     def test_golden_matches_the_residue_sum_oracle(self, monkeypatch, case, check):
+        monkeypatch.chdir(ROOT)
+        with open(os.path.join(DATA, f"golden_{case}.jsonl")) as fh:
+            check(fh.read())
+
+
+def _readout_budget(p, edge, levels):
+    """Rounding allowed for a fast-readout count probability, u = 2^-53.  Per
+    level, its weight taken out: the P readout coefficients c_k err in 2-norm
+    by at most (2 B + 10 log2 P + 16) u relative (the phase table's d' + 1
+    factors of phase up to B, or the Dirichlet terms, an FFT's log2 P stages,
+    the shift and alpha phases); sum_k |c_k|^2 = 1 / P (Parseval) and sum_k
+    pmf_k(x) <= P, so by Cauchy-Schwarz a row entry g[x] = sum_k sqrt(pmf_k(x))
+    c_k moves by at most that, by (3 N + 16) u through the amplitudes' running
+    ratios, and by (P / 2 + 2) u through its P / 2 + 1 accumulated pairs, whose
+    magnitudes sum to at most 1.  |g[x]| <= 1, so |g[x]|^2 moves by twice that,
+    and the sum over the levels adds (levels + 2) u."""
+    terms = 2 * edge + 10 * math.log2(p.period) + 16 + 3 * p.n + 16 + p.period // 2 + 2
+    return (2 * terms + levels + 2) * U
+
+
+def check_qpe_fast_sample_golden(text):
+    """Every number of a ``qpe --route fast --mode sample`` golden text: the
+    distribution against ``kravchuk_readout`` on mpmath's eigendecomposition,
+    within ``eigen_oracle``'s first-order bound plus ``_readout_budget``; the
+    picked count as the sampled median replayed on that distribution, the
+    estimate read from it, and the cost by the plan's formulas."""
+    rec = json.loads(text)
+    args = cli._build_parser().parse_args(rec["command"])
+    cli._check_modes(args)
+    assert (args.route, args.dist_mode, args.state) == ("fast", "sample", "plus")
+    mat = _pauli_file(args.ham)
+    p, edge = _ff_plan(args.t, args.eps, args.N)
+    assert rec["cost"] == {"hamiltonian_time": edge, "step_count": p.dprime + 1,
+                           "ancilla_count": p.d}
+
+    def numbers(lam, comps):  # the spectrum map of normalize_spectrum, then the readout
+        lo, hi = lam[0], lam[-1]
+        scale, shift = (1, 0) if lo >= 0 and hi <= 1 else (hi - lo, lo)
+        return {"distribution": kravchuk_readout(p, [(x - shift) / scale for x in lam],
+                                                 [sum(abs(z) ** 2 for z in c) for c in comps]),
+                "spectrum_map": [scale, shift]}
+
+    psi = np.full(len(mat), 1.0 / math.sqrt(len(mat)), dtype=complex)
+    want, bound = eigen_oracle(mat, numbers, lambda x: _readout_budget(p, edge, len(mat)), psi)
+    out = rec["outputs"]
+    assert sorted(out) == ["distribution", "estimate", "estimate_normalized", "raw_outcome",
+                           "route", "saturated"]
+    assert out["route"] == "fast" and rec["seed"] == args.seed
+    _check_numbers({"distribution": out["distribution"]}, {"distribution": want["distribution"]},
+                   {"distribution": bound["distribution"]})
+    # the float cumulative sum moves by the bounds' total, its normalization and N + 1 roundings
+    margin = 2 * sum(bound["distribution"]) + (p.n + 8) * U
+    y = sampled_median(want["distribution"], args.seed, args.repeats, margin)
+    assert (out["raw_outcome"], out["saturated"]) == (y, y >= p.n)
+    est = math.sqrt(p.n / args.t) * math.asin(math.sqrt(y / p.n))
+    assert abs(out["estimate_normalized"] - est) <= 8 * U * est
+    (scale, shift), (d_scale, d_shift) = want["spectrum_map"], bound["spectrum_map"]
+    assert abs(out["estimate"] - (scale * est + shift)) <= d_scale * est + d_shift + 16 * U * (
+        scale * est + abs(shift))
+
+
+def check_bench_qpe_error_golden(text):
+    """A ``bench qpe-error`` golden text: each slow row's rms error against
+    ``slow_rms_error`` (the exact pmf at 40 digits) within its first-order
+    bound, each fast row's cost by the plan's formulas, and each series' slope
+    refitted from the rows' own numbers at 40 digits, within 64 u."""
+    lines = text.splitlines()
+    records = [json.loads(line) for line in lines[-2:]]
+    args = cli._build_parser().parse_args(records[0]["command"])
+    ts = [float(t) for t in args.t.split(",")]
+    assert lines[0] == "t,route,cost,rms_error" and len(lines) == 2 * len(ts) + 3
+    series = {"slow": ([], []), "fast": ([], [])}
+    for t, slow, fast in zip(ts, lines[1:-2:2], lines[2:-2:2]):
+        row = slow.split(",")
+        assert (float(row[0]), row[1], float(row[2])) == (t, "slow", t)
+        want, bound = slow_rms_error(t, args.N_slow, 1.0)
+        assert bound < 1e-12 and abs(float(row[3]) - want) <= bound, (t, row[3], want, bound)
+        series["slow"][0].append(t)
+        series["slow"][1].append(float(row[3]))
+        row = fast.split(",")
+        _, edge = _ff_plan(t, args.eps, args.N_fast)
+        assert (float(row[0]), row[1], float(row[2])) == (t, "fast", edge)
+        series["fast"][0].append(edge)
+        series["fast"][1].append(float(row[3]))
+    for rec, (name, target, tol) in zip(records, (("slow", -0.5, 0.1), ("fast", -1.0, 0.15))):
+        out = rec["outputs"]
+        assert abs(out["slope"] - _refit_slope(*series[name])) <= 64 * U, name
+        assert {k: v for k, v in out.items() if k != "slope"} == {
+            "suite": "qpe-error", "series": name, "target": target, "tolerance": tol,
+            "pass": abs(out["slope"] - target) <= tol}
+        assert (rec["cost"], rec["ham_digest"], rec["seed"]) == (None, None, None)
+
+
+class TestReadoutGoldensAgainstOracles:
+    """The two golden files the counting readouts write (``qpe --route fast
+    --mode sample`` and ``bench qpe-error``), number by number against explicit
+    sums: the Kravchuk sum over every address on mpmath's eigendecomposition,
+    and the exact binomial pmf of each slow row."""
+
+    @pytest.mark.parametrize("case, check", [("qpe_fast_sample", check_qpe_fast_sample_golden),
+                                             ("bench_qpe_error", check_bench_qpe_error_golden)])
+    def test_golden_matches_the_readout_oracle(self, monkeypatch, case, check):
         monkeypatch.chdir(ROOT)
         with open(os.path.join(DATA, f"golden_{case}.jsonl")) as fh:
             check(fh.read())
