@@ -30,6 +30,9 @@ N: the shift maps the window bijectively either way, and the addresses
 outside it take the periodic evolutions the circuit itself produces, so they
 stay physical.  The weights, the Binomial(N, 1/2) mass folded mod P, have the
 DFT (-1)^k cos(pi k / P)^N, so ``gap_kernel`` sums O(sqrt(log(1/eps))) terms.
+Each term is the Dirichlet ratio of one class k (``_dirichlet_term``), which
+the fast phase-estimation readout (``qpe.residue_spectrum``) reads at every
+class instead of transforming a table of the P residue phases.
 
 Each kernel is E[e^{-i (a - b) theta}] over a phase law, so it is band
 limited and ``node_count``'s Chebyshev points carry the evolving laws (it
@@ -102,6 +105,25 @@ _PI_MID = math.pi - _PI_HI
 _PI_TAIL = 1.2246467991473532e-16
 
 
+def _dirichlet_term(k, x, period: int):
+    """sin(s) e^{i s / P} / sin(s / P) at s = pi k + x, as its real and
+    imaginary parts, for integers |k| < 2^23 (the range of the exact pi split)
+    and a power of two P: the ``ff`` law's Fourier term at class k, which
+    ``gap_kernel`` sums and ``qpe.residue_spectrum`` reads one by one.  The
+    rounding of s (a two-sum) is taken into its sine and into sin(s / P) to
+    first order, where pi k + x cancels; the ratio is P below |s| = 2^-30,
+    where s / P may be subnormal.  k and x broadcast."""
+    hi = np.pi * k
+    lo = ((_PI_HI * k - hi) + _PI_MID * k) + _PI_TAIL * k   # pi k - hi
+    s = hi + x
+    v = s - hi
+    e = (hi - (s - v)) + (x - v) + lo                 # pi k + x - s (Knuth's two-sum)
+    sine, q = np.sin(s) + np.cos(s) * e, s / period
+    low = np.sin(q) + np.cos(q) * (e / period)
+    with np.errstate(divide="ignore", invalid="ignore"):  # P to the last bit below 2^-30
+        return np.where(np.abs(s) < 2.0 ** -30, float(period), sine * np.cos(q) / low), sine
+
+
 class FFPlan(NamedTuple):
     """Parameter bundle of one fast-forwarding run.
 
@@ -169,50 +191,6 @@ def plan(t: float, eps: float, n_override: int | None = None) -> FFPlan:
     return FFPlan(float(t), float(eps), n, c, d, dprime, window, full_window, note)
 
 
-def _phase_blocks(p: FFPlan, eigs: np.ndarray, rows: int, hi: int):
-    """Rows [0, hi) of the phase table exp(-i h ``step_root(t, N)`` (2r - 2^d'))
-    in blocks of shape (rows, n_levels); ``rows`` is a power of two.
-
-    Row r is the product of the single uncontrolled backward factor and the
-    d' bit evolutions selected by the bits of r, taken from the lowest bit
-    up, mirroring how the circuit spends its evolution time.  The bit
-    evolutions and the low-bit table (the uncontrolled factor doubled
-    through the low bits: rows with the bit clear, then rows with it set)
-    are made once per call; each block is that table times its own high
-    bits.  Every row is the same left-to-right product, so a block equals
-    its slice of the whole table bit for bit (but for blocks of one number).
-
-    The product is also the more accurate table: against 40-digit mpmath on
-    the levels {-1, -0.314, 0.707, 1} at t = 16, eps = 1e-3, it erred
-    9.7e-16 and 8.8e-16 at P = 16384 and 131072, where exp(-i h theta_r)
-    evaluated directly erred 1.8e-15 and 2.4e-15 (its argument carries the
-    rounding of theta_r, about 20 rad there), and it moved the bytes of 7 of
-    the 14 files tests/data/golden_*.jsonl.
-    """
-    low_bits = rows.bit_length() - 1
-    root = nk.step_root(p.t, p.n)
-    fwd = [np.exp(-1j * eigs * root * (1 << j)) for j in range(p.dprime)]  # bit 1
-    bwd = [np.exp(+1j * eigs * root * (1 << j)) for j in range(p.dprime)]  # bit 0
-    table = np.exp(+1j * eigs * root)[None, :]  # uncontrolled factor
-    for j in range(low_bits):
-        table = np.concatenate((table * bwd[j], table * fwd[j]))
-    # High bits multiply lines of ``wide`` rows by their factor repeated ``wide``
-    # times: the same products, in inner loops of 256 numbers or more
-    wide = min(rows, 1 << (255 // max(eigs.size, 1)).bit_length())
-    lines = table.reshape(rows // wide, -1)
-    high = [(np.tile(bwd[j], wide), np.tile(fwd[j], wide)) for j in range(low_bits, p.dprime)]
-    for start in range(0, hi, rows):
-        block = lines
-        for j, factors in enumerate(high, low_bits):
-            block = block * factors[(start >> j) & 1]
-        yield block.reshape(table.shape)
-
-
-def _residue_phases(p: FFPlan, eigs: np.ndarray) -> np.ndarray:
-    """The whole phase table, shape (P, n_levels)."""
-    return next(_phase_blocks(p, eigs, p.period, p.period))
-
-
 def gap_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
     """Fast-forward gap kernel sum_r w_r e^{-i (a - b) theta_r}, shape (len a, len b).
 
@@ -237,24 +215,13 @@ def gap_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
         nk.require_jump_norm(eigs_b)
     period = p.period
     x = ff_cost(p).hamiltonian_time * (eigs_a[:, None] - eigs_b[None, :])
-
-    def term(k):  # sin(s) e^{i s / P} / sin(s / P) at s = pi k + x, as real and imaginary parts
-        hi = math.pi * k
-        lo = ((_PI_HI * k - hi) + _PI_MID * k) + _PI_TAIL * k   # pi k - hi
-        s = hi + x
-        v = s - hi
-        e = (hi - (s - v)) + (x - v) + lo                 # pi k + x - s (Knuth's two-sum)
-        sine, q = np.sin(s) + np.cos(s) * e, s / period
-        low = np.sin(q) + np.cos(q) * (e / period)
-        with np.errstate(divide="ignore", invalid="ignore"):  # P to the last bit below 2^-30
-            return np.where(np.abs(s) < 2.0 ** -30, float(period), sine * np.cos(q) / low), sine
-
     # c_k >= 2^-60 while sin^2(pi k / P) <= 1 - 2^(-120 / N)
     reach = math.asin(math.sqrt(-math.expm1(-120.0 * math.log(2.0) / p.n)))
-    real, imag = term(0)                                      # c_0 = 1
+    real, imag = _dirichlet_term(0, x, period)                # c_0 = 1
     for k in range(1, min(period // 2 - 1, math.floor(period / math.pi * reach)) + 1):
         c = math.exp(0.5 * p.n * math.log1p(-math.sin(math.pi * k / period) ** 2))
-        (re_up, im_up), (re_down, im_down) = term(k), term(-k)
+        (re_up, im_up), (re_down, im_down) = (_dirichlet_term(k, x, period),
+                                              _dirichlet_term(-k, x, period))
         real += c * (re_up + re_down)
         imag += c * (im_up + im_down)
     return (real + 1j * imag) / period

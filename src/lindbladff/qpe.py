@@ -33,11 +33,14 @@ s_hat_k = (1/P) w^(-k shift) sum_r w^(-k r) s_r.
 
 The ledger is s_r = sum_l e^(-i h_l theta_r) comps_l over orthogonal
 eigencomponents of weight w_l, so X[x] = sum_l g_l[x] comps_l and the count
-distribution is sum_l w_l |g_l[x]|^2, with g_l read from the scalar FFT of
-level l's phase table.  Columns k and P - k share one pmf.  Each pmf is
-touched on its precision window, where sqrt(pmf) is at least 2^-53 of the
-column maximum, sized by a Chernoff tail bound: about 13 sigma wide for large
-N sin^2, never under the Poisson-like tails near k = 0.  That is
+distribution is sum_l w_l |g_l[x]|^2.  Level l's s_hat_k is a geometric sum
+over r: times the alpha phase it is e^(i pi k (N mod 2)/P) sin(s) e^(i s/P) /
+(P sin(s/P)) at s = pi k + B h_l, B the circuit's Hamiltonian time and k
+wrapped to |k| <= P/2 (``channel._dirichlet_term``, the term ``gap_kernel``
+sums), so no phase table is built.  Columns k and P - k share one pmf.  Each
+pmf is touched on its precision window, where sqrt(pmf) is at least 2^-53 of
+the column maximum, sized by a Chernoff tail bound: about 13 sigma wide for
+large N sin^2, never under the Poisson-like tails near k = 0.  That is
 O(P sqrt(N) L) time for L read levels and O(N L) memory, one complex row of
 N + 1 counts per level.
 
@@ -73,7 +76,7 @@ import numpy as np
 
 from .errors import InvariantError, ValidationError
 from . import numkernel as nk
-from .channel import Channel, FFPlan, _dirichlet, _residue_phases, channel
+from .channel import Channel, FFPlan, _dirichlet, _dirichlet_term, channel, ff_cost
 from .kernels import _require_memory, binom_pmf_window
 from . import model
 from .model import (Hamiltonian, SpectralState, decompose_state,
@@ -266,34 +269,38 @@ def counting_estimator(t: float, n: int, m) -> tuple[np.ndarray, np.ndarray]:
 # Fast route: Kravchuk readout through the product-state identity
 # ---------------------------------------------------------------------------
 
-def _alpha_phases(n: int, period: int) -> np.ndarray:
-    """sigma^N e^(i N theta) for theta = pi k / P, k = 0..P-1, sigma = sign(cos theta)."""
-    k = np.arange(period)
-    return np.where(2 * k > period, -1, 1) ** n * np.exp(1j * np.pi * ((n * k) % (2 * period)) / period)
-
-
 def residue_spectrum(p: FFPlan, eigs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """The ledger's DFT per level, shape (P, L): coeffs[l] (1/P) w^(-k shift) sum_r
-    w^(-k r) e^(-i eigs[l] theta_r), w = e^(2 pi i/P), once the jump norm is checked."""
+    """The readout coefficients, shape (P, L), once the jump norm is checked:
+    row k (class k - P past P / 2) is coeffs[l] e^(i pi k (N mod 2) / P) D(k,
+    B eigs[l]) / P, D = ``channel._dirichlet_term`` and B = ``ff_cost``'s
+    Hamiltonian time, the ledger's DFT (1/P) w^(-k shift) sum_r w^(-k r)
+    e^(-i eigs[l] theta_r) times the alpha phase sigma_k^N e^(i pi k N / P),
+    w = e^(2 pi i / P), summed in closed form.  A period past 2^23 is refused
+    before any array is built, since D's exact pi split holds for |k| < 2^23."""
+    if p.period > 1 << 23:
+        raise ValidationError(f"the fast readout takes a period of at most 2^23, "
+                              f"got 2^{p.dprime}")
     nk.require_jump_norm(eigs)
-    shift_phase = np.exp(-2j * math.pi * ((np.arange(p.period) * p.shift) % p.period) / p.period)
-    spectrum = np.fft.fft(_residue_phases(p, eigs), axis=0)
-    spectrum *= (shift_phase / p.period)[:, None] * coeffs
-    return spectrum
+    k = np.arange(p.period)
+    k = np.where(2 * k > p.period, k - p.period, k)[:, None]
+    real, imag = _dirichlet_term(k, ff_cost(p).hamiltonian_time * eigs, p.period)
+    coef = (real + 1j * imag) * (coeffs / p.period)
+    if p.n % 2:
+        coef *= np.exp(1j * np.pi * k / p.period)
+    return coef
 
 
-def _level_rows(spectrum: np.ndarray, n: int) -> np.ndarray:
-    """Transformed rows g_l[x] = sum_k c_k[x] spectrum[k, l], shape (L, N+1).
+def _level_rows(coef: np.ndarray, n: int) -> np.ndarray:
+    """Transformed rows g_l[x] = sum_k c_k[x] coef[k, l], shape (L, N+1).
 
-    c_k[x] = sqrt(pmf_k(x)) (-i)^(sigma_k x) times the alpha phase, with
-    pmf_k = Binomial(N, sin^2(pi k/P)), so columns k and P - k share their pmf
-    and differ in the sign of the (-i)^x exponent: over a pair, even x gains
-    +-sqrt(pmf) (a + b) and odd x gains +-sqrt(pmf) (-i)(a - b), with a, b
-    the two phased spectrum rows and the sign + for x = 0, 1 mod 4.  Each pmf
-    is touched only on its precision window.
+    c_k[x] = sqrt(pmf_k(x)) (-i)^(sigma_k x), with pmf_k = Binomial(N,
+    sin^2(pi k/P)), so columns k and P - k share their pmf and differ in the
+    sign of the (-i)^x exponent: over a pair, even x gains +-sqrt(pmf) (a + b)
+    and odd x gains +-sqrt(pmf) (-i)(a - b), with a, b the two coefficient
+    rows and the sign + for x = 0, 1 mod 4.  Each pmf is touched only on its
+    precision window.
     """
-    period = spectrum.shape[0]
-    coef = spectrum * _alpha_phases(n, period)[:, None]
+    period = coef.shape[0]
     rows = np.zeros((coef.shape[1], n + 1), dtype=complex)
     for k in range(period // 2 + 1):
         lo, pmf = binom_pmf_window(n, math.sin(math.pi * k / period) ** 2, amplitude=True)

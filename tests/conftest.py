@@ -6,7 +6,6 @@ import pytest
 
 from lindbladff import ValidationError, decompose_state, normalize_spectrum
 from lindbladff import numkernel as nk
-from lindbladff.channel import _residue_phases
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -76,9 +75,9 @@ def goal_ledger(ham, psi, p):
     """The whole residue ledger of a pure input, built at once: ``weights[r]``
     is the binomial address mass of residue class r and ``states[r]`` the
     system vector every address in that class carries, shape (period, dim)."""
-    from oracles import residue_weights
+    from oracles import residue_weights, selected_phases
 
-    states = _residue_phases(p, ham.eigenvalues) @ ham.components(nk.require_state(psi))
+    states = selected_phases(p, ham.eigenvalues) @ ham.components(nk.require_state(psi))
     return SimpleNamespace(weights=np.array([float(w) for w in residue_weights(
         p.n, p.period, p.shift)]), states=states)
 

@@ -263,6 +263,57 @@ def residue_thetas(p: FFPlan) -> list:
     return [mpmath.mpf(_root(p.t, p.n)) * (2 * r - p.period) for r in range(p.period)]
 
 
+def selected_phases(p: FFPlan, eigs: np.ndarray) -> np.ndarray:
+    """The whole phase table e^(-i eigs[l] theta_r), shape (P, L), one bit at a
+    time over every row as the circuit spends its evolution time: the
+    uncontrolled backward factor, then for each bit j the forward or backward
+    factor of 2^j steps that the row's bit selects with ``np.where``."""
+    root = _root(p.t, p.n)
+    r = np.arange(p.period)
+    phases = np.tile(np.exp(+1j * eigs * root), (p.period, 1))
+    for j in range(p.dprime):
+        bit = (r >> j) & 1
+        fwd = np.exp(-1j * eigs * root * (1 << j))
+        bwd = np.exp(+1j * eigs * root * (1 << j))
+        phases *= np.where(bit[:, None] == 1, fwd[None, :], bwd[None, :])
+    return phases
+
+
+def alpha_phases(n: int, period: int) -> np.ndarray:
+    """sigma^N e^(i N theta) for theta = pi k / P, k = 0..P-1, sigma = sign(cos theta):
+    the phase of alpha_k^N, alpha_k = e^(i pi k / P) cos(pi k / P), in the
+    product-state form of the Kravchuk readout."""
+    k = np.arange(period)
+    return (np.where(2 * k > period, -1, 1) ** n
+            * np.exp(1j * np.pi * ((n * k) % (2 * period)) / period))
+
+
+def fft_readout(p: FFPlan, eigs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The fast readout's coefficients, shape (P, L), as the ledger's DFT: the
+    FFT of ``selected_phases`` times coeffs[l] w^(-k shift) / P and the alpha
+    phase, w = e^(2 pi i / P)."""
+    shift = np.exp(-2j * math.pi * ((np.arange(p.period) * p.shift) % p.period) / p.period)
+    spectrum = np.fft.fft(selected_phases(p, eigs), axis=0)
+    return spectrum * ((shift / p.period) * alpha_phases(p.n, p.period))[:, None] * coeffs
+
+
+def dirichlet_readout(p: FFPlan, x: float, k: int, dps: int = 40) -> complex:
+    """One fast-readout coefficient at class k and unit weight, in mpmath at
+    ``dps`` digits, for the level h whose phase over the circuit's Hamiltonian
+    time B = P root is x = B h (root the double step root): the ledger's DFT
+    (1/P) w^(-k shift) sum_r w^(-k r) e^(-i h theta_r), theta_r = root (2r - P),
+    its geometric sum taken as (1 - z^P) / (1 - z) with z = w^(-k) e^(-2 i x / P),
+    times the alpha phase sigma_k^N e^(i pi k N / P)."""
+    with mpmath.workdps(dps):
+        period, x = p.period, mpmath.mpf(x)
+        z = mpmath.expj(-2 * (mpmath.pi * k + x) / period)
+        total = mpmath.mpf(period) if z == 1 else (1 - z ** period) / (1 - z)
+        sigma = -1 if 2 * k > period else 1
+        phase = mpmath.expjpi(mpmath.mpf(-2 * ((k * p.shift) % period) + (p.n * k) % (2 * period))
+                              / period)
+        return complex(sigma ** p.n * total * mpmath.expj(x) * phase / period)
+
+
 def residue_sum_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
     """The plain residue sum sum_r w_r e^{-i (a - b) theta_r} on every pair of
     a and b, over every class, in long double: the weights of

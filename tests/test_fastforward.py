@@ -10,7 +10,7 @@ from hypothesis import strategies as hst
 
 from lindbladff import (Channel, ValidationError, evolve,
                         normalize_spectrum, plan)
-from lindbladff.channel import _phase_blocks, _residue_phases, channel, gap_kernel, node_count
+from lindbladff.channel import channel, gap_kernel, node_count
 import lindbladff.channel as laws
 from lindbladff import numkernel as nk
 from lindbladff.qpe import residue_spectrum
@@ -62,20 +62,6 @@ def ledger_density(ledger):
     """Density of the whole residue ledger, sum_r w_r s_r s_r^dag in one product."""
     s = ledger.states
     return (s.T * ledger.weights) @ s.conj()
-
-
-def selected_phases(p, eigs):
-    """Whole phase table, one bit at a time over every row: each row selects
-    the forward or backward factor of bit j with ``np.where``."""
-    root = math.sqrt(p.t / p.n)
-    r = np.arange(p.period)
-    phases = np.tile(np.exp(+1j * eigs * root), (p.period, 1))
-    for j in range(p.dprime):
-        bit = (r >> j) & 1
-        fwd = np.exp(-1j * eigs * root * (1 << j))
-        bwd = np.exp(+1j * eigs * root * (1 << j))
-        phases *= np.where(bit[:, None] == 1, fwd[None, :], bwd[None, :])
-    return phases
 
 
 class TestPlan:
@@ -281,47 +267,16 @@ class TestFastForwardEvolve:
 
 
 class TestStreamedDensity:
-    @pytest.mark.parametrize("t,eps,n", [(1.0, 0.5, 16), (2.0, 0.05, None), (3.0, 0.05, 10**6)])
-    def test_whole_table_matches_bit_selection(self, rng, t, eps, n):
-        p = plan(t, eps, n)
-        ham = normalize_spectrum(random_hermitian(rng, 6))
-        got = _residue_phases(p, ham.eigenvalues)
-        assert got.tobytes() == selected_phases(p, ham.eigenvalues).tobytes()
-
     def test_subnormal_time_keeps_its_phases(self):
-        # t / N rounds to 0 at t = 5e-324, N = 2; the table reads the step root
-        # sqrt(t) / sqrt(N), so its largest phase, at class 0 and level +-1, is the
-        # circuit's Hamiltonian time B = P sqrt(t) / sqrt(N), not 0
+        # t / N rounds to 0 at t = 5e-324, N = 2; the readout reads the step root
+        # sqrt(t) / sqrt(N), so class 0 at level +-1 carries the circuit's
+        # Hamiltonian time B = P sqrt(t) / sqrt(N) in its imaginary part, not 0
         p = plan(5e-324, 1e-3, 2)
-        table = _residue_phases(p, np.array([-1.0, 0.0, 1.0]))
+        coef = residue_spectrum(p, np.array([-1.0, 0.0, 1.0]), np.ones(3))
         assert (p.t / p.n, p.period) == (0.0, 4)
-        assert float(np.max(np.abs(table.imag))) == laws.ff_cost(p).hamiltonian_time
+        assert (coef[0].imag * p.period).tolist() == [-laws.ff_cost(p).hamiltonian_time, 0.0,
+                                                      laws.ff_cost(p).hamiltonian_time]
         assert laws.ff_cost(p).hamiltonian_time == 6.286911138810514e-162
-
-    @pytest.mark.parametrize("t,eps,n", [(1.0, 0.5, 16), (2.0, 0.05, None), (3.0, 0.05, 10**6)])
-    def test_every_block_is_its_slice(self, rng, t, eps, n):
-        p = plan(t, eps, n)
-        eigs = normalize_spectrum(random_hermitian(rng, 5)).eigenvalues
-        whole = _residue_phases(p, eigs)
-        rows = 1
-        while rows <= p.period:
-            blocks = _phase_blocks(p, eigs, rows, p.period)
-            for lo, block in zip(range(0, p.period, rows), blocks, strict=True):
-                assert block.tobytes() == whole[lo:lo + rows].tobytes(), (rows, lo)
-            rows *= 4 if p.period > 4096 else 2  # every other size at large periods, for time
-
-    @pytest.mark.parametrize("levels", [2, 3, 40, 129])
-    def test_few_levels_take_lines_of_rows(self, rng, levels):
-        # fewer than 256 levels multiply their high bits over lines of several
-        # rows; one level in blocks of one row is a lone number, which numpy
-        # multiplies in its scalar loop, a last bit apart from its vector loops
-        p = plan(3.0, 0.05, 10**6)
-        eigs = rng.uniform(-1.0, 1.0, levels)
-        whole = _residue_phases(p, eigs)
-        for rows in (2, 8, 256, 1024):
-            blocks = _phase_blocks(p, eigs, rows, p.period)
-            for lo, block in zip(range(0, p.period, rows), blocks, strict=True):
-                assert block.tobytes() == whole[lo:lo + rows].tobytes(), (rows, lo)
 
     @pytest.mark.parametrize("dim, bound", [(8, 8 * np.finfo(float).eps), (64, 1e-15)])
     def test_pure_input_is_the_ledger_product(self, rng, dim, bound):

@@ -24,15 +24,15 @@ from lindbladff.channel import (Channel, channel, dilated_kernel, evolve, evolve
                                 gap_kernel)
 from lindbladff.cli import run
 from lindbladff.kernels import _require_memory, binom_pmf_window
-from lindbladff.qpe import (_alpha_phases, _counting_distribution,
+from lindbladff.qpe import (_counting_distribution,
                            _fast_distribution, _level_rows, _read_levels,
                            _sample_counts, counting_estimator, decide_amplitude,
                            residue_spectrum)
 
 from conftest import (goal_ledger, log_binom, random_eigenstate, random_hermitian, random_state,
                       residue_of)
-from oracles import (amplitude_decision_demo, closed_form_standard_prepare,
-                     closed_form_standard_qpe,
+from oracles import (alpha_phases, amplitude_decision_demo, closed_form_standard_prepare,
+                     closed_form_standard_qpe, dirichlet_readout, fft_readout,
                      dense_amplitude_problem, grover_iterate, schur_orthogonal_log,
                      standard_filter, standard_route_oracle, unit_gaps)
 from test_single_jump import jumps
@@ -881,7 +881,7 @@ def column_rows(ham, state, p):
     n, period = p.n, p.period
     shift_phase = np.exp(-2j * math.pi * ((np.arange(period) * p.shift) % period) / period)
     s_hat = np.fft.fft(ledger.states, axis=0) * (shift_phase / period)[:, None]
-    phases = _alpha_phases(n, period)
+    phases = alpha_phases(n, period)
     rows = np.zeros((n + 1, s_hat.shape[1]), dtype=complex)
     for k in range(period):
         lo, pmf = binom_pmf_window(n, math.sin(math.pi * min(k, period - k) / period) ** 2)
@@ -1263,6 +1263,58 @@ class TestFastReadout:
         dist = _fast_distribution(ham, st, p)
         assert np.sum(np.abs(dist - column_distribution(ham, st, p))) <= 1e-14
         assert abs(dist.sum() - 1.0) <= 1e-14
+
+    def test_fast_call_leaves_numpy_fft_unloaded(self):
+        # the readout sums the ledger's DFT in closed form; numpy.fft, about
+        # 1 ms of a cold call, is not imported
+        code = ("import contextlib, io, sys\n"
+                "from lindbladff.cli import run\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    rc = run(['qpe', '--route', 'fast', '--ham', {H2Q!r}, '--t', '4',"
+                " '--N', '64'])\n"
+                "print(rc, 'numpy.fft' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qpe.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.split() == ["0", "False"], done.stderr
+
+    def test_period_past_the_pi_split_is_refused(self):
+        # classes |k| <= P / 2 must stay below 2^23 for the Dirichlet term's exact pi split
+        p = plan_at(2 ** 24, False)._replace(dprime=24)
+        with pytest.raises(ValidationError, match="period of at most 2"):
+            residue_spectrum(p, np.zeros(1), np.ones(1))
+
+    @pytest.mark.parametrize("make, levels", [
+        (lambda: plan(1.0, 0.5, 16), 6),
+        (lambda: plan_at(7, True), 6),
+        (lambda: plan_at(33, False), 6),
+        (lambda: plan_at(1001, True), 6),
+        (lambda: plan(3.0, 0.05, 4000), 6),
+        (lambda: plan(16.0, 1e-9, 10 ** 5), 6),
+        (lambda: plan(64.0, 1e-4, 10 ** 7), 6),
+        (lambda: plan(3.0, 1e-9, 10 ** 9), 4),
+        (lambda: plan(64.0, 1e-12, 3 * 10 ** 10), 3)],
+        ids=["P8", "odd-full-P16", "odd-narrow-P8", "odd-full-P2048", "P256", "P4096",
+             "P16384", "P2^18", "P2^21"])
+    def test_closed_form_matches_dirichlet_sum_and_fft(self, rng, make, levels):
+        # against the 40-digit Dirichlet sum at the same phase x = fl(B h), within
+        # 8 ulp of the largest entry: the two-sum leaves s exact to about 2^-100
+        # and sin, cos, two products, a quotient and the odd-N phase round once
+        # each; and against the FFT of the bit-selected table within 16 ulp, its
+        # d' + 1 phase factors and log2 P stages adding at most 4.7 ulp on these
+        # plans.  Every level checks the classes where s = pi k + x cancels.
+        p = make()
+        h = np.r_[-1.0, 0.0, rng.uniform(-1.0, 1.0, levels - 2)]
+        coef = residue_spectrum(p, h, np.ones(levels))
+        ulp = np.spacing(np.max(np.abs(coef)))
+        assert np.max(np.abs(coef - fft_readout(p, h, np.ones(levels)))) <= 16 * ulp
+        half = p.period // 2
+        classes = {0, 1, half - 1, half, half + 1, p.period - 1,
+                   *rng.integers(0, p.period, 8).tolist()}
+        for l, x in enumerate(ff_cost(p).hamiltonian_time * h):
+            near = round(-x / math.pi)
+            for k in classes | {(near + j) % p.period for j in range(-2, 3)}:
+                assert abs(coef[k, l] - dirichlet_readout(p, x, k)) <= 8 * ulp, (k, l)
 
     @pytest.mark.parametrize("levels", (1, 3))
     def test_memory_is_per_level_rows(self, rng, levels):
