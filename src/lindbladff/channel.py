@@ -220,8 +220,8 @@ def gap_kernel(p: FFPlan, eigs_a: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
     real, imag = _dirichlet_term(0, x, period)                # c_0 = 1
     for k in range(1, min(period // 2 - 1, math.floor(period / math.pi * reach)) + 1):
         c = math.exp(0.5 * p.n * math.log1p(-math.sin(math.pi * k / period) ** 2))
-        (re_up, im_up), (re_down, im_down) = (_dirichlet_term(k, x, period),
-                                              _dirichlet_term(-k, x, period))
+        re_up, im_up = _dirichlet_term(k, x, period)
+        re_down, im_down = _dirichlet_term(-k, x, period)
         real += c * (re_up + re_down)
         imag += c * (im_up + im_down)
     return (real + 1j * imag) / period
