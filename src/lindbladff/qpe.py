@@ -41,8 +41,9 @@ sums), so no phase table is built.  Columns k and P - k share one pmf.  Each
 pmf is touched on its precision window, where sqrt(pmf) is at least 2^-53 of
 the column maximum, sized by a Chernoff tail bound: about 13 sigma wide for
 large N sin^2, never under the Poisson-like tails near k = 0.  That is
-O(P sqrt(N) L) time for L read levels and O(N L) memory, one complex row of
-N + 1 counts per level.
+O(P sqrt(N) L) time for L read levels and O((N + P) L) memory: one complex
+row of N + 1 counts per level, and the (P, L) coefficients, whose float
+temporaries peak at ``_COEF_BYTES`` an entry.
 
 Preparation (``prepare`` on a ``standard``, ``dilated`` or ``ff`` channel)
 takes any target eigenspace beta of the spectrum it is given: it reads the
@@ -269,6 +270,14 @@ def counting_estimator(t: float, n: int, m) -> tuple[np.ndarray, np.ndarray]:
 # Fast route: Kravchuk readout through the product-state identity
 # ---------------------------------------------------------------------------
 
+# Peak bytes per (class, level) entry of ``residue_spectrum``'s (P, L) result,
+# its float temporaries included, as tracemalloc reads them: 65 at (P, L) =
+# (2^12, 512) and (2^15, 2048), 77 at L = 2 and 89 at L = 1 (P = 2^16 to
+# 2^22), where the class-length arrays weigh most, and 96 at P = 2^14, L = 1,
+# below the array size from which numpy reuses temporaries.
+_COEF_BYTES = 96
+
+
 def residue_spectrum(p: FFPlan, eigs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """The readout coefficients, shape (P, L), once the jump norm is checked:
     row k (class k - P past P / 2) is coeffs[l] e^(i pi k (N mod 2) / P) D(k,
@@ -324,8 +333,9 @@ def _fast_distribution(ham: Hamiltonian, state: SpectralState, p: FFPlan) -> np.
     view of the rows, with no (L, N+1) temporary.
     """
     read = _read_levels(state)
-    _require_memory(16 * read.size * (p.n + 1), "fast route",
-                    f"ledger rows at N = {p.n}", "lower N or raise eps")
+    _require_memory(read.size * (16 * (p.n + 1) + _COEF_BYTES * p.period), "fast route",
+                    f"ledger rows and coefficients at N = {p.n}, P = {p.period}",
+                    "lower N or raise eps")
     rows = _level_rows(residue_spectrum(p, ham.eigenvalues[read], state.coeffs[read]), p.n)
     parts = rows.view(float).reshape(rows.shape[0], -1, 2)
     return np.einsum("lxc,lxc->x", parts, parts)

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy.linalg import eigh_tridiagonal, expm, hadamard
 
-from lindbladff import (FFPlan, InvariantError, ValidationError,
+from lindbladff import (CapacityError, FFPlan, InvariantError, ValidationError,
                         decompose_state, estimate, normalize_spectrum, plan, prepare)
-from lindbladff import model, qpe
+from lindbladff import kernels, model, qpe
 from lindbladff import numkernel as nk
 from lindbladff.channel import (Channel, channel, dilated_kernel, evolve, evolve_matrix, ff_cost,
                                 gap_kernel)
@@ -598,7 +598,8 @@ def test_fast_preparation_bound_reads_the_dilated_filter(case, n, t, eps, beta_d
 def plan_fast_qpe(ham, st, p, mode, seed, repeats):
     """The fast estimate on a given plan: its readout, ``ff_cost`` priced."""
     chan = Channel("ff", p.t, p.n, partial(gap_kernel, p), ff_cost(p), p)
-    return qpe._readout(ham, route_fast_distribution(ham, st, p), chan, mode, seed, repeats)
+    route_step_root(ham, p.t, p.n)  # range guard
+    return qpe._readout(ham, _fast_distribution(ham, st, p), chan, mode, seed, repeats)
 
 
 def plan_fast_qpe_eigenstate(ham, st, beta, p):
@@ -686,10 +687,10 @@ def test_fast_edges_are_covered():
 
 
 # ---------------------------------------------------------------------------
-# estimate and prepare on a channel: bitwise the four route functions they
-# replaced, slow_qpe, slow_qpe_eigenstate, fast_qpe and fast_qpe_eigenstate,
-# transcribed below with the range guard they ran (on the fast route inside
-# its distribution); both sides read their costs from the channel table
+# estimate and prepare on a dilated channel: bitwise the two slow route
+# functions they replaced, slow_qpe and slow_qpe_eigenstate, transcribed below
+# with the range guard they ran; both sides read their costs from the channel
+# table.  The fast routes are checked against their plan arithmetic above.
 # ---------------------------------------------------------------------------
 
 def route_step_root(ham, t, n):
@@ -702,11 +703,6 @@ def route_step_root(ham, t, n):
         raise ValidationError(f"sqrt(t/N) max|h| = {reach:.3g} > pi/2 leaves the monotone "
                               f"estimator range; increase N")
     return root
-
-
-def route_fast_distribution(ham, state, p):
-    route_step_root(ham, p.t, p.n)  # range guard
-    return _fast_distribution(ham, state, p)
 
 
 def route_slow_qpe(ham, state, t, n, mode="exact", seed=None, repeats=1):
@@ -728,32 +724,6 @@ def route_slow_qpe_eigenstate(ham, state, beta, t, n):
     return qpe._postselect(state, beta, amp, bound, 1.0 / n + 1e-10, chan.cost)
 
 
-def route_fast_qpe(ham, state, t, eps, n=None, mode="exact", seed=None, repeats=1):
-    chan = channel("ff", t, eps, n=n)
-    return qpe._readout(ham, route_fast_distribution(ham, state, chan.plan), chan, mode, seed,
-                        repeats)
-
-
-def route_fast_qpe_eigenstate(ham, state, beta, t, eps, n=None):
-    chan = channel("ff", t, eps, n=n)
-    p = chan.plan
-    ham = unit_gaps(ham, beta)
-    c_beta = float(state.coeffs[beta])
-    root_eps = math.sqrt(p.eps)
-    zeta = root_eps / c_beta if c_beta > 0 else math.inf
-    bound = 0.0
-    if zeta < 1.0 / 6.0:
-        plain = channel("dilated", p.t, None, n=p.n).kernel(ham.eigenvalues, np.zeros(1))[:, 0]
-        if state.weights[beta] / np.sum(state.weights * plain ** 2) >= 1.0 - zeta:
-            bound = 1.0 - 6.0 * zeta
-    prep = qpe._postselect(state, beta, chan.kernel(ham.eigenvalues, np.zeros(1))[:, 0],
-                           bound, 1e-9, chan.cost)
-    root_p0 = math.sqrt(prep.postselect_probability)
-    if root_p0 < c_beta - root_eps - 1e-9:
-        raise InvariantError(f"postselect amplitude {root_p0} fell below c_beta - sqrt(eps)")
-    return prep
-
-
 def assert_same_record(got_call, want_call, array_field):
     """Both calls raise an error of one type, or return equal records whose
     ``array_field`` arrays are equal entry for entry."""
@@ -768,40 +738,28 @@ def assert_same_record(got_call, want_call, array_field):
     assert got._replace(**{array_field: None}) == want._replace(**{array_field: None})
 
 
-# arguments each route refuses: a time, a count, an eps
+# arguments the slow route refuses: a time, a count
 SLOW_REFUSED = [(0.0, 4), (float("nan"), 4), (1.0, 0), (1.0, 2.5)]
-FAST_REFUSED = [(0.0, 1e-3, 64), (1.0, 0.0, 64), (1.0, 1e-3, 1), (1.0, 1e-3, 64.0)]
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(case=jumps(), slow=hst.booleans(),
-       slow_args=hst.one_of(slow_arguments(), hst.sampled_from(SLOW_REFUSED)),
-       fast_args=hst.one_of(fast_arguments(), hst.sampled_from(FAST_REFUSED)),
+@given(case=jumps(), slow_args=hst.one_of(slow_arguments(), hst.sampled_from(SLOW_REFUSED)),
        beta_draw=hst.integers(0, 5), mode=hst.sampled_from(["exact", "sample"]),
        seed=hst.integers(0, 2 ** 32 - 1), repeats=hst.integers(1, 5))
-def test_estimate_and_prepare_are_bitwise_the_route_functions(case, slow, slow_args, fast_args,
-                                                              beta_draw, mode, seed, repeats):
+def test_estimate_and_prepare_are_bitwise_the_route_functions(case, slow_args, beta_draw, mode,
+                                                              seed, repeats):
     f, rng = case
     ham = normalize_spectrum(f)
     st = decompose_state(random_state(rng, ham.dim), ham)
     beta = beta_draw % ham.n_levels
-    if slow:
-        t, n = slow_args
-        chan, want_estimate, want_prepare = (
-            lambda: slow_channel(t, n),
-            lambda: route_slow_qpe(ham, st, t, n, mode, seed, repeats),
-            lambda: route_slow_qpe_eigenstate(ham, st, beta, t, n))
-    else:
-        t, eps, n = fast_args
-        chan, want_estimate, want_prepare = (
-            lambda: fast_channel(t, eps, n),
-            lambda: route_fast_qpe(ham, st, t, eps, n, mode, seed, repeats),
-            lambda: route_fast_qpe_eigenstate(ham, st, beta, t, eps, n))
+    t, n = slow_args
     # the slow distribution is register-sized, so the largest N is kept to preparation
-    if not slow or not isinstance(n, int) or n <= 4096:
-        assert_same_record(lambda: estimate(ham, st, chan(), mode, seed, repeats), want_estimate,
+    if not isinstance(n, int) or n <= 4096:
+        assert_same_record(lambda: estimate(ham, st, slow_channel(t, n), mode, seed, repeats),
+                           lambda: route_slow_qpe(ham, st, t, n, mode, seed, repeats),
                            "distribution")
-    assert_same_record(lambda: prepare(ham, st, beta, chan()), want_prepare, "state")
+    assert_same_record(lambda: prepare(ham, st, beta, slow_channel(t, n)),
+                       lambda: route_slow_qpe_eigenstate(ham, st, beta, t, n), "state")
 
 
 @pytest.mark.parametrize("call", [lambda ham, st, chan: estimate(ham, st, chan),
@@ -1330,6 +1288,18 @@ class TestFastReadout:
         finally:
             tracemalloc.stop()
         assert peak <= (16 * levels + 8) * (n + 1) + 4 * 2 ** 20, peak / 2 ** 20
+
+    def test_coefficients_count_against_the_memory(self, monkeypatch):
+        # a full window, P = 128 classes at N = 64: the memory, the bytes of the
+        # (P, 2) complex coefficients alone, holds both levels' rows of 65 counts
+        ham = normalize_spectrum(np.diag([0.0, 1.0]))
+        p = plan(1.0, 1e-300, 64)
+        assert (p.n, p.period) == (64, 128)
+        monkeypatch.setattr(kernels.os, "sysconf",
+                            {"SC_PAGE_SIZE": 16, "SC_PHYS_PAGES": 2 * p.period}.get)
+        monkeypatch.setattr(qpe, "residue_spectrum", lambda *args: pytest.fail("built"))
+        with pytest.raises(CapacityError, match="fast route needs"):
+            _fast_distribution(ham, decompose_state(PLUS, ham), p)
 
 
 class TestReadLevels:
