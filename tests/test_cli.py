@@ -90,6 +90,15 @@ GOLDEN = {
 
 
 class TestRecords:
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_golden_record(self, monkeypatch, case):
+        monkeypatch.chdir(ROOT)
+        rc, out = invoke(GOLDEN[case])
+        assert rc == 0
+        with open(os.path.join(DATA, f"golden_{case}.jsonl")) as fh:
+            want = fh.read()
+        assert strip_wall_time(out) == want
+
     def test_determinism_byte_identical(self):
         argv = ["qpe", "--route", "slow", "--ham", HAM, "--t", "4", "--N", "100",
                 "--mode", "sample", "--seed", "7"]
@@ -818,6 +827,11 @@ class TestExitCodes:
         "eps_nan": [*EVOLVE, "dilated", "--ham", HAM, "--eps", "nan"],
         "eps_negative": [*EVOLVE, "dilated", "--ham", HAM, "--eps", "-0.1"],
         "eps_squared_underflows": [*EVOLVE, "ff", "--ham", HAM, "--eps", "1e-200"],
+        # one eps range for every method, whether or not it reads eps
+        "eps_above_one_exact": [*EVOLVE, "exact", "--ham", HAM, "--eps", "1.5"],
+        "eps_above_one_dilated": [*EVOLVE, "dilated", "--ham", HAM, "--eps", "1.5"],
+        "eps_above_one_choi_ff": [*EVOLVE, "choi-ff", "--jumps", os.path.join(DATA, "jumps.txt"),
+                                  "--eps", "1.5"],
         "sigma_nan": ["stateprep", "--what", "gaussian", "--sigma", "nan"],
         "mu_not_finite": ["stateprep", "--what", "gaussian", "--mu", "inf"],
         # one width rule: sigma^2 past any float used to end in an OverflowError
@@ -878,6 +892,15 @@ class TestExitCodes:
         "gibbs_beta_one_distinct": ["bench", "gibbs-beta", "--beta", "2,2"],
         "ff_vs_dilated_one_time": ["bench", "ff-vs-dilated", "--t", "4"],
         "steps_zero": [*EVOLVE, "dilated", "--ham", HAM, "--steps", "0"],
+        # --N is read by ff alone and --steps by dilated alone
+        "steps_with_exact": [*EVOLVE, "exact", "--ham", HAM, "--steps", "-5"],
+        "steps_with_ff": [*EVOLVE, "ff", "--ham", HAM, "--steps", "0"],
+        "steps_with_choi_ff": [*EVOLVE, "choi-ff", "--jumps", os.path.join(DATA, "jumps.txt"),
+                               "--steps", "8"],
+        "n_with_dilated": [*EVOLVE, "dilated", "--ham", HAM, "--N", "3"],
+        "n_with_exact": [*EVOLVE, "exact", "--ham", HAM, "--N", "16"],
+        "n_with_choi_ff": [*EVOLVE, "choi-ff", "--jumps", os.path.join(DATA, "jumps.txt"),
+                           "--N", "16"],
         # one time rule, 0 < t < inf, for every method
         "t_zero_exact": ["evolve", "--t", "0", "--method", "exact", "--ham", HAM],
         "t_zero_dilated": ["evolve", "--t", "0", "--method", "dilated", "--ham", HAM],
@@ -892,6 +915,23 @@ class TestExitCodes:
         "slow_n_below_estimator_range": ["qpe", "--route", "slow", "--ham", HAM, "--t", "16",
                                          "--N", "1"],
         "oracle_not_a_power_of_two": ["ae-demo", "--oracle", "{tmp}/three_oracle.txt"],
+        # an oracle file sets --n and --witnesses; binomial and distance read no --mu, --sigma
+        "n_with_oracle": ["ae-demo", "--oracle", "{tmp}/oracle.txt", "--n", "2"],
+        "witnesses_with_oracle": ["ae-demo", "--oracle", "{tmp}/oracle.txt", "--witnesses", "1"],
+        "mu_with_binomial": ["stateprep", "--what", "binomial", "--N", "4", "--mu", "99"],
+        "sigma_with_binomial": ["stateprep", "--what", "binomial", "--sigma", "2"],
+        "mu_with_distance": ["stateprep", "--what", "distance", "--mu", "8"],
+        "sigma_with_distance": ["stateprep", "--what", "distance", "--N", "4", "--sigma", "1"],
+        # each qpe route refuses the options only the others read
+        "t_with_standard": ["qpe", "--route", "standard", "--ham", H2Q, "--t", "99"],
+        "n_with_standard": ["qpe", "--route", "standard", "--ham", H2Q, "--N", "7"],
+        "eps_with_standard": ["qpe", "--route", "standard", "--ham", H2Q, "--eps", "1e-3"],
+        "zeta_with_standard": [*PREPARE, "--zeta", "0.1"],
+        "d_with_slow": ["qpe", "--route", "slow", "--ham", H2Q, "--t", "4", "--N", "64", "--d", "3"],
+        "d_with_fast": ["qpe", "--route", "fast", "--ham", H2Q, "--N", "64", "--d", "3"],
+        "eps_with_slow": ["qpe", "--route", "slow", "--ham", H2Q, "--N", "64", "--eps", "1e-3"],
+        "zeta_with_slow": ["qpe", "prepare", "--route", "slow", "--ham", H2Q, "--N", "64",
+                           "--zeta", "0.1"],
         "gibbs_dim_not_a_power_of_two": ["gibbs", "--ham", "{tmp}/three.dense"],
         # an empty path is given, like any other, and names no file
         "oracle_path_empty": ["ae-demo", "--oracle", ""],
@@ -919,6 +959,7 @@ class TestExitCodes:
         (tmp_path / "nan.state").write_text("nan,0 0,0\n")
         (tmp_path / "matrix.state").write_text("1,0 0,0\n0,0 0,0\n")
         (tmp_path / "three_oracle.txt").write_text("0 1 0\n")
+        (tmp_path / "oracle.txt").write_text("0 1 0 0\n")
         (tmp_path / "three.dense").write_text("1,0 0,0 0,0\n0,0 2,0 0,0\n0,0 0,0 3,0\n")
         (tmp_path / "zz.pauli").write_text("1.0 ZZ\n")
         (tmp_path / "mixed_dims.txt").write_text("z.pauli 0.5\nzz.pauli 0.5\n")
@@ -949,17 +990,30 @@ class TestExitCodes:
             f"error: {tmp_path / 'wide600.pauli'}: Pauli sum needs 2.57e+353 GiB of dense matrix "
             f"at 600 qubits, more than the ")
 
-    # Two orders that the generated refusal case below, one refused option with
-    # a valid value, does not reach: of two refused options the first declared
-    # is named, and a refused option is refused before its value is read.
     @pytest.mark.parametrize("argv, message", [
+        (["ae-demo", "--oracle", "{tmp}", "--n", "2"],
+         "--n applies only without --oracle, whose file sets it"),
+        (["ae-demo", "--witnesses", "0", "--oracle", "{tmp}"],
+         "--witnesses applies only without --oracle, whose file sets it"),
+        (["stateprep", "--what", "binomial", "--N", "4", "--mu", "99"],
+         "--mu applies only to --what gaussian, angles"),
+        (["stateprep", "--what", "distance", "--sigma", "2"],
+         "--sigma applies only to --what gaussian, angles"),
         (["qpe", "--route", "standard", "--ham", HAM, "--d", "3", "--t", "99", "--N", "7"],
          "--t applies only to --route slow, fast"),
-        ([*EVOLVE, "exact", "--ham", HAM, "--steps", "-5"],
-         "--steps applies only to --method dilated"),
-    ], ids=["first-declared", "before-its-value"])
-    def test_option_its_mode_does_not_read_is_refused(self, capsys, argv, message):
-        rc, out = invoke(argv)
+        (["qpe", "--route", "standard", "--ham", HAM, "--N", "7"],
+         "--N applies only to --route slow, fast"),
+        (["qpe", "--route", "slow", "--ham", HAM, "--d", "3", "--t", "4", "--N", "64"],
+         "--d applies only to --route standard"),
+        (["qpe", "--route", "slow", "--ham", HAM, "--N", "64", "--eps", "1e-3"],
+         "--eps applies only to --route fast"),
+        (["qpe", "prepare", "--route", "slow", "--ham", HAM, "--N", "64", "--zeta", "0.1"],
+         "--zeta applies only to --route fast"),
+    ])
+    def test_option_its_mode_does_not_read_is_refused(self, tmp_path, capsys, argv, message):
+        oracle = tmp_path / "oracle.txt"
+        oracle.write_text("0 1 0 0\n")
+        rc, out = invoke([str(oracle) if arg == "{tmp}" else arg for arg in argv])
         assert (rc, out, capsys.readouterr().err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv, default", [
@@ -1018,6 +1072,29 @@ class TestExitCodes:
         rc, out = invoke([*self.EVOLVE, method, *source, "--eps", "1.5"])
         assert (rc, out) == (1, "")
         assert capsys.readouterr().err == "error: --eps must lie in (0, 1), got 1.5\n"
+
+    @pytest.mark.parametrize("method", ["exact", "dilated", "ff", "choi-ff"])
+    @pytest.mark.parametrize("flag, reader", [("--N", "ff"), ("--steps", "dilated")])
+    def test_count_flag_names_the_method_that_reads_it(self, capsys, method, flag, reader):
+        source = (["--jumps", os.path.join(DATA, "jumps.txt")] if method == "choi-ff"
+                  else ["--ham", HAM])
+        rc, out = invoke([*self.EVOLVE, method, *source, flag, "16"])
+        if method == reader:
+            assert rc == 0 and json.loads(out)["cost"]["hamiltonian_time"] > 0
+        else:
+            assert (rc, out) == (1, "")
+            assert capsys.readouterr().err == f"error: {flag} applies only to --method {reader}\n"
+
+    @pytest.mark.parametrize("method", ["exact", "dilated", "ff", "choi-ff"])
+    def test_file_flag_names_the_methods_that_read_it(self, tmp_path, capsys, method):
+        # the flag is refused before its file is opened: none exists at that path
+        flag, readers = (("--ham", "exact, dilated, ff") if method == "choi-ff"
+                         else ("--jumps", "choi-ff"))
+        source = (["--jumps", os.path.join(DATA, "jumps.txt")] if method == "choi-ff"
+                  else ["--ham", HAM])
+        rc, out = invoke([*self.EVOLVE, method, *source, flag, str(tmp_path / "absent")])
+        assert (rc, out) == (1, "")
+        assert capsys.readouterr().err == f"error: {flag} applies only to --method {readers}\n"
 
     # A malformed file for each reader, and the file its error must name.
     NAMED = {

@@ -202,9 +202,7 @@ def test_normal_law_node_counts(t, width, m):
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_argvs_keep_the_eigenbasis_path(monkeypatch, case):
-    # tier-1's in-process golden-byte check: each golden argv writes its file's
-    # bytes (wall_time_s aside) on the eigenbasis path, and never reaches
-    # ``level_kernel``'s interpolation either: both forms read Chebyshev points
+    # nor reaches ``level_kernel``'s interpolation: both forms read Chebyshev points
     monkeypatch.chdir(ROOT)
     monkeypatch.setattr(channel_module, "_node_form", mock.Mock(side_effect=AssertionError))
     monkeypatch.setattr(channel_module.nk, "chebyshev_points", mock.Mock(side_effect=AssertionError))
